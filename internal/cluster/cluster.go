@@ -261,15 +261,15 @@ type Server struct {
 	// stays valid and per-id lookups can be skipped entirely.
 	epoch uint64
 
-	// quiescent records that the last fully processed tick found every VM
-	// idle, meaning the grant phase granted nothing and left no trace
-	// beyond the disk's idle jitter draws (see DESIGN.md §5.2). While it
-	// holds and no dirtying event intervenes, the grant phase may be
-	// skipped outright; catchUp replays the elided jitter draws before
-	// the next full tick, keeping results bit-for-bit identical. Any
-	// mutation that could change a tick's outcome (workload attach,
-	// placement change, cap change) clears it via MarkDirty, forcing one
-	// full re-evaluation.
+	// quiescent records that the last tick found every VM idle and either
+	// processed or settled it (settleIdle), so the grant phase granted
+	// nothing and left no trace beyond the disk's idle jitter draws (see
+	// DESIGN.md §5.2). While it holds and no dirtying event intervenes,
+	// the grant phase may be skipped outright; catchUp replays the elided
+	// jitter draws before the next full tick, keeping results bit-for-bit
+	// identical. Any mutation that could change a tick's outcome
+	// (workload attach, placement change, cap change) clears it via
+	// MarkDirty, so the next tick processes or settles the server anew.
 	quiescent bool
 
 	// skipped counts grant-phase ticks elided while quiescent; skipIDs
@@ -464,7 +464,7 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 		// way populated quiescent servers do (with an empty replay set).
 		if s.quiescent && quiesce {
 			if s.skipped == 0 {
-				s.skipIDs = s.skipIDs[:0]
+				s.snapshotSkipIDs()
 			}
 			s.skipped++
 			s.statSkipped++
@@ -507,13 +507,13 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 	// Quiescence fast path: when every VM is idle the full pipeline below
 	// grants nothing — zero demands produce zero grants and cgroup
 	// counters accumulate zeros. Its only lasting effect is the disk's
-	// per-client idle jitter draws, which catchUp can replay later. The
-	// first idle tick still runs the pipeline (it zeroes lastGrant and
-	// settles the models' keep/GC state); every subsequent idle tick is
-	// skipped until a workload wakes up or MarkDirty reports an external
-	// change. Skipping is bit-for-bit invisible: enabling or disabling it
-	// cannot change any simulation output (see DESIGN.md §5.2 and
-	// TestQuiescenceMatchesFullPipeline).
+	// per-client idle jitter draws, which catchUp can replay later. Every
+	// idle tick is therefore skipped until a workload wakes up or
+	// MarkDirty reports an external change; the first one of a stretch
+	// also settles what the pipeline would have left behind (settleIdle),
+	// without building a single vector. Skipping is bit-for-bit
+	// invisible: enabling or disabling it cannot change any simulation
+	// output (see DESIGN.md §5.2 and TestQuiescenceMatchesFullPipeline).
 	idle := true
 	if cap(s.idleFlags) < n {
 		s.idleFlags = make([]bool, n)
@@ -526,12 +526,12 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 			idle = false
 		}
 	}
-	if idle && s.quiescent && quiesce {
-		if s.skipped == 0 {
-			s.skipIDs = s.skipIDs[:0]
-			for _, v := range s.vms {
-				s.skipIDs = append(s.skipIDs, v.id)
-			}
+	if idle && quiesce {
+		if !s.quiescent {
+			s.catchUp()
+			s.settleIdle()
+		} else if s.skipped == 0 {
+			s.snapshotSkipIDs()
 		}
 		s.skipped++
 		s.statSkipped++
@@ -680,6 +680,37 @@ func (s *Server) snapshotEpochs(tickSec float64) {
 		s.throttleSeqs = append(s.throttleSeqs, v.cg.ThrottleSeq())
 	}
 	s.steadyValid = true
+}
+
+// settleIdle leaves the server as a fully processed all-idle tick would,
+// without running the pipeline: every VM's last grant is zero, each model
+// reports a quiescent tick (memsys also collects the jitter state of VMs
+// that left), and the server is quiescent. What it does not do is build
+// the request vectors, prime the models' memos, or take the disk's jitter
+// draws — the caller counts the tick as the first skipped one, so catchUp
+// replays its draws, and the disk's keep-set GC with them, when the
+// server next runs the pipeline. A server idle from birth thus never
+// seeds its RNG streams or sizes its scratch buffers. Call it with no
+// skipped ticks pending; it snapshots skipIDs for the stretch it starts.
+func (s *Server) settleIdle() {
+	s.snapshotSkipIDs()
+	for _, v := range s.vms {
+		v.lastGrant = Grant{}
+	}
+	s.cpu.SettleIdle()
+	s.mem.SettleIdle(s.skipIDs)
+	s.disk.SettleIdle()
+	s.quiescent = true
+	s.steadyValid = false
+}
+
+// snapshotSkipIDs records the VM ids present through a skipped stretch
+// that starts at this tick.
+func (s *Server) snapshotSkipIDs() {
+	s.skipIDs = s.skipIDs[:0]
+	for _, v := range s.vms {
+		s.skipIDs = append(s.skipIDs, v.id)
+	}
 }
 
 // catchUp replays the random draws of any skipped idle ticks before a

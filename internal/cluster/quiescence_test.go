@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -133,5 +135,117 @@ func TestQuiescenceToggleBitForBit(t *testing.T) {
 	b0, b1 := run(true)
 	if a0 != b0 || a1 != b1 {
 		t.Errorf("counters diverge with quiescence on:\noff: %+v / %+v\non:  %+v / %+v", a0, a1, b0, b1)
+	}
+}
+
+// TestIdleFromBirthWakeMatchesFullPipeline covers the deferred first idle
+// tick. A server idle from birth holds 30 VMs; after a few ticks, 28 of
+// them migrate away, which leaves the departed VMs' disk jitter state
+// past the AR(1) keep-set GC threshold (4·2+16 < 30); later one of them
+// migrates back with a busy workload and wakes the server. Its jitter
+// state must have been collected in between — exactly when the full
+// pipeline collects it — so the returning VM restarts from a fresh luck
+// factor. Every grant and cgroup counter must match the quiescence-off
+// run bit for bit, flat and sharded. A warm variant gives every VM a
+// short burst of work first, so the first idle tick also has memory-
+// system jitter state to collect; the returning VM is memory-bound, so
+// that state shows in its grants.
+func TestIdleFromBirthWakeMatchesFullPipeline(t *testing.T) {
+	type result struct {
+		grants   map[string][]Grant
+		counters map[string]any
+	}
+	run := func(quiesce bool, shards int, warm bool) result {
+		eng := sim.NewEngine(100*time.Millisecond, 42)
+		c := New()
+		c.SetTickWorkers(1)
+		c.SetQuiescence(quiesce)
+		c.SetShards(shards)
+		eng.Register(c)
+		cold := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
+		other := c.AddServer("server-other", DefaultServerConfig(), eng.RNG())
+		works := map[string]*fakeWorkload{"vm-busy": {name: "busy", demand: busyDemand()}}
+		var ids []string
+		for i := 0; i < 30; i++ {
+			id := fmt.Sprintf("vm-%02d", i)
+			v := c.AddVM(cold, id, 2, 8<<30, LowPriority, "")
+			ids = append(ids, id)
+			if warm {
+				works[id+"/warm"] = &fakeWorkload{name: id, demand: busyDemand(), maxWork: 0.1}
+				v.SetWorkload(works[id+"/warm"])
+			}
+		}
+		busy := c.AddVM(other, "vm-busy", 2, 8<<30, HighPriority, "app")
+		busy.SetWorkload(works["vm-busy"])
+		eng.Run(7)
+		for _, id := range ids[2:] {
+			if err := c.MoveVM(id, "server-other"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run(5)
+		if err := c.MoveVM("vm-05", "server-cold"); err != nil {
+			t.Fatal(err)
+		}
+		// Memory-bound, so the returning VM congests the memory bus and its
+		// memory-system jitter state shows in the grants.
+		back := busyDemand()
+		back.BytesPerInstr = 30
+		works["vm-05"] = &fakeWorkload{name: "back", demand: back}
+		c.FindVM("vm-05").SetWorkload(works["vm-05"])
+		works["vm-00"] = &fakeWorkload{name: "first", demand: busyDemand(), maxWork: 0.6}
+		c.FindVM("vm-00").SetWorkload(works["vm-00"])
+		eng.Run(12)
+		r := result{grants: map[string][]Grant{}, counters: map[string]any{}}
+		for id, w := range works {
+			r.grants[id] = w.grants
+		}
+		c.EachVM(func(v *VM) { r.counters[v.ID()] = v.Cgroup().Snapshot() })
+		return r
+	}
+	for _, warm := range []bool{false, true} {
+		want := run(false, -1, warm)
+		for _, shards := range []int{-1, 0} {
+			if got := run(true, shards, warm); !reflect.DeepEqual(got, want) {
+				t.Errorf("warm=%v shards=%d: quiescence-on run differs from the full pipeline:\non:  %+v\noff: %+v", warm, shards, got, want)
+			}
+		}
+	}
+}
+
+// coldServerRuns counts TestColdServerStreamsUnseededUntilWake's runs.
+var coldServerRuns int64
+
+// TestColdServerStreamsUnseededUntilWake checks that a server idle from
+// birth never derives its disk and memory-system random streams: both
+// stay unseeded across its idle ticks and are seeded by the first tick
+// that draws from them, after a workload wakes the server.
+func TestColdServerStreamsUnseededUntilWake(t *testing.T) {
+	// A seed no other test or earlier run (-count) uses, so the
+	// process-wide seed cache cannot already hold these streams.
+	coldServerRuns++
+	eng := sim.NewEngine(100*time.Millisecond, 0x5eed_c01d+coldServerRuns)
+	c := New()
+	c.SetQuiescence(true)
+	eng.Register(c)
+	srv := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
+	v := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")
+	c.AddVM(srv, "vm-1", 2, 8<<30, LowPriority, "")
+	streams := []string{"disk/server-cold", "memsys/server-cold"}
+	eng.Run(20)
+	for _, name := range streams {
+		if eng.RNG().StreamSeeded(name) {
+			t.Fatalf("stream %s seeded while its server was idle from birth", name)
+		}
+	}
+	if got := srv.FastPathStats(); got.Rebuilds != 0 || got.QuiescentSkips != 20 {
+		t.Fatalf("cold server rebuilds=%d skips=%d, want 0, 20", got.Rebuilds, got.QuiescentSkips)
+	}
+	v.SetWorkload(&fakeWorkload{name: "w", demand: busyDemand()})
+	eng.Run(1)
+	for _, name := range streams {
+		if !eng.RNG().StreamSeeded(name) {
+			t.Errorf("stream %s not seeded after its server woke", name)
+		}
 	}
 }

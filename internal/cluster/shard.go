@@ -299,10 +299,7 @@ func (c *Cluster) deactivate(s *Server) {
 	c.inactive++
 	c.activeBits[s.index>>6] &^= 1 << uint(s.index&63)
 	s.skipFrom = c.ticks
-	s.skipIDs = s.skipIDs[:0]
-	for _, v := range s.vms {
-		s.skipIDs = append(s.skipIDs, v.id)
-	}
+	s.snapshotSkipIDs()
 	si := c.shardIndex(s.index)
 	sh := &c.shards[si]
 	sh.active--

@@ -119,6 +119,15 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // strict no-op beyond the zero grants it returns).
 func (s *Scheduler) Quiescent() bool { return s.lastQuiescent }
 
+// SettleIdle records an all-idle tick without building a request vector:
+// the scheduler reports itself quiescent, as a zero-demand Allocate leaves
+// it, and drops its input memo rather than priming it (a memo only saves
+// work, so dropping it cannot change a grant).
+func (s *Scheduler) SettleIdle() {
+	s.lastQuiescent = true
+	s.memoValid = false
+}
+
 // Allocate grants core-seconds for one tick. Per-client demand is first
 // clamped to the VM's vcpus and its hard cap; remaining contention for
 // physical cores is resolved max-min fairly.

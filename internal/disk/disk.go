@@ -233,8 +233,30 @@ func (d *Disk) Quiescent() bool { return d.lastQuiescent }
 // position (DESIGN.md §5.2). The replay is a single batched loop —
 // per-client map state is touched once regardless of n — so fast-forwarding
 // even planet-scale idle stretches stays O(n*clients) time, zero allocs.
+// It ends with the keep-set GC a quiescent Allocate runs, which only the
+// first tick of a stretch can make compact; clientIDs must be distinct.
+// A call with no ticks or no clients does nothing, as the cluster makes
+// no disk call at all for a server without VMs.
 func (d *Disk) AdvanceIdle(n int, clientIDs []string) {
+	if n <= 0 || len(clientIDs) == 0 {
+		return
+	}
 	d.jitter.StepBatch(n, clientIDs)
+	d.jitter.Retain(clientIDs)
+}
+
+// SettleIdle records an all-idle tick without solving it: the device
+// reports itself quiescent with zero utilization and random load, as a
+// quiescent Allocate leaves it, and the steady-state memo is dropped
+// rather than primed with the all-zero request vector (a memo only saves
+// work, so dropping it cannot change a grant). The tick's luck draws are
+// not taken here: the caller replays them with AdvanceIdle before the
+// device's next Allocate.
+func (d *Disk) SettleIdle() {
+	d.lastQuiescent = true
+	d.lastUtilization = 0
+	d.lastRandomLoad = 0
+	d.memoValid = false
 }
 
 // Allocate serves one tick of I/O. tickSec is the tick length in seconds.

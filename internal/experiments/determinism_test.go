@@ -67,3 +67,30 @@ func TestParallelMatchesSequential(t *testing.T) {
 		})
 	}
 }
+
+// TestFig12DefaultParallelismMatchesSequential runs Fig 12 the way
+// `perfbench -fig 12` does by default — repetitions fanned out over
+// GOMAXPROCS — and requires the result of `-parallel 1`. Every
+// repetition's testbed shares the scheme's speculator value, so this
+// pins that concurrent testbeds never share LATE's per-call scratch.
+func TestFig12DefaultParallelismMatchesSequential(t *testing.T) {
+	cfg := VariabilityConfig{
+		Seed:             seed,
+		Servers:          3,
+		WorkersPerServer: 6,
+		Runs:             4,
+		Fio:              2,
+		Streams:          2,
+		Tasks:            18,
+		Limit:            time.Hour,
+	}
+	schemes := []Scheme{SchemeLATE(), SchemePerfCloud()}
+	setParallel(t, 1, 1)
+	sequential := Fig12With(cfg, schemes)
+	setParallel(t, 0, 0)
+	for i := 0; i < 3; i++ {
+		if got := Fig12With(cfg, schemes); !reflect.DeepEqual(sequential, got) {
+			t.Fatalf("run %d at default parallelism differs from -parallel 1:\nseq: %+v\ngot: %+v", i, sequential, got)
+		}
+	}
+}

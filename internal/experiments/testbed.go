@@ -90,6 +90,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.SlotsPerWorker == 0 {
 		cfg.SlotsPerWorker = 2
 	}
+	// Schemes hand one speculator to every repetition, and repetitions
+	// build their testbeds concurrently; LATE's per-call scratch must not
+	// be shared between them.
+	if l, ok := cfg.Speculator.(*straggler.LATE); ok {
+		cfg.Speculator = l.Copy()
+	}
 	tb := &Testbed{Cfg: cfg, Benchmarks: make(map[string]*workloads.Benchmark), Truth: obs.NewGroundTruth()}
 	tb.Eng = sim.NewEngine(cfg.Tick, cfg.Seed)
 	tb.Clus = cluster.New()

@@ -211,6 +211,19 @@ func (s *System) Pressure() float64 { return s.lastPressure }
 // perturbing determinism.
 func (s *System) Quiescent() bool { return s.lastQuiescent }
 
+// SettleIdle records an all-idle tick for the given (distinct) client ids
+// without building a request vector: it leaves the system exactly as a
+// quiescent Compute would — quiescent, zero pressure, jitter state of
+// departed clients collected — except that the input memo is dropped
+// rather than primed (a memo only saves work, so dropping it cannot
+// change a result). Like a quiescent Compute it draws nothing.
+func (s *System) SettleIdle(clientIDs []string) {
+	s.lastQuiescent = true
+	s.lastPressure = 0
+	s.memoValid = false
+	s.jitter.Retain(clientIDs)
+}
+
 // Compute resolves one tick of shared-cache and bandwidth behaviour.
 // Results are returned in request order.
 func (s *System) Compute(tickSec float64, reqs []Request) []Result {

@@ -53,9 +53,10 @@ type SuspectCorr struct {
 // The zero value is a valid empty snapshot.
 type FastPathSnapshot struct {
 	// QuiescentSkips counts grant-phase ticks elided outright because
-	// the server was quiescent; Rebuilds and SteadyReuses partition the
-	// grant phases that did run by whether the demand/request vectors
-	// were rebuilt or reused.
+	// every VM on the server was idle, the first tick of each idle
+	// stretch included (it is settled without running the pipeline);
+	// Rebuilds and SteadyReuses partition the grant phases that did run
+	// by whether the demand/request vectors were rebuilt or reused.
 	QuiescentSkips uint64 `json:"quiescent_skips"`
 	SteadyReuses   uint64 `json:"steady_reuses"`
 	Rebuilds       uint64 `json:"rebuilds"`

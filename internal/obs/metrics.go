@@ -178,11 +178,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, typeCounter, nil, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, typeCounter, nil, labels).counter
 }
 
 // Gauge returns (registering on first use) the gauge series with the
@@ -191,11 +187,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, typeGauge, nil, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, typeGauge, nil, labels).gauge
 }
 
 // Histogram returns (registering on first use) the histogram series
@@ -211,15 +203,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 			panic("obs: histogram buckets must be strictly ascending")
 		}
 	}
-	s := r.lookup(name, help, typeHistogram, buckets, labels)
-	if s.hist == nil {
-		f := r.family(name)
-		s.hist = &Histogram{
-			bounds: f.bounds,
-			counts: make([]atomic.Uint64, len(f.bounds)+1),
-		}
-	}
-	return s.hist
+	return r.lookup(name, help, typeHistogram, buckets, labels).hist
 }
 
 // Value reads the current value of a registered instrument without
@@ -253,17 +237,12 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 	return 0, false
 }
 
-// family returns the registered family (registry lock must be held by
-// the caller chain; used only right after lookup, which registers it).
-func (r *Registry) family(name string) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
-}
-
 // lookup finds or registers the family and series for one instrument.
-// A name reused with a different type panics — it is a programming
-// error that would render invalid exposition text.
+// A new series gets its instrument here, under the lock, so a series is
+// never visible to WritePrometheus or Value without one, and concurrent
+// registrations of one series share a single instrument. A name reused
+// with a different type panics — it is a programming error that would
+// render invalid exposition text.
 func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label) *series {
 	key := renderLabels(labels)
 	r.mu.Lock()
@@ -282,6 +261,14 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []La
 	s, ok := f.byKey[key]
 	if !ok {
 		s = &series{labels: key}
+		switch typ {
+		case typeCounter:
+			s.counter = &Counter{}
+		case typeGauge:
+			s.gauge = &Gauge{}
+		case typeHistogram:
+			s.hist = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
+		}
 		f.byKey[key] = s
 		f.series = append(f.series, s)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,5 +149,58 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	}
+}
+
+// TestConcurrentRegistrationAndExposition registers counters, gauges and
+// histograms from several goroutines while others render the Prometheus
+// text, and checks that concurrent registrations of one series share one
+// instrument. Under -race it pins that a series is never published
+// without its instrument.
+func TestConcurrentRegistrationAndExposition(t *testing.T) {
+	r := NewRegistry()
+	const workers, series = 4, 200
+	got := make([][]*Histogram, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < series; i++ {
+				l := Label{Key: "i", Value: strconv.Itoa(i)}
+				r.Counter("c_total", "h", l).Inc()
+				r.Gauge("g", "h", l).Add(1)
+				h := r.Histogram("lat", "h", []float64{1, 10}, l)
+				h.Observe(float64(i))
+				got[w] = append(got[w], h)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var b strings.Builder
+				if err := r.WritePrometheus(&b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range got[w] {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("series %d: goroutines %d and 0 got distinct histograms", i, w)
+			}
+		}
+	}
+	for i := 0; i < series; i++ {
+		l := Label{Key: "i", Value: strconv.Itoa(i)}
+		if v, _ := r.Value("c_total", l); v != workers {
+			t.Fatalf("counter %d = %v, want %d", i, v, workers)
+		}
+		if v, _ := r.Value("lat", l); v != workers {
+			t.Fatalf("histogram %d count = %v, want %d", i, v, workers)
+		}
 	}
 }

@@ -147,5 +147,19 @@ func (a *AR1) GC(keep map[string]bool) {
 	a.gen++
 }
 
+// Retain is GC with the keep set given as distinct ids. It builds the set
+// only when GC would compact, so retaining the clients already tracked —
+// the common case — costs one comparison and no allocation.
+func (a *AR1) Retain(ids []string) {
+	if len(a.idx) <= 4*len(ids)+16 {
+		return
+	}
+	keep := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		keep[id] = true
+	}
+	a.GC(keep)
+}
+
 // Len reports the number of tracked clients (for tests).
 func (a *AR1) Len() int { return len(a.idx) }

@@ -4,13 +4,18 @@ import "sync"
 
 // lfSource reimplements Go's math/rand additive lagged-Fibonacci source
 // (Mitchell & Reeds; rng.go in the standard library) so that seeding can
-// be served from a cache. rand.NewSource spends ~2500 LCG steps filling
-// its 607-word state vector, and the experiment drivers create dozens of
-// deterministic streams per testbed — with repeated runs reusing the same
-// (seed, name) pairs across schemes, re-deriving the identical vector
-// over and over. lfSource computes the post-seed vector once per distinct
-// seed and copies it on every reuse (a 5 KB memcpy instead of the LCG
-// chain).
+// be served from a cache and deferred until first use. rand.NewSource
+// spends ~2500 LCG steps filling its 607-word state vector, and the
+// experiment drivers create dozens of deterministic streams per testbed —
+// with repeated runs reusing the same (seed, name) pairs across schemes,
+// re-deriving the identical vector over and over. lfSource computes the
+// post-seed vector once per distinct seed and copies it on every reuse (a
+// 5 KB memcpy instead of the LCG chain).
+//
+// Seeding is lazy: a source records its seed and fills its state vector
+// on the first draw. rand.New draws nothing, so a stream that is never
+// drawn from — the disk and memory-system streams of a server whose VMs
+// stay idle — costs neither the seeding nor the 5 KB vector.
 //
 // The Go 1 compatibility promise freezes rand.NewSource's sequences, and
 // TestLFSourceMatchesMathRand pins this implementation to them draw for
@@ -26,7 +31,8 @@ const (
 type lfSource struct {
 	tap  int
 	feed int
-	vec  [lfLen]int64
+	seed int64
+	vec  *[lfLen]int64 // nil until the first draw seeds it
 }
 
 // lfSeedrand is the Lehmer LCG step x = 16807*x mod 2^31-1 used only
@@ -84,34 +90,45 @@ var lfSeedCache struct {
 
 const lfSeedCacheCap = 4096
 
-// newLFSource returns a freshly seeded source, equivalent to
-// rand.NewSource(seed) but served from the seed cache when possible.
+// newLFSource returns a source equivalent to rand.NewSource(seed). Its
+// state vector is filled on the first draw (see load).
 func newLFSource(seed int64) *lfSource {
-	s := &lfSource{tap: 0, feed: lfLen - lfTap}
-	lfSeedCache.RLock()
-	v := lfSeedCache.m[seed]
-	lfSeedCache.RUnlock()
-	if v == nil {
-		v = new([lfLen]int64)
-		seedVec(seed, v)
-		lfSeedCache.Lock()
-		if lfSeedCache.m == nil {
-			lfSeedCache.m = make(map[int64]*[lfLen]int64)
-		}
-		if len(lfSeedCache.m) < lfSeedCacheCap {
-			lfSeedCache.m[seed] = v
-		}
-		lfSeedCache.Unlock()
-	}
-	s.vec = *v
-	return s
+	return &lfSource{feed: lfLen - lfTap, seed: seed}
 }
 
-// Seed re-initializes the generator, matching rngSource.Seed.
+// load fills the state vector for the recorded seed: a copy of the cached
+// post-seed vector when there is one, else a fresh seeding into the
+// source's own vector, copied into the cache only while it has room.
+func (s *lfSource) load() {
+	s.vec = new([lfLen]int64)
+	lfSeedCache.RLock()
+	v := lfSeedCache.m[s.seed]
+	lfSeedCache.RUnlock()
+	if v != nil {
+		*s.vec = *v
+		return
+	}
+	seedVec(s.seed, s.vec)
+	lfSeedCache.Lock()
+	if lfSeedCache.m == nil {
+		lfSeedCache.m = make(map[int64]*[lfLen]int64)
+	}
+	if len(lfSeedCache.m) < lfSeedCacheCap {
+		c := *s.vec
+		lfSeedCache.m[s.seed] = &c
+	}
+	lfSeedCache.Unlock()
+}
+
+// Seed re-initializes the generator, matching rngSource.Seed. A source
+// that has not drawn yet just records the seed.
 func (s *lfSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = lfLen - lfTap
-	seedVec(seed, &s.vec)
+	s.seed = seed
+	if s.vec != nil {
+		seedVec(seed, s.vec)
+	}
 }
 
 // Int63 returns a non-negative 63-bit integer, matching rngSource.Int63.
@@ -120,6 +137,9 @@ func (s *lfSource) Int63() int64 { return int64(s.Uint64() & lfMask) }
 // Uint64 advances the lagged-Fibonacci recurrence one step, matching
 // rngSource.Uint64.
 func (s *lfSource) Uint64() uint64 {
+	if s.vec == nil {
+		s.load()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += lfLen

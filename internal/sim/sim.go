@@ -190,6 +190,18 @@ func (r *RNG) Stream(name string) *rand.Rand {
 	return rand.New(newLFSource(r.seed ^ hashString(name)))
 }
 
+// StreamSeeded reports whether the state of the named stream has been
+// derived in this process — whether any stream for this (seed, name) pair
+// has drawn a number yet. Streams seed lazily on their first draw, so a
+// component that never draws never pays for its stream; this is how
+// tests check that. It reads the process-wide seed cache, so it also
+// reports false for a drawn stream once the cache is full.
+func (r *RNG) StreamSeeded(name string) bool {
+	lfSeedCache.RLock()
+	defer lfSeedCache.RUnlock()
+	return lfSeedCache.m[r.seed^hashString(name)] != nil
+}
+
 // Streamf is Stream with fmt.Sprintf-style name construction.
 func (r *RNG) Streamf(format string, args ...any) *rand.Rand {
 	return r.Stream(fmt.Sprintf(format, args...))

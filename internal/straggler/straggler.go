@@ -54,6 +54,14 @@ func NewLATE() *LATE {
 	return &LATE{SpeculativeCap: 0.1, SlowTaskPercentile: 25, MinRuntimeSec: 3}
 }
 
+// Copy returns a LATE with l's parameters and scratch of its own. A LATE
+// must not be shared by task sets that run concurrently, since every
+// Candidates call writes its scratch; callers that reuse one configured
+// speculator across independent simulations give each its own copy.
+func (l *LATE) Copy() *LATE {
+	return &LATE{SpeculativeCap: l.SpeculativeCap, SlowTaskPercentile: l.SlowTaskPercentile, MinRuntimeSec: l.MinRuntimeSec}
+}
+
 var _ exec.Speculator = (*LATE)(nil)
 
 // Candidates implements exec.Speculator.
