@@ -11,13 +11,14 @@ test:
 
 # race runs the detector over the packages with concurrent code paths:
 # the parallel tick fan-out, the experiment run pool, the primitive they
-# share, the control plane whose instruments are updated from ticking
+# share, the cgroups whose caps are read lock-free while the control
+# plane sets them, the control plane whose instruments are updated from ticking
 # goroutines, the observability package (whose health timers are bumped
 # from ticking goroutines while HTTP handlers snapshot them), the
 # daemon that serves those handlers, and the data plane (executors,
 # frameworks, speculators) that parallel experiment repetitions drive.
 race:
-	go test -race ./internal/cluster/... ./internal/sim/... \
+	go test -race ./internal/cluster/... ./internal/sim/... ./internal/cgroup/... \
 		./internal/experiments/... ./internal/core/... ./internal/obs/... \
 		./internal/exec/... ./internal/mapreduce/... ./internal/spark/... \
 		./internal/straggler/... ./cmd/perfcloudd/...
@@ -33,21 +34,22 @@ check:
 
 # bench measures the hot loops of the simulation and control plane —
 # Monitor.Sample, Correlator identification, quiescent-cluster ticks,
-# busy-cluster (active) ticks and mixed-cluster strides — and merges the
+# busy-cluster (active) ticks, mixed-cluster strides and fleet-scale
+# cloud.Manager.Boot — and merges the
 # parsed results (iteration count, ns/op, B/op, allocs/op) into
 # BENCH_hotloop.json via cmd/benchjson. The raw `go test` output is
 # echoed so regressions are visible without opening the file.
-BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance
+BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance|Boot
 bench:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster | go run ./cmd/benchjson -o BENCH_hotloop.json
+		./internal/core ./internal/cluster ./internal/cloud | go run ./cmd/benchjson -o BENCH_hotloop.json
 
 # bench-compare reruns the hot-loop benchmarks and prints per-benchmark
 # deltas against the committed BENCH_hotloop.json baseline without
 # touching it.
 bench-compare:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster | go run ./cmd/benchjson -baseline BENCH_hotloop.json
+		./internal/core ./internal/cluster ./internal/cloud | go run ./cmd/benchjson -baseline BENCH_hotloop.json
 
 # bench-scale measures the sharded tick path at fleet scale — the same
 # 8 busy servers inside 1k- and 10k-server clusters — merges the results

@@ -78,20 +78,31 @@ type Counters struct {
 type Cgroup struct {
 	name string
 
-	mu       sync.Mutex
+	mu       sync.Mutex // guards counters and serializes SetThrottle
 	counters Counters
-	throttle Throttle
+
+	// throttle points at the caps in force (nil: none ever set). Each
+	// SetThrottle stores a fresh copy, so per-tick readers load the caps
+	// with one atomic read instead of a mutex round-trip.
+	throttle atomic.Pointer[Throttle]
 
 	// throttleSeq counts SetThrottle calls. Loading it is a single atomic
 	// read, so per-tick code can detect "caps unchanged since my snapshot"
-	// without taking the mutex.
+	// without comparing the caps themselves.
 	throttleSeq atomic.Uint64
 }
 
 // New creates an empty cgroup with the given name (conventionally the VM id).
 func New(name string) *Cgroup {
-	return &Cgroup{name: name}
+	c := new(Cgroup)
+	c.Init(name)
+	return c
 }
+
+// Init names a zero Cgroup in place. The zero value needs no other set-up,
+// so an owner can embed a Cgroup by value (the cluster keeps one inside
+// each VM, saving an allocation per boot) and call Init instead of New.
+func (c *Cgroup) Init(name string) { c.name = name }
 
 // Name returns the cgroup's name.
 func (c *Cgroup) Name() string { return c.name }
@@ -154,11 +165,12 @@ func (c *Cgroup) Snapshot() Counters {
 	return c.counters
 }
 
-// Throttle returns the currently applied caps.
+// Throttle returns the currently applied caps. It takes no lock.
 func (c *Cgroup) Throttle() Throttle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.throttle
+	if t := c.throttle.Load(); t != nil {
+		return *t
+	}
+	return Throttle{}
 }
 
 // SetThrottle replaces all caps at once.
@@ -168,7 +180,7 @@ func (c *Cgroup) SetThrottle(t Throttle) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.throttle = t
+	c.throttle.Store(&t)
 	c.throttleSeq.Add(1)
 }
 

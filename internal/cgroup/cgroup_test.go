@@ -87,6 +87,67 @@ func TestThrottleKnobs(t *testing.T) {
 	}
 }
 
+// TestInitNamesZeroCgroup checks the embedding contract: a zero Cgroup
+// named with Init starts exactly like one from New.
+func TestInitNamesZeroCgroup(t *testing.T) {
+	var c Cgroup
+	c.Init("vm-7")
+	if c.Name() != "vm-7" || c.Throttle() != (Throttle{}) || c.ThrottleSeq() != 0 || c.Snapshot() != (Counters{}) {
+		t.Fatalf("fresh cgroup: name %q, throttle %+v, seq %d, counters %+v",
+			c.Name(), c.Throttle(), c.ThrottleSeq(), c.Snapshot())
+	}
+	c.SetCPUCores(2)
+	if c.Throttle().CPUCores != 2 || c.ThrottleSeq() != 1 {
+		t.Errorf("after SetCPUCores: throttle %+v, seq %d", c.Throttle(), c.ThrottleSeq())
+	}
+}
+
+// TestSetThrottleStoresACopy: the caps in force must not alias the
+// caller's value.
+func TestSetThrottleStoresACopy(t *testing.T) {
+	c := New("vm-0")
+	th := Throttle{ReadIOPS: 100}
+	c.SetThrottle(th)
+	th.ReadIOPS = 5
+	if got := c.Throttle().ReadIOPS; got != 100 {
+		t.Errorf("ReadIOPS = %v after the caller's copy changed, want 100", got)
+	}
+}
+
+// TestConcurrentThrottleReadsSeeWholeCaps races lock-free Throttle reads
+// against SetThrottle writers (meaningful under -race): every read must
+// return one write's caps whole, never a mix of two.
+func TestConcurrentThrottleReadsSeeWholeCaps(t *testing.T) {
+	c := New("vm-0")
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 1; k <= 500; k++ {
+				v := float64(2*k + w)
+				c.SetThrottle(Throttle{ReadIOPS: v, ReadBPS: v, CPUCores: v})
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if th := c.Throttle(); th.ReadIOPS != th.ReadBPS || th.ReadBPS != th.CPUCores {
+					t.Errorf("torn caps %+v", th)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if seq := c.ThrottleSeq(); seq != 1000 {
+		t.Errorf("ThrottleSeq = %d, want 1000", seq)
+	}
+}
+
 func TestNegativeThrottlePanics(t *testing.T) {
 	c := New("vm-0")
 	defer func() {

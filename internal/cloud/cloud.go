@@ -35,9 +35,9 @@ type VMInfo struct {
 }
 
 // Manager tracks placement over a cluster. Placement state lives in an
-// incrementally maintained index (topology.go): per-server placed-vCPU
-// entries organized zone→rack→server, plus an indexed min-heap over them
-// keyed (placed vcpus, creation order). Boot, Terminate, Migrate and
+// incrementally maintained index (topology.go): per-server entries
+// organized zone→rack→server, plus an indexed min-heap of inline
+// (placed vcpus, creation order) keys. Boot, Terminate, Migrate and
 // RebalanceHighPriority update the index in O(log servers) and never
 // rescan the fleet's VMs.
 type Manager struct {
@@ -46,11 +46,10 @@ type Manager struct {
 	defCfg  cluster.ServerConfig
 	nextSrv int
 
-	topo    Topology
-	entries map[string]*srvEntry
-	heap    []*srvEntry
-	zones   []*Zone
-	seq     int
+	topo  Topology
+	srvs  []srvEntry // by creation sequence, which is the cluster index
+	heap  []loadKey
+	zones []*Zone
 	// syncedSeq mirrors the cluster's placement sequence as of the last
 	// index update; a mismatch means some mutation bypassed the manager
 	// (tests driving cluster.AddVM directly) and forces a rebuild.
@@ -106,21 +105,21 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 		return nil, fmt.Errorf("cloud: VM %q already exists", spec.Name)
 	}
 	m.syncIndex()
-	var e *srvEntry
+	var srv *cluster.Server
 	switch {
 	case spec.ServerID != "":
-		e = m.entries[spec.ServerID]
-		if e == nil {
+		srv = m.cluster.FindServer(spec.ServerID)
+		if srv == nil {
 			return nil, fmt.Errorf("cloud: no server %q", spec.ServerID)
 		}
 	case spec.Zone != "":
-		e = m.leastLoadedInZone(spec.Zone)
-		if e == nil {
+		srv = m.leastLoadedInZone(spec.Zone)
+		if srv == nil {
 			return nil, fmt.Errorf("cloud: no servers in zone %q", spec.Zone)
 		}
 	default:
-		e = m.leastLoaded()
-		if e == nil {
+		srv = m.leastLoaded()
+		if srv == nil {
 			return nil, fmt.Errorf("cloud: no servers provisioned")
 		}
 	}
@@ -132,8 +131,8 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 	if mem == 0 {
 		mem = 8 << 30
 	}
-	vm := m.cluster.AddVM(e.srv, spec.Name, vcpus, mem, spec.Priority, spec.AppID)
-	m.addPlaced(e, vcpus)
+	vm := m.cluster.AddVM(srv, spec.Name, vcpus, mem, spec.Priority, spec.AppID)
+	m.addPlaced(srv, vcpus)
 	m.syncedSeq = m.cluster.PlacementSeq()
 	return vm, nil
 }
@@ -146,11 +145,8 @@ func (m *Manager) Terminate(id string) {
 		return
 	}
 	m.syncIndex()
-	e := m.entries[v.Server().ID()]
 	m.cluster.RemoveVM(id)
-	if e != nil {
-		m.addPlaced(e, -v.VCPUs())
-	}
+	m.addPlaced(v.Server(), -v.VCPUs())
 	m.syncedSeq = m.cluster.PlacementSeq()
 }
 
@@ -223,21 +219,17 @@ func (m *Manager) LowPriorityVMs(serverID string) ([]string, error) {
 // when multiple high-priority apps collide (§III-D2, §IV-D2).
 func (m *Manager) Migrate(vmID, toServerID string) error {
 	m.syncIndex()
-	var srcID string
-	if v := m.cluster.FindVM(vmID); v != nil {
-		srcID = v.Server().ID()
+	v := m.cluster.FindVM(vmID)
+	var src *cluster.Server
+	if v != nil {
+		src = v.Server()
 	}
 	if err := m.cluster.MoveVM(vmID, toServerID); err != nil {
 		return fmt.Errorf("cloud: %w", err)
 	}
-	if srcID != "" && srcID != toServerID {
-		v := m.cluster.FindVM(vmID)
-		if se := m.entries[srcID]; se != nil {
-			m.addPlaced(se, -v.VCPUs())
-		}
-		if de := m.entries[toServerID]; de != nil {
-			m.addPlaced(de, v.VCPUs())
-		}
+	if dst := v.Server(); dst != src {
+		m.addPlaced(src, -v.VCPUs())
+		m.addPlaced(dst, v.VCPUs())
 		m.syncedSeq = m.cluster.PlacementSeq()
 	}
 	return nil
@@ -271,7 +263,7 @@ func (m *Manager) RebalanceHighPriority(serverID string) (string, error) {
 		return "", nil
 	}
 	vmID := apps[pick][0]
-	if err := m.Migrate(vmID, dst.srv.ID()); err != nil {
+	if err := m.Migrate(vmID, dst.ID()); err != nil {
 		return "", err
 	}
 	return vmID, nil

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -164,6 +165,29 @@ func TestMigratePreservesStateAndCaps(t *testing.T) {
 	}
 	if err := m.Migrate("x", "nope"); err == nil {
 		t.Error("unknown server: want error")
+	}
+}
+
+// TestBootAllocatesOneObject pins Boot's allocation budget: the VM, with
+// its cgroup embedded, is the only object a boot creates, apart from the
+// amortized growth of the cluster's VM registry and the server's VM list.
+func TestBootAllocatesOneObject(t *testing.T) {
+	_, m := setup(t)
+	m.ProvisionServers(10)
+	const runs = 2000
+	names := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range names {
+		names[i] = fmt.Sprintf("vm-%d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := m.Boot(VMSpec{Name: names[next]}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 1 {
+		t.Errorf("Boot makes %v allocations per VM, want 1", allocs)
 	}
 }
 

@@ -67,7 +67,7 @@ type Rack struct {
 	id      string
 	zone    *Zone
 	placed  float64
-	servers []*srvEntry
+	servers []*cluster.Server
 }
 
 // ID returns the rack's identifier ("rack-<zone>-<k>").
@@ -81,27 +81,36 @@ func (r *Rack) PlacedVCPUs() float64 { return r.placed }
 
 // EachServer calls fn for every server in the rack in creation order.
 func (r *Rack) EachServer(fn func(*cluster.Server)) {
-	for _, e := range r.servers {
-		fn(e.srv)
+	for _, s := range r.servers {
+		fn(s)
 	}
 }
 
-// srvEntry is the manager's per-server index record: the incrementally
-// maintained placed-vCPU total, the creation sequence used to break load
-// ties exactly like the old linear scan did (first provisioned wins),
-// the containing rack, and the entry's position in the load heap.
+// srvEntry is the manager's per-server index record: the server, its
+// rack, and the position of its key in the load heap. Entries are stored
+// by value in Manager.srvs at the server's creation sequence, which is
+// also its cluster index (Server.Index): servers are never removed, and
+// the manager indexes them in cluster order.
 type srvEntry struct {
 	srv     *cluster.Server
-	seq     int
-	placed  float64
-	heapIdx int
 	rack    *Rack
+	heapIdx int
 }
 
-// entryLess orders entries by (placed vCPUs, creation sequence) — the
-// strict total order under which the heap minimum reproduces the old
-// "first server with strictly fewest placed vcpus" scan bit for bit.
-func entryLess(a, b *srvEntry) bool {
+// loadKey is one node of the load heap: a server's placed vCPUs and its
+// creation sequence. The keys sit inline in one contiguous, pointer-free
+// slice, so a sift compares neighbouring words instead of dereferencing
+// an entry per comparison, and the garbage collector neither scans the
+// heap nor runs write barriers on its moves.
+type loadKey struct {
+	placed float64
+	seq    int
+}
+
+// less orders keys by (placed vCPUs, creation sequence) — the strict
+// total order under which the heap minimum reproduces the old "first
+// server with strictly fewest placed vcpus" scan bit for bit.
+func (a loadKey) less(b loadKey) bool {
 	if a.placed != b.placed {
 		return a.placed < b.placed
 	}
@@ -109,100 +118,104 @@ func entryLess(a, b *srvEntry) bool {
 }
 
 // The load index is a hand-rolled indexed binary min-heap: each entry
-// carries its own heap position, so a placed-vCPU change re-establishes
+// records its key's heap position, so a placed-vCPU change re-establishes
 // heap order in O(log n) with heapFix instead of a rebuild, and Boot's
-// least-loaded lookup is O(1) at the root.
+// least-loaded lookup is O(1) at the root. The sifts move a hole rather
+// than swapping, so each level costs one key copy and one position write.
 
-func (m *Manager) heapSwap(i, j int) {
-	m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
-	m.heap[i].heapIdx = i
-	m.heap[j].heapIdx = j
+// put stores k at heap position i and records the position in k's entry.
+func (m *Manager) put(i int, k loadKey) {
+	m.heap[i] = k
+	m.srvs[k.seq].heapIdx = i
 }
 
 func (m *Manager) siftUp(i int) {
+	k := m.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !entryLess(m.heap[i], m.heap[p]) {
-			return
+		if !k.less(m.heap[p]) {
+			break
 		}
-		m.heapSwap(i, p)
+		m.put(i, m.heap[p])
 		i = p
 	}
+	m.put(i, k)
 }
 
 func (m *Manager) siftDown(i int) {
-	n := len(m.heap)
+	h := m.heap
+	k := h[i]
 	for {
-		small := i
-		if l := 2*i + 1; l < n && entryLess(m.heap[l], m.heap[small]) {
-			small = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r := 2*i + 2; r < n && entryLess(m.heap[r], m.heap[small]) {
-			small = r
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
 		}
-		if small == i {
-			return
+		if !h[c].less(k) {
+			break
 		}
-		m.heapSwap(i, small)
-		i = small
+		m.put(i, h[c])
+		i = c
+	}
+	m.put(i, k)
+}
+
+// heapFix restores heap order after the key at position i changed in
+// either direction: a key that beats its parent can only move up, any
+// other only down.
+func (m *Manager) heapFix(i int) {
+	if i > 0 && m.heap[i].less(m.heap[(i-1)/2]) {
+		m.siftUp(i)
+	} else {
+		m.siftDown(i)
 	}
 }
 
-func (m *Manager) heapPush(e *srvEntry) {
-	e.heapIdx = len(m.heap)
-	m.heap = append(m.heap, e)
-	m.siftUp(e.heapIdx)
-}
-
-// heapFix restores heap order after e.placed changed in either direction.
-func (m *Manager) heapFix(e *srvEntry) {
-	m.siftUp(e.heapIdx)
-	m.siftDown(e.heapIdx)
-}
-
-// leastLoaded returns the globally least-loaded server's entry (heap
-// root), or nil with no servers provisioned.
-func (m *Manager) leastLoaded() *srvEntry {
+// leastLoaded returns the globally least-loaded server (the heap root),
+// or nil with no servers provisioned.
+func (m *Manager) leastLoaded() *cluster.Server {
 	if len(m.heap) == 0 {
 		return nil
 	}
-	return m.heap[0]
+	return m.srvs[m.heap[0].seq].srv
 }
 
-// leastLoadedExcluding returns the least-loaded entry whose server is
-// not src. The second-smallest element of a binary min-heap is one of
-// the root's children, so excluding the root costs two comparisons, not
-// a scan.
-func (m *Manager) leastLoadedExcluding(src *cluster.Server) *srvEntry {
-	if len(m.heap) == 0 {
+// leastLoadedExcluding returns the least-loaded server other than src.
+// The second-smallest element of a binary min-heap is one of the root's
+// children, so excluding the root costs two comparisons, not a scan.
+func (m *Manager) leastLoadedExcluding(src *cluster.Server) *cluster.Server {
+	h := m.heap
+	switch {
+	case len(h) == 0:
+		return nil
+	case m.srvs[h[0].seq].srv != src:
+		return m.srvs[h[0].seq].srv
+	case len(h) == 1:
 		return nil
 	}
-	if m.heap[0].srv != src {
-		return m.heap[0]
+	best := h[1]
+	if len(h) > 2 && h[2].less(best) {
+		best = h[2]
 	}
-	if len(m.heap) == 1 {
-		return nil
-	}
-	best := m.heap[1]
-	if len(m.heap) > 2 && entryLess(m.heap[2], best) {
-		best = m.heap[2]
-	}
-	return best
+	return m.srvs[best.seq].srv
 }
 
-// leastLoadedInZone returns the least-loaded entry within the named
+// leastLoadedInZone returns the least-loaded server within the named
 // zone, or nil if the zone is unknown or empty. O(zone size) — zone
 // placement is a constrained query the global heap cannot answer.
-func (m *Manager) leastLoadedInZone(zoneID string) *srvEntry {
-	var best *srvEntry
+func (m *Manager) leastLoadedInZone(zoneID string) *cluster.Server {
+	var best *cluster.Server
+	var bestKey loadKey
 	for _, z := range m.zones {
 		if z.id != zoneID {
 			continue
 		}
 		for _, r := range z.racks {
-			for _, e := range r.servers {
-				if best == nil || entryLess(e, best) {
-					best = e
+			for _, s := range r.servers {
+				if k := m.key(s); best == nil || k.less(bestKey) {
+					best, bestKey = s, k
 				}
 			}
 		}
@@ -210,25 +223,32 @@ func (m *Manager) leastLoadedInZone(zoneID string) *srvEntry {
 	return best
 }
 
-// indexServer adds a freshly provisioned (or re-discovered) server to
-// the load index and the topology, folding any VMs already placed on it
-// into the totals.
-func (m *Manager) indexServer(s *cluster.Server) {
-	e := &srvEntry{srv: s, seq: m.seq}
-	m.seq++
-	s.EachVM(func(v *cluster.VM) { e.placed += v.VCPUs() })
-	m.assignRack(e)
-	e.rack.placed += e.placed
-	e.rack.zone.placed += e.placed
-	m.entries[s.ID()] = e
-	m.heapPush(e)
+// key returns an indexed server's current heap key.
+func (m *Manager) key(s *cluster.Server) loadKey {
+	return m.heap[m.srvs[s.Index()].heapIdx]
 }
 
-// assignRack slots an entry into the zone→rack grid by its creation
-// sequence: rack seq/ServersPerRack, zone rack/RacksPerZone, creating
+// indexServer adds a freshly provisioned (or re-discovered) server to
+// the load index and the topology, folding any VMs already placed on it
+// into the totals. Servers must arrive in cluster order.
+func (m *Manager) indexServer(s *cluster.Server) {
+	seq := len(m.srvs)
+	var placed float64
+	s.EachVM(func(v *cluster.VM) { placed += v.VCPUs() })
+	r := m.rackFor(seq)
+	r.servers = append(r.servers, s)
+	r.placed += placed
+	r.zone.placed += placed
+	m.srvs = append(m.srvs, srvEntry{srv: s, rack: r})
+	m.heap = append(m.heap, loadKey{placed: placed, seq: seq})
+	m.siftUp(len(m.heap) - 1)
+}
+
+// rackFor returns the rack of the zone→rack grid that holds creation
+// sequence seq: rack seq/ServersPerRack, zone rack/RacksPerZone, creating
 // levels on demand.
-func (m *Manager) assignRack(e *srvEntry) {
-	rackIdx := e.seq / m.topo.serversPerRack()
+func (m *Manager) rackFor(seq int) *Rack {
+	rackIdx := seq / m.topo.serversPerRack()
 	zoneIdx := rackIdx / m.topo.racksPerZone()
 	for len(m.zones) <= zoneIdx {
 		m.zones = append(m.zones, &Zone{id: fmt.Sprintf("zone-%d", len(m.zones))})
@@ -238,17 +258,17 @@ func (m *Manager) assignRack(e *srvEntry) {
 	for len(z.racks) <= local {
 		z.racks = append(z.racks, &Rack{id: fmt.Sprintf("rack-%d-%d", zoneIdx, len(z.racks)), zone: z})
 	}
-	e.rack = z.racks[local]
-	e.rack.servers = append(e.rack.servers, e)
+	return z.racks[local]
 }
 
-// addPlaced applies a placed-vCPU delta to a server entry and its rack
-// and zone totals, and re-establishes the heap order.
-func (m *Manager) addPlaced(e *srvEntry, delta float64) {
-	e.placed += delta
+// addPlaced applies a placed-vCPU delta to a server's heap key and its
+// rack and zone totals, and re-establishes the heap order.
+func (m *Manager) addPlaced(s *cluster.Server, delta float64) {
+	e := &m.srvs[s.Index()]
+	m.heap[e.heapIdx].placed += delta
 	e.rack.placed += delta
 	e.rack.zone.placed += delta
-	m.heapFix(e)
+	m.heapFix(e.heapIdx)
 }
 
 // rebuild re-derives the whole index — entries, heap, topology and
@@ -257,17 +277,16 @@ func (m *Manager) addPlaced(e *srvEntry, delta float64) {
 // (tests adding VMs through cluster.AddVM directly); manager-mediated
 // changes keep the index current incrementally and never pay this.
 func (m *Manager) rebuild() {
-	m.entries = make(map[string]*srvEntry, m.cluster.NumServers())
+	m.srvs = m.srvs[:0]
 	m.heap = m.heap[:0]
 	m.zones = nil
-	m.seq = 0
-	m.cluster.EachServer(func(s *cluster.Server) { m.indexServer(s) })
+	m.cluster.EachServer(m.indexServer)
 	m.syncedSeq = m.cluster.PlacementSeq()
 }
 
 // syncIndex revalidates the index against the cluster before any use.
 func (m *Manager) syncIndex() {
-	if m.entries == nil || m.syncedSeq != m.cluster.PlacementSeq() {
+	if m.syncedSeq != m.cluster.PlacementSeq() {
 		m.rebuild()
 	}
 }
@@ -300,21 +319,22 @@ func (m *Manager) EachZone(fn func(*Zone)) {
 
 // ServerLocation returns the zone and rack ids hosting the given server.
 func (m *Manager) ServerLocation(serverID string) (zone, rack string, ok bool) {
-	m.syncIndex()
-	e := m.entries[serverID]
-	if e == nil {
+	s := m.cluster.FindServer(serverID)
+	if s == nil {
 		return "", "", false
 	}
-	return e.rack.zone.id, e.rack.id, true
+	m.syncIndex()
+	r := m.srvs[s.Index()].rack
+	return r.zone.id, r.id, true
 }
 
 // PlacedVCPUs returns the manager's incrementally maintained placed-vCPU
 // total for a server.
 func (m *Manager) PlacedVCPUs(serverID string) (float64, bool) {
-	m.syncIndex()
-	e := m.entries[serverID]
-	if e == nil {
+	s := m.cluster.FindServer(serverID)
+	if s == nil {
 		return 0, false
 	}
-	return e.placed, true
+	m.syncIndex()
+	return m.key(s).placed, true
 }

@@ -14,10 +14,15 @@ import (
 // the first server in creation order with strictly fewest placed vcpus,
 // exactly the linear rescan the manager shipped with before the index.
 func scanLeastLoaded(c *cluster.Cluster, exclude *cluster.Server) *cluster.Server {
+	return scanLeastLoadedWhere(c, func(s *cluster.Server) bool { return s != exclude })
+}
+
+// scanLeastLoadedWhere is scanLeastLoaded over the servers keep admits.
+func scanLeastLoadedWhere(c *cluster.Cluster, keep func(*cluster.Server) bool) *cluster.Server {
 	var best *cluster.Server
 	bestLoad := -1.0
 	c.EachServer(func(s *cluster.Server) {
-		if s == exclude {
+		if !keep(s) {
 			return
 		}
 		var load float64
@@ -58,21 +63,33 @@ func checkIndex(t *testing.T, m *Manager) {
 			t.Fatalf("zone %s placed = %v, want %v", z.ID(), z.PlacedVCPUs(), zSum)
 		}
 	}
-	// Heap order: every node at most its children under (placed, seq).
-	for i := range m.heap {
-		if m.heap[i].heapIdx != i {
-			t.Fatalf("heap[%d] back-pointer = %d", i, m.heap[i].heapIdx)
+	// Entries sit at their server's cluster index, and every server holds
+	// exactly one heap key.
+	if len(m.srvs) != m.Cluster().NumServers() || len(m.heap) != len(m.srvs) {
+		t.Fatalf("%d entries, %d keys for %d servers", len(m.srvs), len(m.heap), m.Cluster().NumServers())
+	}
+	for i, e := range m.srvs {
+		if e.srv.Index() != i {
+			t.Fatalf("entry %d holds server %s at cluster index %d", i, e.srv.ID(), e.srv.Index())
+		}
+	}
+	// Heap order: every node at most its children under (placed, seq),
+	// and every key's entry points back at it.
+	for i, k := range m.heap {
+		if m.srvs[k.seq].heapIdx != i {
+			t.Fatalf("heap[%d] back-pointer = %d", i, m.srvs[k.seq].heapIdx)
 		}
 		for _, ch := range []int{2*i + 1, 2*i + 2} {
-			if ch < len(m.heap) && entryLess(m.heap[ch], m.heap[i]) {
+			if ch < len(m.heap) && m.heap[ch].less(k) {
 				t.Fatalf("heap violated at %d/%d", i, ch)
 			}
 		}
 	}
 }
 
-// TestHeapMatchesLinearScan drives a long random sequence of boots,
-// migrations, terminations and rebalance-style exclusions, checking at
+// TestHeapMatchesLinearScan drives a long random sequence of spread and
+// zone-constrained boots, migrations, terminations and rebalance-style
+// exclusions, checking at
 // every step that the heap's choice equals the old linear rescan's and
 // that all incremental totals stay exact.
 func TestHeapMatchesLinearScan(t *testing.T) {
@@ -86,18 +103,25 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 	nextVM := 0
 	for step := 0; step < 400; step++ {
 		switch op := r.Intn(10); {
-		case op < 5 || len(live) == 0: // boot, random vcpus (spread placement)
-			want := scanLeastLoaded(c, nil)
-			name := fmt.Sprintf("vm-%d", nextVM)
+		case op < 5 || len(live) == 0: // boot, random vcpus: spread placement, 1 in 4 zone-constrained
+			spec := VMSpec{Name: fmt.Sprintf("vm-%d", nextVM), VCPUs: float64(1 + r.Intn(4))}
 			nextVM++
-			v, err := m.Boot(VMSpec{Name: name, VCPUs: float64(1 + r.Intn(4))})
+			want := scanLeastLoaded(c, nil)
+			if r.Intn(4) == 0 {
+				spec.Zone = fmt.Sprintf("zone-%d", r.Intn(2))
+				want = scanLeastLoadedWhere(c, func(s *cluster.Server) bool {
+					z, _, _ := m.ServerLocation(s.ID())
+					return z == spec.Zone
+				})
+			}
+			v, err := m.Boot(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v.Server() != want {
-				t.Fatalf("step %d: boot placed on %s, scan wants %s", step, v.Server().ID(), want.ID())
+				t.Fatalf("step %d: boot %+v placed on %s, scan wants %s", step, spec, v.Server().ID(), want.ID())
 			}
-			live = append(live, name)
+			live = append(live, spec.Name)
 		case op < 7: // terminate a random VM
 			i := r.Intn(len(live))
 			m.Terminate(live[i])
@@ -111,7 +135,7 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 			src := srvs[r.Intn(len(srvs))]
 			got := m.leastLoadedExcluding(src)
 			want := scanLeastLoaded(c, src)
-			if (got == nil) != (want == nil) || (got != nil && got.srv != want) {
+			if got != want {
 				t.Fatalf("step %d: excluding %s heap says %v, scan says %v",
 					step, src.ID(), got, want)
 			}

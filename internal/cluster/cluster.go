@@ -117,43 +117,25 @@ type DemandEpocher interface {
 // VM is one virtual machine: a cgroup, a placement, and (optionally) a
 // running workload. VMs appear as black boxes to PerfCloud, which sees
 // only the cgroup counters and throttle knobs.
+//
+// The cgroup is embedded by value and named by the VM id, which it also
+// stores for the VM: a boot allocates one object, not two. VMs are only
+// ever handled by pointer, so the cgroup's lock is never copied.
 type VM struct {
-	id       string
 	vcpus    float64
 	memBytes float64
 	priority Priority
 	appID    string
-	cg       *cgroup.Cgroup
+	cg       cgroup.Cgroup
 	server   *Server
 	workload Workload
 	epocher  DemandEpocher // workload's demand-epoch view; nil if unsupported
 
 	lastGrant Grant
-
-	// thrCache memoises cg.Throttle() keyed by the cgroup's lock-free
-	// ThrottleSeq, so rebuild ticks read the caps without a mutex
-	// round-trip per VM. Valid only while thrSeq matches; see throttle().
-	thrCache cgroup.Throttle
-	thrSeq   uint64
-	thrValid bool
-}
-
-// throttle returns the VM's current cgroup caps, serving repeats from a
-// seq-validated cache. SetThrottle bumps the cgroup's atomic sequence
-// counter, so a matching sequence proves the cached copy is bit-identical
-// to what Throttle() would return.
-func (v *VM) throttle() cgroup.Throttle {
-	seq := v.cg.ThrottleSeq()
-	if !v.thrValid || seq != v.thrSeq {
-		v.thrCache = v.cg.Throttle()
-		v.thrSeq = seq
-		v.thrValid = true
-	}
-	return v.thrCache
 }
 
 // ID returns the VM's unique identifier.
-func (v *VM) ID() string { return v.id }
+func (v *VM) ID() string { return v.cg.Name() }
 
 // VCPUs returns the VM's virtual CPU count.
 func (v *VM) VCPUs() float64 { return v.vcpus }
@@ -170,7 +152,7 @@ func (v *VM) Priority() Priority { return v.priority }
 func (v *VM) AppID() string { return v.appID }
 
 // Cgroup returns the VM's control group (counters + throttle knobs).
-func (v *VM) Cgroup() *cgroup.Cgroup { return v.cg }
+func (v *VM) Cgroup() *cgroup.Cgroup { return &v.cg }
 
 // Server returns the physical server hosting the VM.
 func (v *VM) Server() *Server { return v.server }
@@ -412,6 +394,11 @@ func (s *Server) activate() {
 // ID returns the server's identifier.
 func (s *Server) ID() string { return s.id }
 
+// Index returns the server's position in the cluster's creation order:
+// 0 for the first server added, and so on. Servers are never removed, so
+// an index is stable for the cluster's lifetime.
+func (s *Server) Index() int { return s.index }
+
 // VMs returns the VMs currently placed on the server (live slice copy).
 func (s *Server) VMs() []*VM { return append([]*VM(nil), s.vms...) }
 
@@ -440,7 +427,7 @@ func (s *Server) CPUConfig() cpu.Config { return s.cfg.CPU }
 // FindVM returns the VM with the given id hosted on this server, or nil.
 func (s *Server) FindVM(id string) *VM {
 	for _, v := range s.vms {
-		if v.id == id {
+		if v.ID() == id {
 			return v
 		}
 	}
@@ -566,10 +553,10 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 		s.cpuReqs = s.cpuReqs[:0]
 		for i, v := range s.vms {
 			s.cpuReqs = append(s.cpuReqs, cpu.Request{
-				ClientID: v.id,
+				ClientID: v.ID(),
 				Seconds:  s.demands[i].CPUSeconds,
 				VCPUs:    v.vcpus,
-				CapCores: v.throttle().CPUCores,
+				CapCores: v.cg.Throttle().CPUCores,
 			})
 		}
 	}
@@ -580,7 +567,7 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 		s.memReqs = s.memReqs[:0]
 		for i, v := range s.vms {
 			s.memReqs = append(s.memReqs, memsys.Request{
-				ClientID:        v.id,
+				ClientID:        v.ID(),
 				CPUSeconds:      s.cpuGrants[i].Seconds,
 				CoreCPI:         s.demands[i].CoreCPI,
 				LLCRefsPerInstr: s.demands[i].LLCRefsPerInstr,
@@ -595,9 +582,9 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 	if !steady {
 		s.diskReqs = s.diskReqs[:0]
 		for i, v := range s.vms {
-			th := v.throttle()
+			th := v.cg.Throttle()
 			s.diskReqs = append(s.diskReqs, disk.Request{
-				ClientID: v.id,
+				ClientID: v.ID(),
 				Ops:      s.demands[i].IOOps,
 				Bytes:    s.demands[i].IOBytes,
 				CapIOPS:  th.ReadIOPS,
@@ -709,7 +696,7 @@ func (s *Server) settleIdle() {
 func (s *Server) snapshotSkipIDs() {
 	s.skipIDs = s.skipIDs[:0]
 	for _, v := range s.vms {
-		s.skipIDs = append(s.skipIDs, v.id)
+		s.skipIDs = append(s.skipIDs, v.ID())
 	}
 }
 
@@ -1029,14 +1016,13 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 		panic(fmt.Sprintf("cluster: duplicate VM %q", id))
 	}
 	v := &VM{
-		id:       id,
 		vcpus:    vcpus,
 		memBytes: memBytes,
 		priority: prio,
 		appID:    appID,
-		cg:       cgroup.New(id),
 		server:   server,
 	}
+	v.cg.Init(id)
 	server.vms = append(server.vms, v)
 	server.bumpEpoch()
 	c.vmsByID[id] = v

@@ -25,6 +25,7 @@ func TestMoveVMRelinksEverything(t *testing.T) {
 	vm.SetWorkload(w)
 	eng.Run(3)
 	beforeOps := vm.Cgroup().Snapshot().Blkio.IoServiced
+	cg := vm.Cgroup()
 
 	if err := c.MoveVM("x", "s1"); err != nil {
 		t.Fatal(err)
@@ -37,6 +38,9 @@ func TestMoveVMRelinksEverything(t *testing.T) {
 	}
 	if c.FindVM("x") != vm {
 		t.Fatal("registry must keep the same VM object")
+	}
+	if vm.Cgroup() != cg || cg.Name() != "x" {
+		t.Fatal("migration must keep the VM's own cgroup")
 	}
 	if vm.Cgroup().Throttle().ReadIOPS != 777 {
 		t.Error("caps lost across migration")
