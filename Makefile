@@ -1,5 +1,5 @@
 # Tier-1 verification (ROADMAP.md): build + full test suite.
-.PHONY: all build test check race bench bench-suite bench-compare bench-scale
+.PHONY: all build test check race loc bench bench-suite bench-compare bench-scale
 
 all: check
 
@@ -10,9 +10,9 @@ test:
 	go test ./...
 
 # race runs the detector over the packages with concurrent code paths:
-# the parallel tick fan-out, the experiment run pool, the primitive they
-# share, the cgroups whose caps are read lock-free while the control
-# plane sets them, the control plane whose instruments are updated from ticking
+# the experiment run pool, the slot pool it draws workers from, the
+# cgroups whose caps are read lock-free while the control plane sets
+# them, the control plane whose instruments are updated from ticking
 # goroutines, the observability package (whose health timers are bumped
 # from ticking goroutines while HTTP handlers snapshot them), the
 # daemon that serves those handlers, and the data plane (executors,
@@ -22,6 +22,15 @@ race:
 		./internal/experiments/... ./internal/core/... ./internal/obs/... \
 		./internal/exec/... ./internal/mapreduce/... ./internal/spark/... \
 		./internal/straggler/... ./cmd/perfcloudd/...
+
+# loc prints the size figures ROADMAP.md tracks: non-test Go lines
+# outside bench/, and the number of process-wide `func SetDefault`
+# switches left in internal/.
+loc:
+	@printf 'non-test Go LOC outside bench/: '
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
+	@printf 'func SetDefault in internal/: '
+	@grep -rn 'func SetDefault' internal/ | wc -l
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

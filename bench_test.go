@@ -277,48 +277,6 @@ func benchTick(b *testing.B, perfcloud bool) {
 	}
 }
 
-// BenchmarkParallelTick measures the concurrent grant phase: the same
-// loaded 8-server testbed ticked sequentially (1 worker) and with a
-// bounded pool, reporting the wall-clock speedup. On a single-core host
-// the speedup hovers around 1x; on a multicore host it should approach
-// min(workers, servers)x for the grant-dominated part of the tick.
-func BenchmarkParallelTick(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	seqNs := benchTickParallel(b, 1)
-	parNs := benchTickParallel(b, workers)
-	if parNs > 0 {
-		b.ReportMetric(seqNs/parNs, "speedup")
-	}
-	b.ReportMetric(float64(workers), "workers")
-}
-
-// benchTickParallel times b.N ticks of a busy 8-server cluster with the
-// given tick worker count, reporting ns/op for the last-run mode.
-func benchTickParallel(b *testing.B, workers int) float64 {
-	b.Helper()
-	tb := experiments.NewTestbed(experiments.TestbedConfig{
-		Seed: benchSeed, Servers: 8, WorkersPerServer: 10, BlockBytes: 64 << 20,
-	})
-	tb.MustInput("input", 4*640<<20)
-	for s := 0; s < 8; s++ {
-		tb.AddAntagonist(s, workloads.NewFioRandRead(workloads.AlwaysOn))
-		tb.AddAntagonist(s, workloads.NewStream(workloads.AlwaysOn))
-	}
-	if _, err := tb.Driver.Submit(spark.LogisticRegression(64, 1000, 4*640<<20), 0); err != nil {
-		b.Fatal(err)
-	}
-	tb.Clus.SetTickWorkers(workers)
-	tb.Eng.RunFor(10 * time.Second) // warm up counters, caches and scratch
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		tb.Eng.Step()
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	return float64(elapsed.Nanoseconds()) / float64(b.N)
-}
-
 // BenchmarkFig12Parallel measures the run-level fan-out: a small Fig 12
 // grid executed with sequential repetitions and with GOMAXPROCS-many
 // concurrent repetitions, reporting the speedup. The results themselves

@@ -5,9 +5,11 @@
 //
 // Usage:
 //
-//	perfbench [-fig all|1|2|3|4|5|6|7|9|10|11|12] [-seed N] [-quick] [-csv] [-parallel N]
-//	          [-suite] [-suitejson FILE] [-cpuprofile FILE] [-memprofile FILE] [-fastpaths]
-//	          [-tracedir DIR] [-shards N] [-scorecard] [-alerts] [-health]
+//	perfbench [-fig all|1|2|3|4|5|6|7|9|10|11|12|ablations|extensions] [-seed N] [-quick]
+//	          [-csv] [-parallel N] [-suite] [-suitejson FILE] [-cpuprofile FILE]
+//	          [-memprofile FILE] [-fastpaths] [-tracedir DIR] [-scorecard] [-alerts] [-health]
+//
+// Any other -fig value is rejected with a usage error and exit status 2.
 //
 // -alerts installs the default alert rule pack for every PerfCloud run
 // (sustained victim deviation, cap dwell, false-cap watchdog, monitor
@@ -30,12 +32,11 @@
 // every repetition writes a Perfetto/chrome-trace JSON timeline into the
 // directory, and the result rows carry per-phase time attribution.
 //
-// -parallel bounds both concurrency layers — per-server tick work inside a
-// cluster and independent experiment repetitions. 0 (the default) uses
-// GOMAXPROCS; 1 forces fully sequential execution. Either setting produces
-// bit-for-bit identical tables for the same seed. Both layers draw workers
-// from one shared slot pool, so their product never oversubscribes the
-// machine.
+// -parallel bounds run concurrency: how many independent experiment
+// repetitions run at once. 0 (the default) uses GOMAXPROCS; 1 forces fully
+// sequential execution. Either setting produces bit-for-bit identical
+// tables for the same seed. Repetitions draw workers from one shared slot
+// pool, so nested fan-outs never oversubscribe the machine.
 //
 // -suite runs the evaluation suite (Figs 3-12) and records wall-clock
 // per-figure timings, merged by name into the JSON file named by
@@ -56,16 +57,29 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"perfcloud/internal/benchfmt"
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/obs"
 	"perfcloud/internal/sim"
 	"perfcloud/internal/stats"
 	"perfcloud/internal/trace"
 )
+
+// figNames lists the values -fig accepts.
+var figNames = []string{"all", "1", "2", "3", "4", "5", "6", "7", "9", "10", "11", "12", "ablations", "extensions"}
+
+// validateFig returns a usage error unless fig names something perfbench
+// can regenerate.
+func validateFig(fig string) error {
+	if !slices.Contains(figNames, fig) {
+		return fmt.Errorf("-fig must be one of %s; got %q", strings.Join(figNames, ", "), fig)
+	}
+	return nil
+}
 
 func main() {
 	// Benchmark-harness GC tuning: the experiment suite allocates in
@@ -82,7 +96,7 @@ func main() {
 	quick := flag.Bool("quick", false, "scaled-down large experiments")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	timelines := flag.String("timelines", "", "directory to write raw time-series CSVs (Figs 3, 9, 10)")
-	parallel := flag.Int("parallel", 0, "worker bound for tick and run concurrency (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "run concurrency: experiment repetitions at once (0 = GOMAXPROCS, 1 = sequential)")
 	suite := flag.Bool("suite", false, "run the Fig 3-12 evaluation suite and record per-figure wall-clock timings")
 	suitejson := flag.String("suitejson", "BENCH_suite.json", "file to merge -suite timings into")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -90,12 +104,14 @@ func main() {
 	fastpaths := flag.Bool("fastpaths", false, "print the simulation's cumulative fast-path hit-rate counters after the run")
 	scorecard := flag.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards (Figs 11, 12, control ablation)")
 	tracedir := flag.String("tracedir", "", "directory to write per-repetition Perfetto traces (Figs 11, 12)")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	alerts := flag.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
 	health := flag.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
 	flag.Parse()
-	cluster.SetDefaultTickWorkers(*parallel)
-	cluster.SetDefaultShards(*shards)
+	if err := validateFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, "perfbench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	experiments.SetMaxParallelRuns(*parallel)
 	if *fastpaths {
 		experiments.SetTrackFastPaths(true)

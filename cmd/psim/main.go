@@ -7,8 +7,8 @@
 //
 //	psim [-servers N] [-workers N] [-scheme default|late|dolly-2|dolly-4|perfcloud]
 //	     [-workload terasort|wordcount|inverted-index|spark-logreg|spark-pagerank|spark-svm]
-//	     [-jobs N] [-fio N] [-streams N] [-seed N] [-v] [-stride on|off]
-//	     [-shards N] [-trace FILE] [-phase-report] [-phase-csv] [-scorecard]
+//	     [-jobs N] [-fio N] [-streams N] [-seed N] [-v] [-trace FILE]
+//	     [-phase-report] [-phase-csv] [-scorecard] [-alerts] [-alerts-jsonl FILE]
 //
 // -trace writes a Chrome-trace-event/Perfetto JSON timeline of every
 // task attempt (open it at https://ui.perfetto.dev or chrome://tracing);
@@ -16,15 +16,18 @@
 // tables; -phase-csv emits the same tables as CSV; -scorecard grades the
 // run's cap decisions against the testbed's ground truth (which VMs
 // really were antagonists, and when) and prints the detection scorecard.
+//
+// Settings psim cannot run — no servers, negative counts, an unknown
+// scheme or workload — are rejected with a usage error and exit status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/core"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/mapreduce"
@@ -34,6 +37,44 @@ import (
 	"perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
+
+// schemeNames and workloadNames list the values -scheme and -workload
+// accept.
+var (
+	schemeNames   = []string{"default", "late", "dolly-2", "dolly-4", "perfcloud", "hybrid"}
+	workloadNames = []string{"terasort", "wordcount", "inverted-index", "spark-logreg", "spark-pagerank", "spark-svm"}
+)
+
+// options are the flag settings validate checks before psim builds
+// anything.
+type options struct {
+	servers, workers, jobs, fio, streams int
+	scheme, workload                     string
+	alerts                               bool
+}
+
+// validate returns a usage error for settings psim cannot run.
+func (o options) validate() error {
+	switch {
+	case o.servers < 1:
+		return fmt.Errorf("-servers must be at least 1, got %d", o.servers)
+	case o.workers < 0:
+		return fmt.Errorf("-workers must not be negative, got %d", o.workers)
+	case o.jobs < 0:
+		return fmt.Errorf("-jobs must not be negative, got %d", o.jobs)
+	case o.fio < 0:
+		return fmt.Errorf("-fio must not be negative, got %d", o.fio)
+	case o.streams < 0:
+		return fmt.Errorf("-streams must not be negative, got %d", o.streams)
+	case !slices.Contains(schemeNames, o.scheme):
+		return fmt.Errorf("unknown scheme %q", o.scheme)
+	case !slices.Contains(workloadNames, o.workload):
+		return fmt.Errorf("unknown workload %q", o.workload)
+	case o.alerts && o.scheme != "perfcloud" && o.scheme != "hybrid":
+		return fmt.Errorf("-alerts needs a scheme that deploys PerfCloud (got %q)", o.scheme)
+	}
+	return nil
+}
 
 func main() {
 	servers := flag.Int("servers", 1, "physical servers")
@@ -45,8 +86,6 @@ func main() {
 	nstream := flag.Int("streams", 1, "STREAM antagonist VMs")
 	seed := flag.Int64("seed", 42, "random seed")
 	verbose := flag.Bool("v", false, "print every control interval")
-	stride := flag.String("stride", "on", "event-driven time advancement: on|off (off forces per-tick stepping)")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	traceFile := flag.String("trace", "", "write a Perfetto/chrome-trace JSON timeline to this file")
 	phaseReport := flag.Bool("phase-report", false, "print per-job phase attribution and critical path")
 	phaseCSV := flag.Bool("phase-csv", false, "emit the phase tables as CSV instead of text")
@@ -57,16 +96,15 @@ func main() {
 	if *alertsJSONL != "" {
 		*alerts = true
 	}
-
-	switch *stride {
-	case "on":
-	case "off":
-		cluster.SetDefaultStride(false)
-	default:
-		fmt.Fprintf(os.Stderr, "psim: -stride must be on or off, got %q\n", *stride)
+	opts := options{
+		servers: *servers, workers: *workers, jobs: *jobs, fio: *nfio, streams: *nstream,
+		scheme: *scheme, workload: *workload, alerts: *alerts,
+	}
+	if err := opts.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "psim:", err)
+		flag.Usage()
 		os.Exit(2)
 	}
-	cluster.SetDefaultShards(*shards)
 
 	cfg := experiments.TestbedConfig{
 		Seed:             *seed,
@@ -87,9 +125,6 @@ func main() {
 	case "hybrid":
 		cfg.Speculator = straggler.NewLATE()
 		cfg.PerfCloud = experiments.ControllerConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "psim: unknown scheme %q\n", *scheme)
-		os.Exit(2)
 	}
 
 	var tr *trace.Tracer
@@ -113,10 +148,6 @@ func main() {
 	var alertSink *obs.JSONLSink
 	var tbRef *experiments.Testbed // set right after NewTestbed; the fast-path probe closes over it
 	if *alerts {
-		if cfg.PerfCloud == nil {
-			fmt.Fprintf(os.Stderr, "psim: -alerts needs a scheme that deploys PerfCloud (got %q)\n", *scheme)
-			os.Exit(2)
-		}
 		var out obs.MultiSink
 		if col != nil {
 			out = append(out, col)
@@ -171,9 +202,7 @@ func main() {
 		case "spark-svm":
 			return mustSpark(tb.Driver.Submit(spark.SVM(10, 3, 640<<20), now))
 		}
-		fmt.Fprintf(os.Stderr, "psim: unknown workload %q\n", *workload)
-		os.Exit(2)
-		return nil
+		panic("psim: unvalidated workload " + *workload)
 	}
 
 	for i := 0; i < *jobs; i++ {

@@ -7,8 +7,7 @@
 // Run with: go run ./examples/large_scale
 //
 // The baseline and the four scheme mixes are independent engines, so they
-// run concurrently (one per core) and each cluster fans its per-server
-// tick work out to a bounded pool; pass -parallel 1 to force the fully
+// run concurrently (one per core); pass -parallel 1 to force the fully
 // sequential mode — the tables are bit-for-bit identical either way.
 package main
 
@@ -18,14 +17,12 @@ import (
 	"runtime"
 	"time"
 
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/experiments"
 )
 
 func main() {
-	parallel := flag.Int("parallel", 0, "worker bound for tick and run concurrency (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "run concurrency: scheme mixes at once (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
-	cluster.SetDefaultTickWorkers(*parallel)
 	experiments.SetMaxParallelRuns(*parallel)
 	experiments.SetTrackFastPaths(true)
 	workers := *parallel

@@ -3,7 +3,7 @@
 // This is the multi-tenant-cloud shape the paper's scheme must coexist
 // with — fleets where almost every tenant is idle at any instant — and
 // the setting the sharded cluster tick is built for: per-tick cost is
-// O(active servers + shards), so a terasort on the hot region runs in
+// O(active servers + servers/64), so a terasort on the hot region runs in
 // seconds of wall clock even though every tick nominally covers all ten
 // thousand servers.
 //
@@ -21,8 +21,7 @@
 //
 //	-servers N   fleet size            (default 10000)
 //	-vms N       total VMs to host     (default 1000000)
-//	-hot N       busy Hadoop servers   (default 16)
-//	-shards N    0 auto, -1 flat path  (default 0; -1 shows the contrast)
+//	-hot N       busy Hadoop servers   (default 16, at most -servers)
 //	-jobs N      terasort jobs to run  (default 2)
 package main
 
@@ -30,11 +29,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
 	"perfcloud/internal/cloud"
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
@@ -44,13 +43,14 @@ func main() {
 	servers := flag.Int("servers", 10000, "total servers in the fleet")
 	vms := flag.Int("vms", 1000000, "total VMs hosted across the fleet")
 	hot := flag.Int("hot", 16, "servers running the Hadoop workers")
-	shards := flag.Int("shards", 0, "cluster tick shards: 0 auto, n forced, -1 flat pre-shard path")
 	jobs := flag.Int("jobs", 2, "terasort jobs to run on the hot region")
 	seed := flag.Int64("seed", 42, "random seed")
-	parallel := flag.Int("parallel", 0, "tick worker bound (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
-	cluster.SetDefaultShards(*shards)
-	cluster.SetDefaultTickWorkers(*parallel)
+	if *hot < 1 || *hot > *servers {
+		fmt.Fprintf(os.Stderr, "planet_scale: -hot must be between 1 and -servers (%d), got %d\n", *servers, *hot)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// The hot region: a normal testbed — Hadoop worker VMs, DFS, job
 	// tracker — confined to the first -hot servers.

@@ -5,9 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"perfcloud/internal/cpu"
-	"perfcloud/internal/disk"
-	"perfcloud/internal/memsys"
 	"perfcloud/internal/sim"
 )
 
@@ -20,7 +17,6 @@ import (
 func BenchmarkQuiescentCluster(b *testing.B) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	cl := New()
-	cl.SetTickWorkers(1) // isolate the per-server cost from fan-out noise
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
@@ -46,13 +42,11 @@ func (w *steadyBench) Advance(tickSec float64, g Grant) {}
 func (w *steadyBench) Done() bool                       { return false }
 func (w *steadyBench) DemandEpoch() uint64              { return 0 }
 
-// activeCluster builds a 16-server, 128-VM cluster in which every VM runs
-// an epoch-reporting workload with constant demand — the steady state of
-// a busy mix mid-wave, where quiescence never applies and the demand
-// vectors repeat tick after tick.
-func activeCluster(eng *sim.Engine) *Cluster {
-	cl := New()
-	cl.SetTickWorkers(1) // isolate the per-server cost from fan-out noise
+// activeCluster populates cl with 16 servers and 128 VMs, every VM
+// running an epoch-reporting workload with constant demand — the steady
+// state of a busy mix mid-wave, where quiescence never applies and the
+// demand vectors repeat tick after tick.
+func activeCluster(eng *sim.Engine, cl *Cluster) {
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
@@ -60,38 +54,20 @@ func activeCluster(eng *sim.Engine) *Cluster {
 			vm.SetWorkload(&steadyBench{demand: busyDemand()})
 		}
 	}
-	return cl
-}
-
-// setAllFastPaths flips demand reuse and all three allocator memos at
-// once, returning a restore function.
-func setAllFastPaths(enabled bool) func() {
-	prevReuse := SetDefaultDemandReuse(enabled)
-	prevCPU := cpu.SetDefaultMemoize(enabled)
-	prevMem := memsys.SetDefaultMemoize(enabled)
-	prevDisk := disk.SetDefaultMemoize(enabled)
-	return func() {
-		SetDefaultDemandReuse(prevReuse)
-		cpu.SetDefaultMemoize(prevCPU)
-		memsys.SetDefaultMemoize(prevMem)
-		disk.SetDefaultMemoize(prevDisk)
-	}
 }
 
 // BenchmarkActiveServerTick measures the steady-state cost of ticking
-// busy servers with the demand-epoch reuse and allocator memos on (the
-// shipped configuration). Compare against BenchmarkActiveServerTickNoReuse
-// for the win.
+// busy servers on the optimised path, with demand reuse, the fused steady
+// tick and the allocator memos. Compare against
+// BenchmarkActiveServerTickNoReuse for the win.
 func BenchmarkActiveServerTick(b *testing.B) {
-	defer setAllFastPaths(true)()
-	benchActiveTick(b)
+	benchActiveTick(b, New())
 }
 
-// BenchmarkActiveServerTickNoReuse is the same workload with every
-// steady-state fast path disabled — the pre-optimization pipeline.
+// BenchmarkActiveServerTickNoReuse is the same workload on the reference
+// cluster — the unoptimised pipeline, re-solving every tick in full.
 func BenchmarkActiveServerTickNoReuse(b *testing.B) {
-	defer setAllFastPaths(false)()
-	benchActiveTick(b)
+	benchActiveTick(b, NewReference())
 }
 
 // churnBench bumps its demand epoch on every grant — demand reuse never
@@ -112,10 +88,8 @@ func (w *churnBench) DemandEpoch() uint64              { return w.epoch }
 // servers all-idle (quiescence skip), some steady (fused replay), some
 // churning demand every tick (full rebuild). One op is a 16-tick stride.
 func BenchmarkStrideAdvance(b *testing.B) {
-	defer setAllFastPaths(true)()
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	cl := New()
-	cl.SetTickWorkers(1)
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
@@ -142,21 +116,18 @@ func BenchmarkStrideAdvance(b *testing.B) {
 	}
 }
 
-// BenchmarkShardScale pins the sharded tick path's O(active + shards)
-// contract: the same fixed set of busy servers (8 steady workloads)
-// inside fleets of different total size. Growing the fleet 10x grows
-// only the shard count (total/64 one-comparison skips per tick), so
-// ns/tick between the sub-benchmarks should stay well inside 2x — the
-// ratio `make bench-scale` gates on. A flat O(total) tick would scale
-// the cost 10x.
+// BenchmarkShardScale pins the tick's O(active + servers/64) contract:
+// the same fixed set of busy servers (8 steady workloads) inside fleets of
+// different total size. Growing the fleet 10x grows only the active
+// bitset (one-comparison skips of 64 parked servers per tick), so ns/tick
+// between the sub-benchmarks should stay well inside 2x — the ratio
+// `make bench-scale` gates on. Visiting every server would scale the cost
+// 10x.
 func BenchmarkShardScale(b *testing.B) {
-	defer setAllFastPaths(true)()
 	for _, total := range []int{1024, 10240} {
 		b.Run(fmt.Sprintf("servers=%d", total), func(b *testing.B) {
 			eng := sim.NewEngine(100*time.Millisecond, 3)
 			cl := New()
-			cl.SetTickWorkers(1) // isolate the per-tick cost from fan-out noise
-			cl.SetShards(0)
 			const busy = 8
 			for s := 0; s < total; s++ {
 				srv := cl.AddServer(fmt.Sprintf("s%05d", s), DefaultServerConfig(), eng.RNG())
@@ -180,9 +151,9 @@ func BenchmarkShardScale(b *testing.B) {
 	}
 }
 
-func benchActiveTick(b *testing.B) {
+func benchActiveTick(b *testing.B, cl *Cluster) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
-	cl := activeCluster(eng)
+	activeCluster(eng, cl)
 	clk := eng.Clock()
 	cl.Tick(clk) // settle scratch buffers and arm the memos
 	b.ReportAllocs()

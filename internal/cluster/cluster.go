@@ -24,7 +24,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"perfcloud/internal/cgroup"
 	"perfcloud/internal/cpu"
@@ -93,7 +92,7 @@ type Workload interface {
 	//
 	// Done is treated as terminal by the quiescence machinery: once a
 	// workload reports true while its server is idle, the server may stop
-	// being visited at all (DESIGN.md §5.7), so a transition back to false
+	// being visited at all (DESIGN.md §5.1), so a transition back to false
 	// is only observed after something calls Server.MarkDirty (as the
 	// cap setters and placement changes do). Implementations that can
 	// re-arm a finished workload must dirty the server themselves.
@@ -106,7 +105,7 @@ type Workload interface {
 // which a subsequent Demand or Done result could differ from the last
 // tick's (for the same tick length); while every VM on a server reports
 // an unchanged epoch, the server reuses last tick's demand and request
-// vectors instead of rebuilding them (DESIGN.md §5.3). Implementations
+// vectors instead of rebuilding them (DESIGN.md §5.1). Implementations
 // must also keep Demand free of side effects, since reused ticks skip
 // the call entirely. Workloads that do not implement the interface opt
 // their server out of reuse; correctness is unaffected.
@@ -215,16 +214,16 @@ type Server struct {
 	vms   []*VM
 
 	// clus and index tie the server back to its cluster and its stable
-	// position in the creation-order server slice; the sharded tick path
-	// keys its active bitset and shard ranges on index.
+	// position in the creation-order server slice; the tick keys its
+	// active bitset and shard ranges on index.
 	clus  *Cluster
 	index int
 
 	// active records membership in the cluster's active set. Inactive
 	// servers are provably quiescent and are not visited at all by the
-	// sharded tick path — the O(active) contract of DESIGN.md §5.7.
-	// wakePending marks servers already queued for reactivation so a
-	// burst of dirtying events enqueues them once.
+	// tick — the O(active) contract of DESIGN.md §5.1. wakePending marks
+	// servers already queued for reactivation so a burst of dirtying
+	// events enqueues them once.
 	active      bool
 	wakePending bool
 
@@ -243,15 +242,14 @@ type Server struct {
 	// stays valid and per-id lookups can be skipped entirely.
 	epoch uint64
 
-	// quiescent records that the last tick found every VM idle and either
-	// processed or settled it (settleIdle), so the grant phase granted
-	// nothing and left no trace beyond the disk's idle jitter draws (see
-	// DESIGN.md §5.2). While it holds and no dirtying event intervenes,
-	// the grant phase may be skipped outright; catchUp replays the elided
+	// quiescent records that the last tick found every VM idle and settled
+	// it (settleIdle), so the grant phase granted nothing and left no
+	// trace beyond the disk's idle jitter draws (see DESIGN.md §5.1). The
+	// server then leaves the active set and its grant phase is skipped
+	// outright until a dirtying event wakes it; catchUp replays the elided
 	// jitter draws before the next full tick, keeping results bit-for-bit
-	// identical. Any mutation that could change a tick's outcome
-	// (workload attach, placement change, cap change) clears it via
-	// MarkDirty, so the next tick processes or settles the server anew.
+	// identical. Any mutation that could change a tick's outcome (workload
+	// attach, placement change, cap change) clears it via MarkDirty.
 	quiescent bool
 
 	// skipped counts grant-phase ticks elided while quiescent; skipIDs
@@ -261,7 +259,7 @@ type Server struct {
 	skipped int
 	skipIDs []string
 
-	// Steady-state demand reuse (DESIGN.md §5.3). After a fully rebuilt
+	// Steady-state demand reuse (DESIGN.md §5.1). After a fully rebuilt
 	// tick whose VMs all support DemandEpocher, epochs snapshots their
 	// demand epochs and steadyValid arms the fast path: while every epoch
 	// (and every cgroup throttle, and the tick length) is unchanged, the
@@ -301,8 +299,7 @@ type Server struct {
 	statRebuilds uint64
 
 	// Per-tick scratch buffers, reused across ticks so the steady-state
-	// resource pipeline allocates nothing. They are owned exclusively by
-	// the goroutine ticking this server (servers never share scratch).
+	// resource pipeline allocates nothing (servers never share scratch).
 	demands    []Demand
 	cpuReqs    []cpu.Request
 	cpuGrants  []cpu.Grant
@@ -347,7 +344,7 @@ func (s *Server) FastPathStats() obs.FastPathSnapshot {
 	fp := s.fastPathRaw()
 	// An inactive server has pending elided ticks that its own counters
 	// will only record on wake; fold them in so between-tick observers see
-	// the same totals the flat per-tick accounting would report.
+	// one skip per elided tick.
 	if !s.active && s.clus != nil {
 		fp.QuiescentSkips += s.clus.ticks - s.skipFrom
 	}
@@ -377,11 +374,11 @@ func (s *Server) bumpEpoch() {
 }
 
 // activate queues an inactive server for reactivation at the start of
-// the next sharded tick. Dirtying events arrive from sequential phases
-// only (framework ticks, workload Advance, controller actuation, test
-// setup) — never from the parallel grant fan-out — so the queue needs no
-// synchronization. Draining at the tick boundary keeps mid-sweep wakes
-// from mutating the active bitset while it is being iterated.
+// the next tick. Dirtying events arrive from the engine's goroutine
+// (framework ticks, workload Advance, controller actuation, test setup),
+// so the queue needs no synchronization. Draining at the tick boundary
+// keeps mid-sweep wakes from mutating the active bitset while it is being
+// iterated.
 func (s *Server) activate() {
 	c := s.clus
 	if c == nil || s.active || s.wakePending {
@@ -438,25 +435,19 @@ func (s *Server) FindVM(id string) *VM {
 // tick: collect demands, grant CPU/memory/disk, accumulate cgroup counters
 // and stamp each VM's lastGrant. It touches only state owned by this
 // server (its resource models, their per-server RNG streams, its VMs'
-// cgroups) plus each workload's Demand method, so the cluster may run the
-// grant phase of different servers concurrently. Workload.Advance — which
+// cgroups) plus each workload's Demand method. Workload.Advance — which
 // may mutate state shared across servers, such as a framework's task set —
-// is deferred to advancePhase.
-func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
+// is deferred to advancePhase, so every grant phase of a tick sees the
+// state the tick started from.
+//
+// Only active servers are ticked, and a server leaves the active set at
+// the end of the tick that found it quiescent, so grantPhase never starts
+// on a quiescent server.
+func (s *Server) grantPhase(tickSec float64) {
 	n := len(s.vms)
 	if n == 0 {
 		// A server with no VMs is trivially quiescent: the pipeline has
-		// nothing to do and no draws to replay. Mark it so the sharded
-		// tick path can deactivate it, and account elided ticks the same
-		// way populated quiescent servers do (with an empty replay set).
-		if s.quiescent && quiesce {
-			if s.skipped == 0 {
-				s.snapshotSkipIDs()
-			}
-			s.skipped++
-			s.statSkipped++
-			return
-		}
+		// nothing to do and no draws to replay.
 		s.catchUp()
 		s.quiescent = true
 		return
@@ -469,10 +460,9 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 	// reduces to the per-client draws, the handful of draw-dependent
 	// fields, and the cgroup accumulation, bit-for-bit what the ordinary
 	// steady path below produces. Idle states cannot have changed either
-	// (Done is covered by the demand-epoch contract), so the idle scan and
-	// the quiescent check are skipped: the server was non-idle at arm time
-	// and still is.
-	if reuse && s.fused && s.steadyUsable(tickSec, n) &&
+	// (Done is covered by the demand-epoch contract), so the idle scan is
+	// skipped: the server was non-idle at arm time and still is.
+	if s.fused && s.steadyUsable(tickSec, n) &&
 		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec) {
 		s.statSteady++
 		s.cpu.ReplaySteady()
@@ -491,35 +481,16 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 		return
 	}
 	s.fused = false
-	// Quiescence fast path: when every VM is idle the full pipeline below
-	// grants nothing — zero demands produce zero grants and cgroup
-	// counters accumulate zeros. Its only lasting effect is the disk's
-	// per-client idle jitter draws, which catchUp can replay later. Every
-	// idle tick is therefore skipped until a workload wakes up or
-	// MarkDirty reports an external change; the first one of a stretch
-	// also settles what the pipeline would have left behind (settleIdle),
-	// without building a single vector. Skipping is bit-for-bit
-	// invisible: enabling or disabling it cannot change any simulation
-	// output (see DESIGN.md §5.2 and TestQuiescenceMatchesFullPipeline).
-	idle := true
-	if cap(s.idleFlags) < n {
-		s.idleFlags = make([]bool, n)
-	}
-	s.idleFlags = s.idleFlags[:n]
-	for i, v := range s.vms {
-		vi := v.Idle()
-		s.idleFlags[i] = vi
-		if !vi {
-			idle = false
-		}
-	}
-	if idle && quiesce {
-		if !s.quiescent {
-			s.catchUp()
-			s.settleIdle()
-		} else if s.skipped == 0 {
-			s.snapshotSkipIDs()
-		}
+	// Quiescence: when every VM is idle the full pipeline grants nothing —
+	// zero demands produce zero grants and cgroup counters accumulate
+	// zeros. Its only lasting effect is the disk's per-client idle jitter
+	// draws, which catchUp replays later. The tick settles what the
+	// pipeline would have left behind (settleIdle) without building a
+	// single vector and counts as the first skipped tick; the server then
+	// leaves the active set until something dirties it.
+	if s.scanIdle() {
+		s.catchUp()
+		s.settleIdle()
 		s.skipped++
 		s.statSkipped++
 		return
@@ -528,18 +499,70 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 
 	// Steady-state reuse: when every VM's demand epoch (and throttle, and
 	// the tick length) matches the snapshot taken after the last full
-	// rebuild, the demand and request vectors below already describe this
-	// tick, so the Demand calls and the three rebuild loops are skipped.
-	// The allocators still run — the disk draws fresh queueing-delay
-	// jitter every tick — but on identical inputs the CPU and memory
-	// allocators return their cached grants and the disk reuses its solved
-	// shares. Like quiescence, reuse is bit-for-bit invisible (see
-	// TestMemoizationMatchesFullPipeline).
-	steady := reuse && s.steadyUsable(tickSec, n)
+	// rebuild, the demand and request vectors already describe this tick,
+	// so the Demand calls and the three rebuild loops are skipped. The
+	// allocators still run — the disk draws fresh queueing-delay jitter
+	// every tick — but on identical inputs their memos serve the solve.
+	steady := s.steadyUsable(tickSec, n)
 	if steady {
 		s.statSteady++
 	} else {
 		s.statRebuilds++
+	}
+	s.pipeline(tickSec, steady)
+	// After a rebuild, snapshot each VM's demand epoch to arm reuse for
+	// the next tick; a reused tick leaves the snapshot untouched (it
+	// matched by definition).
+	if !steady {
+		s.snapshotEpochs(tickSec)
+	}
+	// Arm the fused steady tick for the next round: reuse is armed, and
+	// every allocator just primed (or re-hit) its memo for the request
+	// vectors now in the buffers.
+	s.fused = s.steadyValid &&
+		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec)
+}
+
+// referenceGrant is the reference cluster's grant phase: the full
+// pipeline with freshly built request vectors and every allocator memo
+// invalidated, on every tick, idle or not. The optimised grantPhase must
+// match it bit for bit.
+func (s *Server) referenceGrant(tickSec float64) {
+	if len(s.vms) == 0 {
+		return
+	}
+	s.scanIdle()
+	s.cpu.InvalidateMemo()
+	s.mem.InvalidateMemo()
+	s.disk.InvalidateMemo()
+	s.statRebuilds++
+	s.pipeline(tickSec, false)
+}
+
+// scanIdle records each VM's idleness in idleFlags and reports whether
+// every VM is idle.
+func (s *Server) scanIdle() bool {
+	n := len(s.vms)
+	if cap(s.idleFlags) < n {
+		s.idleFlags = make([]bool, n)
+	}
+	s.idleFlags = s.idleFlags[:n]
+	idle := true
+	for i, v := range s.vms {
+		vi := v.Idle()
+		s.idleFlags[i] = vi
+		if !vi {
+			idle = false
+		}
+	}
+	return idle
+}
+
+// pipeline runs the allocators and accounts their grants. Unless steady
+// says the cached vectors still describe this tick, it first rebuilds the
+// demand and request vectors from the workloads and cgroup caps.
+func (s *Server) pipeline(tickSec float64, steady bool) {
+	if !steady {
 		s.demands = s.demands[:0]
 		for _, v := range s.vms {
 			var d Demand
@@ -610,21 +633,6 @@ func (s *Server) grantPhase(tickSec float64, quiesce, reuse bool) {
 			s.memResults[i].Cycles, s.memResults[i].Instructions,
 			s.memResults[i].LLCRefs, s.memResults[i].LLCMisses)
 	}
-
-	// A fully processed all-idle tick proves the next one is skippable.
-	s.quiescent = idle
-	// After a rebuild, snapshot each VM's demand epoch to arm reuse for
-	// the next tick; a reused tick leaves the snapshot untouched (it
-	// matched by definition).
-	if !steady {
-		s.snapshotEpochs(tickSec)
-	}
-	// Arm the fused steady tick for the next round: the server is busy,
-	// reuse is armed, and every allocator just primed (or re-hit) its memo
-	// for the request vectors now in the buffers. Idle servers arm the
-	// quiescence path instead — the two fast paths are mutually exclusive.
-	s.fused = !idle && s.steadyValid &&
-		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec)
 }
 
 // steadyUsable reports whether the request vectors cached from the last
@@ -749,53 +757,33 @@ type Cluster struct {
 	// load heap) revalidate against it instead of rescanning.
 	placeSeq uint64
 
-	// workers bounds the goroutines used for the parallel grant phase:
-	// 1 forces the sequential mode, 0 defers to the package default.
-	workers int
+	// reference selects the reference tick (see NewReference), fixed at
+	// construction.
+	reference bool
 
-	// ticks counts Tick invocations on the sharded path. It is the time
-	// base for O(1) elided-tick accounting: a server deactivated at tick
-	// k and woken while the counter reads w missed exactly w-1-k grant
-	// phases. Stride replays ticks without advancing the engine clock, so
-	// this cluster-owned counter — not sim.Clock — is the only correct
-	// base.
+	// ticks counts Tick invocations. It is the time base for O(1)
+	// elided-tick accounting: a server deactivated at tick k and woken
+	// while the counter reads w missed exactly w-1-k grant phases. Stride
+	// replays ticks without advancing the engine clock, so this
+	// cluster-owned counter — not sim.Clock — is the only correct base.
 	ticks uint64
 
-	// Sharded-tick state (DESIGN.md §5.7): the shard partition over the
+	// Sharded-tick state (DESIGN.md §5.1): the shard partition over the
 	// server slice, the active bitset it indexes, the wake queue drained
 	// at each tick boundary, and the cluster-wide inactive count.
 	shards      []shard
 	activeBits  []uint64
-	shardBits   []uint64 // bit per shard, set while the shard has active servers
+	busyShards  int // shards holding at least one active server
 	wakes       []*Server
 	inactive    int
-	liveShards  []int // per-tick scratch: indices of shards with active servers
-	partServers int   // len(servers) at the last partition build
-	partSetting int   // shard setting at the last partition build
-	shardBase   int   // partition arithmetic: base shard size ...
-	shardRem    int   // ... and how many leading shards hold one extra
-
-	// shardsVal/shardsSet are the per-cluster shard-count override:
-	// unset defers to the package default (see SetDefaultShards).
-	shardsVal int
-	shardsSet bool
-
-	// quiesce selects the quiescence fast path for this cluster:
-	// 0 defers to the package default, 1 forces it on, 2 forces it off.
-	quiesce int8
-
-	// reuse selects the steady-state demand-reuse fast path, with the
-	// same encoding as quiesce.
-	reuse int8
-
-	// stride selects event-driven stepping (Stride fast-forwarding runs of
-	// event-free ticks), with the same encoding as quiesce.
-	stride int8
+	live        []*Server // per-tick scratch: the active servers, in index order
+	partServers int       // len(servers) at the last partition build
+	shardBase   int       // partition arithmetic: base shard size ...
+	shardRem    int       // ... and how many leading shards hold one extra
 
 	// Cumulative stride accounting: engine ticks elided by Stride and how
 	// many times a stride horizon was computed (i.e. Stride invocations).
-	// Owned by the goroutine stepping the engine; read between ticks via
-	// FastPathStats.
+	// Read between ticks via FastPathStats.
 	statStrideSkips       uint64
 	statHorizonRecomputes uint64
 
@@ -804,77 +792,13 @@ type Cluster struct {
 	statShardSkips uint64
 
 	// Engine self-profiling (wall-clock, non-deterministic, never in sim
-	// outputs): sampled phase timers for the grant fan-out, the advance
+	// outputs): sampled phase timers for the grant sweep, the advance
 	// sweep and stride replay. Nil — one branch per phase — until
 	// SetHealth attaches a health layer.
 	health   *obs.Health
 	tGrant   *obs.PhaseTimer
 	tAdvance *obs.PhaseTimer
 	tStride  *obs.PhaseTimer
-}
-
-// defaultTickWorkers is the package-wide worker default for clusters that
-// never called SetTickWorkers; 0 means GOMAXPROCS. It is atomic so tests
-// and tools can flip modes without racing live clusters.
-var defaultTickWorkers atomic.Int64
-
-// SetDefaultTickWorkers sets the package-wide default worker count for
-// Cluster.Tick and returns the previous setting. n == 1 makes every
-// cluster tick sequentially, n <= 0 restores the automatic (GOMAXPROCS)
-// default. Per-cluster SetTickWorkers overrides it.
-func SetDefaultTickWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(defaultTickWorkers.Swap(int64(n)))
-}
-
-// defaultQuiescenceOff disables the quiescence fast path package-wide
-// when set; the zero value (enabled) is the normal operating mode. It is
-// atomic so tests can flip modes without racing live clusters.
-var defaultQuiescenceOff atomic.Bool
-
-// SetDefaultQuiescence toggles the package-wide default for the
-// quiescence fast path (skipping the grant phase of servers whose VMs
-// are all idle) and returns the previous setting. The fast path is
-// enabled by default; both settings produce bit-for-bit identical
-// simulations — the toggle exists so tests can prove exactly that.
-// Per-cluster SetQuiescence overrides it.
-func SetDefaultQuiescence(enabled bool) bool {
-	return !defaultQuiescenceOff.Swap(!enabled)
-}
-
-// defaultDemandReuseOff disables the steady-state demand-reuse fast path
-// package-wide when set; the zero value (enabled) is the normal
-// operating mode. It is atomic so tests can flip modes without racing
-// live clusters.
-var defaultDemandReuseOff atomic.Bool
-
-// SetDefaultDemandReuse toggles the package-wide default for the
-// steady-state demand-reuse fast path (reusing a server's demand and
-// request vectors while no VM's demand epoch moved) and returns the
-// previous setting. The fast path is enabled by default; both settings
-// produce bit-for-bit identical simulations — the toggle exists so tests
-// can prove exactly that. Per-cluster SetDemandReuse overrides it.
-func SetDefaultDemandReuse(enabled bool) bool {
-	return !defaultDemandReuseOff.Swap(!enabled)
-}
-
-// defaultStrideOff disables event-driven stepping package-wide when set;
-// the zero value (enabled) is the normal operating mode. It is atomic so
-// tests can flip modes without racing live clusters.
-var defaultStrideOff atomic.Bool
-
-// SetDefaultStride toggles the package-wide default for event-driven
-// stepping (Stride eliding runs of event-free engine ticks) and returns
-// the previous setting. Striding is enabled by default; both settings
-// produce bit-for-bit identical simulations — every elided tick's grant
-// pipeline, random draws and counter arithmetic are replayed exactly, only
-// the engine dispatch and provably idle framework scans are skipped (see
-// DESIGN.md §5.6 and TestStrideMatchesPerTick). Per-cluster SetStride
-// overrides it.
-func SetDefaultStride(enabled bool) bool {
-	return !defaultStrideOff.Swap(!enabled)
 }
 
 // New creates an empty cluster.
@@ -885,94 +809,23 @@ func New() *Cluster {
 	}
 }
 
-// SetTickWorkers bounds the worker pool used to run the per-server grant
-// phase: 1 selects the deterministic sequential mode, 0 (the default)
-// defers to SetDefaultTickWorkers / GOMAXPROCS. Both modes produce
-// bit-for-bit identical simulations; see DESIGN.md §5.1.
-func (c *Cluster) SetTickWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.workers = n
+// NewReference creates an empty reference cluster: the naive oracle the
+// optimised tick is checked against. Every tick it runs every server's
+// full pipeline, with freshly built request vectors and every allocator
+// memo invalidated; it never parks a quiescent server, reuses demand,
+// fuses a steady tick or strides. Both kinds of cluster produce
+// bit-for-bit identical simulations.
+func NewReference() *Cluster {
+	c := New()
+	c.reference = true
+	return c
 }
 
-// TickWorkers returns the effective worker bound for this cluster's tick.
-func (c *Cluster) TickWorkers() int {
-	w := c.workers
-	if w == 0 {
-		w = int(defaultTickWorkers.Load())
-	}
-	return sim.Workers(w)
-}
-
-// SetQuiescence overrides the package-wide quiescence default for this
-// cluster (see SetDefaultQuiescence).
-func (c *Cluster) SetQuiescence(enabled bool) {
-	if enabled {
-		c.quiesce = 1
-	} else {
-		c.quiesce = 2
-	}
-}
-
-// QuiescenceEnabled returns the effective quiescence setting for this
-// cluster's tick.
-func (c *Cluster) QuiescenceEnabled() bool {
-	switch c.quiesce {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultQuiescenceOff.Load()
-}
-
-// SetDemandReuse overrides the package-wide demand-reuse default for
-// this cluster (see SetDefaultDemandReuse).
-func (c *Cluster) SetDemandReuse(enabled bool) {
-	if enabled {
-		c.reuse = 1
-	} else {
-		c.reuse = 2
-	}
-}
-
-// DemandReuseEnabled returns the effective demand-reuse setting for this
-// cluster's tick.
-func (c *Cluster) DemandReuseEnabled() bool {
-	switch c.reuse {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultDemandReuseOff.Load()
-}
-
-// SetStride overrides the package-wide event-driven stepping default for
-// this cluster (see SetDefaultStride).
-func (c *Cluster) SetStride(enabled bool) {
-	if enabled {
-		c.stride = 1
-	} else {
-		c.stride = 2
-	}
-}
-
-// StrideEnabled returns the effective event-driven stepping setting for
-// this cluster.
-func (c *Cluster) StrideEnabled() bool {
-	switch c.stride {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	return !defaultStrideOff.Load()
-}
+// Reference reports whether the cluster was built by NewReference.
+func (c *Cluster) Reference() bool { return c.reference }
 
 // SetHealth attaches an engine self-profiling layer: sampled wall-clock
-// timers around the grant fan-out, the advance sweep and stride replay.
+// timers around the grant sweep, the advance sweep and stride replay.
 // The timers measure the simulator's own execution — they never touch
 // simulation state or outputs — and nil detaches them, restoring the
 // single-branch no-op fast path.
@@ -1089,21 +942,15 @@ func (c *Cluster) PlacementSeq() uint64 { return c.placeSeq }
 
 // FastPathStats sums the fast-path accounting of every server in the
 // cluster and adds the cluster-level stride and shard counters. Call it
-// between ticks (see Server.FastPathStats). With a current shard
-// partition the sum is assembled in O(active servers + shards) from the
-// per-shard aggregates; otherwise it falls back to the full sweep.
+// between ticks (see Server.FastPathStats). The sum is assembled in
+// O(active servers + shards) from the per-shard aggregates.
 func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
 	fp := obs.FastPathSnapshot{
 		StrideSkips:       c.statStrideSkips,
 		HorizonRecomputes: c.statHorizonRecomputes,
 		ShardSkips:        c.statShardSkips,
 	}
-	if !c.partitionCurrent() {
-		for _, s := range c.servers {
-			fp.Add(s.FastPathStats())
-		}
-		return fp
-	}
+	c.ensureShards()
 	// Pull the still-active servers' fresh counter deltas into their
 	// shards (inactive servers were pulled when they deactivated), then
 	// sum the shard aggregates plus each shard's pending elided ticks.
@@ -1135,8 +982,7 @@ func (c *Cluster) NumServers() int { return len(c.servers) }
 func (c *Cluster) NumVMs() int { return len(c.vmsByID) }
 
 // ActiveServers returns how many servers are currently in the active set
-// (visited by the sharded tick path). With sharding disabled every server
-// counts as active.
+// (visited by the tick). A reference cluster keeps every server active.
 func (c *Cluster) ActiveServers() int { return len(c.servers) - c.inactive }
 
 // FindServer returns the server with the given id, or nil.
@@ -1185,47 +1031,23 @@ func (c *Cluster) EachAppVM(appID string, fn func(*VM)) {
 	}
 }
 
-// Tick advances every server's resource pipeline by one tick: the
-// server-local grant phases fan out across workers drawn from the
-// process-wide shared slot pool (every server's state — resource models,
-// RNG streams, cgroups — is goroutine-private, so any interleaving yields
-// the same result), then the advance phase hands grants to workloads
-// sequentially in placement order, because framework executors may mutate
-// task state shared across servers (speculative and cloned attempts of
-// one task run on several machines). Drawing from the shared pool keeps
-// nested fan-outs — concurrent experiment repetitions each ticking their
-// own cluster — from oversubscribing GOMAXPROCS.
+// Tick advances every server's resource pipeline by one tick in two
+// phases: the grant phases of the active servers, then the advance phase
+// that hands grants to workloads in placement order, because framework
+// executors may mutate task state shared across servers (speculative and
+// cloned attempts of one task run on several machines).
 func (c *Cluster) Tick(clk *sim.Clock) {
 	tickSec := clk.TickSeconds()
-	quiesce := c.QuiescenceEnabled()
-	reuse := c.DemandReuseEnabled()
-	if c.ShardSetting() < 0 {
-		c.flatTick(tickSec, quiesce, reuse)
+	if c.reference {
+		for _, s := range c.servers {
+			s.referenceGrant(tickSec)
+		}
+		for _, s := range c.servers {
+			s.advancePhase(tickSec)
+		}
 		return
 	}
-	c.shardedTick(tickSec, quiesce, reuse)
-}
-
-// flatTick is the pre-shard tick path: every server is visited every
-// tick. Kept verbatim behind SetDefaultShards(-1)/SetShards(-1) so the
-// equivalence tests can compare the sharded path against it.
-func (c *Cluster) flatTick(tickSec float64, quiesce, reuse bool) {
-	if c.inactive > 0 {
-		// Sharding was just disabled with servers still parked in the
-		// inactive set; settle their pending elided ticks so the flat
-		// sweep below sees ordinary quiescent servers.
-		c.wakeAll(c.ticks)
-	}
-	tg := c.tGrant.Begin()
-	sim.ForEachShared(len(c.servers), c.TickWorkers(), func(i int) {
-		c.servers[i].grantPhase(tickSec, quiesce, reuse)
-	})
-	c.tGrant.End(tg)
-	ta := c.tAdvance.Begin()
-	for _, s := range c.servers {
-		s.advancePhase(tickSec)
-	}
-	c.tAdvance.End(ta)
+	c.shardedTick(tickSec)
 }
 
 // Stride fast-forwards the cluster through up to max upcoming ticks whose
@@ -1240,14 +1062,15 @@ func (c *Cluster) flatTick(tickSec float64, quiesce, reuse bool) {
 // invoked before each replayed tick with that tick's exact simulated time
 // and must perform the per-tick clock synchronization the elided framework
 // ticks would have (executor SyncClock), so completion timestamps come out
-// identical. Returns the number of ticks elided, 0 <= n <= max.
+// identical. Returns the number of ticks elided, 0 <= n <= max; a
+// reference cluster never strides and returns 0.
 //
 // Demand-epoch changes during the stride — a workload finishing, a burst
 // antagonist flipping phase, a task attempt tapering off — do not stop it:
 // grantPhase natively detects them and rebuilds, exactly as it does under
 // per-tick stepping.
 func (c *Cluster) Stride(clk *sim.Clock, max int64, sync func(nowSec float64), stop func() bool) int64 {
-	if max <= 0 || !c.StrideEnabled() {
+	if max <= 0 || c.reference {
 		return 0
 	}
 	c.statHorizonRecomputes++

@@ -39,6 +39,15 @@ func busyDemand() Demand {
 	}
 }
 
+// newCluster returns a reference cluster when ref is set and an
+// optimised one otherwise, so scenarios can run under both and compare.
+func newCluster(ref bool) *Cluster {
+	if ref {
+		return NewReference()
+	}
+	return New()
+}
+
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Server) {
 	t.Helper()
 	eng := sim.NewEngine(100*time.Millisecond, 42)

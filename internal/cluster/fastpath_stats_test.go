@@ -13,13 +13,8 @@ import (
 // counters partition the grant phases the way the fast paths actually
 // ran them.
 func TestFastPathStatsAccounting(t *testing.T) {
-	setDemandReuse(t, true)
-	prevQ := SetDefaultQuiescence(true)
-	t.Cleanup(func() { SetDefaultQuiescence(prevQ) })
-
 	eng := sim.NewEngine(100*time.Millisecond, 7)
 	c := New()
-	c.SetTickWorkers(1)
 	busy := c.AddServer("busy", DefaultServerConfig(), eng.RNG())
 	idle := c.AddServer("idle", DefaultServerConfig(), eng.RNG())
 	vm := c.AddVM(busy, "vm-busy", 2, 8<<30, LowPriority, "")

@@ -9,14 +9,11 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// quiesceFixture builds one server with two VMs and forces the
-// quiescence fast path on regardless of the package default.
+// quiesceFixture builds one server with two VMs.
 func quiesceFixture(t *testing.T) (*sim.Engine, *Cluster, *Server, *VM) {
 	t.Helper()
 	eng := sim.NewEngine(100*time.Millisecond, 42)
 	c := New()
-	c.SetTickWorkers(1)
-	c.SetQuiescence(true)
 	eng.Register(c)
 	srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
 	v := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
@@ -111,16 +108,14 @@ func TestMoveVMDirtiesBothServers(t *testing.T) {
 
 // TestQuiescenceToggleBitForBit runs the same bursty scenario — a
 // workload that finishes, a long all-idle stretch, then a second
-// workload waking the server — with the fast path on and off, and
-// demands identical cgroup counters. The idle stretch makes the skip
-// path elide ticks; the wake-up must replay the disk's idle jitter
-// draws so the post-wake grants match exactly.
+// workload waking the server — on the optimised and the reference
+// cluster, and demands identical cgroup counters. The idle stretch makes
+// the skip path elide ticks; the wake-up must replay the disk's idle
+// jitter draws so the post-wake grants match exactly.
 func TestQuiescenceToggleBitForBit(t *testing.T) {
-	run := func(enabled bool) (a, b any) {
+	run := func(ref bool) (a, b any) {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
-		c := New()
-		c.SetTickWorkers(1)
-		c.SetQuiescence(enabled)
+		c := newCluster(ref)
 		eng.Register(c)
 		srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
 		v0 := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
@@ -131,10 +126,10 @@ func TestQuiescenceToggleBitForBit(t *testing.T) {
 		eng.Run(30)
 		return v0.Cgroup().Snapshot(), v1.Cgroup().Snapshot()
 	}
-	a0, a1 := run(false)
-	b0, b1 := run(true)
+	a0, a1 := run(true)
+	b0, b1 := run(false)
 	if a0 != b0 || a1 != b1 {
-		t.Errorf("counters diverge with quiescence on:\noff: %+v / %+v\non:  %+v / %+v", a0, a1, b0, b1)
+		t.Errorf("counters diverge from the reference:\nref: %+v / %+v\nopt: %+v / %+v", a0, a1, b0, b1)
 	}
 }
 
@@ -145,8 +140,8 @@ func TestQuiescenceToggleBitForBit(t *testing.T) {
 // migrates back with a busy workload and wakes the server. Its jitter
 // state must have been collected in between — exactly when the full
 // pipeline collects it — so the returning VM restarts from a fresh luck
-// factor. Every grant and cgroup counter must match the quiescence-off
-// run bit for bit, flat and sharded. A warm variant gives every VM a
+// factor. Every grant and cgroup counter must match the reference
+// cluster's bit for bit. A warm variant gives every VM a
 // short burst of work first, so the first idle tick also has memory-
 // system jitter state to collect; the returning VM is memory-bound, so
 // that state shows in its grants.
@@ -155,12 +150,9 @@ func TestIdleFromBirthWakeMatchesFullPipeline(t *testing.T) {
 		grants   map[string][]Grant
 		counters map[string]any
 	}
-	run := func(quiesce bool, shards int, warm bool) result {
+	run := func(ref, warm bool) result {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
-		c := New()
-		c.SetTickWorkers(1)
-		c.SetQuiescence(quiesce)
-		c.SetShards(shards)
+		c := newCluster(ref)
 		eng.Register(c)
 		cold := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
 		other := c.AddServer("server-other", DefaultServerConfig(), eng.RNG())
@@ -204,11 +196,9 @@ func TestIdleFromBirthWakeMatchesFullPipeline(t *testing.T) {
 		return r
 	}
 	for _, warm := range []bool{false, true} {
-		want := run(false, -1, warm)
-		for _, shards := range []int{-1, 0} {
-			if got := run(true, shards, warm); !reflect.DeepEqual(got, want) {
-				t.Errorf("warm=%v shards=%d: quiescence-on run differs from the full pipeline:\non:  %+v\noff: %+v", warm, shards, got, want)
-			}
+		want := run(true, warm)
+		if got := run(false, warm); !reflect.DeepEqual(got, want) {
+			t.Errorf("warm=%v: optimised run differs from the reference:\nopt: %+v\nref: %+v", warm, got, want)
 		}
 	}
 }
@@ -226,7 +216,6 @@ func TestColdServerStreamsUnseededUntilWake(t *testing.T) {
 	coldServerRuns++
 	eng := sim.NewEngine(100*time.Millisecond, 0x5eed_c01d+coldServerRuns)
 	c := New()
-	c.SetQuiescence(true)
 	eng.Register(c)
 	srv := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
 	v := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")

@@ -10,33 +10,31 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// TestShardPartition checks the partition arithmetic: contiguous ranges
-// covering every server, near-equal sizes, and the setting semantics
-// (0 auto, n forced, clamped to the server count).
+// TestShardPartition checks the partition arithmetic: ceil(servers/64)
+// contiguous ranges covering every server with near-equal sizes.
 func TestShardPartition(t *testing.T) {
-	build := func(servers, setting int) *Cluster {
+	build := func(servers int) *Cluster {
 		eng := sim.NewEngine(100*time.Millisecond, 1)
 		c := New()
-		c.SetShards(setting)
 		for i := 0; i < servers; i++ {
 			c.AddServer(fmt.Sprintf("s%03d", i), DefaultServerConfig(), eng.RNG())
 		}
 		return c
 	}
 	cases := []struct {
-		servers, setting, wantShards int
+		servers, wantShards int
 	}{
-		{6, 0, 1},     // auto: small cluster collapses to one shard
-		{64, 0, 1},    // auto: exactly one full shard
-		{130, 0, 3},   // auto: ceil(130/64)
-		{10, 3, 3},    // forced
-		{10, 200, 10}, // forced beyond server count: clamped
+		{0, 0},     // empty cluster: no shards
+		{6, 1},     // small cluster collapses to one shard
+		{64, 1},    // exactly one full shard
+		{65, 2},    // one server over: a second shard
+		{130, 3},   // ceil(130/64)
+		{1000, 16}, // planet-style fleets: ~64 per shard
 	}
 	for _, tc := range cases {
-		c := build(tc.servers, tc.setting)
+		c := build(tc.servers)
 		if got := c.ShardCount(); got != tc.wantShards {
-			t.Errorf("servers=%d setting=%d: ShardCount = %d, want %d",
-				tc.servers, tc.setting, got, tc.wantShards)
+			t.Errorf("servers=%d: ShardCount = %d, want %d", tc.servers, got, tc.wantShards)
 			continue
 		}
 		// Ranges must tile [0, servers) in order, sizes within 1.
@@ -44,8 +42,8 @@ func TestShardPartition(t *testing.T) {
 		for i := range c.shards {
 			sh := &c.shards[i]
 			if sh.start != next || sh.end <= sh.start {
-				t.Errorf("servers=%d setting=%d: shard %d range [%d,%d) after %d",
-					tc.servers, tc.setting, i, sh.start, sh.end, next)
+				t.Errorf("servers=%d: shard %d range [%d,%d) after %d",
+					tc.servers, i, sh.start, sh.end, next)
 			}
 			next = sh.end
 			if sz := sh.end - sh.start; sz < min {
@@ -61,104 +59,105 @@ func TestShardPartition(t *testing.T) {
 			}
 		}
 		if next != tc.servers {
-			t.Errorf("servers=%d setting=%d: shards cover [0,%d), want [0,%d)",
-				tc.servers, tc.setting, next, tc.servers)
+			t.Errorf("servers=%d: shards cover [0,%d), want [0,%d)", tc.servers, next, tc.servers)
 		}
-		if max-min > 1 {
-			t.Errorf("servers=%d setting=%d: shard sizes range %d..%d, want near-equal",
-				tc.servers, tc.setting, min, max)
+		if tc.servers > 0 && max-min > 1 {
+			t.Errorf("servers=%d: shard sizes range %d..%d, want near-equal", tc.servers, min, max)
 		}
-	}
-	// Negative disables sharding entirely.
-	c := build(10, -1)
-	if c.ShardingEnabled() || c.ShardCount() != 0 {
-		t.Error("SetShards(-1) must disable sharding")
 	}
 }
 
-// shardScenario drives one cluster through the life cycle the sharded
-// path must get right — busy servers finishing into quiescence, a long
-// parked stretch, cross-shard migration off a parked server, wake-ups, a
-// mid-run server addition forcing a repartition, and an always-empty
-// server — and returns every observable output: cgroup counters, last
-// grants, and the fast-path totals (minus the shard-only counter).
-func shardScenario(shardSetting int) (snaps []any, fp obs.FastPathSnapshot) {
+// shardScenario drives one 200-server cluster — four shards of 50 — through
+// the life cycle the sharded tick must get right: busy servers in every
+// shard finishing into quiescence, a long parked stretch, a cross-shard
+// migration off a parked server, wake-ups in other shards, a mid-run
+// server addition forcing a repartition, and a fleet of always-empty
+// servers. Only every 20th server hosts VMs; the rest are idle from birth
+// and cost nothing. It returns every observable output: cgroup counters
+// and last grants.
+func shardScenario(c *Cluster) (snaps []any) {
 	eng := sim.NewEngine(100*time.Millisecond, 42)
-	c := New()
-	c.SetTickWorkers(1)
-	c.SetShards(shardSetting)
 	eng.Register(c)
 	var vms []*VM
-	for s := 0; s < 10; s++ {
-		srv := c.AddServer(fmt.Sprintf("server-%d", s), DefaultServerConfig(), eng.RNG())
-		if s == 9 {
-			continue // server-9 stays empty for the whole run
+	for s := 0; s < 200; s++ {
+		srv := c.AddServer(fmt.Sprintf("server-%03d", s), DefaultServerConfig(), eng.RNG())
+		if s%20 != 0 {
+			continue
 		}
 		for i := 0; i < 2; i++ {
-			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%d-%d", s, i), 2, 8<<30, LowPriority, ""))
+			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d-%d", s, i), 2, 8<<30, LowPriority, ""))
 		}
 	}
-	// Wave 1: even servers run finite workloads, then everything idles.
-	for s := 0; s < 9; s += 2 {
-		c.FindVM(fmt.Sprintf("vm-%d-0", s)).SetWorkload(
+	// Wave 1: servers 0, 40, ..., 160 — every shard — run finite
+	// workloads, then everything idles.
+	for s := 0; s < 200; s += 40 {
+		c.FindVM(fmt.Sprintf("vm-%03d-0", s)).SetWorkload(
 			&fakeWorkload{name: "w1", demand: busyDemand(), maxWork: 0.5})
 	}
 	eng.Run(30)
-	// Cross-shard migration off a parked server, then wave 2 on both the
-	// migrated VM and a never-woken server.
-	if err := c.MoveVM("vm-3-1", "server-7"); err != nil {
+	// Cross-shard migration off a parked server (shard 1 to shard 2), then
+	// wave 2 on both the migrated VM and a never-woken server in shard 0.
+	if err := c.MoveVM("vm-060-1", "server-140"); err != nil {
 		panic(err)
 	}
-	c.FindVM("vm-3-1").SetWorkload(&fakeWorkload{name: "w2", demand: busyDemand(), maxWork: 0.4})
-	c.FindVM("vm-1-0").SetWorkload(&fakeWorkload{name: "w3", demand: busyDemand(), maxWork: 0.4})
+	c.FindVM("vm-060-1").SetWorkload(&fakeWorkload{name: "w2", demand: busyDemand(), maxWork: 0.4})
+	c.FindVM("vm-020-0").SetWorkload(&fakeWorkload{name: "w3", demand: busyDemand(), maxWork: 0.4})
 	eng.Run(30)
 	// Mid-run provisioning repartitions the cluster.
-	srv := c.AddServer("server-10", DefaultServerConfig(), eng.RNG())
-	nv := c.AddVM(srv, "vm-10-0", 2, 8<<30, LowPriority, "")
+	srv := c.AddServer("server-200", DefaultServerConfig(), eng.RNG())
+	nv := c.AddVM(srv, "vm-200-0", 2, 8<<30, LowPriority, "")
 	nv.SetWorkload(&fakeWorkload{name: "w4", demand: busyDemand(), maxWork: 0.3})
 	vms = append(vms, nv)
 	eng.Run(20)
 	for _, v := range vms {
 		snaps = append(snaps, v.Cgroup().Snapshot(), v.LastGrant())
 	}
-	fp = c.FastPathStats()
-	fp.ShardSkips = 0 // the only counter that legitimately differs by mode
-	return snaps, fp
+	return snaps
 }
 
 // TestShardedMatchesFlat is the cluster-level bit-for-bit equivalence
-// check: the same scenario under the flat path, one shard, three shards
-// and the automatic partition must produce identical cgroup counters,
-// grants and fast-path totals.
+// check of the sharded tick: the scenario must produce the reference
+// cluster's cgroup counters and grants, and the shard-aggregated
+// fast-path totals must equal the per-server sum.
 func TestShardedMatchesFlat(t *testing.T) {
-	wantSnaps, wantFP := shardScenario(-1)
-	for _, setting := range []int{0, 1, 3, 7} {
-		snaps, fp := shardScenario(setting)
-		if !reflect.DeepEqual(snaps, wantSnaps) {
-			t.Errorf("shards=%d: outputs diverge from flat path", setting)
-		}
-		if fp != wantFP {
-			t.Errorf("shards=%d: fast-path stats diverge:\nflat:  %+v\nshard: %+v", setting, wantFP, fp)
-		}
+	want := shardScenario(NewReference())
+	c := New()
+	if got := shardScenario(c); !reflect.DeepEqual(got, want) {
+		t.Error("sharded outputs diverge from the reference cluster")
+	}
+	sum := obs.FastPathSnapshot{
+		StrideSkips:       c.statStrideSkips,
+		HorizonRecomputes: c.statHorizonRecomputes,
+		ShardSkips:        c.statShardSkips,
+	}
+	c.EachServer(func(s *Server) { sum.Add(s.FastPathStats()) })
+	if fp := c.FastPathStats(); fp != sum {
+		t.Errorf("shard-aggregated fast-path stats diverge from the per-server sum:\nshards: %+v\nsum:    %+v", fp, sum)
+	}
+	if sum.QuiescentSkips == 0 || sum.ShardSkips == 0 {
+		t.Errorf("scenario parked nothing: %+v", sum)
 	}
 }
 
 // TestShardActiveSetBookkeeping checks the O(active) contract directly:
 // parked servers leave the active set, wholly inactive shards are
-// skipped, and dirtying events restore exactly the touched servers.
+// skipped, and dirtying events restore exactly the touched servers. A
+// reference cluster keeps every server active.
 func TestShardActiveSetBookkeeping(t *testing.T) {
-	eng := sim.NewEngine(100*time.Millisecond, 7)
-	c := New()
-	c.SetTickWorkers(1)
-	c.SetShards(3)
-	eng.Register(c)
-	var vms []*VM
-	for s := 0; s < 9; s++ {
-		srv := c.AddServer(fmt.Sprintf("server-%d", s), DefaultServerConfig(), eng.RNG())
-		vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%d", s), 2, 8<<30, LowPriority, ""))
+	build := func(c *Cluster) (*sim.Engine, []*VM) {
+		eng := sim.NewEngine(100*time.Millisecond, 7)
+		eng.Register(c)
+		var vms []*VM
+		for s := 0; s < 130; s++ { // three shards: 44, 43, 43 servers
+			srv := c.AddServer(fmt.Sprintf("server-%03d", s), DefaultServerConfig(), eng.RNG())
+			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d", s), 2, 8<<30, LowPriority, ""))
+		}
+		return eng, vms
 	}
-	if got := c.ActiveServers(); got != 9 {
-		t.Fatalf("fresh cluster ActiveServers = %d, want 9", got)
+	c := New()
+	eng, vms := build(c)
+	if got := c.ActiveServers(); got != 130 {
+		t.Fatalf("fresh cluster ActiveServers = %d, want 130", got)
 	}
 	eng.Run(3) // all idle: every server parks after its first processed tick
 	if got := c.ActiveServers(); got != 0 {
@@ -169,57 +168,28 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 	if got := c.FastPathStats().ShardSkips - skipsBefore; got != 12 {
 		t.Errorf("4 parked ticks skipped %d shards, want 12 (3 shards x 4 ticks)", got)
 	}
-	// Wake one server; only it returns to the active set.
-	vms[4].SetWorkload(&fakeWorkload{name: "w", demand: busyDemand(), maxWork: 1e9})
+	// Wake one server; only it returns to the active set, and only its
+	// shard is visited.
+	vms[100].SetWorkload(&fakeWorkload{name: "w", demand: busyDemand(), maxWork: 1e9})
+	skipsBefore = c.FastPathStats().ShardSkips
 	eng.Step()
 	if got := c.ActiveServers(); got != 1 {
 		t.Errorf("after one wake ActiveServers = %d, want 1", got)
 	}
-	if vms[4].LastGrant().CPUSeconds == 0 {
+	if got := c.FastPathStats().ShardSkips - skipsBefore; got != 2 {
+		t.Errorf("tick with one busy shard skipped %d shards, want 2", got)
+	}
+	if vms[100].LastGrant().CPUSeconds == 0 {
 		t.Error("woken workload received no grant")
 	}
-	// Quiescence off forces the whole fleet back to per-tick visits.
-	c.SetQuiescence(false)
-	eng.Step()
-	if got := c.ActiveServers(); got != 9 {
-		t.Errorf("with quiescence off ActiveServers = %d, want 9", got)
-	}
-}
 
-// TestShardFlatToggleMidRun flips the cluster between sharded and flat
-// mid-run, with servers parked at the switch, and checks the outputs
-// against an all-flat run: pending elided ticks must settle on the
-// first flat tick.
-func TestShardFlatToggleMidRun(t *testing.T) {
-	run := func(toggle bool) []any {
-		eng := sim.NewEngine(100*time.Millisecond, 11)
-		c := New()
-		c.SetTickWorkers(1)
-		c.SetShards(-1)
-		if toggle {
-			c.SetShards(2)
-		}
-		eng.Register(c)
-		var vms []*VM
-		for s := 0; s < 4; s++ {
-			srv := c.AddServer(fmt.Sprintf("server-%d", s), DefaultServerConfig(), eng.RNG())
-			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%d", s), 2, 8<<30, LowPriority, ""))
-		}
-		vms[0].SetWorkload(&fakeWorkload{name: "w", demand: busyDemand(), maxWork: 0.3})
-		eng.Run(20) // everything parks (sharded) or idles (flat)
-		if toggle {
-			c.SetShards(-1) // back to flat with servers still parked
-		}
-		eng.Run(5)
-		vms[2].SetWorkload(&fakeWorkload{name: "w2", demand: busyDemand(), maxWork: 0.3})
-		eng.Run(15)
-		var out []any
-		for _, v := range vms {
-			out = append(out, v.Cgroup().Snapshot(), v.LastGrant())
-		}
-		return out
+	ref := NewReference()
+	eng, _ = build(ref)
+	eng.Run(3)
+	if got := ref.ActiveServers(); got != 130 {
+		t.Errorf("reference cluster ActiveServers = %d, want 130", got)
 	}
-	if !reflect.DeepEqual(run(true), run(false)) {
-		t.Error("toggling shards mid-run changed simulation outputs")
+	if got := ref.FastPathStats(); got.QuiescentSkips != 0 || got.ShardSkips != 0 {
+		t.Errorf("reference cluster skipped work: %+v", got)
 	}
 }

@@ -24,21 +24,13 @@ func (f *epochWorkload) setDemand(d Demand) {
 	f.epoch++
 }
 
-// setDemandReuse flips the package demand-reuse default and restores it
-// on cleanup.
-func setDemandReuse(t *testing.T, enabled bool) {
-	t.Helper()
-	prev := SetDefaultDemandReuse(enabled)
-	t.Cleanup(func() { SetDefaultDemandReuse(prev) })
-}
-
 // steadyScenario builds a 2-server cluster of epoch-reporting workloads,
 // runs it with mid-run demand changes and a mid-run throttle change, and
-// returns every grant every workload observed.
-func steadyScenario(seed int64) [][]Grant {
+// returns every grant every workload observed. ref selects the reference
+// cluster.
+func steadyScenario(seed int64, ref bool) [][]Grant {
 	eng := sim.NewEngine(100*time.Millisecond, seed)
-	c := New()
-	c.SetTickWorkers(1)
+	c := newCluster(ref)
 	var ws []*epochWorkload
 	for s := 0; s < 2; s++ {
 		srv := c.AddServer(fmt.Sprintf("s%d", s), DefaultServerConfig(), eng.RNG())
@@ -71,20 +63,16 @@ func steadyScenario(seed int64) [][]Grant {
 }
 
 func TestDemandReuseMatchesFullRebuild(t *testing.T) {
-	setDemandReuse(t, true)
-	fast := steadyScenario(7)
-	setDemandReuse(t, false)
-	slow := steadyScenario(7)
+	fast := steadyScenario(7, false)
+	slow := steadyScenario(7, true)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Fatal("steady-state reuse changed the granted resources")
 	}
 }
 
 func TestDemandReuseSkipsDemandCalls(t *testing.T) {
-	setDemandReuse(t, true)
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()
-	c.SetTickWorkers(1)
 	srv := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	vm := c.AddVM(srv, "vm0", 2, 8<<30, LowPriority, "")
 	w := &countingEpochWorkload{}
@@ -123,10 +111,8 @@ func (f *countingEpochWorkload) Demand(tickSec float64) Demand {
 }
 
 func TestNonEpochWorkloadDisarmsReuse(t *testing.T) {
-	setDemandReuse(t, true)
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()
-	c.SetTickWorkers(1)
 	srv := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	vm := c.AddVM(srv, "vm0", 2, 8<<30, LowPriority, "")
 	vm.SetWorkload(&fakeWorkload{name: "plain", demand: busyDemand()})

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Config describes the host CPU.
@@ -75,20 +74,10 @@ type Scheduler struct {
 // goroutine ticking the server.
 func (s *Scheduler) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
-// memoizeOff disables the input memo package-wide when set; the zero
-// value (enabled) is the normal operating mode. Atomic so tests can flip
-// modes without racing live schedulers.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide input memo (reusing the
-// previous tick's grants when the request vector and tick length are
-// unchanged) and returns the previous setting. Both settings produce
-// bit-for-bit identical grants — the allocator is deterministic in its
-// inputs — so the toggle exists only for equivalence tests and
-// benchmarking the unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
+// InvalidateMemo drops the input memo, so the next AllocateInto solves
+// its tick in full. The reference cluster calls it before every tick;
+// the memo only saves work, so dropping it cannot change a grant.
+func (s *Scheduler) InvalidateMemo() { s.memoValid = false }
 
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
@@ -142,7 +131,7 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 	if tickSec <= 0 {
 		panic("cpu: nonpositive tick")
 	}
-	if s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
+	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
 		// Steady state: identical inputs produce identical grants, and the
 		// scheduler has no per-tick internal state to advance.
 		s.memoHits++
@@ -188,7 +177,7 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 // the memo was saved — the cluster's fused steady path proves that via
 // demand epochs instead of re-comparing the vectors every tick.
 func (s *Scheduler) SteadyReady(tickSec float64) bool {
-	return s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick
+	return s.memoValid && tickSec == s.memoTick
 }
 
 // ReplaySteady serves one guaranteed-hit tick in place: the scheduler is

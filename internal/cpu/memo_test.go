@@ -5,17 +5,12 @@ import (
 	"testing"
 )
 
-// setMemoize flips the package memo default and restores it on cleanup.
-func setMemoize(t *testing.T, enabled bool) {
-	t.Helper()
-	prev := SetDefaultMemoize(enabled)
-	t.Cleanup(func() { SetDefaultMemoize(prev) })
-}
-
 // memoTickSeq is a tick sequence that exercises the memo: repeated inputs
 // (hit), a changed demand (miss), repeats of the change (hit again), a
 // changed cap (miss), and a quiescent stretch (hit on the zero vector).
-func memoTickSeq(s *Scheduler) [][]Grant {
+// With full set the memo is invalidated before every tick, so each tick
+// runs the full solve, as in the reference cluster.
+func memoTickSeq(s *Scheduler, full bool) [][]Grant {
 	reqs := []Request{
 		{ClientID: "a", Seconds: 0.4, VCPUs: 4},
 		{ClientID: "b", Seconds: 1.2, VCPUs: 8},
@@ -23,6 +18,9 @@ func memoTickSeq(s *Scheduler) [][]Grant {
 	}
 	var out [][]Grant
 	record := func() {
+		if full {
+			s.InvalidateMemo()
+		}
 		out = append(out, append([]Grant(nil), s.Allocate(0.1, reqs)...))
 	}
 	for i := 0; i < 5; i++ {
@@ -44,11 +42,8 @@ func memoTickSeq(s *Scheduler) [][]Grant {
 }
 
 func TestMemoizationMatchesFullSolve(t *testing.T) {
-	setMemoize(t, true)
-	memo := memoTickSeq(New(DefaultConfig()))
-
-	setMemoize(t, false)
-	full := memoTickSeq(New(DefaultConfig()))
+	memo := memoTickSeq(New(DefaultConfig()), false)
+	full := memoTickSeq(New(DefaultConfig()), true)
 
 	if !reflect.DeepEqual(memo, full) {
 		t.Fatalf("memoized grants diverge from full solve:\nmemo: %v\nfull: %v", memo, full)
@@ -56,7 +51,6 @@ func TestMemoizationMatchesFullSolve(t *testing.T) {
 }
 
 func TestMemoHitReturnsCachedGrants(t *testing.T) {
-	setMemoize(t, true)
 	s := New(DefaultConfig())
 	reqs := []Request{{ClientID: "a", Seconds: 0.5, VCPUs: 4}}
 	first := s.Allocate(0.1, reqs)

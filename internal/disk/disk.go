@@ -37,7 +37,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"perfcloud/internal/sim"
 )
@@ -168,19 +167,11 @@ type Disk struct {
 // ticks — the counters are owned by the goroutine ticking the server.
 func (d *Disk) MemoStats() (hits, misses uint64) { return d.memoHits, d.memoMisses }
 
-// memoizeOff disables the steady-state memo package-wide when set; the
-// zero value (enabled) is the normal operating mode. Atomic so tests can
-// flip modes without racing live disks.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide steady-state memo and
-// returns the previous setting. Both settings produce bit-for-bit
-// identical grants — the memoized path replays the same jitter draws and
-// evaluates the same wait expression — so the toggle exists only for
-// equivalence tests and benchmarking the unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
+// InvalidateMemo drops the steady-state memo, so the next AllocateInto
+// solves its tick in full. The reference cluster calls it before every
+// tick; the memoized path takes the same jitter draws and evaluates the
+// same wait expression, so dropping it cannot change a grant.
+func (d *Disk) InvalidateMemo() { d.memoValid = false }
 
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
@@ -230,7 +221,7 @@ func (d *Disk) Quiescent() bool { return d.lastQuiescent }
 // as n quiescent Allocate calls would. The cluster calls it when a server
 // wakes from a stretch of skipped idle ticks, so skipping and processing
 // idle ticks leave the device's seeded random stream in the identical
-// position (DESIGN.md §5.2). The replay is a single batched loop —
+// position (DESIGN.md §5.1). The replay is a single batched loop —
 // per-client map state is touched once regardless of n — so fast-forwarding
 // even planet-scale idle stretches stays O(n*clients) time, zero allocs.
 // It ends with the keep-set GC a quiescent Allocate runs, which only the
@@ -272,7 +263,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if tickSec <= 0 {
 		panic("disk: nonpositive tick")
 	}
-	if d.memoValid && !memoizeOff.Load() && tickSec == d.memoTick && requestsEqual(reqs, d.memoReqs) {
+	if d.memoValid && tickSec == d.memoTick && requestsEqual(reqs, d.memoReqs) {
 		d.memoHits++
 		return d.allocateSteady(dst)
 	}
@@ -318,7 +309,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	// draws are part of the device's seeded random stream, and a busy tick
 	// after an idle stretch must observe the same stream whether or not
 	// this branch ran. AdvanceIdle replays these draws for ticks the
-	// cluster skipped outright (DESIGN.md §5.2).
+	// cluster skipped outright (DESIGN.md §5.1).
 	var anyOps bool
 	for _, c := range capped {
 		if c.Ops > 0 {
@@ -436,7 +427,7 @@ func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoe
 // since the memo was saved (proven via demand epochs on the fused steady
 // path).
 func (d *Disk) SteadyReady(tickSec float64) bool {
-	return d.memoValid && !memoizeOff.Load() && tickSec == d.memoTick
+	return d.memoValid && tickSec == d.memoTick
 }
 
 // ReplaySteadyInPlace serves one guaranteed-hit tick directly in the

@@ -6,19 +6,14 @@ import (
 	"testing"
 )
 
-// setMemoize flips the package memo default and restores it on cleanup.
-func setMemoize(t *testing.T, enabled bool) {
-	t.Helper()
-	prev := SetDefaultMemoize(enabled)
-	t.Cleanup(func() { SetDefaultMemoize(prev) })
-}
-
 // memoTickSeq drives one disk through steady busy ticks (steady-path
 // hits), a demand change, a throttle-cap change, and a quiescent stretch,
 // recording every grant including WaitMs. WaitMs depends on the
 // per-client AR(1) draw of each tick, so any difference in how many draws
 // the steady path consumes shows up as a divergence here.
-func memoTickSeq(d *Disk) [][]Grant {
+// With full set the memo is invalidated before every tick, so each tick
+// runs the full solve, as in the reference cluster.
+func memoTickSeq(d *Disk, full bool) [][]Grant {
 	reqs := []Request{
 		{ClientID: "seq", Ops: 40, Bytes: 40 * (256 << 10)},
 		{ClientID: "rand", Ops: 800, Bytes: 800 * 4096},
@@ -26,6 +21,9 @@ func memoTickSeq(d *Disk) [][]Grant {
 	}
 	var out [][]Grant
 	record := func() {
+		if full {
+			d.InvalidateMemo()
+		}
 		out = append(out, append([]Grant(nil), d.Allocate(0.1, reqs)...))
 	}
 	for i := 0; i < 6; i++ {
@@ -49,11 +47,8 @@ func memoTickSeq(d *Disk) [][]Grant {
 }
 
 func TestMemoizationMatchesFullAllocate(t *testing.T) {
-	setMemoize(t, true)
-	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))))
-
-	setMemoize(t, false)
-	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))))
+	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))), false)
+	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))), true)
 
 	if !reflect.DeepEqual(memo, full) {
 		t.Fatalf("steady-path grants diverge from full solve:\nmemo: %v\nfull: %v", memo, full)
@@ -61,7 +56,6 @@ func TestMemoizationMatchesFullAllocate(t *testing.T) {
 }
 
 func TestSteadyPathRefreshesWaitMs(t *testing.T) {
-	setMemoize(t, true)
 	d := New(DefaultConfig(), rand.New(rand.NewSource(22)))
 	reqs := []Request{{ClientID: "rand", Ops: 800, Bytes: 800 * 4096}}
 	first := d.Allocate(0.1, reqs)

@@ -5,29 +5,23 @@ import (
 	"testing"
 	"time"
 
-	"perfcloud/internal/cluster"
+	"perfcloud/internal/sim"
 )
 
-// setParallel forces both parallelism knobs for the duration of a test:
-// tick workers inside each cluster and concurrent experiment repetitions.
-// Explicit counts matter — on a single-core host GOMAXPROCS-based
-// defaults resolve to 1 worker, which would not exercise the concurrent
-// paths at all.
-func setParallel(t *testing.T, tickWorkers, runs int) {
+// setParallel bounds concurrent experiment repetitions for the duration
+// of a test. Explicit counts matter — on a single-core host
+// GOMAXPROCS-based defaults resolve to 1 worker, which would not exercise
+// the concurrent path at all.
+func setParallel(t *testing.T, runs int) {
 	t.Helper()
-	prevTick := cluster.SetDefaultTickWorkers(tickWorkers)
-	prevRuns := SetMaxParallelRuns(runs)
-	t.Cleanup(func() {
-		cluster.SetDefaultTickWorkers(prevTick)
-		SetMaxParallelRuns(prevRuns)
-	})
+	prev := SetMaxParallelRuns(runs)
+	t.Cleanup(func() { SetMaxParallelRuns(prev) })
 }
 
-// TestParallelMatchesSequential is the determinism contract of the
-// parallel simulation core: for the same seed, the concurrent tick phase
-// and concurrent experiment repetitions must produce results bit-for-bit
-// identical to the sequential mode. Run with -race to also exercise the
-// data-race freedom of the grant phase and the run fan-out.
+// TestParallelMatchesSequential is the determinism contract of the run
+// fan-out: for the same seed, concurrent experiment repetitions must
+// produce results bit-for-bit identical to the sequential mode. Run with
+// -race to also exercise the data-race freedom of the run fan-out.
 func TestParallelMatchesSequential(t *testing.T) {
 	const s = seed
 
@@ -55,10 +49,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			setParallel(t, 1, 1)
+			setParallel(t, 1)
 			sequential := tc.run()
 
-			setParallel(t, 4, 4)
+			setParallel(t, 4)
 			parallel := tc.run()
 
 			if !reflect.DeepEqual(sequential, parallel) {
@@ -85,12 +79,44 @@ func TestFig12DefaultParallelismMatchesSequential(t *testing.T) {
 		Limit:            time.Hour,
 	}
 	schemes := []Scheme{SchemeLATE(), SchemePerfCloud()}
-	setParallel(t, 1, 1)
+	setParallel(t, 1)
 	sequential := Fig12With(cfg, schemes)
-	setParallel(t, 0, 0)
+	setParallel(t, 0)
 	for i := 0; i < 3; i++ {
 		if got := Fig12With(cfg, schemes); !reflect.DeepEqual(sequential, got) {
 			t.Fatalf("run %d at default parallelism differs from -parallel 1:\nseq: %+v\ngot: %+v", i, sequential, got)
 		}
+	}
+}
+
+// TestSharedPoolBoundsWorkers runs concurrent experiment repetitions and
+// asserts the process-wide slot pool never hands out more slots than
+// it has: total concurrent workers stay at or below GOMAXPROCS (the pool
+// capacity plus the one root goroutine). `make race` runs this under the
+// race detector, exercising the pool's acquire/release paths.
+func TestSharedPoolBoundsWorkers(t *testing.T) {
+	pool := sim.SharedPool()
+	pool.ResetPeak()
+
+	prev := SetMaxParallelRuns(0) // automatic: as many repetition workers as allowed
+	t.Cleanup(func() { SetMaxParallelRuns(prev) })
+
+	cfg := VariabilityConfig{
+		Seed:             seed,
+		Servers:          3,
+		WorkersPerServer: 6,
+		Runs:             6,
+		Fio:              2,
+		Streams:          2,
+		Tasks:            18,
+		Limit:            time.Hour,
+	}
+	Fig12With(cfg, []Scheme{SchemeLATE()})
+
+	if peak, capacity := pool.PeakInUse(), pool.Capacity(); peak > capacity {
+		t.Fatalf("pool handed out %d slots, capacity %d: worker fan-outs multiplied", peak, capacity)
+	}
+	if used := pool.InUse(); used != 0 {
+		t.Fatalf("%d slots still held after the suite finished", used)
 	}
 }

@@ -130,7 +130,7 @@ type MigrationResult struct {
 func Migration(seed int64) MigrationResult {
 	run := func(enable bool) (float64, int, int) {
 		eng := sim.NewEngine(100*time.Millisecond, seed)
-		clus := cluster.New()
+		clus := newCluster()
 		cm := cloud.NewManager(clus, eng.RNG())
 		cm.ProvisionServers(2)
 

@@ -29,9 +29,8 @@ func MaxParallelRuns() int { return int(maxParallelRuns.Load()) }
 // repetitions out across at most MaxParallelRuns goroutines. Each engine
 // is self-contained (own RNG streams, own cluster), so results written to
 // index-owned slots are bit-for-bit identical to a sequential loop.
-// Workers come from the process-wide shared slot pool, so repetition
-// fan-out composes with each cluster's per-tick fan-out without
-// oversubscribing GOMAXPROCS.
+// Workers come from the process-wide shared slot pool, so concurrent or
+// nested repetition fan-outs never oversubscribe GOMAXPROCS.
 func forEachRun(n int, fn func(i int)) {
 	sim.ForEachShared(n, sim.Workers(MaxParallelRuns()), fn)
 }

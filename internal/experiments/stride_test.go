@@ -1,172 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
-	"time"
 
-	"perfcloud/internal/cluster"
 	"perfcloud/internal/core"
-	"perfcloud/internal/mapreduce"
-	"perfcloud/internal/obs"
-	"perfcloud/internal/sim"
-	"perfcloud/internal/trace"
-	"perfcloud/internal/workloads"
 )
-
-// setStride forces event-driven stepping on or off for the duration of a
-// test.
-func setStride(t *testing.T, enabled bool) {
-	t.Helper()
-	prev := cluster.SetDefaultStride(enabled)
-	t.Cleanup(func() { cluster.SetDefaultStride(prev) })
-}
-
-// TestStrideMatchesPerTick is the determinism contract of event-driven
-// time advancement (DESIGN.md §5.6): eliding runs of provably event-free
-// ticks must produce results bit-for-bit identical to stepping the engine
-// every tick. The scenarios cover both frameworks, antagonists, Dolly
-// cloning and the PerfCloud control loop — so strides cross demand-epoch
-// changes (task waves starting and draining), throttle flips (the
-// controller capping and restoring antagonists) and monitor intervals.
-func TestStrideMatchesPerTick(t *testing.T) {
-	const s = seed
-
-	smallVariability := VariabilityConfig{
-		Seed:             s,
-		Servers:          3,
-		WorkersPerServer: 6,
-		Runs:             3,
-		Fio:              2,
-		Streams:          2,
-		Tasks:            18,
-		Limit:            time.Hour,
-	}
-	mix := smallMix()
-	mix.NumMR, mix.NumSpark = 4, 4
-
-	cases := []struct {
-		name string
-		run  func() any
-	}{
-		{"Fig3", func() any { return Fig3(s) }},
-		{"Fig11", func() any { return Fig11With(mix, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()}) }},
-		{"Fig12", func() any { return Fig12With(smallVariability, []Scheme{SchemeLATE(), SchemePerfCloud()}) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			setStride(t, false)
-			perTick := tc.run()
-
-			setStride(t, true)
-			strided := tc.run()
-
-			if !reflect.DeepEqual(perTick, strided) {
-				t.Errorf("strided result differs from per-tick reference:\nper-tick: %+v\nstride:   %+v", perTick, strided)
-			}
-		})
-	}
-}
-
-// TestStrideTracingByteIdentical extends the PR 5 tracing invariant to
-// stride mode: a traced run with event-driven stepping must emit Perfetto
-// JSON byte-identical to the per-tick run — every span boundary, phase
-// attribution and control-plane instant lands on the same timestamps.
-func TestStrideTracingByteIdentical(t *testing.T) {
-	run := func() []byte {
-		pc := ControllerConfig()
-		col := obs.NewCollector()
-		pc.Events = col
-		tr := trace.NewTracer()
-		tb := NewTestbed(TestbedConfig{
-			Seed:      7,
-			Servers:   1,
-			PerfCloud: pc,
-			Tracer:    tr,
-		})
-		tb.MustInput("input", 512<<20)
-		tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn))
-		tb.RunMR(mapreduce.Terasort("input", 4), 30*time.Minute)
-		var b bytes.Buffer
-		if err := tr.WritePerfetto(&b, col.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-
-	setStride(t, false)
-	perTick := run()
-	setStride(t, true)
-	strided := run()
-	if !bytes.Equal(perTick, strided) {
-		t.Error("strided run produced different trace bytes than the per-tick reference")
-	}
-}
-
-// TestStrideAcrossThrottleFlip pins the throttle event source: a static
-// cap applied (and later lifted) between strides must yield bit-identical
-// job completion under both stepping modes — the cgroup's throttle
-// sequence bump forces the elided ticks' pipeline to rebuild exactly as
-// per-tick stepping would.
-func TestStrideAcrossThrottleFlip(t *testing.T) {
-	run := func() (float64, float64) {
-		tb := NewTestbed(TestbedConfig{Seed: 11, Servers: 1})
-		tb.MustInput("input", 2<<30)
-		tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn))
-		j, err := tb.JT.Submit(mapreduce.Terasort("input", 8), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := tb.Stepper()
-		// Let contention build, then cap the antagonist; lift the cap
-		// later. The job runs ~42 s uncapped, so both flips land mid-run
-		// and strides must rebuild against the new caps on either side.
-		capAt, liftAt := 10.0, 20.0
-		clk := tb.Eng.Clock()
-		// The bounds fold the completion predicate exactly as RunUntil
-		// does, so neither mode's clock overshoots the job's last tick.
-		until := func(targetSec float64) func(*sim.Clock) int64 {
-			return func(c *sim.Clock) int64 {
-				if j.Done() {
-					return 0
-				}
-				return c.TicksBefore(targetSec, 1<<40)
-			}
-		}
-		for clk.Seconds() < capAt && !j.Done() {
-			st.Step(until(capAt))
-		}
-		if j.Done() {
-			t.Fatal("job finished before the cap flip — scenario no longer exercises a mid-run throttle change")
-		}
-		tb.CapAntagonistIOPS("fio-randread", 0.2, FioSoloIOPS)
-		for clk.Seconds() < liftAt && !j.Done() {
-			st.Step(until(liftAt))
-		}
-		if j.Done() {
-			t.Fatal("job finished before the cap lift — scenario no longer exercises a mid-run throttle change")
-		}
-		vm := tb.Clus.FindVM("fio-randread")
-		vm.Cgroup().SetReadIOPS(0)
-		vm.Server().MarkDirty()
-		if !st.RunUntil(j.Done, time.Hour) {
-			t.Fatal("job did not finish")
-		}
-		return j.JCT(), vm.Cgroup().Snapshot().Blkio.IoServiced
-	}
-
-	setStride(t, false)
-	refJCT, refOps := run()
-	setStride(t, true)
-	strJCT, strOps := run()
-	if refJCT != strJCT {
-		t.Errorf("JCT differs across stepping modes: per-tick %v, stride %v", refJCT, strJCT)
-	}
-	if refOps != strOps {
-		t.Errorf("antagonist ops differ across stepping modes: per-tick %v, stride %v", refOps, strOps)
-	}
-}
 
 // TestStrideBoundRespectsMonitorInterval pins the control-interval event
 // source: System.StrideBound must cap a stride so the tick carrying the

@@ -19,7 +19,6 @@ import (
 func TestFleetMetricsBoundedByZonesPlusShards(t *testing.T) {
 	const servers = 10000
 	clus := cluster.New()
-	clus.SetShards(0) // automatic partition, independent of other tests
 	eng := sim.NewEngine(100*time.Millisecond, 1)
 	cm := cloud.NewManager(clus, eng.RNG())
 	cm.ProvisionServers(servers)
@@ -82,10 +81,9 @@ func TestFleetMetricsBoundedByZonesPlusShards(t *testing.T) {
 // server onto its shard and zone keys.
 func TestFleetTelemetryLocator(t *testing.T) {
 	clus := cluster.New()
-	clus.SetShards(4)
 	eng := sim.NewEngine(100*time.Millisecond, 1)
 	cm := cloud.NewManager(clus, eng.RNG())
-	srvs := cm.ProvisionServers(100)
+	srvs := cm.ProvisionServers(200) // four shards of 50, one zone
 	ft := NewFleetTelemetry(clus, cm, obs.NewRegistry(), obs.NewSeriesRegistry(8))
 	loc := ft.Locator()
 
@@ -110,6 +108,6 @@ func TestFleetTelemetryLocator(t *testing.T) {
 	}
 	// dev_iowait + dev_cpi, each with cluster + 4 shards + 1 zone.
 	if got := len(sr.Keys()); got > 2*(1+4+1) {
-		t.Fatalf("rollup created %d series for 100 servers: %v", got, sr.Keys())
+		t.Fatalf("rollup created %d series for 200 servers: %v", got, sr.Keys())
 	}
 }

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"perfcloud/internal/cloud"
@@ -48,6 +49,20 @@ type TestbedConfig struct {
 	// frameworks: jobs, stages, tasks and attempts are recorded as spans
 	// with per-phase time attribution.
 	Tracer *trace.Tracer
+}
+
+// reference makes every experiment build reference clusters
+// (cluster.NewReference), the oracle the equivalence tests compare whole
+// figures against. Only tests set it.
+var reference atomic.Bool
+
+// newCluster returns the cluster an experiment runs on: the optimised
+// one, or the reference oracle while a test has selected it.
+func newCluster() *cluster.Cluster {
+	if reference.Load() {
+		return cluster.NewReference()
+	}
+	return cluster.New()
 }
 
 // Testbed is a fully wired simulated deployment.
@@ -98,7 +113,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	tb := &Testbed{Cfg: cfg, Benchmarks: make(map[string]*workloads.Benchmark), Truth: obs.NewGroundTruth()}
 	tb.Eng = sim.NewEngine(cfg.Tick, cfg.Seed)
-	tb.Clus = cluster.New()
+	tb.Clus = newCluster()
 	tb.CM = cloud.NewManager(tb.Clus, tb.Eng.RNG())
 	if cfg.ServerConfig != nil {
 		tb.CM.SetDefaultServerConfig(*cfg.ServerConfig)
@@ -178,9 +193,8 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 // Stepper returns an event-driven stepper over the testbed's engine: each
 // Step runs one engine tick, then elides upcoming ticks through the
 // testbed's Strider while every framework is provably idle (DESIGN.md
-// §5.6). With striding disabled (cluster.SetDefaultStride(false) or
-// Clus.SetStride(false)) the stepper degrades to per-tick stepping; both
-// modes are bit-for-bit identical.
+// §5.6). On a reference cluster the stepper steps per tick; both are
+// bit-for-bit identical.
 func (tb *Testbed) Stepper() *sim.Stepper {
 	return &sim.Stepper{Eng: tb.Eng, Str: tb}
 }
@@ -205,7 +219,7 @@ func (tb *Testbed) Stepper() *sim.Stepper {
 // When any predicate cannot prove quietness the stride is 0 and the
 // engine steps per tick — the always-correct fallback.
 func (tb *Testbed) Stride(clk *sim.Clock, max int64) int64 {
-	if !tb.Clus.StrideEnabled() {
+	if tb.Clus.Reference() {
 		return 0
 	}
 	if !tb.JT.StrideQuiet() || !tb.Driver.StrideQuiet() || !tb.Dolly.StrideQuiet() {

@@ -6,19 +6,14 @@ import (
 	"testing"
 )
 
-// setMemoize flips the package memo default and restores it on cleanup.
-func setMemoize(t *testing.T, enabled bool) {
-	t.Helper()
-	prev := SetDefaultMemoize(enabled)
-	t.Cleanup(func() { SetDefaultMemoize(prev) })
-}
-
 // memoTickSeq drives one system through uncongested steady ticks (memo
 // hits), an input change, a congested stretch (the memo must decline),
 // and a quiescent stretch, recording every result. The post-change ticks
 // double as a jitter-stream-position check: if the memoized path consumed
 // a different number of draws, every later luck factor diverges.
-func memoTickSeq(s *System) [][]Result {
+// With full set the memo is invalidated before every tick, so each tick
+// runs the full solve, as in the reference cluster.
+func memoTickSeq(s *System, full bool) [][]Result {
 	reqs := []Request{
 		{ClientID: "a", CPUSeconds: 0.1, CoreCPI: 1.0, LLCRefsPerInstr: 0.01, BytesPerInstr: 0.5, WorkingSetBytes: 8 << 20},
 		{ClientID: "b", CPUSeconds: 0.2, CoreCPI: 0.8, LLCRefsPerInstr: 0.05, BytesPerInstr: 1.0, WorkingSetBytes: 64 << 20},
@@ -26,6 +21,9 @@ func memoTickSeq(s *System) [][]Result {
 	}
 	var out [][]Result
 	record := func() {
+		if full {
+			s.InvalidateMemo()
+		}
 		out = append(out, append([]Result(nil), s.Compute(0.1, reqs)...))
 	}
 	for i := 0; i < 6; i++ {
@@ -57,11 +55,8 @@ func memoTickSeq(s *System) [][]Result {
 }
 
 func TestMemoizationMatchesFullCompute(t *testing.T) {
-	setMemoize(t, true)
-	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))))
-
-	setMemoize(t, false)
-	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))))
+	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))), false)
+	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))), true)
 
 	if !reflect.DeepEqual(memo, full) {
 		t.Fatalf("memoized results diverge from full compute:\nmemo: %v\nfull: %v", memo, full)
@@ -69,7 +64,6 @@ func TestMemoizationMatchesFullCompute(t *testing.T) {
 }
 
 func TestMemoDeclinesUnderCongestion(t *testing.T) {
-	setMemoize(t, true)
 	s := New(DefaultConfig(), rand.New(rand.NewSource(12)))
 	reqs := []Request{
 		{ClientID: "hog", CPUSeconds: 0.8, CoreCPI: 0.7, LLCRefsPerInstr: 0.15, BytesPerInstr: 50, WorkingSetBytes: 16 << 30},

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"perfcloud/internal/sim"
 )
@@ -162,19 +161,11 @@ type memoReplay struct {
 // goroutine ticking the server.
 func (s *System) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
-// memoizeOff disables the input memo package-wide when set; the zero
-// value (enabled) is the normal operating mode. Atomic so tests can flip
-// modes without racing live systems.
-var memoizeOff atomic.Bool
-
-// SetDefaultMemoize toggles the package-wide input memo and returns the
-// previous setting. Both settings produce bit-for-bit identical results
-// and leave the seeded jitter stream in the identical position — the
-// toggle exists only for equivalence tests and benchmarking the
-// unmemoized path.
-func SetDefaultMemoize(enabled bool) bool {
-	return !memoizeOff.Swap(!enabled)
-}
+// InvalidateMemo drops the input memo, so the next ComputeInto solves its
+// tick in full. The reference cluster calls it before every tick; the
+// memoized path yields the same results and leaves the seeded jitter
+// stream in the same position, so dropping it cannot change a result.
+func (s *System) InvalidateMemo() { s.memoValid = false }
 
 // requestsEqual reports element-wise equality of two request vectors.
 func requestsEqual(a, b []Request) bool {
@@ -237,7 +228,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	if tickSec <= 0 {
 		panic("memsys: nonpositive tick")
 	}
-	if s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
+	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
 		// Steady state: everything upstream of the luck draws is cached.
 		// The draws the full path would have consumed are still replayed —
 		// the stream position is part of the model's observable state — and
@@ -391,7 +382,7 @@ func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 // tickSec whose request vector the caller guarantees is unchanged since
 // the memo was saved (proven via demand epochs on the fused steady path).
 func (s *System) SteadyReady(tickSec float64) bool {
-	return s.memoValid && !memoizeOff.Load() && tickSec == s.memoTick
+	return s.memoValid && tickSec == s.memoTick
 }
 
 // ReplaySteadyInPlace serves one guaranteed-hit tick directly in the

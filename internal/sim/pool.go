@@ -6,19 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// SlotPool is a weighted pool of worker slots shared by every parallel
-// layer of the process. Each slot licenses one extra goroutine beyond
-// the caller's own; layers that fan out (experiment repetitions,
-// per-cluster tick workers) acquire slots before spawning and release
-// them as workers retire, so nested fan-outs cannot multiply into more
-// runnable goroutines than the machine has processors.
+// SlotPool is a weighted pool of worker slots shared by every fan-out of
+// the process. Each slot licenses one extra goroutine beyond the caller's
+// own; a fan-out (experiment repetitions, each stepping its own engine)
+// acquires slots before spawning and releases them as workers retire, so
+// concurrent fan-outs cannot multiply into more runnable goroutines than
+// the machine has processors.
 //
 // Acquisition is non-blocking and partial: a caller asking for k slots
 // receives between 0 and k, weighted by what is free right now. A caller
 // granted zero slots simply runs its work inline on its own goroutine —
-// it never waits — which is what makes nested use deadlock-free: an
-// inner layer that finds the pool drained degrades to sequential
-// execution instead of parking a worker the outer layer is counting on.
+// it never waits — so a fan-out started while the pool is drained, even
+// from inside another one, degrades to sequential execution instead of
+// deadlocking.
 type SlotPool struct {
 	capacity int64
 	used     atomic.Int64
@@ -129,29 +129,37 @@ func (p *SlotPool) notePeak(used int64) {
 
 // sharedPool is the process-wide pool every ForEachShared call draws
 // from. Its capacity is GOMAXPROCS-1 (at init): the root goroutine that
-// drives a simulation is itself a worker, so granting up to P-1 extras
-// keeps the total at P even when layers nest — an outer repetition
-// worker that fans a cluster tick out further is idle (blocked in
-// ForEachShared) only after its own loop body returned, and while it
-// participates inline it holds no extra slot.
+// drives the work is itself a worker, so granting up to P-1 extras keeps
+// the total at P.
 var sharedPool = NewSlotPool(runtime.GOMAXPROCS(0) - 1)
 
 // SharedPool returns the process-wide worker slot pool.
 func SharedPool() *SlotPool { return sharedPool }
 
+// Workers resolves a worker-count setting: n > 0 is taken literally, any
+// other value selects GOMAXPROCS. Callers that want a hard sequential mode
+// pass 1 explicitly.
+func Workers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // ForEachShared invokes fn(i) for every i in [0, n) with at most want
-// workers, like ForEachParallel, but draws the extra goroutines from the
-// process-wide SharedPool instead of spawning unconditionally. The
-// caller's goroutine always participates as one worker; up to want-1
-// additional workers run while slots are available, each returning its
-// slot as it retires. When the pool is drained (or want <= 1, or n <= 1)
-// the loop runs inline — sequentially — on the caller's goroutine.
+// workers, drawing the extra goroutines from the process-wide SharedPool
+// instead of spawning unconditionally. The caller's goroutine always
+// participates as one worker; up to want-1 additional workers run while
+// slots are available, each returning its slot as it retires. When the
+// pool is drained (or want <= 1, or n <= 1) the loop runs inline —
+// sequentially — on the caller's goroutine.
 //
-// The contract on fn matches ForEachParallel: iterations must be
-// mutually independent and write only to index-owned locations; under
-// it, every schedule is bit-for-bit identical to the sequential mode. A
-// panic in fn stops further scheduling and is re-raised on the caller's
-// goroutine after in-flight work drains.
+// Iteration indices are handed out through an atomic counter, so which
+// goroutine runs which index is nondeterministic: iterations must be
+// mutually independent and write only to index-owned locations. Under
+// that contract every schedule is bit-for-bit identical to the sequential
+// mode. A panic in fn stops further scheduling and is re-raised on the
+// caller's goroutine after in-flight work drains.
 func ForEachShared(n, want int, fn func(i int)) {
 	if want > n {
 		want = n

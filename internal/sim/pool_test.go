@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -40,13 +41,14 @@ func TestSlotPoolZeroCapacity(t *testing.T) {
 }
 
 func TestForEachSharedCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 64} {
-		const n = 1000
-		var hits [n]atomic.Int32
-		ForEachShared(n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+	for _, n := range []int{0, 1, 1000} {
+		for _, workers := range []int{1, 2, 8, 64} {
+			hits := make([]atomic.Int32, n)
+			ForEachShared(n, workers, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
+				}
 			}
 		}
 	}
@@ -62,8 +64,8 @@ func TestForEachSharedReleasesSlots(t *testing.T) {
 
 func TestForEachSharedPeakWithinCapacity(t *testing.T) {
 	SharedPool().ResetPeak()
-	// Nest fan-outs the way the experiment suite does: an outer repetition
-	// layer whose workers each fan out an inner tick layer.
+	// Nest fan-outs: an outer layer whose workers each fan out an inner
+	// layer.
 	ForEachShared(8, 8, func(i int) {
 		ForEachShared(16, 16, func(j int) {})
 	})
@@ -97,5 +99,17 @@ func TestForEachSharedSequentialWhenDrained(t *testing.T) {
 	ForEachShared(50, 8, func(i int) { sum += i })
 	if sum != 50*49/2 {
 		t.Fatalf("sum = %d", sum)
+	}
+}
+
+func TestWorkers(t *testing.T) {
+	if got := Workers(3); got != 3 {
+		t.Errorf("Workers(3) = %d", got)
+	}
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS", got)
+	}
+	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(-5) = %d, want GOMAXPROCS", got)
 	}
 }
