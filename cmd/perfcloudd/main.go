@@ -30,15 +30,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-
 	"time"
 
 	"perfcloud/internal/obs"
-	"perfcloud/internal/sim"
-	"perfcloud/internal/trace"
 )
 
 func main() {
@@ -51,19 +49,8 @@ func main() {
 	flag.Parse()
 
 	cfg := runConfig{Duration: *duration, Seed: *seed, Log: os.Stdout}
-	if *alerts {
-		cfg.AlertRules = obs.DefaultRules(obs.DefaultRulesConfig{})
-	}
-
-	var sinks obs.MultiSink
-	var jsonl *obs.JSONLSink
+	opts := observerOpts{Trace: *tracePath != "", Alerts: *alerts, HTTP: *httpAddr != ""}
 	var eventsFile *os.File
-	var col *obs.Collector
-	if *tracePath != "" {
-		cfg.Tracer = trace.NewTracer()
-		col = obs.NewCollector()
-		sinks = append(sinks, col)
-	}
 	if *eventsPath != "" {
 		f, err := os.Create(*eventsPath)
 		if err != nil {
@@ -71,41 +58,17 @@ func main() {
 			os.Exit(1)
 		}
 		eventsFile = f
-		jsonl = obs.NewJSONLSink(f)
-		sinks = append(sinks, jsonl)
+		opts.Events = f
 	}
-
-	var srv *daemonServer
-	if *httpAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Series = obs.NewSeriesRegistry(0)
-		srv = newDaemonServer(cfg.Metrics, obs.NewRing(4096), cfg.Series)
-		sinks = append(sinks, srv.ring)
-		cfg.OnInterval = srv.setFastPaths
-		cfg.OnScore = srv.setScore
-		cfg.OnAlerts = srv.setAlerts
-		// Wall-clock self-profiling rides along with the HTTP surface:
-		// phase timers, tick-pool contention and the runtime bridge, all
-		// kept out of the deterministic sim outputs.
-		cfg.Health = obs.NewHealth(cfg.Metrics)
-		cfg.Health.SetPoolStats(func() obs.PoolHealth {
-			st := sim.SharedPool().Stats()
-			return obs.PoolHealth{
-				Capacity: st.Capacity, InUse: st.InUse, Peak: st.Peak,
-				TryAcquires: st.TryAcquires, Denied: st.Denied, GrantedSlots: st.GrantedSlots,
-			}
-		})
-		srv.health = cfg.Health
+	o := wireObservers(&cfg, opts)
+	if o.srv != nil {
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfcloudd:", err)
 			os.Exit(1)
 		}
-		go http.Serve(ln, srv.handler())
+		go http.Serve(ln, o.srv.handler())
 		fmt.Printf("perfcloudd: serving /metrics, /debug/{events,fastpaths,series,score,alerts,health,pprof} on http://%s\n", ln.Addr())
-	}
-	if len(sinks) > 0 {
-		cfg.Events = sinks
 	}
 
 	if err := run(cfg); err != nil {
@@ -113,18 +76,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	if jsonl != nil {
-		if err := jsonl.Flush(); err != nil {
+	if o.jsonl != nil {
+		if err := closeEvents(o.jsonl, eventsFile); err != nil {
 			fmt.Fprintln(os.Stderr, "perfcloudd: writing events:", err)
 			os.Exit(1)
 		}
-		eventsFile.Close()
 		fmt.Printf("perfcloudd: audit log written to %s\n", *eventsPath)
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err == nil {
-			err = cfg.Tracer.WritePerfetto(f, col.Events())
+			err = cfg.Tracer.WritePerfetto(f, o.col.Events())
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -136,8 +98,19 @@ func main() {
 		fmt.Printf("perfcloudd: %d spans written to %s (open at https://ui.perfetto.dev)\n",
 			cfg.Tracer.Len(), *tracePath)
 	}
-	if srv != nil {
+	if o.srv != nil {
 		fmt.Println("perfcloudd: run complete; endpoints stay up, ctrl-c to exit")
 		select {}
 	}
+}
+
+// closeEvents flushes the audit log and closes the file under it,
+// returning the first error of the two: a failed close can lose data
+// the flush handed to the file.
+func closeEvents(s *obs.JSONLSink, f io.Closer) error {
+	err := s.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -261,8 +261,11 @@ func NewNodeManager(cfg Config, cm *cloud.Manager, hv *hypervisor.Hypervisor) *N
 // ServerID returns the id of the managed server.
 func (nm *NodeManager) ServerID() string { return nm.hv.ServerID() }
 
-// Trace returns the recorded control history.
-func (nm *NodeManager) Trace() []TraceEntry { return append([]TraceEntry(nil), nm.trace...) }
+// Trace returns the recorded control history as a read-only view of the
+// append-only log, not a copy: its capacity is capped at its length, so
+// appending to it reallocates and never touches the log, and later
+// intervals are recorded past its end.
+func (nm *NodeManager) Trace() []TraceEntry { return nm.trace[:len(nm.trace):len(nm.trace)] }
 
 // Correlator exposes the identification state (for tests and traces).
 func (nm *NodeManager) Correlator() *Correlator { return nm.corr }

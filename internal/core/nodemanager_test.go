@@ -356,3 +356,51 @@ func TestNodeManagerPanicsOnBadInterval(t *testing.T) {
 	cfg.IntervalSec = 0
 	NewNodeManager(cfg, nil, nil)
 }
+
+// TestTraceViewIsReadOnly checks that Trace returns a view of the
+// control history that neither changes the log when appended to nor
+// sees intervals recorded after it was taken.
+func TestTraceViewIsReadOnly(t *testing.T) {
+	o := defaultOpts()
+	o.perfcloud = true
+	o.fio = true
+	sc := newScenario(t, o)
+	step := func(d time.Duration) {
+		for i := int64(0); i < int64(d/sc.eng.Clock().TickSize()); i++ {
+			sc.eng.Step()
+		}
+	}
+	step(30 * time.Second)
+	nm := sc.manager()
+	early := nm.Trace()
+	if len(early) == 0 {
+		t.Fatal("no control intervals recorded")
+	}
+	earlyTimes := make([]float64, len(early))
+	for i, e := range early {
+		earlyTimes[i] = e.TimeSec
+	}
+
+	grown := append(early, TraceEntry{TimeSec: -1})
+	if got := nm.Trace(); len(got) != len(early) {
+		t.Fatalf("appending to a view changed the log length: %d, want %d", len(got), len(early))
+	}
+	grown[0].TimeSec = -2 // the append reallocated: early is untouched
+	if early[0].TimeSec == -2 {
+		t.Fatal("appending to a view shares its backing array")
+	}
+
+	step(30 * time.Second)
+	later := nm.Trace()
+	if len(later) <= len(early) {
+		t.Fatalf("log did not grow: %d entries, was %d", len(later), len(early))
+	}
+	if len(early) != len(earlyTimes) || cap(early) != len(early) {
+		t.Fatalf("earlier view changed shape: len %d cap %d", len(early), cap(early))
+	}
+	for i, e := range early {
+		if e.TimeSec != earlyTimes[i] || later[i].TimeSec != earlyTimes[i] {
+			t.Fatalf("entry %d: view %v, log %v, want %v", i, e.TimeSec, later[i].TimeSec, earlyTimes[i])
+		}
+	}
+}

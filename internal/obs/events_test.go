@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -226,5 +227,114 @@ func TestFastPathSnapshotAdd(t *testing.T) {
 	want := FastPathSnapshot{QuiescentSkips: 11, SteadyReuses: 22, Rebuilds: 33, CPUMemoHits: 44, MemMemoHits: 7, DiskMemoMisses: 55}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
+	}
+}
+
+// TestCollectorViewIsReadOnly checks that Events returns a view of the
+// log that neither changes the log when appended to nor sees events
+// emitted after it was taken.
+func TestCollectorViewIsReadOnly(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 5; i++ {
+		c.Emit(Event{T: float64(i)})
+	}
+	view := c.Events()
+	grown := append(view, Event{T: 99})
+	grown[0].T = -1
+	if got := c.Events(); len(got) != 5 || got[0].T != 0 {
+		t.Fatalf("appending to a view changed the log: %v", got)
+	}
+	for i := 5; i < 100; i++ {
+		c.Emit(Event{T: float64(i)})
+	}
+	if len(view) != 5 || cap(view) != 5 {
+		t.Fatalf("earlier view changed shape: len %d cap %d", len(view), cap(view))
+	}
+	for i, e := range view {
+		if e.T != float64(i) {
+			t.Fatalf("earlier view event %d has T=%v, want %d", i, e.T, i)
+		}
+	}
+	if got := c.Events(); len(got) != 100 || got[99].T != 99 {
+		t.Fatalf("log has %d events, want 100 in order", len(got))
+	}
+}
+
+// TestCollectorConcurrentViews reads views while another goroutine
+// emits; run under -race it checks that a view shares no element with
+// the writes that follow it.
+func TestCollectorConcurrentViews(t *testing.T) {
+	c := NewCollector()
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			c.Emit(Event{T: float64(i)})
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		view := c.Events()
+		for i, e := range view {
+			if e.T != float64(i) {
+				t.Fatalf("view event %d has T=%v", i, e.T)
+			}
+		}
+	}
+	if got := len(c.Events()); got != n {
+		t.Fatalf("collected %d events, want %d", got, n)
+	}
+}
+
+// TestRingConcurrent emits from one goroutine while others read, across
+// the ring's lazy growth (16, 32, then its size of 40) and many wraps.
+// Every snapshot must be a run of consecutive events, oldest first,
+// never longer than the ring. Run it under -race -count=10.
+func TestRingConcurrent(t *testing.T) {
+	const size, n = 40, 5000
+	r := NewRing(size)
+	var wg, ready sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Events()
+			ready.Done() // reading before the first Emit, so growth is covered
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				evs := r.Events()
+				if len(evs) > size {
+					t.Errorf("snapshot holds %d events, ring size %d", len(evs), size)
+					return
+				}
+				for i := 1; i < len(evs); i++ {
+					if evs[i].T != evs[i-1].T+1 {
+						t.Errorf("snapshot not consecutive at %d: %v after %v", i, evs[i].T, evs[i-1].T)
+						return
+					}
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	for i := 0; i < n; i++ {
+		r.Emit(Event{T: float64(i)})
+	}
+	close(stop)
+	wg.Wait()
+	evs := r.Events()
+	if len(evs) != size || evs[0].T != n-size || evs[size-1].T != n-1 || r.Total() != n {
+		t.Fatalf("final ring: %d events from T=%v, total %d", len(evs), evs[0].T, r.Total())
 	}
 }

@@ -17,12 +17,11 @@ func (t *Tracer) aggregate() []*jobAgg {
 	if t == nil {
 		return nil
 	}
-	spans := t.spans
-	root := make([]SpanID, len(spans))
+	root := make([]SpanID, t.n)
 	byRoot := map[SpanID]*jobAgg{}
 	var jobs []*jobAgg
-	for i := range spans {
-		s := &spans[i]
+	for i := range root {
+		s := t.at(i)
 		r := s.ID
 		if s.Parent != NoSpan {
 			r = root[s.Parent] // parents precede children in creation order
@@ -93,22 +92,21 @@ func (t *Tracer) CriticalPathReport() *Table {
 	if t == nil {
 		return tab
 	}
-	spans := t.spans
 	// jobOf resolves a task set's job name (its own when standalone).
 	jobOf := func(s *Span) string {
 		if s.Parent != NoSpan {
-			return spans[s.Parent].Name
+			return t.at(int(s.Parent)).Name
 		}
 		return s.Name
 	}
 	// critical[setID] is the latest-ending surviving attempt of the set.
 	critical := map[SpanID]*Span{}
-	for i := range spans {
-		a := &spans[i]
+	for i := 0; i < t.n; i++ {
+		a := t.at(i)
 		if a.Kind != KindAttempt || a.Open || a.Killed || a.Parent == NoSpan {
 			continue
 		}
-		task := &spans[a.Parent]
+		task := t.at(int(a.Parent))
 		if task.Parent == NoSpan {
 			continue
 		}
@@ -117,8 +115,8 @@ func (t *Tracer) CriticalPathReport() *Table {
 			critical[set] = a
 		}
 	}
-	for i := range spans {
-		set := &spans[i]
+	for i := 0; i < t.n; i++ {
+		set := t.at(i)
 		if set.Kind != KindTaskSet {
 			continue
 		}

@@ -170,10 +170,10 @@ func TestWritePerfettoIsValidAndDeterministic(t *testing.T) {
 }
 
 func TestQuoteJSONEscapes(t *testing.T) {
-	got := quoteJSON("a\"b\\c\nd")
+	got := string(appendQuoted(nil, "a\"b\\c\nd"))
 	want := `"a\"b\\c\u000ad"`
 	if got != want {
-		t.Errorf("quoteJSON = %s, want %s", got, want)
+		t.Errorf("appendQuoted = %s, want %s", got, want)
 	}
 	var s string
 	if err := json.Unmarshal([]byte(got), &s); err != nil || s != "a\"b\\c\nd" {
