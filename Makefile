@@ -43,22 +43,23 @@ check:
 
 # bench measures the hot loops of the simulation and control plane —
 # Monitor.Sample, Correlator identification, quiescent-cluster ticks,
-# busy-cluster (active) ticks, mixed-cluster strides and fleet-scale
-# cloud.Manager.Boot — and merges the
+# busy-cluster (active) ticks, mixed-cluster strides, fleet-scale
+# cloud.Manager.Boot and one Fig 12 testbed's set-up and teardown — and
+# merges the
 # parsed results (iteration count, ns/op, B/op, allocs/op) into
 # BENCH_hotloop.json via cmd/benchjson. The raw `go test` output is
 # echoed so regressions are visible without opening the file.
-BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance|Boot
+BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance|Boot|TestbedLifecycle
 bench:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster ./internal/cloud | go run ./cmd/benchjson -o BENCH_hotloop.json
+		./internal/core ./internal/cluster ./internal/cloud ./internal/experiments | go run ./cmd/benchjson -o BENCH_hotloop.json
 
 # bench-compare reruns the hot-loop benchmarks and prints per-benchmark
 # deltas against the committed BENCH_hotloop.json baseline without
 # touching it.
 bench-compare:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster ./internal/cloud | go run ./cmd/benchjson -baseline BENCH_hotloop.json
+		./internal/core ./internal/cluster ./internal/cloud ./internal/experiments | go run ./cmd/benchjson -baseline BENCH_hotloop.json
 
 # bench-scale measures the sharded tick path at fleet scale — the same
 # 8 busy servers inside 1k- and 10k-server clusters — merges the results
@@ -95,3 +96,5 @@ bench-tax:
 fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzJSONLEncoding$$' -fuzztime=10s ./internal/obs
 	go test -run='^$$' -fuzz='^FuzzFloatFormat$$' -fuzztime=10s ./internal/trace
+	go test -run='^$$' -fuzz='^FuzzPickReplicas$$' -fuzztime=10s ./internal/dfs
+	go test -run='^$$' -fuzz='^FuzzVMRegistry$$' -fuzztime=10s ./internal/cluster

@@ -118,14 +118,22 @@ func (s *daemonServer) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
+// serveEvents writes {"total":…,"retained":…,"events":[…]} byte for byte
+// as json.Encoder would, appending the events straight from the ring.
 func (s *daemonServer) serveEvents(w http.ResponseWriter, _ *http.Request) {
-	events := s.ring.Events()
+	events, total, n, ok := s.ring.AppendJSON(make([]byte, 0, 4096))
+	if !ok {
+		http.Error(w, "events: a retained event holds a NaN or infinite value", http.StatusInternalServerError)
+		return
+	}
+	head := append(make([]byte, 0, 64), `{"total":`...)
+	head = strconv.AppendUint(head, total, 10)
+	head = append(head, `,"retained":`...)
+	head = strconv.AppendInt(head, int64(n), 10)
+	head = append(head, `,"events":`...)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Total    uint64      `json:"total"`
-		Retained int         `json:"retained"`
-		Events   []obs.Event `json:"events"`
-	}{Total: s.ring.Total(), Retained: len(events), Events: events})
+	w.Write(head)
+	w.Write(append(events, "}\n"...))
 }
 
 func (s *daemonServer) serveFastPaths(w http.ResponseWriter, _ *http.Request) {

@@ -95,6 +95,7 @@ func run(cfg runConfig) error {
 		PerfCloud: ctl,
 		Tracer:    cfg.Tracer,
 	})
+	defer tb.Close()
 	alertEng.SetGroundTruth(tb.Truth)
 	tb.MustInput("input", 640<<20)
 	tb.AddAntagonist(0, workloads.NewFioRandRead(

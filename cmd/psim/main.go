@@ -174,6 +174,7 @@ func main() {
 	}
 
 	tb := experiments.NewTestbed(cfg)
+	defer tb.Close()
 	tbRef = tb
 	alertEng.SetGroundTruth(tb.Truth)
 	tb.MustInput("input", 640<<20)

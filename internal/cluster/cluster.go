@@ -24,6 +24,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"perfcloud/internal/cgroup"
 	"perfcloud/internal/cpu"
@@ -563,7 +564,13 @@ func (s *Server) scanIdle() bool {
 // demand and request vectors from the workloads and cgroup caps.
 func (s *Server) pipeline(tickSec float64, steady bool) {
 	if !steady {
-		s.demands = s.demands[:0]
+		// Size the vectors for the VM count up front, one allocation
+		// each, rather than growing them append by append.
+		n := len(s.vms)
+		s.demands = slices.Grow(s.demands[:0], n)
+		s.cpuReqs = slices.Grow(s.cpuReqs[:0], n)
+		s.memReqs = slices.Grow(s.memReqs[:0], n)
+		s.diskReqs = slices.Grow(s.diskReqs[:0], n)
 		for _, v := range s.vms {
 			var d Demand
 			if !v.Idle() {
@@ -573,7 +580,6 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 		}
 
 		// CPU.
-		s.cpuReqs = s.cpuReqs[:0]
 		for i, v := range s.vms {
 			s.cpuReqs = append(s.cpuReqs, cpu.Request{
 				ClientID: v.ID(),
@@ -587,7 +593,6 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 
 	// Memory system.
 	if !steady {
-		s.memReqs = s.memReqs[:0]
 		for i, v := range s.vms {
 			s.memReqs = append(s.memReqs, memsys.Request{
 				ClientID:        v.ID(),
@@ -603,7 +608,6 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 
 	// Disk.
 	if !steady {
-		s.diskReqs = s.diskReqs[:0]
 		for i, v := range s.vms {
 			th := v.cg.Throttle()
 			s.diskReqs = append(s.diskReqs, disk.Request{
@@ -663,8 +667,8 @@ func (s *Server) steadyUsable(tickSec float64, n int) bool {
 // silently.
 func (s *Server) snapshotEpochs(tickSec float64) {
 	s.lastTickSec = tickSec
-	s.epochs = s.epochs[:0]
-	s.throttleSeqs = s.throttleSeqs[:0]
+	s.epochs = slices.Grow(s.epochs[:0], len(s.vms))
+	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], len(s.vms))
 	for _, v := range s.vms {
 		ep, ok := v.demandEpoch()
 		if !ok {
@@ -750,7 +754,7 @@ func (s *Server) advancePhase(tickSec float64) {
 type Cluster struct {
 	servers []*Server
 	srvByID map[string]*Server
-	vmsByID map[string]*VM
+	vmsByID vmRegistry
 
 	// placeSeq counts placement mutations (server add, VM add/remove/
 	// migrate). External indexes over the cluster (the cloud manager's
@@ -805,7 +809,6 @@ type Cluster struct {
 func New() *Cluster {
 	return &Cluster{
 		srvByID: make(map[string]*Server),
-		vmsByID: make(map[string]*VM),
 	}
 }
 
@@ -865,9 +868,6 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 
 // AddVM creates a VM on the given server.
 func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) *VM {
-	if _, dup := c.vmsByID[id]; dup {
-		panic(fmt.Sprintf("cluster: duplicate VM %q", id))
-	}
 	v := &VM{
 		vcpus:    vcpus,
 		memBytes: memBytes,
@@ -876,9 +876,11 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 		server:   server,
 	}
 	v.cg.Init(id)
+	if !c.vmsByID.insert(v) {
+		panic(fmt.Sprintf("cluster: duplicate VM %q", id))
+	}
 	server.vms = append(server.vms, v)
 	server.bumpEpoch()
-	c.vmsByID[id] = v
 	c.placeSeq++
 	return v
 }
@@ -888,8 +890,8 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 // it). Returns an error for unknown ids; moving to the current server is
 // a no-op.
 func (c *Cluster) MoveVM(vmID, serverID string) error {
-	v, ok := c.vmsByID[vmID]
-	if !ok {
+	v := c.vmsByID.find(vmID)
+	if v == nil {
 		return fmt.Errorf("cluster: no VM %q", vmID)
 	}
 	dst := c.FindServer(serverID)
@@ -918,11 +920,10 @@ func (c *Cluster) MoveVM(vmID, serverID string) error {
 // cloud manager for termination/migration). Removing an unknown VM is a
 // no-op.
 func (c *Cluster) RemoveVM(id string) {
-	v, ok := c.vmsByID[id]
-	if !ok {
+	v := c.vmsByID.remove(id)
+	if v == nil {
 		return
 	}
-	delete(c.vmsByID, id)
 	srv := v.server
 	for i, u := range srv.vms {
 		if u == v {
@@ -979,7 +980,7 @@ func (c *Cluster) EachServer(fn func(*Server)) {
 func (c *Cluster) NumServers() int { return len(c.servers) }
 
 // NumVMs returns the number of VMs across all servers.
-func (c *Cluster) NumVMs() int { return len(c.vmsByID) }
+func (c *Cluster) NumVMs() int { return c.vmsByID.n }
 
 // ActiveServers returns how many servers are currently in the active set
 // (visited by the tick). A reference cluster keeps every server active.
@@ -989,7 +990,7 @@ func (c *Cluster) ActiveServers() int { return len(c.servers) - c.inactive }
 func (c *Cluster) FindServer(id string) *Server { return c.srvByID[id] }
 
 // FindVM returns the VM with the given id, or nil.
-func (c *Cluster) FindVM(id string) *VM { return c.vmsByID[id] }
+func (c *Cluster) FindVM(id string) *VM { return c.vmsByID.find(id) }
 
 // VMs returns all VMs across all servers in placement order.
 func (c *Cluster) VMs() []*VM {

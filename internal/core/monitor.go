@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"perfcloud/internal/cgroup"
@@ -146,7 +147,12 @@ func (m *Monitor) realign() {
 		return
 	}
 	m.realigns++
-	next := m.scratch[:0]
+	// Size the rebuilt state, and the output buffers Sample fills, for
+	// the domain count up front rather than append by append.
+	n := m.hv.NumDomains()
+	next := slices.Grow(m.scratch[:0], n)
+	m.outIDs = slices.Grow(m.outIDs[:0], n)
+	m.outVMs = slices.Grow(m.outVMs[:0], n)
 	m.hv.EachDomainStats(func(id string, _ cgroup.Counters) {
 		if j, ok := m.index[id]; ok {
 			next = append(next, m.domains[j])

@@ -14,6 +14,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -138,7 +139,8 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 		return append(dst, s.memoGrants...)
 	}
 	s.memoMisses++
-	s.clamped = s.clamped[:0]
+	dst = slices.Grow(dst, len(reqs))
+	s.clamped = slices.Grow(s.clamped[:0], len(reqs))
 	var anyDemand bool
 	for _, r := range reqs {
 		if r.Seconds < 0 {

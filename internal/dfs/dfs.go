@@ -8,6 +8,7 @@ package dfs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -42,6 +43,7 @@ type FileSystem struct {
 	nodes []string
 	rng   *rand.Rand
 	files map[string]File
+	perm  []int // pickReplicas' permutation scratch, len(nodes)
 }
 
 // New creates a filesystem over the given datanodes.
@@ -60,6 +62,7 @@ func New(cfg Config, nodes []string, rng *rand.Rand) *FileSystem {
 		nodes: append([]string(nil), nodes...),
 		rng:   rng,
 		files: make(map[string]File),
+		perm:  make([]int, len(nodes)),
 	}
 }
 
@@ -75,17 +78,23 @@ func (fs *FileSystem) Create(name string, bytes float64) (File, error) {
 	if _, dup := fs.files[name]; dup {
 		return File{}, fmt.Errorf("dfs: file %q exists", name)
 	}
-	if bytes <= 0 {
-		return File{}, fmt.Errorf("dfs: file %q needs positive size", name)
+	if !(bytes > 0) || math.IsInf(bytes, 1) {
+		return File{}, fmt.Errorf("dfs: file %q needs a positive finite size", name)
 	}
-	f := File{Name: name, Bytes: bytes}
+	n := int(math.Ceil(bytes / fs.cfg.BlockBytes))
+	k := min(fs.cfg.Replication, len(fs.nodes))
+	f := File{Name: name, Bytes: bytes, Blocks: make([]Block, 0, n)}
+	// Every block's replica list is a capped window of one backing array.
+	replicas := make([]string, 0, n*k)
 	remaining := bytes
 	for i := 0; remaining > 0; i++ {
 		b := Block{Index: i, Bytes: fs.cfg.BlockBytes}
 		if remaining < fs.cfg.BlockBytes {
 			b.Bytes = remaining
 		}
-		b.Replicas = fs.pickReplicas()
+		start := len(replicas)
+		replicas = fs.pickReplicas(replicas, k)
+		b.Replicas = replicas[start:len(replicas):len(replicas)]
 		f.Blocks = append(f.Blocks, b)
 		remaining -= b.Bytes
 	}
@@ -93,18 +102,21 @@ func (fs *FileSystem) Create(name string, bytes float64) (File, error) {
 	return f, nil
 }
 
-// pickReplicas chooses min(replication, nodes) distinct nodes.
-func (fs *FileSystem) pickReplicas() []string {
-	k := fs.cfg.Replication
-	if k > len(fs.nodes) {
-		k = len(fs.nodes)
+// pickReplicas appends k distinct nodes to dst: the first k entries of a
+// random permutation of the nodes. It draws exactly what rand.Perm draws
+// — the same Intn(i+1) swap loop, run in the filesystem's scratch slice
+// instead of a fresh one — so dst gets fs.nodes[rng.Perm(n)[:k]].
+func (fs *FileSystem) pickReplicas(dst []string, k int) []string {
+	m := fs.perm
+	for i := range m {
+		j := fs.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
 	}
-	perm := fs.rng.Perm(len(fs.nodes))
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = fs.nodes[perm[i]]
+	for _, p := range m[:k] {
+		dst = append(dst, fs.nodes[p])
 	}
-	return out
+	return dst
 }
 
 // Open returns a file by name.

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,8 +75,10 @@ func TestOpenDeleteAndErrors(t *testing.T) {
 	if _, ok := fs.Open("missing"); ok {
 		t.Error("missing file should not open")
 	}
-	if _, err := fs.Create("x", 0); err == nil {
-		t.Error("zero-size create should fail")
+	for _, size := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := fs.Create("x", size); err == nil {
+			t.Errorf("create of size %v should fail", size)
+		}
 	}
 	if _, err := fs.Create("x", 1<<20); err != nil {
 		t.Fatal(err)

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"perfcloud/internal/sim"
@@ -274,8 +275,9 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	// Phase 1: apply throttle caps. A throttled client queues above its
 	// cap inside its own cgroup, invisible to the shared device — this is
 	// how blkio throttling shields victims from an antagonist's demand.
-	d.capped = d.capped[:0]
-	d.opSize = d.opSize[:0]
+	dst = slices.Grow(dst, len(reqs))
+	d.capped = slices.Grow(d.capped[:0], len(reqs))
+	d.opSize = slices.Grow(d.opSize[:0], len(reqs))
 	for _, r := range reqs {
 		if r.Ops < 0 || r.Bytes < 0 {
 			panic(fmt.Sprintf("disk: negative demand from %s", r.ClientID))
@@ -349,8 +351,8 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	// Phase 3: per-op device-time cost under the degraded bandwidth, and
 	// total utilization.
 	effBW := d.cfg.BandwidthCapacity / (1 + d.cfg.DegradeScale*randomLoad)
-	d.cost = d.cost[:0]
-	d.timeDemand = d.timeDemand[:0]
+	d.cost = slices.Grow(d.cost[:0], len(reqs))
+	d.timeDemand = slices.Grow(d.timeDemand[:0], len(reqs))
 	var totalTime float64
 	for i, c := range capped {
 		var costI, demandI float64

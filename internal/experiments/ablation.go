@@ -68,6 +68,7 @@ func ablationControlRun(seed int64, policy string) AblationControlRow {
 		pc.Events = col
 	}
 	tb := NewTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
+	defer tb.Close()
 	fio := workloads.NewFioRandRead(workloads.BurstPattern{
 		StartOffset: 15 * time.Second, On: 60 * time.Second, Off: 15 * time.Second})
 	tb.AddAntagonist(0, fio)
@@ -197,6 +198,7 @@ func AblationDetector(seed int64) AblationDetectorResult {
 	run := func(neighbour string) []core.TraceEntry {
 		cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
 		tb := smallTestbed(seed, &cfg)
+		defer tb.Close()
 		switch neighbour {
 		case "oltp":
 			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
@@ -275,6 +277,7 @@ func AblationEWMA(seed int64) AblationEWMAResult {
 		pcfg.EWMAAlpha = alpha
 		cfg := TestbedConfig{Seed: seed, PerfCloud: &pcfg}
 		tb := smallTestbed(seed, &cfg)
+		defer tb.Close()
 		if withFio {
 			tb.AddAntagonist(0, workloads.NewFioRandRead(
 				workloads.BurstPattern{StartOffset: 10 * time.Second, On: 20 * time.Second, Off: 10 * time.Second}))

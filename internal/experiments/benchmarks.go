@@ -44,6 +44,14 @@ func RunBench(tb *Testbed, b Bench) float64 {
 	return tb.RunMR(mrConfig(b.Name), runLimit).JCT()
 }
 
+// benchAlone runs the benchmark on a fresh interference-free small
+// testbed and returns its completion time in seconds.
+func benchAlone(seed int64, b Bench) float64 {
+	tb := smallTestbed(seed, nil)
+	defer tb.Close()
+	return RunBench(tb, b)
+}
+
 // mrConfig maps a benchmark name to its canonical job configuration.
 func mrConfig(name string) mapreduce.JobConfig {
 	switch name {

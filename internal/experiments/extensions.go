@@ -64,6 +64,7 @@ func Heterogeneous(seed int64) HeteroResult {
 			Speculator:       sch.Speculator,
 			PerfCloud:        pc,
 		})
+		defer tb.Close()
 		tb.MustInput("input", 40*(64<<20)) // 40 maps over 72 slots
 		tb.AddAntagonist(0, workloads.NewFioRandRead(
 			workloads.BurstPattern{StartOffset: 10 * time.Second, On: 25 * time.Second, Off: 10 * time.Second}))
@@ -130,6 +131,7 @@ type MigrationResult struct {
 func Migration(seed int64) MigrationResult {
 	run := func(enable bool) (float64, int, int) {
 		eng := sim.NewEngine(100*time.Millisecond, seed)
+		defer eng.RNG().Release()
 		clus := newCluster()
 		cm := cloud.NewManager(clus, eng.RNG())
 		cm.ProvisionServers(2)
@@ -152,8 +154,8 @@ func Migration(seed int64) MigrationResult {
 			poolB = append(poolB, exec.NewExecutor(bvm, 2))
 			namesB = append(namesB, bvm.ID())
 		}
-		fsA := dfs.New(dfs.DefaultConfig(), namesA, sim.NewSeededRand(seed+1))
-		fsB := dfs.New(dfs.DefaultConfig(), namesB, sim.NewSeededRand(seed+2))
+		fsA := dfs.New(dfs.DefaultConfig(), namesA, eng.RNG().Seeded(seed+1))
+		fsB := dfs.New(dfs.DefaultConfig(), namesB, eng.RNG().Seeded(seed+2))
 		fsA.Create("input", 8*(64<<20))
 		fsB.Create("input", 8*(64<<20))
 		jtA := mapreduce.NewJobTracker(poolA, fsA, nil)

@@ -240,6 +240,7 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 		PerfCloud:  pc,
 		Tracer:     tr,
 	})
+	defer tb.Close()
 	alerts.SetGroundTruth(tb.Truth)
 	specs := generateMix(cfg)
 	// One input file per distinct map count keeps DFS setup cheap.
@@ -370,7 +371,7 @@ func placeAntagonists(tb *Testbed, cfg LargeScaleConfig) {
 	// pauses in between, like the fio/STREAM processes the paper launches
 	// repeatedly during a mix. Episodic activity also gives the
 	// identification channel the onsets it correlates on.
-	rng := sim.NewSeededRand(cfg.Seed + 31)
+	rng := tb.Eng.RNG().Seeded(cfg.Seed + 31)
 	for i := 0; i < cfg.Fio; i++ {
 		pat := workloads.BurstPattern{
 			StartOffset: time.Duration(rng.Intn(60)) * time.Second,

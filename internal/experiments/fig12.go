@@ -192,6 +192,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		BlockBytes:       mixBlockBytes,
 		Tracer:           tr,
 	})
+	defer tb.Close()
 	eng.SetGroundTruth(tb.Truth)
 	inputBytes := float64(cfg.Tasks) * mixBlockBytes
 	tb.MustInput("input", inputBytes)

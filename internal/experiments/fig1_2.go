@@ -34,7 +34,7 @@ func Fig1(seed int64) Fig1Result {
 func fig1Sweep(seed int64, benches []Bench, caps []float64) Fig1Result {
 	var res Fig1Result
 	for _, b := range benches {
-		alone := RunBench(smallTestbed(seed, nil), b)
+		alone := benchAlone(seed, b)
 		for _, capFrac := range caps {
 			tb := smallTestbed(seed, nil)
 			fio := workloads.NewFioRandRead(workloads.AlwaysOn)
@@ -43,6 +43,7 @@ func fig1Sweep(seed int64, benches []Bench, caps []float64) Fig1Result {
 				tb.CapAntagonistIOPS("fio-randread", capFrac, FioSoloIOPS)
 			}
 			jct := RunBench(tb, b)
+			tb.Close()
 			res.Rows = append(res.Rows, Fig1Row{
 				Bench:        b.Name,
 				CapFrac:      capFrac,
@@ -103,11 +104,12 @@ func Fig2(seed int64) Fig2Result {
 func fig2Sweep(seed int64, benches []Bench) Fig2Result {
 	var res Fig2Result
 	for _, b := range benches {
-		alone := RunBench(smallTestbed(seed, nil), b)
+		alone := benchAlone(seed, b)
 		tb := smallTestbed(seed, nil)
 		tb.AddAntagonist(0, workloads.NewStream(workloads.AlwaysOn))
 		tb.AddAntagonist(0, workloads.NewStream(workloads.AlwaysOn))
 		jct := RunBench(tb, b)
+		tb.Close()
 		res.Rows = append(res.Rows, Fig2Row{Bench: b.Name, NormJCT: jct / alone})
 	}
 	return res

@@ -29,6 +29,7 @@ func (d DeviationTimeline) PeakCPI() float64 { return d.CPI.Max() }
 func deviationRun(seed int64, b Bench, d time.Duration, label string, antagonists func(tb *Testbed)) DeviationTimeline {
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
 	tb := smallTestbed(seed, &cfg)
+	defer tb.Close()
 	if antagonists != nil {
 		antagonists(tb)
 	}

@@ -25,6 +25,7 @@ func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
 
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
 	tb := smallTestbed(seed, &cfg)
+	defer tb.Close()
 	antagonists(tb)
 	runBackToBack(tb, b, d)
 	corr := tb.Sys.Managers()[0].Correlator()

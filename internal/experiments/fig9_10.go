@@ -51,6 +51,7 @@ func fig9Run(seed int64, scheme string) Fig9Arm {
 		pc = ObserverConfig()
 	}
 	tb := NewTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
+	defer tb.Close()
 
 	// Antagonists start after the victim is established (the paper's
 	// timeline has throttling begin around t=15 s) — identification

@@ -161,7 +161,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.BlockBytes > 0 {
 		dfsCfg.BlockBytes = cfg.BlockBytes
 	}
-	tb.FS = dfs.New(dfsCfg, names, sim.NewSeededRand(cfg.Seed+101))
+	tb.FS = dfs.New(dfsCfg, names, tb.Eng.RNG().Seeded(cfg.Seed+101))
 	tb.JT = mapreduce.NewJobTracker(tb.Pool, tb.FS, cfg.Speculator)
 	tb.Driver = spark.NewDriver(tb.Pool, cfg.Speculator)
 	tb.Dolly = straggler.NewDolly()
@@ -189,6 +189,14 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	return tb
 }
+
+// Close ends the testbed's life: it releases the random streams of its
+// engine's factory, so the next testbed's streams load into their state
+// vectors instead of allocating their own (DESIGN.md §5.10). Call it once
+// the run's results, traces and scorecards have been taken — any later
+// draw from one of the testbed's streams panics with sim.ReleasedStream.
+// Close may be called more than once.
+func (tb *Testbed) Close() { tb.Eng.RNG().Release() }
 
 // Stepper returns an event-driven stepper over the testbed's engine: each
 // Step runs one engine tick, then elides upcoming ticks through the

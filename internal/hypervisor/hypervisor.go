@@ -37,6 +37,9 @@ func (h *Hypervisor) ServerID() string { return h.server.ID() }
 // re-resolving domain ids every interval.
 func (h *Hypervisor) PlacementEpoch() uint64 { return h.server.PlacementEpoch() }
 
+// NumDomains returns how many VMs the server hosts.
+func (h *Hypervisor) NumDomains() int { return h.server.NumVMs() }
+
 // ListDomains returns the ids of all VMs on the server.
 func (h *Hypervisor) ListDomains() []string {
 	out := make([]string, 0, h.server.NumVMs())

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"perfcloud/internal/sim"
 )
@@ -269,7 +270,8 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	// weight and bandwidth demand. Using the stall-free rate here keeps the
 	// computation a single pass; the resulting demand overestimate under
 	// heavy contention is absorbed by the clip in the congestion term.
-	s.nominalInstr = s.nominalInstr[:0]
+	dst = slices.Grow(dst, len(reqs))
+	s.nominalInstr = slices.Grow(s.nominalInstr[:0], len(reqs))
 	var totalRefRate, totalDemand float64
 	for _, r := range reqs {
 		if r.CPUSeconds < 0 || r.CoreCPI <= 0 && r.CPUSeconds > 0 {
@@ -330,7 +332,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		s.keep = make(map[string]bool, len(reqs))
 	}
 	clear(s.keep)
-	s.memoActive = s.memoActive[:0]
+	s.memoActive = slices.Grow(s.memoActive[:0], len(reqs))
 	s.memoOver = over
 	for i, r := range reqs {
 		s.keep[r.ClientID] = true

@@ -305,6 +305,33 @@ func (r *Ring) Events() []Event {
 	return append(out, r.buf[:r.next]...)
 }
 
+// AppendJSON appends the retained events, oldest first, to b as a JSON
+// array — byte for byte what encoding/json writes for the slice Events
+// returns, "null" when the ring is empty — using JSONLSink's append
+// encoder instead of reflection and without copying the ring. It also
+// returns Total and the number of events appended, read under the same
+// lock. If a retained event holds a NaN or ±Inf, which encoding/json
+// refuses, it returns b unchanged and ok false.
+func (r *Ring) AppendJSON(b []byte) (out []byte, total uint64, n int, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) == 0 {
+		return append(b, "null"...), r.total, 0, true
+	}
+	out = append(b, '[')
+	for i := range r.buf {
+		e := &r.buf[(r.next+i)%len(r.buf)]
+		if !e.finite() {
+			return b, r.total, 0, false
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendEvent(out, e)
+	}
+	return append(out, ']'), r.total, len(r.buf), true
+}
+
 // Total returns how many events have been emitted over the ring's
 // lifetime (retained or not).
 func (r *Ring) Total() uint64 {

@@ -32,7 +32,10 @@ type lfSource struct {
 	tap  int
 	feed int
 	seed int64
-	vec  *[lfLen]int64 // nil until the first draw seeds it
+	vec  *[lfLen]int64 // nil until the first draw seeds it, and again once released
+	// owner is the factory that recycles vec when it is released; nil
+	// for NewSeededRand's unowned streams.
+	owner *RNG
 }
 
 // lfSeedrand is the Lehmer LCG step x = 16807*x mod 2^31-1 used only
@@ -83,12 +86,55 @@ func seedVec(seed int64, vec *[lfLen]int64) {
 // lock. The cap bounds worst-case growth (a long sweep over thousands of
 // distinct seeds) at ~20 MB; past it, new seeds are computed directly and
 // simply not cached.
+//
+// It also keeps the free list of state vectors that released factories
+// handed back (RNG.Release), so the next testbed's streams load into
+// recycled vectors instead of allocating their own. load overwrites all
+// lfLen words of whatever vector it gets, so a recycled vector's old
+// contents never reach a draw. The free list holds at most lfFreeCap
+// vectors (~2.5 MB); releases past that are left to the collector.
 var lfSeedCache struct {
 	sync.RWMutex
 	m map[int64]*[lfLen]int64
+
+	freeMu sync.Mutex
+	free   []*[lfLen]int64
 }
 
-const lfSeedCacheCap = 4096
+const (
+	lfSeedCacheCap = 4096
+	lfFreeCap      = 512
+)
+
+// takeVec returns a state vector for a loading source: a recycled one
+// when the free list has any, else a new one. Its contents are garbage.
+func takeVec() *[lfLen]int64 {
+	lfSeedCache.freeMu.Lock()
+	n := len(lfSeedCache.free)
+	if n == 0 {
+		lfSeedCache.freeMu.Unlock()
+		return new([lfLen]int64)
+	}
+	v := lfSeedCache.free[n-1]
+	lfSeedCache.free[n-1] = nil
+	lfSeedCache.free = lfSeedCache.free[:n-1]
+	lfSeedCache.freeMu.Unlock()
+	return v
+}
+
+// recycle detaches the state vectors of released sources and hands them
+// to the free list, up to its cap. A detached source's next draw reloads,
+// which its released owner turns into a panic.
+func recycle(srcs []*lfSource) {
+	lfSeedCache.freeMu.Lock()
+	for _, s := range srcs {
+		if len(lfSeedCache.free) < lfFreeCap {
+			lfSeedCache.free = append(lfSeedCache.free, s.vec)
+		}
+		s.vec = nil
+	}
+	lfSeedCache.freeMu.Unlock()
+}
 
 // newLFSource returns a source equivalent to rand.NewSource(seed). Its
 // state vector is filled on the first draw (see load).
@@ -98,9 +144,17 @@ func newLFSource(seed int64) *lfSource {
 
 // load fills the state vector for the recorded seed: a copy of the cached
 // post-seed vector when there is one, else a fresh seeding into the
-// source's own vector, copied into the cache only while it has room.
+// source's own vector, copied into the cache only while it has room. The
+// vector comes from the free list when it can, and an owned source
+// registers with its factory here, so that Release can recycle the
+// vector; a source that never draws never registers. A source whose
+// factory has been released panics instead: its vector may already be
+// serving another stream.
 func (s *lfSource) load() {
-	s.vec = new([lfLen]int64)
+	if s.owner != nil {
+		s.owner.register(s)
+	}
+	s.vec = takeVec()
 	lfSeedCache.RLock()
 	v := lfSeedCache.m[s.seed]
 	lfSeedCache.RUnlock()

@@ -105,8 +105,10 @@ func TestLFSourceLazySeedMatchesMathRand(t *testing.T) {
 // a miss while the cache has room (the source's vector and the cache's
 // copy), and one on a miss once the cache is full — the freshly seeded
 // vector is the source's own, not a throwaway. It runs against a cache
-// of its own, so earlier tests and runs cannot have seeded its sources.
+// and an empty free list of its own, so earlier tests and runs can
+// neither have seeded its sources nor hand them recycled vectors.
 func TestLFSourceSeedingAllocations(t *testing.T) {
+	isolateFreeList(t)
 	lfSeedCache.Lock()
 	saved := lfSeedCache.m
 	lfSeedCache.m = nil

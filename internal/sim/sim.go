@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -167,9 +168,21 @@ func (e *Engine) Stop() { e.stopped = true }
 // RNG hands out independent, deterministically seeded random streams. Each
 // named component derives its stream from the master seed and its name, so
 // streams are stable across code changes elsewhere in the simulation.
+//
+// A factory owns the state vectors its streams load on their first draw.
+// Release hands them back for later factories to reuse; a draw from any of
+// its streams after that panics with the ReleasedStream message.
 type RNG struct {
 	seed int64
+
+	mu       sync.Mutex
+	loaded   []*lfSource // streams that have drawn, in load order
+	released bool
 }
+
+// ReleasedStream is the panic message of a draw from a stream whose
+// factory has been released.
+const ReleasedStream = "sim: draw from a stream of a released RNG"
 
 // NewRNG creates a stream factory from a master seed.
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
@@ -181,13 +194,51 @@ func (r *RNG) Seed() int64 { return r.seed }
 // The same (seed, name) pair always yields the same sequence.
 //
 // The source is lfSource — bit-for-bit rand.NewSource's generator, with
-// the expensive state seeding served from a per-seed cache. Repeated-run
-// experiments build a fresh testbed (and so re-derive every component
-// stream) per repetition, and compare schemes under identical seeds;
-// the cache turns all but the first derivation of each (seed, name)
-// stream into a memcpy.
+// the expensive state seeding served from a per-seed cache and deferred
+// to the first draw. Repeated-run experiments build a fresh testbed (and
+// so re-derive every component stream) per repetition, and compare
+// schemes under identical seeds; the cache turns all but the first
+// derivation of each (seed, name) stream into a memcpy, and the free list
+// that Release feeds supplies the vector it is copied into. The stream
+// belongs to r: it is valid until r.Release.
 func (r *RNG) Stream(name string) *rand.Rand {
-	return rand.New(newLFSource(r.seed ^ hashString(name)))
+	return r.Seeded(r.seed ^ hashString(name))
+}
+
+// Seeded returns a stream identical to rand.New(rand.NewSource(seed)),
+// owned by r like a Stream: its state vector is recycled by r.Release.
+// It is how a testbed routes streams with their own derived seeds (DFS
+// placement, antagonist placement) through its engine's factory.
+func (r *RNG) Seeded(seed int64) *rand.Rand {
+	s := newLFSource(seed)
+	s.owner = r
+	return rand.New(s)
+}
+
+// register records a loading stream so Release can recycle its vector,
+// or panics if r has already been released.
+func (r *RNG) register(s *lfSource) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.released {
+		panic(ReleasedStream)
+	}
+	r.loaded = append(r.loaded, s)
+}
+
+// Release ends the life of every stream r has handed out and returns the
+// state vectors of those that drew to the shared free list, where the
+// next factory's streams pick them up instead of allocating. Call it once
+// nothing will draw from r again: any later draw from one of its streams
+// panics with ReleasedStream rather than read a vector that may already
+// belong to another stream. Release may be called more than once.
+func (r *RNG) Release() {
+	r.mu.Lock()
+	loaded := r.loaded
+	r.loaded = nil
+	r.released = true
+	r.mu.Unlock()
+	recycle(loaded)
 }
 
 // StreamSeeded reports whether the state of the named stream has been
