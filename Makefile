@@ -24,13 +24,23 @@ race:
 		./internal/straggler/... ./cmd/perfcloudd/...
 
 # loc prints the size figures ROADMAP.md tracks: non-test Go lines
-# outside bench/, and the number of process-wide `func SetDefault`
-# switches left in internal/.
+# outside bench/, the number of process-wide `func SetDefault` switches
+# left in internal/, and the number of package-level variables in
+# non-test internal/ code — each name of a `var x` line or a `var (...)`
+# block counts, `var _ =` interface assertions do not.
 loc:
 	@printf 'non-test Go LOC outside bench/: '
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
 	@printf 'func SetDefault in internal/: '
 	@grep -rn 'func SetDefault' internal/ | wc -l
+	@printf 'package-level vars in internal/: '
+	@find internal -name '*.go' -not -name '*_test.go' | xargs awk ' \
+		function names(decl, f, v) { gsub(/, +/, ",", decl); split(decl, f, /[ =]/); return split(f[1], v, ",") } \
+		/^var \(/ { blk = 1; next } \
+		blk && /^\)/ { blk = 0; next } \
+		blk && /^\t[A-Za-z]/ { n += names(substr($$0, 2)); next } \
+		/^var [A-Za-z]/ { n += names(substr($$0, 5)) } \
+		END { print n + 0 }'
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

@@ -27,7 +27,7 @@ const benchSeed = 42
 
 func BenchmarkFig1_IOCapSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(benchSeed)
+		r := experiments.Fig1(benchSeed, experiments.Options{})
 		b.ReportMetric(r.Degradation("terasort"), "terasort-normJCT")
 		b.ReportMetric(r.Degradation("spark-logreg"), "logreg-normJCT")
 		if i == 0 {
@@ -38,7 +38,7 @@ func BenchmarkFig1_IOCapSweep(b *testing.B) {
 
 func BenchmarkFig2_MemDegradation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2(benchSeed)
+		r := experiments.Fig2(benchSeed, experiments.Options{})
 		b.ReportMetric(r.MeanNormJCT(false), "mr-normJCT")
 		b.ReportMetric(r.MeanNormJCT(true), "spark-normJCT")
 		if i == 0 {
@@ -49,7 +49,7 @@ func BenchmarkFig2_MemDegradation(b *testing.B) {
 
 func BenchmarkFig3_IowaitDeviation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(benchSeed)
+		r := experiments.Fig3(benchSeed, experiments.Options{})
 		b.ReportMetric(r.Alone.PeakIowait(), "peak-alone")
 		b.ReportMetric(r.WithFio.PeakIowait(), "peak-fio")
 		b.ReportMetric(r.PeakRatio(), "peak-ratio")
@@ -61,7 +61,7 @@ func BenchmarkFig3_IowaitDeviation(b *testing.B) {
 
 func BenchmarkFig4_CPIDeviation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(benchSeed)
+		r := experiments.Fig4(benchSeed, experiments.Options{})
 		var maxAlone, minStream float64
 		for k, row := range r.Rows {
 			if row.PeakAlone > maxAlone {
@@ -81,7 +81,7 @@ func BenchmarkFig4_CPIDeviation(b *testing.B) {
 
 func BenchmarkFig5_IOAntagonistID(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5(benchSeed)
+		r := experiments.Fig5(benchSeed, experiments.Options{})
 		fioAt3 := 0.0
 		for _, row := range r.Rows {
 			if row.Suspect == "fio-randread" {
@@ -97,7 +97,7 @@ func BenchmarkFig5_IOAntagonistID(b *testing.B) {
 
 func BenchmarkFig6_CPUAntagonistID(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6(benchSeed)
+		r := experiments.Fig6(benchSeed, experiments.Options{})
 		streamAt6 := 0.0
 		for _, row := range r.Rows {
 			if row.Suspect == "stream" {
@@ -123,7 +123,7 @@ func BenchmarkFig7_CubicCurve(b *testing.B) {
 
 func BenchmarkFig9_DynamicControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(benchSeed)
+		r := experiments.Fig9(benchSeed, experiments.Options{})
 		def := r.Arm("default").JCT
 		b.ReportMetric(r.Arm("static").JCT/def, "static-normJCT")
 		b.ReportMetric(r.Arm("perfcloud").JCT/def, "perfcloud-normJCT")
@@ -135,7 +135,7 @@ func BenchmarkFig9_DynamicControl(b *testing.B) {
 
 func BenchmarkFig10_CapTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r9 := experiments.Fig9(benchSeed)
+		r9 := experiments.Fig9(benchSeed, experiments.Options{})
 		r := experiments.Fig10(r9.Arm("perfcloud"))
 		b.ReportMetric(float64(experiments.ThrottleEpisodes(r.FioCap)), "fio-episodes")
 		b.ReportMetric(float64(experiments.ThrottleEpisodes(r.StreamCap)), "stream-episodes")
@@ -147,7 +147,15 @@ func BenchmarkFig10_CapTimeline(b *testing.B) {
 
 func BenchmarkFig11_LargeScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11(benchSeed)
+		cfg := experiments.DefaultLargeScaleConfig()
+		cfg.Seed = benchSeed
+		r := experiments.Fig11With(cfg, []experiments.Scheme{
+			experiments.SchemeLATE(),
+			experiments.SchemeDolly(2),
+			experiments.SchemeDolly(4),
+			experiments.SchemeDolly(6),
+			experiments.SchemePerfCloud(),
+		})
 		b.ReportMetric(r.Row("PerfCloud").FracUnder30, "perfcloud-under30")
 		b.ReportMetric(r.Row("LATE").FracUnder30, "late-under30")
 		b.ReportMetric(r.Row("Dolly-6").FracUnder30, "dolly6-under30")
@@ -181,7 +189,11 @@ func BenchmarkFig11_Efficiency(b *testing.B) {
 
 func BenchmarkFig12_Variability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12(benchSeed)
+		cfg := experiments.DefaultVariabilityConfig()
+		cfg.Seed = benchSeed
+		r := experiments.Fig12With(cfg, []experiments.Scheme{
+			experiments.SchemeLATE(), experiments.SchemeDolly(2), experiments.SchemePerfCloud(),
+		})
 		ts := r.Row("terasort", "PerfCloud").Summary
 		lt := r.Row("terasort", "LATE").Summary
 		b.ReportMetric(ts.Median, "perfcloud-median")
@@ -195,7 +207,7 @@ func BenchmarkFig12_Variability(b *testing.B) {
 
 func BenchmarkAblationD1_Detector(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationDetector(benchSeed)
+		r := experiments.AblationDetector(benchSeed, experiments.Options{})
 		b.ReportMetric(r.DevOLTP, "dev-flags-benign")
 		b.ReportMetric(r.AbsOLTP, "abs-flags-benign")
 		if i == 0 {
@@ -217,7 +229,7 @@ func BenchmarkAblationD2_Pearson(b *testing.B) {
 
 func BenchmarkAblationD4_EWMA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationEWMA(benchSeed)
+		r := experiments.AblationEWMA(benchSeed, experiments.Options{})
 		b.ReportMetric(r.SmoothedAlonePeak, "smoothed-alone-peak")
 		b.ReportMetric(r.RawAlonePeak, "raw-alone-peak")
 		if i == 0 {
@@ -228,7 +240,7 @@ func BenchmarkAblationD4_EWMA(b *testing.B) {
 
 func BenchmarkExtension_Heterogeneous(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Heterogeneous(benchSeed)
+		r := experiments.Heterogeneous(benchSeed, experiments.Options{})
 		def := r.Row("default").MeanJCT
 		b.ReportMetric(r.Row("PerfCloud").MeanJCT/def, "perfcloud-normJCT")
 		b.ReportMetric(r.Row("PerfCloud+LATE").MeanJCT/def, "hybrid-normJCT")
@@ -240,7 +252,7 @@ func BenchmarkExtension_Heterogeneous(b *testing.B) {
 
 func BenchmarkExtension_Migration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Migration(benchSeed)
+		r := experiments.Migration(benchSeed, experiments.Options{})
 		b.ReportMetric(r.JCTWith/r.JCTWithout, "migrated-normJCT")
 		b.ReportMetric(float64(r.Migrations), "migrations")
 		if i == 0 {
@@ -294,8 +306,7 @@ func BenchmarkFig12Parallel(b *testing.B) {
 	}
 	schemes := []experiments.Scheme{experiments.SchemeLATE(), experiments.SchemePerfCloud()}
 	run := func(parallel int) float64 {
-		prev := experiments.SetMaxParallelRuns(parallel)
-		defer experiments.SetMaxParallelRuns(prev)
+		cfg.Options.Parallel = parallel
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			experiments.Fig12With(cfg, schemes)
@@ -304,13 +315,7 @@ func BenchmarkFig12Parallel(b *testing.B) {
 	}
 	seqNs := run(1)
 	b.ResetTimer()
-	start := time.Now()
-	prev := experiments.SetMaxParallelRuns(runtime.GOMAXPROCS(0))
-	for i := 0; i < b.N; i++ {
-		experiments.Fig12With(cfg, schemes)
-	}
-	experiments.SetMaxParallelRuns(prev)
-	parNs := float64(time.Since(start).Nanoseconds()) / float64(b.N)
+	parNs := run(runtime.GOMAXPROCS(0))
 	if parNs > 0 {
 		b.ReportMetric(seqNs/parNs, "speedup")
 	}
@@ -319,7 +324,7 @@ func BenchmarkFig12Parallel(b *testing.B) {
 
 func BenchmarkAblationD3_ControlPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationControl(benchSeed)
+		r := experiments.AblationControl(benchSeed, experiments.Options{})
 		b.ReportMetric(float64(r.Row("cubic").Decreases), "cubic-decreases")
 		b.ReportMetric(float64(r.Row("aimd").Decreases), "aimd-decreases")
 		if i == 0 {

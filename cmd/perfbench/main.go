@@ -9,7 +9,8 @@
 //	          [-csv] [-parallel N] [-suite] [-suitejson FILE] [-cpuprofile FILE]
 //	          [-memprofile FILE] [-fastpaths] [-tracedir DIR] [-scorecard] [-alerts] [-health]
 //
-// Any other -fig value is rejected with a usage error and exit status 2.
+// Any other -fig value, and a negative -parallel, is rejected with a
+// usage error and exit status 2.
 //
 // -alerts installs the default alert rule pack for every PerfCloud run
 // (sustained victim deviation, cap dwell, false-cap watchdog, monitor
@@ -59,9 +60,11 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"perfcloud/internal/benchfmt"
+	"perfcloud/internal/cluster"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/obs"
 	"perfcloud/internal/sim"
@@ -79,6 +82,15 @@ func validateFig(fig string) error {
 		return fmt.Errorf("-fig must be one of %s; got %q", strings.Join(figNames, ", "), fig)
 	}
 	return nil
+}
+
+// validate returns a usage error for a -fig or -parallel value perfbench
+// cannot run.
+func validate(fig string, parallel int) error {
+	if parallel < 0 {
+		return fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or more; got %d", parallel)
+	}
+	return validateFig(fig)
 }
 
 func main() {
@@ -107,29 +119,26 @@ func main() {
 	alerts := flag.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
 	health := flag.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
 	flag.Parse()
-	if err := validateFig(*fig); err != nil {
+	if err := validate(*fig, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	experiments.SetMaxParallelRuns(*parallel)
+	opts := experiments.Options{Parallel: *parallel, TraceDir: *tracedir, Scorecards: *scorecard}
+	var fp fastPathClusters
 	if *fastpaths {
-		experiments.SetTrackFastPaths(true)
+		opts.OnTestbed = fp.add
 	}
 	if *tracedir != "" {
 		if err := os.MkdirAll(*tracedir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 			os.Exit(1)
 		}
-		experiments.SetTraceDir(*tracedir)
-	}
-	if *scorecard {
-		experiments.SetScorecards(true)
 	}
 	if *alerts {
 		// The signal-only default pack: every rule reads the audit-event
 		// stream, so one pack serves every testbed the suite builds.
-		experiments.SetAlertRules(obs.DefaultRules(obs.DefaultRulesConfig{}))
+		opts.AlertRules = obs.DefaultRules(obs.DefaultRulesConfig{})
 	}
 	var hl *obs.Health
 	if *health {
@@ -144,7 +153,7 @@ func main() {
 				TryAcquires: s.TryAcquires, Denied: s.Denied, GrantedSlots: s.GrantedSlots,
 			}
 		})
-		experiments.SetHealth(hl)
+		opts.Health = hl
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -224,14 +233,14 @@ func main() {
 	start := time.Now()
 
 	if want("1") {
-		emit(experiments.Fig1(*seed).Table())
+		emit(experiments.Fig1(*seed, opts).Table())
 	}
 	if want("2") {
-		emit(experiments.Fig2(*seed).Table())
+		emit(experiments.Fig2(*seed, opts).Table())
 	}
 	if want("3") {
 		timed("Fig3", func() {
-			r := experiments.Fig3(*seed)
+			r := experiments.Fig3(*seed, opts)
 			emit(r.Table())
 			writeSeries("fig3_iowait_deviation.csv",
 				[]string{"alone", "with_fio"},
@@ -239,13 +248,13 @@ func main() {
 		})
 	}
 	if want("4") {
-		timed("Fig4", func() { emit(experiments.Fig4(*seed).Table()) })
+		timed("Fig4", func() { emit(experiments.Fig4(*seed, opts).Table()) })
 	}
 	if want("5") {
-		timed("Fig5", func() { emit(experiments.Fig5(*seed).Table()) })
+		timed("Fig5", func() { emit(experiments.Fig5(*seed, opts).Table()) })
 	}
 	if want("6") {
-		timed("Fig6", func() { emit(experiments.Fig6(*seed).Table()) })
+		timed("Fig6", func() { emit(experiments.Fig6(*seed, opts).Table()) })
 	}
 	if want("7") {
 		timed("Fig7", func() { emit(experiments.Fig7().Table()) })
@@ -253,7 +262,7 @@ func main() {
 	var fig9 *experiments.Fig9Result
 	if want("9") || want("10") {
 		timed("Fig9", func() {
-			r := experiments.Fig9(*seed)
+			r := experiments.Fig9(*seed, opts)
 			fig9 = &r
 		})
 	}
@@ -276,7 +285,7 @@ func main() {
 	if want("11") {
 		timed("Fig11", func() {
 			cfg := experiments.DefaultLargeScaleConfig()
-			cfg.Seed = *seed
+			cfg.Seed, cfg.Options = *seed, opts
 			if *quick {
 				cfg.Servers, cfg.WorkersPerServer = 5, 8
 				cfg.NumMR, cfg.NumSpark = 20, 20
@@ -301,7 +310,7 @@ func main() {
 	if want("12") {
 		timed("Fig12", func() {
 			cfg := experiments.DefaultVariabilityConfig()
-			cfg.Seed = *seed
+			cfg.Seed, cfg.Options = *seed, opts
 			if *quick {
 				cfg.Servers, cfg.WorkersPerServer = 5, 8
 				cfg.Runs, cfg.Tasks = 8, 20
@@ -322,18 +331,18 @@ func main() {
 		})
 	}
 	if want("ablations") {
-		emit(experiments.AblationDetector(*seed).Table())
+		emit(experiments.AblationDetector(*seed, opts).Table())
 		emit(experiments.AblationPearson(*seed).Table())
-		rc := experiments.AblationControl(*seed)
+		rc := experiments.AblationControl(*seed, opts)
 		emit(rc.Table())
 		if *scorecard {
 			emit(rc.ScorecardTable())
 		}
-		emit(experiments.AblationEWMA(*seed).Table())
+		emit(experiments.AblationEWMA(*seed, opts).Table())
 	}
 	if want("extensions") {
-		emit(experiments.Heterogeneous(*seed).Table())
-		emit(experiments.Migration(*seed).Table())
+		emit(experiments.Heterogeneous(*seed, opts).Table())
+		emit(experiments.Migration(*seed, opts).Table())
 	}
 	elapsed := time.Since(start)
 	if *suite {
@@ -352,7 +361,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench: wrote", *suitejson)
 	}
 	if *fastpaths {
-		printFastPaths(os.Stderr)
+		printFastPaths(os.Stderr, fp.clusters)
 	}
 	if hl != nil {
 		hl.SampleRuntime()
@@ -361,12 +370,29 @@ func main() {
 	fmt.Fprintf(os.Stderr, "perfbench: done in %v\n", elapsed.Round(time.Millisecond))
 }
 
+// fastPathClusters remembers the cluster of every testbed the run builds
+// (its add method is the Options.OnTestbed hook), so their fast-path
+// counters can be summed once every experiment has finished ticking.
+type fastPathClusters struct {
+	mu       sync.Mutex
+	clusters []*cluster.Cluster
+}
+
+func (f *fastPathClusters) add(tb *experiments.Testbed) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.clusters = append(f.clusters, tb.Clus)
+}
+
 // printFastPaths reports how much simulation work the fast paths
-// absorbed across every testbed the run built: the share of grant-phase
-// ticks skipped (quiescence) or reusing demand vectors, and the per-
-// resource allocator input-memo hit rates.
-func printFastPaths(w *os.File) {
-	fp := experiments.FastPathTotals()
+// absorbed across the given clusters: the share of grant-phase ticks
+// skipped (quiescence) or reusing demand vectors, and the per-resource
+// allocator input-memo hit rates.
+func printFastPaths(w *os.File, clusters []*cluster.Cluster) {
+	var fp obs.FastPathSnapshot
+	for _, c := range clusters {
+		fp.Add(c.FastPathStats())
+	}
 	rate := func(hit, miss uint64) float64 {
 		if hit+miss == 0 {
 			return 0

@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"time"
@@ -238,21 +239,15 @@ func main() {
 		}
 		if *traceFile != "" {
 			f, err := os.Create(*traceFile)
+			if err == nil {
+				err = writeTrace(f, tr, events)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "psim:", err)
 				os.Exit(1)
 			}
-			if err := tr.WritePerfetto(f, events); err == nil {
-				err = f.Close()
-				if err == nil {
-					fmt.Printf("trace: %d spans written to %s (open at https://ui.perfetto.dev)\n",
-						tr.Len(), *traceFile)
-				}
-			} else {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "psim:", err)
-				os.Exit(1)
-			}
+			fmt.Printf("trace: %d spans written to %s (open at https://ui.perfetto.dev)\n",
+				tr.Len(), *traceFile)
 		}
 		if *phaseReport || *phaseCSV {
 			for _, tab := range []*trace.Table{tr.PhaseReport(), tr.CriticalPathReport()} {
@@ -328,4 +323,15 @@ func mustSpark(a *spark.App, err error) straggler.Clone {
 		os.Exit(1)
 	}
 	return a
+}
+
+// writeTrace writes the run's Perfetto JSON to f and closes it, returning
+// the first error of the two: a failed close can lose data the write
+// handed to the file.
+func writeTrace(f io.WriteCloser, tr *trace.Tracer, events []obs.Event) error {
+	err := tr.WritePerfetto(f, events)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

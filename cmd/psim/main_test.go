@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"perfcloud/internal/trace"
 )
 
 // TestValidate checks that every setting psim cannot run is rejected
@@ -46,5 +50,23 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("validate(%+v) = %v, want it to mention %q", o, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// failCloser is a trace file whose Close fails after the writes succeed.
+type failCloser struct{ bytes.Buffer }
+
+func (*failCloser) Close() error { return errors.New("close: disk quota exceeded") }
+
+// TestWriteTraceReportsCloseError checks that a failed close of the
+// -trace file is reported, not dropped after a clean write.
+func TestWriteTraceReportsCloseError(t *testing.T) {
+	var f failCloser
+	err := writeTrace(&f, trace.NewTracer(), nil)
+	if err == nil || !strings.Contains(err.Error(), "disk quota") {
+		t.Fatalf("writeTrace = %v, want the close error", err)
+	}
+	if f.Len() == 0 {
+		t.Fatal("writeTrace did not write the trace before closing")
 	}
 }

@@ -8,23 +8,31 @@
 //
 // The baseline and the four scheme mixes are independent engines, so they
 // run concurrently (one per core); pass -parallel 1 to force the fully
-// sequential mode — the tables are bit-for-bit identical either way.
+// sequential mode — the tables are bit-for-bit identical either way. A
+// negative -parallel is rejected with a usage error and exit status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"runtime"
+	"sync"
 	"time"
 
+	"perfcloud/internal/cluster"
 	"perfcloud/internal/experiments"
+	"perfcloud/internal/obs"
 )
 
 func main() {
 	parallel := flag.Int("parallel", 0, "run concurrency: scheme mixes at once (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
-	experiments.SetMaxParallelRuns(*parallel)
-	experiments.SetTrackFastPaths(true)
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "large_scale: -parallel must be 0 (GOMAXPROCS) or more; got %d\n", *parallel)
+		flag.Usage()
+		os.Exit(2)
+	}
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -41,6 +49,15 @@ func main() {
 		InterarrivalSec:  3,
 		Limit:            2 * time.Hour,
 	}
+	// Remember every mix's cluster, to sum their fast-path counters once
+	// the mixes have finished ticking.
+	var mu sync.Mutex
+	var clusters []*cluster.Cluster
+	cfg.Options = experiments.Options{Parallel: *parallel, OnTestbed: func(tb *experiments.Testbed) {
+		mu.Lock()
+		defer mu.Unlock()
+		clusters = append(clusters, tb.Clus)
+	}}
 	fmt.Printf("== %d servers, %d workers, %d jobs, %d antagonists (%d-way parallel) ==\n",
 		cfg.Servers, cfg.Servers*cfg.WorkersPerServer, cfg.NumMR+cfg.NumSpark, cfg.Fio+cfg.Streams, workers)
 	res := experiments.Fig11With(cfg, []experiments.Scheme{
@@ -58,7 +75,10 @@ func main() {
 	// framework is between scheduling decisions the simulation replays the
 	// resource pipeline in variable-length strides instead of full engine
 	// ticks. Report how much of the simulated time that covered.
-	fp := experiments.FastPathTotals()
+	var fp obs.FastPathSnapshot
+	for _, c := range clusters {
+		fp.Add(c.FastPathStats())
+	}
 	grant := fp.QuiescentSkips + fp.SteadyReuses + fp.Rebuilds
 	if ticks := grant / uint64(cfg.Servers); ticks > 0 { // grant phases are per server
 		fmt.Printf("\nstride stepping: %d of %d cluster ticks elided (%.1f%%), avg %.1f ticks per stride\n",

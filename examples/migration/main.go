@@ -20,7 +20,7 @@ import (
 
 func main() {
 	fmt.Println("== Two colliding high-priority apps on one server ==")
-	r := experiments.Migration(3)
+	r := experiments.Migration(3, experiments.Options{})
 	fmt.Println(r.Table().String())
 	if r.Migrations > 0 {
 		fmt.Printf("The node manager escalated %d time(s); the apps now span %d servers\n",

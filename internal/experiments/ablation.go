@@ -25,7 +25,7 @@ type AblationControlRow struct {
 	FioIOPS    float64
 	PeakIowait float64
 	// Score grades the policy's cap decisions against ground truth; nil
-	// unless scorecards are enabled (SetScorecards).
+	// unless Options.Scorecards is set.
 	Score *obs.Scorecard
 }
 
@@ -38,17 +38,17 @@ type AblationControlResult struct {
 }
 
 // AblationControl runs the three policies, each an independent testbed,
-// concurrently (bounded by MaxParallelRuns).
-func AblationControl(seed int64) AblationControlResult {
+// concurrently (bounded by opts.Parallel).
+func AblationControl(seed int64, opts Options) AblationControlResult {
 	policies := []string{"cubic", "aimd", "static"}
 	rows := make([]AblationControlRow, len(policies))
-	forEachRun(len(policies), func(i int) {
-		rows[i] = ablationControlRun(seed, policies[i])
+	opts.forEachRun(len(policies), func(i int) {
+		rows[i] = ablationControlRun(seed, policies[i], opts)
 	})
 	return AblationControlResult{Rows: rows}
 }
 
-func ablationControlRun(seed int64, policy string) AblationControlRow {
+func ablationControlRun(seed int64, policy string, opts Options) AblationControlRow {
 	pc := ControllerConfig()
 	switch policy {
 	case "aimd":
@@ -61,13 +61,10 @@ func ablationControlRun(seed int64, policy string) AblationControlRow {
 	case "static":
 		pc = ObserverConfig()
 	}
-	scoring := scorecardsOn()
-	var col *obs.Collector
-	if scoring {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
-	tb := NewTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
+	// The ablation reports scorecards only: it writes no trace and
+	// evaluates no alert rules.
+	opts.TraceDir, opts.AlertRules = "", nil
+	tb, ro := opts.observedTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
 	defer tb.Close()
 	fio := workloads.NewFioRandRead(workloads.BurstPattern{
 		StartOffset: 15 * time.Second, On: 60 * time.Second, Off: 15 * time.Second})
@@ -96,9 +93,7 @@ func ablationControlRun(seed int64, policy string) AblationControlRow {
 		}
 	}
 	row.CapStdDev = stats.StdDev(caps)
-	if scoring {
-		row.Score = scoreRun(tb, col, policy, tb.Eng.Clock().Seconds())
-	}
+	_, row.Score, _ = ro.report(tb, "", policy, true)
 	return row
 }
 
@@ -113,7 +108,7 @@ func (r AblationControlResult) Table() *trace.Table {
 }
 
 // ScorecardTable renders the per-policy detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run had Options.Scorecards set).
 func (r AblationControlResult) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {
@@ -194,10 +189,10 @@ type AblationDetectorResult struct {
 // means even waits), while the absolute detector — whose signal rises
 // with any extra load on the device — flags it, forcing unwarranted
 // throttling.
-func AblationDetector(seed int64) AblationDetectorResult {
+func AblationDetector(seed int64, opts Options) AblationDetectorResult {
 	run := func(neighbour string) []core.TraceEntry {
 		cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
-		tb := smallTestbed(seed, &cfg)
+		tb := smallTestbed(seed, &cfg, opts)
 		defer tb.Close()
 		switch neighbour {
 		case "oltp":
@@ -270,13 +265,13 @@ type AblationEWMAResult struct {
 }
 
 // AblationEWMA runs both monitor configurations on both scenarios.
-func AblationEWMA(seed int64) AblationEWMAResult {
+func AblationEWMA(seed int64, opts Options) AblationEWMAResult {
 	run := func(alpha float64, withFio bool) (peak, flagged float64) {
 		pcfg := core.DefaultConfig()
 		pcfg.ObserveOnly = true
 		pcfg.EWMAAlpha = alpha
 		cfg := TestbedConfig{Seed: seed, PerfCloud: &pcfg}
-		tb := smallTestbed(seed, &cfg)
+		tb := smallTestbed(seed, &cfg, opts)
 		defer tb.Close()
 		if withFio {
 			tb.AddAntagonist(0, workloads.NewFioRandRead(

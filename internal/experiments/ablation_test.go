@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationControlStability(t *testing.T) {
-	r := AblationControl(seed)
+	r := AblationControl(seed, Options{})
 	cubic := r.Row("cubic")
 	aimd := r.Row("aimd")
 	static := r.Row("static")
@@ -47,7 +47,7 @@ func TestAblationPearsonRule(t *testing.T) {
 }
 
 func TestAblationDetectorFalsePositives(t *testing.T) {
-	r := AblationDetector(seed)
+	r := AblationDetector(seed, Options{})
 	// Deviation detection: quiet alone and next to the benign neighbour,
 	// loud with fio.
 	if r.DevAlone > 0.1 {
@@ -114,7 +114,7 @@ func TestAIMDPanics(t *testing.T) {
 }
 
 func TestAblationEWMA(t *testing.T) {
-	r := AblationEWMA(seed)
+	r := AblationEWMA(seed, Options{})
 	// Raw deltas are noisier: their alone peak sits closer to (or past)
 	// the threshold than the smoothed signal's.
 	if r.RawAlonePeak <= r.SmoothedAlonePeak {

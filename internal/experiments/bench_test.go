@@ -10,12 +10,12 @@ import "testing"
 func BenchmarkFigSuite(b *testing.B) {
 	const seed = 42
 	for i := 0; i < b.N; i++ {
-		Fig3(seed)
-		Fig4(seed)
-		Fig5(seed)
-		Fig6(seed)
+		Fig3(seed, Options{})
+		Fig4(seed, Options{})
+		Fig5(seed, Options{})
+		Fig6(seed, Options{})
 		Fig7()
-		r9 := Fig9(seed)
+		r9 := Fig9(seed, Options{})
 		Fig10(r9.Arm("perfcloud"))
 		cfg11 := DefaultLargeScaleConfig()
 		cfg11.Seed = seed

@@ -46,8 +46,8 @@ func RunBench(tb *Testbed, b Bench) float64 {
 
 // benchAlone runs the benchmark on a fresh interference-free small
 // testbed and returns its completion time in seconds.
-func benchAlone(seed int64, b Bench) float64 {
-	tb := smallTestbed(seed, nil)
+func benchAlone(seed int64, b Bench, opts Options) float64 {
+	tb := smallTestbed(seed, nil, opts)
 	defer tb.Close()
 	return RunBench(tb, b)
 }
@@ -86,13 +86,13 @@ func sparkConfig(name string) spark.AppConfig {
 
 // smallTestbed builds the canonical 6-VM single-server testbed with the
 // standard input file.
-func smallTestbed(seed int64, pc *TestbedConfig) *Testbed {
+func smallTestbed(seed int64, pc *TestbedConfig, opts Options) *Testbed {
 	cfg := TestbedConfig{Seed: seed}
 	if pc != nil {
 		cfg = *pc
 		cfg.Seed = seed
 	}
-	tb := NewTestbed(cfg)
+	tb := opts.newTestbed(cfg)
 	tb.MustInput("input", standardInputBytes)
 	return tb
 }

@@ -8,20 +8,13 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// setParallel bounds concurrent experiment repetitions for the duration
-// of a test. Explicit counts matter — on a single-core host
-// GOMAXPROCS-based defaults resolve to 1 worker, which would not exercise
-// the concurrent path at all.
-func setParallel(t *testing.T, runs int) {
-	t.Helper()
-	prev := SetMaxParallelRuns(runs)
-	t.Cleanup(func() { SetMaxParallelRuns(prev) })
-}
-
 // TestParallelMatchesSequential is the determinism contract of the run
 // fan-out: for the same seed, concurrent experiment repetitions must
 // produce results bit-for-bit identical to the sequential mode. Run with
-// -race to also exercise the data-race freedom of the run fan-out.
+// -race to also exercise the data-race freedom of the run fan-out. The
+// parallel run asks for an explicit 4 workers: on a single-core host the
+// GOMAXPROCS default resolves to 1, which would not exercise the
+// concurrent path at all.
 func TestParallelMatchesSequential(t *testing.T) {
 	const s = seed
 
@@ -40,20 +33,25 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	cases := []struct {
 		name string
-		run  func() any
+		run  func(Options) any
 	}{
-		{"Fig3", func() any { return Fig3(s) }},
-		{"Fig9", func() any { return Fig9(s) }},
-		{"Fig12", func() any { return Fig12With(smallVariability, []Scheme{SchemeLATE(), SchemePerfCloud()}) }},
-		{"Fig11", func() any { return Fig11With(mix, []Scheme{SchemeLATE()}) }},
+		{"Fig3", func(o Options) any { return Fig3(s, o) }},
+		{"Fig9", func(o Options) any { return Fig9(s, o) }},
+		{"Fig12", func(o Options) any {
+			cfg := smallVariability
+			cfg.Options = o
+			return Fig12With(cfg, []Scheme{SchemeLATE(), SchemePerfCloud()})
+		}},
+		{"Fig11", func(o Options) any {
+			cfg := mix
+			cfg.Options = o
+			return Fig11With(cfg, []Scheme{SchemeLATE()})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			setParallel(t, 1)
-			sequential := tc.run()
-
-			setParallel(t, 4)
-			parallel := tc.run()
+			sequential := tc.run(Options{Parallel: 1})
+			parallel := tc.run(Options{Parallel: 4})
 
 			if !reflect.DeepEqual(sequential, parallel) {
 				t.Errorf("parallel result differs from sequential:\nseq: %+v\npar: %+v", sequential, parallel)
@@ -79,9 +77,9 @@ func TestFig12DefaultParallelismMatchesSequential(t *testing.T) {
 		Limit:            time.Hour,
 	}
 	schemes := []Scheme{SchemeLATE(), SchemePerfCloud()}
-	setParallel(t, 1)
-	sequential := Fig12With(cfg, schemes)
-	setParallel(t, 0)
+	seqCfg := cfg
+	seqCfg.Options.Parallel = 1
+	sequential := Fig12With(seqCfg, schemes)
 	for i := 0; i < 3; i++ {
 		if got := Fig12With(cfg, schemes); !reflect.DeepEqual(sequential, got) {
 			t.Fatalf("run %d at default parallelism differs from -parallel 1:\nseq: %+v\ngot: %+v", i, sequential, got)
@@ -98,9 +96,7 @@ func TestSharedPoolBoundsWorkers(t *testing.T) {
 	pool := sim.SharedPool()
 	pool.ResetPeak()
 
-	prev := SetMaxParallelRuns(0) // automatic: as many repetition workers as allowed
-	t.Cleanup(func() { SetMaxParallelRuns(prev) })
-
+	// The zero Options ask for as many repetition workers as allowed.
 	cfg := VariabilityConfig{
 		Seed:             seed,
 		Servers:          3,

@@ -23,7 +23,7 @@ func TestFioSoloRate(t *testing.T) {
 }
 
 func TestFig1TerasortShape(t *testing.T) {
-	r := fig1Sweep(seed, []Bench{{Name: "terasort"}}, []float64{0, 0.5, 0.2})
+	r := fig1Sweep(seed, []Bench{{Name: "terasort"}}, []float64{0, 0.5, 0.2}, Options{})
 	uncapped := r.Rows[0]
 	cap50 := r.Rows[1]
 	cap20 := r.Rows[2]
@@ -52,7 +52,7 @@ func TestFig1TerasortShape(t *testing.T) {
 func TestFig1SparkInsensitiveToDeepIOCaps(t *testing.T) {
 	// Paper Fig 1b: below a ~20% cap, further fio throttling buys Spark
 	// little — disk stops being its bottleneck.
-	r := fig1Sweep(seed, []Bench{{Name: "spark-logreg", Spark: true}}, []float64{0, 0.2, 0.05})
+	r := fig1Sweep(seed, []Bench{{Name: "spark-logreg", Spark: true}}, []float64{0, 0.2, 0.05}, Options{})
 	cap20 := r.Rows[1].NormJCT
 	cap05 := r.Rows[2].NormJCT
 	if gain := cap20 - cap05; gain > 0.15 {
@@ -61,7 +61,7 @@ func TestFig1SparkInsensitiveToDeepIOCaps(t *testing.T) {
 }
 
 func TestFig2SparkSuffersMoreThanMR(t *testing.T) {
-	r := fig2Sweep(seed, []Bench{{Name: "terasort"}, {Name: "spark-logreg", Spark: true}})
+	r := fig2Sweep(seed, []Bench{{Name: "terasort"}, {Name: "spark-logreg", Spark: true}}, Options{})
 	mr := r.Rows[0].NormJCT
 	sp := r.Rows[1].NormJCT
 	if sp < 1.15 {
@@ -76,7 +76,7 @@ func TestFig2SparkSuffersMoreThanMR(t *testing.T) {
 }
 
 func TestFig3DeviationSeparation(t *testing.T) {
-	r := Fig3(seed)
+	r := Fig3(seed, Options{})
 	if r.Alone.PeakIowait() > r.Threshold {
 		t.Errorf("alone peak %v exceeds threshold %v (false positive)",
 			r.Alone.PeakIowait(), r.Threshold)
@@ -95,7 +95,7 @@ func TestFig3DeviationSeparation(t *testing.T) {
 }
 
 func TestFig4CPIDeviationSeparation(t *testing.T) {
-	r := fig4For(seed, []Bench{{Name: "terasort"}, {Name: "spark-logreg", Spark: true}})
+	r := fig4For(seed, []Bench{{Name: "terasort"}, {Name: "spark-logreg", Spark: true}}, Options{})
 	for _, row := range r.Rows {
 		if row.PeakAlone > r.Threshold {
 			t.Errorf("%s alone peak CPI dev %v exceeds threshold", row.Bench, row.PeakAlone)
@@ -107,7 +107,7 @@ func TestFig4CPIDeviationSeparation(t *testing.T) {
 }
 
 func TestFig5IdentifiesFioOnly(t *testing.T) {
-	r := Fig5(seed)
+	r := Fig5(seed, Options{})
 	if !r.Identified("fio-randread", 3) {
 		t.Errorf("fio not identified at n=3: %+v", r.Rows)
 	}
@@ -124,7 +124,7 @@ func TestFig5IdentifiesFioOnly(t *testing.T) {
 }
 
 func TestFig6IdentifiesStreamsOnly(t *testing.T) {
-	r := Fig6(seed)
+	r := Fig6(seed, Options{})
 	okAt := func(s string) bool {
 		for _, n := range []int{4, 5, 6, 8, 10} {
 			if r.Identified(s, n) {

@@ -45,17 +45,17 @@ type HeteroResult struct {
 
 // Heterogeneous runs repeated terasort jobs on a 6-server fleet (2 slow)
 // under each scheme. The four schemes are independent testbeds, so they
-// run concurrently (bounded by MaxParallelRuns), each writing its own row.
-func Heterogeneous(seed int64) HeteroResult {
+// run concurrently (bounded by opts.Parallel), each writing its own row.
+func Heterogeneous(seed int64, opts Options) HeteroResult {
 	schemes := []Scheme{SchemeDefault(), SchemeLATE(), SchemePerfCloud(), SchemeHybrid()}
 	rows := make([]HeteroRow, len(schemes))
-	forEachRun(len(schemes), func(si int) {
+	opts.forEachRun(len(schemes), func(si int) {
 		sch := schemes[si]
 		var pc *core.Config
 		if sch.PerfCloud {
 			pc = ControllerConfig()
 		}
-		tb := NewTestbed(TestbedConfig{
+		tb := opts.newTestbed(TestbedConfig{
 			Seed:             seed,
 			Servers:          6,
 			SlowServers:      2,
@@ -128,11 +128,11 @@ type MigrationResult struct {
 // deviation signal, but there is no low-priority VM to throttle — the
 // node manager escalates and the cloud manager migrates VMs of one app
 // to the idle server (§III-D2's complementary solution).
-func Migration(seed int64) MigrationResult {
+func Migration(seed int64, opts Options) MigrationResult {
 	run := func(enable bool) (float64, int, int) {
 		eng := sim.NewEngine(100*time.Millisecond, seed)
 		defer eng.RNG().Release()
-		clus := newCluster()
+		clus := newCluster(opts.reference)
 		cm := cloud.NewManager(clus, eng.RNG())
 		cm.ProvisionServers(2)
 
@@ -210,7 +210,7 @@ func Migration(seed int64) MigrationResult {
 		spread int
 	}
 	arms := make([]arm, 2)
-	forEachRun(len(arms), func(i int) {
+	opts.forEachRun(len(arms), func(i int) {
 		a := &arms[i]
 		a.jct, a.moves, a.spread = run(i == 1)
 	})

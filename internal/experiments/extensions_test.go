@@ -6,7 +6,7 @@ import (
 )
 
 func TestHeterogeneousHybridComplementsPerfCloud(t *testing.T) {
-	r := Heterogeneous(seed)
+	r := Heterogeneous(seed, Options{})
 	def := r.Row("default").MeanJCT
 	late := r.Row("LATE").MeanJCT
 	pc := r.Row("PerfCloud").MeanJCT
@@ -33,7 +33,7 @@ func TestHeterogeneousHybridComplementsPerfCloud(t *testing.T) {
 }
 
 func TestMigrationResolvesHighPriorityCollision(t *testing.T) {
-	r := Migration(seed)
+	r := Migration(seed, Options{})
 	if r.Migrations == 0 {
 		t.Fatal("node manager never escalated to migration")
 	}

@@ -60,6 +60,8 @@ type LargeScaleConfig struct {
 	Streams          int // STREAM antagonist VMs, randomly placed
 	InterarrivalSec  float64
 	Limit            time.Duration
+	// Options configures the runs and their observers.
+	Options Options
 }
 
 // DefaultLargeScaleConfig mirrors the paper's 152-node / 15-server setup
@@ -203,13 +205,13 @@ type MixOutcome struct {
 	JCTs       []float64 // per logical job, in mix order
 	Efficiency float64
 	// Phases aggregates per-attempt phase attribution for the run; zero
-	// unless a trace directory is set (SetTraceDir).
+	// unless Options.TraceDir is set.
 	Phases trace.PhaseTotals
 	// Score grades the run's cap decisions against ground truth; nil
-	// unless scorecards are enabled (SetScorecards).
+	// unless Options.Scorecards is set.
 	Score *obs.Scorecard
-	// Alerts summarises the run's alert-rule activity; nil unless rules
-	// are installed (SetAlertRules) and the scheme deploys PerfCloud.
+	// Alerts summarises the run's alert-rule activity; nil unless
+	// Options.AlertRules is set and the scheme deploys PerfCloud.
 	Alerts *obs.AlertSummary
 }
 
@@ -219,29 +221,14 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tr := newRunTracer()
-	scoring := scorecardsOn()
-	rules := alertRules()
-	var col *obs.Collector
-	if pc != nil && (tr != nil || scoring || len(rules) > 0) {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
-	var alerts *obs.AlertEngine
-	if pc != nil && len(rules) > 0 {
-		alerts = obs.NewAlertEngine(rules, col)
-		pc.Alerts = alerts
-	}
-	tb := NewTestbed(TestbedConfig{
+	tb, ro := cfg.Options.observedTestbed(TestbedConfig{
 		Seed:             cfg.Seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer, BlockBytes: mixBlockBytes,
 		Speculator: sch.Speculator,
 		PerfCloud:  pc,
-		Tracer:     tr,
 	})
 	defer tb.Close()
-	alerts.SetGroundTruth(tb.Truth)
 	specs := generateMix(cfg)
 	// One input file per distinct map count keeps DFS setup cheap.
 	sizes := map[int]bool{}
@@ -295,22 +282,11 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 		acc.TotalSeconds += a.TotalSeconds
 	}
 	out.Efficiency = acc.Efficiency()
-	if scoring && withAntagonists {
-		out.Score = scoreRun(tb, col, sch.Name, now)
+	name := "fig11-" + sch.Name
+	if !withAntagonists {
+		name += "-baseline"
 	}
-	out.Alerts = alertSummaryFor(alerts)
-	if tr != nil {
-		out.Phases = tr.Totals()
-		name := "fig11-" + sch.Name
-		if !withAntagonists {
-			name += "-baseline"
-		}
-		var events []obs.Event
-		if col != nil {
-			events = col.Events()
-		}
-		writeRunTrace(name, tr, events)
-	}
+	out.Phases, out.Score, out.Alerts = ro.report(tb, name, sch.Name, withAntagonists)
 	return out
 }
 
@@ -413,10 +389,10 @@ type Fig11Row struct {
 	// "all" row, and only when a trace directory is set).
 	Phases trace.PhaseTotals
 	// Score is the scheme's detection scorecard (only on the "all" row,
-	// and only when scorecards are enabled via SetScorecards).
+	// and only with Options.Scorecards).
 	Score *obs.Scorecard
 	// Alerts is the scheme's alert-rule summary (only on the "all" row,
-	// and only when rules are installed via SetAlertRules).
+	// and only with Options.AlertRules).
 	Alerts *obs.AlertSummary
 }
 
@@ -427,22 +403,13 @@ type Fig11Result struct {
 	Rows []Fig11Row
 }
 
-// Fig11 runs the full paper-size experiment.
-func Fig11(seed int64) Fig11Result {
-	cfg := DefaultLargeScaleConfig()
-	cfg.Seed = seed
-	return Fig11With(cfg, []Scheme{
-		SchemeLATE(), SchemeDolly(2), SchemeDolly(4), SchemeDolly(6), SchemePerfCloud(),
-	})
-}
-
 // Fig11With runs a custom mix size and scheme list (tests shrink it).
 // The interference-free baseline and the per-scheme mixes are independent
-// engines, so they run concurrently (bounded by MaxParallelRuns), each
-// writing its own slot; rows are then assembled in scheme order.
+// engines, so they run concurrently (bounded by cfg.Options.Parallel),
+// each writing its own slot; rows are then assembled in scheme order.
 func Fig11With(cfg LargeScaleConfig, schemes []Scheme) Fig11Result {
 	outs := make([]MixOutcome, len(schemes)+1)
-	forEachRun(len(outs), func(i int) {
+	cfg.Options.forEachRun(len(outs), func(i int) {
 		if i == 0 {
 			outs[i] = runMix(cfg, SchemeDefault(), false)
 		} else {
@@ -544,7 +511,7 @@ func (r Fig11Result) Table() *trace.Table {
 }
 
 // ScorecardTable renders the per-scheme detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run had Options.Scorecards set).
 func (r Fig11Result) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {
@@ -556,7 +523,7 @@ func (r Fig11Result) ScorecardTable() *trace.Table {
 }
 
 // AlertTable renders the per-scheme alert summaries (empty unless the
-// run had rules installed via SetAlertRules).
+// run had Options.AlertRules set).
 func (r Fig11Result) AlertTable() *trace.Table {
 	var schemes []string
 	var sums []*obs.AlertSummary

@@ -25,6 +25,8 @@ type VariabilityConfig struct {
 	Streams          int
 	Tasks            int
 	Limit            time.Duration
+	// Options configures the repetitions and their observers.
+	Options Options
 }
 
 // DefaultVariabilityConfig mirrors the paper: 15 servers, 30 repetitions.
@@ -47,13 +49,13 @@ type Fig12Row struct {
 	Scheme   string
 	Summary  stats.Summary // of JCT normalized by the interference-free JCT
 	// Phases sums per-attempt phase attribution across the row's
-	// repetitions; zero unless a trace directory is set (SetTraceDir).
+	// repetitions; zero unless Options.TraceDir is set.
 	Phases trace.PhaseTotals
 	// Score merges the repetitions' detection scorecards; nil unless
-	// scorecards are enabled (SetScorecards).
+	// Options.Scorecards is set.
 	Score *obs.Scorecard
-	// Alerts merges the repetitions' alert summaries; nil unless rules
-	// are installed (SetAlertRules) and the scheme deploys PerfCloud.
+	// Alerts merges the repetitions' alert summaries; nil unless
+	// Options.AlertRules is set and the scheme deploys PerfCloud.
 	Alerts *obs.AlertSummary
 }
 
@@ -63,17 +65,10 @@ type Fig12Result struct {
 	Rows []Fig12Row
 }
 
-// Fig12 runs the paper-size experiment for LATE, Dolly-4 and PerfCloud.
-func Fig12(seed int64) Fig12Result {
-	cfg := DefaultVariabilityConfig()
-	cfg.Seed = seed
-	return Fig12With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
-}
-
 // Fig12With runs a custom size and scheme list. Every repetition is an
 // independent engine with its own seed, so the (workload, scheme, run)
 // grid — plus the per-workload interference-free baselines — is fanned
-// out across goroutines (bounded by MaxParallelRuns); each repetition
+// out across goroutines (bounded by cfg.Options.Parallel); each repetition
 // writes only its own slot, and rows are assembled afterwards in the same
 // deterministic order as the sequential loop.
 func Fig12With(cfg VariabilityConfig, schemes []Scheme) Fig12Result {
@@ -101,7 +96,7 @@ func Fig12With(cfg VariabilityConfig, schemes []Scheme) Fig12Result {
 			}
 		}
 	}
-	forEachRun(len(jobs), func(k int) {
+	cfg.Options.forEachRun(len(jobs), func(k int) {
 		j := jobs[k]
 		if j.si < 0 {
 			base[j.wi], _, _, _ = fig12Run(cfg, cfg.Seed, workloads[j.wi], SchemeDefault(), false,
@@ -170,30 +165,15 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tr := newRunTracer()
-	scoring := scorecardsOn()
-	rules := alertRules()
-	var col *obs.Collector
-	if pc != nil && (tr != nil || scoring || len(rules) > 0) {
-		col = obs.NewCollector()
-		pc.Events = col
-	}
-	var eng *obs.AlertEngine
-	if pc != nil && len(rules) > 0 {
-		eng = obs.NewAlertEngine(rules, col)
-		pc.Alerts = eng
-	}
-	tb := NewTestbed(TestbedConfig{
+	tb, ro := cfg.Options.observedTestbed(TestbedConfig{
 		Seed:             seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer,
 		Speculator:       sch.Speculator,
 		PerfCloud:        pc,
 		BlockBytes:       mixBlockBytes,
-		Tracer:           tr,
 	})
 	defer tb.Close()
-	eng.SetGroundTruth(tb.Truth)
 	inputBytes := float64(cfg.Tasks) * mixBlockBytes
 	tb.MustInput("input", inputBytes)
 	if antagonists {
@@ -217,38 +197,26 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		}
 		return a
 	}
-	finish := func(jct float64) (float64, trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
-		var pt trace.PhaseTotals
-		if tr != nil {
-			pt = tr.Totals()
-			var events []obs.Event
-			if col != nil {
-				events = col.Events()
-			}
-			writeRunTrace(traceName, tr, events)
-		}
-		var sc *obs.Scorecard
-		if scoring && antagonists {
-			sc = scoreRun(tb, col, sch.Name, tb.Eng.Clock().Seconds())
-		}
-		return jct, pt, sc, alertSummaryFor(eng)
-	}
+	var jct float64
 	if sch.Clones <= 1 {
 		c := submit()
 		if !tb.Stepper().RunUntil(c.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s stuck", workload, sch.Name))
 		}
-		return finish(c.JCT())
+		jct = c.JCT()
+	} else {
+		clones := make([]straggler.Clone, 0, sch.Clones)
+		for i := 0; i < sch.Clones; i++ {
+			clones = append(clones, submit())
+		}
+		g := tb.Dolly.Watch(workload, clones...)
+		if !tb.Stepper().RunUntil(g.Done, cfg.Limit) {
+			panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
+		}
+		jct = g.JCT()
 	}
-	clones := make([]straggler.Clone, 0, sch.Clones)
-	for i := 0; i < sch.Clones; i++ {
-		clones = append(clones, submit())
-	}
-	g := tb.Dolly.Watch(workload, clones...)
-	if !tb.Stepper().RunUntil(g.Done, cfg.Limit) {
-		panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
-	}
-	return finish(g.JCT())
+	phases, score, alerts := ro.report(tb, traceName, sch.Name, antagonists)
+	return jct, phases, score, alerts
 }
 
 // Table renders the Figure 12 box-plot statistics.
@@ -263,7 +231,7 @@ func (r Fig12Result) Table() *trace.Table {
 }
 
 // ScorecardTable renders the merged per-row detection scorecards (empty
-// unless the run had SetScorecards enabled).
+// unless the run had Options.Scorecards set).
 func (r Fig12Result) ScorecardTable() *trace.Table {
 	var cards []*obs.Scorecard
 	for _, row := range r.Rows {
@@ -273,7 +241,7 @@ func (r Fig12Result) ScorecardTable() *trace.Table {
 }
 
 // AlertTable renders the merged per-row alert summaries (empty unless
-// the run had rules installed via SetAlertRules).
+// the run had Options.AlertRules set).
 func (r Fig12Result) AlertTable() *trace.Table {
 	var schemes []string
 	var sums []*obs.AlertSummary

@@ -25,18 +25,18 @@ type Fig1Result struct {
 
 // Fig1 runs the sweep for all six benchmarks with fio uncapped, capped
 // at 50% and capped at 20% of its solo throughput.
-func Fig1(seed int64) Fig1Result {
-	return fig1Sweep(seed, Benches(), []float64{0, 0.5, 0.2})
+func Fig1(seed int64, opts Options) Fig1Result {
+	return fig1Sweep(seed, Benches(), []float64{0, 0.5, 0.2}, opts)
 }
 
 // fig1Sweep is Fig1 over a chosen benchmark subset (tests use one
 // benchmark to stay fast).
-func fig1Sweep(seed int64, benches []Bench, caps []float64) Fig1Result {
+func fig1Sweep(seed int64, benches []Bench, caps []float64, opts Options) Fig1Result {
 	var res Fig1Result
 	for _, b := range benches {
-		alone := benchAlone(seed, b)
+		alone := benchAlone(seed, b, opts)
 		for _, capFrac := range caps {
-			tb := smallTestbed(seed, nil)
+			tb := smallTestbed(seed, nil, opts)
 			fio := workloads.NewFioRandRead(workloads.AlwaysOn)
 			tb.AddAntagonist(0, fio)
 			if capFrac > 0 {
@@ -97,15 +97,15 @@ type Fig2Result struct {
 
 // Fig2 measures all six benchmarks against two colocated STREAM VMs
 // (the paper's group-of-antagonists setting from §III-B).
-func Fig2(seed int64) Fig2Result {
-	return fig2Sweep(seed, Benches())
+func Fig2(seed int64, opts Options) Fig2Result {
+	return fig2Sweep(seed, Benches(), opts)
 }
 
-func fig2Sweep(seed int64, benches []Bench) Fig2Result {
+func fig2Sweep(seed int64, benches []Bench, opts Options) Fig2Result {
 	var res Fig2Result
 	for _, b := range benches {
-		alone := benchAlone(seed, b)
-		tb := smallTestbed(seed, nil)
+		alone := benchAlone(seed, b, opts)
+		tb := smallTestbed(seed, nil, opts)
 		tb.AddAntagonist(0, workloads.NewStream(workloads.AlwaysOn))
 		tb.AddAntagonist(0, workloads.NewStream(workloads.AlwaysOn))
 		jct := RunBench(tb, b)

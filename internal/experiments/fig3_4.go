@@ -26,9 +26,9 @@ func (d DeviationTimeline) PeakCPI() float64 { return d.CPI.Max() }
 // deviationRun executes one benchmark back-to-back for the duration on
 // an instrumented (observe-only) testbed with the given antagonists, and
 // returns the recorded deviation series.
-func deviationRun(seed int64, b Bench, d time.Duration, label string, antagonists func(tb *Testbed)) DeviationTimeline {
+func deviationRun(seed int64, b Bench, d time.Duration, label string, antagonists func(tb *Testbed), opts Options) DeviationTimeline {
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
-	tb := smallTestbed(seed, &cfg)
+	tb := smallTestbed(seed, &cfg, opts)
 	defer tb.Close()
 	if antagonists != nil {
 		antagonists(tb)
@@ -93,18 +93,18 @@ type Fig3Result struct {
 }
 
 // Fig3 runs the terasort case study from §III-A1.
-func Fig3(seed int64) Fig3Result { return fig3For(seed, Bench{Name: "terasort"}) }
+func Fig3(seed int64, opts Options) Fig3Result { return fig3For(seed, Bench{Name: "terasort"}, opts) }
 
-func fig3For(seed int64, b Bench) Fig3Result {
+func fig3For(seed int64, b Bench, opts Options) Fig3Result {
 	const d = 2 * time.Minute
 	return Fig3Result{
 		Bench:     b.Name,
 		Threshold: core.DefaultThresholds().Iowait,
-		Alone:     deviationRun(seed, b, d, "alone", nil),
+		Alone:     deviationRun(seed, b, d, "alone", nil, opts),
 		WithFio: deviationRun(seed, b, d, "with fio", func(tb *Testbed) {
 			tb.AddAntagonist(0, workloads.NewFioRandRead(
 				workloads.BurstPattern{On: 20 * time.Second, Off: 10 * time.Second}))
-		}),
+		}, opts),
 	}
 }
 
@@ -143,18 +143,18 @@ type Fig4Result struct {
 }
 
 // Fig4 measures all six benchmarks.
-func Fig4(seed int64) Fig4Result { return fig4For(seed, Benches()) }
+func Fig4(seed int64, opts Options) Fig4Result { return fig4For(seed, Benches(), opts) }
 
-func fig4For(seed int64, benches []Bench) Fig4Result {
+func fig4For(seed int64, benches []Bench, opts Options) Fig4Result {
 	const d = 2 * time.Minute
 	res := Fig4Result{Threshold: core.DefaultThresholds().CPI}
 	for _, b := range benches {
-		alone := deviationRun(seed, b, d, "alone", nil)
+		alone := deviationRun(seed, b, d, "alone", nil, opts)
 		contended := deviationRun(seed, b, d, "with stream", func(tb *Testbed) {
 			pat := workloads.BurstPattern{On: 25 * time.Second, Off: 10 * time.Second}
 			tb.AddAntagonist(0, workloads.NewStream(pat))
 			tb.AddAntagonist(0, workloads.NewStream(pat))
-		})
+		}, opts)
 		res.Rows = append(res.Rows, Fig4Row{
 			Bench:      b.Name,
 			PeakAlone:  alone.PeakCPI(),

@@ -21,10 +21,10 @@ type CorrelationByWindow struct {
 // suspect, the correlation of the victim deviation signal with the
 // suspect's activity signal over the first n samples, for each n.
 func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
-	antagonists func(tb *Testbed), suspects []string, windows []int) []CorrelationByWindow {
+	antagonists func(tb *Testbed), suspects []string, windows []int, opts Options) []CorrelationByWindow {
 
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
-	tb := smallTestbed(seed, &cfg)
+	tb := smallTestbed(seed, &cfg, opts)
 	defer tb.Close()
 	antagonists(tb)
 	runBackToBack(tb, b, d)
@@ -76,7 +76,7 @@ type Fig5Result struct {
 }
 
 // Fig5 runs the terasort case study from §III-B.
-func Fig5(seed int64) Fig5Result {
+func Fig5(seed int64, opts Options) Fig5Result {
 	windows := []int{3, 4, 5, 6, 8, 10}
 	rows := identificationRun(seed, Bench{Name: "terasort"}, 2*time.Minute, false,
 		func(tb *Testbed) {
@@ -85,7 +85,7 @@ func Fig5(seed int64) Fig5Result {
 			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
 			tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
 		},
-		[]string{"fio-randread", "sysbench-oltp", "sysbench-cpu"}, windows)
+		[]string{"fio-randread", "sysbench-oltp", "sysbench-cpu"}, windows, opts)
 	return Fig5Result{Rows: rows, Windows: windows, Threshold: core.DefaultConfig().CorrThreshold}
 }
 
@@ -137,7 +137,7 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the Spark logistic-regression case study from §III-B.
-func Fig6(seed int64) Fig6Result {
+func Fig6(seed int64, opts Options) Fig6Result {
 	windows := []int{3, 4, 5, 6, 8, 10}
 	rows := identificationRun(seed, Bench{Name: "spark-logreg-mem", Spark: true}, 150*time.Second, true,
 		func(tb *Testbed) {
@@ -147,7 +147,7 @@ func Fig6(seed int64) Fig6Result {
 			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
 			tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
 		},
-		[]string{"stream", "stream-1", "sysbench-oltp", "sysbench-cpu"}, windows)
+		[]string{"stream", "stream-1", "sysbench-oltp", "sysbench-cpu"}, windows, opts)
 	return Fig6Result{Rows: rows, Windows: windows, Threshold: core.DefaultConfig().CorrThreshold}
 }
 

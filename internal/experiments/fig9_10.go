@@ -42,7 +42,7 @@ const (
 )
 
 // fig9Run executes one arm.
-func fig9Run(seed int64, scheme string) Fig9Arm {
+func fig9Run(seed int64, scheme string, opts Options) Fig9Arm {
 	var pc *core.Config
 	switch scheme {
 	case "perfcloud":
@@ -50,7 +50,7 @@ func fig9Run(seed int64, scheme string) Fig9Arm {
 	default:
 		pc = ObserverConfig()
 	}
-	tb := NewTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
+	tb := opts.newTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
 	defer tb.Close()
 
 	// Antagonists start after the victim is established (the paper's
@@ -104,11 +104,11 @@ func fig9App() spark.AppConfig {
 }
 
 // Fig9 runs all three arms.
-func Fig9(seed int64) Fig9Result {
+func Fig9(seed int64, opts Options) Fig9Result {
 	return Fig9Result{Arms: []Fig9Arm{
-		fig9Run(seed, "default"),
-		fig9Run(seed, "static"),
-		fig9Run(seed, "perfcloud"),
+		fig9Run(seed, "default", opts),
+		fig9Run(seed, "static", opts),
+		fig9Run(seed, "perfcloud", opts),
 	}}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFig9SchemesOrdering(t *testing.T) {
-	r := Fig9(seed)
+	r := Fig9(seed, Options{})
 	def := r.Arm("default")
 	static := r.Arm("static")
 	pc := r.Arm("perfcloud")
@@ -33,7 +33,7 @@ func TestFig9SchemesOrdering(t *testing.T) {
 }
 
 func TestFig10CapTimelines(t *testing.T) {
-	r9 := Fig9(seed)
+	r9 := Fig9(seed, Options{})
 	r := Fig10(r9.Arm("perfcloud"))
 	if ThrottleEpisodes(r.FioCap) < 1 {
 		t.Error("fio was never throttled")

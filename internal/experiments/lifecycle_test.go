@@ -31,14 +31,16 @@ func lifecycleVariability() VariabilityConfig {
 // invisible to every draw.
 func TestFig12RecycledStreamsIdentical(t *testing.T) {
 	cfg := lifecycleVariability()
-	run := func() Fig12Result {
-		return Fig12With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
+	run := func(o Options) Fig12Result {
+		c := cfg
+		c.Options = o
+		return Fig12With(c, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
 	}
-	first := run()
-	if second := run(); !reflect.DeepEqual(first, second) {
+	first := run(Options{})
+	if second := run(Options{}); !reflect.DeepEqual(first, second) {
 		t.Errorf("second run on recycled streams differs:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
-	if ref := onReference(run); !reflect.DeepEqual(first, ref) {
+	if ref := run(Options{reference: true}); !reflect.DeepEqual(first, ref) {
 		t.Errorf("run differs from the reference:\nopt: %+v\nref: %+v", first, ref)
 	}
 }

@@ -18,24 +18,22 @@ import (
 // The optimised ≡ reference suite. Every experiment normally runs on the
 // optimised cluster: quiescent servers parked out of the active set,
 // demand reuse, the fused steady tick, allocator memos and event-driven
-// strides. onReference reruns it on reference clusters, which tick every
-// server's full pipeline every tick with no memo, no reuse and no stride.
-// Each case must produce a bit-for-bit identical result.
-
-// onReference runs fn with every experiment it starts built on reference
-// clusters (cluster.NewReference).
-func onReference[T any](fn func() T) T {
-	reference.Store(true)
-	defer reference.Store(false)
-	return fn()
-}
+// strides. Options.reference reruns it on reference clusters, which tick
+// every server's full pipeline every tick with no memo, no reuse and no
+// stride. Each case must produce a bit-for-bit identical result.
 
 // matchesReference runs one scenario on the optimised path and on the
-// reference, and fails the test unless the two results DeepEqual.
-func matchesReference(t *testing.T, run func() any) {
+// reference, and fails the test unless the two results DeepEqual. The
+// reference run also checks that every testbed it builds really is one.
+func matchesReference(t *testing.T, run func(Options) any) {
 	t.Helper()
-	got := run()
-	if want := onReference(run); !reflect.DeepEqual(got, want) {
+	got := run(Options{})
+	ref := Options{reference: true, OnTestbed: func(tb *Testbed) {
+		if !tb.Clus.Reference() {
+			t.Error("reference run built an optimised cluster")
+		}
+	}}
+	if want := run(ref); !reflect.DeepEqual(got, want) {
 		t.Errorf("optimised result differs from the reference:\nopt: %+v\nref: %+v", got, want)
 	}
 }
@@ -50,7 +48,7 @@ func matchesReference(t *testing.T, run func() any) {
 // bursts.
 func figureCases(s int64) []struct {
 	name string
-	run  func() any
+	run  func(Options) any
 } {
 	mix := smallMix()
 	mix.Seed = s
@@ -67,14 +65,18 @@ func figureCases(s int64) []struct {
 	}
 	return []struct {
 		name string
-		run  func() any
+		run  func(Options) any
 	}{
-		{"Fig3", func() any { return Fig3(s) }},
-		{"Fig11", func() any {
-			return Fig11With(mix, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
+		{"Fig3", func(o Options) any { return Fig3(s, o) }},
+		{"Fig11", func(o Options) any {
+			cfg := mix
+			cfg.Options = o
+			return Fig11With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
 		}},
-		{"Fig12", func() any {
-			return Fig12With(variability, []Scheme{SchemeLATE(), SchemePerfCloud()})
+		{"Fig12", func(o Options) any {
+			cfg := variability
+			cfg.Options = o
+			return Fig12With(cfg, []Scheme{SchemeLATE(), SchemePerfCloud()})
 		}},
 	}
 }
@@ -105,8 +107,8 @@ func TestShardingMatchesFlat(t *testing.T) { runFigureCases(t, seed+3) }
 
 // tracedPerfCloudRun runs a traced terasort under PerfCloud with an
 // always-on fio antagonist and returns the Perfetto JSON, control-plane
-// instants included.
-func tracedPerfCloudRun(t *testing.T, servers int) []byte {
+// instants included; reference selects the reference cluster.
+func tracedPerfCloudRun(t *testing.T, servers int, reference bool) []byte {
 	pc := ControllerConfig()
 	col := obs.NewCollector()
 	pc.Events = col
@@ -116,6 +118,7 @@ func tracedPerfCloudRun(t *testing.T, servers int) []byte {
 		Servers:   servers,
 		PerfCloud: pc,
 		Tracer:    tr,
+		reference: reference,
 	})
 	tb.MustInput("input", 512<<20)
 	tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn))
@@ -132,8 +135,8 @@ func tracedPerfCloudRun(t *testing.T, servers int) []byte {
 // reference — every span boundary, phase attribution and control-plane
 // instant on the same timestamps, strides included.
 func traceMatchesReference(t *testing.T, servers int) {
-	run := func() []byte { return tracedPerfCloudRun(t, servers) }
-	if got, want := run(), onReference(run); !bytes.Equal(got, want) {
+	got, want := tracedPerfCloudRun(t, servers, false), tracedPerfCloudRun(t, servers, true)
+	if !bytes.Equal(got, want) {
 		t.Error("traced run produced different trace bytes than the reference")
 	}
 }
@@ -171,8 +174,8 @@ func runJobUntil(tb *Testbed, j *mapreduce.Job, targetSec float64) bool {
 // rebuild exactly as per-tick stepping does.
 func TestStrideAcrossThrottleFlip(t *testing.T) {
 	type outcome struct{ jct, ops float64 }
-	run := func() outcome {
-		tb := NewTestbed(TestbedConfig{Seed: 11, Servers: 1})
+	run := func(reference bool) outcome {
+		tb := NewTestbed(TestbedConfig{Seed: 11, Servers: 1, reference: reference})
 		tb.MustInput("input", 2<<30)
 		tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn))
 		j, err := tb.JT.Submit(mapreduce.Terasort("input", 8), 0)
@@ -197,7 +200,7 @@ func TestStrideAcrossThrottleFlip(t *testing.T) {
 		}
 		return outcome{j.JCT(), vm.Cgroup().Snapshot().Blkio.IoServiced}
 	}
-	got, want := run(), onReference(run)
+	got, want := run(false), run(true)
 	if got.jct != want.jct {
 		t.Errorf("JCT differs from the reference: optimised %v, reference %v", got.jct, want.jct)
 	}
@@ -219,8 +222,8 @@ func TestParkAndWakeMatchesReference(t *testing.T) {
 		cgs  []any
 		last cluster.Grant
 	}
-	run := func() outcome {
-		tb := NewTestbed(TestbedConfig{Seed: 13, Servers: 2})
+	run := func(reference bool) outcome {
+		tb := NewTestbed(TestbedConfig{Seed: 13, Servers: 2, reference: reference})
 		tb.CM.ProvisionServers(1) // server-2: no Hadoop workers
 		tb.MustInput("input", 4<<30)
 		first := workloads.NewFioRandRead(workloads.AlwaysOn)
@@ -250,7 +253,7 @@ func TestParkAndWakeMatchesReference(t *testing.T) {
 			last: late.LastGrant(),
 		}
 	}
-	got, want := run(), onReference(run)
+	got, want := run(false), run(true)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("optimised run differs from the reference:\nopt: %+v\nref: %+v", got, want)
 	}

@@ -13,7 +13,7 @@ import (
 
 func TestSeedRobustnessIowaitDetection(t *testing.T) {
 	for _, s := range []int64{7, 101, 9001} {
-		r := fig3For(s, Bench{Name: "terasort"})
+		r := fig3For(s, Bench{Name: "terasort"}, Options{})
 		if r.Alone.PeakIowait() > r.Threshold {
 			t.Errorf("seed %d: alone peak %v above threshold (false positive)", s, r.Alone.PeakIowait())
 		}
@@ -25,7 +25,7 @@ func TestSeedRobustnessIowaitDetection(t *testing.T) {
 
 func TestSeedRobustnessCPIDetection(t *testing.T) {
 	for _, s := range []int64{7, 101, 9001} {
-		r := fig4For(s, []Bench{{Name: "spark-logreg", Spark: true}})
+		r := fig4For(s, []Bench{{Name: "spark-logreg", Spark: true}}, Options{})
 		row := r.Rows[0]
 		if row.PeakAlone > r.Threshold {
 			t.Errorf("seed %d: alone CPI dev %v above threshold", s, row.PeakAlone)
@@ -38,7 +38,7 @@ func TestSeedRobustnessCPIDetection(t *testing.T) {
 
 func TestSeedRobustnessIdentification(t *testing.T) {
 	for _, s := range []int64{7, 101, 9001} {
-		r := Fig5(s)
+		r := Fig5(s, Options{})
 		identifiedSomewhere := false
 		for _, n := range r.Windows {
 			if r.Identified("fio-randread", n) {
@@ -64,7 +64,7 @@ func TestSeedRobustnessMitigation(t *testing.T) {
 		if pc {
 			cfg.PerfCloud = ControllerConfig()
 		}
-		tb := smallTestbed(s, &cfg)
+		tb := smallTestbed(s, &cfg, Options{})
 		tb.AddAntagonist(0, workloads.NewFioRandRead(
 			workloads.BurstPattern{StartOffset: 10 * time.Second, On: 20 * time.Second, Off: 10 * time.Second}))
 		var jcts []float64
@@ -103,7 +103,7 @@ func TestSeedRobustnessMitigation(t *testing.T) {
 func TestDetectionLatencyWithinSeconds(t *testing.T) {
 	const onset = 20.0 // seconds
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
-	tb := smallTestbed(seed, &cfg)
+	tb := smallTestbed(seed, &cfg, Options{})
 	tb.AddAntagonist(0, workloads.NewFioRandRead(
 		workloads.BurstPattern{StartOffset: onset * 1e9}))
 	runBackToBack(tb, Bench{Name: "terasort"}, time.Minute)
@@ -128,7 +128,7 @@ func TestDetectionLatencyWithinSeconds(t *testing.T) {
 // to protect.
 func TestDeterminismSameSeedSameResults(t *testing.T) {
 	run := func() []float64 {
-		r := fig1Sweep(77, []Bench{{Name: "terasort"}}, []float64{0, 0.2})
+		r := fig1Sweep(77, []Bench{{Name: "terasort"}}, []float64{0, 0.2}, Options{})
 		out := []float64{}
 		for _, row := range r.Rows {
 			out = append(out, row.NormJCT, row.FioNormIOPS)
@@ -149,7 +149,7 @@ func TestDeterminismSameSeedSameResults(t *testing.T) {
 // left alone (the D1 ablation's benign neighbour).
 func TestAggressiveOLTPIdentifiedAsAntagonist(t *testing.T) {
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ControllerConfig()}
-	tb := smallTestbed(seed, &cfg)
+	tb := smallTestbed(seed, &cfg, Options{})
 	aggressive := workloads.NewBenchmark("oltp-heavy", workloads.Profile{
 		CPUCores:        2,
 		IOPS:            6000,
@@ -188,7 +188,7 @@ func TestAggressiveOLTPIdentifiedAsAntagonist(t *testing.T) {
 // bursts. EXPERIMENTS.md documents the consequence.
 func TestLimitationConstantAntagonistInvisible(t *testing.T) {
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ControllerConfig()}
-	tb := smallTestbed(seed, &cfg)
+	tb := smallTestbed(seed, &cfg, Options{})
 	tb.AddAntagonist(0, workloads.NewFioRandRead(workloads.AlwaysOn)) // on from t=0, forever
 	runBackToBack(tb, Bench{Name: "terasort"}, 2*time.Minute)
 

@@ -2,42 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"perfcloud/internal/obs"
 	"perfcloud/internal/trace"
 )
-
-// Detection-quality scorecards: when enabled, every experiment run that
-// deploys PerfCloud attaches an event collector and, after the run,
-// grades the audit-event stream against the testbed's ground-truth
-// registry — precision, recall, false-cap rate, time-to-detect, cap
-// dwell. Off by default: with the gate off no collector is attached, no
-// events are retained, and runs are bit-identical to a build without
-// this file (the PR-5 invariant; TestScorecardsDoNotChangeResults).
-var scorecardsEnabled atomic.Bool
-
-// SetScorecards toggles scorecard collection and returns the previous
-// setting.
-func SetScorecards(on bool) bool { return scorecardsEnabled.Swap(on) }
-
-// scorecardsOn reports whether scorecards are being collected.
-func scorecardsOn() bool { return scorecardsEnabled.Load() }
-
-// scoreRun grades one finished run. col may be nil (a scheme with no
-// control plane — LATE, Dolly): the card then reports zero detections
-// against the full ground-truth denominator, which is exactly right for
-// a scheme that never detects anything. endSec is the run horizon used
-// to close cap episodes still open at the end.
-func scoreRun(tb *Testbed, col *obs.Collector, scheme string, endSec float64) *obs.Scorecard {
-	var events []obs.Event
-	if col != nil {
-		events = col.Events()
-	}
-	sc := obs.Score(events, tb.Truth, endSec)
-	sc.Scheme = scheme
-	return &sc
-}
 
 // scorecardTable renders a set of cards as one table, skipping nils.
 func scorecardTable(title string, cards []*obs.Scorecard) *trace.Table {

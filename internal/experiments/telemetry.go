@@ -44,7 +44,7 @@ type FleetTelemetry struct {
 
 	// Engine self-profiling (wall-clock, never in sim outputs): the
 	// sampling phase timer and the health layer the shard-imbalance
-	// observation feeds. Both nil — a branch each — without SetHealth.
+	// observation feeds. Both nil — a branch each — until SetHealth.
 	health  *obs.Health
 	tSample *obs.PhaseTimer
 }
@@ -59,15 +59,12 @@ func NewFleetTelemetry(clus *cluster.Cluster, cm *cloud.Manager, reg *obs.Regist
 	ft.sActive = sr.Series("fleet_active_servers")
 	ft.sVMs = sr.Series("fleet_vms")
 	ft.syncZones()
-	ft.SetHealth(healthRef())
 	return ft
 }
 
 // SetHealth attaches (or with nil detaches) the self-profiling layer:
 // Sample gets a wall-clock phase timer and feeds the layer's shard
-// load-imbalance observation. NewFleetTelemetry wires the process-wide
-// layer (SetHealth global) automatically; daemons with their own layer
-// call this explicitly.
+// load-imbalance observation.
 func (ft *FleetTelemetry) SetHealth(h *obs.Health) {
 	ft.health = h
 	ft.tSample = h.Timer("experiments.telemetry")

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"perfcloud/internal/cloud"
@@ -49,17 +48,17 @@ type TestbedConfig struct {
 	// frameworks: jobs, stages, tasks and attempts are recorded as spans
 	// with per-phase time attribution.
 	Tracer *trace.Tracer
+
+	// reference builds the testbed on the reference cluster
+	// (cluster.NewReference), the oracle the equivalence tests compare
+	// against. Only tests and Options set it.
+	reference bool
 }
 
-// reference makes every experiment build reference clusters
-// (cluster.NewReference), the oracle the equivalence tests compare whole
-// figures against. Only tests set it.
-var reference atomic.Bool
-
-// newCluster returns the cluster an experiment runs on: the optimised
-// one, or the reference oracle while a test has selected it.
-func newCluster() *cluster.Cluster {
-	if reference.Load() {
+// newCluster returns an optimised cluster, or the reference oracle when
+// reference is set.
+func newCluster(reference bool) *cluster.Cluster {
+	if reference {
 		return cluster.NewReference()
 	}
 	return cluster.New()
@@ -113,7 +112,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	}
 	tb := &Testbed{Cfg: cfg, Benchmarks: make(map[string]*workloads.Benchmark), Truth: obs.NewGroundTruth()}
 	tb.Eng = sim.NewEngine(cfg.Tick, cfg.Seed)
-	tb.Clus = newCluster()
+	tb.Clus = newCluster(cfg.reference)
 	tb.CM = cloud.NewManager(tb.Clus, tb.Eng.RNG())
 	if cfg.ServerConfig != nil {
 		tb.CM.SetDefaultServerConfig(*cfg.ServerConfig)
@@ -169,21 +168,9 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	tb.Eng.RegisterPriority(tb.Driver, -1)
 	tb.Eng.RegisterPriority(tb.Clus, 0)
 	tb.Eng.RegisterPriority(tb.Dolly, 1)
-	if h := healthRef(); h != nil {
-		// Engine self-profiling (wall-clock, never in sim outputs): the
-		// cluster's phase timers attach here; the node managers pick the
-		// layer up through their config unless one was set explicitly.
-		tb.Clus.SetHealth(h)
-		if cfg.PerfCloud != nil && cfg.PerfCloud.Health == nil {
-			pc := *cfg.PerfCloud
-			pc.Health = h
-			cfg.PerfCloud = &pc
-		}
-	}
 	if cfg.PerfCloud != nil {
 		tb.Sys = core.Attach(tb.Eng, tb.Clus, tb.CM, *cfg.PerfCloud)
 	}
-	trackCluster(tb.Clus)
 	if cfg.Tracer != nil {
 		tb.AttachTracer(cfg.Tracer)
 	}

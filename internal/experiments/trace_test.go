@@ -31,11 +31,11 @@ func traceTestMix() LargeScaleConfig {
 // and on and requires bit-for-bit identical JCTs and efficiency: the
 // tracer must be a pure observer of the simulation.
 func TestTracingDoesNotChangeJCTs(t *testing.T) {
+	t.Parallel()
 	cfg := traceTestMix()
 	off := runMix(cfg, SchemePerfCloud(), true)
 
-	SetTraceDir(t.TempDir())
-	defer SetTraceDir("")
+	cfg.Options.TraceDir = t.TempDir()
 	on := runMix(cfg, SchemePerfCloud(), true)
 
 	if len(off.JCTs) != len(on.JCTs) {
