@@ -1,5 +1,5 @@
 # Tier-1 verification (ROADMAP.md): build + full test suite.
-.PHONY: all build test check race loc bench bench-suite bench-compare bench-scale bench-tax fuzz-smoke
+.PHONY: all build test check race loc golden bench bench-suite bench-compare bench-scale bench-tax fuzz-smoke
 
 all: check
 
@@ -41,6 +41,27 @@ loc:
 		blk && /^\t[A-Za-z]/ { n += names(substr($$0, 2)); next } \
 		/^var [A-Za-z]/ { n += names(substr($$0, 5)) } \
 		END { print n + 0 }'
+
+# golden checks the committed output digests from the command line, the
+# same bytes the TestGoldenOutputs tests of cmd/perfcloudd and cmd/psim
+# and TestObservedFig11Golden check in process: perfcloudd's Perfetto
+# JSON and audit log, psim's stdout, Perfetto JSON and alert JSONL (seeds
+# 42 and 7), and the stdout and traces of an observed -quick Fig 11 run.
+# Each command runs in its own directory under .golden/.
+GOLDEN = .golden
+golden:
+	rm -rf $(GOLDEN)
+	mkdir -p $(GOLDEN)/perfcloudd $(GOLDEN)/psim $(GOLDEN)/experiments
+	go build -o $(GOLDEN)/bin/ ./cmd/perfcloudd ./cmd/psim ./cmd/perfbench
+	cd $(GOLDEN)/perfcloudd && for seed in 42 7; do \
+		../bin/perfcloudd -seed $$seed -alerts -trace seed$$seed.trace.json -events seed$$seed.events.jsonl > /dev/null || exit 1; \
+	done && sha256sum -c ../../cmd/perfcloudd/testdata/golden.sha256
+	cd $(GOLDEN)/psim && for seed in 42 7; do \
+		../bin/psim -seed $$seed -scorecard -phase-report -trace seed$$seed.trace.json \
+			-alerts-jsonl seed$$seed.alerts.jsonl > seed$$seed.stdout || exit 1; \
+	done && sha256sum -c ../../cmd/psim/testdata/golden.sha256
+	cd $(GOLDEN)/experiments && ../bin/perfbench -fig 11 -quick -scorecard -alerts -tracedir traces > fig11.stdout \
+		&& sha256sum -c ../../internal/experiments/testdata/observed.sha256
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

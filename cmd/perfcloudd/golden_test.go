@@ -22,14 +22,15 @@ import (
 // log to events and the Perfetto export to trace, as main would.
 func observedRun(seed int64, events, trace io.Writer) error {
 	cfg := runConfig{Duration: 3 * time.Minute, Seed: seed, Log: io.Discard}
-	o := wireObservers(&cfg, observerOpts{Events: events, Trace: true, Alerts: true, HTTP: true})
-	if err := run(cfg); err != nil {
+	jsonl, _ := wireObservers(&cfg, options{alerts: true, httpAddr: ":0", tracePath: "trace.json"}, events)
+	ob, err := run(cfg)
+	if err != nil {
 		return err
 	}
-	if err := o.jsonl.Flush(); err != nil {
+	if err := jsonl.Flush(); err != nil {
 		return err
 	}
-	return cfg.Tracer.WritePerfetto(trace, o.col.Events())
+	return ob.WriteTrace(trace)
 }
 
 // TestGoldenOutputs pins the SHA-256 of the Perfetto JSON and the JSONL
@@ -112,7 +113,7 @@ func BenchmarkRun(b *testing.B) {
 	b.Run("observers=off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := run(runConfig{Duration: 3 * time.Minute, Seed: 42, Log: io.Discard}); err != nil {
+			if _, err := run(runConfig{Duration: 3 * time.Minute, Seed: 42, Log: io.Discard}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,19 +12,19 @@ import (
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
 	"perfcloud/internal/sim"
-	tracing "perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
 
-// runConfig parameterises one perfcloudd run. Metrics and Events are
-// the optional observability hooks (nil = off); Log receives the human
-// console lines.
+// runConfig parameterises one perfcloudd run. Metrics is an optional
+// observability hook (nil = off); Log receives the human console lines.
 type runConfig struct {
 	Duration time.Duration
 	Seed     int64
 	Metrics  *obs.Registry
-	Events   obs.Sink
 	Log      io.Writer
+	// Observe selects the run's tracer, audit-event collector and alert
+	// engine; its Out receives the audit log (JSONL file, HTTP ring).
+	Observe experiments.Observe
 	// Series, when non-nil, receives the daemon's time series: per-
 	// interval deviation signals and the throttle footprint, stamped
 	// with exact simulation timestamps (the /debug/series endpoint
@@ -34,17 +34,10 @@ type runConfig struct {
 	// with the cluster's cumulative fast-path snapshot — the hook the
 	// /debug/fastpaths endpoint reads through.
 	OnInterval func(obs.FastPathSnapshot)
-	// OnScore, when non-nil, makes the run retain its own audit-event
-	// collector and grade the cap decisions against the testbed's
-	// ground-truth antagonist registry when the run ends.
+	// OnScore, when non-nil, selects the scorecard and receives it when
+	// the run ends: the cap decisions graded against the testbed's
+	// ground-truth antagonist registry.
 	OnScore func(obs.Scorecard)
-	// Tracer, when non-nil, records job/task/attempt spans with phase
-	// attribution for the whole run (-trace exports them as Perfetto).
-	Tracer *tracing.Tracer
-	// AlertRules, when non-empty, deploys the deterministic alert engine:
-	// rules are evaluated on sim time against the run's audit stream and
-	// every lifecycle transition is emitted into Events as an EventAlert.
-	AlertRules []obs.Rule
 	// OnAlerts, when non-nil, is called after every control interval with
 	// the rules' live statuses and running summary — the hook the
 	// /debug/alerts endpoint reads through.
@@ -56,52 +49,38 @@ type runConfig struct {
 	Health *obs.Health
 }
 
-// run executes the canonical perfcloudd scenario: one server hosting a
-// six-VM high-priority Hadoop cluster running back-to-back terasort,
-// plus a bursty fio-randread antagonist and two decoys, managed by the
-// PerfCloud agent. The whole loop is sequential, so with a given Seed
-// the emitted event stream is byte-identical across runs (asserted by
-// TestSameSeedRunsProduceIdenticalEventStreams).
-func run(cfg runConfig) error {
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
-	// Scoring needs the full event stream regardless of what the caller
-	// wired, so it keeps a private collector alongside cfg.Events.
-	var col *obs.Collector
-	events := cfg.Events
-	if cfg.OnScore != nil {
-		col = obs.NewCollector()
-		if events != nil {
-			events = obs.MultiSink{events, col}
-		} else {
-			events = col
-		}
-	}
-	ctl := experiments.ControllerConfig()
-	ctl.Metrics = cfg.Metrics
-	ctl.Events = events
-	ctl.Health = cfg.Health
-	var alertEng *obs.AlertEngine
-	if len(cfg.AlertRules) > 0 {
-		// The engine emits into the same composite sink the managers use
-		// (JSONL file, ring, collector); core.Attach wires it to consume
-		// the managers' audit stream and ticks it on sim time.
-		alertEng = obs.NewAlertEngine(cfg.AlertRules, events)
-		ctl.Alerts = alertEng
-	}
-	tb := experiments.NewTestbed(experiments.TestbedConfig{
-		Seed:      cfg.Seed,
-		PerfCloud: ctl,
-		Tracer:    cfg.Tracer,
-	})
-	defer tb.Close()
-	alertEng.SetGroundTruth(tb.Truth)
+// scenario builds the canonical perfcloudd testbed: one server hosting a
+// six-VM high-priority Hadoop cluster, plus a bursty fio-randread
+// antagonist and two decoys.
+func scenario(cfg experiments.TestbedConfig) *experiments.Testbed {
+	tb := experiments.NewTestbed(cfg)
 	tb.MustInput("input", 640<<20)
 	tb.AddAntagonist(0, workloads.NewFioRandRead(
 		workloads.BurstPattern{StartOffset: 10 * time.Second, On: 20 * time.Second, Off: 10 * time.Second}))
 	tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
 	tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
+	return tb
+}
+
+// run executes the canonical perfcloudd scenario, back-to-back terasort
+// jobs managed by the PerfCloud agent, and returns the observers it
+// attached for the caller to export. The whole loop is sequential, so
+// with a given Seed the emitted event stream is byte-identical across
+// runs (asserted by TestSameSeedRunsProduceIdenticalEventStreams).
+func run(cfg runConfig) (experiments.Observers, error) {
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
+	ctl := experiments.ControllerConfig()
+	ctl.Metrics = cfg.Metrics
+	ctl.Health = cfg.Health
+	tcfg := experiments.TestbedConfig{Seed: cfg.Seed, PerfCloud: ctl}
+	cfg.Observe.Scorecard = cfg.Observe.Scorecard || cfg.OnScore != nil
+	ob := cfg.Observe.Attach(&tcfg)
+	events, alertEng := ctl.Events, ob.Alerts
+	tb := scenario(tcfg)
+	defer tb.Close()
+	ob.Bind(tb)
 
 	fmt.Fprintln(cfg.Log, "perfcloudd: node manager online (server-0), monitoring interval 5s")
 	fmt.Fprintln(cfg.Log, "perfcloudd: high-priority app 'hadoop' (6 VMs); low-priority: fio-randread, sysbench-oltp, sysbench-cpu")
@@ -203,7 +182,7 @@ func run(cfg runConfig) error {
 		return nil
 	}
 	if err := submit(); err != nil {
-		return err
+		return ob, err
 	}
 
 	logged := 0
@@ -229,7 +208,7 @@ func run(cfg runConfig) error {
 		if doneFn() {
 			fmt.Fprintf(cfg.Log, "[%7.1fs] hadoop: terasort finished, resubmitting\n", now)
 			if err := submit(); err != nil {
-				return err
+				return ob, err
 			}
 		}
 		if now >= nextObserve {
@@ -252,11 +231,9 @@ func run(cfg runConfig) error {
 		}
 	}
 	if cfg.OnScore != nil {
-		sc := obs.Score(col.Events(), tb.Truth, tb.Eng.Clock().Seconds())
-		sc.Scheme = "perfcloud"
-		cfg.OnScore(sc)
+		cfg.OnScore(ob.Score(tb, "perfcloud"))
 	}
-	return nil
+	return ob, nil
 }
 
 // logEntry prints one control interval the way the daemon's journal

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"perfcloud/internal/experiments"
 	"perfcloud/internal/obs"
 )
 
@@ -22,7 +23,9 @@ func runStream(t *testing.T, seed int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	if err := run(runConfig{Duration: 3 * time.Minute, Seed: seed, Events: sink, Log: io.Discard}); err != nil {
+	cfg := runConfig{Duration: 3 * time.Minute, Seed: seed, Log: io.Discard}
+	cfg.Observe.Out = sink
+	if _, err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
@@ -90,13 +93,16 @@ func fixtureServer(t *testing.T) *daemonServer {
 		sr := obs.NewSeriesRegistry(0)
 		srv := newDaemonServer(reg, obs.NewRing(4096), sr)
 		srv.health = obs.NewHealth(reg)
-		daemonFixture.err = run(runConfig{
+		_, daemonFixture.err = run(runConfig{
 			Duration: 3 * time.Minute, Seed: 42,
-			Metrics: reg, Events: srv.ring, Series: sr,
+			Metrics: reg, Series: sr,
+			Observe: experiments.Observe{
+				Rules: obs.DefaultRules(obs.DefaultRulesConfig{}),
+				Out:   srv.ring,
+			},
 			OnInterval: srv.setFastPaths,
 			OnScore:    srv.setScore,
 			OnAlerts:   srv.setAlerts,
-			AlertRules: obs.DefaultRules(obs.DefaultRulesConfig{}),
 			Health:     srv.health,
 		})
 		daemonFixture.srv = srv
@@ -380,9 +386,9 @@ func TestSameSeedRunsProduceIdenticalAlertStreams(t *testing.T) {
 	alertLines := func() []string {
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
-		err := run(runConfig{
-			Duration: 3 * time.Minute, Seed: 7, Events: sink, Log: io.Discard,
-			AlertRules: obs.DefaultRules(obs.DefaultRulesConfig{}),
+		_, err := run(runConfig{
+			Duration: 3 * time.Minute, Seed: 7, Log: io.Discard,
+			Observe: experiments.Observe{Rules: obs.DefaultRules(obs.DefaultRulesConfig{}), Out: sink},
 		})
 		if err != nil {
 			t.Fatal(err)

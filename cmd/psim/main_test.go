@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
-
-	"perfcloud/internal/trace"
 )
 
 // TestValidate checks that every setting psim cannot run is rejected
@@ -53,20 +54,71 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// failCloser is a trace file whose Close fails after the writes succeed.
-type failCloser struct{ bytes.Buffer }
-
-func (*failCloser) Close() error { return errors.New("close: disk quota exceeded") }
-
-// TestWriteTraceReportsCloseError checks that a failed close of the
-// -trace file is reported, not dropped after a clean write.
-func TestWriteTraceReportsCloseError(t *testing.T) {
-	var f failCloser
-	err := writeTrace(&f, trace.NewTracer(), nil)
-	if err == nil || !strings.Contains(err.Error(), "disk quota") {
-		t.Fatalf("writeTrace = %v, want the close error", err)
+// TestGoldenOutputs pins psim's stdout, Perfetto JSON and alert JSONL at
+// two seeds against testdata/golden.sha256. The file is in sha256sum
+// format, so in a scratch directory
+//
+//	psim -seed 42 -scorecard -phase-report -trace seed42.trace.json \
+//	     -alerts-jsonl seed42.alerts.jsonl > seed42.stdout
+//	sha256sum -c <repo>/cmd/psim/testdata/golden.sha256
+//
+// checks the same bytes from the command line (make golden).
+func TestGoldenOutputs(t *testing.T) {
+	want := readGolden(t, "testdata/golden.sha256")
+	// stdout names the trace file, so run where the relative names land.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.Len() == 0 {
-		t.Fatal("writeTrace did not write the trace before closing")
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	for _, seed := range []string{"42", "7"} {
+		o, err := parse(flag.NewFlagSet("psim", flag.ContinueOnError), []string{
+			"-seed", seed, "-scorecard", "-phase-report",
+			"-trace", "seed" + seed + ".trace.json", "-alerts-jsonl", "seed" + seed + ".alerts.jsonl",
+		})
+		if err == nil {
+			err = o.validate()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		if err := run(o, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("seed"+seed+".stdout", stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"stdout", "trace.json", "alerts.jsonl"} {
+			name = "seed" + seed + "." + name
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want[name] {
+				t.Errorf("%s: sha256 %s, want %s", name, got, want[name])
+			}
+		}
+	}
+}
+
+// readGolden parses a sha256sum file into name → hex digest.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[name] = sum
+	}
+	return out
 }

@@ -64,7 +64,7 @@ func ablationControlRun(seed int64, policy string, opts Options) AblationControl
 	// The ablation reports scorecards only: it writes no trace and
 	// evaluates no alert rules.
 	opts.TraceDir, opts.AlertRules = "", nil
-	tb, ro := opts.observedTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
+	tb, ob := opts.observedTestbed(TestbedConfig{Seed: seed, WorkersPerServer: fig9Workers, PerfCloud: pc})
 	defer tb.Close()
 	fio := workloads.NewFioRandRead(workloads.BurstPattern{
 		StartOffset: 15 * time.Second, On: 60 * time.Second, Off: 15 * time.Second})
@@ -93,7 +93,7 @@ func ablationControlRun(seed int64, policy string, opts Options) AblationControl
 		}
 	}
 	row.CapStdDev = stats.StdDev(caps)
-	_, row.Score, _ = ro.report(tb, "", policy, true)
+	_, row.Score, _ = opts.report(ob, tb, "", policy, true)
 	return row
 }
 

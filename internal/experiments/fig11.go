@@ -221,7 +221,7 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tb, ro := cfg.Options.observedTestbed(TestbedConfig{
+	tb, ob := cfg.Options.observedTestbed(TestbedConfig{
 		Seed:             cfg.Seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer, BlockBytes: mixBlockBytes,
@@ -286,7 +286,7 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 	if !withAntagonists {
 		name += "-baseline"
 	}
-	out.Phases, out.Score, out.Alerts = ro.report(tb, name, sch.Name, withAntagonists)
+	out.Phases, out.Score, out.Alerts = cfg.Options.report(ob, tb, name, sch.Name, withAntagonists)
 	return out
 }
 

@@ -165,7 +165,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 	if sch.PerfCloud {
 		pc = ControllerConfig()
 	}
-	tb, ro := cfg.Options.observedTestbed(TestbedConfig{
+	tb, ob := cfg.Options.observedTestbed(TestbedConfig{
 		Seed:             seed,
 		Servers:          cfg.Servers,
 		WorkersPerServer: cfg.WorkersPerServer,
@@ -215,7 +215,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		}
 		jct = g.JCT()
 	}
-	phases, score, alerts := ro.report(tb, traceName, sch.Name, antagonists)
+	phases, score, alerts := cfg.Options.report(ob, tb, traceName, sch.Name, antagonists)
 	return jct, phases, score, alerts
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"perfcloud/internal/obs"
@@ -78,83 +77,38 @@ func (o Options) newTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
-// runObservers are one run's observers, built by observedTestbed from
-// Options and read back by report once the run has finished.
-type runObservers struct {
-	opts   Options
-	tr     *trace.Tracer
-	col    *obs.Collector
-	alerts *obs.AlertEngine
-}
-
-// observedTestbed builds a run's testbed with the observers o asks for: a
-// span tracer when TraceDir is set and, when the testbed deploys
-// PerfCloud, an audit-event collector (which the trace, the scorecard and
-// the alert engine read) and an alert engine over AlertRules. With every
-// observer off it attaches nothing.
-func (o Options) observedTestbed(cfg TestbedConfig) (*Testbed, runObservers) {
-	ro := runObservers{opts: o}
-	if o.TraceDir != "" {
-		ro.tr = trace.NewTracer()
-		cfg.Tracer = ro.tr
-	}
-	if pc := cfg.PerfCloud; pc != nil {
-		if ro.tr != nil || o.Scorecards || len(o.AlertRules) > 0 {
-			ro.col = obs.NewCollector()
-			pc.Events = ro.col
-		}
-		if len(o.AlertRules) > 0 {
-			ro.alerts = obs.NewAlertEngine(o.AlertRules, ro.col)
-			pc.Alerts = ro.alerts
-		}
-	}
+// observedTestbed builds a run's testbed with the observers o selects:
+// TraceDir, Scorecards and AlertRules.
+func (o Options) observedTestbed(cfg TestbedConfig) (*Testbed, Observers) {
+	ob := Observe{Trace: o.TraceDir != "", Scorecard: o.Scorecards, Rules: o.AlertRules}.Attach(&cfg)
 	tb := o.newTestbed(cfg)
-	ro.alerts.SetGroundTruth(tb.Truth)
-	return tb, ro
+	ob.Bind(tb)
+	return tb, ob
 }
 
 // report ends a run's observation and returns what its observers saw: it
 // writes the trace as <TraceDir>/<name>.json and returns its phase
 // totals, grades the scorecard of a run with antagonists under the given
 // scheme label, and takes the alert summary. Each result is zero (or nil)
-// when its observer was off.
-func (ro runObservers) report(tb *Testbed, name, scheme string, antagonists bool) (trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
-	var events []obs.Event
-	if ro.col != nil {
-		events = ro.col.Events()
-	}
+// when its observer was off. Like the rest of the harness it panics when
+// the trace cannot be written: a bad output path is a setup bug.
+func (o Options) report(ob Observers, tb *Testbed, name, scheme string, antagonists bool) (trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
 	var phases trace.PhaseTotals
-	if ro.tr != nil {
-		phases = ro.tr.Totals()
-		writeRunTrace(filepath.Join(ro.opts.TraceDir, name+".json"), ro.tr, events)
+	if ob.Tracer != nil {
+		phases = ob.Tracer.Totals()
+		if err := ob.ExportTrace(filepath.Join(o.TraceDir, name+".json")); err != nil {
+			panic(fmt.Sprintf("experiments: write trace: %v", err))
+		}
 	}
 	var score *obs.Scorecard
-	if ro.opts.Scorecards && antagonists {
-		sc := obs.Score(events, tb.Truth, tb.Eng.Clock().Seconds())
-		sc.Scheme = scheme
+	if o.Scorecards && antagonists {
+		sc := ob.Score(tb, scheme)
 		score = &sc
 	}
 	var alerts *obs.AlertSummary
-	if ro.alerts != nil {
-		s := ro.alerts.Summary()
+	if ob.Alerts != nil {
+		s := ob.Alerts.Summary()
 		alerts = &s
 	}
 	return phases, score, alerts
-}
-
-// writeRunTrace exports one repetition's trace to path. Like the rest of
-// the experiment harness it panics on failure: a misconfigured output
-// path is a setup bug.
-func writeRunTrace(path string, tr *trace.Tracer, events []obs.Event) {
-	f, err := os.Create(path)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: create trace: %v", err))
-	}
-	if err := tr.WritePerfetto(f, events); err != nil {
-		f.Close()
-		panic(fmt.Sprintf("experiments: write trace: %v", err))
-	}
-	if err := f.Close(); err != nil {
-		panic(fmt.Sprintf("experiments: close trace: %v", err))
-	}
 }

@@ -172,7 +172,11 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		tb.Sys = core.Attach(tb.Eng, tb.Clus, tb.CM, *cfg.PerfCloud)
 	}
 	if cfg.Tracer != nil {
-		tb.AttachTracer(cfg.Tracer)
+		for _, e := range tb.Pool {
+			e.SetTracer(cfg.Tracer)
+		}
+		tb.JT.SetTracer(cfg.Tracer)
+		tb.Driver.SetTracer(cfg.Tracer)
 	}
 	return tb
 }
@@ -239,17 +243,6 @@ func (tb *Testbed) syncPool(nowSec float64) {
 	for _, e := range tb.Pool {
 		e.SyncClock(nowSec)
 	}
-}
-
-// AttachTracer wires a span tracer into every executor and both
-// frameworks. Call before submitting work (NewTestbed does this when
-// TestbedConfig.Tracer is set).
-func (tb *Testbed) AttachTracer(tr *trace.Tracer) {
-	for _, e := range tb.Pool {
-		e.SetTracer(tr)
-	}
-	tb.JT.SetTracer(tr)
-	tb.Driver.SetTracer(tr)
 }
 
 // AddAntagonist boots a low-priority VM on the given server index and

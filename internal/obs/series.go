@@ -328,9 +328,6 @@ func MaxFold(old, new float64) float64 {
 	return old
 }
 
-// SumFold adds values — for rolling up additive quantities (counts).
-func SumFold(old, new float64) float64 { return old + new }
-
 // NewRollup creates a rollup writing into sr under the given series
 // name. locate maps a server id to its shard and zone keys; servers it
 // cannot place still fold into the cluster series. fold nil = MaxFold.
