@@ -47,12 +47,16 @@ loc:
 # and TestObservedFig11Golden check in process: perfcloudd's Perfetto
 # JSON and audit log, psim's stdout, Perfetto JSON and alert JSONL (seeds
 # 42 and 7), and the stdout and traces of an observed -quick Fig 11 run.
-# Each command runs in its own directory under .golden/.
+# It also checks perfbench -fig all's stdout at seed 42 and the stdout of
+# each example; planet_scale's two wall-clock figures ("built in …s",
+# "…s wall") are masked to X first. Each command runs in its own
+# directory under .golden/.
 GOLDEN = .golden
+EXAMPLES = antagonist_id interference_detection large_scale migration quickstart planet_scale
 golden:
 	rm -rf $(GOLDEN)
-	mkdir -p $(GOLDEN)/perfcloudd $(GOLDEN)/psim $(GOLDEN)/experiments
-	go build -o $(GOLDEN)/bin/ ./cmd/perfcloudd ./cmd/psim ./cmd/perfbench
+	mkdir -p $(GOLDEN)/perfcloudd $(GOLDEN)/psim $(GOLDEN)/experiments $(GOLDEN)/perfbench $(GOLDEN)/examples
+	go build -o $(GOLDEN)/bin/ ./cmd/perfcloudd ./cmd/psim ./cmd/perfbench $(addprefix ./examples/,$(EXAMPLES))
 	cd $(GOLDEN)/perfcloudd && for seed in 42 7; do \
 		../bin/perfcloudd -seed $$seed -alerts -trace seed$$seed.trace.json -events seed$$seed.events.jsonl > /dev/null || exit 1; \
 	done && sha256sum -c ../../cmd/perfcloudd/testdata/golden.sha256
@@ -62,6 +66,12 @@ golden:
 	done && sha256sum -c ../../cmd/psim/testdata/golden.sha256
 	cd $(GOLDEN)/experiments && ../bin/perfbench -fig 11 -quick -scorecard -alerts -tracedir traces > fig11.stdout \
 		&& sha256sum -c ../../internal/experiments/testdata/observed.sha256
+	cd $(GOLDEN)/perfbench && ../bin/perfbench -fig all -seed 42 > figall.stdout \
+		&& sha256sum -c ../../cmd/perfbench/testdata/golden.sha256
+	cd $(GOLDEN)/examples && for ex in $(EXAMPLES); do \
+		../bin/$$ex > $$ex.raw || exit 1; \
+		sed -E 's/built in [0-9.]+s/built in Xs/; s/[0-9.]+s wall/Xs wall/' $$ex.raw > $$ex.stdout; \
+	done && sha256sum -c ../../examples/testdata/golden.sha256
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

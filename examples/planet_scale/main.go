@@ -19,10 +19,12 @@
 //
 // Run with: go run ./examples/planet_scale
 //
-//	-servers N   fleet size            (default 10000)
-//	-vms N       total VMs to host     (default 1000000)
+//	-servers N   fleet size            (default 10000, at least 1)
+//	-vms N       total VMs to host     (default 1000000, not negative)
 //	-hot N       busy Hadoop servers   (default 16, at most -servers)
-//	-jobs N      terasort jobs to run  (default 2)
+//	-jobs N      terasort jobs to run  (default 2, at least 1)
+//
+// Any other value is a usage error and exits with status 2.
 package main
 
 import (
@@ -39,15 +41,37 @@ import (
 	"perfcloud/internal/obs"
 )
 
+// options holds the command-line flags.
+type options struct {
+	servers, vms, hot, jobs int
+	seed                    int64
+}
+
+// validate rejects flag values that describe no fleet or no run.
+func (o options) validate() error {
+	switch {
+	case o.servers < 1:
+		return fmt.Errorf("-servers must be at least 1, got %d", o.servers)
+	case o.vms < 0:
+		return fmt.Errorf("-vms must not be negative, got %d", o.vms)
+	case o.hot < 1 || o.hot > o.servers:
+		return fmt.Errorf("-hot must be between 1 and -servers (%d), got %d", o.servers, o.hot)
+	case o.jobs < 1:
+		return fmt.Errorf("-jobs must be at least 1, got %d", o.jobs)
+	}
+	return nil
+}
+
 func main() {
-	servers := flag.Int("servers", 10000, "total servers in the fleet")
-	vms := flag.Int("vms", 1000000, "total VMs hosted across the fleet")
-	hot := flag.Int("hot", 16, "servers running the Hadoop workers")
-	jobs := flag.Int("jobs", 2, "terasort jobs to run on the hot region")
-	seed := flag.Int64("seed", 42, "random seed")
+	var o options
+	flag.IntVar(&o.servers, "servers", 10000, "total servers in the fleet")
+	flag.IntVar(&o.vms, "vms", 1000000, "total VMs hosted across the fleet")
+	flag.IntVar(&o.hot, "hot", 16, "servers running the Hadoop workers")
+	flag.IntVar(&o.jobs, "jobs", 2, "terasort jobs to run on the hot region")
+	flag.Int64Var(&o.seed, "seed", 42, "random seed")
 	flag.Parse()
-	if *hot < 1 || *hot > *servers {
-		fmt.Fprintf(os.Stderr, "planet_scale: -hot must be between 1 and -servers (%d), got %d\n", *servers, *hot)
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "planet_scale:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -56,16 +80,16 @@ func main() {
 	// tracker — confined to the first -hot servers.
 	start := time.Now()
 	tb := experiments.NewTestbed(experiments.TestbedConfig{
-		Seed:             *seed,
-		Servers:          *hot,
+		Seed:             o.seed,
+		Servers:          o.hot,
 		WorkersPerServer: 8,
 	})
 	tb.MustInput("input", 640<<20)
 
 	// The rest of the planet: cold servers and idle tenant VMs, placed by
 	// the cloud manager's spread scheduler.
-	tb.CM.ProvisionServers(*servers - *hot)
-	for i := tb.Clus.NumVMs(); i < *vms; i++ {
+	tb.CM.ProvisionServers(o.servers - o.hot)
+	for i := tb.Clus.NumVMs(); i < o.vms; i++ {
 		if _, err := tb.CM.Boot(cloud.VMSpec{Name: fmt.Sprintf("tenant-%07d", i)}); err != nil {
 			panic(err)
 		}
@@ -85,14 +109,14 @@ func main() {
 
 	start = time.Now()
 	var jct float64
-	for j := 0; j < *jobs; j++ {
+	for j := 0; j < o.jobs; j++ {
 		job := tb.RunMR(mapreduce.Terasort("input", 10), time.Hour)
 		jct += job.JCT()
 		ft.Sample(tb.Eng.Clock().Seconds())
 	}
 	run := time.Since(start)
 	fmt.Printf("%d terasort jobs on the hot region: mean JCT %.1fs simulated, %.2fs wall\n",
-		*jobs, jct/float64(*jobs), run.Seconds())
+		o.jobs, jct/float64(o.jobs), run.Seconds())
 
 	fp := tb.Clus.FastPathStats()
 	fmt.Printf("active servers at the end: %d of %d (%d shards)\n",

@@ -15,9 +15,10 @@ import (
 const bootFleetVMs = 250000
 
 // BenchmarkBoot measures one spread-placement Boot into a 10,000-server
-// fleet: the duplicate check, the heap root lookup and its O(log n)
-// re-sift, and the VM's creation and registration in the cluster. Names
-// are built before the timer starts, so the figure excludes formatting.
+// fleet: the heap root lookup and its O(log n) re-sift, and the VM's
+// creation and registration in the cluster, whose registry insert is
+// also the duplicate-name check (one probe per boot). Names are built
+// before the timer starts, so the figure excludes formatting.
 func BenchmarkBoot(b *testing.B) {
 	const servers = 10000
 	names := make([]string, bootFleetVMs)

@@ -101,27 +101,31 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("cloud: VM spec needs a name")
 	}
-	if m.cluster.FindVM(spec.Name) != nil {
-		return nil, fmt.Errorf("cloud: VM %q already exists", spec.Name)
-	}
+	// The cluster's registry insert is the duplicate check; a taken name
+	// is looked up only on the placement error paths, where it still
+	// takes precedence.
 	m.syncIndex()
 	var srv *cluster.Server
+	var err error
 	switch {
 	case spec.ServerID != "":
-		srv = m.cluster.FindServer(spec.ServerID)
-		if srv == nil {
-			return nil, fmt.Errorf("cloud: no server %q", spec.ServerID)
+		if srv = m.cluster.FindServer(spec.ServerID); srv == nil {
+			err = fmt.Errorf("cloud: no server %q", spec.ServerID)
 		}
 	case spec.Zone != "":
-		srv = m.leastLoadedInZone(spec.Zone)
-		if srv == nil {
-			return nil, fmt.Errorf("cloud: no servers in zone %q", spec.Zone)
+		if srv = m.leastLoadedInZone(spec.Zone); srv == nil {
+			err = fmt.Errorf("cloud: no servers in zone %q", spec.Zone)
 		}
 	default:
-		srv = m.leastLoaded()
-		if srv == nil {
-			return nil, fmt.Errorf("cloud: no servers provisioned")
+		if srv = m.leastLoaded(); srv == nil {
+			err = fmt.Errorf("cloud: no servers provisioned")
 		}
+	}
+	if err != nil {
+		if m.cluster.FindVM(spec.Name) != nil {
+			return nil, errTaken(spec.Name)
+		}
+		return nil, err
 	}
 	vcpus := spec.VCPUs
 	if vcpus == 0 {
@@ -131,11 +135,17 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 	if mem == 0 {
 		mem = 8 << 30
 	}
-	vm := m.cluster.AddVM(srv, spec.Name, vcpus, mem, spec.Priority, spec.AppID)
+	vm, err := m.cluster.TryAddVM(srv, spec.Name, vcpus, mem, spec.Priority, spec.AppID)
+	if err != nil {
+		return nil, errTaken(spec.Name)
+	}
 	m.addPlaced(srv, vcpus)
 	m.syncedSeq = m.cluster.PlacementSeq()
 	return vm, nil
 }
+
+// errTaken is Boot's error for a VM name already in use.
+func errTaken(name string) error { return fmt.Errorf("cloud: VM %q already exists", name) }
 
 // Terminate removes a VM from the cloud. Unknown ids are a no-op, so
 // idempotent teardown in experiments is cheap.

@@ -2,6 +2,8 @@ package cloud
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,4 +200,55 @@ func mustBoot(t *testing.T, m *Manager, spec VMSpec) *cluster.VM {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// TestBootTakenNameKeepsPrecedence checks Boot's error precedence now
+// that the registry insert is its duplicate check: a taken name is
+// reported as "already exists" on every placement path, including an
+// unknown ServerID or zone, and the rejected boot leaves the cluster and
+// the placement index exactly as they were.
+func TestBootTakenNameKeepsPrecedence(t *testing.T) {
+	_, m := setup(t)
+	m.ProvisionServers(3)
+	mustBoot(t, m, VMSpec{Name: "x", ServerID: "server-1", VCPUs: 4})
+	type state struct {
+		vms     int
+		seq     uint64
+		heap    []loadKey
+		placed  []float64
+		srvVCPU float64
+	}
+	snap := func() state {
+		st := state{vms: m.cluster.NumVMs(), seq: m.cluster.PlacementSeq(), heap: append([]loadKey(nil), m.heap...)}
+		m.EachZone(func(z *Zone) {
+			st.placed = append(st.placed, z.PlacedVCPUs())
+			for _, r := range z.Racks() {
+				st.placed = append(st.placed, r.PlacedVCPUs())
+			}
+		})
+		st.srvVCPU, _ = m.PlacedVCPUs("server-1")
+		return st
+	}
+	before := snap()
+	for _, spec := range []VMSpec{
+		{Name: "x"},
+		{Name: "x", ServerID: "server-0"},
+		{Name: "x", ServerID: "nope"},
+		{Name: "x", Zone: "zone-0"},
+		{Name: "x", Zone: "nope"},
+	} {
+		_, err := m.Boot(spec)
+		if err == nil || !strings.Contains(err.Error(), `"x" already exists`) {
+			t.Errorf("Boot(%+v) error = %v, want already exists", spec, err)
+		}
+		if after := snap(); !reflect.DeepEqual(after, before) {
+			t.Errorf("Boot(%+v) changed the cluster or index:\nbefore %+v\nafter  %+v", spec, before, after)
+		}
+	}
+	if m.cluster.FindVM("x").Server().ID() != "server-1" {
+		t.Error("the rejected boots moved the existing VM")
+	}
+	if _, err := m.Boot(VMSpec{Name: "y", ServerID: "nope"}); err == nil || !strings.Contains(err.Error(), "no server") {
+		t.Errorf("free name on unknown server: error = %v, want no server", err)
+	}
 }

@@ -120,7 +120,10 @@ type DemandEpocher interface {
 //
 // The cgroup is embedded by value and named by the VM id, which it also
 // stores for the VM: a boot allocates one object, not two. VMs are only
-// ever handled by pointer, so the cgroup's lock is never copied.
+// ever handled by pointer, so the cgroup's lock is never copied. What only
+// the tick needs — the last grant, the demand-epoch view — lives in
+// vectors of the hosting server instead, so the million idle VMs of a
+// planet-scale fleet do not carry it.
 type VM struct {
 	vcpus    float64
 	memBytes float64
@@ -129,9 +132,6 @@ type VM struct {
 	cg       cgroup.Cgroup
 	server   *Server
 	workload Workload
-	epocher  DemandEpocher // workload's demand-epoch view; nil if unsupported
-
-	lastGrant Grant
 }
 
 // ID returns the VM's unique identifier.
@@ -163,30 +163,23 @@ func (v *VM) Workload() Workload { return v.workload }
 // SetWorkload attaches (or, with nil, detaches) the VM's workload.
 func (v *VM) SetWorkload(w Workload) {
 	v.workload = w
-	v.epocher, _ = w.(DemandEpocher)
 	v.server.MarkDirty()
-}
-
-// demandEpoch returns the VM's current demand epoch and whether the VM
-// supports epoch-based reuse at all. A workload-less VM demands nothing
-// until SetWorkload dirties the server, so it is trivially stable.
-func (v *VM) demandEpoch() (uint64, bool) {
-	if v.workload == nil {
-		return 0, true
-	}
-	if v.epocher == nil {
-		return 0, false
-	}
-	return v.epocher.DemandEpoch(), true
 }
 
 // Idle reports whether the VM has no runnable workload this tick.
 func (v *VM) Idle() bool { return v.workload == nil || v.workload.Done() }
 
-// LastGrant returns the resources delivered on the most recent tick,
-// used by tests and the trace recorder (PerfCloud itself never reads it —
-// it observes cgroup counters only).
-func (v *VM) LastGrant() Grant { return v.lastGrant }
+// LastGrant returns the resources delivered on the most recent tick (zero
+// once the VM is removed). Only tests read it — PerfCloud observes cgroup
+// counters only — so it looks the VM up in its server's grant vector
+// rather than keeping a copy per VM.
+func (v *VM) LastGrant() Grant {
+	i := slices.Index(v.server.vms, v)
+	if i < 0 {
+		return Grant{}
+	}
+	return v.server.grant(i)
+}
 
 // ServerConfig bundles the per-server resource model configurations.
 type ServerConfig struct {
@@ -253,23 +246,35 @@ type Server struct {
 	// attach, placement change, cap change) clears it via MarkDirty.
 	quiescent bool
 
-	// skipped counts grant-phase ticks elided while quiescent; skipIDs
-	// snapshots the VM ids present during those ticks (placement changes
-	// dirty the server, so the set is constant across a skipped stretch
-	// even if it changes before the server next processes a full tick).
-	skipped int
-	skipIDs []string
+	// skipped counts grant-phase ticks elided while quiescent; catchUp
+	// replays them over the VMs present through the stretch. Placement
+	// changes dirty the server and end the stretch, so that is the live VM
+	// list — unless a change lands before the replay, in which case
+	// freezeSkipSet first snapshots the stretch's VM ids into skipIDs and
+	// sets skipFrozen. Parking a server thus copies no ids at all.
+	skipped    int
+	skipIDs    []string
+	skipFrozen bool
+
+	// grants holds each VM's last grant, index-aligned with vms. It is
+	// sized at the server's first pipeline; while empty every grant is
+	// zero, so a server idle from birth never allocates it. Placement
+	// changes keep it aligned only once it is non-empty.
+	grants []Grant
 
 	// Steady-state demand reuse (DESIGN.md §5.1). After a fully rebuilt
-	// tick whose VMs all support DemandEpocher, epochs snapshots their
+	// tick whose VMs all support DemandEpocher, epochers captures each
+	// VM's epoch view (nil for a workload-less VM), epochs snapshots their
 	// demand epochs and steadyValid arms the fast path: while every epoch
 	// (and every cgroup throttle, and the tick length) is unchanged, the
 	// demand/request vectors below still describe the current tick, so
 	// the pipeline skips the Demand calls and vector rebuilds and goes
 	// straight to the (input-memoized) allocators. MarkDirty and
-	// placement changes disarm it.
+	// placement changes disarm it, and so does SetWorkload, so the captured
+	// epochers always describe the VMs' current workloads.
 	steadyValid  bool
 	lastTickSec  float64
+	epochers     []DemandEpocher
 	epochs       []uint64
 	throttleSeqs []uint64
 
@@ -434,7 +439,7 @@ func (s *Server) FindVM(id string) *VM {
 
 // grantPhase runs the server-local half of the resource pipeline for one
 // tick: collect demands, grant CPU/memory/disk, accumulate cgroup counters
-// and stamp each VM's lastGrant. It touches only state owned by this
+// and stamp each VM's last grant. It touches only state owned by this
 // server (its resource models, their per-server RNG streams, its VMs'
 // cgroups) plus each workload's Demand method. Workload.Advance — which
 // may mutate state shared across servers, such as a framework's task set —
@@ -472,10 +477,11 @@ func (s *Server) grantPhase(tickSec float64) {
 		for i, v := range s.vms {
 			mr := &s.memResults[i]
 			dg := &s.diskGrants[i]
-			v.lastGrant.Instructions = mr.Instructions
-			v.lastGrant.CPI = mr.CPI
-			v.lastGrant.IOWaitMs = dg.WaitMs
-			v.lastGrant.MemBytes = mr.MemBytes
+			g := &s.grants[i]
+			g.Instructions = mr.Instructions
+			g.CPI = mr.CPI
+			g.IOWaitMs = dg.WaitMs
+			g.MemBytes = mr.MemBytes
 			v.cg.AddTick(dg.Ops, dg.Bytes, dg.WaitMs, s.cpuGrants[i].Seconds,
 				mr.Cycles, mr.Instructions, mr.LLCRefs, mr.LLCMisses)
 		}
@@ -621,7 +627,10 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 	}
 	s.diskGrants = s.disk.AllocateInto(s.diskGrants[:0], tickSec, s.diskReqs)
 
-	// Account.
+	// Account. The first pipeline on the server sizes its grant vector.
+	if len(s.grants) != len(s.vms) {
+		s.grants = make([]Grant, len(s.vms))
+	}
 	for i, v := range s.vms {
 		g := Grant{
 			CPUSeconds:   s.cpuGrants[i].Seconds,
@@ -632,7 +641,7 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 			IOWaitMs:     s.diskGrants[i].WaitMs,
 			MemBytes:     s.memResults[i].MemBytes,
 		}
-		v.lastGrant = g
+		s.grants[i] = g
 		v.cg.AddTick(g.IOOps, g.IOBytes, g.IOWaitMs, g.CPUSeconds,
 			s.memResults[i].Cycles, s.memResults[i].Instructions,
 			s.memResults[i].LLCRefs, s.memResults[i].LLCMisses)
@@ -653,28 +662,41 @@ func (s *Server) steadyUsable(tickSec float64, n int) bool {
 		return false
 	}
 	for i, v := range s.vms {
-		ep, ok := v.demandEpoch()
-		if !ok || ep != s.epochs[i] || v.cg.ThrottleSeq() != s.throttleSeqs[i] {
+		var ep uint64
+		if e := s.epochers[i]; e != nil {
+			ep = e.DemandEpoch()
+		}
+		if ep != s.epochs[i] || v.cg.ThrottleSeq() != s.throttleSeqs[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// snapshotEpochs records the demand epochs and throttle sequences backing
-// the just-rebuilt request vectors. A VM whose workload does not report
-// epochs disarms reuse for the whole server — its demand could change
-// silently.
+// snapshotEpochs records the demand-epoch views, demand epochs and
+// throttle sequences backing the just-rebuilt request vectors. A
+// workload-less VM demands nothing until SetWorkload dirties the server,
+// so it is trivially stable (a nil view, epoch 0). A VM whose workload
+// does not report epochs disarms reuse for the whole server — its demand
+// could change silently.
 func (s *Server) snapshotEpochs(tickSec float64) {
 	s.lastTickSec = tickSec
-	s.epochs = slices.Grow(s.epochs[:0], len(s.vms))
-	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], len(s.vms))
+	n := len(s.vms)
+	s.epochers = slices.Grow(s.epochers[:0], n)
+	s.epochs = slices.Grow(s.epochs[:0], n)
+	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], n)
 	for _, v := range s.vms {
-		ep, ok := v.demandEpoch()
-		if !ok {
-			s.steadyValid = false
-			return
+		var e DemandEpocher
+		var ep uint64
+		if v.workload != nil {
+			var ok bool
+			if e, ok = v.workload.(DemandEpocher); !ok {
+				s.steadyValid = false
+				return
+			}
+			ep = e.DemandEpoch()
 		}
+		s.epochers = append(s.epochers, e)
 		s.epochs = append(s.epochs, ep)
 		s.throttleSeqs = append(s.throttleSeqs, v.cg.ThrottleSeq())
 	}
@@ -689,40 +711,55 @@ func (s *Server) snapshotEpochs(tickSec float64) {
 // draws — the caller counts the tick as the first skipped one, so catchUp
 // replays its draws, and the disk's keep-set GC with them, when the
 // server next runs the pipeline. A server idle from birth thus never
-// seeds its RNG streams or sizes its scratch buffers. Call it with no
-// skipped ticks pending; it snapshots skipIDs for the stretch it starts.
+// seeds its RNG streams or sizes its scratch buffers, and settling copies
+// no VM ids unless memsys has enough departed clients to collect. Call it
+// with no skipped ticks pending.
 func (s *Server) settleIdle() {
-	s.snapshotSkipIDs()
-	for _, v := range s.vms {
-		v.lastGrant = Grant{}
-	}
+	clear(s.grants)
 	s.cpu.SettleIdle()
-	s.mem.SettleIdle(s.skipIDs)
+	if s.mem.SettleIdle(len(s.vms)) {
+		s.mem.Retain(s.appendIDs(nil))
+	}
 	s.disk.SettleIdle()
 	s.quiescent = true
 	s.steadyValid = false
 }
 
-// snapshotSkipIDs records the VM ids present through a skipped stretch
-// that starts at this tick.
-func (s *Server) snapshotSkipIDs() {
-	s.skipIDs = s.skipIDs[:0]
+// appendIDs appends the id of every VM on the server, in placement order.
+func (s *Server) appendIDs(dst []string) []string {
 	for _, v := range s.vms {
-		s.skipIDs = append(s.skipIDs, v.ID())
+		dst = append(dst, v.ID())
 	}
+	return dst
+}
+
+// freezeSkipSet is called before every change to the server's VM list. If
+// skipped ticks may be pending — counted already, or accruing while the
+// server is parked — and no earlier change froze their VM set, it
+// snapshots that set for catchUp. It keys on skipped and active, not on
+// quiescent: MarkDirty clears quiescent without ending the stretch.
+func (s *Server) freezeSkipSet() {
+	if s.skipFrozen || (s.skipped == 0 && s.active) {
+		return
+	}
+	s.skipIDs = s.appendIDs(s.skipIDs[:0])
+	s.skipFrozen = true
 }
 
 // catchUp replays the random draws of any skipped idle ticks before a
 // full grant phase runs, so the disk's seeded stream sits exactly where
-// a non-skipping run would have left it. It uses the VM set snapshotted
-// when the skipped stretch began: placement changes dirty the server and
-// end the stretch, so the snapshot is the set present throughout it.
+// a non-skipping run would have left it. It replays them over the VM set
+// frozen by a placement change during the stretch, or else over the live
+// VM list, which then is the set present throughout it.
 func (s *Server) catchUp() {
-	if s.skipped == 0 {
-		return
+	if s.skipped > 0 {
+		if !s.skipFrozen {
+			s.skipIDs = s.appendIDs(s.skipIDs[:0])
+		}
+		s.disk.AdvanceIdle(s.skipped, s.skipIDs)
+		s.skipped = 0
 	}
-	s.disk.AdvanceIdle(s.skipped, s.skipIDs)
-	s.skipped = 0
+	s.skipFrozen = false
 }
 
 // advancePhase hands every VM its granted resources. Run sequentially in
@@ -734,18 +771,54 @@ func (s *Server) advancePhase(tickSec float64) {
 	if len(s.idleFlags) != len(s.vms) {
 		// No grant phase has classified this VM set yet (placement changed
 		// with ticks suppressed); fall back to asking each workload.
-		for _, v := range s.vms {
+		for i, v := range s.vms {
 			if !v.Idle() {
-				v.workload.Advance(tickSec, v.lastGrant)
+				v.workload.Advance(tickSec, s.grant(i))
 			}
 		}
 		return
 	}
 	for i, v := range s.vms {
 		if !s.idleFlags[i] {
-			v.workload.Advance(tickSec, v.lastGrant)
+			v.workload.Advance(tickSec, s.grant(i))
 		}
 	}
+}
+
+// grant returns the last grant of the i-th VM on the server.
+func (s *Server) grant(i int) Grant {
+	if len(s.grants) == 0 {
+		return Grant{}
+	}
+	return s.grants[i]
+}
+
+// attach appends v, with last grant g, to the server's VM list. The grant
+// vector is kept aligned once sized, and sized early only for a nonzero
+// grant a migrating VM brings along.
+func (s *Server) attach(v *VM, g Grant) {
+	s.freezeSkipSet()
+	if len(s.grants) == 0 && g != (Grant{}) {
+		s.grants = make([]Grant, len(s.vms), len(s.vms)+1)
+	}
+	s.vms = append(s.vms, v)
+	if len(s.grants) > 0 {
+		s.grants = append(s.grants, g)
+	}
+	s.bumpEpoch()
+}
+
+// detach removes v from the server's VM list and returns its last grant.
+func (s *Server) detach(v *VM) Grant {
+	s.freezeSkipSet()
+	i := slices.Index(s.vms, v)
+	g := s.grant(i)
+	s.vms = slices.Delete(s.vms, i, i+1)
+	if len(s.grants) > 0 {
+		s.grants = slices.Delete(s.grants, i, i+1)
+	}
+	s.bumpEpoch()
+	return g
 }
 
 // Cluster is the set of servers plus a VM registry. It implements
@@ -866,8 +939,19 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 	return s
 }
 
-// AddVM creates a VM on the given server.
+// AddVM creates a VM on the given server. It panics if the id is taken.
 func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) *VM {
+	v, err := c.TryAddVM(server, id, vcpus, memBytes, prio, appID)
+	if err != nil {
+		panic(err.Error())
+	}
+	return v
+}
+
+// TryAddVM creates a VM on the given server, or returns an error and
+// changes nothing if the id is taken. The registry insert is the
+// duplicate check, so a boot probes the registry once.
+func (c *Cluster) TryAddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) (*VM, error) {
 	v := &VM{
 		vcpus:    vcpus,
 		memBytes: memBytes,
@@ -877,12 +961,11 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 	}
 	v.cg.Init(id)
 	if !c.vmsByID.insert(v) {
-		panic(fmt.Sprintf("cluster: duplicate VM %q", id))
+		return nil, fmt.Errorf("cluster: duplicate VM %q", id)
 	}
-	server.vms = append(server.vms, v)
-	server.bumpEpoch()
+	server.attach(v, Grant{})
 	c.placeSeq++
-	return v
+	return v, nil
 }
 
 // MoveVM live-migrates a VM to another server, preserving the VM object
@@ -901,17 +984,10 @@ func (c *Cluster) MoveVM(vmID, serverID string) error {
 	if v.server == dst {
 		return nil
 	}
-	src := v.server
-	for i, u := range src.vms {
-		if u == v {
-			src.vms = append(src.vms[:i], src.vms[i+1:]...)
-			break
-		}
-	}
-	dst.vms = append(dst.vms, v)
+	// The VM carries its last grant along: with ticks suppressed, the
+	// advance phase's fallback hands it to the workload again.
+	dst.attach(v, v.server.detach(v))
 	v.server = dst
-	src.bumpEpoch()
-	dst.bumpEpoch()
 	c.placeSeq++
 	return nil
 }
@@ -924,14 +1000,7 @@ func (c *Cluster) RemoveVM(id string) {
 	if v == nil {
 		return
 	}
-	srv := v.server
-	for i, u := range srv.vms {
-		if u == v {
-			srv.vms = append(srv.vms[:i], srv.vms[i+1:]...)
-			break
-		}
-	}
-	srv.bumpEpoch()
+	v.server.detach(v)
 	c.placeSeq++
 }
 

@@ -10,7 +10,8 @@ import (
 // FuzzVMRegistry drives a cluster's VM registry through a random sequence
 // of adds, finds, moves and removes and checks it against a
 // map[string]*VM model after every step: the same VMs are found, missing
-// ids stay missing, duplicate adds panic, NumVMs agrees, and every
+// ids stay missing, a duplicate AddVM panics and a duplicate TryAddVM
+// fails without touching the placement, NumVMs agrees, and every
 // registered VM remains reachable — which backward-shift deletion must
 // preserve across the probe runs it compacts. Each op is two bytes
 // (opcode, id); ids come from a small pool so that adds collide,
@@ -31,6 +32,16 @@ func FuzzVMRegistry(f *testing.F) {
 			switch ops[k] % 4 {
 			case 0: // add
 				srv := servers[int(ops[k+1])%2]
+				if model[id] != nil && ops[k]&4 != 0 {
+					seq := c.PlacementSeq()
+					if v, err := c.TryAddVM(srv, id, 1, 1, HighPriority, ""); v != nil || err == nil {
+						t.Fatalf("op %d: duplicate TryAddVM of %s = %p, %v", k/2, id, v, err)
+					}
+					if c.PlacementSeq() != seq || model[id].Server().FindVM(id) != model[id] {
+						t.Fatalf("op %d: rejected TryAddVM of %s changed the placement", k/2, id)
+					}
+					continue
+				}
 				if model[id] != nil {
 					func() {
 						defer func() {

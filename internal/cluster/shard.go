@@ -177,8 +177,8 @@ func (c *Cluster) eachActive(fn func(*Server)) {
 // wake returns a server to the active set. completed is the number of
 // fully processed cluster ticks the server did not participate in since
 // deactivating; the difference to its deactivation tick is exactly the
-// elided grant phases, credited to the skipped/skipIDs state that catchUp
-// replays on the server's next grant phase.
+// elided grant phases, credited to the skipped count that catchUp replays
+// on the server's next grant phase.
 func (c *Cluster) wake(s *Server, completed uint64) {
 	if n := completed - s.skipFrom; n > 0 {
 		s.skipped += int(n)
@@ -197,16 +197,15 @@ func (c *Cluster) wake(s *Server, completed uint64) {
 }
 
 // deactivate removes a freshly quiescent server from the active set at
-// the end of the advance sweep: snapshot the VM ids present through the
-// upcoming skipped stretch (placement changes wake the server, so the
-// set is constant across it), record the deactivation tick, and pull the
-// server's counters into its shard so stats reads need not visit it.
+// the end of the advance sweep: record the deactivation tick and pull the
+// server's counters into its shard so stats reads need not visit it. The
+// VM set of the upcoming skipped stretch is not copied; a placement change
+// during the stretch freezes it first (Server.freezeSkipSet).
 func (c *Cluster) deactivate(s *Server) {
 	s.active = false
 	c.inactive++
 	c.activeBits[s.index>>6] &^= 1 << uint(s.index&63)
 	s.skipFrom = c.ticks
-	s.snapshotSkipIDs()
 	sh := &c.shards[c.shardIndex(s.index)]
 	sh.active--
 	sh.inactive++

@@ -203,18 +203,25 @@ func (s *System) Pressure() float64 { return s.lastPressure }
 // perturbing determinism.
 func (s *System) Quiescent() bool { return s.lastQuiescent }
 
-// SettleIdle records an all-idle tick for the given (distinct) client ids
-// without building a request vector: it leaves the system exactly as a
-// quiescent Compute would — quiescent, zero pressure, jitter state of
-// departed clients collected — except that the input memo is dropped
-// rather than primed (a memo only saves work, so dropping it cannot
-// change a result). Like a quiescent Compute it draws nothing.
-func (s *System) SettleIdle(clientIDs []string) {
+// SettleIdle records an all-idle tick for n distinct clients without
+// building a request vector: it leaves the system as a quiescent Compute
+// would — quiescent, zero pressure — except that the input memo is
+// dropped rather than primed (a memo only saves work, so dropping it
+// cannot change a result). Like a quiescent Compute it draws nothing.
+// What a quiescent Compute also does is collect the jitter state of
+// departed clients; SettleIdle reports whether there are enough of them
+// for that to happen, and the caller then passes the present client ids
+// to Retain. Otherwise the ids are not needed at all.
+func (s *System) SettleIdle(n int) (collect bool) {
 	s.lastQuiescent = true
 	s.lastPressure = 0
 	s.memoValid = false
-	s.jitter.Retain(clientIDs)
+	return s.jitter.WouldCompact(n)
 }
+
+// Retain collects the jitter state of every client not among the given
+// (distinct) ids; see SettleIdle.
+func (s *System) Retain(clientIDs []string) { s.jitter.Retain(clientIDs) }
 
 // Compute resolves one tick of shared-cache and bandwidth behaviour.
 // Results are returned in request order.

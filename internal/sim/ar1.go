@@ -151,7 +151,7 @@ func (a *AR1) GC(keep map[string]bool) {
 // only when GC would compact, so retaining the clients already tracked —
 // the common case — costs one comparison and no allocation.
 func (a *AR1) Retain(ids []string) {
-	if len(a.idx) <= 4*len(ids)+16 {
+	if !a.WouldCompact(len(ids)) {
 		return
 	}
 	keep := make(map[string]bool, len(ids))
@@ -160,6 +160,11 @@ func (a *AR1) Retain(ids []string) {
 	}
 	a.GC(keep)
 }
+
+// WouldCompact reports whether Retain with n distinct ids would compact
+// the tracked set: whether it holds more than 4n+16 clients. Callers use
+// it to skip building the id list when Retain would ignore it.
+func (a *AR1) WouldCompact(n int) bool { return len(a.idx) > 4*n+16 }
 
 // Len reports the number of tracked clients (for tests).
 func (a *AR1) Len() int { return len(a.idx) }
