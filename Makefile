@@ -139,3 +139,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzFloatFormat$$' -fuzztime=10s ./internal/trace
 	go test -run='^$$' -fuzz='^FuzzPickReplicas$$' -fuzztime=10s ./internal/dfs
 	go test -run='^$$' -fuzz='^FuzzVMRegistry$$' -fuzztime=10s ./internal/cluster
+	go test -run='^$$' -fuzz='^FuzzClusterMatchesReference$$' -fuzztime=10s ./internal/cluster

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -146,12 +147,17 @@ func (s *daemonServer) serveFastPaths(w http.ResponseWriter, _ *http.Request) {
 
 // serveSeries renders the daemon's time series. ?since=<simSeconds>
 // returns only points strictly after that simulation time (delta
-// scrape); ?max=N downsamples each series to at most N points.
+// scrape); ?max=N downsamples each series to at most N points (0, like
+// no max, keeps every point). A since that is not a finite number or a
+// negative max is rejected with 400.
 func (s *daemonServer) serveSeries(w http.ResponseWriter, r *http.Request) {
 	var since float64
 	var max int
 	if v := r.URL.Query().Get("since"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
+		if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			err = fmt.Errorf("%q is not a finite time", v)
+		}
 		if err != nil {
 			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
 			return
@@ -160,6 +166,9 @@ func (s *daemonServer) serveSeries(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := r.URL.Query().Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
+		if err == nil && n < 0 {
+			err = fmt.Errorf("%d is negative", n)
+		}
 		if err != nil {
 			http.Error(w, "bad max: "+err.Error(), http.StatusBadRequest)
 			return

@@ -495,3 +495,37 @@ func TestSeriesEndpoint(t *testing.T) {
 		t.Fatalf("bad since: status %d, want 400", status)
 	}
 }
+
+// TestSeriesQueryValidation pins which /debug/series queries are served:
+// a since that is not a finite number and a max that is not a
+// non-negative integer get 400 instead of silently widening the scrape;
+// max=0, like no max, keeps every point.
+func TestSeriesQueryValidation(t *testing.T) {
+	full := mustGet(t, "/debug/series")
+	for _, tc := range []struct {
+		query  string
+		status int
+	}{
+		{"since=nope", 400},
+		{"since=NaN", 400},
+		{"since=Inf", 400},
+		{"since=%2BInf", 400},
+		{"since=-Inf", 400},
+		{"max=-3", 400},
+		{"max=2.5", 400},
+		{"since=-1", 200},
+		{"since=0", 200},
+		{"since=1e9", 200},
+		{"max=0", 200},
+		{"max=5", 200},
+		{"since=30&max=3", 200},
+	} {
+		status, body, _ := get(t, "/debug/series?"+tc.query)
+		if status != tc.status {
+			t.Errorf("?%s: status %d, want %d (%s)", tc.query, status, tc.status, body)
+		}
+		if tc.query == "max=0" && !bytes.Equal(body, full) {
+			t.Errorf("?max=0 changed the scrape")
+		}
+	}
+}

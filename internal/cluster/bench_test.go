@@ -57,8 +57,8 @@ func activeCluster(eng *sim.Engine, cl *Cluster) {
 }
 
 // BenchmarkActiveServerTick measures the steady-state cost of ticking
-// busy servers on the optimised path, with demand reuse, the fused steady
-// tick and the allocator memos. Compare against
+// busy servers on the optimised path, with the steady-tick replay and the
+// allocator memos. Compare against
 // BenchmarkActiveServerTickNoReuse for the win.
 func BenchmarkActiveServerTick(b *testing.B) {
 	benchActiveTick(b, New())
@@ -70,7 +70,7 @@ func BenchmarkActiveServerTickNoReuse(b *testing.B) {
 	benchActiveTick(b, NewReference())
 }
 
-// churnBench bumps its demand epoch on every grant — demand reuse never
+// churnBench bumps its demand epoch on every grant — the steady replay never
 // applies, so every tick of its server is a full rebuild.
 type churnBench struct {
 	demand Demand
@@ -85,7 +85,7 @@ func (w *churnBench) DemandEpoch() uint64              { return w.epoch }
 
 // BenchmarkStrideAdvance measures Cluster.Stride over a mixed cluster —
 // the shape event-driven stepping actually sees mid-experiment: some
-// servers all-idle (quiescence skip), some steady (fused replay), some
+// servers all-idle (quiescence skip), some steady (steady replay), some
 // churning demand every tick (full rebuild). One op is a 16-tick stride.
 func BenchmarkStrideAdvance(b *testing.B) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)

@@ -98,19 +98,15 @@ type Workload interface {
 	// cap setters and placement changes do). Implementations that can
 	// re-arm a finished workload must dirty the server themselves.
 	Done() bool
-}
-
-// DemandEpocher is optionally implemented by Workloads whose demand is
-// piecewise constant between discrete events — the fluid-model norm.
-// DemandEpoch returns a counter that must advance before any call on
-// which a subsequent Demand or Done result could differ from the last
-// tick's (for the same tick length); while every VM on a server reports
-// an unchanged epoch, the server reuses last tick's demand and request
-// vectors instead of rebuilding them (DESIGN.md §5.1). Implementations
-// must also keep Demand free of side effects, since reused ticks skip
-// the call entirely. Workloads that do not implement the interface opt
-// their server out of reuse; correctness is unaffected.
-type DemandEpocher interface {
+	// DemandEpoch returns a counter that must advance before any call on
+	// which a subsequent Demand or Done result could differ from the last
+	// tick's (for the same tick length). Demand is piecewise constant
+	// between discrete events — the fluid-model norm — so while every VM
+	// on a server reports an unchanged epoch, the server replays last
+	// tick's allocation instead of rebuilding it (DESIGN.md §5.1), and
+	// Demand must be free of side effects, since replayed ticks skip the
+	// call entirely. A workload that cannot bound its changes returns a
+	// fresh value on every call, which makes its server rebuild every tick.
 	DemandEpoch() uint64
 }
 
@@ -121,7 +117,7 @@ type DemandEpocher interface {
 // The cgroup is embedded by value and named by the VM id, which it also
 // stores for the VM: a boot allocates one object, not two. VMs are only
 // ever handled by pointer, so the cgroup's lock is never copied. What only
-// the tick needs — the last grant, the demand-epoch view — lives in
+// the tick needs — the last grant, the demand-epoch snapshot — lives in
 // vectors of the hosting server instead, so the million idle VMs of a
 // planet-scale fleet do not carry it.
 type VM struct {
@@ -168,6 +164,15 @@ func (v *VM) SetWorkload(w Workload) {
 
 // Idle reports whether the VM has no runnable workload this tick.
 func (v *VM) Idle() bool { return v.workload == nil || v.workload.Done() }
+
+// demandEpoch returns the workload's demand epoch, or 0 for a VM without
+// one: it demands nothing until SetWorkload dirties the server.
+func (v *VM) demandEpoch() uint64 {
+	if v.workload == nil {
+		return 0
+	}
+	return v.workload.DemandEpoch()
+}
 
 // LastGrant returns the resources delivered on the most recent tick (zero
 // once the VM is removed). Only tests read it — PerfCloud observes cgroup
@@ -262,41 +267,33 @@ type Server struct {
 	// changes keep it aligned only once it is non-empty.
 	grants []Grant
 
-	// Steady-state demand reuse (DESIGN.md §5.1). After a fully rebuilt
-	// tick whose VMs all support DemandEpocher, epochers captures each
-	// VM's epoch view (nil for a workload-less VM), epochs snapshots their
-	// demand epochs and steadyValid arms the fast path: while every epoch
-	// (and every cgroup throttle, and the tick length) is unchanged, the
-	// demand/request vectors below still describe the current tick, so
-	// the pipeline skips the Demand calls and vector rebuilds and goes
-	// straight to the (input-memoized) allocators. MarkDirty and
-	// placement changes disarm it, and so does SetWorkload, so the captured
-	// epochers always describe the VMs' current workloads.
+	// Steady-tick replay (DESIGN.md §5.1). After every rebuilt tick,
+	// epochs snapshots each VM's demand epoch, throttleSeqs its cgroup's
+	// throttle sequence, and steadyValid arms the replay: while every
+	// epoch, every throttle and the tick length are unchanged, the request
+	// vectors below still describe the current tick. steadyValid holds an
+	// invariant the replay relies on: while it is set, every allocator's
+	// memo is valid for those vectors at lastTickSec, and the grant and
+	// result buffers hold the memo's values. A rebuilt tick leaves each
+	// memo saved or re-hit at its tick length, and a replay leaves it
+	// untouched; memos are dropped only by settleIdle, which disarms the
+	// server, and by the reference tick's InvalidateMemo. MarkDirty and
+	// placement changes disarm it too, and so does SetWorkload.
 	steadyValid  bool
 	lastTickSec  float64
-	epochers     []DemandEpocher
 	epochs       []uint64
 	throttleSeqs []uint64
 
-	// fused arms the fused steady tick: set after a non-idle grant phase
-	// leaves every allocator's input memo primed for the unchanged request
-	// vectors, so the next steady tick can skip the idle scan, the memo
-	// equality re-checks and the grant/result buffer copies, replaying only
-	// the per-tick draws in place (see grantPhase). Guarded per tick by
-	// steadyUsable plus each model's SteadyReady, so it degrades to the
-	// ordinary paths the moment anything moves.
-	fused bool
-
 	// idleFlags caches each VM's idleness as observed by the most recent
 	// grant-phase idle scan, index-aligned with vms. advancePhase reads it
-	// instead of re-asking every workload: on fused ticks the scan is
+	// instead of re-asking every workload: on replayed ticks the scan is
 	// skipped precisely because idleness provably cannot have changed
 	// (Done is covered by the demand-epoch contract), and on every other
 	// tick the scan has just refreshed the flags.
 	idleFlags []bool
 
 	// Cumulative fast-path accounting: grant-phase ticks elided by
-	// quiescence, grant phases served by demand reuse, and grant phases
+	// quiescence, grant phases served by the steady replay, and grant phases
 	// that rebuilt the demand/request vectors. Owned by the goroutine
 	// ticking the server (plain fields, no hot-path atomics); read
 	// between ticks via FastPathStats.
@@ -342,7 +339,7 @@ func (s *Server) MarkDirty() {
 
 // FastPathStats returns the server's cumulative fast-path accounting:
 // how many grant-phase ticks quiescence elided, how many grant phases
-// demand reuse served without rebuilding the request vectors, how many
+// the steady replay served without rebuilding the request vectors, how many
 // rebuilt, and each allocator's input-memo hit/miss counts. The counters
 // are owned by the goroutine ticking the server, so read them between
 // ticks (the monitoring/exposition cadence, not the tick hot path).
@@ -458,18 +455,16 @@ func (s *Server) grantPhase(tickSec float64) {
 		s.quiescent = true
 		return
 	}
-	// Fused steady tick: armed only after a non-idle tick primed every
-	// allocator's memo for the current request vectors. While the demand
-	// epochs, throttles and tick length hold (steadyUsable) the vectors are
-	// provably unchanged, so each memo is a guaranteed hit and the reused
-	// grant/result buffers already carry last tick's values — the tick
-	// reduces to the per-client draws, the handful of draw-dependent
-	// fields, and the cgroup accumulation, bit-for-bit what the ordinary
-	// steady path below produces. Idle states cannot have changed either
-	// (Done is covered by the demand-epoch contract), so the idle scan is
-	// skipped: the server was non-idle at arm time and still is.
-	if s.fused && s.steadyUsable(tickSec, n) &&
-		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec) {
+	// Steady replay: the demand epochs, throttles and tick length prove
+	// the request vectors unchanged since the last rebuilt tick, so each
+	// allocator's memo is a guaranteed hit and the grant/result buffers
+	// already carry its values (see steadyValid). The tick reduces to the
+	// per-client draws, the handful of draw-dependent fields, and the
+	// cgroup accumulation, bit-for-bit what a rebuild would produce. Idle
+	// states cannot have changed either (Done is covered by the
+	// demand-epoch contract), so the idle scan is skipped: the server was
+	// non-idle when the replay was armed and still is.
+	if s.steadyUsable(tickSec) {
 		s.statSteady++
 		s.cpu.ReplaySteady()
 		s.mem.ReplaySteadyInPlace(s.memResults)
@@ -487,7 +482,6 @@ func (s *Server) grantPhase(tickSec float64) {
 		}
 		return
 	}
-	s.fused = false
 	// Quiescence: when every VM is idle the full pipeline grants nothing —
 	// zero demands produce zero grants and cgroup counters accumulate
 	// zeros. Its only lasting effect is the disk's per-client idle jitter
@@ -502,32 +496,12 @@ func (s *Server) grantPhase(tickSec float64) {
 		s.statSkipped++
 		return
 	}
+	// Rebuild: fresh vectors through the value-compared allocator memos,
+	// then snapshot the epochs that arm the replay for the next tick.
 	s.catchUp()
-
-	// Steady-state reuse: when every VM's demand epoch (and throttle, and
-	// the tick length) matches the snapshot taken after the last full
-	// rebuild, the demand and request vectors already describe this tick,
-	// so the Demand calls and the three rebuild loops are skipped. The
-	// allocators still run — the disk draws fresh queueing-delay jitter
-	// every tick — but on identical inputs their memos serve the solve.
-	steady := s.steadyUsable(tickSec, n)
-	if steady {
-		s.statSteady++
-	} else {
-		s.statRebuilds++
-	}
-	s.pipeline(tickSec, steady)
-	// After a rebuild, snapshot each VM's demand epoch to arm reuse for
-	// the next tick; a reused tick leaves the snapshot untouched (it
-	// matched by definition).
-	if !steady {
-		s.snapshotEpochs(tickSec)
-	}
-	// Arm the fused steady tick for the next round: reuse is armed, and
-	// every allocator just primed (or re-hit) its memo for the request
-	// vectors now in the buffers.
-	s.fused = s.steadyValid &&
-		s.cpu.SteadyReady(tickSec) && s.mem.SteadyReady(tickSec) && s.disk.SteadyReady(tickSec)
+	s.statRebuilds++
+	s.pipeline(tickSec)
+	s.snapshotEpochs(tickSec)
 }
 
 // referenceGrant is the reference cluster's grant phase: the full
@@ -543,7 +517,7 @@ func (s *Server) referenceGrant(tickSec float64) {
 	s.mem.InvalidateMemo()
 	s.disk.InvalidateMemo()
 	s.statRebuilds++
-	s.pipeline(tickSec, false)
+	s.pipeline(tickSec)
 }
 
 // scanIdle records each VM's idleness in idleFlags and reports whether
@@ -565,65 +539,58 @@ func (s *Server) scanIdle() bool {
 	return idle
 }
 
-// pipeline runs the allocators and accounts their grants. Unless steady
-// says the cached vectors still describe this tick, it first rebuilds the
-// demand and request vectors from the workloads and cgroup caps.
-func (s *Server) pipeline(tickSec float64, steady bool) {
-	if !steady {
-		// Size the vectors for the VM count up front, one allocation
-		// each, rather than growing them append by append.
-		n := len(s.vms)
-		s.demands = slices.Grow(s.demands[:0], n)
-		s.cpuReqs = slices.Grow(s.cpuReqs[:0], n)
-		s.memReqs = slices.Grow(s.memReqs[:0], n)
-		s.diskReqs = slices.Grow(s.diskReqs[:0], n)
-		for _, v := range s.vms {
-			var d Demand
-			if !v.Idle() {
-				d = v.workload.Demand(tickSec)
-			}
-			s.demands = append(s.demands, d)
+// pipeline builds the demand and request vectors from the workloads and
+// cgroup caps, runs the allocators and accounts their grants.
+func (s *Server) pipeline(tickSec float64) {
+	// Size the vectors for the VM count up front, one allocation each,
+	// rather than growing them append by append.
+	n := len(s.vms)
+	s.demands = slices.Grow(s.demands[:0], n)
+	s.cpuReqs = slices.Grow(s.cpuReqs[:0], n)
+	s.memReqs = slices.Grow(s.memReqs[:0], n)
+	s.diskReqs = slices.Grow(s.diskReqs[:0], n)
+	for _, v := range s.vms {
+		var d Demand
+		if !v.Idle() {
+			d = v.workload.Demand(tickSec)
 		}
+		s.demands = append(s.demands, d)
+	}
 
-		// CPU.
-		for i, v := range s.vms {
-			s.cpuReqs = append(s.cpuReqs, cpu.Request{
-				ClientID: v.ID(),
-				Seconds:  s.demands[i].CPUSeconds,
-				VCPUs:    v.vcpus,
-				CapCores: v.cg.Throttle().CPUCores,
-			})
-		}
+	// CPU.
+	for i, v := range s.vms {
+		s.cpuReqs = append(s.cpuReqs, cpu.Request{
+			ClientID: v.ID(),
+			Seconds:  s.demands[i].CPUSeconds,
+			VCPUs:    v.vcpus,
+			CapCores: v.cg.Throttle().CPUCores,
+		})
 	}
 	s.cpuGrants = s.cpu.AllocateInto(s.cpuGrants[:0], tickSec, s.cpuReqs)
 
 	// Memory system.
-	if !steady {
-		for i, v := range s.vms {
-			s.memReqs = append(s.memReqs, memsys.Request{
-				ClientID:        v.ID(),
-				CPUSeconds:      s.cpuGrants[i].Seconds,
-				CoreCPI:         s.demands[i].CoreCPI,
-				LLCRefsPerInstr: s.demands[i].LLCRefsPerInstr,
-				BytesPerInstr:   s.demands[i].BytesPerInstr,
-				WorkingSetBytes: s.demands[i].WorkingSetBytes,
-			})
-		}
+	for i, v := range s.vms {
+		s.memReqs = append(s.memReqs, memsys.Request{
+			ClientID:        v.ID(),
+			CPUSeconds:      s.cpuGrants[i].Seconds,
+			CoreCPI:         s.demands[i].CoreCPI,
+			LLCRefsPerInstr: s.demands[i].LLCRefsPerInstr,
+			BytesPerInstr:   s.demands[i].BytesPerInstr,
+			WorkingSetBytes: s.demands[i].WorkingSetBytes,
+		})
 	}
 	s.memResults = s.mem.ComputeInto(s.memResults[:0], tickSec, s.memReqs)
 
 	// Disk.
-	if !steady {
-		for i, v := range s.vms {
-			th := v.cg.Throttle()
-			s.diskReqs = append(s.diskReqs, disk.Request{
-				ClientID: v.ID(),
-				Ops:      s.demands[i].IOOps,
-				Bytes:    s.demands[i].IOBytes,
-				CapIOPS:  th.ReadIOPS,
-				CapBPS:   th.ReadBPS,
-			})
-		}
+	for i, v := range s.vms {
+		th := v.cg.Throttle()
+		s.diskReqs = append(s.diskReqs, disk.Request{
+			ClientID: v.ID(),
+			Ops:      s.demands[i].IOOps,
+			Bytes:    s.demands[i].IOBytes,
+			CapIOPS:  th.ReadIOPS,
+			CapBPS:   th.ReadBPS,
+		})
 	}
 	s.diskGrants = s.disk.AllocateInto(s.diskGrants[:0], tickSec, s.diskReqs)
 
@@ -649,74 +616,51 @@ func (s *Server) pipeline(tickSec float64, steady bool) {
 }
 
 // steadyUsable reports whether the request vectors cached from the last
-// full rebuild still describe a tick of length tickSec: the reuse state
-// is armed, every VM's demand epoch matches the snapshot, and every
-// cgroup's throttle sequence is unchanged — the caps baked into the
-// cached requests are still in force. The throttle check makes reuse
+// rebuilt tick still describe a tick of length tickSec: the replay is
+// armed, every VM's demand epoch matches the snapshot, and every cgroup's
+// throttle sequence is unchanged — the caps baked into the cached
+// requests are still in force. The throttle check makes the replay
 // self-validating against cap changes applied directly through a Cgroup
 // without a MarkDirty call, at the cost of one atomic load per VM.
-func (s *Server) steadyUsable(tickSec float64, n int) bool {
-	if !s.steadyValid || tickSec != s.lastTickSec ||
-		len(s.epochs) != n || len(s.throttleSeqs) != n ||
-		len(s.cpuReqs) != n || len(s.memReqs) != n || len(s.diskReqs) != n {
+func (s *Server) steadyUsable(tickSec float64) bool {
+	if !s.steadyValid || tickSec != s.lastTickSec {
 		return false
 	}
 	for i, v := range s.vms {
-		var ep uint64
-		if e := s.epochers[i]; e != nil {
-			ep = e.DemandEpoch()
-		}
-		if ep != s.epochs[i] || v.cg.ThrottleSeq() != s.throttleSeqs[i] {
+		if v.demandEpoch() != s.epochs[i] || v.cg.ThrottleSeq() != s.throttleSeqs[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// snapshotEpochs records the demand-epoch views, demand epochs and
-// throttle sequences backing the just-rebuilt request vectors. A
-// workload-less VM demands nothing until SetWorkload dirties the server,
-// so it is trivially stable (a nil view, epoch 0). A VM whose workload
-// does not report epochs disarms reuse for the whole server — its demand
-// could change silently.
+// snapshotEpochs records the demand epochs and throttle sequences backing
+// the just-rebuilt request vectors and arms the replay.
 func (s *Server) snapshotEpochs(tickSec float64) {
 	s.lastTickSec = tickSec
-	n := len(s.vms)
-	s.epochers = slices.Grow(s.epochers[:0], n)
-	s.epochs = slices.Grow(s.epochs[:0], n)
-	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], n)
+	s.epochs = slices.Grow(s.epochs[:0], len(s.vms))
+	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], len(s.vms))
 	for _, v := range s.vms {
-		var e DemandEpocher
-		var ep uint64
-		if v.workload != nil {
-			var ok bool
-			if e, ok = v.workload.(DemandEpocher); !ok {
-				s.steadyValid = false
-				return
-			}
-			ep = e.DemandEpoch()
-		}
-		s.epochers = append(s.epochers, e)
-		s.epochs = append(s.epochs, ep)
+		s.epochs = append(s.epochs, v.demandEpoch())
 		s.throttleSeqs = append(s.throttleSeqs, v.cg.ThrottleSeq())
 	}
 	s.steadyValid = true
 }
 
 // settleIdle leaves the server as a fully processed all-idle tick would,
-// without running the pipeline: every VM's last grant is zero, each model
-// reports a quiescent tick (memsys also collects the jitter state of VMs
-// that left), and the server is quiescent. What it does not do is build
-// the request vectors, prime the models' memos, or take the disk's jitter
-// draws — the caller counts the tick as the first skipped one, so catchUp
-// replays its draws, and the disk's keep-set GC with them, when the
-// server next runs the pipeline. A server idle from birth thus never
+// without running the pipeline: every VM's last grant is zero, the disk
+// and memory system report zero load (memsys also collects the jitter
+// state of VMs that left), and the server is quiescent. What it does not
+// do is build the request vectors, prime the models' memos, or take the
+// disk's jitter draws — the caller counts the tick as the first skipped
+// one, so catchUp replays its draws, and the disk's keep-set GC with
+// them, when the server next runs the pipeline. A server idle from birth thus never
 // seeds its RNG streams or sizes its scratch buffers, and settling copies
 // no VM ids unless memsys has enough departed clients to collect. Call it
 // with no skipped ticks pending.
 func (s *Server) settleIdle() {
 	clear(s.grants)
-	s.cpu.SettleIdle()
+	s.cpu.InvalidateMemo()
 	if s.mem.SettleIdle(len(s.vms)) {
 		s.mem.Retain(s.appendIDs(nil))
 	}
@@ -888,8 +832,8 @@ func New() *Cluster {
 // NewReference creates an empty reference cluster: the naive oracle the
 // optimised tick is checked against. Every tick it runs every server's
 // full pipeline, with freshly built request vectors and every allocator
-// memo invalidated; it never parks a quiescent server, reuses demand,
-// fuses a steady tick or strides. Both kinds of cluster produce
+// memo invalidated; it never parks a quiescent server, replays a steady
+// tick or strides. Both kinds of cluster produce
 // bit-for-bit identical simulations.
 func NewReference() *Cluster {
 	c := New()

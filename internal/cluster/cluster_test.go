@@ -7,13 +7,16 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// fakeWorkload demands a constant profile and records grants.
+// fakeWorkload demands a constant profile and records grants. It does
+// not bound its changes (Done moves with the work it consumes), so it
+// reports a fresh demand epoch on every call.
 type fakeWorkload struct {
 	name    string
 	demand  Demand
 	grants  []Grant
 	maxWork float64 // total CPU-seconds to consume; 0 = endless
 	usedCPU float64
+	epochs  uint64
 }
 
 func (f *fakeWorkload) Name() string { return f.name }
@@ -26,6 +29,11 @@ func (f *fakeWorkload) Advance(tickSec float64, g Grant) {
 }
 
 func (f *fakeWorkload) Done() bool { return f.maxWork > 0 && f.usedCPU >= f.maxWork }
+
+func (f *fakeWorkload) DemandEpoch() uint64 {
+	f.epochs++
+	return f.epochs
+}
 
 func busyDemand() Demand {
 	return Demand{

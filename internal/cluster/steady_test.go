@@ -110,6 +110,9 @@ func (f *countingEpochWorkload) Demand(tickSec float64) Demand {
 	return f.demand
 }
 
+// TestNonEpochWorkloadDisarmsReuse checks the opt-out: a workload that
+// cannot bound its changes reports a fresh demand epoch on every call, so
+// its server never replays a tick and polls Demand every tick.
 func TestNonEpochWorkloadDisarmsReuse(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()
@@ -118,7 +121,8 @@ func TestNonEpochWorkloadDisarmsReuse(t *testing.T) {
 	vm.SetWorkload(&fakeWorkload{name: "plain", demand: busyDemand()})
 	eng.Register(c)
 	eng.Run(5)
-	if srv.steadyValid {
-		t.Fatal("server armed steady reuse over a workload that cannot report demand epochs")
+	if fp := srv.FastPathStats(); fp.SteadyReuses != 0 || fp.Rebuilds != 5 {
+		t.Fatalf("steady=%d rebuilds=%d over a workload with fresh epochs, want 0, 5",
+			fp.SteadyReuses, fp.Rebuilds)
 	}
 }

@@ -48,8 +48,6 @@ type Grant struct {
 type Scheduler struct {
 	cfg Config
 
-	lastQuiescent bool
-
 	// Reused per-Allocate scratch (one scheduler serves one server, ticked
 	// by a single goroutine, so plain fields suffice).
 	clamped []float64
@@ -76,22 +74,11 @@ type Scheduler struct {
 func (s *Scheduler) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
 // InvalidateMemo drops the input memo, so the next AllocateInto solves
-// its tick in full. The reference cluster calls it before every tick;
-// the memo only saves work, so dropping it cannot change a grant.
+// its tick in full. The reference cluster calls it before every tick,
+// and a server settling an all-idle tick calls it rather than priming the
+// memo with zero demand; the memo only saves work, so dropping it cannot
+// change a grant.
 func (s *Scheduler) InvalidateMemo() { s.memoValid = false }
-
-// requestsEqual reports element-wise equality of two request vectors.
-func requestsEqual(a, b []Request) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // New creates a scheduler.
 func New(cfg Config) *Scheduler {
@@ -103,20 +90,6 @@ func New(cfg Config) *Scheduler {
 
 // Config returns the host CPU configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// Quiescent reports whether the most recent Allocate call carried zero
-// demand (the scheduler is stateless, so a quiescent allocation is a
-// strict no-op beyond the zero grants it returns).
-func (s *Scheduler) Quiescent() bool { return s.lastQuiescent }
-
-// SettleIdle records an all-idle tick without building a request vector:
-// the scheduler reports itself quiescent, as a zero-demand Allocate leaves
-// it, and drops its input memo rather than priming it (a memo only saves
-// work, so dropping it cannot change a grant).
-func (s *Scheduler) SettleIdle() {
-	s.lastQuiescent = true
-	s.memoValid = false
-}
 
 // Allocate grants core-seconds for one tick. Per-client demand is first
 // clamped to the VM's vcpus and its hard cap; remaining contention for
@@ -132,10 +105,10 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 	if tickSec <= 0 {
 		panic("cpu: nonpositive tick")
 	}
-	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
+	if s.memoValid && tickSec == s.memoTick && slices.Equal(reqs, s.memoReqs) {
 		// Steady state: identical inputs produce identical grants, and the
 		// scheduler has no per-tick internal state to advance.
-		s.memoHits++
+		s.ReplaySteady()
 		return append(dst, s.memoGrants...)
 	}
 	s.memoMisses++
@@ -156,7 +129,6 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 		anyDemand = anyDemand || d > 0
 		s.clamped = append(s.clamped, d)
 	}
-	s.lastQuiescent = !anyDemand
 	base := len(dst)
 	if !anyDemand {
 		// Quiescent fast path: all grants are zero; skip the fair share.
@@ -174,18 +146,12 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 	return dst
 }
 
-// SteadyReady reports whether the input memo would serve a tick of length
-// tickSec whose request vector the caller guarantees is unchanged since
-// the memo was saved — the cluster's fused steady path proves that via
-// demand epochs instead of re-comparing the vectors every tick.
-func (s *Scheduler) SteadyReady(tickSec float64) bool {
-	return s.memoValid && tickSec == s.memoTick
-}
-
-// ReplaySteady serves one guaranteed-hit tick in place: the scheduler is
-// deterministic in its inputs and has no per-tick state, so the caller's
-// grant buffer (filled from this memo on the last tick) is already exact
-// and only the accounting advances. Call only after SteadyReady.
+// ReplaySteady serves one memo hit: the scheduler is deterministic in its
+// inputs and has no per-tick state, so grants copied from the memo are
+// already exact and only the accounting advances. AllocateInto calls it
+// on a value-compared hit; the cluster calls it on a tick whose unchanged
+// request vector it proved by demand epochs, with the grant buffer still
+// holding the memo's grants from the last tick.
 func (s *Scheduler) ReplaySteady() { s.memoHits++ }
 
 // saveMemo snapshots the inputs and grants of a fully solved tick so an

@@ -120,7 +120,6 @@ type Disk struct {
 
 	lastUtilization float64
 	lastRandomLoad  float64
-	lastQuiescent   bool
 
 	// Reused per-Allocate scratch (one disk serves one server, ticked by a
 	// single goroutine, so plain fields suffice).
@@ -139,19 +138,18 @@ type Disk struct {
 	// load, degraded bandwidth, per-op cost and the max-min fair shares —
 	// so a tick repeating last tick's request vector reuses the cached
 	// Ops/Bytes grants and the cached wait coefficient, and recomputes
-	// only WaitMs from this tick's draws.
-	memoValid     bool
-	memoTick      float64
-	memoQuiescent bool
-	memoUtil      float64
-	memoRandom    float64
-	memoWaitCoef  float64 // CongestionScale*q*rlFactor of the memoized tick
-	memoReqs      []Request
-	memoGrants    []Grant // WaitMs fields unused; recomputed per tick
+	// only WaitMs from this tick's draws. Utilization and random load need
+	// no memo: only a solve, which re-saves the memo, or SettleIdle, which
+	// drops it, changes them.
+	memoValid    bool
+	memoTick     float64
+	memoWaitCoef float64 // CongestionScale*q*rlFactor of the memoized tick
+	memoReqs     []Request
+	memoGrants   []Grant // WaitMs fields unused; recomputed per tick
 
 	// Resolved jitter slots for memoGrants, rebuilt lazily after each memo
 	// save (and after any AR(1) GC compaction, tracked by the generation),
-	// so the fused steady path draws without per-client map lookups.
+	// so memo hits draw without per-client map lookups.
 	memoSlots    []sim.Slot
 	memoSlotsOK  bool
 	memoSlotsGen uint64
@@ -173,19 +171,6 @@ func (d *Disk) MemoStats() (hits, misses uint64) { return d.memoHits, d.memoMiss
 // tick; the memoized path takes the same jitter draws and evaluates the
 // same wait expression, so dropping it cannot change a grant.
 func (d *Disk) InvalidateMemo() { d.memoValid = false }
-
-// requestsEqual reports element-wise equality of two request vectors.
-func requestsEqual(a, b []Request) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // New creates a device with the given config and random stream.
 func New(cfg Config, rng *rand.Rand) *Disk {
@@ -209,17 +194,11 @@ func (d *Disk) Utilization() float64 { return d.lastUtilization }
 // (random) clients on the most recent Allocate call, clipped at 1.
 func (d *Disk) RandomLoad() float64 { return d.lastRandomLoad }
 
-// Quiescent reports whether the most recent Allocate call carried zero
-// demand. A quiescent allocation grants nothing and leaves all observable
-// device state (utilization, random load) at zero; its only side effect
-// is stepping the per-client AR(1) luck factors, which AdvanceIdle can
-// replay — that is what lets the cluster skip idle servers' grant phases
-// without perturbing determinism.
-func (d *Disk) Quiescent() bool { return d.lastQuiescent }
-
 // AdvanceIdle replays the random draws of n all-idle ticks for the given
 // clients in order, advancing the per-client AR(1) luck factors exactly
-// as n quiescent Allocate calls would. The cluster calls it when a server
+// as n quiescent Allocate calls would. A quiescent allocation grants
+// nothing and leaves utilization and random load at zero; stepping the
+// luck factors is its only side effect. The cluster calls it when a server
 // wakes from a stretch of skipped idle ticks, so skipping and processing
 // idle ticks leave the device's seeded random stream in the identical
 // position (DESIGN.md §5.1). The replay is a single batched loop —
@@ -238,14 +217,13 @@ func (d *Disk) AdvanceIdle(n int, clientIDs []string) {
 }
 
 // SettleIdle records an all-idle tick without solving it: the device
-// reports itself quiescent with zero utilization and random load, as a
-// quiescent Allocate leaves it, and the steady-state memo is dropped
+// reports zero utilization and random load, as a quiescent Allocate
+// leaves it, and the steady-state memo is dropped
 // rather than primed with the all-zero request vector (a memo only saves
 // work, so dropping it cannot change a grant). The tick's luck draws are
 // not taken here: the caller replays them with AdvanceIdle before the
 // device's next Allocate.
 func (d *Disk) SettleIdle() {
-	d.lastQuiescent = true
 	d.lastUtilization = 0
 	d.lastRandomLoad = 0
 	d.memoValid = false
@@ -264,9 +242,11 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if tickSec <= 0 {
 		panic("disk: nonpositive tick")
 	}
-	if d.memoValid && tickSec == d.memoTick && requestsEqual(reqs, d.memoReqs) {
-		d.memoHits++
-		return d.allocateSteady(dst)
+	if d.memoValid && tickSec == d.memoTick && slices.Equal(reqs, d.memoReqs) {
+		base := len(dst)
+		dst = append(dst, d.memoGrants...)
+		d.ReplaySteadyInPlace(dst[base:])
+		return dst
 	}
 	d.memoMisses++
 	base := len(dst)
@@ -319,7 +299,6 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 			break
 		}
 	}
-	d.lastQuiescent = !anyOps
 	if !anyOps {
 		d.lastRandomLoad = 0
 		d.lastUtilization = 0
@@ -414,9 +393,6 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 // the queueing-delay draws.
 func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoef float64) {
 	d.memoTick = tickSec
-	d.memoQuiescent = d.lastQuiescent
-	d.memoUtil = d.lastUtilization
-	d.memoRandom = d.lastRandomLoad
 	d.memoWaitCoef = waitCoef
 	d.memoReqs = append(d.memoReqs[:0], reqs...)
 	d.memoGrants = append(d.memoGrants[:0], grants...)
@@ -424,24 +400,16 @@ func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoe
 	d.memoSlotsOK = false
 }
 
-// SteadyReady reports whether the steady-state memo would serve a tick of
-// length tickSec whose request vector the caller guarantees is unchanged
-// since the memo was saved (proven via demand epochs on the fused steady
-// path).
-func (d *Disk) SteadyReady(tickSec float64) bool {
-	return d.memoValid && tickSec == d.memoTick
-}
-
-// ReplaySteadyInPlace serves one guaranteed-hit tick directly in the
-// caller's grant buffer, which already holds this memo's Ops/Bytes grants
-// from the previous tick: only the per-client luck draws and the WaitMs
-// they scale are evaluated, operand for operand as allocateSteady would.
-// Call only after SteadyReady with len(grants) == len(memoGrants).
+// ReplaySteadyInPlace serves one memo hit in grants, which must hold the
+// memo's Ops/Bytes grants (len(grants) == len(memoGrants)): only the
+// per-client luck draws and the WaitMs they scale are evaluated, in
+// request order as both full paths draw, so the seeded stream position is
+// identical; the keep-set GC is skipped, a no-op after an unchanged tick.
+// AllocateInto calls it on a value-compared hit; the cluster calls it on
+// a tick whose unchanged request vector it proved by demand epochs, with
+// the grant buffer still holding the memo's grants from the last tick.
 func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 	d.memoHits++
-	d.lastQuiescent = d.memoQuiescent
-	d.lastUtilization = d.memoUtil
-	d.lastRandomLoad = d.memoRandom
 	if !d.memoSlotsOK || d.memoSlotsGen != d.jitter.Gen() {
 		d.memoSlots = d.memoSlots[:0]
 		for i := range d.memoGrants {
@@ -458,30 +426,6 @@ func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 		waitPerOp := d.cfg.BaseLatencyMs * (1 + d.memoWaitCoef*luck)
 		grants[i].WaitMs = grants[i].Ops * waitPerOp
 	}
-}
-
-// allocateSteady serves a tick whose request vector repeats the memoized
-// one: the cached Ops/Bytes grants and wait coefficient are reused, and
-// only the per-client luck draw — per-tick state by design — and the
-// WaitMs it scales are evaluated. The draws happen in request order, as
-// both full paths (quiescent and busy) do, so the seeded stream position
-// is identical; the keep-set GC is skipped, a no-op after an unchanged
-// tick.
-func (d *Disk) allocateSteady(dst []Grant) []Grant {
-	d.lastQuiescent = d.memoQuiescent
-	d.lastUtilization = d.memoUtil
-	d.lastRandomLoad = d.memoRandom
-	for i := range d.memoGrants {
-		g := d.memoGrants[i]
-		luck := 1 + d.jitter.Step(g.ClientID)
-		if luck < 0 {
-			luck = 0
-		}
-		waitPerOp := d.cfg.BaseLatencyMs * (1 + d.memoWaitCoef*luck)
-		g.WaitMs = g.Ops * waitPerOp
-		dst = append(dst, g)
-	}
-	return dst
 }
 
 // queueIntensity maps utilization to a queueing factor: ~u^2/(1-u) below

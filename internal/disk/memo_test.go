@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -65,5 +66,39 @@ func TestSteadyPathRefreshesWaitMs(t *testing.T) {
 	}
 	if first[0].WaitMs == second[0].WaitMs {
 		t.Fatal("steady tick reused WaitMs; the luck draw is per-tick state and must be fresh")
+	}
+}
+
+// TestMemoHitAfterCompaction covers a memo hit whose cached AR(1) slots
+// went stale: after a hit resolves the slots, AdvanceIdle's keep-set GC
+// compacts the state slice, so the next hit must re-resolve them (the
+// client it dropped restarts from zero state, as a full solve's Step
+// would restart it). The twin invalidates the memo before every call.
+func TestMemoHitAfterCompaction(t *testing.T) {
+	run := func(full bool) [][]Grant {
+		d := New(DefaultConfig(), rand.New(rand.NewSource(31)))
+		var crowd []Request
+		for i := 0; i < 22; i++ {
+			crowd = append(crowd, Request{ClientID: fmt.Sprintf("vm-%02d", i), Ops: 20, Bytes: 20 * 4096})
+		}
+		pair := []Request{crowd[20], {ClientID: "vm-21", Ops: 800, Bytes: 800 * 4096}}
+		var out [][]Grant
+		call := func(reqs []Request) {
+			if full {
+				d.InvalidateMemo()
+			}
+			out = append(out, append([]Grant(nil), d.Allocate(tick, reqs)...))
+		}
+		call(crowd) // tracks 22 clients
+		call(pair)  // solve: 22 clients do not exceed the pair's GC bound
+		call(pair)  // hit: resolves the memo's slots
+		d.AdvanceIdle(1, []string{"vm-21"})
+		call(pair) // hit after the compaction
+		call(pair)
+		return out
+	}
+	memo, full := run(false), run(true)
+	if !reflect.DeepEqual(memo, full) {
+		t.Fatalf("memo hits after a compaction diverge from full solves:\nmemo: %v\nfull: %v", memo, full)
 	}
 }

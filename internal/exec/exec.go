@@ -217,13 +217,12 @@ type Executor struct {
 	// through cluster.Workload.
 	lastNow float64
 
-	// epoch implements cluster.DemandEpocher: it advances whenever the
-	// next Demand call could return something different — an attempt
-	// launched, removed or retired, or a surviving attempt whose per-tick
-	// demand components moved (I/O taper near completion, the instruction
-	// gate opening or closing). While it holds still, a fluid-model task
-	// mix demands at constant rates and the server may reuse its cached
-	// request vectors.
+	// epoch backs DemandEpoch: it advances whenever the next Demand call
+	// could return something different — an attempt launched, removed or
+	// retired, or a surviving attempt whose per-tick demand components
+	// moved (I/O taper near completion, the instruction gate opening or
+	// closing). While it holds still, a fluid-model task mix demands at
+	// constant rates and the server may replay its last tick.
 	epoch uint64
 
 	// Reused per-Advance scratch; an executor is advanced by exactly one
@@ -273,7 +272,7 @@ func (e *Executor) SyncClock(nowSec float64) { e.lastNow = nowSec }
 // Name implements cluster.Workload.
 func (e *Executor) Name() string { return "executor/" + e.vm.ID() }
 
-// DemandEpoch implements cluster.DemandEpocher.
+// DemandEpoch implements cluster.Workload.
 func (e *Executor) DemandEpoch() uint64 { return e.epoch }
 
 // FreeSlots returns the number of unoccupied task slots.

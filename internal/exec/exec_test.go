@@ -332,3 +332,6 @@ func (h *hogWorkload) Demand(tickSec float64) cluster.Demand {
 }
 func (h *hogWorkload) Advance(tickSec float64, g cluster.Grant) {}
 func (h *hogWorkload) Done() bool                               { return false }
+
+// DemandEpoch is constant: the hog's demand never changes.
+func (h *hogWorkload) DemandEpoch() uint64 { return 0 }

@@ -101,8 +101,7 @@ type System struct {
 	cfg    Config
 	jitter *sim.AR1
 
-	lastPressure  float64
-	lastQuiescent bool
+	lastPressure float64
 
 	// Reused per-Compute scratch (one system serves one server, ticked by
 	// a single goroutine, so plain fields suffice).
@@ -122,17 +121,16 @@ type System struct {
 	// factors feed the results, so the hit replays, per active client,
 	// only the short draw-dependent tail of the arithmetic from the
 	// cached draw-independent inputs in memoActive.
-	memoValid    bool
-	memoTick     float64
-	memoPressure float64
-	memoOver     float64 // clipped congestion term of the memoized tick
-	memoReqs     []Request
-	memoResults  []Result
-	memoActive   []memoReplay // per stepped client, in draw order
+	memoValid   bool
+	memoTick    float64
+	memoOver    float64 // clipped congestion term of the memoized tick
+	memoReqs    []Request
+	memoResults []Result
+	memoActive  []memoReplay // per stepped client, in draw order
 
 	// Resolved jitter slots for memoActive, rebuilt lazily after each memo
 	// save (and after any AR(1) GC compaction, tracked by the generation),
-	// so the fused steady path draws without per-client map lookups.
+	// so memo hits draw without per-client map lookups.
 	memoSlots    []sim.Slot
 	memoSlotsOK  bool
 	memoSlotsGen uint64
@@ -168,19 +166,6 @@ func (s *System) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMi
 // stream in the same position, so dropping it cannot change a result.
 func (s *System) InvalidateMemo() { s.memoValid = false }
 
-// requestsEqual reports element-wise equality of two request vectors.
-func requestsEqual(a, b []Request) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // New creates a memory system with the given config and random stream.
 func New(cfg Config, rng *rand.Rand) *System {
 	if cfg.LLCBytes <= 0 || cfg.BandwidthCapacity <= 0 || cfg.FreqHz <= 0 {
@@ -196,24 +181,18 @@ func (s *System) Config() Config { return s.cfg }
 // most recent Compute call (may exceed 1 under oversubscription).
 func (s *System) Pressure() float64 { return s.lastPressure }
 
-// Quiescent reports whether the most recent Compute call carried zero
-// granted CPU time. A quiescent computation is a strict no-op on model
-// state — no AR(1) jitter is stepped and no RNG is consumed — which is
-// what lets the cluster skip idle servers' grant phases without
-// perturbing determinism.
-func (s *System) Quiescent() bool { return s.lastQuiescent }
-
 // SettleIdle records an all-idle tick for n distinct clients without
 // building a request vector: it leaves the system as a quiescent Compute
-// would — quiescent, zero pressure — except that the input memo is
-// dropped rather than primed (a memo only saves work, so dropping it
-// cannot change a result). Like a quiescent Compute it draws nothing.
+// would — zero pressure — except that the input memo is dropped rather
+// than primed (a memo only saves work, so dropping it cannot change a
+// result). Like a quiescent Compute it draws nothing: a quiescent
+// computation steps no AR(1) jitter and consumes no randomness, which is
+// what lets the cluster skip idle servers' grant phases outright.
 // What a quiescent Compute also does is collect the jitter state of
 // departed clients; SettleIdle reports whether there are enough of them
 // for that to happen, and the caller then passes the present client ids
 // to Retain. Otherwise the ids are not needed at all.
 func (s *System) SettleIdle(n int) (collect bool) {
-	s.lastQuiescent = true
 	s.lastPressure = 0
 	s.memoValid = false
 	return s.jitter.WouldCompact(n)
@@ -236,39 +215,10 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	if tickSec <= 0 {
 		panic("memsys: nonpositive tick")
 	}
-	if s.memoValid && tickSec == s.memoTick && requestsEqual(reqs, s.memoReqs) {
-		// Steady state: everything upstream of the luck draws is cached.
-		// The draws the full path would have consumed are still replayed —
-		// the stream position is part of the model's observable state — and
-		// the keep-set GC is skipped, a no-op after an unchanged tick.
-		s.memoHits++
+	if s.memoValid && tickSec == s.memoTick && slices.Equal(reqs, s.memoReqs) {
 		base := len(dst)
 		dst = append(dst, s.memoResults...)
-		if s.memoOver == 0 {
-			// Uncongested: the luck factors multiply a zero congestion
-			// term, so the cached results are already exact.
-			for i := range s.memoActive {
-				s.jitter.Step(s.memoActive[i].id)
-			}
-			return dst
-		}
-		// Congested: replay the draw-dependent tail per active client,
-		// mirroring the full solve's expressions operand for operand.
-		out := dst[base:]
-		for i := range s.memoActive {
-			m := &s.memoActive[i]
-			luck := 1 + s.jitter.Step(m.id)
-			if luck < 0 {
-				luck = 0
-			}
-			penalty := s.cfg.MissPenaltyCPI * (1 + s.cfg.CongestionScale*s.memoOver*luck)
-			r := &out[m.resIdx]
-			r.CPI = m.coreCPI + m.refs*m.missRate*penalty
-			r.Instructions = m.cycles / r.CPI
-			r.LLCRefs = r.Instructions * m.refs
-			r.LLCMisses = r.LLCRefs * m.missRate
-			r.MemBytes = r.Instructions * m.bytesPI
-		}
+		s.ReplaySteadyInPlace(dst[base:])
 		return dst
 	}
 	s.memoMisses++
@@ -279,7 +229,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	// heavy contention is absorbed by the clip in the congestion term.
 	dst = slices.Grow(dst, len(reqs))
 	s.nominalInstr = slices.Grow(s.nominalInstr[:0], len(reqs))
-	var totalRefRate, totalDemand float64
+	var totalDemand float64
 	for _, r := range reqs {
 		if r.CPUSeconds < 0 || r.CoreCPI <= 0 && r.CPUSeconds > 0 {
 			panic(fmt.Sprintf("memsys: bad request %+v", r))
@@ -287,13 +237,11 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		var nominal float64
 		if r.CPUSeconds > 0 {
 			nominal = r.CPUSeconds * s.cfg.FreqHz / r.CoreCPI
-			totalRefRate += nominal * r.LLCRefsPerInstr
 			totalDemand += nominal * r.BytesPerInstr
 		}
 		s.nominalInstr = append(s.nominalInstr, nominal)
 	}
 	nominalInstr := s.nominalInstr
-	_ = totalRefRate
 
 	// Quiescent fast path: no VM ran, so every result is zero and the
 	// cache/bandwidth model has nothing to resolve. Like the disk's idle
@@ -306,7 +254,6 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 			break
 		}
 	}
-	s.lastQuiescent = !anyActive
 	base := len(dst)
 	if !anyActive {
 		s.lastPressure = 0
@@ -380,26 +327,22 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 // memoActive) so an identical next tick can skip the solve.
 func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 	s.memoTick = tickSec
-	s.memoPressure = s.lastPressure
 	s.memoReqs = append(s.memoReqs[:0], reqs...)
 	s.memoResults = append(s.memoResults[:0], results...)
 	s.memoValid = true
 	s.memoSlotsOK = false
 }
 
-// SteadyReady reports whether the input memo would serve a tick of length
-// tickSec whose request vector the caller guarantees is unchanged since
-// the memo was saved (proven via demand epochs on the fused steady path).
-func (s *System) SteadyReady(tickSec float64) bool {
-	return s.memoValid && tickSec == s.memoTick
-}
-
-// ReplaySteadyInPlace serves one guaranteed-hit tick directly in the
-// caller's result buffer, which already holds this memo's results from
-// the previous tick: only the per-client luck draws — and, under
-// congestion, the short draw-dependent tail of the arithmetic — are
-// evaluated, operand for operand as ComputeInto's memo-hit path would.
-// Call only after SteadyReady with len(results) == len(memoResults).
+// ReplaySteadyInPlace serves one memo hit in results, which must hold the
+// memo's results (len(results) == len(memoResults)). Everything upstream
+// of the luck draws is cached; the draws the full solve would consume are
+// still taken — the stream position is part of the model's observable
+// state — and, under congestion, the short draw-dependent tail of the
+// arithmetic is re-evaluated operand for operand as the full solve does.
+// The keep-set GC is skipped, a no-op after an unchanged tick.
+// ComputeInto calls it on a value-compared hit; the cluster calls it on a
+// tick whose unchanged request vector it proved by demand epochs, with
+// the result buffer still holding the memo's results from the last tick.
 func (s *System) ReplaySteadyInPlace(results []Result) {
 	s.memoHits++
 	if !s.memoSlotsOK || s.memoSlotsGen != s.jitter.Gen() {

@@ -33,7 +33,7 @@ const (
 	// EventMigrate is a node manager's escalation to the cloud manager.
 	EventMigrate EventType = "migrate"
 	// EventFastPaths is a periodic snapshot of the simulation's
-	// fast-path accounting (quiescence, demand reuse, allocator memos).
+	// fast-path accounting (quiescence, steady replay, allocator memos).
 	EventFastPaths EventType = "fastpaths"
 	// EventAlert is one alert-rule lifecycle transition (pending, firing
 	// or resolved) from the deterministic rule engine (DESIGN.md §5.9).

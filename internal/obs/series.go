@@ -134,9 +134,11 @@ func (s *Series) Points() []SeriesPoint {
 // first — the delta-scrape primitive: a scraper remembers the last
 // timestamp it saw and asks only for what is newer. Timestamps are
 // simulation time, so the contract survives stride elision unchanged.
-func (s *Series) Since(t float64) []SeriesPoint {
-	pts := s.Points()
-	// Points are time-ordered; binary-search the first one after t.
+func (s *Series) Since(t float64) []SeriesPoint { return pointsAfter(s.Points(), t) }
+
+// pointsAfter returns the suffix of the time-ordered pts with T strictly
+// after t.
+func pointsAfter(pts []SeriesPoint, t float64) []SeriesPoint {
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].T > t })
 	return pts[i:]
 }
@@ -169,8 +171,11 @@ func (s *Series) Total() uint64 {
 // maximum (deviation spikes are the signal of interest; a mean would
 // smooth away exactly the excursions the detector fires on), stamped
 // with the bucket's last timestamp.
-func (s *Series) Downsample(n int) []SeriesPoint {
-	pts := s.Points()
+func (s *Series) Downsample(n int) []SeriesPoint { return downsample(s.Points(), n) }
+
+// downsample is Downsample over a time-ordered point slice; it returns
+// pts itself when n <= 0 or pts already fits.
+func downsample(pts []SeriesPoint, n int) []SeriesPoint {
 	if n <= 0 || len(pts) <= n {
 		return pts
 	}
@@ -286,15 +291,9 @@ func (r *SeriesRegistry) WriteJSON(w io.Writer, sinceSec float64, maxPoints int)
 		r.mu.Unlock()
 		pts := s.Points()
 		if sinceSec > 0 {
-			pts = s.Since(sinceSec)
+			pts = pointsAfter(pts, sinceSec)
 		}
-		if maxPoints > 0 && len(pts) > maxPoints {
-			tmp := NewSeries(len(pts))
-			for _, p := range pts {
-				tmp.Append(p.T, p.V)
-			}
-			pts = tmp.Downsample(maxPoints)
-		}
+		pts = downsample(pts, maxPoints)
 		out.Series = append(out.Series, seriesJSON{Series: key, Total: s.Total(), Points: pts})
 	}
 	enc := json.NewEncoder(w)

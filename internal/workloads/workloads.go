@@ -75,12 +75,11 @@ type Benchmark struct {
 	elapsed    time.Duration // simulated wall time observed via Advance
 	activeSecs float64       // seconds spent in "on" phases
 
-	// epoch implements cluster.DemandEpocher: it advances whenever the
-	// next Demand call could return something different. A benchmark's
-	// demand is its constant profile gated by Active(), so the epoch moves
-	// exactly on burst-phase flips, on completion (a limit reached) and on
-	// SetLimits; between flips a server may reuse its cached request
-	// vectors.
+	// epoch backs DemandEpoch: it advances whenever the next Demand call
+	// could return something different. A benchmark's demand is its
+	// constant profile gated by Active(), so the epoch moves exactly on
+	// burst-phase flips, on completion (a limit reached) and on SetLimits;
+	// between flips a server may replay its last tick.
 	epoch uint64
 
 	totalOps      float64
@@ -118,7 +117,7 @@ func (w *Benchmark) SetLimits(l Limits) {
 	w.epoch++ // may flip Done and hence Active
 }
 
-// DemandEpoch implements cluster.DemandEpocher.
+// DemandEpoch implements cluster.Workload.
 func (w *Benchmark) DemandEpoch() uint64 { return w.epoch }
 
 // Pattern returns the benchmark's burst schedule — the testbed's
