@@ -47,8 +47,10 @@ loc:
 # and TestObservedFig11Golden check in process: perfcloudd's Perfetto
 # JSON and audit log, psim's stdout, Perfetto JSON and alert JSONL (seeds
 # 42 and 7), and the stdout and traces of an observed -quick Fig 11 run.
-# It also checks perfbench -fig all's stdout at seed 42 and the stdout of
-# each example; planet_scale's two wall-clock figures ("built in …s",
+# It also checks perfbench -fig all's stdout at seed 42, the stdout and
+# all 56 traces of the full observed quick suite (perfbench -fig all
+# -quick -scorecard -alerts -fastpaths -tracedir; the -fastpaths counters
+# and the timing line go to stderr), and the stdout of each example; planet_scale's two wall-clock figures ("built in …s",
 # "…s wall") are masked to X first. Each command runs in its own
 # directory under .golden/.
 GOLDEN = .golden
@@ -68,6 +70,9 @@ golden:
 		&& sha256sum -c ../../internal/experiments/testdata/observed.sha256
 	cd $(GOLDEN)/perfbench && ../bin/perfbench -fig all -seed 42 > figall.stdout \
 		&& sha256sum -c ../../cmd/perfbench/testdata/golden.sha256
+	mkdir -p $(GOLDEN)/suite && cd $(GOLDEN)/suite \
+		&& ../bin/perfbench -fig all -quick -scorecard -alerts -fastpaths -tracedir traces > suite.stdout 2> /dev/null \
+		&& sha256sum -c --quiet ../../cmd/perfbench/testdata/suite.sha256
 	cd $(GOLDEN)/examples && for ex in $(EXAMPLES); do \
 		../bin/$$ex > $$ex.raw || exit 1; \
 		sed -E 's/built in [0-9.]+s/built in Xs/; s/[0-9.]+s wall/Xs wall/' $$ex.raw > $$ex.stdout; \
@@ -91,16 +96,36 @@ check:
 # BENCH_hotloop.json via cmd/benchjson. The raw `go test` output is
 # echoed so regressions are visible without opening the file.
 BENCH_PATTERN = MonitorSample|CorrelatorIdentify|QuiescentCluster|ActiveServerTick|StrideAdvance|Boot|TestbedLifecycle
+BENCH_PKGS = ./internal/core ./internal/cluster ./internal/cloud ./internal/experiments
 bench:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster ./internal/cloud ./internal/experiments | go run ./cmd/benchjson -o BENCH_hotloop.json
+		$(BENCH_PKGS) | go run ./cmd/benchjson -o BENCH_hotloop.json
 
-# bench-compare reruns the hot-loop benchmarks and prints per-benchmark
-# deltas against the committed BENCH_hotloop.json baseline without
-# touching it.
+# bench-compare measures the hot-loop benchmarks on BASE (a git revision,
+# default HEAD) and on the working tree in one session, so host drift
+# hits both sides alike: BASE is checked out into a gitignored worktree
+# (.bench-base/), then BASE and the working tree run alternately for
+# BENCH_ROUNDS rounds, and each round prints the working tree's
+# per-benchmark deltas against that round's BASE results. The committed
+# BENCH_hotloop.json is neither read nor written.
+#
+#	make bench-compare BASE=HEAD~1
+BASE ?= HEAD
+BENCH_BASE = .bench-base
+BENCH_ROUNDS = 3
 bench-compare:
-	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem \
-		./internal/core ./internal/cluster ./internal/cloud ./internal/experiments | go run ./cmd/benchjson -baseline BENCH_hotloop.json
+	rm -rf $(BENCH_BASE) && git worktree prune
+	git worktree add --detach $(BENCH_BASE) $(BASE)
+	go build -o $(BENCH_BASE)/.bin/benchjson ./cmd/benchjson
+	for r in $$(seq $(BENCH_ROUNDS)); do \
+		echo "== round $$r: BASE $(BASE)"; \
+		(cd $(BENCH_BASE) && go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS)) \
+			| $(BENCH_BASE)/.bin/benchjson -o $(BENCH_BASE)/round$$r.json > /dev/null || exit 1; \
+		echo "== round $$r: working tree against BASE"; \
+		go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
+			| $(BENCH_BASE)/.bin/benchjson -baseline $(BENCH_BASE)/round$$r.json || exit 1; \
+	done
+	git worktree remove --force $(BENCH_BASE)
 
 # bench-scale measures the sharded tick path at fleet scale — the same
 # 8 busy servers inside 1k- and 10k-server clusters — merges the results

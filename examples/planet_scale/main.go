@@ -8,9 +8,9 @@
 // thousand servers.
 //
 // The cloud manager side scales the same way: the one million Boot calls
-// each pick the least-loaded server from the hierarchical (zone → rack →
-// server) placement index in O(log servers) instead of rescanning the
-// fleet's VMs.
+// each pick the least-loaded server from the hierarchical (zone → server)
+// placement index in O(log servers) instead of rescanning the fleet's
+// VMs.
 //
 // Telemetry follows the hierarchy too: FleetTelemetry exports gauges and
 // time series per zone and per tick shard — never per server — so the

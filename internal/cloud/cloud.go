@@ -15,16 +15,20 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// VMSpec describes an instance to boot.
+// VMSpec describes an instance to boot. Every instance has the paper's
+// VM shape: 2 vcpus and 8 GB of memory.
 type VMSpec struct {
 	Name     string
-	VCPUs    float64
-	MemBytes float64
 	Priority cluster.Priority
 	AppID    string // "" for standalone VMs
 	ServerID string // "" lets the scheduler pick the least-loaded server
-	Zone     string // constrain placement to one zone (ignored with ServerID set)
 }
+
+// The shape of every booted VM.
+const (
+	vmVCPUs    = 2
+	vmMemBytes = 8 << 30
+)
 
 // VMInfo is what the cloud manager tells node managers about a VM.
 type VMInfo struct {
@@ -36,44 +40,35 @@ type VMInfo struct {
 
 // Manager tracks placement over a cluster. Placement state lives in an
 // incrementally maintained index (topology.go): per-server entries
-// organized zone→rack→server, plus an indexed min-heap of inline
-// (placed vcpus, creation order) keys. Boot, Terminate, Migrate and
-// RebalanceHighPriority update the index in O(log servers) and never
-// rescan the fleet's VMs.
+// grouped into zones, plus an indexed min-heap of inline (placed vcpus,
+// creation order) keys. Boot, Migrate and RebalanceHighPriority update
+// the index in O(log servers) and never rescan the fleet's VMs.
 type Manager struct {
 	cluster *cluster.Cluster
 	rng     *sim.RNG
-	defCfg  cluster.ServerConfig
 	nextSrv int
 
-	topo  Topology
 	srvs  []srvEntry // by creation sequence, which is the cluster index
 	heap  []loadKey
 	zones []*Zone
 	// syncedSeq mirrors the cluster's placement sequence as of the last
 	// index update; a mismatch means some mutation bypassed the manager
-	// (tests driving cluster.AddVM directly) and forces a rebuild.
+	// (cluster.AddVM or RemoveVM called directly) and forces a rebuild.
 	syncedSeq uint64
 }
 
 // NewManager creates a cloud manager over a (possibly pre-populated)
-// cluster, with the default zone/rack topology.
+// cluster.
 func NewManager(c *cluster.Cluster, rng *sim.RNG) *Manager {
-	m := &Manager{cluster: c, rng: rng, defCfg: cluster.DefaultServerConfig(), topo: DefaultTopology()}
+	m := &Manager{cluster: c, rng: rng}
 	m.rebuild()
 	return m
 }
 
-// Cluster returns the managed cluster.
-func (m *Manager) Cluster() *cluster.Cluster { return m.cluster }
-
-// SetDefaultServerConfig overrides the config used by ProvisionServers.
-func (m *Manager) SetDefaultServerConfig(cfg cluster.ServerConfig) { m.defCfg = cfg }
-
 // ProvisionServers adds n bare-metal servers with the default config and
 // returns them, naming them server-<k> with a monotonically increasing k.
 func (m *Manager) ProvisionServers(n int) []*cluster.Server {
-	return m.ProvisionServersWith(n, m.defCfg)
+	return m.ProvisionServersWith(n, cluster.DefaultServerConfig())
 }
 
 // ProvisionServersWith adds n servers with an explicit hardware config —
@@ -96,7 +91,6 @@ func (m *Manager) ProvisionServersWith(n int, cfg cluster.ServerConfig) []*clust
 // the server with the fewest placed vcpus (a simple spread placement,
 // matching how the paper's testbed distributes Hadoop VMs) — the heap
 // root, in O(1) plus an O(log servers) update, regardless of fleet size.
-// A Zone constrains the spread to that zone's servers.
 func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("cloud: VM spec needs a name")
@@ -112,10 +106,6 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 		if srv = m.cluster.FindServer(spec.ServerID); srv == nil {
 			err = fmt.Errorf("cloud: no server %q", spec.ServerID)
 		}
-	case spec.Zone != "":
-		if srv = m.leastLoadedInZone(spec.Zone); srv == nil {
-			err = fmt.Errorf("cloud: no servers in zone %q", spec.Zone)
-		}
 	default:
 		if srv = m.leastLoaded(); srv == nil {
 			err = fmt.Errorf("cloud: no servers provisioned")
@@ -127,38 +117,17 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 		}
 		return nil, err
 	}
-	vcpus := spec.VCPUs
-	if vcpus == 0 {
-		vcpus = 2
-	}
-	mem := spec.MemBytes
-	if mem == 0 {
-		mem = 8 << 30
-	}
-	vm, err := m.cluster.TryAddVM(srv, spec.Name, vcpus, mem, spec.Priority, spec.AppID)
+	vm, err := m.cluster.TryAddVM(srv, spec.Name, vmVCPUs, vmMemBytes, spec.Priority, spec.AppID)
 	if err != nil {
 		return nil, errTaken(spec.Name)
 	}
-	m.addPlaced(srv, vcpus)
+	m.addPlaced(srv, vmVCPUs)
 	m.syncedSeq = m.cluster.PlacementSeq()
 	return vm, nil
 }
 
 // errTaken is Boot's error for a VM name already in use.
 func errTaken(name string) error { return fmt.Errorf("cloud: VM %q already exists", name) }
-
-// Terminate removes a VM from the cloud. Unknown ids are a no-op, so
-// idempotent teardown in experiments is cheap.
-func (m *Manager) Terminate(id string) {
-	v := m.cluster.FindVM(id)
-	if v == nil {
-		return
-	}
-	m.syncIndex()
-	m.cluster.RemoveVM(id)
-	m.addPlaced(v.Server(), -v.VCPUs())
-	m.syncedSeq = m.cluster.PlacementSeq()
-}
 
 // VMsOnServer answers the node manager's periodic query: every VM hosted
 // on the given server with its priority and application membership.
@@ -205,22 +174,6 @@ func (m *Manager) HighPriorityApps(serverID string) (map[string][]string, error)
 		sort.Strings(apps[id])
 	}
 	return apps, nil
-}
-
-// LowPriorityVMs returns the ids of low-priority VMs on a server, sorted.
-func (m *Manager) LowPriorityVMs(serverID string) ([]string, error) {
-	infos, err := m.VMsOnServer(serverID)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, in := range infos {
-		if in.Priority == cluster.LowPriority {
-			out = append(out, in.ID)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Migrate live-migrates a VM to another server, preserving its identity

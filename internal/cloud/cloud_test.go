@@ -107,30 +107,35 @@ func TestVMsOnServerAndGrouping(t *testing.T) {
 	if len(got) != 2 || got[0] != "h0" || got[1] != "h1" {
 		t.Errorf("hadoop VMs = %v (want sorted h0,h1)", got)
 	}
-	low, err := m.LowPriorityVMs("server-0")
-	if err != nil || len(low) != 1 || low[0] != "fio" {
-		t.Errorf("low = %v, %v", low, err)
-	}
 	if _, err := m.VMsOnServer("nope"); err == nil {
 		t.Error("unknown server: want error")
 	}
 	if _, err := m.HighPriorityApps("nope"); err == nil {
 		t.Error("unknown server: want error")
 	}
-	if _, err := m.LowPriorityVMs("nope"); err == nil {
-		t.Error("unknown server: want error")
-	}
 }
 
+// TestTerminate: a VM removed through the cluster leaves the placement
+// queries, and the manager's index frees its vCPUs for the next boot —
+// also in the zone a caller read before the removal.
 func TestTerminate(t *testing.T) {
 	_, m := setup(t)
-	m.ProvisionServers(1)
-	mustBoot(t, m, VMSpec{Name: "x"})
-	m.Terminate("x")
-	if m.Cluster().FindVM("x") != nil {
-		t.Error("x should be gone")
+	m.ProvisionServers(2)
+	mustBoot(t, m, VMSpec{Name: "x", ServerID: "server-0"})
+	mustBoot(t, m, VMSpec{Name: "y", ServerID: "server-1"})
+	mustBoot(t, m, VMSpec{Name: "z", ServerID: "server-1"})
+	zone := m.Zones()[0]
+	m.cluster.RemoveVM("y")
+	m.cluster.RemoveVM("z")
+	if infos, err := m.VMsOnServer("server-1"); err != nil || len(infos) != 0 {
+		t.Errorf("server-1 still lists %v (%v)", infos, err)
 	}
-	m.Terminate("x") // idempotent
+	if z := m.Zones()[0]; z != zone || zone.PlacedVCPUs() != vmVCPUs {
+		t.Errorf("zone placed = %v after removing 2 of 3 VMs, want %v (same zone: %v)", zone.PlacedVCPUs(), vmVCPUs, z == zone)
+	}
+	if v := mustBoot(t, m, VMSpec{Name: "next"}); v.Server().ID() != "server-1" {
+		t.Errorf("next boot placed on %s, want the emptied server-1", v.Server().ID())
+	}
 }
 
 func TestMigratePreservesStateAndCaps(t *testing.T) {
@@ -144,7 +149,7 @@ func TestMigratePreservesStateAndCaps(t *testing.T) {
 	if err := m.Migrate("x", "server-1"); err != nil {
 		t.Fatal(err)
 	}
-	nv := m.Cluster().FindVM("x")
+	nv := m.cluster.FindVM("x")
 	if nv.Server().ID() != "server-1" {
 		t.Errorf("on %v", nv.Server().ID())
 	}
@@ -205,28 +210,21 @@ func mustBoot(t *testing.T, m *Manager, spec VMSpec) *cluster.VM {
 // TestBootTakenNameKeepsPrecedence checks Boot's error precedence now
 // that the registry insert is its duplicate check: a taken name is
 // reported as "already exists" on every placement path, including an
-// unknown ServerID or zone, and the rejected boot leaves the cluster and
-// the placement index exactly as they were.
+// unknown ServerID, and the rejected boot leaves the cluster and the
+// placement index exactly as they were.
 func TestBootTakenNameKeepsPrecedence(t *testing.T) {
 	_, m := setup(t)
 	m.ProvisionServers(3)
-	mustBoot(t, m, VMSpec{Name: "x", ServerID: "server-1", VCPUs: 4})
+	mustBoot(t, m, VMSpec{Name: "x", ServerID: "server-1"})
 	type state struct {
-		vms     int
-		seq     uint64
-		heap    []loadKey
-		placed  []float64
-		srvVCPU float64
+		vms    int
+		seq    uint64
+		heap   []loadKey
+		placed []float64
 	}
 	snap := func() state {
 		st := state{vms: m.cluster.NumVMs(), seq: m.cluster.PlacementSeq(), heap: append([]loadKey(nil), m.heap...)}
-		m.EachZone(func(z *Zone) {
-			st.placed = append(st.placed, z.PlacedVCPUs())
-			for _, r := range z.Racks() {
-				st.placed = append(st.placed, r.PlacedVCPUs())
-			}
-		})
-		st.srvVCPU, _ = m.PlacedVCPUs("server-1")
+		m.EachZone(func(z *Zone) { st.placed = append(st.placed, z.PlacedVCPUs()) })
 		return st
 	}
 	before := snap()
@@ -234,8 +232,6 @@ func TestBootTakenNameKeepsPrecedence(t *testing.T) {
 		{Name: "x"},
 		{Name: "x", ServerID: "server-0"},
 		{Name: "x", ServerID: "nope"},
-		{Name: "x", Zone: "zone-0"},
-		{Name: "x", Zone: "nope"},
 	} {
 		_, err := m.Boot(spec)
 		if err == nil || !strings.Contains(err.Error(), `"x" already exists`) {

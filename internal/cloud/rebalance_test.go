@@ -25,7 +25,7 @@ func TestRebalanceHighPriorityMovesSmallerApp(t *testing.T) {
 	if moved == "" || moved[0] != 'b' {
 		t.Errorf("moved %q, want a VM of the smaller app-b", moved)
 	}
-	vm := m.Cluster().FindVM(moved)
+	vm := m.cluster.FindVM(moved)
 	if vm.Server().ID() == "server-0" {
 		t.Error("VM not actually moved")
 	}
@@ -51,6 +51,8 @@ func TestRebalanceNoopCases(t *testing.T) {
 	}
 }
 
+// TestProvisionServersWithAndDefaultOverride: ProvisionServersWith
+// overrides the default hardware config for its batch only.
 func TestProvisionServersWithAndDefaultOverride(t *testing.T) {
 	_, m := setup(t)
 	slow := cluster.DefaultServerConfig()
@@ -59,11 +61,9 @@ func TestProvisionServersWithAndDefaultOverride(t *testing.T) {
 	if len(srvs) != 2 || srvs[0].CPUConfig().FreqHz != 1e9 {
 		t.Errorf("custom config not applied: %+v", srvs[0].CPUConfig())
 	}
-	fast := cluster.DefaultServerConfig()
-	fast.CPU.Cores = 96
-	m.SetDefaultServerConfig(fast)
+	// ProvisionServers keeps the default config after a custom batch.
 	srv := m.ProvisionServers(1)[0]
-	if srv.CPUConfig().Cores != 96 {
-		t.Errorf("default override not applied: %+v", srv.CPUConfig())
+	if srv.CPUConfig() != cluster.DefaultServerConfig().CPU {
+		t.Errorf("default config not applied: %+v", srv.CPUConfig())
 	}
 }

@@ -6,40 +6,18 @@ import (
 	"perfcloud/internal/cluster"
 )
 
-// Topology sizes the zone→rack→server hierarchy the manager assigns
-// servers into: consecutive provisioned servers fill a rack, consecutive
-// racks fill a zone. The hierarchy carries incrementally-maintained
-// placed-vCPU totals, so zone/rack load queries and zone-constrained
-// placement never rescan VMs.
-type Topology struct {
-	ServersPerRack int // 0 = 40
-	RacksPerZone   int // 0 = 8
-}
+// serversPerZone sizes the zone→server grid the manager assigns servers
+// into: consecutive provisioned servers fill a zone. Each zone carries an
+// incrementally maintained placed-vCPU total, so zone load queries never
+// rescan VMs.
+const serversPerZone = 320
 
-// DefaultTopology returns the default hierarchy sizing: 40-server racks,
-// 8-rack (320-server) zones.
-func DefaultTopology() Topology { return Topology{ServersPerRack: 40, RacksPerZone: 8} }
-
-func (t Topology) serversPerRack() int {
-	if t.ServersPerRack <= 0 {
-		return 40
-	}
-	return t.ServersPerRack
-}
-
-func (t Topology) racksPerZone() int {
-	if t.RacksPerZone <= 0 {
-		return 8
-	}
-	return t.RacksPerZone
-}
-
-// Zone is one availability zone: an ordered set of racks with a running
-// placed-vCPU total.
+// Zone is one availability zone: a run of consecutively provisioned
+// servers with a running placed-vCPU total.
 type Zone struct {
-	id     string
-	placed float64
-	racks  []*Rack
+	id      string
+	placed  float64
+	servers int
 }
 
 // ID returns the zone's identifier ("zone-<k>").
@@ -48,52 +26,17 @@ func (z *Zone) ID() string { return z.id }
 // PlacedVCPUs returns the vCPUs currently placed across the zone.
 func (z *Zone) PlacedVCPUs() float64 { return z.placed }
 
-// Racks returns the zone's racks in creation order (a copy).
-func (z *Zone) Racks() []*Rack { return append([]*Rack(nil), z.racks...) }
-
 // NumServers returns the number of servers assigned to the zone.
-// O(racks in the zone), cheap enough for per-sample telemetry.
-func (z *Zone) NumServers() int {
-	n := 0
-	for _, r := range z.racks {
-		n += len(r.servers)
-	}
-	return n
-}
-
-// Rack is one rack: an ordered set of servers with a running placed-vCPU
-// total.
-type Rack struct {
-	id      string
-	zone    *Zone
-	placed  float64
-	servers []*cluster.Server
-}
-
-// ID returns the rack's identifier ("rack-<zone>-<k>").
-func (r *Rack) ID() string { return r.id }
-
-// Zone returns the zone containing the rack.
-func (r *Rack) Zone() *Zone { return r.zone }
-
-// PlacedVCPUs returns the vCPUs currently placed across the rack.
-func (r *Rack) PlacedVCPUs() float64 { return r.placed }
-
-// EachServer calls fn for every server in the rack in creation order.
-func (r *Rack) EachServer(fn func(*cluster.Server)) {
-	for _, s := range r.servers {
-		fn(s)
-	}
-}
+func (z *Zone) NumServers() int { return z.servers }
 
 // srvEntry is the manager's per-server index record: the server, its
-// rack, and the position of its key in the load heap. Entries are stored
+// zone, and the position of its key in the load heap. Entries are stored
 // by value in Manager.srvs at the server's creation sequence, which is
 // also its cluster index (Server.Index): servers are never removed, and
 // the manager indexes them in cluster order.
 type srvEntry struct {
 	srv     *cluster.Server
-	rack    *Rack
+	zone    *Zone
 	heapIdx int
 }
 
@@ -202,84 +145,53 @@ func (m *Manager) leastLoadedExcluding(src *cluster.Server) *cluster.Server {
 	return m.srvs[best.seq].srv
 }
 
-// leastLoadedInZone returns the least-loaded server within the named
-// zone, or nil if the zone is unknown or empty. O(zone size) — zone
-// placement is a constrained query the global heap cannot answer.
-func (m *Manager) leastLoadedInZone(zoneID string) *cluster.Server {
-	var best *cluster.Server
-	var bestKey loadKey
-	for _, z := range m.zones {
-		if z.id != zoneID {
-			continue
-		}
-		for _, r := range z.racks {
-			for _, s := range r.servers {
-				if k := m.key(s); best == nil || k.less(bestKey) {
-					best, bestKey = s, k
-				}
-			}
-		}
-	}
-	return best
-}
-
-// key returns an indexed server's current heap key.
-func (m *Manager) key(s *cluster.Server) loadKey {
-	return m.heap[m.srvs[s.Index()].heapIdx]
-}
-
 // indexServer adds a freshly provisioned (or re-discovered) server to
-// the load index and the topology, folding any VMs already placed on it
-// into the totals. Servers must arrive in cluster order.
+// the load index and its zone, folding any VMs already placed on it into
+// the totals. Servers must arrive in cluster order.
 func (m *Manager) indexServer(s *cluster.Server) {
 	seq := len(m.srvs)
 	var placed float64
 	s.EachVM(func(v *cluster.VM) { placed += v.VCPUs() })
-	r := m.rackFor(seq)
-	r.servers = append(r.servers, s)
-	r.placed += placed
-	r.zone.placed += placed
-	m.srvs = append(m.srvs, srvEntry{srv: s, rack: r})
+	z := m.zoneFor(seq)
+	z.servers++
+	z.placed += placed
+	m.srvs = append(m.srvs, srvEntry{srv: s, zone: z})
 	m.heap = append(m.heap, loadKey{placed: placed, seq: seq})
 	m.siftUp(len(m.heap) - 1)
 }
 
-// rackFor returns the rack of the zone→rack grid that holds creation
-// sequence seq: rack seq/ServersPerRack, zone rack/RacksPerZone, creating
-// levels on demand.
-func (m *Manager) rackFor(seq int) *Rack {
-	rackIdx := seq / m.topo.serversPerRack()
-	zoneIdx := rackIdx / m.topo.racksPerZone()
-	for len(m.zones) <= zoneIdx {
+// zoneFor returns the zone of the zone→server grid that holds creation
+// sequence seq, creating zones on demand.
+func (m *Manager) zoneFor(seq int) *Zone {
+	k := seq / serversPerZone
+	for len(m.zones) <= k {
 		m.zones = append(m.zones, &Zone{id: fmt.Sprintf("zone-%d", len(m.zones))})
 	}
-	z := m.zones[zoneIdx]
-	local := rackIdx % m.topo.racksPerZone()
-	for len(z.racks) <= local {
-		z.racks = append(z.racks, &Rack{id: fmt.Sprintf("rack-%d-%d", zoneIdx, len(z.racks)), zone: z})
-	}
-	return z.racks[local]
+	return m.zones[k]
 }
 
 // addPlaced applies a placed-vCPU delta to a server's heap key and its
-// rack and zone totals, and re-establishes the heap order.
+// zone total, and re-establishes the heap order.
 func (m *Manager) addPlaced(s *cluster.Server, delta float64) {
 	e := &m.srvs[s.Index()]
 	m.heap[e.heapIdx].placed += delta
-	e.rack.placed += delta
-	e.rack.zone.placed += delta
+	e.zone.placed += delta
 	m.heapFix(e.heapIdx)
 }
 
-// rebuild re-derives the whole index — entries, heap, topology and
-// totals — from the cluster's current state. Run at construction and
-// whenever the cluster's placement sequence shows out-of-band mutations
-// (tests adding VMs through cluster.AddVM directly); manager-mediated
-// changes keep the index current incrementally and never pay this.
+// rebuild re-derives the whole index — entries, heap, zones and totals —
+// from the cluster's current state. Run at construction and whenever the
+// cluster's placement sequence shows out-of-band mutations (VMs added or
+// removed through the cluster directly); manager-mediated changes keep
+// the index current incrementally and never pay this. Servers are never
+// removed, so the zones are kept and recounted: callers holding a *Zone
+// (fleet telemetry) keep reading live totals.
 func (m *Manager) rebuild() {
 	m.srvs = m.srvs[:0]
 	m.heap = m.heap[:0]
-	m.zones = nil
+	for _, z := range m.zones {
+		z.placed, z.servers = 0, 0
+	}
 	m.cluster.EachServer(m.indexServer)
 	m.syncedSeq = m.cluster.PlacementSeq()
 }
@@ -291,17 +203,6 @@ func (m *Manager) syncIndex() {
 	}
 }
 
-// SetTopology replaces the hierarchy sizing and re-assigns every server
-// to its zone and rack. Call it before provisioning for the intended
-// layout; calling later relabels existing servers in creation order.
-func (m *Manager) SetTopology(t Topology) {
-	m.topo = t
-	m.rebuild()
-}
-
-// Topology returns the hierarchy sizing in effect.
-func (m *Manager) Topology() Topology { return m.topo }
-
 // Zones returns the zones in creation order (a copy).
 func (m *Manager) Zones() []*Zone {
 	m.syncIndex()
@@ -309,32 +210,10 @@ func (m *Manager) Zones() []*Zone {
 }
 
 // EachZone calls fn for every zone in creation order without copying —
-// the telemetry rollup key for the fleet's top level.
+// the top level of the fleet telemetry.
 func (m *Manager) EachZone(fn func(*Zone)) {
 	m.syncIndex()
 	for _, z := range m.zones {
 		fn(z)
 	}
-}
-
-// ServerLocation returns the zone and rack ids hosting the given server.
-func (m *Manager) ServerLocation(serverID string) (zone, rack string, ok bool) {
-	s := m.cluster.FindServer(serverID)
-	if s == nil {
-		return "", "", false
-	}
-	m.syncIndex()
-	r := m.srvs[s.Index()].rack
-	return r.zone.id, r.id, true
-}
-
-// PlacedVCPUs returns the manager's incrementally maintained placed-vCPU
-// total for a server.
-func (m *Manager) PlacedVCPUs(serverID string) (float64, bool) {
-	s := m.cluster.FindServer(serverID)
-	if s == nil {
-		return 0, false
-	}
-	m.syncIndex()
-	return m.key(s).placed, true
 }

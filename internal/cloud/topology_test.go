@@ -14,15 +14,10 @@ import (
 // the first server in creation order with strictly fewest placed vcpus,
 // exactly the linear rescan the manager shipped with before the index.
 func scanLeastLoaded(c *cluster.Cluster, exclude *cluster.Server) *cluster.Server {
-	return scanLeastLoadedWhere(c, func(s *cluster.Server) bool { return s != exclude })
-}
-
-// scanLeastLoadedWhere is scanLeastLoaded over the servers keep admits.
-func scanLeastLoadedWhere(c *cluster.Cluster, keep func(*cluster.Server) bool) *cluster.Server {
 	var best *cluster.Server
 	bestLoad := -1.0
 	c.EachServer(func(s *cluster.Server) {
-		if !keep(s) {
+		if s == exclude {
 			return
 		}
 		var load float64
@@ -34,39 +29,41 @@ func scanLeastLoadedWhere(c *cluster.Cluster, keep func(*cluster.Server) bool) *
 	return best
 }
 
+// placed returns the manager's incrementally maintained placed-vCPU
+// total for a server: its heap key.
+func placed(m *Manager, s *cluster.Server) float64 {
+	return m.heap[m.srvs[s.Index()].heapIdx].placed
+}
+
 // checkIndex asserts the manager's incremental placed totals — per
-// server, per rack, per zone — against a fresh recount of the cluster.
+// server and per zone — and each zone's server count against a fresh
+// recount of the cluster.
 func checkIndex(t *testing.T, m *Manager) {
 	t.Helper()
-	m.Cluster().EachServer(func(s *cluster.Server) {
+	zonePlaced := map[*Zone]float64{}
+	zoneServers := map[*Zone]int{}
+	m.cluster.EachServer(func(s *cluster.Server) {
 		var want float64
 		s.EachVM(func(v *cluster.VM) { want += v.VCPUs() })
-		got, ok := m.PlacedVCPUs(s.ID())
-		if !ok || got != want {
-			t.Fatalf("server %s placed = %v (ok=%v), want %v", s.ID(), got, ok, want)
+		if got := placed(m, s); got != want {
+			t.Fatalf("server %s placed = %v, want %v", s.ID(), got, want)
 		}
+		z := m.srvs[s.Index()].zone
+		zonePlaced[z] += want
+		zoneServers[z]++
 	})
 	for _, z := range m.Zones() {
-		var zSum float64
-		for _, r := range z.Racks() {
-			var rSum float64
-			r.EachServer(func(s *cluster.Server) {
-				p, _ := m.PlacedVCPUs(s.ID())
-				rSum += p
-			})
-			if r.PlacedVCPUs() != rSum {
-				t.Fatalf("rack %s placed = %v, want %v", r.ID(), r.PlacedVCPUs(), rSum)
-			}
-			zSum += rSum
+		if z.PlacedVCPUs() != zonePlaced[z] {
+			t.Fatalf("zone %s placed = %v, want %v", z.ID(), z.PlacedVCPUs(), zonePlaced[z])
 		}
-		if z.PlacedVCPUs() != zSum {
-			t.Fatalf("zone %s placed = %v, want %v", z.ID(), z.PlacedVCPUs(), zSum)
+		if z.NumServers() != zoneServers[z] {
+			t.Fatalf("zone %s servers = %d, want %d", z.ID(), z.NumServers(), zoneServers[z])
 		}
 	}
 	// Entries sit at their server's cluster index, and every server holds
 	// exactly one heap key.
-	if len(m.srvs) != m.Cluster().NumServers() || len(m.heap) != len(m.srvs) {
-		t.Fatalf("%d entries, %d keys for %d servers", len(m.srvs), len(m.heap), m.Cluster().NumServers())
+	if len(m.srvs) != m.cluster.NumServers() || len(m.heap) != len(m.srvs) {
+		t.Fatalf("%d entries, %d keys for %d servers", len(m.srvs), len(m.heap), m.cluster.NumServers())
 	}
 	for i, e := range m.srvs {
 		if e.srv.Index() != i {
@@ -87,33 +84,22 @@ func checkIndex(t *testing.T, m *Manager) {
 	}
 }
 
-// TestHeapMatchesLinearScan drives a long random sequence of spread and
-// zone-constrained boots, migrations, terminations and rebalance-style
-// exclusions, checking at
-// every step that the heap's choice equals the old linear rescan's and
-// that all incremental totals stay exact.
+// TestHeapMatchesLinearScan drives a long random sequence of spread
+// boots, migrations and rebalance-style exclusions, checking at every
+// step that the heap's choice equals the old linear rescan's and that
+// all incremental totals stay exact.
 func TestHeapMatchesLinearScan(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := cluster.New()
 	m := NewManager(c, eng.RNG())
-	m.SetTopology(Topology{ServersPerRack: 4, RacksPerZone: 2})
 	srvs := m.ProvisionServers(13)
 	r := rand.New(rand.NewSource(99))
 	var live []string
-	nextVM := 0
 	for step := 0; step < 400; step++ {
 		switch op := r.Intn(10); {
-		case op < 5 || len(live) == 0: // boot, random vcpus: spread placement, 1 in 4 zone-constrained
-			spec := VMSpec{Name: fmt.Sprintf("vm-%d", nextVM), VCPUs: float64(1 + r.Intn(4))}
-			nextVM++
+		case op < 5 || len(live) == 0: // spread boot
+			spec := VMSpec{Name: fmt.Sprintf("vm-%d", len(live))}
 			want := scanLeastLoaded(c, nil)
-			if r.Intn(4) == 0 {
-				spec.Zone = fmt.Sprintf("zone-%d", r.Intn(2))
-				want = scanLeastLoadedWhere(c, func(s *cluster.Server) bool {
-					z, _, _ := m.ServerLocation(s.ID())
-					return z == spec.Zone
-				})
-			}
 			v, err := m.Boot(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -122,11 +108,7 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 				t.Fatalf("step %d: boot %+v placed on %s, scan wants %s", step, spec, v.Server().ID(), want.ID())
 			}
 			live = append(live, spec.Name)
-		case op < 7: // terminate a random VM
-			i := r.Intn(len(live))
-			m.Terminate(live[i])
-			live = append(live[:i], live[i+1:]...)
-		case op < 9: // migrate a random VM to a random server
+		case op < 8: // migrate a random VM to a random server
 			v := live[r.Intn(len(live))]
 			if err := m.Migrate(v, srvs[r.Intn(len(srvs))].ID()); err != nil {
 				t.Fatal(err)
@@ -144,45 +126,25 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestTopologyAssignment checks the creation-order zone/rack grid and
-// the zone-constrained boot path.
+// TestTopologyAssignment checks the creation-order zone grid: 320
+// consecutive servers fill a zone, the 321st opens the next.
 func TestTopologyAssignment(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 1)
 	c := cluster.New()
 	m := NewManager(c, eng.RNG())
-	m.SetTopology(Topology{ServersPerRack: 2, RacksPerZone: 2})
-	m.ProvisionServers(10) // 5 racks -> zones of 2 racks: z0{r0,r1} z1{r2,r3} z2{r4}
+	srvs := m.ProvisionServers(321)
 	zones := m.Zones()
-	if len(zones) != 3 {
-		t.Fatalf("zones = %d, want 3", len(zones))
+	if len(zones) != 2 || zones[0].NumServers() != 320 || zones[1].NumServers() != 1 {
+		t.Fatalf("zones = %d, want 2 of 320 and 1 servers", len(zones))
 	}
-	wants := map[string][2]string{
-		"server-0": {"zone-0", "rack-0-0"},
-		"server-3": {"zone-0", "rack-0-1"},
-		"server-4": {"zone-1", "rack-1-0"},
-		"server-7": {"zone-1", "rack-1-1"},
-		"server-9": {"zone-2", "rack-2-0"},
-	}
-	for id, want := range wants {
-		z, r, ok := m.ServerLocation(id)
-		if !ok || z != want[0] || r != want[1] {
-			t.Errorf("%s at (%s,%s,%v), want %v", id, z, r, ok, want)
+	for i, want := range map[int]string{0: "zone-0", 319: "zone-0", 320: "zone-1"} {
+		if got := m.srvs[srvs[i].Index()].zone.ID(); got != want {
+			t.Errorf("%s in %s, want %s", srvs[i].ID(), got, want)
 		}
 	}
-	if _, _, ok := m.ServerLocation("nope"); ok {
-		t.Error("unknown server located")
-	}
-	// Zone-constrained boot lands in zone-1 (servers 4-7) even though the
-	// whole fleet is empty and the global spread would pick server-0.
-	v, err := m.Boot(VMSpec{Name: "pinned", Zone: "zone-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Server().ID() != "server-4" {
-		t.Errorf("zone boot placed on %s, want server-4", v.Server().ID())
-	}
-	if _, err := m.Boot(VMSpec{Name: "x", Zone: "zone-99"}); err == nil {
-		t.Error("unknown zone: want error")
+	mustBoot(t, m, VMSpec{Name: "last", ServerID: srvs[320].ID()})
+	if zones[0].PlacedVCPUs() != 0 || zones[1].PlacedVCPUs() != vmVCPUs {
+		t.Errorf("zone placed = %v, %v; want 0, %v", zones[0].PlacedVCPUs(), zones[1].PlacedVCPUs(), vmVCPUs)
 	}
 	checkIndex(t, m)
 }
@@ -201,7 +163,7 @@ func TestIndexResyncsAfterDirectClusterMutation(t *testing.T) {
 	if v.Server().ID() != "server-1" {
 		t.Errorf("post-resync boot placed on %s, want the empty server-1", v.Server().ID())
 	}
-	if p, ok := m.PlacedVCPUs("server-0"); !ok || p != 8 {
+	if p := placed(m, srvs[0]); p != 8 {
 		t.Errorf("resynced placed for server-0 = %v, want 8", p)
 	}
 	checkIndex(t, m)

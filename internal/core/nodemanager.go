@@ -42,11 +42,9 @@ type Config struct {
 	// EnableMigration lets the node manager escalate to the cloud manager
 	// when multiple high-priority applications collide on its server and
 	// throttling low-priority VMs cannot help — the complementary
-	// VM-migration path of §III-D2 / §IV-D2. MigrationAfterIntervals is
-	// how many consecutive unresolvable contended intervals trigger it
-	// (0 = 3).
-	EnableMigration         bool
-	MigrationAfterIntervals int
+	// VM-migration path of §III-D2 / §IV-D2. migrationAfterIntervals
+	// consecutive unresolvable contended intervals trigger it.
+	EnableMigration bool
 	// Metrics, when non-nil, receives the agent's counters, gauges and
 	// deviation histograms (one series per server). Events, when non-nil,
 	// receives the typed decision audit log: one event per sample,
@@ -66,6 +64,10 @@ type Config struct {
 	// sim outputs). Nil costs one branch per control interval.
 	Health *obs.Health
 }
+
+// migrationAfterIntervals is how many consecutive contended intervals with
+// no low-priority VM to throttle escalate to a migration.
+const migrationAfterIntervals = 3
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
@@ -124,23 +126,22 @@ type NodeManager struct {
 	mon  *Monitor
 	corr *Correlator
 
-	io  map[string]*capController
-	cpu map[string]*capController
+	// Per-channel state, indexed by resIO/resCPU. ctls holds the cap
+	// controllers in force.
+	ctls [2]map[string]*capController
 
 	// Repeat-offender memory: VMs once identified as antagonists on a
 	// channel. When contention reappears with no controller in force,
 	// active prior offenders are re-engaged immediately instead of
 	// waiting out a fresh correlation window — identification is
 	// periodic, its conclusions persist (Algorithm 1).
-	ioOffenders  map[string]bool
-	cpuOffenders map[string]bool
+	offenders [2]map[string]bool
 
-	// prevIOAnt / prevCPUAnt hold the previous interval's identification
-	// results: a *new* antagonist is engaged only when identified in two
-	// consecutive intervals, filtering one-off correlation flukes without
+	// prevAnt holds the previous interval's identification results: a
+	// *new* antagonist is engaged only when identified in two consecutive
+	// intervals, filtering one-off correlation flukes without
 	// meaningfully delaying real antagonists (whose correlation persists).
-	prevIOAnt  map[string]bool
-	prevCPUAnt map[string]bool
+	prevAnt [2]map[string]bool
 
 	interval   int64
 	nextSample float64
@@ -239,19 +240,18 @@ func NewNodeManager(cfg Config, cm *cloud.Manager, hv *hypervisor.Hypervisor) *N
 		panic("core: nonpositive control interval")
 	}
 	nm := &NodeManager{
-		cfg:          cfg,
-		cm:           cm,
-		hv:           hv,
-		mon:          NewMonitor(hv, cfg.EWMAAlpha),
-		corr:         NewCorrelator(cfg.CorrWindow, cfg.CorrThreshold),
-		io:           make(map[string]*capController),
-		cpu:          make(map[string]*capController),
-		ioOffenders:  make(map[string]bool),
-		cpuOffenders: make(map[string]bool),
-		prevIOAnt:    make(map[string]bool),
-		prevCPUAnt:   make(map[string]bool),
-		apps:         make(map[string][]string),
-		events:       cfg.Events,
+		cfg:    cfg,
+		cm:     cm,
+		hv:     hv,
+		mon:    NewMonitor(hv, cfg.EWMAAlpha),
+		corr:   NewCorrelator(cfg.CorrWindow, cfg.CorrThreshold),
+		apps:   make(map[string][]string),
+		events: cfg.Events,
+	}
+	for r := range resNames {
+		nm.ctls[r] = make(map[string]*capController)
+		nm.offenders[r] = make(map[string]bool)
+		nm.prevAnt[r] = make(map[string]bool)
 	}
 	nm.inst.register(cfg.Metrics, hv.ServerID())
 	nm.tMonitor = cfg.Health.Timer("core.monitor")
@@ -300,8 +300,8 @@ func (nm *NodeManager) runInterval(now float64) {
 	// Step 1: fetch VM roles from the cloud manager (placement may have
 	// changed through arrivals, terminations or migration). A single
 	// streaming pass over the placement fills the reused scratch maps and
-	// slices — the same grouping HighPriorityApps and LowPriorityVMs
-	// produce, without rebuilding their slices every interval.
+	// slices — the grouping HighPriorityApps produces plus the sorted
+	// low-priority VMs, without rebuilding slices every interval.
 	for id, vms := range nm.apps {
 		nm.apps[id] = vms[:0]
 	}
@@ -374,19 +374,20 @@ func (nm *NodeManager) runInterval(now float64) {
 	// engaged once it is identified (or is a known offender) in two
 	// consecutive contended intervals.
 	nm.corr.Record(now, det, s, lowPri)
-	var ioAnt, cpuAnt []string
-	if det.IOContention {
-		ioAnt = nm.confirm(nm.corr.IOAntagonists(), nm.prevIOAnt, nm.ioOffenders)
-	} else {
-		nm.prevIOAnt = make(map[string]bool)
+	contention := [2]bool{det.IOContention, det.CPUContention}
+	var ant [2][]string
+	for r := range resNames {
+		switch {
+		case !contention[r]:
+			clear(nm.prevAnt[r])
+		case r == resIO:
+			ant[r] = nm.confirm(nm.corr.IOAntagonists(), nm.prevAnt[r], nm.offenders[r])
+		default:
+			ant[r] = nm.confirm(nm.corr.CPUAntagonists(), nm.prevAnt[r], nm.offenders[r])
+		}
+		nm.inst.identified[r].Add(uint64(len(ant[r])))
 	}
-	if det.CPUContention {
-		cpuAnt = nm.confirm(nm.corr.CPUAntagonists(), nm.prevCPUAnt, nm.cpuOffenders)
-	} else {
-		nm.prevCPUAnt = make(map[string]bool)
-	}
-	nm.inst.identified[resIO].Add(uint64(len(ioAnt)))
-	nm.inst.identified[resCPU].Add(uint64(len(cpuAnt)))
+	ioAnt, cpuAnt := ant[resIO], ant[resCPU]
 	if nm.events != nil && det.Contention() {
 		// Correlations() is cached for this interval (Record just ran), so
 		// copying it into the audit record costs one slice allocation.
@@ -401,26 +402,22 @@ func (nm *NodeManager) runInterval(now float64) {
 		nm.events.Emit(ev)
 	}
 
-	// Step 5: drive the controllers and apply caps.
-	if !nm.cfg.ObserveOnly {
-		nm.controlIO(now, det.IOContention, ioAnt, s)
-		nm.controlCPU(now, det.CPUContention, cpuAnt, s)
+	// Step 5: drive the controllers and apply caps, I/O first.
+	for r := range resNames {
+		if !nm.cfg.ObserveOnly {
+			nm.control(now, r, contention[r], ant[r], s)
+		}
+		nm.inst.ctls[r].Set(float64(len(nm.ctls[r])))
 	}
-	nm.inst.ctls[resIO].Set(float64(len(nm.io)))
-	nm.inst.ctls[resCPU].Set(float64(len(nm.cpu)))
 
 	// Step 6 (extension, §IV-D2): when contention persists with no
 	// low-priority VM to throttle — i.e. high-priority applications are
 	// interfering with each other — escalate to the cloud manager, which
 	// may migrate one of the colliding apps' VMs off this server.
 	if nm.cfg.EnableMigration {
-		if det.Contention() && len(nm.io) == 0 && len(nm.cpu) == 0 && len(nm.appIDs) >= 2 {
+		if det.Contention() && len(nm.ctls[resIO]) == 0 && len(nm.ctls[resCPU]) == 0 && len(nm.appIDs) >= 2 {
 			nm.unresolvable++
-			limit := nm.cfg.MigrationAfterIntervals
-			if limit == 0 {
-				limit = 3
-			}
-			if nm.unresolvable >= limit {
+			if nm.unresolvable >= migrationAfterIntervals {
 				if moved, err := nm.cm.RebalanceHighPriority(nm.ServerID()); err == nil && moved != "" {
 					nm.migrations = append(nm.migrations, moved)
 					nm.inst.migrations.Inc()
@@ -448,13 +445,13 @@ func (nm *NodeManager) runInterval(now float64) {
 		CPUContention:  det.CPUContention,
 		IOAntagonists:  ioAnt,
 		CPUAntagonists: cpuAnt,
-		IOCaps:         make(map[string]float64, len(nm.io)),
-		CPUCaps:        make(map[string]float64, len(nm.cpu)),
+		IOCaps:         make(map[string]float64, len(nm.ctls[resIO])),
+		CPUCaps:        make(map[string]float64, len(nm.ctls[resCPU])),
 	}
-	for id, ctl := range nm.io {
+	for id, ctl := range nm.ctls[resIO] {
 		entry.IOCaps[id] = ctl.policy.Cap() * ctl.initial
 	}
-	for id, ctl := range nm.cpu {
+	for id, ctl := range nm.ctls[resCPU] {
 		entry.CPUCaps[id] = ctl.policy.Cap() * ctl.initial
 	}
 	nm.trace = append(nm.trace, entry)
@@ -483,108 +480,91 @@ func (nm *NodeManager) confirm(identified []string, prev map[string]bool, offend
 	return out
 }
 
-// controlIO updates the I/O cap controllers. Per Equation 1, the
-// antagonist set is sticky: newly identified antagonists get controllers,
-// and while I/O contention persists (I(t) > H) *every* controlled VM
-// keeps decreasing — identification is periodic, not per-interval, so a
-// constant-rate antagonist that throttling has rendered uncorrelatable
-// stays managed. Controllers release once contention is gone and the
-// probing cap exceeds ReleaseFactor times the VM's original usage.
-func (nm *NodeManager) controlIO(now float64, contention bool, antagonists []string, s Sample) {
+// control updates one channel's cap controllers (resIO: blkio IOPS and
+// BPS throttles; resCPU: the vcpu-quota hard cap). Per Equation 1, the
+// antagonist set is sticky: newly identified antagonists get
+// controllers, and while the channel's contention persists (I(t) > H)
+// *every* controlled VM keeps decreasing — identification is periodic,
+// not per-interval, so a constant-rate antagonist that throttling has
+// rendered uncorrelatable stays managed. Controllers release once
+// contention is gone and the probing cap exceeds ReleaseFactor times the
+// VM's original usage.
+func (nm *NodeManager) control(now float64, res int, contention bool, antagonists []string, s Sample) {
+	ctls, offenders := nm.ctls[res], nm.offenders[res]
 	for _, id := range antagonists {
-		nm.ioOffenders[id] = true
+		offenders[id] = true
 	}
 	// Re-engage active prior offenders during contention: identification
 	// conclusions persist, so a known antagonist that wakes up again is
 	// throttled immediately instead of waiting out a fresh correlation
 	// window.
 	if contention {
-		for id := range nm.ioOffenders {
-			if vs, ok := s.Get(id); ok && vs.IOPS > 0 {
+		for id := range offenders {
+			if vs, ok := s.Get(id); ok && usage(res, vs) > 0 {
 				antagonists = append(antagonists, id)
 			}
 		}
 	}
 	for _, id := range antagonists {
-		if _, ok := nm.io[id]; !ok {
+		if _, ok := ctls[id]; !ok {
 			vs, _ := s.Get(id)
-			init := vs.IOPS
+			init := usage(res, vs)
 			if init <= 0 {
 				continue // nothing observed to base a cap on yet
 			}
-			opSize := 4096.0
-			if vs.IOPS > 0 && vs.IOThroughputBps > 0 {
-				opSize = vs.IOThroughputBps / vs.IOPS
+			ctl := &capController{policy: nm.newPolicy(), initial: init}
+			if res == resIO {
+				ctl.opSize = 4096.0
+				if vs.IOThroughputBps > 0 {
+					ctl.opSize = vs.IOThroughputBps / vs.IOPS
+				}
 			}
-			nm.io[id] = &capController{policy: nm.newPolicy(), initial: init, opSize: opSize}
+			ctls[id] = ctl
 		}
 	}
-	for _, id := range nm.sortedCtlIDs(nm.io) {
-		ctl := nm.io[id]
+	for _, id := range nm.sortedCtlIDs(ctls) {
+		ctl := ctls[id]
 		old := ctl.policy.Cap()
 		frac := ctl.policy.Update(nm.interval, contention)
 		if !contention && frac >= nm.cfg.ReleaseFactor {
-			nm.hv.SetBlkioThrottleIOPS(id, 0)
-			nm.hv.SetBlkioThrottleBPS(id, 0)
-			delete(nm.io, id)
-			nm.inst.released[resIO].Inc()
-			nm.emitRelease(now, resIO, id, ctl, old)
+			nm.setCap(res, id, ctl, 0)
+			delete(ctls, id)
+			nm.inst.released[res].Inc()
+			nm.emitRelease(now, res, id, ctl, old)
 			continue
 		}
-		if err := nm.hv.SetBlkioThrottleIOPS(id, frac*ctl.initial); err != nil {
-			delete(nm.io, id) // domain gone (terminated or migrated)
+		if err := nm.setCap(res, id, ctl, frac*ctl.initial); err != nil {
+			delete(ctls, id) // domain gone (terminated or migrated)
 			continue
 		}
-		nm.hv.SetBlkioThrottleBPS(id, frac*ctl.initial*ctl.opSize)
 		if frac != old {
-			nm.inst.capUpdates[resIO].Inc()
-			nm.emitCap(now, resIO, id, ctl, old, frac)
+			nm.inst.capUpdates[res].Inc()
+			nm.emitCap(now, res, id, ctl, old, frac)
 		}
 	}
 }
 
-// controlCPU mirrors controlIO for the vcpu-quota hard cap.
-func (nm *NodeManager) controlCPU(now float64, contention bool, antagonists []string, s Sample) {
-	for _, id := range antagonists {
-		nm.cpuOffenders[id] = true
+// usage is a VM's observed usage on a channel: IOPS or cores.
+func usage(res int, vs VMSample) float64 {
+	if res == resIO {
+		return vs.IOPS
 	}
-	if contention {
-		for id := range nm.cpuOffenders {
-			if vs, ok := s.Get(id); ok && vs.CPUUsageCores > 0 {
-				antagonists = append(antagonists, id)
-			}
-		}
+	return vs.CPUUsageCores
+}
+
+// setCap applies a channel's cap through the hypervisor (0 lifts it). An
+// I/O cap throttles IOPS and, at the op size observed when the
+// controller started, bytes per second. The error is the first call's:
+// it fails only when the domain is gone.
+func (nm *NodeManager) setCap(res int, id string, ctl *capController, limit float64) error {
+	if res == resCPU {
+		return nm.hv.SetVCPUQuota(id, limit)
 	}
-	for _, id := range antagonists {
-		if _, ok := nm.cpu[id]; !ok {
-			vs, _ := s.Get(id)
-			init := vs.CPUUsageCores
-			if init <= 0 {
-				continue
-			}
-			nm.cpu[id] = &capController{policy: nm.newPolicy(), initial: init}
-		}
+	if err := nm.hv.SetBlkioThrottleIOPS(id, limit); err != nil {
+		return err
 	}
-	for _, id := range nm.sortedCtlIDs(nm.cpu) {
-		ctl := nm.cpu[id]
-		old := ctl.policy.Cap()
-		frac := ctl.policy.Update(nm.interval, contention)
-		if !contention && frac >= nm.cfg.ReleaseFactor {
-			nm.hv.SetVCPUQuota(id, 0)
-			delete(nm.cpu, id)
-			nm.inst.released[resCPU].Inc()
-			nm.emitRelease(now, resCPU, id, ctl, old)
-			continue
-		}
-		if err := nm.hv.SetVCPUQuota(id, frac*ctl.initial); err != nil {
-			delete(nm.cpu, id)
-			continue
-		}
-		if frac != old {
-			nm.inst.capUpdates[resCPU].Inc()
-			nm.emitCap(now, resCPU, id, ctl, old, frac)
-		}
-	}
+	nm.hv.SetBlkioThrottleBPS(id, limit*ctl.opSize)
+	return nil
 }
 
 // sortedCtlIDs fills the reused capIDs scratch with a controller map's

@@ -32,7 +32,7 @@ func TestAntagonistTerminationMidThrottle(t *testing.T) {
 	}
 
 	// Terminate the antagonist while its controller is live.
-	sc.cm.Terminate("fio")
+	sc.clus.RemoveVM("fio")
 	sc.runTerasortStream(t, 60*time.Second)
 
 	// The manager keeps operating; the trace keeps growing and no entry

@@ -300,9 +300,11 @@ func TestCapsRecoverAfterAntagonistStops(t *testing.T) {
 	o.fio = true
 	o.burstyFio = true
 	sc := newScenario(t, o)
-	// Limit fio to a finite amount of work so it stops partway.
-	sc.benchmarks["fio"].SetLimits(workloads.Limits{Ops: 200000})
-	sc.runTerasortStream(t, 10*time.Minute)
+	// Run until fio is throttled, then stop it partway: detach its
+	// workload and keep the victim running.
+	sc.runTerasortStream(t, 2*time.Minute)
+	sc.clus.FindVM("fio").SetWorkload(nil)
+	sc.runTerasortStream(t, 8*time.Minute)
 
 	trace := sc.manager().Trace()
 	var minCap float64 = 1e18

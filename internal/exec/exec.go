@@ -28,7 +28,6 @@ type TaskSpec struct {
 	IOBytes      float64 // block input (or shuffle) bytes to read
 	OpBytes      float64 // I/O granularity; 0 defaults to 256 KiB
 	Instructions float64 // instructions to retire
-	MaxIORate    float64 // single-stream read rate limit, bytes/s; 0 = 150 MB/s
 
 	// InputKey identifies the task's input content (e.g. "file/b007").
 	// Attempts launched on a server whose page cache holds the key read
@@ -49,9 +48,10 @@ type TaskSpec struct {
 }
 
 const (
-	defaultOpBytes   = 256 << 10
-	defaultMaxIORate = 150e6
-	workEpsilon      = 1e-6
+	defaultOpBytes = 256 << 10
+	// maxIORate is a task's single-stream read rate limit, bytes/s.
+	maxIORate   = 150e6
+	workEpsilon = 1e-6
 )
 
 // AttemptState tracks an attempt's lifecycle.
@@ -278,17 +278,8 @@ func (e *Executor) DemandEpoch() uint64 { return e.epoch }
 // FreeSlots returns the number of unoccupied task slots.
 func (e *Executor) FreeSlots() int { return e.slots - len(e.running) }
 
-// Running returns the attempts currently occupying slots. It copies;
-// use EachRunning on per-tick paths.
+// Running returns the attempts currently occupying slots (a copy).
 func (e *Executor) Running() []*Attempt { return append([]*Attempt(nil), e.running...) }
-
-// EachRunning calls fn for every running attempt in launch order,
-// without copying the backing slice.
-func (e *Executor) EachRunning(fn func(*Attempt)) {
-	for _, a := range e.running {
-		fn(a)
-	}
-}
 
 // SetTracer attaches (or, with nil, detaches) a data-plane span tracer.
 // Attach before the first launch: attempts already running are not
@@ -357,11 +348,7 @@ func (e *Executor) launch(t *Task, nowSec float64, speculative bool) *Attempt {
 		}
 		if a.cachedInput {
 			// The cache hit saved roughly a full disk stream of the input.
-			rate := t.spec.MaxIORate
-			if rate == 0 {
-				rate = defaultMaxIORate
-			}
-			tr.MarkCachedInput(a.span, t.spec.IOBytes/rate)
+			tr.MarkCachedInput(a.span, t.spec.IOBytes/maxIORate)
 		}
 	}
 	return a
@@ -390,17 +377,13 @@ const cacheReadRate = 1e9
 func attemptDemand(a *Attempt, tickSec float64) (ioBytes, cpuSec float64) {
 	s := &a.spec
 	if !a.cachedInput {
-		rate := s.MaxIORate
-		if rate == 0 {
-			rate = defaultMaxIORate
-		}
 		// Inlined min(max(0, remaining), rate*tickSec): branches are
 		// measurably cheaper than math.Min/Max on this hot path and agree
 		// with them for every non-NaN input that reaches here.
 		ioBytes = s.IOBytes - a.bytesDone
 		if ioBytes <= 0 {
 			ioBytes = 0
-		} else if cap := rate * tickSec; ioBytes > cap {
+		} else if cap := maxIORate * tickSec; ioBytes > cap {
 			ioBytes = cap
 		}
 	}
@@ -425,7 +408,7 @@ func (e *Executor) Demand(tickSec float64) cluster.Demand {
 		d.IOBytes += ioBytes
 		d.IOOps += ioBytes / op
 		d.CPUSeconds += cpuSec
-		w := cpuSec + ioBytes/defaultMaxIORate // rough weight
+		w := cpuSec + ioBytes/maxIORate // rough weight
 		if w == 0 {
 			continue
 		}
@@ -646,8 +629,8 @@ func (p Pool) byID(id string) *Executor {
 }
 
 // Speculator decides which tasks deserve a speculative (backup) attempt.
-// Implementations live in the straggler package (LATE and a naive
-// threshold speculator); a nil Speculator disables speculation.
+// The straggler package implements LATE; a nil Speculator disables
+// speculation.
 type Speculator interface {
 	// Candidates returns tasks worth backing up, most urgent first.
 	Candidates(ts *TaskSet, nowSec float64) []*Task

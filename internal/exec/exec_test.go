@@ -242,7 +242,7 @@ func TestInstructionProgressGatedByIO(t *testing.T) {
 	h := newHarness(t, 1, 1)
 	// Huge IO, tiny compute: even though CPU is plentiful, instructions
 	// cannot finish before the input is read.
-	spec := TaskSpec{ID: "t0", IOBytes: 150e6, Instructions: 1e6, CoreCPI: 1, MaxIORate: 150e6}
+	spec := TaskSpec{ID: "t0", IOBytes: 150e6, Instructions: 1e6, CoreCPI: 1}
 	ts := NewTaskSet("maps", []TaskSpec{spec}, nil)
 	h.sets = append(h.sets, ts)
 	h.eng.Run(3) // 0.3 s: at most ~30% of input read

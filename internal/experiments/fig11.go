@@ -22,20 +22,12 @@ type Scheme struct {
 	Speculator exec.Speculator
 	Clones     int // >1 enables Dolly-style job cloning
 	PerfCloud  bool
-	// CloneTaskThreshold bounds which jobs Dolly clones: Dolly is a
-	// small-job technique (the paper: "full cloning of small jobs"), so
-	// only jobs with at most this many tasks get clones. 0 means the
-	// Dolly default of 10.
-	CloneTaskThreshold int
 }
 
-// cloneThreshold resolves the small-job cutoff.
-func (s Scheme) cloneThreshold() int {
-	if s.CloneTaskThreshold == 0 {
-		return 10
-	}
-	return s.CloneTaskThreshold
-}
+// cloneTaskThreshold bounds which jobs Dolly clones: Dolly is a small-job
+// technique (the paper: "full cloning of small jobs"), so only jobs with
+// at most this many tasks get clones.
+const cloneTaskThreshold = 10
 
 // SchemeDefault is the unmitigated system.
 func SchemeDefault() Scheme { return Scheme{Name: "default", Clones: 1} }
@@ -294,7 +286,7 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 func submitLogical(tb *Testbed, s jobSpec, sch Scheme) *logicalJob {
 	now := tb.Eng.Clock().Seconds()
 	lj := &logicalJob{spec: s}
-	if sch.Clones <= 1 || s.tasks > sch.cloneThreshold() {
+	if sch.Clones <= 1 || s.tasks > cloneTaskThreshold {
 		if s.spark {
 			a, err := tb.Driver.Submit(sparkFor(s), now)
 			if err != nil {

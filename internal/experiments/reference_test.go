@@ -226,8 +226,7 @@ func TestParkAndWakeMatchesReference(t *testing.T) {
 		tb := NewTestbed(TestbedConfig{Seed: 13, Servers: 2, reference: reference})
 		tb.CM.ProvisionServers(1) // server-2: no Hadoop workers
 		tb.MustInput("input", 4<<30)
-		first := workloads.NewFioRandRead(workloads.AlwaysOn)
-		first.SetLimits(workloads.Limits{Ops: 4 * FioSoloIOPS})
+		first := workloads.NewStreamWithWork(workloads.AlwaysOn, 40e9)
 		tb.AddAntagonist(2, first)
 		late, err := tb.CM.Boot(cloud.VMSpec{Name: "late-fio", Priority: cluster.LowPriority, ServerID: "server-2"})
 		if err != nil {
@@ -249,7 +248,7 @@ func TestParkAndWakeMatchesReference(t *testing.T) {
 		}
 		return outcome{
 			jct:  j.JCT(),
-			cgs:  []any{tb.Clus.FindVM("fio-randread").Cgroup().Snapshot(), late.Cgroup().Snapshot()},
+			cgs:  []any{tb.Clus.FindVM("stream").Cgroup().Snapshot(), late.Cgroup().Snapshot()},
 			last: late.LastGrant(),
 		}
 	}

@@ -41,12 +41,6 @@ type FleetTelemetry struct {
 	zoneGauges    []*obs.Gauge
 	zoneSrvGauges []*obs.Gauge
 	zoneSeries    []*obs.Series
-
-	// Engine self-profiling (wall-clock, never in sim outputs): the
-	// sampling phase timer and the health layer the shard-imbalance
-	// observation feeds. Both nil — a branch each — until SetHealth.
-	health  *obs.Health
-	tSample *obs.PhaseTimer
 }
 
 // NewFleetTelemetry wires fleet metrics over a cluster and its cloud
@@ -60,14 +54,6 @@ func NewFleetTelemetry(clus *cluster.Cluster, cm *cloud.Manager, reg *obs.Regist
 	ft.sVMs = sr.Series("fleet_vms")
 	ft.syncZones()
 	return ft
-}
-
-// SetHealth attaches (or with nil detaches) the self-profiling layer:
-// Sample gets a wall-clock phase timer and feeds the layer's shard
-// load-imbalance observation.
-func (ft *FleetTelemetry) SetHealth(h *obs.Health) {
-	ft.health = h
-	ft.tSample = h.Timer("experiments.telemetry")
 }
 
 // syncZones extends the per-zone instrument set to cover every zone the
@@ -106,8 +92,6 @@ func (ft *FleetTelemetry) ensureShard(i int) {
 // the given simulation timestamp. O(zones + shards); call it between
 // ticks (it touches the same partition state FastPathStats does).
 func (ft *FleetTelemetry) Sample(nowSec float64) {
-	ts := ft.tSample.Begin()
-	defer ft.tSample.End(ts)
 	active := float64(ft.clus.ActiveServers())
 	vms := float64(ft.clus.NumVMs())
 	ft.gActive.Set(active)
@@ -115,44 +99,17 @@ func (ft *FleetTelemetry) Sample(nowSec float64) {
 	ft.sActive.Append(nowSec, active)
 	ft.sVMs.Append(nowSec, vms)
 
-	var shardMax, shardSum float64
-	shards := 0
 	ft.clus.EachShardStats(func(st cluster.ShardStats) {
 		ft.ensureShard(st.Index)
 		ft.shardGauges[st.Index].Set(float64(st.Active))
 		ft.shardSeries[st.Index].Append(nowSec, float64(st.Active))
-		shards++
-		shardSum += float64(st.Active)
-		if float64(st.Active) > shardMax {
-			shardMax = float64(st.Active)
-		}
 	})
-	if ft.health != nil && shards > 0 && shardSum > 0 {
-		ft.health.ObserveShardImbalance(shardMax * float64(shards) / shardSum)
-	}
 
 	ft.syncZones()
 	for i, z := range ft.zones {
 		ft.zoneGauges[i].Set(z.PlacedVCPUs())
 		ft.zoneSrvGauges[i].Set(float64(z.NumServers()))
 		ft.zoneSeries[i].Append(nowSec, z.PlacedVCPUs())
-	}
-}
-
-// Locator returns the rollup locate function for this fleet: server id →
-// (tick shard, availability zone), the keys hierarchical event rollups
-// (obs.NewRollupSink) aggregate under.
-func (ft *FleetTelemetry) Locator() func(server string) (shard, zone string, ok bool) {
-	return func(server string) (string, string, bool) {
-		si := ft.clus.ShardOf(server)
-		if si < 0 {
-			return "", "", false
-		}
-		zone := ""
-		if ft.cm != nil {
-			zone, _, _ = ft.cm.ServerLocation(server)
-		}
-		return strconv.Itoa(si), zone, true
 	}
 }
 

@@ -76,38 +76,3 @@ func TestFleetMetricsBoundedByZonesPlusShards(t *testing.T) {
 		t.Fatalf("fleet series points = %v", pts)
 	}
 }
-
-// TestFleetTelemetryLocator checks the rollup locate function maps a
-// server onto its shard and zone keys.
-func TestFleetTelemetryLocator(t *testing.T) {
-	clus := cluster.New()
-	eng := sim.NewEngine(100*time.Millisecond, 1)
-	cm := cloud.NewManager(clus, eng.RNG())
-	srvs := cm.ProvisionServers(200) // four shards of 50, one zone
-	ft := NewFleetTelemetry(clus, cm, obs.NewRegistry(), obs.NewSeriesRegistry(8))
-	loc := ft.Locator()
-
-	shard, zone, ok := loc(srvs[0].ID())
-	if !ok || shard != "0" || zone != "zone-0" {
-		t.Fatalf("locate(first) = %q %q %v", shard, zone, ok)
-	}
-	last := srvs[len(srvs)-1]
-	shard, zone, ok = loc(last.ID())
-	if !ok || shard != "3" {
-		t.Fatalf("locate(last) = %q %q %v", shard, zone, ok)
-	}
-	if _, _, ok := loc("no-such-server"); ok {
-		t.Fatal("locate of unknown server succeeded")
-	}
-
-	// The locator feeds rollups whose cardinality stays hierarchical.
-	sr := obs.NewSeriesRegistry(8)
-	sink := obs.NewRollupSink(sr, loc)
-	for i, s := range srvs {
-		sink.Emit(obs.Event{T: 10, Type: obs.EventSample, Server: s.ID(), IowaitDev: float64(i)})
-	}
-	// dev_iowait + dev_cpi, each with cluster + 4 shards + 1 zone.
-	if got := len(sr.Keys()); got > 2*(1+4+1) {
-		t.Fatalf("rollup created %d series for 200 servers: %v", got, sr.Keys())
-	}
-}

@@ -31,12 +31,9 @@ type TestbedConfig struct {
 	Tick             time.Duration // 0 = 100 ms
 	Servers          int           // 0 = 1
 	WorkersPerServer int           // 0 = 6
-	SlotsPerWorker   int           // 0 = 2
 	Speculator       exec.Speculator
 	// PerfCloud deploys the node managers when non-nil.
 	PerfCloud *core.Config
-	// ServerConfig overrides the per-server resource models.
-	ServerConfig *cluster.ServerConfig
 	// BlockBytes overrides the DFS block size (0 = the 64 MB default).
 	BlockBytes float64
 	// SlowServers makes the last N provisioned servers heterogeneous:
@@ -63,6 +60,9 @@ func newCluster(reference bool) *cluster.Cluster {
 	}
 	return cluster.New()
 }
+
+// slotsPerWorker is each worker VM's task slot count.
+const slotsPerWorker = 2
 
 // Testbed is a fully wired simulated deployment.
 type Testbed struct {
@@ -101,9 +101,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.WorkersPerServer == 0 {
 		cfg.WorkersPerServer = 6
 	}
-	if cfg.SlotsPerWorker == 0 {
-		cfg.SlotsPerWorker = 2
-	}
 	// Schemes hand one speculator to every repetition, and repetitions
 	// build their testbeds concurrently; LATE's per-call scratch must not
 	// be shared between them.
@@ -114,9 +111,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	tb.Eng = sim.NewEngine(cfg.Tick, cfg.Seed)
 	tb.Clus = newCluster(cfg.reference)
 	tb.CM = cloud.NewManager(tb.Clus, tb.Eng.RNG())
-	if cfg.ServerConfig != nil {
-		tb.CM.SetDefaultServerConfig(*cfg.ServerConfig)
-	}
 	fast := cfg.Servers - cfg.SlowServers
 	if fast < 0 {
 		panic("experiments: more slow servers than servers")
@@ -128,9 +122,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 			factor = 0.5
 		}
 		slow := cluster.DefaultServerConfig()
-		if cfg.ServerConfig != nil {
-			slow = *cfg.ServerConfig
-		}
 		slow.Disk.BandwidthCapacity *= factor
 		slow.Disk.IOPSCapacity *= factor
 		slow.CPU.FreqHz *= factor
@@ -152,7 +143,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 			if err != nil {
 				panic(err)
 			}
-			tb.Pool = append(tb.Pool, exec.NewExecutor(vm, cfg.SlotsPerWorker))
+			tb.Pool = append(tb.Pool, exec.NewExecutor(vm, slotsPerWorker))
 			names = append(names, id)
 		}
 	}

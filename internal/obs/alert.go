@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,9 +10,8 @@ import (
 // This file is the deterministic alert engine (DESIGN.md §5.9): declared
 // rules watched against the run's own telemetry, evaluated on simulation
 // time with a Prometheus-style pending→firing→resolved lifecycle. Every
-// input the engine reads — the audit-event stream, the ground-truth
-// registry, metric and series registries fed by the control plane — is a
-// deterministic function of the seed, every aggregation it computes is
+// input the engine reads — the audit-event stream and the ground-truth
+// registry — is a deterministic function of the seed, every aggregation it computes is
 // order-independent (maxes and counts over maps, never float sums in map
 // order), and transitions are emitted in declared rule order, so two
 // same-seed runs produce byte-identical alert event streams. Wall-clock
@@ -56,29 +56,21 @@ const (
 // the condition must hold before the alert fires — the hysteresis that
 // keeps one spiky interval from paging.
 //
-// Exactly one source should be set, checked in this order:
+// Exactly one source should be set; Signal wins over Value:
 //
 //   - Signal: a built-in signal the engine derives from the audit-event
 //     stream it consumes (see the Signal* constants);
-//   - Metric (+ MetricLabels): a read-only lookup in the attached metric
-//     Registry (counters and gauges by value, histograms by count);
-//   - Series (+ SeriesLabels): the newest point of a series in the
-//     attached SeriesRegistry;
 //   - Value: an arbitrary function of simulation time. The function must
 //     be a pure observer of deterministic simulation state for the
 //     byte-identical-stream contract to hold.
 //
-// A rule whose source yields no value this interval (unknown metric,
-// empty series, Value ok=false) is treated as condition-false.
+// A rule whose source yields no value this interval (a signal without
+// its input, Value ok=false) is treated as condition-false.
 type Rule struct {
 	Name string
 
-	Signal       string
-	Metric       string
-	MetricLabels []Label
-	Series       string
-	SeriesLabels []Label
-	Value        func(nowSec float64) (float64, bool)
+	Signal string
+	Value  func(nowSec float64) (float64, bool)
 
 	Cmp       Cmp
 	Threshold float64
@@ -132,8 +124,6 @@ type capEpisode struct{ vm, res string }
 type AlertEngine struct {
 	rules []Rule
 	out   Sink
-	reg   *Registry
-	sr    *SeriesRegistry
 	truth *GroundTruth
 
 	states []ruleState
@@ -162,20 +152,6 @@ func NewAlertEngine(rules []Rule, out Sink) *AlertEngine {
 		e.states[i].state = StateInactive
 	}
 	return e
-}
-
-// SetRegistry attaches the metric registry Metric rules read from.
-func (e *AlertEngine) SetRegistry(r *Registry) {
-	if e != nil {
-		e.reg = r
-	}
-}
-
-// SetSeries attaches the series registry Series rules read from.
-func (e *AlertEngine) SetSeries(sr *SeriesRegistry) {
-	if e != nil {
-		e.sr = sr
-	}
 }
 
 // SetGroundTruth attaches the run's truth registry, enabling the
@@ -267,11 +243,6 @@ func (e *AlertEngine) value(r *Rule, now float64) (float64, bool) {
 	switch {
 	case r.Signal != "":
 		return e.signal(r.Signal, now)
-	case r.Metric != "":
-		return e.reg.Value(r.Metric, r.MetricLabels...)
-	case r.Series != "":
-		p, ok := e.sr.Lookup(r.Series, r.SeriesLabels...).Last()
-		return p.V, ok
 	case r.Value != nil:
 		return r.Value(now)
 	}
@@ -417,8 +388,11 @@ func (e *AlertEngine) Summary() AlertSummary {
 }
 
 // Merge folds another summary into s, aligning rules by name (rule order
-// is preserved; unseen rules append).
+// is preserved; unseen rules append). It writes only into arrays it
+// allocates, so s may be a shallow copy of another summary (Fig 12
+// copies its first repetition's) without changing that summary.
 func (s *AlertSummary) Merge(o AlertSummary) {
+	s.Rules = slices.Clone(s.Rules)
 	byName := make(map[string]int, len(s.Rules))
 	for i, r := range s.Rules {
 		byName[r.Rule] = i
@@ -442,7 +416,7 @@ func (s *AlertSummary) Merge(o AlertSummary) {
 	for _, a := range o.Active {
 		active[a] = true
 	}
-	s.Active = s.Active[:0]
+	s.Active = nil
 	for a := range active {
 		s.Active = append(s.Active, a)
 	}
@@ -466,72 +440,44 @@ func (s AlertSummary) String() string {
 	return b.String()
 }
 
-// DefaultRulesConfig parameterises the default rule pack. Zero values
-// select the paper-aligned defaults noted per field.
+// DefaultRulesConfig parameterises the default rule pack.
 type DefaultRulesConfig struct {
-	// IntervalSec is the control interval the rules pace against (0 = 5,
-	// the paper's monitoring period).
-	IntervalSec float64
-	// Iowait / CPI are the sustained-deviation thresholds (0 = the
-	// paper's detection thresholds: iowait 10, CPI 1).
-	Iowait float64
-	CPI    float64
-	// SustainSec is the `for` duration of the deviation rules (0 = 15 —
-	// three control intervals of unmitigated victim pain).
-	SustainSec float64
-	// MaxCapDwellSec flags a cap episode held longer than this (0 = 120).
-	MaxCapDwellSec float64
 	// FastPaths, when non-nil, enables the fast-path collapse rule over
 	// the grant-phase hit rate (quiescent skips + steady reuses over all
-	// grant-phase ticks); MinFastPathHitRate is its floor (0 = 0.2).
-	FastPaths          func() FastPathSnapshot
-	MinFastPathHitRate float64
-	// ShardImbalance, when non-nil, enables the shard-imbalance rule: it
-	// returns the max/mean active-server ratio across tick shards (ok
-	// false while unavailable); MaxShardImbalance is its ceiling (0 = 4).
-	ShardImbalance    func() (float64, bool)
-	MaxShardImbalance float64
+	// grant-phase ticks).
+	FastPaths func() FastPathSnapshot
 }
+
+// The default rule pack's thresholds: the paper's 5 s monitoring period,
+// its iowait and CPI detection thresholds, a 15 s `for` duration (three
+// control intervals of unmitigated victim pain), a 120 s cap-dwell limit
+// and a 0.2 floor on the fast-path hit rate.
+const (
+	rulesIntervalSec     = 5
+	rulesIowait          = 10
+	rulesCPI             = 1
+	rulesSustainSec      = 15
+	rulesMaxCapDwellSec  = 120
+	rulesMinFastPathRate = 0.2
+)
 
 // DefaultRules builds the default rule pack: sustained victim deviation
 // on both channels, cap dwell, the false-cap watchdog (armed only once
 // ground truth is attached), monitor-interval overrun, and — when the
-// optional probes are wired — fast-path hit-rate collapse and shard load
-// imbalance.
+// fast-path probe is wired — fast-path hit-rate collapse.
 func DefaultRules(cfg DefaultRulesConfig) []Rule {
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = 5
-	}
-	if cfg.Iowait <= 0 {
-		cfg.Iowait = 10
-	}
-	if cfg.CPI <= 0 {
-		cfg.CPI = 1
-	}
-	if cfg.SustainSec <= 0 {
-		cfg.SustainSec = 15
-	}
-	if cfg.MaxCapDwellSec <= 0 {
-		cfg.MaxCapDwellSec = 120
-	}
-	if cfg.MinFastPathHitRate <= 0 {
-		cfg.MinFastPathHitRate = 0.2
-	}
-	if cfg.MaxShardImbalance <= 0 {
-		cfg.MaxShardImbalance = 4
-	}
 	rules := []Rule{
 		{
 			Name: "victim-iowait-deviation-sustained", Signal: SignalDevIowaitMax,
-			Cmp: CmpGT, Threshold: cfg.Iowait, ForSec: cfg.SustainSec,
+			Cmp: CmpGT, Threshold: rulesIowait, ForSec: rulesSustainSec,
 		},
 		{
 			Name: "victim-cpi-deviation-sustained", Signal: SignalDevCPIMax,
-			Cmp: CmpGT, Threshold: cfg.CPI, ForSec: cfg.SustainSec,
+			Cmp: CmpGT, Threshold: rulesCPI, ForSec: rulesSustainSec,
 		},
 		{
 			Name: "cap-dwell-too-long", Signal: SignalCapDwellMax,
-			Cmp: CmpGT, Threshold: cfg.MaxCapDwellSec,
+			Cmp: CmpGT, Threshold: rulesMaxCapDwellSec,
 		},
 		{
 			Name: "false-cap-watchdog", Signal: SignalFalseCappedVMs,
@@ -539,7 +485,7 @@ func DefaultRules(cfg DefaultRulesConfig) []Rule {
 		},
 		{
 			Name: "monitor-interval-overrun", Signal: SignalSampleGapMax,
-			Cmp: CmpGT, Threshold: 1.5 * cfg.IntervalSec,
+			Cmp: CmpGT, Threshold: 1.5 * rulesIntervalSec,
 		},
 	}
 	if fp := cfg.FastPaths; fp != nil {
@@ -553,14 +499,7 @@ func DefaultRules(cfg DefaultRulesConfig) []Rule {
 				}
 				return float64(s.QuiescentSkips+s.SteadyReuses) / float64(total), true
 			},
-			Cmp: CmpLT, Threshold: cfg.MinFastPathHitRate, ForSec: cfg.SustainSec,
-		})
-	}
-	if im := cfg.ShardImbalance; im != nil {
-		rules = append(rules, Rule{
-			Name:  "shard-load-imbalance",
-			Value: func(float64) (float64, bool) { return im() },
-			Cmp:   CmpGT, Threshold: cfg.MaxShardImbalance, ForSec: cfg.SustainSec,
+			Cmp: CmpLT, Threshold: rulesMinFastPathRate, ForSec: rulesSustainSec,
 		})
 	}
 	return rules

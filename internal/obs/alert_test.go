@@ -10,7 +10,7 @@ import (
 // and returns the emitted alert events after evaluating at times ts.
 func evalRule(t *testing.T, r Rule, ts []float64, vals map[float64]float64) []Event {
 	t.Helper()
-	if r.Signal == "" && r.Metric == "" && r.Series == "" && r.Value == nil {
+	if r.Signal == "" && r.Value == nil {
 		r.Value = func(now float64) (float64, bool) {
 			v, ok := vals[now]
 			return v, ok
@@ -178,43 +178,10 @@ func TestAlertEngineIgnoresItsOwnEvents(t *testing.T) {
 	}
 }
 
-func TestAlertMetricAndSeriesSources(t *testing.T) {
-	reg := NewRegistry()
-	sr := NewSeriesRegistry(0)
-	eng := NewAlertEngine([]Rule{
-		{Name: "m", Metric: "queue_depth", Cmp: CmpGT, Threshold: 3},
-		{Name: "s", Series: "latency", SeriesLabels: []Label{{Key: "srv", Value: "a"}}, Cmp: CmpGE, Threshold: 100},
-	}, nil)
-	eng.SetRegistry(reg)
-	eng.SetSeries(sr)
-
-	// Both sources missing: condition-false, everything inactive.
-	eng.Eval(0)
-	for _, st := range eng.Statuses() {
-		if st.State != StateInactive {
-			t.Fatalf("rule %q active with missing sources: %+v", st.Rule, st)
-		}
-	}
-
-	reg.Gauge("queue_depth", "").Set(7)
-	sr.Series("latency", Label{Key: "srv", Value: "a"}).Append(1, 250)
-	eng.Eval(5)
-	for _, st := range eng.Statuses() {
-		if st.State != StateFiring {
-			t.Errorf("rule %q = %q after sources exceeded thresholds", st.Rule, st.State)
-		}
-	}
-	if sts := eng.Statuses(); sts[0].Value != 7 || sts[1].Value != 250 {
-		t.Errorf("statuses carry wrong values: %+v", sts)
-	}
-}
-
 func TestAlertEngineNilSafety(t *testing.T) {
 	var eng *AlertEngine
 	eng.Emit(Event{Type: EventSample})
 	eng.Eval(0)
-	eng.SetRegistry(nil)
-	eng.SetSeries(nil)
 	eng.SetGroundTruth(nil)
 	if got := eng.Statuses(); got != nil {
 		t.Errorf("nil engine Statuses() = %v", got)
@@ -250,6 +217,41 @@ func TestAlertSummaryMergeAndString(t *testing.T) {
 	const str = "firings 3 resolved 1 active [x z] x(fired 1) y(fired 1) z(fired 1)"
 	if got := a.String(); got != str {
 		t.Fatalf("String() = %q, want %q", got, str)
+	}
+
+	// Merging into a shallow copy (as Fig 12 folds its repetitions) must
+	// not write through the arrays the copy shares with its source.
+	for _, c := range []struct {
+		name string
+		src  AlertSummary
+		add  AlertSummary
+	}{
+		{"shared rule counts", AlertSummary{
+			Rules: []RuleSummary{{Rule: "r", Pendings: 1, Firings: 1}}, Firings: 1,
+		}, AlertSummary{
+			Rules: []RuleSummary{{Rule: "r", Pendings: 2, Firings: 2}}, Firings: 2,
+		}},
+		{"shared active list", AlertSummary{
+			Rules:   []RuleSummary{{Rule: "b", Firings: 1}},
+			Firings: 1, Active: append(make([]string, 0, 4), "b"),
+		}, AlertSummary{
+			Rules: []RuleSummary{{Rule: "a", Firings: 1}}, Firings: 1, Active: []string{"a"},
+		}},
+		{"spare rule capacity", AlertSummary{
+			Rules: append(make([]RuleSummary, 0, 4), RuleSummary{Rule: "r", Firings: 1}), Firings: 1,
+		}, AlertSummary{
+			Rules: []RuleSummary{{Rule: "s", Firings: 1}}, Firings: 1,
+		}},
+	} {
+		before := c.src.String()
+		cp := c.src
+		cp.Merge(c.add)
+		if got := c.src.String(); got != before {
+			t.Errorf("%s: merging into a copy changed the source: %q, was %q", c.name, got, before)
+		}
+		if extended := c.src.Rules[:cap(c.src.Rules)]; len(extended) > len(c.src.Rules) && extended[len(c.src.Rules)].Rule != "" {
+			t.Errorf("%s: merging into a copy wrote past the source's rules: %+v", c.name, extended)
+		}
 	}
 }
 
@@ -322,33 +324,29 @@ func TestDefaultRulesCoverage(t *testing.T) {
 	}
 }
 
-// TestDefaultRulesOptionalProbes: the fast-path and shard-imbalance
-// rules only exist when their probes are wired, and read through them.
+// TestDefaultRulesOptionalProbes: the fast-path rule only exists when
+// its probe is wired, and reads through it.
 func TestDefaultRulesOptionalProbes(t *testing.T) {
-	base := DefaultRules(DefaultRulesConfig{})
-	for _, r := range base {
-		if r.Name == "fastpath-hit-rate-collapse" || r.Name == "shard-load-imbalance" {
+	for _, r := range DefaultRules(DefaultRulesConfig{}) {
+		if r.Name == "fastpath-hit-rate-collapse" {
 			t.Fatalf("probe rule %q present without its probe", r.Name)
 		}
 	}
 	full := DefaultRules(DefaultRulesConfig{
-		SustainSec: 1,
 		FastPaths: func() FastPathSnapshot {
 			return FastPathSnapshot{QuiescentSkips: 1, Rebuilds: 99}
 		},
-		ShardImbalance: func() (float64, bool) { return 8, true },
 	})
 	eng := NewAlertEngine(full, nil)
-	eng.Eval(0)
-	eng.Eval(5)
+	// The rule holds for 15 s before it fires: pending at 0, firing at 15.
+	for now := 0.0; now <= 15; now += 5 {
+		eng.Eval(now)
+	}
 	st := map[string]AlertStatus{}
 	for _, s := range eng.Statuses() {
 		st[s.Rule] = s
 	}
 	if s := st["fastpath-hit-rate-collapse"]; s.State != StateFiring {
 		t.Errorf("fastpath rule = %+v, want firing (hit rate 0.01 < 0.2)", s)
-	}
-	if s := st["shard-load-imbalance"]; s.State != StateFiring {
-		t.Errorf("imbalance rule = %+v, want firing (8 > 4)", s)
 	}
 }

@@ -189,8 +189,8 @@ func (h *Health) ObserveShardImbalance(ratio float64) {
 }
 
 // Imbalance returns the last observed shard imbalance ratio (ok false
-// until first observed, and always on the nil Health) — the probe shape
-// DefaultRulesConfig.ShardImbalance wants.
+// until first observed, and always on the nil Health) — the shape of a
+// rule's Value source.
 func (h *Health) Imbalance() (float64, bool) {
 	if h == nil || !h.imbalanceSet.Load() {
 		return 0, false

@@ -120,38 +120,38 @@ func TestHealthRuntimeBridge(t *testing.T) {
 	reg := NewRegistry()
 	h := NewHealth(reg)
 	h.SampleRuntime()
-	if v, ok := reg.Value("perfcloud_health_goroutines"); !ok || v < 1 {
+	if v, ok := valueOf(reg, "perfcloud_health_goroutines"); !ok || v < 1 {
 		t.Errorf("goroutines gauge = (%v, %v), want >= 1", v, ok)
 	}
-	if v, ok := reg.Value("perfcloud_health_heap_objects_bytes"); !ok || v <= 0 {
+	if v, ok := valueOf(reg, "perfcloud_health_heap_objects_bytes"); !ok || v <= 0 {
 		t.Errorf("heap gauge = (%v, %v), want > 0", v, ok)
 	}
 	for _, name := range []string{"perfcloud_health_gc_cycles_total", "perfcloud_health_gc_cpu_seconds_total"} {
-		if _, ok := reg.Value(name); !ok {
+		if _, ok := valueOf(reg, name); !ok {
 			t.Errorf("gauge %q not registered", name)
 		}
 	}
 }
 
-// TestHealthImbalanceProbeShape: Health.Imbalance satisfies the
-// DefaultRulesConfig.ShardImbalance probe contract — no value until
-// first observation.
+// TestHealthImbalanceProbeShape: Health.Imbalance has the shape of a
+// rule's Value source — no value until first observation.
 func TestHealthImbalanceProbeShape(t *testing.T) {
 	h := NewHealth(nil)
-	rules := DefaultRules(DefaultRulesConfig{ShardImbalance: h.Imbalance, SustainSec: 1})
-	eng := NewAlertEngine(rules, nil)
+	rule := Rule{
+		Name:  "shard-load-imbalance",
+		Value: func(float64) (float64, bool) { return h.Imbalance() },
+		Cmp:   CmpGT, Threshold: 4, ForSec: 15,
+	}
+	eng := NewAlertEngine([]Rule{rule}, nil)
 	eng.Eval(0)
-	for _, st := range eng.Statuses() {
-		if st.Rule == "shard-load-imbalance" && st.State != StateInactive {
-			t.Fatalf("imbalance rule active before any observation: %+v", st)
-		}
+	if st := eng.Statuses()[0]; st.State != StateInactive {
+		t.Fatalf("imbalance rule active before any observation: %+v", st)
 	}
 	h.ObserveShardImbalance(9)
-	eng.Eval(5)
-	eng.Eval(10)
-	for _, st := range eng.Statuses() {
-		if st.Rule == "shard-load-imbalance" && st.State != StateFiring {
-			t.Fatalf("imbalance rule = %q after observing 9 > 4", st.State)
-		}
+	for now := 5.0; now <= 20; now += 5 {
+		eng.Eval(now)
+	}
+	if st := eng.Statuses()[0]; st.State != StateFiring {
+		t.Fatalf("imbalance rule = %q after observing 9 > 4 for 15 s", st.State)
 	}
 }

@@ -206,40 +206,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.lookup(name, help, typeHistogram, buckets, labels).hist
 }
 
-// Value reads the current value of a registered instrument without
-// creating it: counters and gauges report their value, histograms their
-// observation count. The second return is false when the family or the
-// labelled series does not exist (or the registry is nil) — how the
-// alert engine evaluates metric rules without mutating the registry.
-func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	key := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.byName[name]
-	if !ok {
-		return 0, false
-	}
-	s, ok := f.byKey[key]
-	if !ok {
-		return 0, false
-	}
-	switch {
-	case s.counter != nil:
-		return float64(s.counter.Value()), true
-	case s.gauge != nil:
-		return s.gauge.Value(), true
-	case s.hist != nil:
-		return float64(s.hist.Count()), true
-	}
-	return 0, false
-}
-
 // lookup finds or registers the family and series for one instrument.
 // A new series gets its instrument here, under the lock, so a series is
-// never visible to WritePrometheus or Value without one, and concurrent
+// never visible to WritePrometheus without one, and concurrent
 // registrations of one series share a single instrument. A name reused
 // with a different type panics — it is a programming error that would
 // render invalid exposition text.

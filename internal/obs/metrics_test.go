@@ -196,11 +196,41 @@ func TestConcurrentRegistrationAndExposition(t *testing.T) {
 	}
 	for i := 0; i < series; i++ {
 		l := Label{Key: "i", Value: strconv.Itoa(i)}
-		if v, _ := r.Value("c_total", l); v != workers {
+		if v, _ := valueOf(r, "c_total", l); v != workers {
 			t.Fatalf("counter %d = %v, want %d", i, v, workers)
 		}
-		if v, _ := r.Value("lat", l); v != workers {
+		if v, _ := valueOf(r, "lat", l); v != workers {
 			t.Fatalf("histogram %d count = %v, want %d", i, v, workers)
 		}
 	}
+}
+
+// valueOf reads the current value of a registered instrument without
+// creating it: counters and gauges report their value, histograms their
+// observation count. The second return is false when the family or the
+// labelled series does not exist.
+func valueOf(r *Registry, name string, labels ...Label) (float64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	key := renderLabels(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.byName[name]
+	if !ok {
+		return 0, false
+	}
+	s, ok := f.byKey[key]
+	if !ok {
+		return 0, false
+	}
+	switch {
+	case s.counter != nil:
+		return float64(s.counter.Value()), true
+	case s.gauge != nil:
+		return s.gauge.Value(), true
+	case s.hist != nil:
+		return float64(s.hist.Count()), true
+	}
+	return 0, false
 }

@@ -40,20 +40,6 @@ type TruthVM struct {
 // channel) as opposed to a benign decoy.
 func (v TruthVM) Antagonist() bool { return v.Channel != "" }
 
-// ActiveAt reports whether the VM's burst schedule is in an "on" phase
-// at simulation time t (seconds).
-func (v TruthVM) ActiveAt(t float64) bool {
-	if t < v.StartSec {
-		return false
-	}
-	if v.OffSec <= 0 || v.OnSec <= 0 {
-		return true
-	}
-	period := v.OnSec + v.OffSec
-	phase := t - v.StartSec
-	return phase-float64(int(phase/period))*period < v.OnSec
-}
-
 // GroundTruth is the registry of truth records for one run, in
 // registration order. The zero value is unusable; call NewGroundTruth.
 type GroundTruth struct {

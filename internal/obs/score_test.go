@@ -117,23 +117,3 @@ func TestScorecardMerge(t *testing.T) {
 		t.Fatalf("merge changed mean TTD: %v vs %v", b.MeanTimeToDetectSec, a.MeanTimeToDetectSec)
 	}
 }
-
-func TestTruthVMActiveAt(t *testing.T) {
-	v := TruthVM{VM: "fio", Channel: "io", StartSec: 10, OnSec: 60, OffSec: 30}
-	cases := []struct {
-		t    float64
-		want bool
-	}{
-		{0, false}, {9.9, false}, {10, true}, {69, true},
-		{70, false}, {99, false}, {100, true}, {159, true}, {160, false},
-	}
-	for _, c := range cases {
-		if got := v.ActiveAt(c.t); got != c.want {
-			t.Fatalf("ActiveAt(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-	always := TruthVM{VM: "stream", Channel: "cpu", StartSec: 40}
-	if always.ActiveAt(39) || !always.ActiveAt(40) || !always.ActiveAt(1e6) {
-		t.Fatal("always-on pattern mis-evaluated")
-	}
-}

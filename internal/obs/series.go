@@ -13,9 +13,9 @@ import (
 // time apart, so every point carries its exact simulation timestamp —
 // producers stamp points with the stride-aware time (Clock.PeekSeconds /
 // trace TimeSec), never a tick count. Fleet sharding (PR 7) means
-// per-server series are untenable at 10k servers; the Rollup folds
-// per-server observations into the topology hierarchy (shard, zone,
-// cluster) so retained cardinality is O(zones + shards), not O(servers).
+// per-server series are untenable at 10k servers; fleet telemetry
+// (experiments.FleetTelemetry) keeps one series per shard and per zone,
+// so retained cardinality is O(zones + shards), not O(servers).
 // Like every obs instrument, all types are nil-safe no-ops so telemetry
 // can be compiled out of a run by simply not wiring a registry.
 
@@ -59,31 +59,6 @@ func (s *Series) Append(t, v float64) {
 	s.appendLocked(SeriesPoint{T: t, V: v})
 }
 
-// merge records a point, folding it into the newest retained point when
-// the timestamps match — how a Rollup combines many servers' samples
-// from the same interval into one aggregate point.
-func (s *Series) merge(t, v float64, fold func(old, new float64) float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last, ok := s.lastLocked(); ok {
-		if t < last.T {
-			panic("obs: series timestamps must be non-decreasing")
-		}
-		if t == last.T {
-			i := s.next - 1
-			if i < 0 {
-				i = len(s.buf) - 1
-			}
-			s.buf[i].V = fold(last.V, v)
-			return
-		}
-	}
-	s.appendLocked(SeriesPoint{T: t, V: v})
-}
-
 func (s *Series) appendLocked(p SeriesPoint) {
 	s.buf[s.next] = p
 	s.next++
@@ -104,17 +79,6 @@ func (s *Series) lastLocked() (SeriesPoint, bool) {
 	return s.buf[i], true
 }
 
-// Last returns the newest retained point, or false on an empty (or nil)
-// series — the read primitive alert rules evaluate series against.
-func (s *Series) Last() (SeriesPoint, bool) {
-	if s == nil {
-		return SeriesPoint{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastLocked()
-}
-
 // Points returns the retained points, oldest first.
 func (s *Series) Points() []SeriesPoint {
 	if s == nil {
@@ -130,14 +94,10 @@ func (s *Series) Points() []SeriesPoint {
 	return append(out, s.buf[:s.next]...)
 }
 
-// Since returns the retained points with T strictly after t, oldest
-// first — the delta-scrape primitive: a scraper remembers the last
+// pointsAfter returns the suffix of the time-ordered pts with T strictly
+// after t — the delta-scrape primitive: a scraper remembers the last
 // timestamp it saw and asks only for what is newer. Timestamps are
 // simulation time, so the contract survives stride elision unchanged.
-func (s *Series) Since(t float64) []SeriesPoint { return pointsAfter(s.Points(), t) }
-
-// pointsAfter returns the suffix of the time-ordered pts with T strictly
-// after t.
 func pointsAfter(pts []SeriesPoint, t float64) []SeriesPoint {
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].T > t })
 	return pts[i:]
@@ -166,15 +126,12 @@ func (s *Series) Total() uint64 {
 	return s.total
 }
 
-// Downsample returns at most n points summarizing the retained window:
+// downsample returns at most n points summarizing the time-ordered pts:
 // points are split into n contiguous buckets and each bucket reports its
 // maximum (deviation spikes are the signal of interest; a mean would
 // smooth away exactly the excursions the detector fires on), stamped
-// with the bucket's last timestamp.
-func (s *Series) Downsample(n int) []SeriesPoint { return downsample(s.Points(), n) }
-
-// downsample is Downsample over a time-ordered point slice; it returns
-// pts itself when n <= 0 or pts already fits.
+// with the bucket's last timestamp. It returns pts itself when n <= 0
+// or pts already fits.
 func downsample(pts []SeriesPoint, n int) []SeriesPoint {
 	if n <= 0 || len(pts) <= n {
 		return pts
@@ -239,22 +196,6 @@ func (r *SeriesRegistry) Series(name string, labels ...Label) *Series {
 	return s
 }
 
-// Lookup returns the series for name+labels without creating it, or nil
-// when it was never registered — how read-only consumers (alert rules)
-// probe the registry without growing it.
-func (r *SeriesRegistry) Lookup(name string, labels ...Label) *Series {
-	if r == nil {
-		return nil
-	}
-	key := name
-	if ls := renderLabels(labels); ls != "" {
-		key += "{" + ls + "}"
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byKey[key]
-}
-
 // Keys returns the registered series keys (name{labels}), sorted.
 func (r *SeriesRegistry) Keys() []string {
 	if r == nil {
@@ -298,108 +239,4 @@ func (r *SeriesRegistry) WriteJSON(w io.Writer, sinceSec float64, maxPoints int)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Rollup folds per-server observations into the placement hierarchy:
-// one series per shard, one per zone, one for the whole cluster —
-// never one per server. Observations from different servers in the same
-// sampling interval share a timestamp and are merged (max by default:
-// the fleet-level question is "what is the worst deviation anywhere in
-// this shard/zone right now", and a mean over mostly-idle servers would
-// bury it). A nil Rollup ignores observations.
-type Rollup struct {
-	sr     *SeriesRegistry
-	name   string
-	locate func(server string) (shard, zone string, ok bool)
-	fold   func(old, new float64) float64
-
-	mu      sync.Mutex
-	cluster *Series
-	shards  map[string]*Series
-	zones   map[string]*Series
-}
-
-// MaxFold keeps the larger value — the default Rollup merge.
-func MaxFold(old, new float64) float64 {
-	if new > old {
-		return new
-	}
-	return old
-}
-
-// NewRollup creates a rollup writing into sr under the given series
-// name. locate maps a server id to its shard and zone keys; servers it
-// cannot place still fold into the cluster series. fold nil = MaxFold.
-func NewRollup(sr *SeriesRegistry, name string, locate func(server string) (shard, zone string, ok bool), fold func(old, new float64) float64) *Rollup {
-	if sr == nil {
-		return nil
-	}
-	if fold == nil {
-		fold = MaxFold
-	}
-	return &Rollup{
-		sr: sr, name: name, locate: locate, fold: fold,
-		cluster: sr.Series(name),
-		shards:  make(map[string]*Series),
-		zones:   make(map[string]*Series),
-	}
-}
-
-// Observe folds one server's sample at simulation time t into the
-// cluster, shard and zone series.
-func (r *Rollup) Observe(server string, t, v float64) {
-	if r == nil {
-		return
-	}
-	r.cluster.merge(t, v, r.fold)
-	if r.locate == nil {
-		return
-	}
-	shard, zone, ok := r.locate(server)
-	if !ok {
-		return
-	}
-	r.level(r.shards, "shard", shard).merge(t, v, r.fold)
-	r.level(r.zones, "zone", zone).merge(t, v, r.fold)
-}
-
-func (r *Rollup) level(cache map[string]*Series, label, key string) *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := cache[key]
-	if s == nil {
-		s = r.sr.Series(r.name, Label{Key: label, Value: key})
-		cache[key] = s
-	}
-	return s
-}
-
-// RollupSink adapts the event stream to rollups: each sample event's
-// deviation signals fold into per-channel hierarchies. Wire it into a
-// MultiSink next to the JSONL/ring sinks; non-sample events pass
-// through untouched. A nil sink ignores everything.
-type RollupSink struct {
-	IO  *Rollup // iowait deviation, max-merged
-	CPU *Rollup // CPI deviation, max-merged
-}
-
-// NewRollupSink builds the two standard deviation rollups
-// (dev_iowait, dev_cpi) over the given locator.
-func NewRollupSink(sr *SeriesRegistry, locate func(server string) (shard, zone string, ok bool)) *RollupSink {
-	if sr == nil {
-		return nil
-	}
-	return &RollupSink{
-		IO:  NewRollup(sr, "dev_iowait", locate, MaxFold),
-		CPU: NewRollup(sr, "dev_cpi", locate, MaxFold),
-	}
-}
-
-// Emit implements Sink.
-func (s *RollupSink) Emit(e Event) {
-	if s == nil || e.Type != EventSample {
-		return
-	}
-	s.IO.Observe(e.Server, e.T, e.IowaitDev)
-	s.CPU.Observe(e.Server, e.T, e.CPIDev)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -33,7 +32,7 @@ func TestSeriesRingRetention(t *testing.T) {
 func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
 	s.Append(1, 2) // must not panic
-	if s.Points() != nil || s.Len() != 0 || s.Total() != 0 || len(s.Since(0)) != 0 {
+	if s.Points() != nil || s.Len() != 0 || s.Total() != 0 || len(pointsAfter(s.Points(), 0)) != 0 {
 		t.Fatal("nil series not empty")
 	}
 }
@@ -55,14 +54,14 @@ func TestSeriesSince(t *testing.T) {
 	for _, ti := range []float64{10, 20, 30, 40} {
 		s.Append(ti, ti)
 	}
-	if got := s.Since(0); len(got) != 4 {
+	if got := pointsAfter(s.Points(), 0); len(got) != 4 {
 		t.Fatalf("Since(0) returned %d points, want 4", len(got))
 	}
-	got := s.Since(20)
+	got := pointsAfter(s.Points(), 20)
 	if len(got) != 2 || got[0].T != 30 || got[1].T != 40 {
 		t.Fatalf("Since(20) = %v, want [30 40]", got)
 	}
-	if got := s.Since(40); len(got) != 0 {
+	if got := pointsAfter(s.Points(), 40); len(got) != 0 {
 		t.Fatalf("Since(40) = %v, want empty (strictly after)", got)
 	}
 }
@@ -76,7 +75,7 @@ func TestSeriesDownsample(t *testing.T) {
 		}
 		s.Append(float64(i), v)
 	}
-	got := s.Downsample(4)
+	got := downsample(s.Points(), 4)
 	if len(got) != 4 {
 		t.Fatalf("downsampled to %d points, want 4", len(got))
 	}
@@ -93,11 +92,11 @@ func TestSeriesDownsample(t *testing.T) {
 		t.Fatalf("max-downsample lost the spike: %v", got)
 	}
 	// No-op cases.
-	if got := s.Downsample(0); len(got) != 100 {
-		t.Fatalf("Downsample(0) dropped points: %d", len(got))
+	if got := downsample(s.Points(), 0); len(got) != 100 {
+		t.Fatalf("downsample(0) dropped points: %d", len(got))
 	}
-	if got := s.Downsample(1000); len(got) != 100 {
-		t.Fatalf("Downsample(n>len) changed points: %d", len(got))
+	if got := downsample(s.Points(), 1000); len(got) != 100 {
+		t.Fatalf("downsample(n>len) changed points: %d", len(got))
 	}
 }
 
@@ -171,78 +170,7 @@ func TestSeriesRegistryWriteJSON(t *testing.T) {
 	}
 }
 
-func TestRollupHierarchy(t *testing.T) {
-	r := NewSeriesRegistry(16)
-	locate := func(server string) (string, string, bool) {
-		switch server {
-		case "s0", "s1":
-			return "0", "zone-0", true
-		case "s2":
-			return "1", "zone-1", true
-		}
-		return "", "", false
-	}
-	ru := NewRollup(r, "dev_iowait", locate, MaxFold)
-	// Same interval (t=10), three servers: max must win at each level.
-	ru.Observe("s0", 10, 1)
-	ru.Observe("s1", 10, 5)
-	ru.Observe("s2", 10, 3)
-	ru.Observe("unknown", 10, 9) // unlocatable: cluster only
-	ru.Observe("s0", 20, 2)
-
-	get := func(key string) []SeriesPoint {
-		switch key {
-		case "cluster":
-			return r.Series("dev_iowait").Points()
-		case "shard0":
-			return r.Series("dev_iowait", Label{Key: "shard", Value: "0"}).Points()
-		case "zone0":
-			return r.Series("dev_iowait", Label{Key: "zone", Value: "zone-0"}).Points()
-		case "zone1":
-			return r.Series("dev_iowait", Label{Key: "zone", Value: "zone-1"}).Points()
-		}
-		return nil
-	}
-	cl := get("cluster")
-	if len(cl) != 2 || cl[0] != (SeriesPoint{T: 10, V: 9}) || cl[1] != (SeriesPoint{T: 20, V: 2}) {
-		t.Fatalf("cluster series = %v", cl)
-	}
-	if sh := get("shard0"); len(sh) != 2 || sh[0].V != 5 {
-		t.Fatalf("shard 0 series = %v", sh)
-	}
-	if z := get("zone0"); len(z) != 2 || z[0].V != 5 || z[1].V != 2 {
-		t.Fatalf("zone-0 series = %v", z)
-	}
-	if z := get("zone1"); len(z) != 1 || z[0].V != 3 {
-		t.Fatalf("zone-1 series = %v", z)
-	}
-	// Cardinality is levels, not servers: cluster + 2 shards + 2 zones.
-	if got := len(r.Keys()); got != 5 {
-		t.Fatalf("rollup created %d series, want 5: %v", got, r.Keys())
-	}
-
-	var nilRu *Rollup
-	nilRu.Observe("s0", 1, 1) // must not panic
-}
-
-func TestRollupSink(t *testing.T) {
-	r := NewSeriesRegistry(8)
-	sink := NewRollupSink(r, func(string) (string, string, bool) { return "0", "zone-0", true })
-	sink.Emit(Event{T: 10, Type: EventSample, Server: "s0", IowaitDev: 4, CPIDev: 0.5})
-	sink.Emit(Event{T: 10, Type: EventCap, Server: "s0", VM: "fio"}) // ignored
-	io := r.Series("dev_iowait").Points()
-	cpu := r.Series("dev_cpi").Points()
-	if len(io) != 1 || io[0].V != 4 || len(cpu) != 1 || cpu[0].V != 0.5 {
-		t.Fatalf("rollup sink recorded io=%v cpu=%v", io, cpu)
-	}
-	for _, k := range r.Keys() {
-		if strings.Contains(k, `server=`) {
-			t.Fatalf("rollup sink created a per-server series: %v", r.Keys())
-		}
-	}
-}
-
-// TestSeriesWrappedRingReads pins Since and Downsample behaviour after
+// TestSeriesWrappedRingReads pins pointsAfter and downsample behaviour after
 // the ring has wrapped: reads must see the retained window in time
 // order, not the raw buffer order.
 func TestSeriesWrappedRingReads(t *testing.T) {
@@ -257,25 +185,25 @@ func TestSeriesWrappedRingReads(t *testing.T) {
 
 	// Since on the wrapped window: strictly-after semantics hold across
 	// the physical seam.
-	if got := s.Since(7); len(got) != 2 || got[0].T != 8 || got[1].T != 9 {
+	if got := pointsAfter(s.Points(), 7); len(got) != 2 || got[0].T != 8 || got[1].T != 9 {
 		t.Fatalf("Since(7) on wrapped ring = %v", got)
 	}
 	// A cutoff older than the retained window returns everything...
-	if got := s.Since(2); len(got) != 4 {
+	if got := pointsAfter(s.Points(), 2); len(got) != 4 {
 		t.Fatalf("Since(2) = %v, want all 4 retained points", got)
 	}
 	// ...and one at-or-past the newest point returns nothing (strictly
 	// after).
-	if got := s.Since(9); len(got) != 0 {
+	if got := pointsAfter(s.Points(), 9); len(got) != 0 {
 		t.Fatalf("Since(9) = %v, want empty", got)
 	}
 
 	// Downsample on the wrapped window: 2 buckets of 2, each reporting
 	// its max value and last timestamp.
-	ds := s.Downsample(2)
+	ds := downsample(s.Points(), 2)
 	want := []SeriesPoint{{T: 7, V: 70}, {T: 9, V: 90}}
 	if !reflect.DeepEqual(ds, want) {
-		t.Fatalf("Downsample(2) on wrapped ring = %v, want %v", ds, want)
+		t.Fatalf("downsample(2) on wrapped ring = %v, want %v", ds, want)
 	}
 }
 
@@ -288,8 +216,8 @@ func TestSeriesDownsampleDegenerateN(t *testing.T) {
 	}
 	all := s.Points()
 	for _, n := range []int{0, -1, -100, 5, 6, 1000} {
-		if got := s.Downsample(n); !reflect.DeepEqual(got, all) {
-			t.Errorf("Downsample(%d) = %v, want all %d points unchanged", n, got, len(all))
+		if got := downsample(s.Points(), n); !reflect.DeepEqual(got, all) {
+			t.Errorf("downsample(%d) = %v, want all %d points unchanged", n, got, len(all))
 		}
 	}
 }
@@ -298,17 +226,14 @@ func TestSeriesDownsampleDegenerateN(t *testing.T) {
 // freshly created (never appended) series.
 func TestSeriesEmptyReads(t *testing.T) {
 	s := NewSeries(4)
-	if _, ok := s.Last(); ok {
-		t.Error("Last() ok on empty series")
-	}
 	if got := s.Points(); len(got) != 0 {
 		t.Errorf("Points() = %v on empty series", got)
 	}
-	if got := s.Since(0); len(got) != 0 {
+	if got := pointsAfter(s.Points(), 0); len(got) != 0 {
 		t.Errorf("Since(0) = %v on empty series", got)
 	}
-	if got := s.Downsample(3); len(got) != 0 {
-		t.Errorf("Downsample(3) = %v on empty series", got)
+	if got := downsample(s.Points(), 3); len(got) != 0 {
+		t.Errorf("downsample(3) = %v on empty series", got)
 	}
 	if s.Len() != 0 || s.Total() != 0 {
 		t.Errorf("Len/Total = %d/%d on empty series", s.Len(), s.Total())

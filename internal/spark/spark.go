@@ -21,9 +21,9 @@ import (
 	"perfcloud/internal/trace"
 )
 
-// StageShape bundles a stage's per-task memory behaviour.
+// StageShape bundles a stage's per-task memory behaviour. Its I/O uses
+// the executor's default op size.
 type StageShape struct {
-	OpBytes         float64
 	CoreCPI         float64
 	LLCRefsPerInstr float64
 	BytesPerInstr   float64
@@ -187,9 +187,6 @@ func NewDriver(pool exec.Pool, spec exec.Speculator) *Driver {
 // Pool returns the driver's executor pool.
 func (d *Driver) Pool() exec.Pool { return d.pool }
 
-// Apps returns all submitted applications in submission order.
-func (d *Driver) Apps() []*App { return append([]*App(nil), d.apps...) }
-
 // Submit enqueues an application at nowSec.
 func (d *Driver) Submit(cfg AppConfig, nowSec float64) (*App, error) {
 	if len(cfg.Stages) == 0 {
@@ -281,7 +278,6 @@ func (d *Driver) startStage(a *App, now float64) {
 		specs[i] = exec.TaskSpec{
 			ID:              stagePrefix + "-t" + pad3(i),
 			IOBytes:         sc.IOBytesPer,
-			OpBytes:         sc.Shape.OpBytes,
 			InputKey:        key,
 			Instructions:    sc.InstrPerTask,
 			CoreCPI:         sc.Shape.CoreCPI,

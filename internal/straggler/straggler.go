@@ -4,14 +4,12 @@
 //   - LATE [Zaharia et al., OSDI'08]: speculative execution that ranks
 //     running tasks by estimated time to end and backs up the slowest
 //     ones, capped at a fraction of slots;
-//   - a naive progress-gap speculator (Hadoop's default heuristic),
-//     kept as an ablation point;
 //   - Dolly [Ananthanarayanan et al., NSDI'13]: proactive job-level
 //     cloning — launch n identical clones, take the first finisher, kill
 //     the rest. The paper uses job-level cloning (not task-level) since
 //     the latter would require framework modification.
 //
-// LATE and the naive speculator plug into exec.TaskSet as Speculators;
+// LATE plugs into exec.TaskSet as a Speculator;
 // Dolly watches clone groups from outside the frameworks, exactly as a
 // user-level tool would.
 package straggler
@@ -135,50 +133,6 @@ func runningCount(t *exec.Task) int {
 		}
 	})
 	return n
-}
-
-// Naive is Hadoop's default progress-gap speculator: back up any task
-// whose progress trails the running average by Gap after MinRuntimeSec.
-type Naive struct {
-	Gap           float64
-	MinRuntimeSec float64
-}
-
-// NewNaive returns the classical 0.2-progress-gap speculator.
-func NewNaive() *Naive { return &Naive{Gap: 0.2, MinRuntimeSec: 3} }
-
-var _ exec.Speculator = (*Naive)(nil)
-
-// Candidates implements exec.Speculator.
-func (n *Naive) Candidates(ts *exec.TaskSet, nowSec float64) []*exec.Task {
-	var progress []float64
-	var running []*exec.Attempt
-	ts.EachTask(func(t *exec.Task) {
-		t.EachAttempt(func(a *exec.Attempt) {
-			if a.State() != exec.AttemptRunning || a.Speculative() {
-				return
-			}
-			running = append(running, a)
-			progress = append(progress, a.Progress())
-		})
-	})
-	if len(running) == 0 {
-		return nil
-	}
-	avg := stats.Mean(progress)
-	var out []*exec.Task
-	for _, a := range running {
-		if a.Runtime(nowSec) < n.MinRuntimeSec {
-			continue
-		}
-		if runningCount(a.Task()) > 1 {
-			continue
-		}
-		if a.Progress() < avg-n.Gap {
-			out = append(out, a.Task())
-		}
-	}
-	return out
 }
 
 // Clone is the framework-job surface Dolly needs: both mapreduce.Job and

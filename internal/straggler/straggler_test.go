@@ -146,21 +146,10 @@ func TestLATEBudgetRespected(t *testing.T) {
 	}
 }
 
-func TestNaiveSpeculator(t *testing.T) {
-	h := newMRHarness(t, NewNaive(), true)
-	j := runJob(t, h, mapreduce.Terasort("input", 6))
-	if !j.Completed() {
-		t.Fatalf("state = %v", j.State())
-	}
-}
-
 func TestCandidatesEmptySets(t *testing.T) {
 	ts := exec.NewTaskSet("empty", nil, nil)
 	if got := NewLATE().Candidates(ts, 10); got != nil {
 		t.Errorf("LATE on empty set = %v", got)
-	}
-	if got := NewNaive().Candidates(ts, 10); got != nil {
-		t.Errorf("Naive on empty set = %v", got)
 	}
 }
 

@@ -55,12 +55,10 @@ func (b BurstPattern) active(t time.Duration) bool {
 	return (t-b.StartOffset)%period < b.On
 }
 
-// Limits terminate a benchmark once any nonzero threshold is reached;
-// all-zero limits mean the benchmark runs until the scenario ends.
+// Limits terminate a benchmark once a nonzero threshold is reached;
+// zero limits mean the benchmark runs until the scenario ends.
 type Limits struct {
-	Ops          float64 // total I/O operations
-	MemBytes     float64 // total memory traffic (STREAM's work metric)
-	Instructions float64 // total instructions retired
+	MemBytes float64 // total memory traffic (STREAM's work metric)
 }
 
 // Benchmark is a synthetic workload driven by a Profile and BurstPattern.
@@ -78,8 +76,8 @@ type Benchmark struct {
 	// epoch backs DemandEpoch: it advances whenever the next Demand call
 	// could return something different. A benchmark's demand is its
 	// constant profile gated by Active(), so the epoch moves exactly on
-	// burst-phase flips, on completion (a limit reached) and on SetLimits;
-	// between flips a server may replay its last tick.
+	// burst-phase flips and on completion (a limit reached); between
+	// flips a server may replay its last tick.
 	epoch uint64
 
 	totalOps      float64
@@ -103,20 +101,6 @@ func NewBenchmark(name string, p Profile, b BurstPattern, l Limits) *Benchmark {
 // Name returns the benchmark's name.
 func (w *Benchmark) Name() string { return w.name }
 
-// SetLimits replaces the benchmark's termination limits (e.g. to give an
-// endless antagonist a finite amount of work mid-experiment).
-//
-// Done is terminal as far as the cluster's quiescence machinery is
-// concerned: once every workload on a server reports Done the server may
-// be parked out of the active set and stop ticking. Widening the limits
-// of a finished benchmark to re-arm it therefore also requires
-// cluster.Server.MarkDirty on the hosting server, so the server rejoins
-// the active set and observes the revived demand.
-func (w *Benchmark) SetLimits(l Limits) {
-	w.limits = l
-	w.epoch++ // may flip Done and hence Active
-}
-
 // DemandEpoch implements cluster.Workload.
 func (w *Benchmark) DemandEpoch() uint64 { return w.epoch }
 
@@ -130,10 +114,6 @@ func (w *Benchmark) Pattern() BurstPattern { return w.pattern }
 // CPI inflation) or "" for decoys that never harm colocated tenants.
 // It is ground truth for scoring, invisible to the detector itself.
 func (w *Benchmark) HarmChannel() string { return w.harm }
-
-// SetHarmChannel tags a custom benchmark as a genuine antagonist on the
-// given channel; the stock constructors tag themselves.
-func (w *Benchmark) SetHarmChannel(ch string) { w.harm = ch }
 
 // Active reports whether the benchmark is currently in an "on" phase.
 func (w *Benchmark) Active() bool { return w.pattern.active(w.elapsed) && !w.Done() }
@@ -173,18 +153,11 @@ func (w *Benchmark) Advance(tickSec float64, g cluster.Grant) {
 	}
 }
 
-// Done implements cluster.Workload.
+// Done implements cluster.Workload. Done is terminal as far as the
+// cluster's quiescence machinery is concerned: once every workload on a
+// server reports Done the server may be parked out of the active set.
 func (w *Benchmark) Done() bool {
-	if w.limits.Ops > 0 && w.totalOps >= w.limits.Ops {
-		return true
-	}
-	if w.limits.MemBytes > 0 && w.totalMemBytes >= w.limits.MemBytes {
-		return true
-	}
-	if w.limits.Instructions > 0 && w.totalInstr >= w.limits.Instructions {
-		return true
-	}
-	return false
+	return w.limits.MemBytes > 0 && w.totalMemBytes >= w.limits.MemBytes
 }
 
 // AchievedIOPS is the benchmark's average I/O rate over its active time —

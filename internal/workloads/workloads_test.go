@@ -102,14 +102,14 @@ func TestZeroActiveTimeMetrics(t *testing.T) {
 }
 
 func TestLimitsTerminate(t *testing.T) {
-	w := NewBenchmark("x", Profile{CPUCores: 1, IOPS: 100, OpBytes: 512, CoreCPI: 1},
-		AlwaysOn, Limits{Ops: 50})
+	w := NewBenchmark("x", Profile{CPUCores: 1, IOPS: 100, OpBytes: 512, CoreCPI: 1, BytesPerInstr: 1},
+		AlwaysOn, Limits{MemBytes: 1e9})
 	drain(w, 100)
 	if !w.Done() {
-		t.Fatal("should be done after ops limit")
+		t.Fatal("should be done after memory-traffic limit")
 	}
-	if w.TotalOps() < 50 {
-		t.Errorf("TotalOps = %v", w.TotalOps())
+	if w.TotalMemBytes() < 1e9 {
+		t.Errorf("TotalMemBytes = %v", w.TotalMemBytes())
 	}
 	// Once done, Active is false and demand is zero.
 	if w.Active() {
