@@ -43,16 +43,17 @@ loc:
 		END { print n + 0 }'
 
 # golden checks the committed output digests from the command line, the
-# same bytes the TestGoldenOutputs tests of cmd/perfcloudd and cmd/psim
-# and TestObservedFig11Golden check in process: perfcloudd's Perfetto
-# JSON and audit log, psim's stdout, Perfetto JSON and alert JSONL (seeds
-# 42 and 7), and the stdout and traces of an observed -quick Fig 11 run.
-# It also checks perfbench -fig all's stdout at seed 42, the stdout and
-# all 56 traces of the full observed quick suite (perfbench -fig all
-# -quick -scorecard -alerts -fastpaths -tracedir; the -fastpaths counters
-# and the timing line go to stderr), and the stdout of each example; planet_scale's two wall-clock figures ("built in …s",
-# "…s wall") are masked to X first. Each command runs in its own
-# directory under .golden/.
+# same bytes the TestGoldenOutputs tests of cmd/perfcloudd, cmd/psim and
+# cmd/perfbench and TestObservedFig11Golden check in process under
+# go test: perfcloudd's Perfetto JSON and audit log, psim's stdout,
+# Perfetto JSON and alert JSONL (seeds 42 and 7), the stdout and traces
+# of an observed -quick Fig 11 run, perfbench -fig all's stdout at seed
+# 42, and the stdout and all 56 traces of the full observed quick suite
+# (perfbench -fig all -quick -scorecard -alerts -fastpaths -tracedir; the
+# -fastpaths counters and the timing line go to stderr). Only this target
+# checks the stdout of each example; planet_scale's two wall-clock
+# figures ("built in …s", "…s wall") are masked to X first. Each command
+# runs in its own directory under .golden/.
 GOLDEN = .golden
 EXAMPLES = antagonist_id interference_detection large_scale migration quickstart planet_scale
 golden:

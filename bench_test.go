@@ -1,8 +1,9 @@
 // Benchmarks that regenerate every figure of the paper's motivation and
-// evaluation sections, one bench per figure (the per-experiment index in
-// DESIGN.md maps figures to benches). They report the figure's headline
-// quantities as custom benchmark metrics and print the full table on the
-// first iteration under -v via b.Log.
+// evaluation sections: BenchmarkFigures runs each experiments.Figures
+// entry at paper scale as a sub-benchmark named after its perfbench -fig
+// value (the per-experiment index in DESIGN.md maps figures to them). A
+// sub-benchmark reports the figure's headline quantities as custom
+// metrics and, under -v, logs its tables on the first iteration.
 //
 // Run everything:
 //
@@ -10,7 +11,7 @@
 //
 // or a single figure:
 //
-//	go test -bench=BenchmarkFig9 -benchtime=1x
+//	go test -bench='Figures/9$' -benchtime=1x
 package perfcloud_test
 
 import (
@@ -25,239 +26,117 @@ import (
 
 const benchSeed = 42
 
-func BenchmarkFig1_IOCapSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(benchSeed, experiments.Options{})
+// metrics adapts a report over one figure's typed result to a row of
+// figureMetrics.
+func metrics[R any](report func(b *testing.B, r R)) func(*testing.B, any) {
+	return func(b *testing.B, r any) { report(b, r.(R)) }
+}
+
+// figureMetrics maps each figure, by -fig name, to the custom metrics
+// its sub-benchmark reports.
+var figureMetrics = map[string]func(*testing.B, any){
+	"1": metrics(func(b *testing.B, r experiments.Fig1Result) {
 		b.ReportMetric(r.Degradation("terasort"), "terasort-normJCT")
 		b.ReportMetric(r.Degradation("spark-logreg"), "logreg-normJCT")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig2_MemDegradation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2(benchSeed, experiments.Options{})
+	}),
+	"2": metrics(func(b *testing.B, r experiments.Fig2Result) {
 		b.ReportMetric(r.MeanNormJCT(false), "mr-normJCT")
 		b.ReportMetric(r.MeanNormJCT(true), "spark-normJCT")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig3_IowaitDeviation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(benchSeed, experiments.Options{})
+	}),
+	"3": metrics(func(b *testing.B, r experiments.Fig3Result) {
 		b.ReportMetric(r.Alone.PeakIowait(), "peak-alone")
 		b.ReportMetric(r.WithFio.PeakIowait(), "peak-fio")
 		b.ReportMetric(r.PeakRatio(), "peak-ratio")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig4_CPIDeviation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(benchSeed, experiments.Options{})
+	}),
+	"4": metrics(func(b *testing.B, r experiments.Fig4Result) {
 		var maxAlone, minStream float64
 		for k, row := range r.Rows {
-			if row.PeakAlone > maxAlone {
-				maxAlone = row.PeakAlone
-			}
+			maxAlone = max(maxAlone, row.PeakAlone)
 			if k == 0 || row.PeakStream < minStream {
 				minStream = row.PeakStream
 			}
 		}
 		b.ReportMetric(maxAlone, "max-peak-alone")
 		b.ReportMetric(minStream, "min-peak-stream")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig5_IOAntagonistID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5(benchSeed, experiments.Options{})
-		fioAt3 := 0.0
+	}),
+	"5": metrics(func(b *testing.B, r experiments.IdentificationResult) {
 		for _, row := range r.Rows {
 			if row.Suspect == "fio-randread" {
-				fioAt3 = row.ByN[3]
+				b.ReportMetric(row.ByN[3], "fio-r-at-n3")
 			}
 		}
-		b.ReportMetric(fioAt3, "fio-r-at-n3")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig6_CPUAntagonistID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6(benchSeed, experiments.Options{})
-		streamAt6 := 0.0
+	}),
+	"6": metrics(func(b *testing.B, r experiments.IdentificationResult) {
 		for _, row := range r.Rows {
 			if row.Suspect == "stream" {
-				streamAt6 = row.ByN[6]
+				b.ReportMetric(row.ByN[6], "stream-r-at-n6")
 			}
 		}
-		b.ReportMetric(streamAt6, "stream-r-at-n6")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig7_CubicCurve(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7()
+	}),
+	"7": metrics(func(b *testing.B, r experiments.Fig7Result) {
 		b.ReportMetric(r.K, "K-intervals")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig9_DynamicControl(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(benchSeed, experiments.Options{})
+	}),
+	"9": metrics(func(b *testing.B, r experiments.Fig9Result) {
 		def := r.Arm("default").JCT
 		b.ReportMetric(r.Arm("static").JCT/def, "static-normJCT")
 		b.ReportMetric(r.Arm("perfcloud").JCT/def, "perfcloud-normJCT")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig10_CapTimeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r9 := experiments.Fig9(benchSeed, experiments.Options{})
-		r := experiments.Fig10(r9.Arm("perfcloud"))
+	}),
+	"10": metrics(func(b *testing.B, r experiments.Fig10Result) {
 		b.ReportMetric(float64(experiments.ThrottleEpisodes(r.FioCap)), "fio-episodes")
 		b.ReportMetric(float64(experiments.ThrottleEpisodes(r.StreamCap)), "stream-episodes")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig11_LargeScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultLargeScaleConfig()
-		cfg.Seed = benchSeed
-		r := experiments.Fig11With(cfg, []experiments.Scheme{
-			experiments.SchemeLATE(),
-			experiments.SchemeDolly(2),
-			experiments.SchemeDolly(4),
-			experiments.SchemeDolly(6),
-			experiments.SchemePerfCloud(),
-		})
+	}),
+	"11": metrics(func(b *testing.B, r experiments.Fig11Result) {
 		b.ReportMetric(r.Row("PerfCloud").FracUnder30, "perfcloud-under30")
 		b.ReportMetric(r.Row("LATE").FracUnder30, "late-under30")
 		b.ReportMetric(r.Row("Dolly-6").FracUnder30, "dolly6-under30")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig11_Efficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultLargeScaleConfig()
-		cfg.Seed = benchSeed
-		// A smaller mix suffices for the efficiency ordering.
-		cfg.NumMR, cfg.NumSpark = 30, 30
-		r := experiments.Fig11With(cfg, []experiments.Scheme{
-			experiments.SchemeLATE(),
-			experiments.SchemeDolly(2),
-			experiments.SchemeDolly(4),
-			experiments.SchemeDolly(6),
-			experiments.SchemePerfCloud(),
-		})
 		b.ReportMetric(r.Row("PerfCloud").Efficiency, "perfcloud-eff")
 		b.ReportMetric(r.Row("Dolly-2").Efficiency, "dolly2-eff")
 		b.ReportMetric(r.Row("Dolly-6").Efficiency, "dolly6-eff")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig12_Variability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultVariabilityConfig()
-		cfg.Seed = benchSeed
-		r := experiments.Fig12With(cfg, []experiments.Scheme{
-			experiments.SchemeLATE(), experiments.SchemeDolly(2), experiments.SchemePerfCloud(),
-		})
+	}),
+	"12": metrics(func(b *testing.B, r experiments.Fig12Result) {
 		ts := r.Row("terasort", "PerfCloud").Summary
-		lt := r.Row("terasort", "LATE").Summary
 		b.ReportMetric(ts.Median, "perfcloud-median")
 		b.ReportMetric(ts.IQR(), "perfcloud-iqr")
-		b.ReportMetric(lt.Median, "late-median")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
+		b.ReportMetric(r.Row("terasort", "LATE").Summary.Median, "late-median")
+	}),
+	"ablations": metrics(func(b *testing.B, r experiments.AblationsResult) {
+		b.ReportMetric(r.Detector.DevOLTP, "dev-flags-benign")
+		b.ReportMetric(r.Detector.AbsOLTP, "abs-flags-benign")
+		b.ReportMetric(r.Pearson.MissingAsZero, "missing-as-zero-r")
+		b.ReportMetric(r.Pearson.OmitMissing, "omit-r")
+		b.ReportMetric(float64(r.Control.Row("cubic").Decreases), "cubic-decreases")
+		b.ReportMetric(float64(r.Control.Row("aimd").Decreases), "aimd-decreases")
+		b.ReportMetric(r.EWMA.SmoothedAlonePeak, "smoothed-alone-peak")
+		b.ReportMetric(r.EWMA.RawAlonePeak, "raw-alone-peak")
+	}),
+	"extensions": metrics(func(b *testing.B, r experiments.ExtensionsResult) {
+		def := r.Heterogeneous.Row("default").MeanJCT
+		b.ReportMetric(r.Heterogeneous.Row("PerfCloud").MeanJCT/def, "perfcloud-normJCT")
+		b.ReportMetric(r.Heterogeneous.Row("PerfCloud+LATE").MeanJCT/def, "hybrid-normJCT")
+		b.ReportMetric(r.Migration.JCTWith/r.Migration.JCTWithout, "migrated-normJCT")
+		b.ReportMetric(float64(r.Migration.Migrations), "migrations")
+	}),
 }
 
-func BenchmarkAblationD1_Detector(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationDetector(benchSeed, experiments.Options{})
-		b.ReportMetric(r.DevOLTP, "dev-flags-benign")
-		b.ReportMetric(r.AbsOLTP, "abs-flags-benign")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkAblationD2_Pearson(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationPearson(benchSeed)
-		b.ReportMetric(r.MissingAsZero, "missing-as-zero-r")
-		b.ReportMetric(r.OmitMissing, "omit-r")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkAblationD4_EWMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationEWMA(benchSeed, experiments.Options{})
-		b.ReportMetric(r.SmoothedAlonePeak, "smoothed-alone-peak")
-		b.ReportMetric(r.RawAlonePeak, "raw-alone-peak")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkExtension_Heterogeneous(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Heterogeneous(benchSeed, experiments.Options{})
-		def := r.Row("default").MeanJCT
-		b.ReportMetric(r.Row("PerfCloud").MeanJCT/def, "perfcloud-normJCT")
-		b.ReportMetric(r.Row("PerfCloud+LATE").MeanJCT/def, "hybrid-normJCT")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
-}
-
-func BenchmarkExtension_Migration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Migration(benchSeed, experiments.Options{})
-		b.ReportMetric(r.JCTWith/r.JCTWithout, "migrated-normJCT")
-		b.ReportMetric(float64(r.Migrations), "migrations")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
+// BenchmarkFigures regenerates each figure of experiments.Figures at
+// paper scale, one sub-benchmark per entry.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range experiments.Figures() {
+		report := figureMetrics[f.Name]
+		b.Run(f.Name, func(b *testing.B) {
+			if report == nil {
+				b.Fatalf("figure %s has no row in figureMetrics", f.Name)
+			}
+			for i := 0; i < b.N; i++ {
+				out := f.Run(benchSeed, experiments.Options{}, false)
+				report(b, out.Result)
+				if i == 0 {
+					for _, t := range out.Tables {
+						b.Log("\n" + t.String())
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -320,15 +199,4 @@ func BenchmarkFig12Parallel(b *testing.B) {
 		b.ReportMetric(seqNs/parNs, "speedup")
 	}
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-}
-
-func BenchmarkAblationD3_ControlPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationControl(benchSeed, experiments.Options{})
-		b.ReportMetric(float64(r.Row("cubic").Decreases), "cubic-decreases")
-		b.ReportMetric(float64(r.Row("aimd").Decreases), "aimd-decreases")
-		if i == 0 {
-			b.Log("\n" + r.Table().String())
-		}
-	}
 }

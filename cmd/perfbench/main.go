@@ -6,11 +6,17 @@
 // Usage:
 //
 //	perfbench [-fig all|1|2|3|4|5|6|7|9|10|11|12|ablations|extensions] [-seed N] [-quick]
-//	          [-csv] [-parallel N] [-suite] [-suitejson FILE] [-cpuprofile FILE]
-//	          [-memprofile FILE] [-fastpaths] [-tracedir DIR] [-scorecard] [-alerts] [-health]
+//	          [-csv] [-timelines DIR] [-parallel N] [-suite] [-suitejson FILE]
+//	          [-cpuprofile FILE] [-memprofile FILE] [-fastpaths] [-tracedir DIR]
+//	          [-scorecard] [-alerts] [-health]
 //
-// Any other -fig value, and a negative -parallel, is rejected with a
-// usage error and exit status 2.
+// The figures, their schemes and their -quick sizes are the entries of
+// experiments.Figures; -fig takes "all" or an entry's name. Any other
+// -fig value, and a negative -parallel, is rejected with a usage error
+// and exit status 2.
+//
+// -timelines writes the raw time series behind Figs 3, 9 and 10 as one
+// CSV file per figure into the directory.
 //
 // -alerts installs the default alert rule pack for every PerfCloud run
 // (sustained victim deviation, cap dwell, false-cap watchdog, monitor
@@ -51,8 +57,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,20 +76,21 @@ import (
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/obs"
 	"perfcloud/internal/sim"
-	"perfcloud/internal/stats"
 	"perfcloud/internal/trace"
 )
 
-// figNames lists the values -fig accepts.
-var figNames = []string{"all", "1", "2", "3", "4", "5", "6", "7", "9", "10", "11", "12", "ablations", "extensions"}
+// errUsage reports a usage error that run has already printed together
+// with the usage text; main exits 2 on it.
+var errUsage = errors.New("usage error")
 
-// validateFig returns a usage error unless fig names something perfbench
-// can regenerate.
-func validateFig(fig string) error {
-	if !slices.Contains(figNames, fig) {
-		return fmt.Errorf("-fig must be one of %s; got %q", strings.Join(figNames, ", "), fig)
+// figValues lists the values -fig accepts: all, then every figure of the
+// registry in print order.
+func figValues() []string {
+	names := []string{"all"}
+	for _, f := range experiments.Figures() {
+		names = append(names, f.Name)
 	}
-	return nil
+	return names
 }
 
 // validate returns a usage error for a -fig or -parallel value perfbench
@@ -90,7 +99,22 @@ func validate(fig string, parallel int) error {
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or more; got %d", parallel)
 	}
-	return validateFig(fig)
+	if names := figValues(); !slices.Contains(names, fig) {
+		return fmt.Errorf("-fig must be one of %s; got %q", strings.Join(names, ", "), fig)
+	}
+	return nil
+}
+
+// selectFigures returns the registry entries a run regenerates: the
+// suite's figures under -suite, otherwise the one -fig names, or all.
+func selectFigures(fig string, suite bool) []experiments.Figure {
+	var figs []experiments.Figure
+	for _, f := range experiments.Figures() {
+		if suite && f.Suite || !suite && (fig == "all" || fig == f.Name) {
+			figs = append(figs, f)
+		}
+	}
+	return figs
 }
 
 func main() {
@@ -103,36 +127,67 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
-	fig := flag.String("fig", "all", "which figure to regenerate (all, 1-7, 9-12, ablations, extensions)")
-	seed := flag.Int64("seed", 42, "master random seed")
-	quick := flag.Bool("quick", false, "scaled-down large experiments")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	timelines := flag.String("timelines", "", "directory to write raw time-series CSVs (Figs 3, 9, 10)")
-	parallel := flag.Int("parallel", 0, "run concurrency: experiment repetitions at once (0 = GOMAXPROCS, 1 = sequential)")
-	suite := flag.Bool("suite", false, "run the Fig 3-12 evaluation suite and record per-figure wall-clock timings")
-	suitejson := flag.String("suitejson", "BENCH_suite.json", "file to merge -suite timings into")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	fastpaths := flag.Bool("fastpaths", false, "print the simulation's cumulative fast-path hit-rate counters after the run")
-	scorecard := flag.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards (Figs 11, 12, control ablation)")
-	tracedir := flag.String("tracedir", "", "directory to write per-repetition Perfetto traces (Figs 11, 12)")
-	alerts := flag.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
-	health := flag.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
-	flag.Parse()
-	if err := validate(*fig, *parallel); err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench:", err)
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "perfbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, regenerates the selected figures and prints their
+// tables to stdout; progress lines and the -fastpaths and -health
+// reports go to stderr. A bad flag is reported on stderr with the usage
+// text and returned as errUsage.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "which figure to regenerate ("+strings.Join(figValues(), ", ")+")")
+	seed := fs.Int64("seed", 42, "master random seed")
+	quick := fs.Bool("quick", false, "scaled-down large experiments")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	timelines := fs.String("timelines", "", "directory to write raw time-series CSVs (Figs 3, 9, 10)")
+	parallel := fs.Int("parallel", 0, "run concurrency: experiment repetitions at once (0 = GOMAXPROCS, 1 = sequential)")
+	suite := fs.Bool("suite", false, "run the Fig 3-12 evaluation suite and record per-figure wall-clock timings")
+	suitejson := fs.String("suitejson", "BENCH_suite.json", "file to merge -suite timings into")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fastpaths := fs.Bool("fastpaths", false, "print the simulation's cumulative fast-path hit-rate counters after the run")
+	scorecard := fs.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards (Figs 11, 12, control ablation)")
+	tracedir := fs.String("tracedir", "", "directory to write per-repetition Perfetto traces (Figs 11, 12)")
+	alerts := fs.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
+	health := fs.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage // fs has printed the error and the usage text
+	}
+	if err := validate(*fig, *parallel); err != nil {
+		fmt.Fprintln(stderr, "perfbench:", err)
+		fs.Usage()
+		return errUsage
 	}
 	opts := experiments.Options{Parallel: *parallel, TraceDir: *tracedir, Scorecards: *scorecard}
-	var fp fastPathClusters
+	// -fastpaths remembers the cluster of every testbed the run builds,
+	// so their counters can be summed once every experiment has finished.
+	var mu sync.Mutex
+	var clusters []*cluster.Cluster
 	if *fastpaths {
-		opts.OnTestbed = fp.add
+		opts.OnTestbed = func(tb *experiments.Testbed) {
+			mu.Lock()
+			defer mu.Unlock()
+			clusters = append(clusters, tb.Clus)
+		}
 	}
-	if *tracedir != "" {
-		if err := os.MkdirAll(*tracedir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
+	for _, dir := range []string{*tracedir, *timelines} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
 		}
 	}
 	if *alerts {
@@ -158,191 +213,54 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "perfbench:", err)
-				os.Exit(1)
+			if err == nil {
+				if err = writeHeapProfile(*memprofile); err == nil {
+					fmt.Fprintln(stderr, "perfbench: wrote", *memprofile)
+				}
 			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "perfbench:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "perfbench: wrote", *memprofile)
 		}()
 	}
-	if *timelines != "" {
-		if err := os.MkdirAll(*timelines, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-	}
-	writeSeries := func(name string, names []string, series []*stats.TimeSeries) {
-		if *timelines == "" {
-			return
-		}
-		path := filepath.Join(*timelines, name)
-		if err := os.WriteFile(path, []byte(trace.SeriesCSV(names, series)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "perfbench: wrote", path)
-	}
 
-	emit := func(t *trace.Table) {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.String())
-		}
-	}
-	suiteFigs := map[string]bool{
-		"3": true, "4": true, "5": true, "6": true, "7": true,
-		"9": true, "10": true, "11": true, "12": true,
-	}
-	want := func(f string) bool {
-		if *suite {
-			return suiteFigs[f]
-		}
-		return *fig == "all" || *fig == f
-	}
 	var timings []benchfmt.Result
-	timed := func(name string, fn func()) {
-		t0 := time.Now()
-		fn()
-		if *suite {
-			timings = append(timings, benchfmt.Result{
-				Name: "FigSuite/" + name, Count: 1,
-				NsPerOp: float64(time.Since(t0).Nanoseconds()),
-			})
-		}
-	}
 	start := time.Now()
-
-	if want("1") {
-		emit(experiments.Fig1(*seed, opts).Table())
-	}
-	if want("2") {
-		emit(experiments.Fig2(*seed, opts).Table())
-	}
-	if want("3") {
-		timed("Fig3", func() {
-			r := experiments.Fig3(*seed, opts)
-			emit(r.Table())
-			writeSeries("fig3_iowait_deviation.csv",
-				[]string{"alone", "with_fio"},
-				[]*stats.TimeSeries{r.Alone.Iowait, r.WithFio.Iowait})
+	err = experiments.RunFigures(selectFigures(*fig, *suite), *seed, opts, *quick,
+		func(f experiments.Figure, out experiments.Output, took time.Duration) error {
+			for _, t := range out.Tables {
+				if *csv {
+					fmt.Fprint(stdout, t.CSV())
+				} else {
+					fmt.Fprintln(stdout, t.String())
+				}
+			}
+			if *timelines != "" {
+				for _, tl := range out.Timelines {
+					path := filepath.Join(*timelines, tl.File)
+					if err := os.WriteFile(path, []byte(trace.SeriesCSV(tl.Columns, tl.Series)), 0o644); err != nil {
+						return err
+					}
+					fmt.Fprintln(stderr, "perfbench: wrote", path)
+				}
+			}
+			if *suite {
+				timings = append(timings, benchfmt.Result{
+					Name: "FigSuite/Fig" + f.Name, Count: 1,
+					NsPerOp: float64(took.Nanoseconds()),
+				})
+			}
+			return nil
 		})
-	}
-	if want("4") {
-		timed("Fig4", func() { emit(experiments.Fig4(*seed, opts).Table()) })
-	}
-	if want("5") {
-		timed("Fig5", func() { emit(experiments.Fig5(*seed, opts).Table()) })
-	}
-	if want("6") {
-		timed("Fig6", func() { emit(experiments.Fig6(*seed, opts).Table()) })
-	}
-	if want("7") {
-		timed("Fig7", func() { emit(experiments.Fig7().Table()) })
-	}
-	var fig9 *experiments.Fig9Result
-	if want("9") || want("10") {
-		timed("Fig9", func() {
-			r := experiments.Fig9(*seed, opts)
-			fig9 = &r
-		})
-	}
-	if want("9") {
-		emit(fig9.Table())
-		def, pc := fig9.Arm("default"), fig9.Arm("perfcloud")
-		writeSeries("fig9_deviations.csv",
-			[]string{"default_iowait_dev", "perfcloud_iowait_dev", "default_cpi_dev", "perfcloud_cpi_dev"},
-			[]*stats.TimeSeries{def.Iowait, pc.Iowait, def.CPI, pc.CPI})
-	}
-	if want("10") {
-		timed("Fig10", func() {
-			r10 := experiments.Fig10(fig9.Arm("perfcloud"))
-			emit(r10.Table())
-			writeSeries("fig10_caps.csv",
-				[]string{"fio_iops_cap", "stream_core_cap"},
-				[]*stats.TimeSeries{r10.FioCap, r10.StreamCap})
-		})
-	}
-	if want("11") {
-		timed("Fig11", func() {
-			cfg := experiments.DefaultLargeScaleConfig()
-			cfg.Seed, cfg.Options = *seed, opts
-			if *quick {
-				cfg.Servers, cfg.WorkersPerServer = 5, 8
-				cfg.NumMR, cfg.NumSpark = 20, 20
-				cfg.Fio, cfg.Streams = 4, 4
-			}
-			r := experiments.Fig11With(cfg, []experiments.Scheme{
-				experiments.SchemeLATE(),
-				experiments.SchemeDolly(2),
-				experiments.SchemeDolly(4),
-				experiments.SchemeDolly(6),
-				experiments.SchemePerfCloud(),
-			})
-			emit(r.Table())
-			if *scorecard {
-				emit(r.ScorecardTable())
-			}
-			if *alerts {
-				emit(r.AlertTable())
-			}
-		})
-	}
-	if want("12") {
-		timed("Fig12", func() {
-			cfg := experiments.DefaultVariabilityConfig()
-			cfg.Seed, cfg.Options = *seed, opts
-			if *quick {
-				cfg.Servers, cfg.WorkersPerServer = 5, 8
-				cfg.Runs, cfg.Tasks = 8, 20
-				cfg.Fio, cfg.Streams = 4, 4
-			}
-			r := experiments.Fig12With(cfg, []experiments.Scheme{
-				experiments.SchemeLATE(),
-				experiments.SchemeDolly(2),
-				experiments.SchemePerfCloud(),
-			})
-			emit(r.Table())
-			if *scorecard {
-				emit(r.ScorecardTable())
-			}
-			if *alerts {
-				emit(r.AlertTable())
-			}
-		})
-	}
-	if want("ablations") {
-		emit(experiments.AblationDetector(*seed, opts).Table())
-		emit(experiments.AblationPearson(*seed).Table())
-		rc := experiments.AblationControl(*seed, opts)
-		emit(rc.Table())
-		if *scorecard {
-			emit(rc.ScorecardTable())
-		}
-		emit(experiments.AblationEWMA(*seed, opts).Table())
-	}
-	if want("extensions") {
-		emit(experiments.Heterogeneous(*seed, opts).Table())
-		emit(experiments.Migration(*seed, opts).Table())
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	if *suite {
@@ -355,40 +273,41 @@ func main() {
 			err = benchfmt.WriteFile(*suitejson, benchfmt.Merge(prev, timings))
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintln(os.Stderr, "perfbench: wrote", *suitejson)
+		fmt.Fprintln(stderr, "perfbench: wrote", *suitejson)
 	}
 	if *fastpaths {
-		printFastPaths(os.Stderr, fp.clusters)
+		printFastPaths(stderr, clusters)
 	}
 	if hl != nil {
 		hl.SampleRuntime()
-		fmt.Fprint(os.Stderr, "health:\n"+hl.Summary())
+		fmt.Fprint(stderr, "health:\n"+hl.Summary())
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: done in %v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "perfbench: done in %v\n", elapsed.Round(time.Millisecond))
+	return nil
 }
 
-// fastPathClusters remembers the cluster of every testbed the run builds
-// (its add method is the Options.OnTestbed hook), so their fast-path
-// counters can be summed once every experiment has finished ticking.
-type fastPathClusters struct {
-	mu       sync.Mutex
-	clusters []*cluster.Cluster
-}
-
-func (f *fastPathClusters) add(tb *experiments.Testbed) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.clusters = append(f.clusters, tb.Clus)
+// writeHeapProfile writes a heap profile to path, preceded by a GC so it
+// reflects live retained memory.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printFastPaths reports how much simulation work the fast paths
 // absorbed across the given clusters: the share of grant-phase ticks
 // skipped (quiescence) or reusing demand vectors, and the per-resource
 // allocator input-memo hit rates.
-func printFastPaths(w *os.File, clusters []*cluster.Cluster) {
+func printFastPaths(w io.Writer, clusters []*cluster.Cluster) {
 	var fp obs.FastPathSnapshot
 	for _, c := range clusters {
 		fp.Add(c.FastPathStats())

@@ -1,6 +1,15 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestValidateFig checks that -fig accepts exactly the experiments
 // perfbench can regenerate, and -parallel any count from 0 up.
@@ -35,4 +44,77 @@ func TestValidateFig(t *testing.T) {
 			t.Errorf("validate(%q, %d) = %v, want ok=%v", tc.fig, tc.parallel, err, tc.ok)
 		}
 	}
+}
+
+// TestGoldenOutputs pins perfbench's output in process against the
+// digests `make golden` checks from the command line, in sha256sum
+// format: the stdout of
+//
+//	perfbench -fig all -seed 42 > figall.stdout
+//
+// against testdata/golden.sha256, and the stdout and every trace of the
+// full observed quick suite,
+//
+//	perfbench -fig all -quick -scorecard -alerts -fastpaths -tracedir traces > suite.stdout
+//
+// against testdata/suite.sha256.
+func TestGoldenOutputs(t *testing.T) {
+	cases := []struct {
+		golden, stdout string
+		args           []string
+		traces         bool // append -tracedir and pin the traces too
+	}{
+		{"testdata/golden.sha256", "figall.stdout", []string{"-fig", "all", "-seed", "42"}, false},
+		{"testdata/suite.sha256", "suite.stdout", []string{"-fig", "all", "-quick", "-scorecard", "-alerts", "-fastpaths"}, true},
+	}
+	for _, tc := range cases {
+		want := readGolden(t, tc.golden)
+		dir := t.TempDir()
+		args := tc.args
+		if tc.traces {
+			args = append(args, "-tracedir", filepath.Join(dir, "traces"))
+		}
+		var stdout bytes.Buffer
+		if err := run(args, &stdout, io.Discard); err != nil {
+			t.Fatalf("perfbench %v: %v", args, err)
+		}
+		got := map[string][]byte{tc.stdout: stdout.Bytes()}
+		traces, err := filepath.Glob(filepath.Join(dir, "traces", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range traces {
+			if got["traces/"+filepath.Base(f)], err = os.ReadFile(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name := range want {
+			if _, ok := got[name]; !ok {
+				t.Errorf("%s: pinned in %s but not written", name, tc.golden)
+			}
+		}
+		for name, b := range got {
+			if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != want[name] {
+				t.Errorf("%s: sha256 %s, want %s", name, sum, want[name])
+			}
+		}
+	}
+}
+
+// readGolden parses a sha256sum file into name → hex digest.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[name] = sum
+	}
+	return out
 }

@@ -421,7 +421,6 @@ func Fig11With(cfg LargeScaleConfig, schemes []Scheme) Fig11Result {
 				Buckets:   stats.NewHistogram(fig11Bounds...),
 			}
 		}
-		counts := map[string]int{}
 		for i, jct := range out.JCTs {
 			base := baseline.JCTs[i]
 			if base <= 0 {
@@ -439,12 +438,11 @@ func Fig11With(cfg LargeScaleConfig, schemes []Scheme) Fig11Result {
 				row := rows[key]
 				row.Buckets.Add(deg)
 				row.MeanDegraded += deg
-				counts[key]++
 			}
 		}
 		for _, fw := range []string{"all", "mapreduce", "spark"} {
 			row := rows[fw]
-			if n := counts[fw]; n > 0 {
+			if n := row.Buckets.Total(); n > 0 {
 				row.MeanDegraded /= float64(n)
 				row.FracUnder10 = row.Buckets.CumulativeFrac(0.10)
 				row.FracUnder30 = row.Buckets.CumulativeFrac(0.30)

@@ -73,94 +73,77 @@ type Fig12Result struct {
 // deterministic order as the sequential loop.
 func Fig12With(cfg VariabilityConfig, schemes []Scheme) Fig12Result {
 	workloads := []string{"terasort", "spark-logreg"}
-	type job struct{ wi, si, run int } // si < 0 marks the baseline run
-	var jobs []job
-	base := make([]float64, len(workloads))
-	jcts := make([][][]float64, len(workloads))
-	phases := make([][][]trace.PhaseTotals, len(workloads))
-	scores := make([][][]*obs.Scorecard, len(workloads))
-	alerts := make([][][]*obs.AlertSummary, len(workloads))
-	for wi := range workloads {
-		jobs = append(jobs, job{wi: wi, si: -1})
-		jcts[wi] = make([][]float64, len(schemes))
-		phases[wi] = make([][]trace.PhaseTotals, len(schemes))
-		scores[wi] = make([][]*obs.Scorecard, len(schemes))
-		alerts[wi] = make([][]*obs.AlertSummary, len(schemes))
-		for si := range schemes {
-			jcts[wi][si] = make([]float64, cfg.Runs)
-			phases[wi][si] = make([]trace.PhaseTotals, cfg.Runs)
-			scores[wi][si] = make([]*obs.Scorecard, cfg.Runs)
-			alerts[wi][si] = make([]*obs.AlertSummary, cfg.Runs)
-			for run := 0; run < cfg.Runs; run++ {
-				jobs = append(jobs, job{wi: wi, si: si, run: run})
-			}
-		}
-	}
-	cfg.Options.forEachRun(len(jobs), func(k int) {
-		j := jobs[k]
-		if j.si < 0 {
-			base[j.wi], _, _, _ = fig12Run(cfg, cfg.Seed, workloads[j.wi], SchemeDefault(), false,
-				fmt.Sprintf("fig12-%s-baseline", workloads[j.wi]))
+	// Slot wi*stride holds workload wi's interference-free baseline and
+	// slot wi*stride+1+si*cfg.Runs+run its run-th repetition of scheme si.
+	stride := 1 + len(schemes)*cfg.Runs
+	reps := make([]fig12Rep, len(workloads)*stride)
+	cfg.Options.forEachRun(len(reps), func(k int) {
+		w, i := workloads[k/stride], k%stride
+		if i == 0 {
+			reps[k] = fig12Run(cfg, cfg.Seed, w, SchemeDefault(), false, fmt.Sprintf("fig12-%s-baseline", w))
 			return
 		}
-		jcts[j.wi][j.si][j.run], phases[j.wi][j.si][j.run], scores[j.wi][j.si][j.run], alerts[j.wi][j.si][j.run] = fig12Run(
-			cfg, cfg.Seed+int64(j.run)*997, workloads[j.wi], schemes[j.si], true,
-			fmt.Sprintf("fig12-%s-%s-run%02d", workloads[j.wi], schemes[j.si].Name, j.run))
+		sch, run := schemes[(i-1)/cfg.Runs], (i-1)%cfg.Runs
+		reps[k] = fig12Run(cfg, cfg.Seed+int64(run)*997, w, sch, true,
+			fmt.Sprintf("fig12-%s-%s-run%02d", w, sch.Name, run))
 	})
 	var res Fig12Result
 	for wi, workload := range workloads {
+		base := reps[wi*stride].jct
 		for si, sch := range schemes {
+			row := Fig12Row{Workload: workload, Scheme: sch.Name}
 			var norm []float64
-			var pt trace.PhaseTotals
-			var merged *obs.Scorecard
-			var mergedAlerts *obs.AlertSummary
-			for run, jct := range jcts[wi][si] {
-				norm = append(norm, jct/base[wi])
-				pt.Add(phases[wi][si][run])
-				if sc := scores[wi][si][run]; sc != nil {
-					if merged == nil {
-						cp := *sc
-						merged = &cp
-					} else {
-						merged.Merge(*sc)
-					}
-				}
-				if as := alerts[wi][si][run]; as != nil {
-					if mergedAlerts == nil {
-						cp := *as
-						mergedAlerts = &cp
-					} else {
-						mergedAlerts.Merge(*as)
-					}
-				}
+			for _, rep := range reps[wi*stride+1+si*cfg.Runs:][:cfg.Runs] {
+				norm = append(norm, rep.jct/base)
+				row.Phases.Add(rep.phases)
+				row.Score = mergeInto(row.Score, rep.score)
+				row.Alerts = mergeInto(row.Alerts, rep.alerts)
 			}
-			summary := stats.Summarize(norm)
-			if merged != nil {
-				merged.Scheme = workload + "/" + sch.Name
+			row.Summary = stats.Summarize(norm)
+			if row.Score != nil {
+				row.Score.Scheme = workload + "/" + sch.Name
 				// The mean normalized JCT is Σ(jct/base)/runs, so its
 				// reciprocal is the row's aggregate JCT recovery.
-				if summary.Mean > 0 {
-					merged.JCTRecovery = 1 / summary.Mean
+				if row.Summary.Mean > 0 {
+					row.Score.JCTRecovery = 1 / row.Summary.Mean
 				}
 			}
-			res.Rows = append(res.Rows, Fig12Row{
-				Workload: workload,
-				Scheme:   sch.Name,
-				Summary:  summary,
-				Phases:   pt,
-				Score:    merged,
-				Alerts:   mergedAlerts,
-			})
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res
 }
 
-// fig12Run executes one repetition, returning the logical JCT, the
-// repetition's phase totals (zero when tracing is off), its detection
-// scorecard (nil when scorecards are off) and its alert summary (nil
-// when no rules are installed).
-func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, antagonists bool, traceName string) (float64, trace.PhaseTotals, *obs.Scorecard, *obs.AlertSummary) {
+// mergeInto folds src into acc and returns the result. The first non-nil
+// src is copied, so the repetitions' own values are never mutated.
+func mergeInto[T any, P interface {
+	*T
+	Merge(T)
+}](acc, src P) P {
+	switch {
+	case src == nil:
+		return acc
+	case acc == nil:
+		cp := *src
+		return &cp
+	}
+	acc.Merge(*src)
+	return acc
+}
+
+// fig12Rep is one repetition's outcome: the logical JCT, the phase
+// totals (zero when tracing is off), the detection scorecard (nil when
+// scorecards are off) and the alert summary (nil when no rules are
+// installed).
+type fig12Rep struct {
+	jct    float64
+	phases trace.PhaseTotals
+	score  *obs.Scorecard
+	alerts *obs.AlertSummary
+}
+
+// fig12Run executes one repetition.
+func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, antagonists bool, traceName string) fig12Rep {
 	var pc *core.Config
 	if sch.PerfCloud {
 		pc = ControllerConfig()
@@ -197,13 +180,13 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		}
 		return a
 	}
-	var jct float64
+	var rep fig12Rep
 	if sch.Clones <= 1 {
 		c := submit()
 		if !tb.Stepper().RunUntil(c.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s stuck", workload, sch.Name))
 		}
-		jct = c.JCT()
+		rep.jct = c.JCT()
 	} else {
 		clones := make([]straggler.Clone, 0, sch.Clones)
 		for i := 0; i < sch.Clones; i++ {
@@ -213,10 +196,10 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		if !tb.Stepper().RunUntil(g.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
 		}
-		jct = g.JCT()
+		rep.jct = g.JCT()
 	}
-	phases, score, alerts := cfg.Options.report(ob, tb, traceName, sch.Name, antagonists)
-	return jct, phases, score, alerts
+	rep.phases, rep.score, rep.alerts = cfg.Options.report(ob, tb, traceName, sch.Name, antagonists)
+	return rep
 }
 
 // Table renders the Figure 12 box-plot statistics.

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sort"
+	"strconv"
 	"time"
 
 	"perfcloud/internal/core"
@@ -17,11 +17,22 @@ type CorrelationByWindow struct {
 	ByN     map[int]float64 // dataset size -> coefficient
 }
 
-// identificationRun executes an instrumented run and returns, per
-// suspect, the correlation of the victim deviation signal with the
-// suspect's activity signal over the first n samples, for each n.
-func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
-	antagonists func(tb *Testbed), suspects []string, windows []int, opts Options) []CorrelationByWindow {
+// IdentificationResult reproduces Figure 5 or 6: per suspect, the
+// Pearson correlation of the victim's deviation signal with the
+// suspect's activity signal over the first n samples, for each dataset
+// size n. A suspect is identified once it crosses Threshold.
+type IdentificationResult struct {
+	Title     string
+	Rows      []CorrelationByWindow
+	Windows   []int
+	Threshold float64
+}
+
+// identificationRun executes an instrumented run and correlates each
+// suspect in order; useCPU selects CPI deviation and LLC miss rates
+// instead of iowait deviation and I/O throughput.
+func identificationRun(seed int64, title string, b Bench, d time.Duration, useCPU bool,
+	antagonists func(tb *Testbed), suspects []string, opts Options) IdentificationResult {
 
 	cfg := TestbedConfig{Seed: seed, PerfCloud: ObserverConfig()}
 	tb := smallTestbed(seed, &cfg, opts)
@@ -39,7 +50,7 @@ func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
 	// correlation that says nothing about interference. The paper's
 	// "dataset size" counts measurements taken while the system runs.
 	const warmup = 2
-	var out []CorrelationByWindow
+	out := IdentificationResult{Title: title, Windows: []int{3, 4, 5, 6, 8, 10}, Threshold: core.DefaultConfig().CorrThreshold}
 	for _, id := range suspects {
 		ss := corr.SuspectIOSeries(id)
 		if useCPU {
@@ -49,7 +60,7 @@ func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
 			continue
 		}
 		row := CorrelationByWindow{Suspect: id, ByN: make(map[int]float64)}
-		for _, n := range windows {
+		for _, n := range out.Windows {
 			if victim.Len() < warmup+n || ss.Len() < warmup+n {
 				continue
 			}
@@ -60,42 +71,52 @@ func identificationRun(seed int64, b Bench, d time.Duration, useCPU bool,
 			}
 			row.ByN[n] = r
 		}
-		out = append(out, row)
+		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
 
-// Fig5Result reproduces Figure 5: identifying the I/O antagonist among
-// {fio random read, sysbench oltp, sysbench cpu} colocated with a
-// terasort cluster, by correlating each suspect's I/O throughput with
-// the victim's iowait-ratio deviation — at dataset sizes as small as 3.
-type Fig5Result struct {
-	Rows      []CorrelationByWindow
-	Windows   []int
-	Threshold float64
-}
-
-// Fig5 runs the terasort case study from §III-B.
-func Fig5(seed int64, opts Options) Fig5Result {
-	windows := []int{3, 4, 5, 6, 8, 10}
-	rows := identificationRun(seed, Bench{Name: "terasort"}, 2*time.Minute, false,
+// Fig5 runs the terasort case study from §III-B: identifying the I/O
+// antagonist among {fio random read, sysbench oltp, sysbench cpu} by
+// correlating each suspect's I/O throughput with the victim's
+// iowait-ratio deviation — at dataset sizes as small as 3.
+func Fig5(seed int64, opts Options) IdentificationResult {
+	return identificationRun(seed, "Fig 5: Pearson correlation of victim iowait deviation vs suspect I/O throughput",
+		Bench{Name: "terasort"}, 2*time.Minute, false,
 		func(tb *Testbed) {
 			tb.AddAntagonist(0, workloads.NewFioRandRead(
 				workloads.BurstPattern{StartOffset: 10 * time.Second, On: 20 * time.Second, Off: 10 * time.Second}))
 			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
 			tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
 		},
-		[]string{"fio-randread", "sysbench-oltp", "sysbench-cpu"}, windows, opts)
-	return Fig5Result{Rows: rows, Windows: windows, Threshold: core.DefaultConfig().CorrThreshold}
+		[]string{"fio-randread", "sysbench-oltp", "sysbench-cpu"}, opts)
 }
 
-// Table renders the Figure 5 correlation matrix.
-func (r Fig5Result) Table() *trace.Table {
+// Fig6 runs the Spark logistic-regression case study from §III-B:
+// identifying the processor-resource antagonists (two STREAM VMs that
+// only jointly cause interference) among decoys, by correlating
+// suspects' LLC miss rates with the victim's CPI deviation; missing
+// miss-rate samples count as zero. Suspects are listed by name.
+func Fig6(seed int64, opts Options) IdentificationResult {
+	return identificationRun(seed, "Fig 6: Pearson correlation of victim CPI deviation vs suspect LLC miss rate",
+		Bench{Name: "spark-logreg-mem", Spark: true}, 150*time.Second, true,
+		func(tb *Testbed) {
+			pat := workloads.BurstPattern{StartOffset: 10 * time.Second, On: 25 * time.Second, Off: 10 * time.Second}
+			tb.AddAntagonist(0, workloads.NewStream(pat))
+			tb.AddAntagonist(0, workloads.NewStream(pat))
+			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
+			tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
+		},
+		[]string{"stream", "stream-1", "sysbench-cpu", "sysbench-oltp"}, opts)
+}
+
+// Table renders the correlation matrix.
+func (r IdentificationResult) Table() *trace.Table {
 	headers := []string{"suspect"}
 	for _, n := range r.Windows {
-		headers = append(headers, "n="+itoa(n))
+		headers = append(headers, "n="+strconv.Itoa(n))
 	}
-	t := trace.New("Fig 5: Pearson correlation of victim iowait deviation vs suspect I/O throughput", headers...)
+	t := trace.New(r.Title, headers...)
 	for _, row := range r.Rows {
 		cells := []any{row.Suspect}
 		for _, n := range r.Windows {
@@ -110,86 +131,12 @@ func (r Fig5Result) Table() *trace.Table {
 	return t
 }
 
-// Identified reports whether the suspect crosses the threshold at the
-// given dataset size.
-func identified(rows []CorrelationByWindow, suspect string, n int, threshold float64) bool {
-	for _, row := range rows {
+// Identified answers "was this suspect flagged at dataset size n?".
+func (r IdentificationResult) Identified(suspect string, n int) bool {
+	for _, row := range r.Rows {
 		if row.Suspect == suspect {
-			return row.ByN[n] >= threshold
+			return row.ByN[n] >= r.Threshold
 		}
 	}
 	return false
-}
-
-// Identified answers "was this suspect flagged at dataset size n?".
-func (r Fig5Result) Identified(suspect string, n int) bool {
-	return identified(r.Rows, suspect, n, r.Threshold)
-}
-
-// Fig6Result reproduces Figure 6: identifying the processor-resource
-// antagonists (two STREAM VMs that only jointly cause interference)
-// among decoys, by correlating suspects' LLC miss rates with the
-// victim's CPI deviation; missing miss-rate samples count as zero.
-type Fig6Result struct {
-	Rows      []CorrelationByWindow
-	Windows   []int
-	Threshold float64
-}
-
-// Fig6 runs the Spark logistic-regression case study from §III-B.
-func Fig6(seed int64, opts Options) Fig6Result {
-	windows := []int{3, 4, 5, 6, 8, 10}
-	rows := identificationRun(seed, Bench{Name: "spark-logreg-mem", Spark: true}, 150*time.Second, true,
-		func(tb *Testbed) {
-			pat := workloads.BurstPattern{StartOffset: 10 * time.Second, On: 25 * time.Second, Off: 10 * time.Second}
-			tb.AddAntagonist(0, workloads.NewStream(pat))
-			tb.AddAntagonist(0, workloads.NewStream(pat))
-			tb.AddAntagonist(0, workloads.NewSysbenchOLTP(workloads.AlwaysOn))
-			tb.AddAntagonist(0, workloads.NewSysbenchCPU(workloads.AlwaysOn))
-		},
-		[]string{"stream", "stream-1", "sysbench-oltp", "sysbench-cpu"}, windows, opts)
-	return Fig6Result{Rows: rows, Windows: windows, Threshold: core.DefaultConfig().CorrThreshold}
-}
-
-// Table renders the Figure 6 correlation matrix.
-func (r Fig6Result) Table() *trace.Table {
-	headers := []string{"suspect"}
-	for _, n := range r.Windows {
-		headers = append(headers, "n="+itoa(n))
-	}
-	t := trace.New("Fig 6: Pearson correlation of victim CPI deviation vs suspect LLC miss rate", headers...)
-	rows := append([]CorrelationByWindow(nil), r.Rows...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Suspect < rows[j].Suspect })
-	for _, row := range rows {
-		cells := []any{row.Suspect}
-		for _, n := range r.Windows {
-			if v, ok := row.ByN[n]; ok {
-				cells = append(cells, v)
-			} else {
-				cells = append(cells, "-")
-			}
-		}
-		t.Addf(cells...)
-	}
-	return t
-}
-
-// Identified answers "was this suspect flagged at dataset size n?".
-func (r Fig6Result) Identified(suspect string, n int) bool {
-	return identified(r.Rows, suspect, n, r.Threshold)
-}
-
-// itoa is strconv.Itoa without the import noise in table code.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -162,16 +162,9 @@ func TestObservedFig11Golden(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// perfbench's -quick Fig 11 grid.
-	cfg := DefaultLargeScaleConfig()
-	cfg.Seed = 42
-	cfg.Servers, cfg.WorkersPerServer = 5, 8
-	cfg.NumMR, cfg.NumSpark = 20, 20
-	cfg.Fio, cfg.Streams = 4, 4
-	cfg.Options = Options{TraceDir: dir, Scorecards: true, AlertRules: obs.DefaultRules(obs.DefaultRulesConfig{})}
-	r := Fig11With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemeDolly(4), SchemeDolly(6), SchemePerfCloud()})
+	out := figure(t, "11").Run(42, Options{TraceDir: dir, Scorecards: true, AlertRules: obs.DefaultRules(obs.DefaultRulesConfig{})}, true)
 	var stdout bytes.Buffer
-	for _, tab := range []*trace.Table{r.Table(), r.ScorecardTable(), r.AlertTable()} {
+	for _, tab := range out.Tables {
 		fmt.Fprintln(&stdout, tab.String())
 	}
 	got := map[string][]byte{"fig11.stdout": stdout.Bytes()}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Histogram counts samples into fixed, caller-defined buckets — the
@@ -74,22 +73,4 @@ func (h *Histogram) CumulativeFrac(bound float64) float64 {
 		acc += h.counts[i]
 	}
 	return float64(acc) / float64(h.total)
-}
-
-// String renders the buckets compactly, e.g. "<0.1: 12 | <0.3: 7 | rest: 1".
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i, bound := range h.bounds {
-		fmt.Fprintf(&b, "<%s: %d | ", F(bound), h.counts[i])
-	}
-	fmt.Fprintf(&b, "rest: %d", h.counts[len(h.bounds)])
-	return b.String()
-}
-
-// F is re-exported from the trace package's formatting style to keep the
-// histogram printable standalone.
-func F(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
 }

@@ -301,9 +301,6 @@ func selectKth(s []float64, k int) float64 {
 	return s[k]
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Summary captures the five-number summary plus mean of a sample,
 // matching what the paper's box plots (Fig. 12) report.
 type Summary struct {

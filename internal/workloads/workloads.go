@@ -186,9 +186,6 @@ func (w *Benchmark) InstrRate() float64 {
 	return w.totalInstr / w.activeSecs
 }
 
-// TotalOps returns cumulative completed I/O operations.
-func (w *Benchmark) TotalOps() float64 { return w.totalOps }
-
 // TotalMemBytes returns cumulative memory traffic.
 func (w *Benchmark) TotalMemBytes() float64 { return w.totalMemBytes }
 
