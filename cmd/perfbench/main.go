@@ -15,12 +15,14 @@
 // -fig value, and a negative -parallel, is rejected with a usage error
 // and exit status 2.
 //
-// -timelines writes the raw time series behind Figs 3, 9 and 10 as one
-// CSV file per figure into the directory.
+// -timelines writes the raw time series of every figure that has them as
+// one CSV file per figure into the directory. Which figures write
+// timelines, traces, scorecards and alerts, and which -suite times, is
+// what their experiments.Figures entries declare; -h lists them.
 //
 // -alerts installs the default alert rule pack for every PerfCloud run
 // (sustained victim deviation, cap dwell, false-cap watchdog, monitor
-// overrun) and appends per-scheme alert tables after Figs 11 and 12;
+// overrun) and appends per-scheme alert tables to the figures that run it;
 // like scorecards, alerting is a pure observer and deterministic per
 // seed. -health profiles the engine itself — sampled wall-clock phase
 // timers, shared-pool contention, runtime/metrics — and prints the
@@ -30,12 +32,12 @@
 // -scorecard grades every scheme's cap decisions against the testbed's
 // ground-truth antagonist registry and appends a detection scorecard
 // table (precision, recall, false-cap rate, time-to-detect, cap dwell,
-// JCT recovery) after the Fig 11, Fig 12 and control-ablation tables.
+// JCT recovery) after the tables of the figures that grade decisions.
 // Scoring is a pure observer of the audit-event stream: result tables
 // are bit-identical with or without it, and scorecards themselves are
 // deterministic per seed.
 //
-// -tracedir enables data-plane tracing for the Fig 11/12 experiments:
+// -tracedir enables data-plane tracing for the figures that support it:
 // every repetition writes a Perfetto/chrome-trace JSON timeline into the
 // directory, and the result rows carry per-phase time attribution.
 //
@@ -45,7 +47,7 @@
 // tables for the same seed. Repetitions draw workers from one shared slot
 // pool, so nested fan-outs never oversubscribe the machine.
 //
-// -suite runs the evaluation suite (Figs 3-12) and records wall-clock
+// -suite runs the evaluation suite and records wall-clock
 // per-figure timings, merged by name into the JSON file named by
 // -suitejson (default BENCH_suite.json, same schema as benchjson output:
 // Count 1, NsPerOp = elapsed nanoseconds).
@@ -105,6 +107,22 @@ func validate(fig string, parallel int) error {
 	return nil
 }
 
+// figList names figures for flag help: "Figs 11, 12, ablations".
+func figList(keep func(experiments.Figure) bool) string {
+	var names []string
+	for _, f := range experiments.Figures() {
+		if keep(f) {
+			names = append(names, f.Name)
+		}
+	}
+	return "Figs " + strings.Join(names, ", ")
+}
+
+// figsWith names the figures that produce the extra x.
+func figsWith(x experiments.Extra) string {
+	return figList(func(f experiments.Figure) bool { return f.Extras&x != 0 })
+}
+
 // selectFigures returns the registry entries a run regenerates: the
 // suite's figures under -suite, otherwise the one -fig names, or all.
 func selectFigures(fig string, suite bool) []experiments.Figure {
@@ -148,16 +166,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	seed := fs.Int64("seed", 42, "master random seed")
 	quick := fs.Bool("quick", false, "scaled-down large experiments")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	timelines := fs.String("timelines", "", "directory to write raw time-series CSVs (Figs 3, 9, 10)")
+	timelines := fs.String("timelines", "", "directory to write raw time-series CSVs ("+figsWith(experiments.ExtraTimelines)+")")
 	parallel := fs.Int("parallel", 0, "run concurrency: experiment repetitions at once (0 = GOMAXPROCS, 1 = sequential)")
-	suite := fs.Bool("suite", false, "run the Fig 3-12 evaluation suite and record per-figure wall-clock timings")
+	suite := fs.Bool("suite", false, "run the evaluation suite ("+figList(func(f experiments.Figure) bool { return f.Suite })+") and record per-figure wall-clock timings")
 	suitejson := fs.String("suitejson", "BENCH_suite.json", "file to merge -suite timings into")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fastpaths := fs.Bool("fastpaths", false, "print the simulation's cumulative fast-path hit-rate counters after the run")
-	scorecard := fs.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards (Figs 11, 12, control ablation)")
-	tracedir := fs.String("tracedir", "", "directory to write per-repetition Perfetto traces (Figs 11, 12)")
-	alerts := fs.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables (Figs 11, 12)")
+	scorecard := fs.Bool("scorecard", false, "grade each scheme's cap decisions against ground truth and print detection scorecards ("+figsWith(experiments.ExtraScorecards)+")")
+	tracedir := fs.String("tracedir", "", "directory to write per-repetition Perfetto traces ("+figsWith(experiments.ExtraTraces)+")")
+	alerts := fs.Bool("alerts", false, "evaluate the default alert rules during PerfCloud runs and append alert tables ("+figsWith(experiments.ExtraAlerts)+")")
 	health := fs.Bool("health", false, "profile the engine itself (sampled phase timers, pool contention, runtime stats) and print the report")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -201,13 +219,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		// plus slot-pool contention and runtime/metrics, reported on exit.
 		// Explicitly non-deterministic; result tables are unaffected.
 		hl = obs.NewHealth(obs.NewRegistry())
-		hl.SetPoolStats(func() obs.PoolHealth {
-			s := sim.SharedPool().Stats()
-			return obs.PoolHealth{
-				Capacity: s.Capacity, InUse: s.InUse, Peak: s.Peak,
-				TryAcquires: s.TryAcquires, Denied: s.Denied, GrantedSlots: s.GrantedSlots,
-			}
-		})
+		hl.SetPoolStats(func() obs.PoolHealth { return obs.PoolHealth(sim.SharedPool().Stats()) })
 		opts.Health = hl
 	}
 	if *cpuprofile != "" {

@@ -164,13 +164,7 @@ func wireObservers(cfg *runConfig, o options, events io.Writer) (jsonl *obs.JSON
 		// phase timers, tick-pool contention and the runtime bridge, all
 		// kept out of the deterministic sim outputs.
 		cfg.Health = obs.NewHealth(cfg.Metrics)
-		cfg.Health.SetPoolStats(func() obs.PoolHealth {
-			st := sim.SharedPool().Stats()
-			return obs.PoolHealth{
-				Capacity: st.Capacity, InUse: st.InUse, Peak: st.Peak,
-				TryAcquires: st.TryAcquires, Denied: st.Denied, GrantedSlots: st.GrantedSlots,
-			}
-		})
+		cfg.Health.SetPoolStats(func() obs.PoolHealth { return obs.PoolHealth(sim.SharedPool().Stats()) })
 		srv.health = cfg.Health
 	}
 	if len(sinks) > 0 {

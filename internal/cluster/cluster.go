@@ -89,14 +89,16 @@ type Workload interface {
 	Demand(tickSec float64) Demand
 	// Advance consumes one tick's grant.
 	Advance(tickSec float64, g Grant)
-	// Done reports whether the workload has finished all its work.
+	// Done reports whether the workload demands nothing until it is
+	// re-armed, and re-arming dirties the server: an idle executor, a
+	// finished benchmark.
 	//
-	// Done is treated as terminal by the quiescence machinery: once a
-	// workload reports true while its server is idle, the server may stop
-	// being visited at all (DESIGN.md §5.1), so a transition back to false
-	// is only observed after something calls Server.MarkDirty (as the
-	// cap setters and placement changes do). Implementations that can
-	// re-arm a finished workload must dirty the server themselves.
+	// While every VM on a server reports true, the server parks and is
+	// not visited at all (DESIGN.md §5.1), so a transition back to false
+	// is only observed after something calls Server.MarkDirty (as the cap
+	// setters, placement changes and SetWorkload do). A workload that can
+	// re-arm itself — an executor taking a launch — must dirty its server
+	// when it does.
 	Done() bool
 	// DemandEpoch returns a counter that must advance before any call on
 	// which a subsequent Demand or Done result could differ from the last
@@ -463,13 +465,18 @@ func (s *Server) grantPhase(tickSec float64) {
 	// cgroup accumulation, bit-for-bit what a rebuild would produce. Idle
 	// states cannot have changed either (Done is covered by the
 	// demand-epoch contract), so the idle scan is skipped: the server was
-	// non-idle when the replay was armed and still is.
+	// non-idle when the replay was armed and still is, and the VMs that
+	// idleFlags marks idle then were granted zero and still are, so they
+	// cost nothing here.
 	if s.steadyUsable(tickSec) {
 		s.statSteady++
 		s.cpu.ReplaySteady()
 		s.mem.ReplaySteadyInPlace(s.memResults)
 		s.disk.ReplaySteadyInPlace(s.diskGrants)
 		for i, v := range s.vms {
+			if s.idleFlags[i] {
+				continue
+			}
 			mr := &s.memResults[i]
 			dg := &s.diskGrants[i]
 			g := &s.grants[i]
@@ -595,6 +602,8 @@ func (s *Server) pipeline(tickSec float64) {
 	s.diskGrants = s.disk.AllocateInto(s.diskGrants[:0], tickSec, s.diskReqs)
 
 	// Account. The first pipeline on the server sizes its grant vector.
+	// An idle VM demanded nothing, so its grant is zero: it is stored, but
+	// adds nothing to the cgroup counters.
 	if len(s.grants) != len(s.vms) {
 		s.grants = make([]Grant, len(s.vms))
 	}
@@ -609,6 +618,9 @@ func (s *Server) pipeline(tickSec float64) {
 			MemBytes:     s.memResults[i].MemBytes,
 		}
 		s.grants[i] = g
+		if s.idleFlags[i] {
+			continue
+		}
 		v.cg.AddTick(g.IOOps, g.IOBytes, g.IOWaitMs, g.CPUSeconds,
 			s.memResults[i].Cycles, s.memResults[i].Instructions,
 			s.memResults[i].LLCRefs, s.memResults[i].LLCMisses)
@@ -656,26 +668,21 @@ func (s *Server) snapshotEpochs(tickSec float64) {
 // one, so catchUp replays its draws, and the disk's keep-set GC with
 // them, when the server next runs the pipeline. A server idle from birth thus never
 // seeds its RNG streams or sizes its scratch buffers, and settling copies
-// no VM ids unless memsys has enough departed clients to collect. Call it
-// with no skipped ticks pending.
+// no VM ids. Call it with no skipped ticks pending.
 func (s *Server) settleIdle() {
 	clear(s.grants)
 	s.cpu.InvalidateMemo()
 	if s.mem.SettleIdle(len(s.vms)) {
-		s.mem.Retain(s.appendIDs(nil))
+		s.mem.Retain(len(s.vms), s.vmID)
 	}
 	s.disk.SettleIdle()
 	s.quiescent = true
 	s.steadyValid = false
 }
 
-// appendIDs appends the id of every VM on the server, in placement order.
-func (s *Server) appendIDs(dst []string) []string {
-	for _, v := range s.vms {
-		dst = append(dst, v.ID())
-	}
-	return dst
-}
+// vmID returns the id of the i-th VM on the server. With the VM count it
+// names the server's clients to the resource models without copying ids.
+func (s *Server) vmID(i int) string { return s.vms[i].ID() }
 
 // freezeSkipSet is called before every change to the server's VM list. If
 // skipped ticks may be pending — counted already, or accruing while the
@@ -686,7 +693,10 @@ func (s *Server) freezeSkipSet() {
 	if s.skipFrozen || (s.skipped == 0 && s.active) {
 		return
 	}
-	s.skipIDs = s.appendIDs(s.skipIDs[:0])
+	s.skipIDs = s.skipIDs[:0]
+	for _, v := range s.vms {
+		s.skipIDs = append(s.skipIDs, v.ID())
+	}
 	s.skipFrozen = true
 }
 
@@ -694,13 +704,15 @@ func (s *Server) freezeSkipSet() {
 // full grant phase runs, so the disk's seeded stream sits exactly where
 // a non-skipping run would have left it. It replays them over the VM set
 // frozen by a placement change during the stretch, or else over the live
-// VM list, which then is the set present throughout it.
+// VM list, which then is the set present throughout it and is read in
+// place, so a wake allocates nothing.
 func (s *Server) catchUp() {
 	if s.skipped > 0 {
-		if !s.skipFrozen {
-			s.skipIDs = s.appendIDs(s.skipIDs[:0])
+		if s.skipFrozen {
+			s.disk.AdvanceIdle(s.skipped, len(s.skipIDs), func(i int) string { return s.skipIDs[i] })
+		} else {
+			s.disk.AdvanceIdle(s.skipped, len(s.vms), s.vmID)
 		}
-		s.disk.AdvanceIdle(s.skipped, s.skipIDs)
 		s.skipped = 0
 	}
 	s.skipFrozen = false

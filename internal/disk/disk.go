@@ -194,26 +194,27 @@ func (d *Disk) Utilization() float64 { return d.lastUtilization }
 // (random) clients on the most recent Allocate call, clipped at 1.
 func (d *Disk) RandomLoad() float64 { return d.lastRandomLoad }
 
-// AdvanceIdle replays the random draws of n all-idle ticks for the given
-// clients in order, advancing the per-client AR(1) luck factors exactly
-// as n quiescent Allocate calls would. A quiescent allocation grants
+// AdvanceIdle replays the random draws of n all-idle ticks for k clients,
+// the i-th named id(i), in order, advancing the per-client AR(1) luck
+// factors exactly as n quiescent Allocate calls would. A quiescent allocation grants
 // nothing and leaves utilization and random load at zero; stepping the
 // luck factors is its only side effect. The cluster calls it when a server
 // wakes from a stretch of skipped idle ticks, so skipping and processing
 // idle ticks leave the device's seeded random stream in the identical
 // position (DESIGN.md §5.1). The replay is a single batched loop —
 // per-client map state is touched once regardless of n — so fast-forwarding
-// even planet-scale idle stretches stays O(n*clients) time, zero allocs.
+// even planet-scale idle stretches stays O(n*clients) time, zero allocs;
+// naming the clients through id lets the caller pass them without copying.
 // It ends with the keep-set GC a quiescent Allocate runs, which only the
-// first tick of a stretch can make compact; clientIDs must be distinct.
+// first tick of a stretch can make compact; the ids must be distinct.
 // A call with no ticks or no clients does nothing, as the cluster makes
 // no disk call at all for a server without VMs.
-func (d *Disk) AdvanceIdle(n int, clientIDs []string) {
-	if n <= 0 || len(clientIDs) == 0 {
+func (d *Disk) AdvanceIdle(n, k int, id func(i int) string) {
+	if n <= 0 || k <= 0 {
 		return
 	}
-	d.jitter.StepBatch(n, clientIDs)
-	d.jitter.Retain(clientIDs)
+	d.jitter.StepBatch(n, k, id)
+	d.jitter.Retain(k, id)
 }
 
 // SettleIdle records an all-idle tick without solving it: the device

@@ -33,7 +33,7 @@ func TestAdvanceIdleMatchesQuiescentAllocates(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ref.Allocate(tick, idle)
 	}
-	fast.AdvanceIdle(n, ids)
+	fast.AdvanceIdle(n, len(ids), func(i int) string { return ids[i] })
 
 	gRef := ref.Allocate(tick, busy)
 	gFast := fast.Allocate(tick, busy)
@@ -53,9 +53,10 @@ func TestAdvanceIdleMatchesQuiescentAllocates(t *testing.T) {
 func TestAdvanceIdleZeroAllocs(t *testing.T) {
 	d := newTestDisk()
 	ids := []string{"vm-a", "vm-b", "vm-c"}
-	d.AdvanceIdle(1, ids) // resolve slots and size the scratch buffer
+	id := func(i int) string { return ids[i] }
+	d.AdvanceIdle(1, len(ids), id) // resolve slots
 	if allocs := testing.AllocsPerRun(1, func() {
-		d.AdvanceIdle(1_000_000, ids)
+		d.AdvanceIdle(1_000_000, len(ids), id)
 	}); allocs != 0 {
 		t.Errorf("AdvanceIdle allocated %v times per run, want 0", allocs)
 	}

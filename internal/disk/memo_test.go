@@ -92,7 +92,7 @@ func TestMemoHitAfterCompaction(t *testing.T) {
 		call(crowd) // tracks 22 clients
 		call(pair)  // solve: 22 clients do not exceed the pair's GC bound
 		call(pair)  // hit: resolves the memo's slots
-		d.AdvanceIdle(1, []string{"vm-21"})
+		d.AdvanceIdle(1, 1, func(int) string { return "vm-21" })
 		call(pair) // hit after the compaction
 		call(pair)
 		return out

@@ -212,9 +212,11 @@ type Executor struct {
 	slots   int
 	running []*Attempt
 
-	// lastNow tracks elapsed simulated time as observed through Advance,
-	// so attempt end times can be stamped without threading the clock
-	// through cluster.Workload.
+	// lastNow is the simulated time: the framework's SyncClock sets it
+	// every tick and Advance moves it across the tick, so attempt end
+	// times can be stamped without threading the clock through
+	// cluster.Workload. An idle executor is not advanced (it is Done), so
+	// only SyncClock moves it then.
 	lastNow float64
 
 	// epoch backs DemandEpoch: it advances whenever the next Demand call
@@ -266,7 +268,7 @@ func (e *Executor) VM() *cluster.VM { return e.vm }
 // SyncClock aligns the executor's internal time with the engine clock.
 // Frameworks call it every tick before scheduling, so attempt end times
 // stamped inside Advance agree with engine time even for executors
-// created mid-simulation.
+// created mid-simulation or idle, and so not advanced, until the launch.
 func (e *Executor) SyncClock(nowSec float64) { e.lastNow = nowSec }
 
 // Name implements cluster.Workload.
@@ -333,6 +335,11 @@ func (e *Executor) launch(t *Task, nowSec float64, speculative bool) *Attempt {
 	t.attempts = append(t.attempts, a)
 	e.running = append(e.running, a)
 	e.epoch++
+	if len(e.running) == 1 {
+		// Re-armed: an idle executor reported Done, so its server may
+		// have parked (cluster.Workload.Done).
+		e.vm.Server().MarkDirty()
+	}
 	if tr := e.tracer; tr != nil {
 		for i, occ := range e.perSlot {
 			if occ == nil {
@@ -434,19 +441,6 @@ func (e *Executor) Demand(tickSec float64) cluster.Demand {
 // running attempts in proportion to their demands, gate instruction
 // progress on I/O progress, and retire finished attempts.
 func (e *Executor) Advance(tickSec float64, g cluster.Grant) {
-	if len(e.running) == 0 && e.tracer == nil {
-		// No attempts: demand is identically zero, nothing can progress or
-		// retire, so the tick reduces to clock and cache bookkeeping. (The
-		// general path below reaches the same state; this skips its loop
-		// setup for the common idle-executor case.)
-		e.lastNow += tickSec
-		if !e.demandValid || e.demandEpoch != e.epoch || e.demandTick != tickSec {
-			e.ios, e.cpus = e.ios[:0], e.cpus[:0]
-			e.totIO, e.totCPU = 0, 0
-			e.demandValid, e.demandEpoch, e.demandTick = true, e.epoch, tickSec
-		}
-		return
-	}
 	epochAtEntry := e.epoch
 	if !e.demandValid || e.demandEpoch != e.epoch || e.demandTick != tickSec {
 		var totIO, totCPU float64
@@ -603,8 +597,11 @@ func (e *Executor) attribute(tr *trace.Tracer, a *Attempt, i int, tickSec float6
 	}
 }
 
-// Done implements cluster.Workload; executors are persistent services.
-func (e *Executor) Done() bool { return false }
+// Done implements cluster.Workload: an executor with no running attempt
+// demands nothing until a launch re-arms it, and the launch that takes it
+// from zero attempts to one dirties its server, so a server whose
+// executors all sit idle parks between task waves.
+func (e *Executor) Done() bool { return len(e.running) == 0 }
 
 // Pool is an ordered set of executors used by a TaskSet scheduler.
 type Pool []*Executor

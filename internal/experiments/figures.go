@@ -11,8 +11,9 @@ import (
 // benchmarks and the golden tests run it. Its schemes and its -quick
 // size are written in its entry of Figures and nowhere else.
 type Figure struct {
-	Name  string // the perfbench -fig value that selects it
-	Suite bool   // timed by `perfbench -suite` and BenchmarkFigSuite
+	Name   string // the perfbench -fig value that selects it
+	Suite  bool   // timed by `perfbench -suite` and BenchmarkFigSuite
+	Extras Extra  // what Run produces beyond the figure's own tables
 	// Run regenerates the figure at seed; quick scales the large-scale
 	// experiments down.
 	Run func(seed int64, opts Options, quick bool) Output
@@ -22,6 +23,21 @@ type Figure struct {
 	From   string
 	Derive func(from any) Output
 }
+
+// Extra is a set of outputs a figure produces beyond its own tables when
+// asked to; perfbench's flag help names the figures that have each.
+type Extra uint8
+
+const (
+	// ExtraTimelines: Output.Timelines holds raw time series.
+	ExtraTimelines Extra = 1 << iota
+	// ExtraTraces: each repetition writes a trace into Options.TraceDir.
+	ExtraTraces
+	// ExtraScorecards: Options.Scorecards appends a scorecard table.
+	ExtraScorecards
+	// ExtraAlerts: Options.AlertRules appends an alert table.
+	ExtraAlerts
+)
 
 // Output is what one figure's run produces: its tables in print order
 // (its own, then the scorecard and alert tables that Options.Scorecards
@@ -70,7 +86,7 @@ func Figures() []Figure {
 	return []Figure{
 		{Name: "1", Run: func(seed int64, opts Options, _ bool) Output { return table(Fig1(seed, opts)) }},
 		{Name: "2", Run: func(seed int64, opts Options, _ bool) Output { return table(Fig2(seed, opts)) }},
-		{Name: "3", Suite: true, Run: func(seed int64, opts Options, _ bool) Output {
+		{Name: "3", Suite: true, Extras: ExtraTimelines, Run: func(seed int64, opts Options, _ bool) Output {
 			r := Fig3(seed, opts)
 			out := table(r)
 			out.Timelines = []Timeline{{"fig3_iowait_deviation.csv",
@@ -82,7 +98,7 @@ func Figures() []Figure {
 		{Name: "5", Suite: true, Run: func(seed int64, opts Options, _ bool) Output { return table(Fig5(seed, opts)) }},
 		{Name: "6", Suite: true, Run: func(seed int64, opts Options, _ bool) Output { return table(Fig6(seed, opts)) }},
 		{Name: "7", Suite: true, Run: func(int64, Options, bool) Output { return table(Fig7()) }},
-		{Name: "9", Suite: true, Run: func(seed int64, opts Options, _ bool) Output {
+		{Name: "9", Suite: true, Extras: ExtraTimelines, Run: func(seed int64, opts Options, _ bool) Output {
 			r := Fig9(seed, opts)
 			def, pc := r.Arm("default"), r.Arm("perfcloud")
 			out := table(r)
@@ -91,9 +107,9 @@ func Figures() []Figure {
 				[]*stats.TimeSeries{def.Iowait, pc.Iowait, def.CPI, pc.CPI}}}
 			return out
 		}},
-		{Name: "10", Suite: true, From: "9", Derive: fig10,
+		{Name: "10", Suite: true, Extras: ExtraTimelines, From: "9", Derive: fig10,
 			Run: func(seed int64, opts Options, _ bool) Output { return fig10(Fig9(seed, opts)) }},
-		{Name: "11", Suite: true, Run: func(seed int64, opts Options, quick bool) Output {
+		{Name: "11", Suite: true, Extras: observedExtras, Run: func(seed int64, opts Options, quick bool) Output {
 			cfg := DefaultLargeScaleConfig()
 			cfg.Seed, cfg.Options = seed, opts
 			if quick {
@@ -104,7 +120,7 @@ func Figures() []Figure {
 			r := Fig11With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemeDolly(4), SchemeDolly(6), SchemePerfCloud()})
 			return observed(opts, r, r.Table(), r.ScorecardTable, r.AlertTable)
 		}},
-		{Name: "12", Suite: true, Run: func(seed int64, opts Options, quick bool) Output {
+		{Name: "12", Suite: true, Extras: observedExtras, Run: func(seed int64, opts Options, quick bool) Output {
 			cfg := DefaultVariabilityConfig()
 			cfg.Seed, cfg.Options = seed, opts
 			if quick {
@@ -115,7 +131,7 @@ func Figures() []Figure {
 			r := Fig12With(cfg, []Scheme{SchemeLATE(), SchemeDolly(2), SchemePerfCloud()})
 			return observed(opts, r, r.Table(), r.ScorecardTable, r.AlertTable)
 		}},
-		{Name: "ablations", Run: func(seed int64, opts Options, _ bool) Output {
+		{Name: "ablations", Extras: ExtraScorecards, Run: func(seed int64, opts Options, _ bool) Output {
 			r := AblationsResult{
 				Detector: AblationDetector(seed, opts),
 				Pearson:  AblationPearson(seed),
@@ -160,6 +176,10 @@ func RunFigures(figs []Figure, seed int64, opts Options, quick bool, emit func(F
 func table[R interface{ Table() *trace.Table }](r R) Output {
 	return Output{Tables: []*trace.Table{r.Table()}, Result: r}
 }
+
+// observedExtras are the extras of a figure whose every repetition runs
+// on an observed testbed and whose Output comes from observed.
+const observedExtras = ExtraTraces | ExtraScorecards | ExtraAlerts
 
 // observed is the output of a result whose runs the observers graded:
 // its table, then the scorecard and alert tables opts turned on.

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"perfcloud/internal/cluster"
+	"perfcloud/internal/obs"
 	"perfcloud/internal/trace"
 )
 
@@ -39,6 +44,46 @@ func TestFiguresRegistry(t *testing.T) {
 	}
 }
 
+// TestFigureExtrasMatchOutputs checks every entry's Extras, which
+// perfbench's flag help lists, against what its quick run produces with
+// every observer on: time series, trace files, scorecard and alert
+// tables.
+func TestFigureExtrasMatchOutputs(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	opts := Options{TraceDir: dir, Scorecards: true, AlertRules: obs.DefaultRules(obs.DefaultRulesConfig{})}
+	traces := 0
+	err := RunFigures(Figures(), 42, opts, true, func(f Figure, out Output, _ time.Duration) error {
+		var got Extra
+		if len(out.Timelines) > 0 {
+			got |= ExtraTimelines
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		if len(files) > traces {
+			got |= ExtraTraces
+		}
+		traces = len(files)
+		for _, tab := range out.Tables {
+			if strings.Contains(tab.Title, "scorecards") {
+				got |= ExtraScorecards
+			}
+			if strings.Contains(tab.Title, "alerts") {
+				got |= ExtraAlerts
+			}
+		}
+		if got != f.Extras {
+			t.Errorf("figure %s produces extras %04b, its entry declares %04b", f.Name, got, f.Extras)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunFiguresSharesFig9 checks that a pass over Figs 9 and 10 runs
 // the Fig 9 experiment once, and that Fig 10 derived from it matches
 // Fig 10 run on its own.
@@ -69,5 +114,28 @@ func TestRunFiguresSharesFig9(t *testing.T) {
 	}
 	if got, want := render(outs[2]), render(fig10.Run(42, Options{}, false)); got != want {
 		t.Errorf("Fig 10 derived from the shared Fig 9 run differs from Fig 10 run alone:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestQuickFig12Parks guards the quiescence fast path on the figure
+// cases: between task waves the worker executors sit idle, so their
+// servers must park, and quick Fig 12 must skip some grant-phase ticks.
+func TestQuickFig12Parks(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var clusters []*cluster.Cluster
+	opts := Options{OnTestbed: func(tb *Testbed) {
+		mu.Lock()
+		defer mu.Unlock()
+		clusters = append(clusters, tb.Clus)
+	}}
+	figure(t, "12").Run(42, opts, true)
+	var fp obs.FastPathSnapshot
+	for _, c := range clusters {
+		fp.Add(c.FastPathStats())
+	}
+	if fp.QuiescentSkips == 0 {
+		t.Errorf("quick Fig 12 skipped no grant-phase ticks over %d testbeds (%d reused, %d rebuilt)",
+			len(clusters), fp.SteadyReuses, fp.Rebuilds)
 	}
 }

@@ -209,13 +209,15 @@ func TestStrideAcrossThrottleFlip(t *testing.T) {
 	}
 }
 
-// TestParkAndWakeMatchesReference covers what the figure cases cannot:
-// Hadoop executors never report Done, so a server hosting workers never
-// parks. Here a spare server hosts only antagonists. One finishes its
-// finite work, the server parks out of the active set, and a second,
-// until then workload-less VM wakes it mid-job. The elided idle ticks'
-// disk jitter draws must be replayed exactly, so the job's JCT and both
-// antagonists' cgroup counters must match the reference.
+// TestParkAndWakeMatchesReference covers a wake the figure cases do not
+// make. In them, worker servers park between task waves (an executor
+// with no running attempt reports Done) and a launch wakes them. Here a
+// spare server hosts only antagonists. One finishes its finite work, the
+// server parks out of the active set, and a second, until then
+// workload-less VM wakes it mid-job, while both worker servers are busy.
+// The elided idle ticks' disk jitter draws must be replayed exactly, so
+// the job's JCT and both antagonists' cgroup counters must match the
+// reference.
 func TestParkAndWakeMatchesReference(t *testing.T) {
 	type outcome struct {
 		jct  float64

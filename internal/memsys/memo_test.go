@@ -107,7 +107,7 @@ func TestMemoHitAfterCompaction(t *testing.T) {
 		call(crowd) // tracks 22 clients
 		call(pair)  // solve: 22 clients do not exceed the pair's GC bound
 		call(pair)  // hit: resolves the memo's slots
-		s.Retain([]string{"vm-21"})
+		s.Retain(1, func(int) string { return "vm-21" })
 		call(pair) // hit after the compaction
 		call(pair)
 		return out

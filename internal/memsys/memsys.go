@@ -198,9 +198,9 @@ func (s *System) SettleIdle(n int) (collect bool) {
 	return s.jitter.WouldCompact(n)
 }
 
-// Retain collects the jitter state of every client not among the given
-// (distinct) ids; see SettleIdle.
-func (s *System) Retain(clientIDs []string) { s.jitter.Retain(clientIDs) }
+// Retain collects the jitter state of every client not among the k
+// distinct ids id(0) … id(k-1); see SettleIdle.
+func (s *System) Retain(k int, id func(i int) string) { s.jitter.Retain(k, id) }
 
 // Compute resolves one tick of shared-cache and bandwidth behaviour.
 // Results are returned in request order.

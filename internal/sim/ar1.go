@@ -24,8 +24,6 @@ type AR1 struct {
 	rng  *rand.Rand
 	gen  uint64 // bumped whenever GC compacts (and so reassigns) slots
 
-	slots []int32 // StepBatch scratch: resolved slot per id
-
 	// Cached innovation scale sqrt(1-corr^2)*stddev, recomputed whenever
 	// the (exported, in principle mutable) parameters change.
 	scale              float64
@@ -98,24 +96,32 @@ func (a *AR1) StepSlot(sl Slot) float64 {
 	return next
 }
 
-// StepBatch advances every named client's process n steps, drawing in the
-// same tick-major order (all ids for step 1, then all ids for step 2, ...)
-// that n successive per-id Step loops would use, so the underlying random
-// stream lands in the identical position and every per-client state is
-// bit-for-bit what n Step calls would have produced. Ids are resolved to
-// state slots once regardless of n, so replaying a long idle stretch is a
-// single tight loop with no allocations beyond the reused scratch slice.
-func (a *AR1) StepBatch(n int, ids []string) {
-	if n <= 0 || len(ids) == 0 {
+// stackBatch is the largest StepBatch that resolves its slots into a
+// stack array: more than the VMs of any server the simulator builds
+// (planet_scale averages 100).
+const stackBatch = 128
+
+// StepBatch advances the processes of k clients, the i-th named id(i), n
+// steps each, drawing in the same tick-major order (all clients for step
+// 1, then all for step 2, ...) that n successive per-id Step loops would
+// use, so the underlying random stream lands in the identical position
+// and every per-client state is bit-for-bit what n Step calls would have
+// produced. Ids are resolved to state slots once regardless of n, so
+// replaying a long idle stretch is a single tight loop; up to stackBatch
+// clients it allocates nothing beyond the state of clients seen for the
+// first time.
+func (a *AR1) StepBatch(n, k int, id func(i int) string) {
+	if n <= 0 || k <= 0 {
 		return
 	}
 	scale := a.scaleFactor()
-	if cap(a.slots) < len(ids) {
-		a.slots = make([]int32, len(ids))
+	var buf [stackBatch]int32
+	sl := buf[:0]
+	if k > stackBatch {
+		sl = make([]int32, 0, k)
 	}
-	sl := a.slots[:len(ids)]
-	for k, id := range ids {
-		sl[k] = a.slot(id)
+	for i := 0; i < k; i++ {
+		sl = append(sl, a.slot(id(i)))
 	}
 	for t := 0; t < n; t++ {
 		for _, i := range sl {
@@ -147,16 +153,17 @@ func (a *AR1) GC(keep map[string]bool) {
 	a.gen++
 }
 
-// Retain is GC with the keep set given as distinct ids. It builds the set
-// only when GC would compact, so retaining the clients already tracked —
-// the common case — costs one comparison and no allocation.
-func (a *AR1) Retain(ids []string) {
-	if !a.WouldCompact(len(ids)) {
+// Retain is GC with the keep set given as k distinct ids, the i-th
+// id(i). It builds the set only when GC would compact, so retaining the
+// clients already tracked — the common case — costs one comparison and
+// no allocation.
+func (a *AR1) Retain(k int, id func(i int) string) {
+	if !a.WouldCompact(k) {
 		return
 	}
-	keep := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		keep[id] = true
+	keep := make(map[string]bool, k)
+	for i := 0; i < k; i++ {
+		keep[id(i)] = true
 	}
 	a.GC(keep)
 }

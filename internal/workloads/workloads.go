@@ -81,11 +81,7 @@ type Benchmark struct {
 	epoch uint64
 
 	totalOps      float64
-	totalBytes    float64
-	totalInstr    float64
 	totalMemBytes float64
-	totalCPUSecs  float64
-	totalWaitMs   float64
 }
 
 var _ cluster.Workload = (*Benchmark)(nil)
@@ -143,19 +139,15 @@ func (w *Benchmark) Advance(tickSec float64, g cluster.Grant) {
 	}
 	w.elapsed += time.Duration(tickSec * float64(time.Second))
 	w.totalOps += g.IOOps
-	w.totalBytes += g.IOBytes
-	w.totalInstr += g.Instructions
 	w.totalMemBytes += g.MemBytes
-	w.totalCPUSecs += g.CPUSeconds
-	w.totalWaitMs += g.IOWaitMs
 	if w.Active() != wasActive {
 		w.epoch++ // burst-phase flip or a limit reached: demand changed
 	}
 }
 
-// Done implements cluster.Workload. Done is terminal as far as the
-// cluster's quiescence machinery is concerned: once every workload on a
-// server reports Done the server may be parked out of the active set.
+// Done implements cluster.Workload: a benchmark that reached its limit
+// demands nothing ever again, so once every workload on a server reports
+// Done the server may be parked out of the active set.
 func (w *Benchmark) Done() bool {
 	return w.limits.MemBytes > 0 && w.totalMemBytes >= w.limits.MemBytes
 }
@@ -168,26 +160,6 @@ func (w *Benchmark) AchievedIOPS() float64 {
 	}
 	return w.totalOps / w.activeSecs
 }
-
-// MemThroughput is the average memory traffic over active time (bytes/s)
-// — STREAM's figure of merit.
-func (w *Benchmark) MemThroughput() float64 {
-	if w.activeSecs == 0 {
-		return 0
-	}
-	return w.totalMemBytes / w.activeSecs
-}
-
-// InstrRate is the average instruction rate over active time.
-func (w *Benchmark) InstrRate() float64 {
-	if w.activeSecs == 0 {
-		return 0
-	}
-	return w.totalInstr / w.activeSecs
-}
-
-// TotalMemBytes returns cumulative memory traffic.
-func (w *Benchmark) TotalMemBytes() float64 { return w.totalMemBytes }
 
 // Elapsed returns total simulated wall time observed by the benchmark.
 func (w *Benchmark) Elapsed() time.Duration { return w.elapsed }
