@@ -107,7 +107,9 @@ bench:
 # hits both sides alike: BASE is checked out into a gitignored worktree
 # (.bench-base/), then BASE and the working tree run alternately for
 # BENCH_ROUNDS rounds, and each round prints the working tree's
-# per-benchmark deltas against that round's BASE results. The committed
+# per-benchmark deltas against that round's BASE results. It ends with
+# one line per benchmark: each side's median ns/op over the rounds, its
+# min–max, and how many rounds the working tree won. The committed
 # BENCH_hotloop.json is neither read nor written.
 #
 #	make bench-compare BASE=HEAD~1
@@ -121,11 +123,12 @@ bench-compare:
 	for r in $$(seq $(BENCH_ROUNDS)); do \
 		echo "== round $$r: BASE $(BASE)"; \
 		(cd $(BENCH_BASE) && go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS)) \
-			| $(BENCH_BASE)/.bin/benchjson -o $(BENCH_BASE)/round$$r.json > /dev/null || exit 1; \
+			| $(BENCH_BASE)/.bin/benchjson -o $(BENCH_BASE)/base$$r.json > /dev/null || exit 1; \
 		echo "== round $$r: working tree against BASE"; \
 		go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
-			| $(BENCH_BASE)/.bin/benchjson -baseline $(BENCH_BASE)/round$$r.json || exit 1; \
+			| $(BENCH_BASE)/.bin/benchjson -baseline $(BENCH_BASE)/base$$r.json -o $(BENCH_BASE)/work$$r.json || exit 1; \
 	done
+	$(BENCH_BASE)/.bin/benchjson -rounds '$(BENCH_BASE)/base%d.json,$(BENCH_BASE)/work%d.json'
 	git worktree remove --force $(BENCH_BASE)
 
 # bench-scale measures the sharded tick path at fleet scale — the same

@@ -40,6 +40,15 @@
 //
 //	benchjson -injson BENCH_scale.json \
 //	  -ratio 'servers=10240,servers=1024' -max-ratio 2
+//
+// -rounds 'BASE,WORK' summarizes a paired comparison that saved each
+// round's results of both sides as JSON: BASE and WORK are file names
+// holding one %d, read for rounds 1, 2, … until a BASE file is missing.
+// It prints one line per benchmark — each side's median ns/op and its
+// min–max over the rounds, and how many rounds the working tree won —
+// and reads nothing from stdin (`make bench-compare` ends with it):
+//
+//	benchjson -rounds '.bench-base/base%d.json,.bench-base/work%d.json'
 package main
 
 import (
@@ -62,7 +71,14 @@ func main() {
 	filter := flag.String("filter", "", "regexp: only results whose name matches are compared and merged")
 	ratio := flag.String("ratio", "", "'NUM,DEN' name substrings: print ns/op(NUM)/ns/op(DEN) from this run's results")
 	maxRatio := flag.Float64("max-ratio", 0, "with -ratio: exit non-zero if the ratio exceeds this (0 = report only)")
+	rounds := flag.String("rounds", "", "'BASE,WORK' JSON file names holding %d: summarize the paired rounds 1, 2, … per benchmark")
 	flag.Parse()
+	if *rounds != "" {
+		if err := summarizeRounds(*rounds); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *maxRegress != 0 && *baseline == "" {
 		fatal(fmt.Errorf("-max-regress requires -baseline"))
 	}
@@ -168,6 +184,39 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "benchjson: wrote", *out)
+}
+
+// summarizeRounds reads the rounds the 'BASE,WORK' patterns name and
+// prints one benchfmt.Summary line per benchmark.
+func summarizeRounds(patterns string) error {
+	basePat, workPat, ok := strings.Cut(patterns, ",")
+	if !ok || strings.Count(basePat, "%d") != 1 || strings.Count(workPat, "%d") != 1 {
+		return fmt.Errorf("-rounds wants 'BASE,WORK' file names each holding one %%d, got %q", patterns)
+	}
+	var base, work [][]benchfmt.Result
+	for r := 1; ; r++ {
+		name := fmt.Sprintf(basePat, r)
+		if _, err := os.Stat(name); os.IsNotExist(err) {
+			break
+		}
+		b, err := benchfmt.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		w, err := benchfmt.ReadFile(fmt.Sprintf(workPat, r))
+		if err != nil {
+			return err
+		}
+		base, work = append(base, b), append(work, w)
+	}
+	if len(base) == 0 {
+		return fmt.Errorf("-rounds: no round files match %q", basePat)
+	}
+	fmt.Printf("\n%d rounds, base vs working tree (median ns/op [min–max]):\n", len(base))
+	for _, s := range benchfmt.Summarize(base, work) {
+		fmt.Println(" ", s)
+	}
+	return nil
 }
 
 func fatal(err error) {

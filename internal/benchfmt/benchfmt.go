@@ -1,14 +1,16 @@
 // Package benchfmt is the shared schema for the repo's benchmark JSON
 // artifacts (BENCH_hotloop.json, BENCH_suite.json): parsing of
 // `go test -bench` result lines, stable name-keyed merging so repeated
-// runs refresh rather than clobber a file, and delta formatting for
-// comparing a run against a committed baseline.
+// runs refresh rather than clobber a file, delta formatting for
+// comparing a run against a committed baseline, and per-benchmark
+// summaries of a paired multi-round comparison.
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -202,4 +204,90 @@ func FormatDelta(base, cur Result) string {
 		fmt.Fprintf(&b, "  %d allocs/op (baseline %d)", cur.AllocsPerOp, base.AllocsPerOp)
 	}
 	return b.String()
+}
+
+// Summary condenses one benchmark's rounds of a paired comparison: the
+// median, min and max ns/op of each side, and in how many rounds the
+// working tree ran faster than the base.
+type Summary struct {
+	Name       string
+	Rounds     int // rounds in which both sides report the benchmark
+	Base, Work Spread
+	Wins       int // rounds in which Work's ns/op was below Base's
+}
+
+// Spread is the median, min and max of one side's ns/op over the rounds.
+type Spread struct{ Median, Min, Max float64 }
+
+// Summarize pairs base[r] with work[r], round r's results of each side,
+// and returns one Summary per benchmark, in the order the benchmarks
+// first appear in base. A round counts for a benchmark only if both
+// sides report it.
+func Summarize(base, work [][]Result) []Summary {
+	var names []string
+	seen := map[string]bool{}
+	for _, round := range base {
+		for _, r := range round {
+			if !seen[r.Name] {
+				seen[r.Name] = true
+				names = append(names, r.Name)
+			}
+		}
+	}
+	find := func(round []Result, name string) (Result, bool) {
+		for _, r := range round {
+			if r.Name == name {
+				return r, true
+			}
+		}
+		return Result{}, false
+	}
+	var out []Summary
+	for _, name := range names {
+		s := Summary{Name: name}
+		var b, w []float64
+		for i := 0; i < len(base) && i < len(work); i++ {
+			br, ok1 := find(base[i], name)
+			wr, ok2 := find(work[i], name)
+			if !ok1 || !ok2 {
+				continue
+			}
+			b, w = append(b, br.NsPerOp), append(w, wr.NsPerOp)
+			if wr.NsPerOp < br.NsPerOp {
+				s.Wins++
+			}
+		}
+		if s.Rounds = len(b); s.Rounds == 0 {
+			continue
+		}
+		s.Base, s.Work = spread(b), spread(w)
+		out = append(out, s)
+	}
+	return out
+}
+
+// spread sorts xs in place and returns its median, min and max.
+func spread(xs []float64) Spread {
+	sort.Float64s(xs)
+	n := len(xs)
+	med := xs[n/2]
+	if n%2 == 0 {
+		med = (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return Spread{Median: med, Min: xs[0], Max: xs[n-1]}
+}
+
+// String renders the summary on one line, e.g.
+//
+//	BenchmarkFoo  base 2468 ns/op [2400–2500]  work 1234 ns/op [1200–1300]  -50.0%  won 3/3
+//
+// The percentage compares the medians; negative means the working tree
+// is faster.
+func (s Summary) String() string {
+	pct := 0.0
+	if s.Base.Median > 0 {
+		pct = (s.Work.Median - s.Base.Median) / s.Base.Median * 100
+	}
+	return fmt.Sprintf("%s  base %.6g ns/op [%.6g–%.6g]  work %.6g ns/op [%.6g–%.6g]  %+.1f%%  won %d/%d",
+		s.Name, s.Base.Median, s.Base.Min, s.Base.Max, s.Work.Median, s.Work.Min, s.Work.Max, pct, s.Wins, s.Rounds)
 }

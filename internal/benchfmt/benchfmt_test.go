@@ -116,3 +116,27 @@ func TestRatio(t *testing.T) {
 		t.Error("zero denominator: want error")
 	}
 }
+
+func TestSummarize(t *testing.T) {
+	base := [][]Result{
+		{{Name: "A", NsPerOp: 100}, {Name: "B", NsPerOp: 10}},
+		{{Name: "A", NsPerOp: 120}, {Name: "B", NsPerOp: 10}},
+		{{Name: "A", NsPerOp: 110}, {Name: "B", NsPerOp: 10}, {Name: "C", NsPerOp: 5}},
+	}
+	work := [][]Result{
+		{{Name: "A", NsPerOp: 90}, {Name: "B", NsPerOp: 12}},
+		{{Name: "A", NsPerOp: 130}, {Name: "B", NsPerOp: 8}},
+		{{Name: "A", NsPerOp: 80}},
+	}
+	got := Summarize(base, work)
+	want := []Summary{
+		{Name: "A", Rounds: 3, Base: Spread{110, 100, 120}, Work: Spread{90, 80, 130}, Wins: 2},
+		{Name: "B", Rounds: 2, Base: Spread{10, 10, 10}, Work: Spread{10, 8, 12}, Wins: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Summarize = %+v, want %+v", got, want)
+	}
+	if line := got[0].String(); line != "A  base 110 ns/op [100–120]  work 90 ns/op [80–130]  -18.2%  won 2/3" {
+		t.Errorf("summary line %q", line)
+	}
+}

@@ -10,6 +10,11 @@
 // KVM domain is mapped to a cgroup. Counters are cumulative from "boot";
 // consumers compute deltas between measurement intervals, as the paper's
 // performance monitor does (§III-D1).
+//
+// The counters belong to the goroutine that ticks the VM's server: it
+// adds to them without a lock, and they are read between ticks. The caps
+// are the one piece of state shared across goroutines: they are read
+// lock-free while the control plane sets them.
 package cgroup
 
 import (
@@ -72,14 +77,16 @@ type Counters struct {
 	Perf  PerfCounters
 }
 
-// Cgroup is one control group. All methods are safe for concurrent use:
-// the resource models write from the simulation tick while monitors may
-// snapshot from test code.
+// Cgroup is one control group. Its counters are owned by the goroutine
+// ticking the VM's server: Add* and Snapshot take no lock, so call them
+// from that goroutine or between ticks. Throttle, ThrottleSeq and the cap
+// setters are safe for concurrent use.
 type Cgroup struct {
 	name string
 
-	mu       sync.Mutex // guards counters and serializes SetThrottle
 	counters Counters
+
+	mu sync.Mutex // serializes SetThrottle
 
 	// throttle points at the caps in force (nil: none ever set). Each
 	// SetThrottle stores a fresh copy, so per-tick readers load the caps
@@ -109,8 +116,6 @@ func (c *Cgroup) Name() string { return c.name }
 
 // AddBlkio accumulates one tick's worth of block-I/O activity.
 func (c *Cgroup) AddBlkio(ops, bytes, waitMs float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.counters.Blkio.IoServiced += ops
 	c.counters.Blkio.IoServiceBytes += bytes
 	c.counters.Blkio.IoWaitTimeMs += waitMs
@@ -118,15 +123,11 @@ func (c *Cgroup) AddBlkio(ops, bytes, waitMs float64) {
 
 // AddCPU accumulates consumed core-seconds.
 func (c *Cgroup) AddCPU(coreSeconds float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.counters.CPU.UsageSeconds += coreSeconds
 }
 
 // AddPerf accumulates hardware-counter readings.
 func (c *Cgroup) AddPerf(cycles, instructions, llcRefs, llcMisses float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.counters.Perf.Cycles += cycles
 	c.counters.Perf.Instructions += instructions
 	c.counters.Perf.LLCReferences += llcRefs
@@ -134,19 +135,9 @@ func (c *Cgroup) AddPerf(cycles, instructions, llcRefs, llcMisses float64) {
 }
 
 // AddTick accumulates one tick's worth of everything — blkio, cpuacct
-// and perf — under a single lock round-trip. Equivalent to AddBlkio +
-// AddCPU + AddPerf; the cluster's per-tick accounting uses it so each VM
-// costs one mutex acquisition per tick instead of three.
+// and perf — in one call: AddBlkio + AddCPU + AddPerf, as the cluster's
+// per-tick accounting adds them.
 func (c *Cgroup) AddTick(ops, bytes, waitMs, coreSeconds, cycles, instructions, llcRefs, llcMisses float64) {
-	if ops == 0 && bytes == 0 && waitMs == 0 && coreSeconds == 0 &&
-		cycles == 0 && instructions == 0 && llcRefs == 0 && llcMisses == 0 {
-		// A tick that delivered nothing leaves every counter bit-identical:
-		// the counters are sums of nonnegative values (so never -0), and
-		// adding zero to such a float is exact. Skipping the lock round-trip
-		// makes idle-VM ticks on busy servers free.
-		return
-	}
-	c.mu.Lock()
 	c.counters.Blkio.IoServiced += ops
 	c.counters.Blkio.IoServiceBytes += bytes
 	c.counters.Blkio.IoWaitTimeMs += waitMs
@@ -155,15 +146,10 @@ func (c *Cgroup) AddTick(ops, bytes, waitMs, coreSeconds, cycles, instructions, 
 	c.counters.Perf.Instructions += instructions
 	c.counters.Perf.LLCReferences += llcRefs
 	c.counters.Perf.LLCMisses += llcMisses
-	c.mu.Unlock()
 }
 
 // Snapshot returns a copy of all cumulative counters.
-func (c *Cgroup) Snapshot() Counters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters
-}
+func (c *Cgroup) Snapshot() Counters { return c.counters }
 
 // Throttle returns the currently applied caps. It takes no lock.
 func (c *Cgroup) Throttle() Throttle {
@@ -186,8 +172,7 @@ func (c *Cgroup) SetThrottle(t Throttle) {
 
 // ThrottleSeq returns a counter that advances on every SetThrottle call.
 // A caller that snapshotted the caps may later compare sequence numbers
-// to learn — without taking the cgroup lock — that they are still in
-// force.
+// to learn, with one atomic load, that they are still in force.
 func (c *Cgroup) ThrottleSeq() uint64 { return c.throttleSeq.Load() }
 
 // SetReadIOPS sets the IOPS cap (0 = unlimited).

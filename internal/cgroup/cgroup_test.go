@@ -158,24 +158,32 @@ func TestNegativeThrottlePanics(t *testing.T) {
 	c.SetThrottle(Throttle{ReadIOPS: -1})
 }
 
-func TestConcurrentAccess(t *testing.T) {
+// TestCountersAccumulateInCallOrder: the counters are plain float sums
+// owned by one goroutine, so mixing AddTick with the per-subsystem adders
+// must leave each counter bit-identical to adding the same values in the
+// same order in a plain float loop.
+func TestCountersAccumulateInCallOrder(t *testing.T) {
 	c := New("vm-0")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.AddBlkio(1, 10, 0.5)
-				c.AddCPU(0.001)
-				_ = c.Snapshot()
-			}
-		}()
+	var want [8]float64
+	for i := 0; i < 1000; i++ {
+		x := 0.1 * float64(i%7+1) / 3
+		v := [8]float64{x, x * 4096, x / 7, x / 1000, x * 2.3e9, x * 1.1e9, x * 3e7, x * 1e6}
+		if i%2 == 0 {
+			c.AddTick(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
+		} else {
+			c.AddBlkio(v[0], v[1], v[2])
+			c.AddCPU(v[3])
+			c.AddPerf(v[4], v[5], v[6], v[7])
+		}
+		for k := range want {
+			want[k] += v[k]
+		}
 	}
-	wg.Wait()
 	s := c.Snapshot()
-	if s.Blkio.IoServiced != 8000 {
-		t.Errorf("IoServiced = %v, want 8000", s.Blkio.IoServiced)
+	got := [8]float64{s.Blkio.IoServiced, s.Blkio.IoServiceBytes, s.Blkio.IoWaitTimeMs, s.CPU.UsageSeconds,
+		s.Perf.Cycles, s.Perf.Instructions, s.Perf.LLCReferences, s.Perf.LLCMisses}
+	if got != want {
+		t.Errorf("counters %v, want %v", got, want)
 	}
 }
 

@@ -222,11 +222,8 @@ type Server struct {
 
 	// active records membership in the cluster's active set. Inactive
 	// servers are provably quiescent and are not visited at all by the
-	// tick — the O(active) contract of DESIGN.md §5.1. wakePending marks
-	// servers already queued for reactivation so a burst of dirtying
-	// events enqueues them once.
-	active      bool
-	wakePending bool
+	// tick — the O(active) contract of DESIGN.md §5.1.
+	active bool
 
 	// skipFrom is the cluster tick count at deactivation; the wake path
 	// derives the number of elided grant-phase ticks from it instead of
@@ -379,18 +376,20 @@ func (s *Server) bumpEpoch() {
 }
 
 // activate queues an inactive server for reactivation at the start of
-// the next tick. Dirtying events arrive from the engine's goroutine
-// (framework ticks, workload Advance, controller actuation, test setup),
-// so the queue needs no synchronization. Draining at the tick boundary
-// keeps mid-sweep wakes from mutating the active bitset while it is being
-// iterated.
+// the next tick by setting its bit in the wake bitset; a burst of
+// dirtying events sets it once. Dirtying events arrive from the engine's
+// goroutine (framework ticks, workload Advance, controller actuation,
+// test setup), so the queue needs no synchronization. Draining at the
+// tick boundary keeps mid-sweep wakes from mutating the active bitset
+// while it is being iterated. Only a server the shard partition covers
+// can be inactive, so its bit exists.
 func (s *Server) activate() {
 	c := s.clus
-	if c == nil || s.active || s.wakePending {
+	if c == nil || s.active {
 		return
 	}
-	s.wakePending = true
-	c.wakes = append(c.wakes, s)
+	c.wakeBits[s.index>>6] |= 1 << uint(s.index&63)
+	c.wakesQueued = true
 }
 
 // ID returns the server's identifier.
@@ -803,11 +802,14 @@ type Cluster struct {
 
 	// Sharded-tick state (DESIGN.md §5.1): the shard partition over the
 	// server slice, the active bitset it indexes, the wake queue drained
-	// at each tick boundary, and the cluster-wide inactive count.
+	// at each tick boundary (a bitset over the same indexes, allocated
+	// with the active one; wakesQueued is set while any bit is), and the
+	// cluster-wide inactive count.
 	shards      []shard
 	activeBits  []uint64
+	wakeBits    []uint64
+	wakesQueued bool
 	busyShards  int // shards holding at least one active server
-	wakes       []*Server
 	inactive    int
 	live        []*Server // per-tick scratch: the active servers, in index order
 	partServers int       // len(servers) at the last partition build

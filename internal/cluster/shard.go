@@ -92,14 +92,16 @@ func (c *Cluster) ensureShards() {
 		c.shards[i] = shard{start: start, end: start + size}
 		start += size
 	}
+	// The active bitset is rebuilt below; the wake bitset keeps the wakes
+	// still pending, as server indexes never move. One allocation holds
+	// both.
 	words := (n + 63) / 64
-	if cap(c.activeBits) < words {
-		c.activeBits = make([]uint64, words)
+	if len(c.activeBits) < words {
+		both := make([]uint64, 2*words)
+		copy(both[words:], c.wakeBits)
+		c.activeBits, c.wakeBits = both[:words], both[words:]
 	}
-	c.activeBits = c.activeBits[:words]
-	for i := range c.activeBits {
-		c.activeBits[i] = 0
-	}
+	clear(c.activeBits)
 	c.inactive, c.busyShards = 0, 0
 	for i, s := range c.servers {
 		sh := &c.shards[c.shardIndex(i)]
@@ -207,15 +209,20 @@ func (c *Cluster) deactivate(s *Server) {
 // drainWakes processes the reactivation queue at the tick boundary, after
 // ensureShards. c.ticks has already advanced for the current tick, so the
 // woken server missed exactly ticks-1 completed ticks minus its
-// deactivation tick.
+// deactivation tick. Wakes commute, so they drain in index order.
 func (c *Cluster) drainWakes() {
-	for _, s := range c.wakes {
-		s.wakePending = false
-		if !s.active {
-			c.wake(s, c.ticks-1)
-		}
+	if !c.wakesQueued {
+		return
 	}
-	c.wakes = c.wakes[:0]
+	for w, word := range c.wakeBits {
+		base := w << 6
+		for word != 0 {
+			c.wake(c.servers[base+bits.TrailingZeros64(word)], c.ticks-1)
+			word &= word - 1
+		}
+		c.wakeBits[w] = 0
+	}
+	c.wakesQueued = false
 }
 
 // shardedTick is the optimised tick, O(active servers + servers/64): it

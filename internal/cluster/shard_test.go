@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -191,5 +192,48 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 	}
 	if got := ref.FastPathStats(); got.QuiescentSkips != 0 || got.ShardSkips != 0 {
 		t.Errorf("reference cluster skipped work: %+v", got)
+	}
+}
+
+// TestWakeQueueAllocatesNothing: the wake queue is a bitset allocated
+// with the active bitset at each partition build, so waking a parked
+// fleet allocates nothing, and wakes still pending when a new server
+// forces a repartition survive it.
+func TestWakeQueueAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(100*time.Millisecond, 5)
+	c := New()
+	eng.Register(c)
+	var vms []*VM
+	var works []Workload
+	for s := 0; s < 70; s++ {
+		srv := c.AddServer(fmt.Sprintf("server-%02d", s), DefaultServerConfig(), eng.RNG())
+		vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%02d", s), 2, 8<<30, LowPriority, ""))
+		works = append(works, endless(vms[s].ID()))
+	}
+	eng.Run(2) // every VM idle: all servers park
+	if got := c.ActiveServers(); got != 0 {
+		t.Fatalf("ActiveServers = %d after an idle tick, want 0", got)
+	}
+	// Counted by hand: testing.AllocsPerRun measures a repeated call,
+	// which would find every wake already queued.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, v := range vms {
+		v.SetWorkload(works[i])
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("waking %d parked servers allocated %d times, want 0", len(vms), allocs)
+	}
+	c.AddServer("server-70", DefaultServerConfig(), eng.RNG())
+	eng.Step()
+	if got := c.ActiveServers(); got != 70 {
+		t.Errorf("ActiveServers = %d after the repartitioning tick, want the 70 woken", got)
+	}
+	for _, v := range vms {
+		if v.LastGrant().CPUSeconds == 0 {
+			t.Fatalf("%s was granted nothing after its wake", v.ID())
+		}
 	}
 }

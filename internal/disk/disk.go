@@ -127,8 +127,12 @@ type Disk struct {
 	opSize     []float64
 	cost       []float64
 	timeDemand []float64
-	keep       map[string]bool
 	fair       fairScratch
+
+	// The jitter slots of the last solved request vector's clients, in
+	// request order. A solve with the same clients steps by slot and
+	// skips the keep-set GC, and a memo hit replays through them.
+	clients sim.SlotCache
 
 	// Steady-state memo. Unlike the CPU and memory allocators the disk
 	// cannot return cached grants wholesale: the per-client AR(1) luck
@@ -147,13 +151,6 @@ type Disk struct {
 	memoReqs     []Request
 	memoGrants   []Grant // WaitMs fields unused; recomputed per tick
 
-	// Resolved jitter slots for memoGrants, rebuilt lazily after each memo
-	// save (and after any AR(1) GC compaction, tracked by the generation),
-	// so memo hits draw without per-client map lookups.
-	memoSlots    []sim.Slot
-	memoSlotsOK  bool
-	memoSlotsGen uint64
-
 	// Memo accounting (plain fields: one disk serves one server's
 	// ticking goroutine; read between ticks via MemoStats).
 	memoHits   uint64
@@ -166,11 +163,15 @@ type Disk struct {
 // ticks — the counters are owned by the goroutine ticking the server.
 func (d *Disk) MemoStats() (hits, misses uint64) { return d.memoHits, d.memoMisses }
 
-// InvalidateMemo drops the steady-state memo, so the next AllocateInto
-// solves its tick in full. The reference cluster calls it before every
-// tick; the memoized path takes the same jitter draws and evaluates the
-// same wait expression, so dropping it cannot change a grant.
-func (d *Disk) InvalidateMemo() { d.memoValid = false }
+// InvalidateMemo drops the steady-state memo and the resolved client
+// slots, so the next AllocateInto solves its tick in full and looks every
+// client up by id. The reference cluster calls it before every tick; the
+// memoized path takes the same jitter draws and evaluates the same wait
+// expression, so dropping it cannot change a grant.
+func (d *Disk) InvalidateMemo() {
+	d.memoValid = false
+	d.clients.Reset()
+}
 
 // New creates a device with the given config and random stream.
 func New(cfg Config, rng *rand.Rand) *Disk {
@@ -238,7 +239,8 @@ func (d *Disk) Allocate(tickSec float64, reqs []Request) []Grant {
 
 // AllocateInto is Allocate appending into dst (usually dst[:0] of a
 // caller-owned buffer), so the per-tick hot path allocates nothing once
-// the buffers reach steady-state size.
+// the buffers reach steady-state size. The requests' client ids must be
+// distinct.
 func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Grant {
 	if tickSec <= 0 {
 		panic("disk: nonpositive tick")
@@ -285,6 +287,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 		d.opSize = append(d.opSize, size)
 	}
 	capped, opSize := d.capped, d.opSize
+	d.clients.Bind(d.jitter, len(reqs), func(i int) string { return reqs[i].ClientID })
 
 	// Quiescent fast path: nobody wants any ops, so the cost model, fair
 	// share and queueing delay all reduce to zero grants. The per-client
@@ -303,17 +306,11 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if !anyOps {
 		d.lastRandomLoad = 0
 		d.lastUtilization = 0
-		if d.keep == nil {
-			d.keep = make(map[string]bool, len(reqs))
-		}
-		clear(d.keep)
 		for i := range reqs {
-			id := reqs[i].ClientID
-			d.keep[id] = true
-			d.jitter.Step(id)
-			dst = append(dst, Grant{ClientID: id})
+			d.clients.Step(d.jitter, i)
+			dst = append(dst, Grant{ClientID: reqs[i].ClientID})
 		}
-		d.jitter.GC(d.keep)
+		d.clients.Settle(d.jitter)
 		d.saveMemo(tickSec, reqs, dst[base:], 0)
 		return dst
 	}
@@ -369,22 +366,16 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	q := queueIntensity(util, d.cfg.MaxQueueFactor)
 	rlFactor := d.cfg.BaselineWaitFactor + math.Min(1, d.cfg.RandomWaitScale*randomLoad)
 	waitCoef := d.cfg.CongestionScale * q * rlFactor
-	if d.keep == nil {
-		d.keep = make(map[string]bool, len(reqs))
-	}
-	clear(d.keep)
 	grants := dst[base:]
 	for i := range grants {
-		id := grants[i].ClientID
-		d.keep[id] = true
-		luck := 1 + d.jitter.Step(id)
+		luck := 1 + d.clients.Step(d.jitter, i)
 		if luck < 0 {
 			luck = 0
 		}
 		waitPerOp := d.cfg.BaseLatencyMs * (1 + waitCoef*luck)
 		grants[i].WaitMs = grants[i].Ops * waitPerOp
 	}
-	d.jitter.GC(d.keep)
+	d.clients.Settle(d.jitter)
 	d.saveMemo(tickSec, reqs, grants, waitCoef)
 	return dst
 }
@@ -398,29 +389,22 @@ func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoe
 	d.memoReqs = append(d.memoReqs[:0], reqs...)
 	d.memoGrants = append(d.memoGrants[:0], grants...)
 	d.memoValid = true
-	d.memoSlotsOK = false
 }
 
 // ReplaySteadyInPlace serves one memo hit in grants, which must hold the
 // memo's Ops/Bytes grants (len(grants) == len(memoGrants)): only the
 // per-client luck draws and the WaitMs they scale are evaluated, in
-// request order as both full paths draw, so the seeded stream position is
-// identical; the keep-set GC is skipped, a no-op after an unchanged tick.
+// request order as both full paths draw and through the client slots the
+// solve resolved, so the seeded stream position is identical; the
+// keep-set GC is skipped, a no-op after an unchanged tick.
 // AllocateInto calls it on a value-compared hit; the cluster calls it on
 // a tick whose unchanged request vector it proved by demand epochs, with
 // the grant buffer still holding the memo's grants from the last tick.
 func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 	d.memoHits++
-	if !d.memoSlotsOK || d.memoSlotsGen != d.jitter.Gen() {
-		d.memoSlots = d.memoSlots[:0]
-		for i := range d.memoGrants {
-			d.memoSlots = append(d.memoSlots, d.jitter.Slot(d.memoGrants[i].ClientID))
-		}
-		d.memoSlotsGen = d.jitter.Gen()
-		d.memoSlotsOK = true
-	}
+	d.clients.Revalidate(d.jitter)
 	for i := range grants {
-		luck := 1 + d.jitter.StepSlot(d.memoSlots[i])
+		luck := 1 + d.clients.Step(d.jitter, i)
 		if luck < 0 {
 			luck = 0
 		}

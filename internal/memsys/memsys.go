@@ -106,10 +106,16 @@ type System struct {
 	// Reused per-Compute scratch (one system serves one server, ticked by
 	// a single goroutine, so plain fields suffice).
 	nominalInstr []float64
-	keep         map[string]bool
 	shares       []float64
 	weights      []float64
 	wants        []float64
+
+	// The jitter slots of the last solved request vector's clients, in
+	// request order, each resolved when the client is first stepped: a
+	// client that never runs gets no jitter state. A solve with the same
+	// clients steps by slot and skips the keep-set GC, and a memo hit
+	// replays through them.
+	clients sim.SlotCache
 
 	// Input memo: everything upstream of the per-VM AR(1) luck draw —
 	// nominal instruction rates, bandwidth pressure, LLC shares and miss
@@ -128,13 +134,6 @@ type System struct {
 	memoResults []Result
 	memoActive  []memoReplay // per stepped client, in draw order
 
-	// Resolved jitter slots for memoActive, rebuilt lazily after each memo
-	// save (and after any AR(1) GC compaction, tracked by the generation),
-	// so memo hits draw without per-client map lookups.
-	memoSlots    []sim.Slot
-	memoSlotsOK  bool
-	memoSlotsGen uint64
-
 	// Memo accounting (plain fields: one system serves one server's
 	// ticking goroutine; read between ticks via MemoStats).
 	memoHits   uint64
@@ -145,8 +144,7 @@ type System struct {
 // congested memo hit can recompute the client's results from this tick's
 // luck draw alone, with the exact operand order of the full solve.
 type memoReplay struct {
-	id       string
-	resIdx   int // index into memoResults / the returned slice
+	resIdx   int // index into memoResults, the returned slice and the bound clients
 	coreCPI  float64
 	refs     float64 // LLCRefsPerInstr
 	bytesPI  float64 // BytesPerInstr
@@ -160,11 +158,15 @@ type memoReplay struct {
 // goroutine ticking the server.
 func (s *System) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
 
-// InvalidateMemo drops the input memo, so the next ComputeInto solves its
-// tick in full. The reference cluster calls it before every tick; the
-// memoized path yields the same results and leaves the seeded jitter
-// stream in the same position, so dropping it cannot change a result.
-func (s *System) InvalidateMemo() { s.memoValid = false }
+// InvalidateMemo drops the input memo and the resolved client slots, so
+// the next ComputeInto solves its tick in full and looks every client up
+// by id. The reference cluster calls it before every tick; the memoized
+// path yields the same results and leaves the seeded jitter stream in the
+// same position, so dropping it cannot change a result.
+func (s *System) InvalidateMemo() {
+	s.memoValid = false
+	s.clients.Reset()
+}
 
 // New creates a memory system with the given config and random stream.
 func New(cfg Config, rng *rand.Rand) *System {
@@ -210,7 +212,8 @@ func (s *System) Compute(tickSec float64, reqs []Request) []Result {
 
 // ComputeInto is Compute appending into dst (usually dst[:0] of a
 // caller-owned buffer), so the per-tick hot path allocates nothing once
-// the buffers reach steady-state size.
+// the buffers reach steady-state size. The requests' client ids must be
+// distinct.
 func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Result {
 	if tickSec <= 0 {
 		panic("memsys: nonpositive tick")
@@ -242,6 +245,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		s.nominalInstr = append(s.nominalInstr, nominal)
 	}
 	nominalInstr := s.nominalInstr
+	s.clients.Bind(s.jitter, len(reqs), func(i int) string { return reqs[i].ClientID })
 
 	// Quiescent fast path: no VM ran, so every result is zero and the
 	// cache/bandwidth model has nothing to resolve. Like the disk's idle
@@ -257,15 +261,10 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	base := len(dst)
 	if !anyActive {
 		s.lastPressure = 0
-		if s.keep == nil {
-			s.keep = make(map[string]bool, len(reqs))
-		}
-		clear(s.keep)
 		for _, r := range reqs {
-			s.keep[r.ClientID] = true
 			dst = append(dst, Result{ClientID: r.ClientID})
 		}
-		s.jitter.GC(s.keep)
+		s.clients.Settle(s.jitter)
 		s.memoActive = s.memoActive[:0]
 		s.memoOver = 0
 		s.saveMemo(tickSec, reqs, dst[base:])
@@ -282,14 +281,9 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 
 	shares := s.llcShares(s.cfg.LLCBytes, reqs, nominalInstr)
 
-	if s.keep == nil {
-		s.keep = make(map[string]bool, len(reqs))
-	}
-	clear(s.keep)
 	s.memoActive = slices.Grow(s.memoActive[:0], len(reqs))
 	s.memoOver = over
 	for i, r := range reqs {
-		s.keep[r.ClientID] = true
 		res := Result{ClientID: r.ClientID}
 		if r.CPUSeconds == 0 || nominalInstr[i] == 0 {
 			dst = append(dst, res)
@@ -297,8 +291,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		}
 		res.MissRate = missRate(r.WorkingSetBytes, shares[i])
 
-		j := s.jitter.Step(r.ClientID)
-		luck := 1 + j
+		luck := 1 + s.clients.Step(s.jitter, i)
 		if luck < 0 {
 			luck = 0
 		}
@@ -311,13 +304,13 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		res.LLCMisses = res.LLCRefs * res.MissRate
 		res.MemBytes = res.Instructions * r.BytesPerInstr
 		s.memoActive = append(s.memoActive, memoReplay{
-			id: r.ClientID, resIdx: i,
+			resIdx:  i,
 			coreCPI: r.CoreCPI, refs: r.LLCRefsPerInstr, bytesPI: r.BytesPerInstr,
 			missRate: res.MissRate, cycles: res.Cycles,
 		})
 		dst = append(dst, res)
 	}
-	s.jitter.GC(s.keep)
+	s.clients.Settle(s.jitter)
 	s.saveMemo(tickSec, reqs, dst[base:])
 	return dst
 }
@@ -330,7 +323,6 @@ func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 	s.memoReqs = append(s.memoReqs[:0], reqs...)
 	s.memoResults = append(s.memoResults[:0], results...)
 	s.memoValid = true
-	s.memoSlotsOK = false
 }
 
 // ReplaySteadyInPlace serves one memo hit in results, which must hold the
@@ -345,26 +337,19 @@ func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 // the result buffer still holding the memo's results from the last tick.
 func (s *System) ReplaySteadyInPlace(results []Result) {
 	s.memoHits++
-	if !s.memoSlotsOK || s.memoSlotsGen != s.jitter.Gen() {
-		s.memoSlots = s.memoSlots[:0]
-		for i := range s.memoActive {
-			s.memoSlots = append(s.memoSlots, s.jitter.Slot(s.memoActive[i].id))
-		}
-		s.memoSlotsGen = s.jitter.Gen()
-		s.memoSlotsOK = true
-	}
+	s.clients.Revalidate(s.jitter)
 	if s.memoOver == 0 {
 		// Uncongested: the luck factors multiply a zero congestion term,
 		// so the buffered results are already exact; only the seeded
 		// stream position advances.
-		for _, sl := range s.memoSlots {
-			s.jitter.StepSlot(sl)
+		for i := range s.memoActive {
+			s.clients.Step(s.jitter, s.memoActive[i].resIdx)
 		}
 		return
 	}
 	for i := range s.memoActive {
 		m := &s.memoActive[i]
-		luck := 1 + s.jitter.StepSlot(s.memoSlots[i])
+		luck := 1 + s.clients.Step(s.jitter, m.resIdx)
 		if luck < 0 {
 			luck = 0
 		}

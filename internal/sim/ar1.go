@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // AR1 is a first-order autoregressive (Ornstein-Uhlenbeck-like) noise
@@ -12,8 +13,8 @@ import (
 // a correlation time of roughly tick/(1-corr), so per-VM unevenness
 // survives the monitor's 5-second averaging window instead of washing out.
 type AR1 struct {
-	Corr   float64 // per-step correlation in [0, 1)
-	StdDev float64 // stationary standard deviation
+	corr  float64 // per-step correlation in [0, 1)
+	scale float64 // innovation scale sqrt(1-corr^2)*stddev
 
 	// Per-client state lives in a flat slice indexed through idx, so the
 	// per-tick hot path pays one map read per Step instead of a map read
@@ -22,13 +23,7 @@ type AR1 struct {
 	idx  map[string]int32
 	vals []float64
 	rng  *rand.Rand
-	gen  uint64 // bumped whenever GC compacts (and so reassigns) slots
-
-	// Cached innovation scale sqrt(1-corr^2)*stddev, recomputed whenever
-	// the (exported, in principle mutable) parameters change.
-	scale              float64
-	scaleCorr, scaleSD float64
-	scaleOK            bool
+	gen  uint64 // bumped whenever gc compacts (and so reassigns) slots
 }
 
 // NewAR1 creates a per-client AR(1) noise source.
@@ -39,20 +34,9 @@ func NewAR1(corr, stddev float64, rng *rand.Rand) *AR1 {
 	if stddev < 0 {
 		panic("sim: AR1 stddev must be nonnegative")
 	}
-	return &AR1{Corr: corr, StdDev: stddev, idx: make(map[string]int32), rng: rng}
-}
-
-// scaleFactor returns sqrt(1-corr^2)*stddev without paying the square
-// root per step. The product associates exactly as Step's historical
-// inline expression sqrt(1-c^2)*stddev*z: Go evaluates that left to
-// right, so hoisting the left pair is exact, not approximate.
-func (a *AR1) scaleFactor() float64 {
-	if !a.scaleOK || a.Corr != a.scaleCorr || a.StdDev != a.scaleSD {
-		a.scaleCorr, a.scaleSD = a.Corr, a.StdDev
-		a.scale = math.Sqrt(1-a.Corr*a.Corr) * a.StdDev
-		a.scaleOK = true
-	}
-	return a.scale
+	// Go evaluates sqrt(1-corr^2)*stddev*z left to right, so computing
+	// the scale once is exact, not approximate.
+	return &AR1{corr: corr, scale: math.Sqrt(1-corr*corr) * stddev, idx: make(map[string]int32), rng: rng}
 }
 
 // slot resolves the client's index, allocating a zero-state slot for a
@@ -67,34 +51,17 @@ func (a *AR1) slot(id string) int32 {
 	return i
 }
 
+// advance steps the process in slot i with the standard normal draw z
+// and returns its new value. Taking the draw as an argument keeps it
+// small enough to inline into the per-draw loops.
+func (a *AR1) advance(i int32, z float64) float64 {
+	x := a.corr*a.vals[i] + a.scale*z
+	a.vals[i] = x
+	return x
+}
+
 // Step advances the named client's process one step and returns its value.
-func (a *AR1) Step(id string) float64 {
-	i := a.slot(id)
-	next := a.Corr*a.vals[i] + a.scaleFactor()*a.rng.NormFloat64()
-	a.vals[i] = next
-	return next
-}
-
-// Slot is a resolved handle to one client's state, valid until the next
-// GC compaction (watch Gen). Steady-state replay paths resolve each
-// client once and then step by handle, skipping the per-draw map lookup.
-type Slot int32
-
-// Gen returns the slot-layout generation: Slot handles resolved under one
-// generation are invalid once Gen moves (GC compacted the state slice).
-func (a *AR1) Gen() uint64 { return a.gen }
-
-// Slot resolves the client's handle, allocating zero state for a client
-// seen for the first time (exactly as Step would).
-func (a *AR1) Slot(id string) Slot { return Slot(a.slot(id)) }
-
-// StepSlot is Step through a resolved handle: the identical arithmetic on
-// the identical state, minus the map lookup.
-func (a *AR1) StepSlot(sl Slot) float64 {
-	next := a.Corr*a.vals[sl] + a.scaleFactor()*a.rng.NormFloat64()
-	a.vals[sl] = next
-	return next
-}
+func (a *AR1) Step(id string) float64 { return a.advance(a.slot(id), a.rng.NormFloat64()) }
 
 // stackBatch is the largest StepBatch that resolves its slots into a
 // stack array: more than the VMs of any server the simulator builds
@@ -114,7 +81,6 @@ func (a *AR1) StepBatch(n, k int, id func(i int) string) {
 	if n <= 0 || k <= 0 {
 		return
 	}
-	scale := a.scaleFactor()
 	var buf [stackBatch]int32
 	sl := buf[:0]
 	if k > stackBatch {
@@ -125,14 +91,14 @@ func (a *AR1) StepBatch(n, k int, id func(i int) string) {
 	}
 	for t := 0; t < n; t++ {
 		for _, i := range sl {
-			a.vals[i] = a.Corr*a.vals[i] + scale*a.rng.NormFloat64()
+			a.advance(i, a.rng.NormFloat64())
 		}
 	}
 }
 
-// GC drops state for clients not in keep, bounding memory across VM churn.
+// gc drops state for clients not in keep, bounding memory across VM churn.
 // It is a no-op while the state map is still small relative to keep.
-func (a *AR1) GC(keep map[string]bool) {
+func (a *AR1) gc(keep map[string]bool) {
 	if len(a.idx) <= 4*len(keep)+16 {
 		return
 	}
@@ -153,10 +119,11 @@ func (a *AR1) GC(keep map[string]bool) {
 	a.gen++
 }
 
-// Retain is GC with the keep set given as k distinct ids, the i-th
-// id(i). It builds the set only when GC would compact, so retaining the
-// clients already tracked — the common case — costs one comparison and
-// no allocation.
+// Retain drops the state of every client but the k distinct ids, the
+// i-th id(i), once the tracked set outgrows them (see WouldCompact),
+// bounding memory across VM churn. It builds the keep set only when it
+// compacts, so retaining the clients already tracked — the common case —
+// costs one comparison and no allocation.
 func (a *AR1) Retain(k int, id func(i int) string) {
 	if !a.WouldCompact(k) {
 		return
@@ -165,7 +132,7 @@ func (a *AR1) Retain(k int, id func(i int) string) {
 	for i := 0; i < k; i++ {
 		keep[id(i)] = true
 	}
-	a.GC(keep)
+	a.gc(keep)
 }
 
 // WouldCompact reports whether Retain with n distinct ids would compact
@@ -173,5 +140,87 @@ func (a *AR1) Retain(k int, id func(i int) string) {
 // it to skip building the id list when Retain would ignore it.
 func (a *AR1) WouldCompact(n int) bool { return len(a.idx) > 4*n+16 }
 
-// Len reports the number of tracked clients (for tests).
+// Len reports the number of tracked clients.
 func (a *AR1) Len() int { return len(a.idx) }
+
+// SlotCache binds an ordered client list to its AR(1) slots, so an
+// allocator that solves the same clients tick after tick resolves their
+// ids when the list changes, not on every draw. A solve calls Bind with
+// its clients, steps them by position, and ends with Settle, which runs
+// Retain's keep-set GC over them only when it could compact. The zero
+// value is ready to use.
+type SlotCache struct {
+	ids   []string
+	slots []int32 // -1 until the client is first stepped under the binding
+	gen   uint64  // AR1 generation the slots were resolved under
+	n     int     // AR1.Len after the last Settle; -1 when the next Bind must rebind
+}
+
+// Bind binds the cache to the k clients id(0) … id(k-1) of a, in order,
+// and reports whether it kept its previous binding: the same ids in the
+// same order, with a neither compacted nor grown since the last Settle.
+// A kept binding keeps its resolved slots, and its Settle skips the GC,
+// which then provably cannot compact: the last Settle left at most 4k+16
+// clients tracked, and none has been added since.
+func (c *SlotCache) Bind(a *AR1, k int, id func(i int) string) bool {
+	if len(c.ids) == k && c.gen == a.gen && c.n == len(a.idx) {
+		same := true
+		for i, x := range c.ids {
+			if x != id(i) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return true
+		}
+	}
+	c.ids, c.slots = slices.Grow(c.ids[:0], k), slices.Grow(c.slots[:0], k)
+	for i := 0; i < k; i++ {
+		c.ids = append(c.ids, id(i))
+		c.slots = append(c.slots, -1)
+	}
+	c.gen, c.n = a.gen, -1
+	return false
+}
+
+// Step advances the i-th bound client's process, exactly as a.Step would
+// by id, resolving its slot on the client's first step under the binding.
+func (c *SlotCache) Step(a *AR1, i int) float64 {
+	sl := c.slots[i]
+	if sl < 0 {
+		sl = a.slot(c.ids[i])
+		c.slots[i] = sl
+	}
+	return a.advance(sl, a.rng.NormFloat64())
+}
+
+// Settle ends a solve over the bound clients with Retain's keep-set GC,
+// skipped when neither a rebind nor a first-seen client since the last
+// Settle can have made it compact. After a compaction the next Bind
+// rebinds, and Revalidate clears the slots.
+func (c *SlotCache) Settle(a *AR1) {
+	if c.n != len(a.idx) {
+		a.Retain(len(c.ids), c.id)
+	}
+	c.n = len(a.idx)
+}
+
+// Revalidate clears the resolved slots if a compacted since they were
+// resolved. A replay that steps the bound clients without Bind calls it
+// first.
+func (c *SlotCache) Revalidate(a *AR1) {
+	if c.gen == a.gen {
+		return
+	}
+	for i := range c.slots {
+		c.slots[i] = -1
+	}
+	c.gen = a.gen
+}
+
+// Reset unbinds the cache: the next Bind resolves every id afresh and
+// the next Settle runs the GC.
+func (c *SlotCache) Reset() { c.n = -1 }
+
+func (c *SlotCache) id(i int) string { return c.ids[i] }

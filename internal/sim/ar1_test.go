@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,14 +76,14 @@ func TestAR1GC(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a.Step(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 	}
-	a.GC(map[string]bool{"a0": true})
+	a.Retain(1, func(int) string { return "a0" })
 	if a.Len() != 1 {
 		t.Errorf("after GC len = %d, want 1", a.Len())
 	}
 	// GC is a no-op while small.
 	b := NewAR1(0.9, 1.0, rand.New(rand.NewSource(6)))
 	b.Step("x")
-	b.GC(map[string]bool{})
+	b.Retain(0, func(int) string { return "" })
 	if b.Len() != 1 {
 		t.Errorf("small-map GC should be no-op, len = %d", b.Len())
 	}
@@ -102,5 +103,70 @@ func TestAR1Panics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSlotCacheMatchesStepByID solves a sequence of client lists twice
+// from one seed: by id with a Retain after every solve, and through a
+// SlotCache. Each solve steps only its listed positions, as memsys steps
+// only its active clients. The lists repeat, swap every id for the same
+// count of new ones, return to an earlier list, and shrink far enough to
+// compact, and every draw and the tracked count must match.
+func TestSlotCacheMatchesStepByID(t *testing.T) {
+	type solve struct {
+		ids  []string
+		step []int
+	}
+	abc := []string{"a", "b", "c"}
+	var crowd []string
+	var all []int
+	for i := 0; i < 40; i++ {
+		crowd = append(crowd, fmt.Sprintf("c%d", i))
+		all = append(all, i)
+	}
+	solves := []solve{
+		{abc, []int{0, 1, 2}},
+		{abc, []int{0, 1, 2}},
+		{abc, []int{2}},
+		{[]string{"x", "y", "z"}, []int{0, 2}},
+		{[]string{"x", "y", "z"}, []int{0, 1, 2}},
+		{abc, []int{0, 1, 2}},
+		{crowd, []int{0, 5, 39}},
+		{crowd, all},
+		{crowd, []int{1, 2, 3, 4}},
+		{crowd[:1], []int{0}},
+		{crowd[:1], []int{0}},
+		{crowd[:1], nil},
+		{abc, []int{1}},
+	}
+	byID := NewAR1(0.9, 1.0, rand.New(rand.NewSource(9)))
+	cached := NewAR1(0.9, 1.0, rand.New(rand.NewSource(9)))
+	var c SlotCache
+	for n, s := range solves {
+		kept := c.Bind(cached, len(s.ids), func(i int) string { return s.ids[i] })
+		if n == 1 && !kept {
+			t.Error("an unchanged list did not keep its binding")
+		}
+		if n == 3 && kept {
+			t.Error("a swapped list kept its binding")
+		}
+		for _, i := range s.step {
+			if want, got := byID.Step(s.ids[i]), c.Step(cached, i); got != want {
+				t.Fatalf("solve %d, client %s: cached draw %v, by id %v", n, s.ids[i], got, want)
+			}
+		}
+		byID.Retain(len(s.ids), func(i int) string { return s.ids[i] })
+		c.Settle(cached)
+		if byID.Len() != cached.Len() || byID.gen != cached.gen {
+			t.Fatalf("solve %d: tracked %d clients (gen %d), by id %d (gen %d)",
+				n, cached.Len(), cached.gen, byID.Len(), byID.gen)
+		}
+	}
+	if cached.gen == 0 {
+		t.Error("the crowd never compacted")
+	}
+	c.Reset()
+	if c.Bind(cached, 3, func(i int) string { return abc[i] }) {
+		t.Error("Bind kept its binding after Reset")
 	}
 }

@@ -19,7 +19,7 @@ func ExamplePearsonMissingAsZero() {
 }
 
 func ExampleEWMA() {
-	e := stats.NewEWMA(0.5)
+	e := stats.MakeEWMA(0.5)
 	fmt.Println(e.Update(10)) // first sample primes the average
 	fmt.Println(e.Update(0))
 	fmt.Println(e.Update(0))

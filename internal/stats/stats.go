@@ -138,7 +138,7 @@ func zeroIfNaN(v float64) float64 {
 
 // EWMA smooths a stream of samples with an exponentially weighted moving
 // average: v' = alpha*x + (1-alpha)*v. The zero value is not usable; use
-// NewEWMA. The first observed sample initialises the average directly so
+// MakeEWMA. The first observed sample initialises the average directly so
 // that smoothing does not drag early detections toward zero.
 type EWMA struct {
 	alpha  float64
@@ -146,17 +146,10 @@ type EWMA struct {
 	primed bool
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor in (0, 1].
-// PerfCloud's performance monitor smooths 5-second samples with it.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// MakeEWMA returns an EWMA by value, for embedding in slice-backed state
-// (one heap object per filter would defeat an allocation-free hot loop).
+// MakeEWMA returns an EWMA with the given smoothing factor in (0, 1].
+// PerfCloud's performance monitor smooths 5-second samples with it,
+// keeping the filters by value in slice-backed state (one heap object per
+// filter would defeat an allocation-free hot loop).
 func MakeEWMA(alpha float64) EWMA {
 	if alpha <= 0 || alpha > 1 {
 		panic("stats: EWMA alpha must be in (0, 1]")

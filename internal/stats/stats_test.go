@@ -129,7 +129,7 @@ func TestPearsonOmitMissingDropsPairs(t *testing.T) {
 }
 
 func TestEWMAFirstSamplePrimes(t *testing.T) {
-	e := NewEWMA(0.5)
+	e := MakeEWMA(0.5)
 	if e.Primed() {
 		t.Fatal("new EWMA should be unprimed")
 	}
@@ -146,7 +146,7 @@ func TestEWMAFirstSamplePrimes(t *testing.T) {
 }
 
 func TestEWMAAlphaOneTracksInput(t *testing.T) {
-	e := NewEWMA(1)
+	e := MakeEWMA(1)
 	for _, v := range []float64{3, 9, 27} {
 		if got := e.Update(v); got != v {
 			t.Errorf("alpha=1 update(%v) = %v", v, got)
@@ -162,7 +162,7 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 					t.Errorf("alpha=%v: want panic", a)
 				}
 			}()
-			NewEWMA(a)
+			MakeEWMA(a)
 		}()
 	}
 }
@@ -249,7 +249,7 @@ func TestEWMAPropertyBounded(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		e := NewEWMA(0.5)
+		e := MakeEWMA(0.5)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			x := float64(v)

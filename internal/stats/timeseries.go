@@ -149,18 +149,3 @@ func (ts *TimeSeries) Sparkline(width int) string {
 	}
 	return b.String()
 }
-
-// AlignedWindows extracts the trailing window of length n from each series
-// and returns them; it returns false when any series has fewer than n
-// samples. The correlator uses it to compare equal-length victim/suspect
-// histories.
-func AlignedWindows(n int, series ...*TimeSeries) ([][]float64, bool) {
-	out := make([][]float64, len(series))
-	for i, ts := range series {
-		if ts.Len() < n {
-			return nil, false
-		}
-		out[i] = ts.Window(n)
-	}
-	return out, true
-}

@@ -117,26 +117,6 @@ func TestNormalizeByMax(t *testing.T) {
 	}
 }
 
-func TestAlignedWindows(t *testing.T) {
-	a, b := NewTimeSeries(), NewTimeSeries()
-	for i := 0; i < 4; i++ {
-		a.Append(float64(i), float64(i))
-		if i < 3 {
-			b.Append(float64(i), float64(10*i))
-		}
-	}
-	if _, ok := AlignedWindows(4, a, b); ok {
-		t.Error("want ok=false when a series is short")
-	}
-	w, ok := AlignedWindows(3, a, b)
-	if !ok {
-		t.Fatal("want ok")
-	}
-	if len(w) != 2 || len(w[0]) != 3 || w[0][2] != 3 || w[1][2] != 20 {
-		t.Errorf("windows = %v", w)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	ts := NewTimeSeries()
 	for i := 0; i < 8; i++ {
