@@ -109,13 +109,16 @@ bench:
 # BENCH_ROUNDS rounds, and each round prints the working tree's
 # per-benchmark deltas against that round's BASE results. It ends with
 # one line per benchmark: each side's median ns/op over the rounds, its
-# min–max, and how many rounds the working tree won. The committed
-# BENCH_hotloop.json is neither read nor written.
+# min–max, and how many rounds the working tree won, marked "overlap" when
+# the two min–max ranges overlap (host noise alone could explain the gap).
+# On a shared 2-vCPU host three rounds read ±20% noise as effects, hence
+# eight by default. The committed BENCH_hotloop.json is neither read nor
+# written.
 #
 #	make bench-compare BASE=HEAD~1
 BASE ?= HEAD
 BENCH_BASE = .bench-base
-BENCH_ROUNDS = 3
+BENCH_ROUNDS = 8
 bench-compare:
 	rm -rf $(BENCH_BASE) && git worktree prune
 	git worktree add --detach $(BENCH_BASE) $(BASE)
@@ -169,3 +172,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzPickReplicas$$' -fuzztime=10s ./internal/dfs
 	go test -run='^$$' -fuzz='^FuzzVMRegistry$$' -fuzztime=10s ./internal/cluster
 	go test -run='^$$' -fuzz='^FuzzClusterMatchesReference$$' -fuzztime=10s ./internal/cluster
+	go test -run='^$$' -fuzz='^FuzzNormalMatchesMathRand$$' -fuzztime=10s ./internal/sim

@@ -45,8 +45,9 @@
 // round's results of both sides as JSON: BASE and WORK are file names
 // holding one %d, read for rounds 1, 2, … until a BASE file is missing.
 // It prints one line per benchmark — each side's median ns/op and its
-// min–max over the rounds, and how many rounds the working tree won —
-// and reads nothing from stdin (`make bench-compare` ends with it):
+// min–max over the rounds, and how many rounds the working tree won,
+// ending in "overlap" when the two ranges overlap — and reads nothing
+// from stdin (`make bench-compare` ends with it):
 //
 //	benchjson -rounds '.bench-base/base%d.json,.bench-base/work%d.json'
 package main

@@ -282,12 +282,18 @@ func spread(xs []float64) Spread {
 //	BenchmarkFoo  base 2468 ns/op [2400–2500]  work 1234 ns/op [1200–1300]  -50.0%  won 3/3
 //
 // The percentage compares the medians; negative means the working tree
-// is faster.
+// is faster. The line ends in "overlap" when the ranges overlap.
 func (s Summary) String() string {
 	pct := 0.0
 	if s.Base.Median > 0 {
 		pct = (s.Work.Median - s.Base.Median) / s.Base.Median * 100
 	}
-	return fmt.Sprintf("%s  base %.6g ns/op [%.6g–%.6g]  work %.6g ns/op [%.6g–%.6g]  %+.1f%%  won %d/%d",
+	line := fmt.Sprintf("%s  base %.6g ns/op [%.6g–%.6g]  work %.6g ns/op [%.6g–%.6g]  %+.1f%%  won %d/%d",
 		s.Name, s.Base.Median, s.Base.Min, s.Base.Max, s.Work.Median, s.Work.Min, s.Work.Max, pct, s.Wins, s.Rounds)
+	if s.Work.Min <= s.Base.Max && s.Base.Min <= s.Work.Max {
+		// Some round of one side was at least as fast as some round of
+		// the other, so host noise alone could explain the gap.
+		line += "  overlap"
+	}
+	return line
 }

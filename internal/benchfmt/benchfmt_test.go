@@ -119,24 +119,37 @@ func TestRatio(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	base := [][]Result{
-		{{Name: "A", NsPerOp: 100}, {Name: "B", NsPerOp: 10}},
-		{{Name: "A", NsPerOp: 120}, {Name: "B", NsPerOp: 10}},
+		{{Name: "A", NsPerOp: 100}, {Name: "B", NsPerOp: 10}, {Name: "D", NsPerOp: 50}},
+		{{Name: "A", NsPerOp: 120}, {Name: "B", NsPerOp: 10}, {Name: "D", NsPerOp: 60}},
 		{{Name: "A", NsPerOp: 110}, {Name: "B", NsPerOp: 10}, {Name: "C", NsPerOp: 5}},
 	}
 	work := [][]Result{
-		{{Name: "A", NsPerOp: 90}, {Name: "B", NsPerOp: 12}},
-		{{Name: "A", NsPerOp: 130}, {Name: "B", NsPerOp: 8}},
+		{{Name: "A", NsPerOp: 90}, {Name: "B", NsPerOp: 12}, {Name: "D", NsPerOp: 40}},
+		{{Name: "A", NsPerOp: 130}, {Name: "B", NsPerOp: 8}, {Name: "D", NsPerOp: 50}},
 		{{Name: "A", NsPerOp: 80}},
 	}
 	got := Summarize(base, work)
 	want := []Summary{
 		{Name: "A", Rounds: 3, Base: Spread{110, 100, 120}, Work: Spread{90, 80, 130}, Wins: 2},
 		{Name: "B", Rounds: 2, Base: Spread{10, 10, 10}, Work: Spread{10, 8, 12}, Wins: 1},
+		{Name: "D", Rounds: 2, Base: Spread{55, 50, 60}, Work: Spread{45, 40, 50}, Wins: 2},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Summarize = %+v, want %+v", got, want)
 	}
-	if line := got[0].String(); line != "A  base 110 ns/op [100–120]  work 90 ns/op [80–130]  -18.2%  won 2/3" {
-		t.Errorf("summary line %q", line)
+	// A's and B's ranges overlap; D's touch at 50, which counts: a round
+	// of each side ran equally fast.
+	for i, line := range []string{
+		"A  base 110 ns/op [100–120]  work 90 ns/op [80–130]  -18.2%  won 2/3  overlap",
+		"B  base 10 ns/op [10–10]  work 10 ns/op [8–12]  +0.0%  won 1/2  overlap",
+		"D  base 55 ns/op [50–60]  work 45 ns/op [40–50]  -18.2%  won 2/2  overlap",
+	} {
+		if got := got[i].String(); got != line {
+			t.Errorf("summary line %q, want %q", got, line)
+		}
+	}
+	apart := Summary{Name: "E", Rounds: 2, Base: Spread{55, 50, 60}, Work: Spread{40, 35, 45}, Wins: 2}
+	if line := apart.String(); line != "E  base 55 ns/op [50–60]  work 40 ns/op [35–45]  -27.3%  won 2/2" {
+		t.Errorf("ranges apart: summary line %q", line)
 	}
 }

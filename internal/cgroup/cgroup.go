@@ -79,8 +79,8 @@ type Counters struct {
 
 // Cgroup is one control group. Its counters are owned by the goroutine
 // ticking the VM's server: Add* and Snapshot take no lock, so call them
-// from that goroutine or between ticks. Throttle, ThrottleSeq and the cap
-// setters are safe for concurrent use.
+// from that goroutine or between ticks. Throttle, the cap setters and
+// BindThrottleCounter are safe for concurrent use.
 type Cgroup struct {
 	name string
 
@@ -93,10 +93,11 @@ type Cgroup struct {
 	// with one atomic read instead of a mutex round-trip.
 	throttle atomic.Pointer[Throttle]
 
-	// throttleSeq counts SetThrottle calls. Loading it is a single atomic
-	// read, so per-tick code can detect "caps unchanged since my snapshot"
-	// without comparing the caps themselves.
-	throttleSeq atomic.Uint64
+	// throttles points at the counter SetThrottle bumps (nil: none
+	// bound). The cluster binds the hosting server's, so one atomic load
+	// per server tells its tick whether any VM's caps changed since it
+	// last read them.
+	throttles atomic.Pointer[atomic.Uint64]
 }
 
 // New creates an empty cgroup with the given name (conventionally the VM id).
@@ -167,13 +168,17 @@ func (c *Cgroup) SetThrottle(t Throttle) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.throttle.Store(&t)
-	c.throttleSeq.Add(1)
+	if n := c.throttles.Load(); n != nil {
+		n.Add(1)
+	}
 }
 
-// ThrottleSeq returns a counter that advances on every SetThrottle call.
-// A caller that snapshotted the caps may later compare sequence numbers
-// to learn, with one atomic load, that they are still in force.
-func (c *Cgroup) ThrottleSeq() uint64 { return c.throttleSeq.Load() }
+// BindThrottleCounter makes every later SetThrottle, and every cap setter
+// built on it, bump n after storing the new caps; nil unbinds. A caller
+// that read the caps may later compare n against its value then to learn,
+// with one atomic load, that they are still in force. One counter may
+// serve many cgroups.
+func (c *Cgroup) BindThrottleCounter(n *atomic.Uint64) { c.throttles.Store(n) }
 
 // SetReadIOPS sets the IOPS cap (0 = unlimited).
 func (c *Cgroup) SetReadIOPS(v float64) {

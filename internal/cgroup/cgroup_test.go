@@ -2,6 +2,7 @@ package cgroup
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -92,13 +93,33 @@ func TestThrottleKnobs(t *testing.T) {
 func TestInitNamesZeroCgroup(t *testing.T) {
 	var c Cgroup
 	c.Init("vm-7")
-	if c.Name() != "vm-7" || c.Throttle() != (Throttle{}) || c.ThrottleSeq() != 0 || c.Snapshot() != (Counters{}) {
-		t.Fatalf("fresh cgroup: name %q, throttle %+v, seq %d, counters %+v",
-			c.Name(), c.Throttle(), c.ThrottleSeq(), c.Snapshot())
+	if c.Name() != "vm-7" || c.Throttle() != (Throttle{}) || c.Snapshot() != (Counters{}) {
+		t.Fatalf("fresh cgroup: name %q, throttle %+v, counters %+v",
+			c.Name(), c.Throttle(), c.Snapshot())
 	}
+	c.SetCPUCores(2) // no counter bound: nothing to bump
+	if c.Throttle().CPUCores != 2 {
+		t.Errorf("after SetCPUCores: throttle %+v", c.Throttle())
+	}
+}
+
+// TestBoundThrottleCounter checks that every cap setter bumps the bound
+// counter once, that rebinding moves the bumps to the new counter, and
+// that unbinding stops them.
+func TestBoundThrottleCounter(t *testing.T) {
+	var a, b atomic.Uint64
+	c := New("vm-0")
+	c.BindThrottleCounter(&a)
+	c.SetReadIOPS(100)
+	c.SetReadBPS(1 << 20)
+	c.SetCPUCores(1)
+	c.SetThrottle(Throttle{})
+	c.BindThrottleCounter(&b)
 	c.SetCPUCores(2)
-	if c.Throttle().CPUCores != 2 || c.ThrottleSeq() != 1 {
-		t.Errorf("after SetCPUCores: throttle %+v, seq %d", c.Throttle(), c.ThrottleSeq())
+	c.BindThrottleCounter(nil)
+	c.SetCPUCores(3)
+	if a.Load() != 4 || b.Load() != 1 {
+		t.Errorf("counters %d and %d, want 4 and 1", a.Load(), b.Load())
 	}
 }
 
@@ -119,6 +140,8 @@ func TestSetThrottleStoresACopy(t *testing.T) {
 // return one write's caps whole, never a mix of two.
 func TestConcurrentThrottleReadsSeeWholeCaps(t *testing.T) {
 	c := New("vm-0")
+	var sets atomic.Uint64
+	c.BindThrottleCounter(&sets)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -143,8 +166,8 @@ func TestConcurrentThrottleReadsSeeWholeCaps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if seq := c.ThrottleSeq(); seq != 1000 {
-		t.Errorf("ThrottleSeq = %d, want 1000", seq)
+	if n := sets.Load(); n != 1000 {
+		t.Errorf("bound counter = %d, want 1000", n)
 	}
 }
 

@@ -32,18 +32,17 @@ func BenchmarkQuiescentCluster(b *testing.B) {
 	}
 }
 
-// steadyBench is a minimal epoch-reporting workload with constant demand
-// and no bookkeeping, so the benchmark measures only the pipeline.
+// steadyBench is a minimal workload with constant demand and no
+// bookkeeping, so the benchmark measures only the pipeline.
 type steadyBench struct{ demand Demand }
 
-func (w *steadyBench) Name() string                     { return "steady" }
-func (w *steadyBench) Demand(tickSec float64) Demand    { return w.demand }
-func (w *steadyBench) Advance(tickSec float64, g Grant) {}
-func (w *steadyBench) Done() bool                       { return false }
-func (w *steadyBench) DemandEpoch() uint64              { return 0 }
+func (w *steadyBench) Name() string                                  { return "steady" }
+func (w *steadyBench) Demand(tickSec float64) Demand                 { return w.demand }
+func (w *steadyBench) Advance(nowSec, tickSec float64, g Grant) bool { return false }
+func (w *steadyBench) Done() bool                                    { return false }
 
 // activeCluster populates cl with 16 servers and 128 VMs, every VM
-// running an epoch-reporting workload with constant demand — the steady
+// running a workload with constant demand — the steady
 // state of a busy mix mid-wave, where quiescence never applies and the
 // demand vectors repeat tick after tick.
 func activeCluster(eng *sim.Engine, cl *Cluster) {
@@ -70,23 +69,42 @@ func BenchmarkActiveServerTickNoReuse(b *testing.B) {
 	benchActiveTick(b, NewReference())
 }
 
-// churnBench bumps its demand epoch on every grant — the steady replay never
-// applies, so every tick of its server is a full rebuild.
+// churnBench alternates between two demands, switching on every grant
+// and reporting the change — the steady replay never applies, and no
+// allocator memo ever hits, so every tick of its server is a full
+// rebuild and a full disk and memory-system solve.
 type churnBench struct {
-	demand Demand
-	epoch  uint64
+	demand [2]Demand
+	odd    bool
 }
 
-func (w *churnBench) Name() string                     { return "churn" }
-func (w *churnBench) Demand(tickSec float64) Demand    { return w.demand }
-func (w *churnBench) Advance(tickSec float64, g Grant) { w.epoch++ }
-func (w *churnBench) Done() bool                       { return false }
-func (w *churnBench) DemandEpoch() uint64              { return w.epoch }
+func (w *churnBench) Name() string { return "churn" }
+func (w *churnBench) Demand(tickSec float64) Demand {
+	if w.odd {
+		return w.demand[1]
+	}
+	return w.demand[0]
+}
+func (w *churnBench) Advance(nowSec, tickSec float64, g Grant) bool {
+	w.odd = !w.odd
+	return true
+}
+func (w *churnBench) Done() bool { return false }
+
+// churnDemands are the two demands a churnBench alternates between.
+func churnDemands() [2]Demand {
+	half := busyDemand()
+	half.CPUSeconds /= 2
+	half.IOOps /= 2
+	half.IOBytes /= 2
+	return [2]Demand{busyDemand(), half}
+}
 
 // BenchmarkStrideAdvance measures Cluster.Stride over a mixed cluster —
 // the shape event-driven stepping actually sees mid-experiment: some
 // servers all-idle (quiescence skip), some steady (steady replay), some
-// churning demand every tick (full rebuild). One op is a 16-tick stride.
+// changing demand every tick (full rebuild and solve). One op is a
+// 16-tick stride.
 func BenchmarkStrideAdvance(b *testing.B) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	cl := New()
@@ -99,18 +117,17 @@ func BenchmarkStrideAdvance(b *testing.B) {
 			case 1:
 				vm.SetWorkload(&steadyBench{demand: busyDemand()})
 			case 2:
-				vm.SetWorkload(&churnBench{demand: busyDemand()})
+				vm.SetWorkload(&churnBench{demand: churnDemands()})
 			}
 		}
 	}
 	clk := eng.Clock()
 	cl.Tick(clk) // settle scratch buffers, arm memos and quiescence
-	sync := func(nowSec float64) {}
 	stop := func() bool { return false }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := cl.Stride(clk, 16, sync, stop); n != 16 {
+		if n := cl.Stride(clk, 16, stop); n != 16 {
 			b.Fatalf("stride elided %d ticks, want 16", n)
 		}
 	}

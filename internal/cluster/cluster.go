@@ -25,6 +25,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"perfcloud/internal/cgroup"
 	"perfcloud/internal/cpu"
@@ -81,14 +82,27 @@ type Grant struct {
 // Workload is implemented by everything that runs inside a VM: antagonist
 // benchmarks and framework task executors. Demand is called once per tick
 // followed by Advance with the granted resources.
+//
+// Demand changes are pushed, not polled. Demand is piecewise constant
+// between discrete events — the fluid-model norm — so while nothing has
+// reported a change, a server replays its last tick's allocation instead
+// of calling Demand again (DESIGN.md §5.1): Demand must be free of side
+// effects, since replayed ticks skip the call entirely. A change arises
+// in one of two places. Inside Advance, the workload reports it through
+// Advance's result; anywhere else (a launch, a kill, a re-armed
+// workload), whatever changes the workload calls Server.MarkDirty.
 type Workload interface {
 	// Name identifies the workload for logs and traces.
 	Name() string
 	// Demand returns the workload's resource request for a tick of the
 	// given length in seconds.
 	Demand(tickSec float64) Demand
-	// Advance consumes one tick's grant.
-	Advance(tickSec float64, g Grant)
+	// Advance consumes the grant of the tick that starts at simulated
+	// time nowSec and lasts tickSec seconds. It reports whether the next
+	// Demand or Done result may differ from this tick's (for the same
+	// tick length); a workload that cannot bound its changes returns
+	// true, which makes its server rebuild every tick.
+	Advance(nowSec, tickSec float64, g Grant) bool
 	// Done reports whether the workload demands nothing until it is
 	// re-armed, and re-arming dirties the server: an idle executor, a
 	// finished benchmark.
@@ -100,16 +114,6 @@ type Workload interface {
 	// re-arm itself — an executor taking a launch — must dirty its server
 	// when it does.
 	Done() bool
-	// DemandEpoch returns a counter that must advance before any call on
-	// which a subsequent Demand or Done result could differ from the last
-	// tick's (for the same tick length). Demand is piecewise constant
-	// between discrete events — the fluid-model norm — so while every VM
-	// on a server reports an unchanged epoch, the server replays last
-	// tick's allocation instead of rebuilding it (DESIGN.md §5.1), and
-	// Demand must be free of side effects, since replayed ticks skip the
-	// call entirely. A workload that cannot bound its changes returns a
-	// fresh value on every call, which makes its server rebuild every tick.
-	DemandEpoch() uint64
 }
 
 // VM is one virtual machine: a cgroup, a placement, and (optionally) a
@@ -119,9 +123,9 @@ type Workload interface {
 // The cgroup is embedded by value and named by the VM id, which it also
 // stores for the VM: a boot allocates one object, not two. VMs are only
 // ever handled by pointer, so the cgroup's lock is never copied. What only
-// the tick needs — the last grant, the demand-epoch snapshot — lives in
-// vectors of the hosting server instead, so the million idle VMs of a
-// planet-scale fleet do not carry it.
+// the tick needs — the last grant, the idle flag — lives in vectors of the
+// hosting server instead, so the million idle VMs of a planet-scale fleet
+// do not carry it.
 type VM struct {
 	vcpus    float64
 	memBytes float64
@@ -166,15 +170,6 @@ func (v *VM) SetWorkload(w Workload) {
 
 // Idle reports whether the VM has no runnable workload this tick.
 func (v *VM) Idle() bool { return v.workload == nil || v.workload.Done() }
-
-// demandEpoch returns the workload's demand epoch, or 0 for a VM without
-// one: it demands nothing until SetWorkload dirties the server.
-func (v *VM) demandEpoch() uint64 {
-	if v.workload == nil {
-		return 0
-	}
-	return v.workload.DemandEpoch()
-}
 
 // LastGrant returns the resources delivered on the most recent tick (zero
 // once the VM is removed). Only tests read it — PerfCloud observes cgroup
@@ -266,29 +261,36 @@ type Server struct {
 	// changes keep it aligned only once it is non-empty.
 	grants []Grant
 
-	// Steady-tick replay (DESIGN.md §5.1). After every rebuilt tick,
-	// epochs snapshots each VM's demand epoch, throttleSeqs its cgroup's
-	// throttle sequence, and steadyValid arms the replay: while every
-	// epoch, every throttle and the tick length are unchanged, the request
-	// vectors below still describe the current tick. steadyValid holds an
+	// Steady-tick replay (DESIGN.md §5.1). Every rebuilt tick arms the
+	// replay: steadyValid is set, and throttleMark records the throttle
+	// counter as it stood before the tick read the caps. While nothing
+	// disarms it, the counter still reads throttleMark and the tick
+	// length is unchanged, the request vectors below still describe the
+	// current tick. Demand changes disarm it as they happen: an Advance
+	// that reports one, and MarkDirty, which the workloads' other changes,
+	// placement changes and SetWorkload call. steadyValid holds an
 	// invariant the replay relies on: while it is set, every allocator's
 	// memo is valid for those vectors at lastTickSec, and the grant and
 	// result buffers hold the memo's values. A rebuilt tick leaves each
 	// memo saved or re-hit at its tick length, and a replay leaves it
 	// untouched; memos are dropped only by settleIdle, which disarms the
-	// server, and by the reference tick's InvalidateMemo. MarkDirty and
-	// placement changes disarm it too, and so does SetWorkload.
+	// server, and by the reference tick's InvalidateMemo.
 	steadyValid  bool
 	lastTickSec  float64
-	epochs       []uint64
-	throttleSeqs []uint64
+	throttleMark uint64
+
+	// throttles counts cap changes on the server's VMs: attach binds each
+	// VM's cgroup to it, and every SetThrottle bumps it. Caps set through
+	// a cgroup alone, with no MarkDirty, thus still disarm the replay,
+	// at the cost of one atomic load per server tick.
+	throttles atomic.Uint64
 
 	// idleFlags caches each VM's idleness as observed by the most recent
 	// grant-phase idle scan, index-aligned with vms. advancePhase reads it
 	// instead of re-asking every workload: on replayed ticks the scan is
 	// skipped precisely because idleness provably cannot have changed
-	// (Done is covered by the demand-epoch contract), and on every other
-	// tick the scan has just refreshed the flags.
+	// (a change to Done is pushed like any demand change), and on every
+	// other tick the scan has just refreshed the flags.
 	idleFlags []bool
 
 	// Cumulative fast-path accounting: grant-phase ticks elided by
@@ -327,9 +329,11 @@ func (s *Server) Quiescent() bool { return s.quiescent }
 
 // MarkDirty clears the server's quiescent and steady-reuse state, forcing
 // the next tick to run the full grant phase with freshly built request
-// vectors. Actuators outside the cluster package (the hypervisor's cap
-// setters) call it when they change state that the pipeline consumes;
-// placement and workload changes call it internally.
+// vectors. A workload calls it when its demand or doneness changes outside
+// Advance (an executor's launch or kill, see Workload); actuators outside
+// the cluster package (the hypervisor's cap setters) call it when they
+// change state that the pipeline consumes; placement and workload changes
+// call it internally.
 func (s *Server) MarkDirty() {
 	s.quiescent = false
 	s.steadyValid = false
@@ -456,17 +460,17 @@ func (s *Server) grantPhase(tickSec float64) {
 		s.quiescent = true
 		return
 	}
-	// Steady replay: the demand epochs, throttles and tick length prove
-	// the request vectors unchanged since the last rebuilt tick, so each
-	// allocator's memo is a guaranteed hit and the grant/result buffers
-	// already carry its values (see steadyValid). The tick reduces to the
-	// per-client draws, the handful of draw-dependent fields, and the
-	// cgroup accumulation, bit-for-bit what a rebuild would produce. Idle
-	// states cannot have changed either (Done is covered by the
-	// demand-epoch contract), so the idle scan is skipped: the server was
-	// non-idle when the replay was armed and still is, and the VMs that
-	// idleFlags marks idle then were granted zero and still are, so they
-	// cost nothing here.
+	// Steady replay: no change pushed since the last rebuilt tick, the
+	// throttle counter and the tick length prove the request vectors
+	// unchanged, so each allocator's memo is a guaranteed hit and the
+	// grant/result buffers already carry its values (see steadyValid).
+	// The tick reduces to the per-client draws, the handful of
+	// draw-dependent fields, and the cgroup accumulation, bit-for-bit
+	// what a rebuild would produce. Idle states cannot have changed
+	// either (a change to Done is pushed like a demand change), so the
+	// idle scan is skipped: the server was non-idle when the replay was
+	// armed and still is, and the VMs that idleFlags marks idle then were
+	// granted zero and still are, so they cost nothing here.
 	if s.steadyUsable(tickSec) {
 		s.statSteady++
 		s.cpu.ReplaySteady()
@@ -503,11 +507,13 @@ func (s *Server) grantPhase(tickSec float64) {
 		return
 	}
 	// Rebuild: fresh vectors through the value-compared allocator memos,
-	// then snapshot the epochs that arm the replay for the next tick.
+	// then arm the replay for the next tick, against the throttle counter
+	// as it stood before the pipeline read the caps.
 	s.catchUp()
 	s.statRebuilds++
+	mark := s.throttles.Load()
 	s.pipeline(tickSec)
-	s.snapshotEpochs(tickSec)
+	s.steadyValid, s.lastTickSec, s.throttleMark = true, tickSec, mark
 }
 
 // referenceGrant is the reference cluster's grant phase: the full
@@ -628,34 +634,10 @@ func (s *Server) pipeline(tickSec float64) {
 
 // steadyUsable reports whether the request vectors cached from the last
 // rebuilt tick still describe a tick of length tickSec: the replay is
-// armed, every VM's demand epoch matches the snapshot, and every cgroup's
-// throttle sequence is unchanged — the caps baked into the cached
-// requests are still in force. The throttle check makes the replay
-// self-validating against cap changes applied directly through a Cgroup
-// without a MarkDirty call, at the cost of one atomic load per VM.
+// armed (no demand change was pushed since) and no VM's caps changed —
+// the caps baked into the cached requests are still in force.
 func (s *Server) steadyUsable(tickSec float64) bool {
-	if !s.steadyValid || tickSec != s.lastTickSec {
-		return false
-	}
-	for i, v := range s.vms {
-		if v.demandEpoch() != s.epochs[i] || v.cg.ThrottleSeq() != s.throttleSeqs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// snapshotEpochs records the demand epochs and throttle sequences backing
-// the just-rebuilt request vectors and arms the replay.
-func (s *Server) snapshotEpochs(tickSec float64) {
-	s.lastTickSec = tickSec
-	s.epochs = slices.Grow(s.epochs[:0], len(s.vms))
-	s.throttleSeqs = slices.Grow(s.throttleSeqs[:0], len(s.vms))
-	for _, v := range s.vms {
-		s.epochs = append(s.epochs, v.demandEpoch())
-		s.throttleSeqs = append(s.throttleSeqs, v.cg.ThrottleSeq())
-	}
-	s.steadyValid = true
+	return s.steadyValid && tickSec == s.lastTickSec && s.throttles.Load() == s.throttleMark
 }
 
 // settleIdle leaves the server as a fully processed all-idle tick would,
@@ -717,27 +699,34 @@ func (s *Server) catchUp() {
 	s.skipFrozen = false
 }
 
-// advancePhase hands every VM its granted resources. Run sequentially in
-// placement order across all servers after every grant phase finished, so
-// Advance implementations may mutate cross-server state (a task shared
-// between executors, a framework's bookkeeping) without synchronization
-// and with a deterministic ordering.
-func (s *Server) advancePhase(tickSec float64) {
+// advancePhase hands every VM its granted resources for the tick that
+// starts at nowSec. Run sequentially in placement order across all
+// servers after every grant phase finished, so Advance implementations
+// may mutate cross-server state (a task shared between executors, a
+// framework's bookkeeping) without synchronization and with a
+// deterministic ordering. It reports whether some workload reported a
+// change, which also disarms the server's steady replay.
+func (s *Server) advancePhase(nowSec, tickSec float64) bool {
+	changed := false
 	if len(s.idleFlags) != len(s.vms) {
 		// No grant phase has classified this VM set yet (placement changed
 		// with ticks suppressed); fall back to asking each workload.
 		for i, v := range s.vms {
-			if !v.Idle() {
-				v.workload.Advance(tickSec, s.grant(i))
+			if !v.Idle() && v.workload.Advance(nowSec, tickSec, s.grant(i)) {
+				changed = true
 			}
 		}
-		return
-	}
-	for i, v := range s.vms {
-		if !s.idleFlags[i] {
-			v.workload.Advance(tickSec, s.grant(i))
+	} else {
+		for i, v := range s.vms {
+			if !s.idleFlags[i] && v.workload.Advance(nowSec, tickSec, s.grant(i)) {
+				changed = true
+			}
 		}
 	}
+	if changed {
+		s.steadyValid = false
+	}
+	return changed
 }
 
 // grant returns the last grant of the i-th VM on the server.
@@ -748,11 +737,13 @@ func (s *Server) grant(i int) Grant {
 	return s.grants[i]
 }
 
-// attach appends v, with last grant g, to the server's VM list. The grant
+// attach appends v, with last grant g, to the server's VM list and binds
+// its cgroup's cap changes to the server's throttle counter. The grant
 // vector is kept aligned once sized, and sized early only for a nonzero
 // grant a migrating VM brings along.
 func (s *Server) attach(v *VM, g Grant) {
 	s.freezeSkipSet()
+	v.cg.BindThrottleCounter(&s.throttles)
 	if len(s.grants) == 0 && g != (Grant{}) {
 		s.grants = make([]Grant, len(s.vms), len(s.vms)+1)
 	}
@@ -883,9 +874,9 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 	s := &Server{
 		id:     id,
 		cfg:    cfg,
-		disk:   disk.New(cfg.Disk, rng.Streamf("disk/%s", id)),
+		disk:   disk.New(cfg.Disk, rng.Sourcef("disk/%s", id)),
 		cpu:    cpu.New(cfg.CPU),
-		mem:    memsys.New(cfg.Mem, rng.Streamf("memsys/%s", id)),
+		mem:    memsys.New(cfg.Mem, rng.Sourcef("memsys/%s", id)),
 		cache:  NewContentCache(16<<30, 120),
 		clus:   c,
 		index:  len(c.servers),
@@ -1070,12 +1061,13 @@ func (c *Cluster) Tick(clk *sim.Clock) {
 		for _, s := range c.servers {
 			s.referenceGrant(tickSec)
 		}
+		nowSec := clk.Seconds()
 		for _, s := range c.servers {
-			s.advancePhase(tickSec)
+			s.advancePhase(nowSec, tickSec)
 		}
 		return
 	}
-	c.shardedTick(tickSec)
+	c.shardedTick(clk, 0, tickSec)
 }
 
 // Stride fast-forwards the cluster through up to max upcoming ticks whose
@@ -1083,33 +1075,33 @@ func (c *Cluster) Tick(clk *sim.Clock) {
 // would be a no-op and no controller interval is due — replaying each
 // elided tick's full resource pipeline so results stay bit-for-bit
 // identical to per-tick stepping (the AdvanceTo path of DESIGN.md §5.6).
-// The caller owns all cluster-external event sources; Stride itself only
-// has to stop when the pipeline produces an event the frameworks must see,
-// which the stop callback detects after each replayed tick (in practice: a
-// task attempt retiring, observable as a freed executor slot). sync is
-// invoked before each replayed tick with that tick's exact simulated time
-// and must perform the per-tick clock synchronization the elided framework
-// ticks would have (executor SyncClock), so completion timestamps come out
-// identical. Returns the number of ticks elided, 0 <= n <= max; a
-// reference cluster never strides and returns 0.
+// Each replayed tick hands its workloads the exact simulated time the
+// engine would have, so completion timestamps come out identical. The
+// caller owns all cluster-external event sources; Stride itself only has
+// to stop when the pipeline produces an event the frameworks must see
+// (in practice: a task attempt retiring, observable as a freed executor
+// slot). Such an event is a change some Advance reports, so the stop
+// callback is consulted only after a tick on which one did. Returns the
+// number of ticks elided, 0 <= n <= max; a reference cluster never
+// strides and returns 0.
 //
-// Demand-epoch changes during the stride — a workload finishing, a burst
-// antagonist flipping phase, a task attempt tapering off — do not stop it:
-// grantPhase natively detects them and rebuilds, exactly as it does under
-// per-tick stepping.
-func (c *Cluster) Stride(clk *sim.Clock, max int64, sync func(nowSec float64), stop func() bool) int64 {
+// The other changes a stride meets — a workload finishing, a burst
+// antagonist flipping phase, a task attempt tapering off — do not stop
+// it unless stop says so: grantPhase rebuilds on them, exactly as it
+// does under per-tick stepping.
+func (c *Cluster) Stride(clk *sim.Clock, max int64, stop func() bool) int64 {
 	if max <= 0 || c.reference {
 		return 0
 	}
 	c.statHorizonRecomputes++
 	ts := c.tStride.Begin()
+	tickSec := clk.TickSeconds()
 	var n int64
 	for n < max {
-		sync(clk.PeekSeconds(n))
-		c.Tick(clk)
+		changed := c.shardedTick(clk, n, tickSec)
 		n++
 		c.statStrideSkips++
-		if stop() {
+		if changed && stop() {
 			break
 		}
 	}

@@ -8,32 +8,27 @@ import (
 )
 
 // fakeWorkload demands a constant profile and records grants. It does
-// not bound its changes (Done moves with the work it consumes), so it
-// reports a fresh demand epoch on every call.
+// not bound its changes (Done moves with the work it consumes), so every
+// Advance reports a change.
 type fakeWorkload struct {
 	name    string
 	demand  Demand
 	grants  []Grant
 	maxWork float64 // total CPU-seconds to consume; 0 = endless
 	usedCPU float64
-	epochs  uint64
 }
 
 func (f *fakeWorkload) Name() string { return f.name }
 
 func (f *fakeWorkload) Demand(tickSec float64) Demand { return f.demand }
 
-func (f *fakeWorkload) Advance(tickSec float64, g Grant) {
+func (f *fakeWorkload) Advance(nowSec, tickSec float64, g Grant) bool {
 	f.grants = append(f.grants, g)
 	f.usedCPU += g.CPUSeconds
+	return true
 }
 
 func (f *fakeWorkload) Done() bool { return f.maxWork > 0 && f.usedCPU >= f.maxWork }
-
-func (f *fakeWorkload) DemandEpoch() uint64 {
-	f.epochs++
-	return f.epochs
-}
 
 func busyDemand() Demand {
 	return Demand{

@@ -19,8 +19,7 @@ func TestFastPathStatsAccounting(t *testing.T) {
 	idle := c.AddServer("idle", DefaultServerConfig(), eng.RNG())
 	vm := c.AddVM(busy, "vm-busy", 2, 8<<30, LowPriority, "")
 	c.AddVM(idle, "vm-idle", 2, 8<<30, LowPriority, "")
-	w := &epochWorkload{fakeWorkload: fakeWorkload{name: "vm-busy", demand: busyDemand()}}
-	vm.SetWorkload(w)
+	w := attachPush(vm, busyDemand())
 	eng.Register(c)
 
 	const ticks = 20
@@ -57,12 +56,12 @@ func TestFastPathStatsAccounting(t *testing.T) {
 		t.Fatalf("cluster stats = %+v, want %+v", got, want)
 	}
 
-	// A demand-epoch bump forces exactly one more rebuild.
+	// A pushed demand change forces exactly one more rebuild.
 	w.setDemand(Demand{CPUSeconds: 0.05, CoreCPI: 1})
 	eng.Run(2)
 	bfp2 := busy.FastPathStats()
 	if bfp2.Rebuilds != bfp.Rebuilds+1 || bfp2.SteadyReuses != bfp.SteadyReuses+1 {
-		t.Fatalf("after epoch bump rebuilds=%d steady=%d, want %d, %d",
+		t.Fatalf("after a demand change rebuilds=%d steady=%d, want %d, %d",
 			bfp2.Rebuilds, bfp2.SteadyReuses, bfp.Rebuilds+1, bfp.SteadyReuses+1)
 	}
 }

@@ -11,12 +11,10 @@ import (
 )
 
 // TestVMFootprint pins the size of a VM object, the unit a planet-scale
-// fleet holds a million of. The tick-only state — the last grant and the
-// workload's demand-epoch view, 72 bytes together — lives in vectors of
-// the hosting server, which leaves 168 bytes: Go's allocator serves that
-// from its 176-byte size class, while the 240 bytes with both fields on
-// the VM need the 240-byte class. One more 16-byte field would need the
-// 192-byte class.
+// fleet holds a million of. The tick-only state — the last grant, 56
+// bytes, and the idle flag — lives in vectors of the hosting server,
+// which leaves 168 bytes: Go's allocator serves that from its 176-byte
+// size class. One more 16-byte field would need the 192-byte class.
 func TestVMFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(VM{}); size > 168 {
 		t.Errorf("VM is %d bytes, want at most 168", size)
@@ -35,12 +33,13 @@ type hookWorkload struct {
 	fn    func()
 }
 
-func (h *hookWorkload) Advance(tickSec float64, g Grant) {
-	h.fakeWorkload.Advance(tickSec, g)
+func (h *hookWorkload) Advance(nowSec, tickSec float64, g Grant) bool {
+	h.fakeWorkload.Advance(nowSec, tickSec, g)
 	if h.fn != nil && h.ready() {
 		h.fn()
 		h.fn = nil
 	}
+	return true
 }
 
 // parkedScript parks a server with every VM idle and, while it is

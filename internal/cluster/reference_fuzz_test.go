@@ -10,29 +10,25 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// scriptWorkload is an epoch-reporting workload driven by a fuzz script:
+// scriptWorkload is a change-pushing workload driven by a fuzz script:
 // its demand and its doneness change only through set and finish, which
-// bump the epoch first, as the demand-epoch contract requires.
+// dirty its server, as Workload requires of a change made outside Advance.
 type scriptWorkload struct {
-	epochWorkload
+	pushWorkload
 	done bool
 }
 
 func (w *scriptWorkload) Done() bool { return w.done }
 
-// set switches the workload to demand d. Re-arming a finished workload
-// dirties its server, as Workload.Done requires.
-func (w *scriptWorkload) set(vm *VM, d Demand) {
+// set switches the workload to demand d, re-arming it if it finished.
+func (w *scriptWorkload) set(d Demand) {
+	w.done = false
 	w.setDemand(d)
-	if w.done {
-		w.done = false
-		vm.Server().MarkDirty()
-	}
 }
 
 func (w *scriptWorkload) finish() {
-	w.epoch++
 	w.done = true
+	w.vm.Server().MarkDirty()
 }
 
 // scriptProfiles are the demands a script can switch a workload to: busy,
@@ -64,8 +60,8 @@ type scriptResult struct {
 // VMs and plays it on an optimised (ref false) or reference cluster. The
 // first byte picks the VM count, the second the seed; then each pair of
 // bytes is one step (opcode, argument): change a VM's demand (attaching a
-// workload to a bare VM), bump a demand epoch with the demand unchanged,
-// set a throttle through the cgroup without MarkDirty, detach a workload,
+// workload to a bare VM), call MarkDirty with the demand unchanged, set a
+// throttle through the cgroup without MarkDirty, detach a workload,
 // finish a workload, migrate a VM to the other server, or tick.
 func runScript(script []byte, ref bool) scriptResult {
 	var nVMs, seed byte
@@ -105,16 +101,14 @@ func runScript(script []byte, ref bool) scriptResult {
 		case 0: // change demand
 			d := scriptProfiles[arg/8%len(scriptProfiles)]
 			if w == nil {
-				w = &scriptWorkload{epochWorkload: epochWorkload{fakeWorkload: fakeWorkload{name: vm.ID(), demand: d}}}
+				w = &scriptWorkload{pushWorkload: pushWorkload{fakeWorkload: fakeWorkload{name: vm.ID(), demand: d}, vm: vm}}
 				works = append(works, w)
 				vm.SetWorkload(w)
 			} else {
-				w.set(vm, d)
+				w.set(d)
 			}
-		case 1: // bump the epoch, demand unchanged: a rebuild the memos serve
-			if w != nil {
-				w.epoch++
-			}
+		case 1: // MarkDirty, demand unchanged: a rebuild the memos serve
+			vm.Server().MarkDirty()
 		case 2: // throttle through the cgroup alone
 			level := arg / 24 % 3
 			switch arg / 8 % 3 {
@@ -158,7 +152,7 @@ func runScript(script []byte, ref bool) scriptResult {
 }
 
 // FuzzClusterMatchesReference plays a random script of demand changes,
-// epoch bumps, throttle changes, detaches, finishes, migrations and ticks
+// MarkDirty calls, throttle changes, detaches, finishes, migrations and ticks
 // on an optimised and a reference cluster and requires identical grants
 // and cgroup counters: the steady replay, the memo hits, quiescence and
 // the skip-set replay must each be invisible in the results.

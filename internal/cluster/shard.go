@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"perfcloud/internal/obs"
+	"perfcloud/internal/sim"
 )
 
 // Sharded ticking (DESIGN.md §5.1). The server slice is partitioned into
@@ -231,8 +232,11 @@ func (c *Cluster) drainWakes() {
 // minus the servers for which it would provably no-op — and retires
 // freshly quiescent ones from the active set. Wakes queued during the
 // tick only take effect at the next tick boundary, so the advance sweep
-// walks exactly the servers the grant sweep visited.
-func (c *Cluster) shardedTick(tickSec float64) {
+// walks exactly the servers the grant sweep visited. The tick is the one
+// ahead ticks past clk's position; its time is only computed, as
+// PeekSeconds computes it, when some server is active. It reports whether
+// some workload's Advance reported a change.
+func (c *Cluster) shardedTick(clk *sim.Clock, ahead int64, tickSec float64) bool {
 	c.ticks++
 	c.ensureShards()
 	c.drainWakes()
@@ -244,12 +248,20 @@ func (c *Cluster) shardedTick(tickSec float64) {
 		s.grantPhase(tickSec)
 	}
 	c.tGrant.End(tg)
+	var nowSec float64
+	if len(c.live) > 0 {
+		nowSec = clk.PeekSeconds(ahead)
+	}
 	ta := c.tAdvance.Begin()
+	changed := false
 	for _, s := range c.live {
-		s.advancePhase(tickSec)
+		if s.advancePhase(nowSec, tickSec) {
+			changed = true
+		}
 		if s.quiescent {
 			c.deactivate(s)
 		}
 	}
 	c.tAdvance.End(ta)
+	return changed
 }

@@ -30,14 +30,12 @@ func slotScenario(ref bool) scriptResult {
 	s0 := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	s1 := c.AddServer("s1", DefaultServerConfig(), eng.RNG())
 	var vms []*VM
-	var works []*epochWorkload
+	var works []*pushWorkload
 	add := func(srv *Server, id string) *VM {
 		vm := c.AddVM(srv, id, 2, 8<<30, LowPriority, "")
 		d := scriptProfiles[[]int{3, 4, 0}[len(vms)%3]]
-		w := &epochWorkload{fakeWorkload: fakeWorkload{name: id, demand: d}}
-		vm.SetWorkload(w)
+		works = append(works, attachPush(vm, d))
 		vms = append(vms, vm)
-		works = append(works, w)
 		return vm
 	}
 	var res scriptResult

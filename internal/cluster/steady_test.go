@@ -9,36 +9,44 @@ import (
 	"perfcloud/internal/sim"
 )
 
-// epochWorkload is a fakeWorkload that reports demand epochs, as the
-// exec and workloads packages do: the epoch moves exactly when the next
-// Demand call could return something different.
-type epochWorkload struct {
+// pushWorkload is a fakeWorkload that pushes its demand changes, as the
+// exec and workloads packages do: its Advance reports none, and setDemand
+// dirties the hosting server.
+type pushWorkload struct {
 	fakeWorkload
-	epoch uint64
+	vm *VM
 }
 
-func (f *epochWorkload) DemandEpoch() uint64 { return f.epoch }
+// attachPush attaches a pushWorkload demanding d to vm.
+func attachPush(vm *VM, d Demand) *pushWorkload {
+	w := &pushWorkload{fakeWorkload: fakeWorkload{name: vm.ID(), demand: d}, vm: vm}
+	vm.SetWorkload(w)
+	return w
+}
 
-func (f *epochWorkload) setDemand(d Demand) {
+func (f *pushWorkload) Advance(nowSec, tickSec float64, g Grant) bool {
+	f.fakeWorkload.Advance(nowSec, tickSec, g)
+	return false
+}
+
+func (f *pushWorkload) setDemand(d Demand) {
 	f.demand = d
-	f.epoch++
+	f.vm.Server().MarkDirty()
 }
 
-// steadyScenario builds a 2-server cluster of epoch-reporting workloads,
+// steadyScenario builds a 2-server cluster of change-pushing workloads,
 // runs it with mid-run demand changes and a mid-run throttle change, and
 // returns every grant every workload observed. ref selects the reference
 // cluster.
 func steadyScenario(seed int64, ref bool) [][]Grant {
 	eng := sim.NewEngine(100*time.Millisecond, seed)
 	c := newCluster(ref)
-	var ws []*epochWorkload
+	var ws []*pushWorkload
 	for s := 0; s < 2; s++ {
 		srv := c.AddServer(fmt.Sprintf("s%d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 3; i++ {
 			vm := c.AddVM(srv, fmt.Sprintf("s%d-vm%d", s, i), 2, 8<<30, LowPriority, "")
-			w := &epochWorkload{fakeWorkload: fakeWorkload{name: vm.ID(), demand: busyDemand()}}
-			vm.SetWorkload(w)
-			ws = append(ws, w)
+			ws = append(ws, attachPush(vm, busyDemand()))
 		}
 	}
 	eng.Register(c)
@@ -46,11 +54,11 @@ func steadyScenario(seed int64, ref bool) [][]Grant {
 	halved := busyDemand()
 	halved.CPUSeconds /= 2
 	halved.IOOps /= 2
-	ws[1].setDemand(halved) // epoch bump mid-run
+	ws[1].setDemand(halved) // a pushed change mid-run
 	eng.Run(10)
 	// A throttle change without MarkDirty: steadyUsable must notice via
-	// the cgroup's live caps (the paper's static-capping baseline applies
-	// caps exactly this way).
+	// the server's throttle counter (the paper's static-capping baseline
+	// applies caps exactly this way).
 	c.FindVM("s1-vm0").Cgroup().SetCPUCores(0.5)
 	eng.Run(10)
 	ws[4].setDemand(Demand{}) // a VM goes fully idle
@@ -75,12 +83,12 @@ func TestDemandReuseSkipsDemandCalls(t *testing.T) {
 	c := New()
 	srv := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	vm := c.AddVM(srv, "vm0", 2, 8<<30, LowPriority, "")
-	w := &countingEpochWorkload{}
-	w.demand = busyDemand()
+	w := &countingPushWorkload{}
+	w.demand, w.vm = busyDemand(), vm
 	vm.SetWorkload(w)
 	eng.Register(c)
 
-	eng.Run(1) // full rebuild: snapshots the epoch
+	eng.Run(1) // full rebuild: arms the replay
 	if w.demandCalls != 1 {
 		t.Fatalf("first tick made %d Demand calls, want 1", w.demandCalls)
 	}
@@ -92,27 +100,27 @@ func TestDemandReuseSkipsDemandCalls(t *testing.T) {
 		t.Fatal("server dropped its steady snapshot")
 	}
 
-	w.epoch++ // demand may change now
+	w.setDemand(w.demand) // a pushed change, even to the same demand
 	eng.Run(1)
 	if w.demandCalls != 2 {
-		t.Fatalf("epoch bump did not force a rebuild (%d calls)", w.demandCalls)
+		t.Fatalf("a pushed change did not force a rebuild (%d calls)", w.demandCalls)
 	}
 }
 
-// countingEpochWorkload counts Demand calls to observe the fast path.
-type countingEpochWorkload struct {
-	epochWorkload
+// countingPushWorkload counts Demand calls to observe the fast path.
+type countingPushWorkload struct {
+	pushWorkload
 	demandCalls int
 }
 
-func (f *countingEpochWorkload) Demand(tickSec float64) Demand {
+func (f *countingPushWorkload) Demand(tickSec float64) Demand {
 	f.demandCalls++
 	return f.demand
 }
 
 // TestNonEpochWorkloadDisarmsReuse checks the opt-out: a workload that
-// cannot bound its changes reports a fresh demand epoch on every call, so
-// its server never replays a tick and polls Demand every tick.
+// cannot bound its changes reports one from every Advance, so its server
+// never replays a tick and polls Demand every tick.
 func TestNonEpochWorkloadDisarmsReuse(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()

@@ -35,7 +35,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -173,15 +172,15 @@ func (d *Disk) InvalidateMemo() {
 	d.clients.Reset()
 }
 
-// New creates a device with the given config and random stream.
-func New(cfg Config, rng *rand.Rand) *Disk {
+// New creates a device with the given config, drawing its jitter from src.
+func New(cfg Config, src *sim.Source) *Disk {
 	if cfg.IOPSCapacity <= 0 || cfg.BandwidthCapacity <= 0 {
 		panic(fmt.Sprintf("disk: nonpositive capacity in %+v", cfg))
 	}
 	if cfg.JitterCorr < 0 || cfg.JitterCorr >= 1 {
 		panic("disk: JitterCorr must be in [0, 1)")
 	}
-	return &Disk{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, rng)}
+	return &Disk{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, src)}
 }
 
 // Config returns the device configuration.
@@ -306,8 +305,8 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if !anyOps {
 		d.lastRandomLoad = 0
 		d.lastUtilization = 0
+		d.clients.StepAll(d.jitter)
 		for i := range reqs {
-			d.clients.Step(d.jitter, i)
 			dst = append(dst, Grant{ClientID: reqs[i].ClientID})
 		}
 		d.clients.Settle(d.jitter)
@@ -367,14 +366,8 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	rlFactor := d.cfg.BaselineWaitFactor + math.Min(1, d.cfg.RandomWaitScale*randomLoad)
 	waitCoef := d.cfg.CongestionScale * q * rlFactor
 	grants := dst[base:]
-	for i := range grants {
-		luck := 1 + d.clients.Step(d.jitter, i)
-		if luck < 0 {
-			luck = 0
-		}
-		waitPerOp := d.cfg.BaseLatencyMs * (1 + waitCoef*luck)
-		grants[i].WaitMs = grants[i].Ops * waitPerOp
-	}
+	d.clients.StepAll(d.jitter)
+	d.chargeWaits(grants, waitCoef)
 	d.clients.Settle(d.jitter)
 	d.saveMemo(tickSec, reqs, grants, waitCoef)
 	return dst
@@ -403,12 +396,21 @@ func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoe
 func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
 	d.memoHits++
 	d.clients.Revalidate(d.jitter)
+	d.clients.StepAll(d.jitter)
+	d.chargeWaits(grants, d.memoWaitCoef)
+}
+
+// chargeWaits sets each grant's queueing delay from the wait coefficient
+// and its client's freshly stepped AR(1) luck factor.
+func (d *Disk) chargeWaits(grants []Grant, waitCoef float64) {
+	slots, lucks := d.clients.Values(d.jitter)
+	base := d.cfg.BaseLatencyMs
 	for i := range grants {
-		luck := 1 + d.clients.Step(d.jitter, i)
+		luck := 1 + lucks[slots[i]]
 		if luck < 0 {
 			luck = 0
 		}
-		waitPerOp := d.cfg.BaseLatencyMs * (1 + d.memoWaitCoef*luck)
+		waitPerOp := base * (1 + waitCoef*luck)
 		grants[i].WaitMs = grants[i].Ops * waitPerOp
 	}
 }

@@ -2,17 +2,17 @@ package disk
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"perfcloud/internal/sim"
 	"perfcloud/internal/stats"
 )
 
 const tick = 0.1 // seconds
 
 func newTestDisk() *Disk {
-	return New(DefaultConfig(), rand.New(rand.NewSource(1)))
+	return New(DefaultConfig(), sim.NewSource(1))
 }
 
 // seqReq is a Hadoop-like sequential reader: 256 KiB ops.
@@ -82,7 +82,7 @@ func TestSequentialOverloadSharedFairly(t *testing.T) {
 
 func TestRandomAntagonistDegradesSequentialClients(t *testing.T) {
 	seqOps := func(withFio bool) float64 {
-		d := New(DefaultConfig(), rand.New(rand.NewSource(2)))
+		d := New(DefaultConfig(), sim.NewSource(2))
 		reqs := make([]Request, 0, 7)
 		for i := 0; i < 6; i++ {
 			reqs = append(reqs, seqReq(string(rune('a'+i)), 114))
@@ -108,7 +108,7 @@ func TestThrottleCapRestoresVictims(t *testing.T) {
 	// Capping fio reduces the random load and so restores sequential
 	// throughput — the mechanism PerfCloud relies on.
 	seqOps := func(capIOPS float64) float64 {
-		d := New(DefaultConfig(), rand.New(rand.NewSource(3)))
+		d := New(DefaultConfig(), sim.NewSource(3))
 		reqs := make([]Request, 0, 7)
 		for i := 0; i < 6; i++ {
 			reqs = append(reqs, seqReq(string(rune('a'+i)), 114))
@@ -165,7 +165,7 @@ func TestBytesOnlyDemandSynthesizesOps(t *testing.T) {
 }
 
 func TestWaitQuietUnderSymmetricSelfContention(t *testing.T) {
-	d := New(DefaultConfig(), rand.New(rand.NewSource(4)))
+	d := New(DefaultConfig(), sim.NewSource(4))
 	reqs := make([]Request, 6)
 	for i := range reqs {
 		reqs[i] = seqReq(string(rune('a'+i)), 114)
@@ -187,7 +187,7 @@ func TestSpreadSeparatesAntagonistFromSelfContention(t *testing.T) {
 	// The detector's core property at device level: std-dev of wait/op
 	// across six symmetric sequential clients, measured over 5 s windows.
 	spread := func(withFio bool, seed int64) float64 {
-		d := New(DefaultConfig(), rand.New(rand.NewSource(seed)))
+		d := New(DefaultConfig(), sim.NewSource(seed))
 		var sds []float64
 		for w := 0; w < 20; w++ {
 			wait := make([]float64, 6)
@@ -253,8 +253,8 @@ func TestZeroRequests(t *testing.T) {
 
 func TestPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
-		func() { New(Config{IOPSCapacity: 0, BandwidthCapacity: 1}, rand.New(rand.NewSource(1))) },
-		func() { New(Config{IOPSCapacity: 1, BandwidthCapacity: 1, JitterCorr: 1}, rand.New(rand.NewSource(1))) },
+		func() { New(Config{IOPSCapacity: 0, BandwidthCapacity: 1}, sim.NewSource(1)) },
+		func() { New(Config{IOPSCapacity: 1, BandwidthCapacity: 1, JitterCorr: 1}, sim.NewSource(1)) },
 		func() { newTestDisk().Allocate(0, nil) },
 		func() { newTestDisk().Allocate(tick, []Request{{ClientID: "x", Ops: -1}}) },
 	}
@@ -285,7 +285,7 @@ func TestJitterStateGarbageCollected(t *testing.T) {
 // nonnegative, and total granted bytes respect streaming capacity.
 func TestPropertyCapacityAndDemandRespected(t *testing.T) {
 	cfg := DefaultConfig()
-	d := New(cfg, rand.New(rand.NewSource(7)))
+	d := New(cfg, sim.NewSource(7))
 	f := func(demands []uint16, small []bool) bool {
 		if len(demands) == 0 {
 			return true
@@ -321,7 +321,7 @@ func TestPropertyCapacityAndDemandRespected(t *testing.T) {
 
 // Property: max-min fairness on device time — equal demands, equal grants.
 func TestPropertyEqualDemandsEqualGrants(t *testing.T) {
-	d := New(DefaultConfig(), rand.New(rand.NewSource(8)))
+	d := New(DefaultConfig(), sim.NewSource(8))
 	f := func(dm uint16, n uint8) bool {
 		count := int(n%6) + 2
 		reqs := make([]Request, count)
@@ -343,7 +343,7 @@ func TestPropertyEqualDemandsEqualGrants(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	run := func() []float64 {
-		d := New(DefaultConfig(), rand.New(rand.NewSource(99)))
+		d := New(DefaultConfig(), sim.NewSource(99))
 		var out []float64
 		for i := 0; i < 20; i++ {
 			g := d.Allocate(tick, []Request{seqReq("a", 100), fioReq(800)})

@@ -2,9 +2,10 @@ package disk
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
+
+	"perfcloud/internal/sim"
 )
 
 // memoTickSeq drives one disk through steady busy ticks (steady-path
@@ -48,8 +49,8 @@ func memoTickSeq(d *Disk, full bool) [][]Grant {
 }
 
 func TestMemoizationMatchesFullAllocate(t *testing.T) {
-	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))), false)
-	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(21))), true)
+	memo := memoTickSeq(New(DefaultConfig(), sim.NewSource(21)), false)
+	full := memoTickSeq(New(DefaultConfig(), sim.NewSource(21)), true)
 
 	if !reflect.DeepEqual(memo, full) {
 		t.Fatalf("steady-path grants diverge from full solve:\nmemo: %v\nfull: %v", memo, full)
@@ -57,7 +58,7 @@ func TestMemoizationMatchesFullAllocate(t *testing.T) {
 }
 
 func TestSteadyPathRefreshesWaitMs(t *testing.T) {
-	d := New(DefaultConfig(), rand.New(rand.NewSource(22)))
+	d := New(DefaultConfig(), sim.NewSource(22))
 	reqs := []Request{{ClientID: "rand", Ops: 800, Bytes: 800 * 4096}}
 	first := d.Allocate(0.1, reqs)
 	second := d.Allocate(0.1, reqs)
@@ -76,7 +77,7 @@ func TestSteadyPathRefreshesWaitMs(t *testing.T) {
 // would restart it). The twin invalidates the memo before every call.
 func TestMemoHitAfterCompaction(t *testing.T) {
 	run := func(full bool) [][]Grant {
-		d := New(DefaultConfig(), rand.New(rand.NewSource(31)))
+		d := New(DefaultConfig(), sim.NewSource(31))
 		var crowd []Request
 		for i := 0; i < 22; i++ {
 			crowd = append(crowd, Request{ClientID: fmt.Sprintf("vm-%02d", i), Ops: 20, Bytes: 20 * 4096})

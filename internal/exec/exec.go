@@ -207,37 +207,30 @@ func (t *Task) Running() []*Attempt {
 // Executor runs task attempts inside one VM; it implements
 // cluster.Workload. Slots bound concurrent attempts (the paper's VMs run
 // two task slots on their two vcpus).
+//
+// The executor pushes its demand changes (cluster.Workload): its Demand
+// can change only when an attempt is launched, removed or retired, or
+// when a surviving attempt's per-tick demand components move (I/O taper
+// near completion, the instruction gate opening or closing). Launches
+// and removals dirty the VM's server; Advance reports retirements and
+// moved components. Between those events a fluid-model task mix demands
+// at constant rates and the server may replay its last tick.
 type Executor struct {
 	vm      *cluster.VM
 	slots   int
 	running []*Attempt
 
-	// lastNow is the simulated time: the framework's SyncClock sets it
-	// every tick and Advance moves it across the tick, so attempt end
-	// times can be stamped without threading the clock through
-	// cluster.Workload. An idle executor is not advanced (it is Done), so
-	// only SyncClock moves it then.
-	lastNow float64
-
-	// epoch backs DemandEpoch: it advances whenever the next Demand call
-	// could return something different — an attempt launched, removed or
-	// retired, or a surviving attempt whose per-tick demand components
-	// moved (I/O taper near completion, the instruction gate opening or
-	// closing). While it holds still, a fluid-model task mix demands at
-	// constant rates and the server may replay its last tick.
-	epoch uint64
-
 	// Reused per-Advance scratch; an executor is advanced by exactly one
 	// goroutine per tick, so plain fields suffice. While demandValid holds
-	// and the epoch and tick length are unchanged, ios/cpus and their sums
-	// still describe the running set (the end-of-Advance drift check proved
-	// it), so the next Advance skips recomputing them.
+	// and the tick length is unchanged, ios/cpus and their sums still
+	// describe the running set (the end-of-Advance drift check proved it),
+	// so the next Advance skips recomputing them. Every change the
+	// executor pushes clears demandValid.
 	ios         []float64
 	cpus        []float64
 	totIO       float64
 	totCPU      float64
 	demandValid bool
-	demandEpoch uint64
 	demandTick  float64
 
 	// Data-plane tracing (nil = off, the hot-path default: Advance then
@@ -265,17 +258,8 @@ func NewExecutor(vm *cluster.VM, slots int) *Executor {
 // VM returns the executor's VM.
 func (e *Executor) VM() *cluster.VM { return e.vm }
 
-// SyncClock aligns the executor's internal time with the engine clock.
-// Frameworks call it every tick before scheduling, so attempt end times
-// stamped inside Advance agree with engine time even for executors
-// created mid-simulation or idle, and so not advanced, until the launch.
-func (e *Executor) SyncClock(nowSec float64) { e.lastNow = nowSec }
-
 // Name implements cluster.Workload.
 func (e *Executor) Name() string { return "executor/" + e.vm.ID() }
-
-// DemandEpoch implements cluster.Workload.
-func (e *Executor) DemandEpoch() uint64 { return e.epoch }
 
 // FreeSlots returns the number of unoccupied task slots.
 func (e *Executor) FreeSlots() int { return e.slots - len(e.running) }
@@ -334,12 +318,7 @@ func (e *Executor) launch(t *Task, nowSec float64, speculative bool) *Attempt {
 	}
 	t.attempts = append(t.attempts, a)
 	e.running = append(e.running, a)
-	e.epoch++
-	if len(e.running) == 1 {
-		// Re-armed: an idle executor reported Done, so its server may
-		// have parked (cluster.Workload.Done).
-		e.vm.Server().MarkDirty()
-	}
+	e.changed()
 	if tr := e.tracer; tr != nil {
 		for i, occ := range e.perSlot {
 			if occ == nil {
@@ -361,12 +340,20 @@ func (e *Executor) launch(t *Task, nowSec float64, speculative bool) *Attempt {
 	return a
 }
 
+// changed pushes a change to the running set made outside Advance: the
+// cached demand components go stale, and the VM's server rebuilds its
+// next tick — and wakes, if the executor was idle and its server parked.
+func (e *Executor) changed() {
+	e.demandValid = false
+	e.vm.Server().MarkDirty()
+}
+
 // remove drops an attempt from the running list.
 func (e *Executor) remove(a *Attempt) {
 	for i, r := range e.running {
 		if r == a {
 			e.running = append(e.running[:i], e.running[i+1:]...)
-			e.epoch++
+			e.changed()
 			if e.perSlot != nil {
 				e.perSlot[a.slot] = nil
 			}
@@ -439,10 +426,11 @@ func (e *Executor) Demand(tickSec float64) cluster.Demand {
 
 // Advance implements cluster.Workload: split the VM's grant across the
 // running attempts in proportion to their demands, gate instruction
-// progress on I/O progress, and retire finished attempts.
-func (e *Executor) Advance(tickSec float64, g cluster.Grant) {
-	epochAtEntry := e.epoch
-	if !e.demandValid || e.demandEpoch != e.epoch || e.demandTick != tickSec {
+// progress on I/O progress, and retire finished attempts, stamping their
+// end at nowSec+tickSec. It reports whether an attempt retired or a
+// survivor's demand components moved.
+func (e *Executor) Advance(nowSec, tickSec float64, g cluster.Grant) bool {
+	if !e.demandValid || e.demandTick != tickSec {
 		var totIO, totCPU float64
 		e.ios = e.ios[:0]
 		e.cpus = e.cpus[:0]
@@ -512,7 +500,7 @@ func (e *Executor) Advance(tickSec float64, g cluster.Grant) {
 	// index-aligned with survivors while nothing has retired, which is the
 	// only case where the drift comparison is consulted).
 	nRan := len(e.running)
-	endSec := e.lastNow + tickSec
+	endSec := nowSec + tickSec
 	retired := 0
 	drift := false
 	for i, a := range e.running {
@@ -542,19 +530,17 @@ func (e *Executor) Advance(tickSec float64, g cluster.Grant) {
 		}
 		e.running = e.running[:nRan-retired]
 	}
-	e.lastNow = endSec
 
 	if retired > 0 || drift {
-		e.epoch++
 		e.demandValid = false
-		return
+		return true
 	}
 	// Nothing retired and no component drifted: next tick's demand loop
 	// would recompute exactly ios/cpus, so mark them reusable. Any launch
-	// or kill in between moves the epoch and invalidates the claim.
-	e.demandValid = e.epoch == epochAtEntry
-	e.demandEpoch = e.epoch
+	// or kill in between invalidates the claim.
+	e.demandValid = true
 	e.demandTick = tickSec
+	return false
 }
 
 // attribute splits one attempt's tick across the trace phases, reading
@@ -598,9 +584,9 @@ func (e *Executor) attribute(tr *trace.Tracer, a *Attempt, i int, tickSec float6
 }
 
 // Done implements cluster.Workload: an executor with no running attempt
-// demands nothing until a launch re-arms it, and the launch that takes it
-// from zero attempts to one dirties its server, so a server whose
-// executors all sit idle parks between task waves.
+// demands nothing until a launch re-arms it, and every launch dirties its
+// server, so a server whose executors all sit idle parks between task
+// waves.
 func (e *Executor) Done() bool { return len(e.running) == 0 }
 
 // Pool is an ordered set of executors used by a TaskSet scheduler.

@@ -37,9 +37,6 @@ func newHarnessServers(t *testing.T, nServers, vmsPerServer, slots int) *harness
 	}
 	h.eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
 		now := c.Seconds()
-		for _, e := range h.pool {
-			e.SyncClock(now)
-		}
 		for _, ts := range h.sets {
 			ts.Tick(now, h.pool)
 		}
@@ -304,7 +301,6 @@ func TestContentionSlowsTask(t *testing.T) {
 			hogVM.SetWorkload(&hogWorkload{})
 		}
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
-			e.SyncClock(c.Seconds())
 			ts.Tick(c.Seconds(), pool)
 		}), -1)
 		eng.Register(clus)
@@ -330,8 +326,7 @@ func (h *hogWorkload) Demand(tickSec float64) cluster.Demand {
 		CoreCPI: 1.2, LLCRefsPerInstr: 0.005, BytesPerInstr: 0.05, WorkingSetBytes: 4 << 20,
 	}
 }
-func (h *hogWorkload) Advance(tickSec float64, g cluster.Grant) {}
-func (h *hogWorkload) Done() bool                               { return false }
 
-// DemandEpoch is constant: the hog's demand never changes.
-func (h *hogWorkload) DemandEpoch() uint64 { return 0 }
+// Advance reports no change: the hog's demand never changes.
+func (h *hogWorkload) Advance(nowSec, tickSec float64, g cluster.Grant) bool { return false }
+func (h *hogWorkload) Done() bool                                            { return false }

@@ -39,7 +39,6 @@ func TestIdleExecutorParksAndWakes(t *testing.T) {
 		pool := Pool{e}
 		var sets []*TaskSet
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
-			e.SyncClock(c.Seconds())
 			for _, ts := range sets {
 				ts.Tick(c.Seconds(), pool)
 			}
@@ -77,5 +76,69 @@ func TestIdleExecutorParksAndWakes(t *testing.T) {
 	got, want := run(false), run(true)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parking run differs from the reference:\nopt: %+v\nref: %+v", got, want)
+	}
+}
+
+// TestKillDuringSteadyReplayMatchesReference kills one of two attempts on
+// an executor while its server replays steady ticks. The kill changes the
+// executor's demand outside Advance, so only the MarkDirty that remove
+// pushes can end the replay: the surviving attempt's completion time, the
+// cgroup counters and the last grants must equal the reference
+// cluster's, which rebuilds every tick.
+func TestKillDuringSteadyReplayMatchesReference(t *testing.T) {
+	type outcome struct {
+		done    float64 // engine time at which the survivor finished
+		runtime float64
+		cgs     []cgroup.Counters
+		last    []cluster.Grant
+	}
+	long := func(id string) TaskSpec {
+		s := smallSpec(id)
+		s.IOBytes, s.Instructions = 1.5e9, 2.3e10
+		return s
+	}
+	run := func(reference bool) outcome {
+		eng := sim.NewEngine(100*time.Millisecond, 42)
+		clus := cluster.New()
+		if reference {
+			clus = cluster.NewReference()
+		}
+		s0 := clus.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
+		worker := clus.AddVM(s0, "worker", 2, 8<<30, cluster.HighPriority, "app")
+		hog := clus.AddVM(s0, "hog", 2, 8<<30, cluster.LowPriority, "")
+		hog.SetWorkload(&hogWorkload{})
+		pool := Pool{NewExecutor(worker, 2)}
+		keep := NewTaskSet("keep", []TaskSpec{long("keep")}, nil)
+		doomed := NewTaskSet("doomed", []TaskSpec{long("doomed")}, nil)
+		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
+			keep.Tick(c.Seconds(), pool)
+			doomed.Tick(c.Seconds(), pool)
+		}), -1)
+		eng.RegisterPriority(clus, 0)
+
+		eng.Run(30)
+		if !reference {
+			before := s0.FastPathStats().SteadyReuses
+			eng.Run(1)
+			if s0.FastPathStats().SteadyReuses == before {
+				t.Fatal("the server is not in the steady replay at the kill")
+			}
+		} else {
+			eng.Run(1)
+		}
+		doomed.Kill(eng.Clock().Seconds())
+		if !eng.RunUntil(keep.Done, 10*time.Minute) {
+			t.Fatal("the surviving attempt did not finish")
+		}
+		out := outcome{done: eng.Clock().Seconds(), runtime: keep.Tasks()[0].Completed().Runtime(0)}
+		for _, v := range []*cluster.VM{worker, hog} {
+			out.cgs = append(out.cgs, v.Cgroup().Snapshot())
+			out.last = append(out.last, v.LastGrant())
+		}
+		return out
+	}
+	got, want := run(false), run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("run with a kill during the steady replay differs from the reference:\nopt: %+v\nref: %+v", got, want)
 	}
 }

@@ -201,8 +201,9 @@ func (tb *Testbed) Stepper() *sim.Stepper {
 //   - control intervals — System.StrideBound caps the stride below every
 //     node manager's next sample time;
 //   - demand changes (workload phase flips, task tapering) — owned by the
-//     cluster pipeline itself, which detects and rebuilds them natively
-//     inside the stride (no bound needed);
+//     cluster pipeline itself, which rebuilds on them inside the stride
+//     (no bound needed), and only on a tick with such a change does the
+//     stride ask the stop callback whether a slot was freed;
 //   - driver-level events (job arrivals, observation intervals, run
 //     predicates) — owned by the caller via the Stepper bound callback.
 //
@@ -222,18 +223,7 @@ func (tb *Testbed) Stride(clk *sim.Clock, max int64) int64 {
 		}
 	}
 	free := tb.Pool.FreeSlots()
-	return tb.Clus.Stride(clk, max, tb.syncPool,
-		func() bool { return tb.Pool.FreeSlots() != free })
-}
-
-// syncPool replays the executor clock sync the frameworks' elided ticks
-// would have performed, with the exact timestamp each tick would have
-// seen — completion times are stamped from these clocks, so they must be
-// bit-identical to per-tick stepping.
-func (tb *Testbed) syncPool(nowSec float64) {
-	for _, e := range tb.Pool {
-		e.SyncClock(nowSec)
-	}
+	return tb.Clus.Stride(clk, max, func() bool { return tb.Pool.FreeSlots() != free })
 }
 
 // AddAntagonist boots a low-priority VM on the given server index and

@@ -233,21 +233,17 @@ func (jt *JobTracker) Submit(cfg JobConfig, nowSec float64) (*Job, error) {
 	return j, nil
 }
 
-// Tick implements sim.Tickable: sync executor clocks, then advance every
-// live job (FIFO order — earlier jobs grab slots first, as Hadoop's
-// default scheduler does).
+// Tick implements sim.Tickable: advance every live job (FIFO order —
+// earlier jobs grab slots first, as Hadoop's default scheduler does).
 func (jt *JobTracker) Tick(c *sim.Clock) {
 	now := c.Seconds()
-	for _, e := range jt.pool {
-		e.SyncClock(now)
-	}
 	for _, j := range jt.jobs {
 		jt.advance(j, now)
 	}
 }
 
-// StrideQuiet reports whether the tracker's next Tick is provably a no-op
-// beyond the executor clock sync: every job is either finished or sitting
+// StrideQuiet reports whether the tracker's next Tick is provably a
+// no-op: every job is either finished or sitting
 // in a wave whose task set is quiet and not yet done. A queued job or a
 // completed wave means the next Tick takes a state-machine transition, so
 // the event-driven stepper must run it (DESIGN.md §5.6).

@@ -2,9 +2,10 @@ package memsys
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
+
+	"perfcloud/internal/sim"
 )
 
 // memoTickSeq drives one system through uncongested steady ticks (memo
@@ -57,8 +58,8 @@ func memoTickSeq(s *System, full bool) [][]Result {
 }
 
 func TestMemoizationMatchesFullCompute(t *testing.T) {
-	memo := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))), false)
-	full := memoTickSeq(New(DefaultConfig(), rand.New(rand.NewSource(11))), true)
+	memo := memoTickSeq(New(DefaultConfig(), sim.NewSource(11)), false)
+	full := memoTickSeq(New(DefaultConfig(), sim.NewSource(11)), true)
 
 	if !reflect.DeepEqual(memo, full) {
 		t.Fatalf("memoized results diverge from full compute:\nmemo: %v\nfull: %v", memo, full)
@@ -66,7 +67,7 @@ func TestMemoizationMatchesFullCompute(t *testing.T) {
 }
 
 func TestMemoDeclinesUnderCongestion(t *testing.T) {
-	s := New(DefaultConfig(), rand.New(rand.NewSource(12)))
+	s := New(DefaultConfig(), sim.NewSource(12))
 	reqs := []Request{
 		{ClientID: "hog", CPUSeconds: 0.8, CoreCPI: 0.7, LLCRefsPerInstr: 0.15, BytesPerInstr: 50, WorkingSetBytes: 16 << 30},
 	}
@@ -88,7 +89,7 @@ func TestMemoDeclinesUnderCongestion(t *testing.T) {
 // client's draw. The twin invalidates the memo before every call.
 func TestMemoHitAfterCompaction(t *testing.T) {
 	run := func(full bool) [][]Result {
-		s := New(DefaultConfig(), rand.New(rand.NewSource(13)))
+		s := New(DefaultConfig(), sim.NewSource(13))
 		var crowd []Request
 		for i := 0; i < 22; i++ {
 			crowd = append(crowd, Request{ClientID: fmt.Sprintf("vm-%02d", i),

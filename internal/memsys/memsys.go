@@ -26,7 +26,6 @@ package memsys
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"perfcloud/internal/sim"
@@ -144,7 +143,7 @@ type System struct {
 // congested memo hit can recompute the client's results from this tick's
 // luck draw alone, with the exact operand order of the full solve.
 type memoReplay struct {
-	resIdx   int // index into memoResults, the returned slice and the bound clients
+	resIdx   int32 // index into memoResults, the returned slice and the bound clients
 	coreCPI  float64
 	refs     float64 // LLCRefsPerInstr
 	bytesPI  float64 // BytesPerInstr
@@ -168,12 +167,13 @@ func (s *System) InvalidateMemo() {
 	s.clients.Reset()
 }
 
-// New creates a memory system with the given config and random stream.
-func New(cfg Config, rng *rand.Rand) *System {
+// New creates a memory system with the given config, drawing its jitter
+// from src.
+func New(cfg Config, src *sim.Source) *System {
 	if cfg.LLCBytes <= 0 || cfg.BandwidthCapacity <= 0 || cfg.FreqHz <= 0 {
 		panic(fmt.Sprintf("memsys: nonpositive config %+v", cfg))
 	}
-	return &System{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, rng)}
+	return &System{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, src)}
 }
 
 // Config returns the memory system configuration.
@@ -281,8 +281,23 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 
 	shares := s.llcShares(s.cfg.LLCBytes, reqs, nominalInstr)
 
+	// Only the clients that ran draw, in request order: the others get no
+	// jitter state.
+	var buf [sim.StackBatch]int32
+	active := buf[:0]
+	if len(reqs) > sim.StackBatch {
+		active = make([]int32, 0, len(reqs))
+	}
+	for i, r := range reqs {
+		if r.CPUSeconds != 0 && nominalInstr[i] != 0 {
+			active = append(active, int32(i))
+		}
+	}
+	s.clients.StepAt(s.jitter, active)
+
 	s.memoActive = slices.Grow(s.memoActive[:0], len(reqs))
 	s.memoOver = over
+	slots, lucks := s.clients.Values(s.jitter)
 	for i, r := range reqs {
 		res := Result{ClientID: r.ClientID}
 		if r.CPUSeconds == 0 || nominalInstr[i] == 0 {
@@ -291,7 +306,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		}
 		res.MissRate = missRate(r.WorkingSetBytes, shares[i])
 
-		luck := 1 + s.clients.Step(s.jitter, i)
+		luck := 1 + lucks[slots[i]]
 		if luck < 0 {
 			luck = 0
 		}
@@ -304,7 +319,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		res.LLCMisses = res.LLCRefs * res.MissRate
 		res.MemBytes = res.Instructions * r.BytesPerInstr
 		s.memoActive = append(s.memoActive, memoReplay{
-			resIdx:  i,
+			resIdx:  int32(i),
 			coreCPI: r.CoreCPI, refs: r.LLCRefsPerInstr, bytesPI: r.BytesPerInstr,
 			missRate: res.MissRate, cycles: res.Cycles,
 		})
@@ -338,18 +353,25 @@ func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
 func (s *System) ReplaySteadyInPlace(results []Result) {
 	s.memoHits++
 	s.clients.Revalidate(s.jitter)
+	var buf [sim.StackBatch]int32
+	active := buf[:0]
+	if len(s.memoActive) > sim.StackBatch {
+		active = make([]int32, 0, len(s.memoActive))
+	}
+	for i := range s.memoActive {
+		active = append(active, s.memoActive[i].resIdx)
+	}
+	s.clients.StepAt(s.jitter, active)
 	if s.memoOver == 0 {
 		// Uncongested: the luck factors multiply a zero congestion term,
 		// so the buffered results are already exact; only the seeded
 		// stream position advances.
-		for i := range s.memoActive {
-			s.clients.Step(s.jitter, s.memoActive[i].resIdx)
-		}
 		return
 	}
+	slots, lucks := s.clients.Values(s.jitter)
 	for i := range s.memoActive {
 		m := &s.memoActive[i]
-		luck := 1 + s.clients.Step(s.jitter, m.resIdx)
+		luck := 1 + lucks[slots[m.resIdx]]
 		if luck < 0 {
 			luck = 0
 		}

@@ -1,17 +1,17 @@
 package memsys
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"perfcloud/internal/sim"
 	"perfcloud/internal/stats"
 )
 
 const tick = 0.1
 
 func newSys() *System {
-	return New(DefaultConfig(), rand.New(rand.NewSource(1)))
+	return New(DefaultConfig(), sim.NewSource(1))
 }
 
 // sparkReq models one Spark worker VM: 2 vcpus busy, memory-hungry.
@@ -85,7 +85,7 @@ func TestStreamSaturatesBandwidth(t *testing.T) {
 
 func TestContentionInflatesVictimCPI(t *testing.T) {
 	meanCPI := func(withStream bool) float64 {
-		s := New(DefaultConfig(), rand.New(rand.NewSource(2)))
+		s := New(DefaultConfig(), sim.NewSource(2))
 		var acc float64
 		n := 0
 		for i := 0; i < 100; i++ {
@@ -116,7 +116,7 @@ func TestContentionInflatesVictimCPI(t *testing.T) {
 // exceeds it under STREAM colocations, surviving 5-second averaging.
 func TestCPISpreadDetectable(t *testing.T) {
 	spread := func(withStream bool) float64 {
-		s := New(DefaultConfig(), rand.New(rand.NewSource(3)))
+		s := New(DefaultConfig(), sim.NewSource(3))
 		var sds []float64
 		for w := 0; w < 20; w++ { // 20 windows of 50 ticks = 5 s each
 			cycles := make([]float64, 10)
@@ -205,7 +205,7 @@ func TestMissRateFunction(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	cases := []func(){
-		func() { New(Config{LLCBytes: 0, BandwidthCapacity: 1, FreqHz: 1}, rand.New(rand.NewSource(1))) },
+		func() { New(Config{LLCBytes: 0, BandwidthCapacity: 1, FreqHz: 1}, sim.NewSource(1)) },
 		func() { newSys().Compute(0, nil) },
 		func() { newSys().Compute(tick, []Request{{ClientID: "x", CPUSeconds: -1}}) },
 		func() { newSys().Compute(tick, []Request{{ClientID: "x", CPUSeconds: 1, CoreCPI: 0}}) },
@@ -225,7 +225,7 @@ func TestPanics(t *testing.T) {
 // Property: counters are internally consistent and nonnegative for
 // arbitrary loads: misses <= refs, instr*CPI ~= cycles.
 func TestPropertyCounterConsistency(t *testing.T) {
-	s := New(DefaultConfig(), rand.New(rand.NewSource(11)))
+	s := New(DefaultConfig(), sim.NewSource(11))
 	f := func(cpuPct, refsPct, wsMB []uint8) bool {
 		n := len(cpuPct)
 		if n == 0 {

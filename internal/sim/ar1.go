@@ -22,12 +22,14 @@ type AR1 struct {
 	// it); only the per-id values are observable.
 	idx  map[string]int32
 	vals []float64
-	rng  *rand.Rand
+	src  *Source
 	gen  uint64 // bumped whenever gc compacts (and so reassigns) slots
 }
 
-// NewAR1 creates a per-client AR(1) noise source.
-func NewAR1(corr, stddev float64, rng *rand.Rand) *AR1 {
+// NewAR1 creates a per-client AR(1) noise source drawing its N(0,1)
+// innovations from src, each draw bit for bit what
+// rand.New(src).NormFloat64 would return.
+func NewAR1(corr, stddev float64, src *Source) *AR1 {
 	if corr < 0 || corr >= 1 {
 		panic("sim: AR1 corr must be in [0, 1)")
 	}
@@ -36,7 +38,7 @@ func NewAR1(corr, stddev float64, rng *rand.Rand) *AR1 {
 	}
 	// Go evaluates sqrt(1-corr^2)*stddev*z left to right, so computing
 	// the scale once is exact, not approximate.
-	return &AR1{corr: corr, scale: math.Sqrt(1-corr*corr) * stddev, idx: make(map[string]int32), rng: rng}
+	return &AR1{corr: corr, scale: math.Sqrt(1-corr*corr) * stddev, idx: make(map[string]int32), src: src}
 }
 
 // slot resolves the client's index, allocating a zero-state slot for a
@@ -51,22 +53,74 @@ func (a *AR1) slot(id string) int32 {
 	return i
 }
 
-// advance steps the process in slot i with the standard normal draw z
-// and returns its new value. Taking the draw as an argument keeps it
-// small enough to inline into the per-draw loops.
-func (a *AR1) advance(i int32, z float64) float64 {
-	x := a.corr*a.vals[i] + a.scale*z
+// Step advances the named client's process one step and returns its
+// value, resolving the id and drawing through math/rand's own
+// NormFloat64. The resource models step through a SlotCache and the
+// fused kernel instead; Step is the oracle the slot and kernel tests
+// compare them against.
+func (a *AR1) Step(id string) float64 {
+	i := a.slot(id)
+	x := a.corr*a.vals[i] + a.scale*rand.New(a.src).NormFloat64()
 	a.vals[i] = x
 	return x
 }
 
-// Step advances the named client's process one step and returns its value.
-func (a *AR1) Step(id string) float64 { return a.advance(a.slot(id), a.rng.NormFloat64()) }
+// stepSlots is the draw kernel: it advances the processes in slots sl, in
+// order — or, with pos non-nil, those in slots sl[pos[0]], sl[pos[1]], …
+// — leaving each new value in a.vals. Each draw is NormFloat64's, with
+// the lagged-Fibonacci step and the ziggurat's fast path written out
+// inline, so the common draw is one loop iteration with no call: draw,
+// corr*x+scale*z, store. A draw that misses its strip's fast region
+// finishes in normSlow. It needs no scratch: callers read the new values
+// back through the slots.
+func (a *AR1) stepSlots(sl, pos []int32) {
+	n := len(sl)
+	if pos != nil {
+		n = len(pos)
+	}
+	if n == 0 {
+		return
+	}
+	s := a.src
+	if s.vec == nil {
+		s.load()
+	}
+	vec, tap, feed := s.vec, s.tap, s.feed
+	corr, scale, vals := a.corr, a.scale, a.vals
+	for k := 0; k < n; k++ {
+		p := k
+		if pos != nil {
+			p = int(pos[k])
+		}
+		i := sl[p]
+		tap--
+		if tap < 0 {
+			tap += lfLen
+		}
+		feed--
+		if feed < 0 {
+			feed += lfLen
+		}
+		u := vec[feed] + vec[tap]
+		vec[feed] = u
+		j := normWord(uint64(u))
+		t := j & 0x7F
+		z := float64(j) * float64(wn[t])
+		if absInt32(j) >= kn[t] {
+			s.tap, s.feed = tap, feed
+			z = s.normSlow(j)
+			tap, feed = s.tap, s.feed
+		}
+		vals[i] = corr*vals[i] + scale*z
+	}
+	s.tap, s.feed = tap, feed
+}
 
-// stackBatch is the largest StepBatch that resolves its slots into a
-// stack array: more than the VMs of any server the simulator builds
-// (planet_scale averages 100).
-const stackBatch = 128
+// StackBatch is the largest client count whose slots StepBatch, and the
+// memory system's active-client lists, keep in stack arrays: more than the
+// VMs of any server the simulator builds (planet_scale averages 100).
+// Larger batches allocate.
+const StackBatch = 128
 
 // StepBatch advances the processes of k clients, the i-th named id(i), n
 // steps each, drawing in the same tick-major order (all clients for step
@@ -74,25 +128,23 @@ const stackBatch = 128
 // use, so the underlying random stream lands in the identical position
 // and every per-client state is bit-for-bit what n Step calls would have
 // produced. Ids are resolved to state slots once regardless of n, so
-// replaying a long idle stretch is a single tight loop; up to stackBatch
-// clients it allocates nothing beyond the state of clients seen for the
-// first time.
+// replaying a long idle stretch is n passes of the draw kernel; up to
+// StackBatch clients it allocates nothing beyond the state of clients
+// seen for the first time.
 func (a *AR1) StepBatch(n, k int, id func(i int) string) {
 	if n <= 0 || k <= 0 {
 		return
 	}
-	var buf [stackBatch]int32
+	var buf [StackBatch]int32
 	sl := buf[:0]
-	if k > stackBatch {
+	if k > StackBatch {
 		sl = make([]int32, 0, k)
 	}
 	for i := 0; i < k; i++ {
 		sl = append(sl, a.slot(id(i)))
 	}
 	for t := 0; t < n; t++ {
-		for _, i := range sl {
-			a.advance(i, a.rng.NormFloat64())
-		}
+		a.stepSlots(sl, nil)
 	}
 }
 
@@ -184,16 +236,36 @@ func (c *SlotCache) Bind(a *AR1, k int, id func(i int) string) bool {
 	return false
 }
 
-// Step advances the i-th bound client's process, exactly as a.Step would
-// by id, resolving its slot on the client's first step under the binding.
-func (c *SlotCache) Step(a *AR1, i int) float64 {
-	sl := c.slots[i]
-	if sl < 0 {
-		sl = a.slot(c.ids[i])
-		c.slots[i] = sl
+// StepAll advances every bound client's process, in order, exactly as
+// a.Step would by id; Value reads the new values. A client's slot is
+// resolved on its first step under the binding.
+func (c *SlotCache) StepAll(a *AR1) {
+	for i, sl := range c.slots {
+		if sl < 0 {
+			c.slots[i] = a.slot(c.ids[i])
+		}
 	}
-	return a.advance(sl, a.rng.NormFloat64())
+	a.stepSlots(c.slots, nil)
 }
+
+// StepAt advances the processes of the bound clients at positions pos, in
+// that order, exactly as a.Step would by id; Value reads the new values.
+// Clients not named are neither stepped nor, if never stepped before,
+// given state.
+func (c *SlotCache) StepAt(a *AR1, pos []int32) {
+	for _, p := range pos {
+		if c.slots[p] < 0 {
+			c.slots[p] = a.slot(c.ids[p])
+		}
+	}
+	a.stepSlots(c.slots, pos)
+}
+
+// Values returns the bound clients' slots and a's process values: the
+// i-th bound client's current value is vals[slots[i]], valid once it has
+// been stepped under the binding. A caller reading many values takes the
+// two slices once instead of reaching through the cache for each.
+func (c *SlotCache) Values(a *AR1) (slots []int32, vals []float64) { return c.slots, a.vals }
 
 // Settle ends a solve over the bound clients with Retain's keep-set GC,
 // skipped when neither a rebind nor a first-seen client since the last

@@ -3,12 +3,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 )
 
 func TestAR1StationaryMoments(t *testing.T) {
-	a := NewAR1(0.9, 2.0, rand.New(rand.NewSource(1)))
+	a := NewAR1(0.9, 2.0, NewSource(1))
 	var sum, sumsq float64
 	n := 50000
 	for i := 0; i < n; i++ {
@@ -27,7 +27,7 @@ func TestAR1StationaryMoments(t *testing.T) {
 }
 
 func TestAR1Autocorrelation(t *testing.T) {
-	a := NewAR1(0.95, 1.0, rand.New(rand.NewSource(2)))
+	a := NewAR1(0.95, 1.0, NewSource(2))
 	var prev float64
 	var num, den float64
 	n := 50000
@@ -46,7 +46,7 @@ func TestAR1Autocorrelation(t *testing.T) {
 }
 
 func TestAR1IndependentClients(t *testing.T) {
-	a := NewAR1(0.9, 1.0, rand.New(rand.NewSource(3)))
+	a := NewAR1(0.9, 1.0, NewSource(3))
 	var cov, va, vb float64
 	n := 20000
 	for i := 0; i < n; i++ {
@@ -63,7 +63,7 @@ func TestAR1IndependentClients(t *testing.T) {
 }
 
 func TestAR1ZeroStdDevIsConstantZero(t *testing.T) {
-	a := NewAR1(0.5, 0, rand.New(rand.NewSource(4)))
+	a := NewAR1(0.5, 0, NewSource(4))
 	for i := 0; i < 10; i++ {
 		if v := a.Step("x"); v != 0 {
 			t.Fatalf("step = %v, want 0", v)
@@ -72,7 +72,7 @@ func TestAR1ZeroStdDevIsConstantZero(t *testing.T) {
 }
 
 func TestAR1GC(t *testing.T) {
-	a := NewAR1(0.9, 1.0, rand.New(rand.NewSource(5)))
+	a := NewAR1(0.9, 1.0, NewSource(5))
 	for i := 0; i < 300; i++ {
 		a.Step(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 	}
@@ -81,7 +81,7 @@ func TestAR1GC(t *testing.T) {
 		t.Errorf("after GC len = %d, want 1", a.Len())
 	}
 	// GC is a no-op while small.
-	b := NewAR1(0.9, 1.0, rand.New(rand.NewSource(6)))
+	b := NewAR1(0.9, 1.0, NewSource(6))
 	b.Step("x")
 	b.Retain(0, func(int) string { return "" })
 	if b.Len() != 1 {
@@ -91,9 +91,9 @@ func TestAR1GC(t *testing.T) {
 
 func TestAR1Panics(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewAR1(1, 1, rand.New(rand.NewSource(1))) },
-		func() { NewAR1(-0.1, 1, rand.New(rand.NewSource(1))) },
-		func() { NewAR1(0.5, -1, rand.New(rand.NewSource(1))) },
+		func() { NewAR1(1, 1, NewSource(1)) },
+		func() { NewAR1(-0.1, 1, NewSource(1)) },
+		func() { NewAR1(0.5, -1, NewSource(1)) },
 	} {
 		func() {
 			defer func() {
@@ -108,8 +108,8 @@ func TestAR1Panics(t *testing.T) {
 
 // TestSlotCacheMatchesStepByID solves a sequence of client lists twice
 // from one seed: by id with a Retain after every solve, and through a
-// SlotCache. Each solve steps only its listed positions, as memsys steps
-// only its active clients. The lists repeat, swap every id for the same
+// SlotCache's kernel. Each solve steps only its listed positions, as
+// memsys steps only its active clients. The lists repeat, swap every id for the same
 // count of new ones, return to an earlier list, and shrink far enough to
 // compact, and every draw and the tracked count must match.
 func TestSlotCacheMatchesStepByID(t *testing.T) {
@@ -139,8 +139,8 @@ func TestSlotCacheMatchesStepByID(t *testing.T) {
 		{crowd[:1], nil},
 		{abc, []int{1}},
 	}
-	byID := NewAR1(0.9, 1.0, rand.New(rand.NewSource(9)))
-	cached := NewAR1(0.9, 1.0, rand.New(rand.NewSource(9)))
+	byID := NewAR1(0.9, 1.0, NewSource(9))
+	cached := NewAR1(0.9, 1.0, NewSource(9))
 	var c SlotCache
 	for n, s := range solves {
 		kept := c.Bind(cached, len(s.ids), func(i int) string { return s.ids[i] })
@@ -150,8 +150,20 @@ func TestSlotCacheMatchesStepByID(t *testing.T) {
 		if n == 3 && kept {
 			t.Error("a swapped list kept its binding")
 		}
+		// A solve stepping every client in order goes through StepAll,
+		// as the disk's do; any other through StepAt, as memsys's do.
+		if slices.Equal(s.step, all[:len(s.ids)]) {
+			c.StepAll(cached)
+		} else {
+			pos := make([]int32, len(s.step))
+			for k, i := range s.step {
+				pos[k] = int32(i)
+			}
+			c.StepAt(cached, pos)
+		}
 		for _, i := range s.step {
-			if want, got := byID.Step(s.ids[i]), c.Step(cached, i); got != want {
+			slots, vals := c.Values(cached)
+			if want, got := byID.Step(s.ids[i]), vals[slots[i]]; got != want {
 				t.Fatalf("solve %d, client %s: cached draw %v, by id %v", n, s.ids[i], got, want)
 			}
 		}

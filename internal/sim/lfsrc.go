@@ -2,13 +2,15 @@ package sim
 
 import "sync"
 
-// lfSource reimplements Go's math/rand additive lagged-Fibonacci source
+// Source reimplements Go's math/rand additive lagged-Fibonacci source
 // (Mitchell & Reeds; rng.go in the standard library) so that seeding can
-// be served from a cache and deferred until first use. rand.NewSource
+// be served from a cache and deferred until first use, and so that the
+// AR(1) draw kernel (normal.go) can step the recurrence inline instead of
+// through the rand.Source interface. rand.NewSource
 // spends ~2500 LCG steps filling its 607-word state vector, and the
 // experiment drivers create dozens of deterministic streams per testbed —
 // with repeated runs reusing the same (seed, name) pairs across schemes,
-// re-deriving the identical vector over and over. lfSource computes the
+// re-deriving the identical vector over and over. Source computes the
 // post-seed vector once per distinct seed and copies it on every reuse (a
 // 5 KB memcpy instead of the LCG chain).
 //
@@ -28,7 +30,7 @@ const (
 	int32max = 1<<31 - 1
 )
 
-type lfSource struct {
+type Source struct {
 	tap  int
 	feed int
 	seed int64
@@ -125,7 +127,7 @@ func takeVec() *[lfLen]int64 {
 // recycle detaches the state vectors of released sources and hands them
 // to the free list, up to its cap. A detached source's next draw reloads,
 // which its released owner turns into a panic.
-func recycle(srcs []*lfSource) {
+func recycle(srcs []*Source) {
 	lfSeedCache.freeMu.Lock()
 	for _, s := range srcs {
 		if len(lfSeedCache.free) < lfFreeCap {
@@ -136,10 +138,10 @@ func recycle(srcs []*lfSource) {
 	lfSeedCache.freeMu.Unlock()
 }
 
-// newLFSource returns a source equivalent to rand.NewSource(seed). Its
-// state vector is filled on the first draw (see load).
-func newLFSource(seed int64) *lfSource {
-	return &lfSource{feed: lfLen - lfTap, seed: seed}
+// NewSource returns a source equivalent to rand.NewSource(seed), owned by
+// no factory. Its state vector is filled on the first draw (see load).
+func NewSource(seed int64) *Source {
+	return &Source{feed: lfLen - lfTap, seed: seed}
 }
 
 // load fills the state vector for the recorded seed: a copy of the cached
@@ -150,7 +152,7 @@ func newLFSource(seed int64) *lfSource {
 // vector; a source that never draws never registers. A source whose
 // factory has been released panics instead: its vector may already be
 // serving another stream.
-func (s *lfSource) load() {
+func (s *Source) load() {
 	if s.owner != nil {
 		s.owner.register(s)
 	}
@@ -176,7 +178,7 @@ func (s *lfSource) load() {
 
 // Seed re-initializes the generator, matching rngSource.Seed. A source
 // that has not drawn yet just records the seed.
-func (s *lfSource) Seed(seed int64) {
+func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = lfLen - lfTap
 	s.seed = seed
@@ -186,11 +188,11 @@ func (s *lfSource) Seed(seed int64) {
 }
 
 // Int63 returns a non-negative 63-bit integer, matching rngSource.Int63.
-func (s *lfSource) Int63() int64 { return int64(s.Uint64() & lfMask) }
+func (s *Source) Int63() int64 { return int64(s.Uint64() & lfMask) }
 
 // Uint64 advances the lagged-Fibonacci recurrence one step, matching
 // rngSource.Uint64.
-func (s *lfSource) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
 	if s.vec == nil {
 		s.load()
 	}

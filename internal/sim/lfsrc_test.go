@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestLFSourceMatchesMathRand pins lfSource to rand.NewSource draw for
+// TestLFSourceMatchesMathRand pins Source to rand.NewSource draw for
 // draw: the raw Int63/Uint64 streams and the derived distributions the
 // simulation actually consumes (NormFloat64, Float64, Perm) must be
 // bit-for-bit identical for positive, negative, zero and equivalent
@@ -17,7 +17,7 @@ func TestLFSourceMatchesMathRand(t *testing.T) {
 		-int32max, 1 << 40, -(1 << 40), 997, 104729}
 	for _, seed := range seeds {
 		ref := rand.NewSource(seed).(rand.Source64)
-		got := newLFSource(seed)
+		got := NewSource(seed)
 		for i := 0; i < 2000; i++ {
 			if r, g := ref.Uint64(), got.Uint64(); r != g {
 				t.Fatalf("seed %d draw %d: Uint64 %d != stdlib %d", seed, i, g, r)
@@ -32,7 +32,7 @@ func TestLFSourceMatchesMathRand(t *testing.T) {
 	// draw) through *rand.Rand.
 	for _, seed := range seeds {
 		ref := rand.New(rand.NewSource(seed))
-		got := rand.New(newLFSource(seed))
+		got := rand.New(NewSource(seed))
 		for i := 0; i < 500; i++ {
 			if r, g := ref.NormFloat64(), got.NormFloat64(); r != g {
 				t.Fatalf("seed %d draw %d: NormFloat64 %v != stdlib %v", seed, i, g, r)
@@ -56,8 +56,8 @@ func TestLFSourceMatchesMathRand(t *testing.T) {
 // stdlib source.
 func TestLFSourceCacheHitIdentical(t *testing.T) {
 	const seed = 31337
-	a := newLFSource(seed) // computes and populates the cache
-	b := newLFSource(seed) // copies from the cache
+	a := NewSource(seed) // computes and populates the cache
+	b := NewSource(seed) // copies from the cache
 	for i := 0; i < 1000; i++ {
 		if x, y := a.Uint64(), b.Uint64(); x != y {
 			t.Fatalf("draw %d: cache-hit source diverged: %d != %d", i, y, x)
@@ -78,9 +78,9 @@ func TestLFSourceCacheHitIdentical(t *testing.T) {
 // stream for the last seed it was given.
 func TestLFSourceLazySeedMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{0, 5, -5, 1 << 40} {
-		src := newLFSource(seed + 1)
+		src := NewSource(seed + 1)
 		if src.vec != nil {
-			t.Fatal("newLFSource seeded its vector before the first draw")
+			t.Fatal("NewSource seeded its vector before the first draw")
 		}
 		src.Seed(seed)
 		ref := rand.NewSource(seed).(rand.Source64)
@@ -90,7 +90,7 @@ func TestLFSourceLazySeedMatchesMathRand(t *testing.T) {
 			}
 		}
 
-		got := rand.New(newLFSource(seed))
+		got := rand.New(NewSource(seed))
 		want := rand.New(rand.NewSource(seed))
 		for i := 0; i < 500; i++ {
 			if r, g := want.NormFloat64(), got.NormFloat64(); r != g {
@@ -121,15 +121,15 @@ func TestLFSourceSeedingAllocations(t *testing.T) {
 
 	const runs = 20
 	next := int64(1) << 50
-	fresh := func(n int) []*lfSource {
-		srcs := make([]*lfSource, n)
+	fresh := func(n int) []*Source {
+		srcs := make([]*Source, n)
 		for i := range srcs {
-			srcs[i] = newLFSource(next)
+			srcs[i] = NewSource(next)
 			next++
 		}
 		return srcs
 	}
-	firstDraws := func(srcs []*lfSource) float64 {
+	firstDraws := func(srcs []*Source) float64 {
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
 			srcs[i].Uint64()
@@ -140,9 +140,9 @@ func TestLFSourceSeedingAllocations(t *testing.T) {
 	if got := firstDraws(fresh(runs + 1)); got != 2 {
 		t.Errorf("cache miss with room: %v allocations per first draw, want 2", got)
 	}
-	hits := make([]*lfSource, runs+1)
+	hits := make([]*Source, runs+1)
 	for i := range hits {
-		hits[i] = newLFSource(1 << 50)
+		hits[i] = NewSource(1 << 50)
 	}
 	if got := firstDraws(hits); got != 1 {
 		t.Errorf("cache hit: %v allocations per first draw, want 1", got)

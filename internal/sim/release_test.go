@@ -107,7 +107,7 @@ func TestFreeListBounded(t *testing.T) {
 	// allocating one (the factory's load log is presized here, so only
 	// the vector could allocate).
 	next := NewRNG(7)
-	next.loaded = make([]*lfSource, 0, 4)
+	next.loaded = make([]*Source, 0, 4)
 	srcs := []*rand.Rand{next.Seeded(1), next.Seeded(2), next.Seeded(3)}
 	i := 0
 	if a := testing.AllocsPerRun(2, func() { srcs[i].Int63(); i++ }); a != 0 {

@@ -176,7 +176,7 @@ type RNG struct {
 	seed int64
 
 	mu       sync.Mutex
-	loaded   []*lfSource // streams that have drawn, in load order
+	loaded   []*Source // streams that have drawn, in load order
 	released bool
 }
 
@@ -193,7 +193,7 @@ func (r *RNG) Seed() int64 { return r.seed }
 // Stream returns a dedicated *rand.Rand for the named component.
 // The same (seed, name) pair always yields the same sequence.
 //
-// The source is lfSource — bit-for-bit rand.NewSource's generator, with
+// The source is a Source — bit-for-bit rand.NewSource's generator, with
 // the expensive state seeding served from a per-seed cache and deferred
 // to the first draw. Repeated-run experiments build a fresh testbed (and
 // so re-derive every component stream) per repetition, and compare
@@ -209,15 +209,26 @@ func (r *RNG) Stream(name string) *rand.Rand {
 // owned by r like a Stream: its state vector is recycled by r.Release.
 // It is how a testbed routes streams with their own derived seeds (DFS
 // placement, antagonist placement) through its engine's factory.
-func (r *RNG) Seeded(seed int64) *rand.Rand {
-	s := newLFSource(seed)
+func (r *RNG) Seeded(seed int64) *rand.Rand { return rand.New(r.source(seed)) }
+
+// Sourcef returns the concrete source under the *rand.Rand that Stream
+// would return for the name fmt.Sprintf(format, args...): the same seed,
+// the same sequence and the same owner. The AR(1) noise of the resource
+// models draws from it directly (see AR1).
+func (r *RNG) Sourcef(format string, args ...any) *Source {
+	return r.source(r.seed ^ hashString(fmt.Sprintf(format, args...)))
+}
+
+// source returns a source for seed owned by r.
+func (r *RNG) source(seed int64) *Source {
+	s := NewSource(seed)
 	s.owner = r
-	return rand.New(s)
+	return s
 }
 
 // register records a loading stream so Release can recycle its vector,
 // or panics if r has already been released.
-func (r *RNG) register(s *lfSource) {
+func (r *RNG) register(s *Source) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.released {
@@ -253,17 +264,12 @@ func (r *RNG) StreamSeeded(name string) bool {
 	return lfSeedCache.m[r.seed^hashString(name)] != nil
 }
 
-// Streamf is Stream with fmt.Sprintf-style name construction.
-func (r *RNG) Streamf(format string, args ...any) *rand.Rand {
-	return r.Stream(fmt.Sprintf(format, args...))
-}
-
 // NewSeededRand returns a *rand.Rand identical to
 // rand.New(rand.NewSource(seed)), with the seeding served from the
 // shared per-seed state cache. Experiment drivers that build one RNG per
 // repetition from a small set of derived seeds should prefer this over
 // rand.NewSource.
-func NewSeededRand(seed int64) *rand.Rand { return rand.New(newLFSource(seed)) }
+func NewSeededRand(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }
 
 // hashString is FNV-1a over the bytes of s, folded to int64.
 func hashString(s string) int64 {

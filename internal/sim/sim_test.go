@@ -159,13 +159,23 @@ func TestRNGSeedChangesStreams(t *testing.T) {
 	}
 }
 
-func TestRNGStreamf(t *testing.T) {
+// TestRNGSourcefMatchesStream checks that Sourcef names and seeds a
+// source as Stream does the equivalent name, and that the factory owns
+// it: a draw after Release panics.
+func TestRNGSourcefMatchesStream(t *testing.T) {
 	r := NewRNG(5)
-	a := r.Streamf("vm/%d", 3)
+	a := r.Sourcef("vm/%d", 3)
 	b := r.Stream("vm/3")
 	for i := 0; i < 5; i++ {
 		if a.Int63() != b.Int63() {
-			t.Fatal("Streamf should match equivalent Stream name")
+			t.Fatal("Sourcef should match equivalent Stream name")
 		}
 	}
+	r.Release()
+	defer func() {
+		if recover() != ReleasedStream {
+			t.Error("a draw from a released factory's source did not panic")
+		}
+	}()
+	r.Sourcef("vm/%d", 4).Int63()
 }

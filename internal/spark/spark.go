@@ -214,16 +214,13 @@ func (d *Driver) Submit(cfg AppConfig, nowSec float64) (*App, error) {
 // Tick implements sim.Tickable.
 func (d *Driver) Tick(c *sim.Clock) {
 	now := c.Seconds()
-	for _, e := range d.pool {
-		e.SyncClock(now)
-	}
 	for _, a := range d.apps {
 		d.advance(a, now)
 	}
 }
 
-// StrideQuiet reports whether the driver's next Tick is provably a no-op
-// beyond the executor clock sync: every app is finished or mid-stage with
+// StrideQuiet reports whether the driver's next Tick is provably a
+// no-op: every app is finished or mid-stage with
 // a quiet, not-yet-done task set. A queued app or a completed stage means
 // the next Tick advances the stage machine, so the event-driven stepper
 // must run it (DESIGN.md §5.6).

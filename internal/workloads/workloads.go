@@ -62,7 +62,10 @@ type Limits struct {
 }
 
 // Benchmark is a synthetic workload driven by a Profile and BurstPattern.
-// It implements cluster.Workload.
+// It implements cluster.Workload. Its demand is its constant profile gated
+// by Active, so it changes exactly on burst-phase flips and on completion
+// (a limit reached), both of which happen inside Advance; Advance reports
+// them, and between them a server may replay its last tick.
 type Benchmark struct {
 	name    string
 	profile Profile
@@ -72,13 +75,6 @@ type Benchmark struct {
 
 	elapsed    time.Duration // simulated wall time observed via Advance
 	activeSecs float64       // seconds spent in "on" phases
-
-	// epoch backs DemandEpoch: it advances whenever the next Demand call
-	// could return something different. A benchmark's demand is its
-	// constant profile gated by Active(), so the epoch moves exactly on
-	// burst-phase flips and on completion (a limit reached); between
-	// flips a server may replay its last tick.
-	epoch uint64
 
 	totalOps      float64
 	totalMemBytes float64
@@ -96,9 +92,6 @@ func NewBenchmark(name string, p Profile, b BurstPattern, l Limits) *Benchmark {
 
 // Name returns the benchmark's name.
 func (w *Benchmark) Name() string { return w.name }
-
-// DemandEpoch implements cluster.Workload.
-func (w *Benchmark) DemandEpoch() uint64 { return w.epoch }
 
 // Pattern returns the benchmark's burst schedule — the testbed's
 // ground-truth registry records it so detection scorecards can compute
@@ -131,8 +124,10 @@ func (w *Benchmark) Demand(tickSec float64) cluster.Demand {
 	}
 }
 
-// Advance implements cluster.Workload.
-func (w *Benchmark) Advance(tickSec float64, g cluster.Grant) {
+// Advance implements cluster.Workload. It reports a burst-phase flip or
+// a limit reached: the only changes to the benchmark's Demand and Done.
+// A limit can only be reached while active, so it also flips Active.
+func (w *Benchmark) Advance(nowSec, tickSec float64, g cluster.Grant) bool {
 	wasActive := w.Active()
 	if wasActive {
 		w.activeSecs += tickSec
@@ -140,9 +135,7 @@ func (w *Benchmark) Advance(tickSec float64, g cluster.Grant) {
 	w.elapsed += time.Duration(tickSec * float64(time.Second))
 	w.totalOps += g.IOOps
 	w.totalMemBytes += g.MemBytes
-	if w.Active() != wasActive {
-		w.epoch++ // burst-phase flip or a limit reached: demand changed
-	}
+	return w.Active() != wasActive
 }
 
 // Done implements cluster.Workload: a benchmark that reached its limit

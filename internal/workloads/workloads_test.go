@@ -21,7 +21,34 @@ func drain(w *Benchmark, n int) {
 			CPI:          1,
 			MemBytes:     d.CPUSeconds * 2.3e9 * d.BytesPerInstr,
 		}
-		w.Advance(tick, g)
+		w.Advance(float64(i)*tick, tick, g)
+	}
+}
+
+// TestAdvanceReportsEveryDemandChange checks the push contract of
+// cluster.Workload on a bursty benchmark with a work limit: Advance
+// reports a change exactly on the ticks after which Demand or Done
+// differs, so a server replaying its last tick never misses one and never
+// rebuilds without one.
+func TestAdvanceReportsEveryDemandChange(t *testing.T) {
+	w := NewStreamWithWork(BurstPattern{On: time.Second, Off: 700 * time.Millisecond, StartOffset: 300 * time.Millisecond}, 2e11)
+	changes := 0
+	for i := 0; !w.Done(); i++ {
+		if i > 1000 {
+			t.Fatal("benchmark never reached its limit")
+		}
+		d, done := w.Demand(tick), w.Done()
+		g := cluster.Grant{CPUSeconds: d.CPUSeconds, MemBytes: d.CPUSeconds * 2.3e9 * d.BytesPerInstr}
+		changed := w.Advance(float64(i)*tick, tick, g)
+		if differs := w.Demand(tick) != d || w.Done() != done; changed != differs {
+			t.Fatalf("tick %d: Advance reported %v, but Demand or Done differs: %v", i, changed, differs)
+		}
+		if changed {
+			changes++
+		}
+	}
+	if changes < 3 {
+		t.Errorf("only %d changes reported; the pattern should flip several times", changes)
 	}
 }
 
