@@ -26,10 +26,23 @@ type cacheEntry struct {
 // NewContentCache creates a cache with the given capacity (bytes) and
 // entry TTL (seconds).
 func NewContentCache(capacity, ttl float64) *ContentCache {
+	c := new(ContentCache)
+	c.rearm(capacity, ttl)
+	return c
+}
+
+// rearm makes c the cache NewContentCache(capacity, ttl) returns, keeping
+// the storage of its entry map.
+func (c *ContentCache) rearm(capacity, ttl float64) {
 	if capacity <= 0 || ttl <= 0 {
 		panic("cluster: cache needs positive capacity and ttl")
 	}
-	return &ContentCache{capacity: capacity, ttl: ttl, entries: make(map[string]*cacheEntry)}
+	entries := c.entries
+	if entries == nil {
+		entries = make(map[string]*cacheEntry)
+	}
+	clear(entries)
+	*c = ContentCache{capacity: capacity, ttl: ttl, entries: entries}
 }
 
 // Has reports whether key is cached and fresh at nowSec, refreshing its

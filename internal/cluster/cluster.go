@@ -25,6 +25,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"perfcloud/internal/cgroup"
@@ -201,13 +202,9 @@ func DefaultServerConfig() ServerConfig {
 
 // Server is one physical machine.
 type Server struct {
-	id    string
-	cfg   ServerConfig
-	disk  *disk.Disk
-	cpu   *cpu.Scheduler
-	mem   *memsys.System
-	cache *ContentCache
-	vms   []*VM
+	id  string
+	cfg ServerConfig
+	kit
 
 	// clus and index tie the server back to its cluster and its stable
 	// position in the creation-order server slice; the tick keys its
@@ -252,14 +249,7 @@ type Server struct {
 	// freezeSkipSet first snapshots the stretch's VM ids into skipIDs and
 	// sets skipFrozen. Parking a server thus copies no ids at all.
 	skipped    int
-	skipIDs    []string
 	skipFrozen bool
-
-	// grants holds each VM's last grant, index-aligned with vms. It is
-	// sized at the server's first pipeline; while empty every grant is
-	// zero, so a server idle from birth never allocates it. Placement
-	// changes keep it aligned only once it is non-empty.
-	grants []Grant
 
 	// Steady-tick replay (DESIGN.md §5.1). Every rebuilt tick arms the
 	// replay: steadyValid is set, and throttleMark records the throttle
@@ -285,14 +275,6 @@ type Server struct {
 	// at the cost of one atomic load per server tick.
 	throttles atomic.Uint64
 
-	// idleFlags caches each VM's idleness as observed by the most recent
-	// grant-phase idle scan, index-aligned with vms. advancePhase reads it
-	// instead of re-asking every workload: on replayed ticks the scan is
-	// skipped precisely because idleness provably cannot have changed
-	// (a change to Done is pushed like any demand change), and on every
-	// other tick the scan has just refreshed the flags.
-	idleFlags []bool
-
 	// Cumulative fast-path accounting: grant-phase ticks elided by
 	// quiescence, grant phases served by the steady replay, and grant phases
 	// that rebuilt the demand/request vectors. Owned by the goroutine
@@ -301,9 +283,41 @@ type Server struct {
 	statSkipped  uint64
 	statSteady   uint64
 	statRebuilds uint64
+}
+
+// kit is a server's working storage: its resource models, with their
+// scratch, memo buffers and jitter state, its page cache, its VM list and
+// the vectors its tick fills. A released cluster hands its servers' kits
+// to the free list, and AddServer re-arms a spare one rather than build
+// its own (DESIGN.md §5.10), so a recycled server's first rebuild
+// allocates nothing. Servers never share a kit.
+type kit struct {
+	disk  *disk.Disk
+	cpu   *cpu.Scheduler
+	mem   *memsys.System
+	cache *ContentCache
+	vms   []*VM
+
+	// skipIDs holds the VM ids of a skipped stretch that freezeSkipSet
+	// snapshots (see Server.skipped).
+	skipIDs []string
+
+	// grants holds each VM's last grant, index-aligned with vms. It is
+	// sized at the server's first pipeline; while empty every grant is
+	// zero, so a server idle from birth never sizes it. Placement changes
+	// keep it aligned only once it is non-empty.
+	grants []Grant
+
+	// idleFlags caches each VM's idleness as observed by the most recent
+	// grant-phase idle scan, index-aligned with vms. advancePhase reads it
+	// instead of re-asking every workload: on replayed ticks the scan is
+	// skipped precisely because idleness provably cannot have changed
+	// (a change to Done is pushed like any demand change), and on every
+	// other tick the scan has just refreshed the flags.
+	idleFlags []bool
 
 	// Per-tick scratch buffers, reused across ticks so the steady-state
-	// resource pipeline allocates nothing (servers never share scratch).
+	// resource pipeline allocates nothing.
 	demands    []Demand
 	cpuReqs    []cpu.Request
 	cpuGrants  []cpu.Grant
@@ -311,6 +325,102 @@ type Server struct {
 	memResults []memsys.Result
 	diskReqs   []disk.Request
 	diskGrants []disk.Grant
+}
+
+// rearm makes k the kit of a new server with the given id and
+// configuration: models as New builds them, seeded from rng as the
+// server's streams, and empty vectors. A spare kit keeps its storage; a
+// zero kit gets models of its own.
+func (k *kit) rearm(id string, cfg ServerConfig, rng *sim.RNG) {
+	if k.disk == nil {
+		k.disk, k.cpu, k.mem, k.cache = new(disk.Disk), new(cpu.Scheduler), new(memsys.System), new(ContentCache)
+	}
+	k.disk.Rearm(cfg.Disk, rng.Sourcef("disk/%s", id))
+	k.cpu.Rearm(cfg.CPU)
+	k.mem.Rearm(cfg.Mem, rng.Sourcef("memsys/%s", id))
+	k.cache.rearm(serverCacheBytes, serverCacheTTL)
+	clear(k.vms[:cap(k.vms)])
+	clear(k.skipIDs)
+	*k = kit{
+		disk:       k.disk,
+		cpu:        k.cpu,
+		mem:        k.mem,
+		cache:      k.cache,
+		vms:        k.vms[:0],
+		skipIDs:    k.skipIDs[:0],
+		grants:     k.grants[:0],
+		idleFlags:  k.idleFlags[:0],
+		demands:    k.demands[:0],
+		cpuReqs:    k.cpuReqs[:0],
+		cpuGrants:  k.cpuGrants[:0],
+		memReqs:    k.memReqs[:0],
+		memResults: k.memResults[:0],
+		diskReqs:   k.diskReqs[:0],
+		diskGrants: k.diskGrants[:0],
+	}
+}
+
+// The page cache of every server: 16 GiB, entries expiring after 120 s.
+const (
+	serverCacheBytes = 16 << 30
+	serverCacheTTL   = 120
+)
+
+// spareKits is the process's free list of released servers' kits, shared
+// by every non-reference cluster. It keeps kits of at most sim.StackBatch
+// VMs, up to spareKitSlots VM slots in all; releases past that are left to
+// the collector.
+var spareKits kitList
+
+// spareKitSlots bounds the free list: at about 1.3 KB of storage per slot
+// (TestKitFootprint), about 4 MB.
+const spareKitSlots = 3072
+
+// kitList is a free list of kits, safe for concurrent use.
+type kitList struct {
+	mu     sync.Mutex
+	kits   []kit
+	slots  int    // the sum of the kits' slots
+	misses uint64 // takes that found the list empty
+}
+
+// slots is what a kit counts against spareKitSlots: its VM capacity, and
+// one slot for its models.
+func (k *kit) slots() int { return 1 + cap(k.vms) }
+
+// take pops a spare kit, or returns a zero kit when there is none.
+func (l *kitList) take() kit {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.kits)
+	if n == 0 {
+		l.misses++
+		return kit{}
+	}
+	k := l.kits[n-1]
+	l.kits[n-1] = kit{}
+	l.kits = l.kits[:n-1]
+	l.slots -= k.slots()
+	return k
+}
+
+// put keeps k as a spare if the bounds allow.
+func (l *kitList) put(k kit) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := k.slots(); cap(k.vms) <= sim.StackBatch && l.slots+n <= spareKitSlots {
+		l.kits = append(l.kits, k)
+		l.slots += n
+	}
+}
+
+// KitMisses returns how many servers of non-reference clusters the
+// process has built on storage of their own because no released kit was
+// spare.
+func KitMisses() uint64 {
+	spareKits.mu.Lock()
+	defer spareKits.mu.Unlock()
+	return spareKits.misses
 }
 
 // Cache returns the server's page-cache model.
@@ -606,11 +716,11 @@ func (s *Server) pipeline(tickSec float64) {
 	}
 	s.diskGrants = s.disk.AllocateInto(s.diskGrants[:0], tickSec, s.diskReqs)
 
-	// Account. The first pipeline on the server sizes its grant vector.
-	// An idle VM demanded nothing, so its grant is zero: it is stored, but
-	// adds nothing to the cgroup counters.
-	if len(s.grants) != len(s.vms) {
-		s.grants = make([]Grant, len(s.vms))
+	// Account. The first pipeline on the server sizes its grant vector;
+	// the loop sets every grant. An idle VM demanded nothing, so its grant
+	// is zero: it is stored, but adds nothing to the cgroup counters.
+	if len(s.grants) != n {
+		s.grants = slices.Grow(s.grants[:0], n)[:n]
 	}
 	for i, v := range s.vms {
 		g := Grant{
@@ -784,6 +894,16 @@ type Cluster struct {
 	// construction.
 	reference bool
 
+	// spares is the free list AddServer takes kits from and Release gives
+	// them to: spareKits, or nil for a reference cluster, which builds
+	// every server on storage of its own.
+	spares *kitList
+
+	// released is set by Release, which freezes the fast-path accounting
+	// in frozen.
+	released bool
+	frozen   obs.FastPathSnapshot
+
 	// ticks counts Tick invocations. It is the time base for O(1)
 	// elided-tick accounting: a server deactivated at tick k and woken
 	// while the counter reads w missed exactly w-1-k grant phases. Stride
@@ -831,6 +951,7 @@ type Cluster struct {
 func New() *Cluster {
 	return &Cluster{
 		srvByID: make(map[string]*Server),
+		spares:  &spareKits,
 	}
 }
 
@@ -838,12 +959,47 @@ func New() *Cluster {
 // optimised tick is checked against. Every tick it runs every server's
 // full pipeline, with freshly built request vectors and every allocator
 // memo invalidated; it never parks a quiescent server, replays a steady
-// tick or strides. Both kinds of cluster produce
-// bit-for-bit identical simulations.
+// tick or strides, and it neither takes nor gives recycled server kits.
+// Both kinds of cluster produce bit-for-bit identical simulations.
 func NewReference() *Cluster {
 	c := New()
-	c.reference = true
+	c.reference, c.spares = true, nil
 	return c
+}
+
+// ReleasedCluster is the panic message of a tick, a stride, a server or a
+// VM added on a released cluster.
+const ReleasedCluster = "cluster: use of a released cluster"
+
+// Release ends the cluster's life once its simulation is over. It
+// freezes FastPathStats at its current value, unbinds every VM's
+// throttle counter, and hands each server's kit to the free list, where
+// the next cluster's AddServer re-arms it (DESIGN.md §5.10); a reference
+// cluster's kits are left to the collector. Its servers then hold no VMs
+// and no resource models, and a later Tick, Stride, AddServer or AddVM
+// panics with ReleasedCluster. Release may be called more than once.
+func (c *Cluster) Release() {
+	if c.released {
+		return
+	}
+	c.frozen = c.FastPathStats()
+	c.released = true
+	for _, s := range c.servers {
+		for _, v := range s.vms {
+			v.cg.BindThrottleCounter(nil)
+		}
+		if c.spares != nil {
+			c.spares.put(s.kit)
+		}
+		s.kit = kit{}
+	}
+}
+
+// checkLive panics if the cluster has been released.
+func (c *Cluster) checkLive() {
+	if c.released {
+		panic(ReleasedCluster)
+	}
 }
 
 // Reference reports whether the cluster was built by NewReference.
@@ -864,6 +1020,7 @@ func (c *Cluster) SetHealth(h *obs.Health) {
 // AddServer creates a server with the given id and configuration.
 // The rng factory seeds the server's stochastic resource models.
 func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
+	c.checkLive()
 	if c.FindServer(id) != nil {
 		panic(fmt.Sprintf("cluster: duplicate server %q", id))
 	}
@@ -874,14 +1031,14 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 	s := &Server{
 		id:     id,
 		cfg:    cfg,
-		disk:   disk.New(cfg.Disk, rng.Sourcef("disk/%s", id)),
-		cpu:    cpu.New(cfg.CPU),
-		mem:    memsys.New(cfg.Mem, rng.Sourcef("memsys/%s", id)),
-		cache:  NewContentCache(16<<30, 120),
 		clus:   c,
 		index:  len(c.servers),
 		active: true,
 	}
+	if c.spares != nil {
+		s.kit = c.spares.take()
+	}
+	s.kit.rearm(id, cfg, rng)
 	c.servers = append(c.servers, s)
 	c.srvByID[id] = s
 	c.placeSeq++
@@ -901,6 +1058,7 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 // changes nothing if the id is taken. The registry insert is the
 // duplicate check, so a boot probes the registry once.
 func (c *Cluster) TryAddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) (*VM, error) {
+	c.checkLive()
 	v := &VM{
 		vcpus:    vcpus,
 		memBytes: memBytes,
@@ -962,8 +1120,12 @@ func (c *Cluster) PlacementSeq() uint64 { return c.placeSeq }
 // FastPathStats sums the fast-path accounting of every server in the
 // cluster and adds the cluster-level stride and shard counters. Call it
 // between ticks (see Server.FastPathStats). The sum is assembled in
-// O(active servers + shards) from the per-shard aggregates.
+// O(active servers + shards) from the per-shard aggregates. A released
+// cluster returns the sum as it stood at Release.
 func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
+	if c.released {
+		return c.frozen
+	}
 	fp := obs.FastPathSnapshot{
 		StrideSkips:       c.statStrideSkips,
 		HorizonRecomputes: c.statHorizonRecomputes,
@@ -1056,6 +1218,7 @@ func (c *Cluster) EachAppVM(appID string, fn func(*VM)) {
 // executors may mutate task state shared across servers (speculative and
 // cloned attempts of one task run on several machines).
 func (c *Cluster) Tick(clk *sim.Clock) {
+	c.checkLive()
 	tickSec := clk.TickSeconds()
 	if c.reference {
 		for _, s := range c.servers {
@@ -1090,6 +1253,7 @@ func (c *Cluster) Tick(clk *sim.Clock) {
 // it unless stop says so: grantPhase rebuilds on them, exactly as it
 // does under per-tick stepping.
 func (c *Cluster) Stride(clk *sim.Clock, max int64, stop func() bool) int64 {
+	c.checkLive()
 	if max <= 0 || c.reference {
 		return 0
 	}

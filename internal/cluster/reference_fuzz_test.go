@@ -57,13 +57,15 @@ type scriptResult struct {
 }
 
 // runScript decodes script into a scenario over two servers and up to six
-// VMs and plays it on an optimised (ref false) or reference cluster. The
+// VMs and plays it on an optimised (ref false) cluster whose servers take
+// and release their kits through spares, or on a reference cluster. It
+// releases the cluster and its streams once the results are taken. The
 // first byte picks the VM count, the second the seed; then each pair of
 // bytes is one step (opcode, argument): change a VM's demand (attaching a
 // workload to a bare VM), call MarkDirty with the demand unchanged, set a
 // throttle through the cgroup without MarkDirty, detach a workload,
 // finish a workload, migrate a VM to the other server, or tick.
-func runScript(script []byte, ref bool) scriptResult {
+func runScript(script []byte, ref bool, spares *kitList) scriptResult {
 	var nVMs, seed byte
 	if len(script) >= 2 {
 		nVMs, seed, script = script[0], script[1], script[2:]
@@ -74,6 +76,9 @@ func runScript(script []byte, ref bool) scriptResult {
 	}
 	eng := sim.NewEngine(100*time.Millisecond, int64(seed))
 	c := newCluster(ref)
+	if !ref {
+		c.spares = spares
+	}
 	eng.Register(c)
 	servers := []*Server{
 		c.AddServer("s0", DefaultServerConfig(), eng.RNG()),
@@ -148,6 +153,8 @@ func runScript(script []byte, ref bool) scriptResult {
 	for _, v := range vms {
 		res.Counters = append(res.Counters, v.Cgroup().Snapshot())
 	}
+	c.Release()
+	eng.RNG().Release()
 	return res
 }
 
@@ -155,13 +162,23 @@ func runScript(script []byte, ref bool) scriptResult {
 // MarkDirty calls, throttle changes, detaches, finishes, migrations and ticks
 // on an optimised and a reference cluster and requires identical grants
 // and cgroup counters: the steady replay, the memo hits, quiescence and
-// the skip-set replay must each be invisible in the results.
+// the skip-set replay must each be invisible in the results. It plays the
+// script a second time on a cluster whose servers re-arm the kits the
+// first optimised run released, so recycled storage must be invisible too.
 func FuzzClusterMatchesReference(f *testing.F) {
 	f.Add([]byte{5, 7, 0, 0, 0, 1, 0, 10, 6, 7, 1, 1, 6, 3, 2, 0, 6, 5, 5, 2, 6, 4})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		opt, ref := runScript(script, false), runScript(script, true)
+		var kits kitList
+		opt, ref := runScript(script, false, &kits), runScript(script, true, nil)
 		if !reflect.DeepEqual(opt, ref) {
 			t.Fatalf("optimised run differs from the reference:\nopt: %+v\nref: %+v", opt, ref)
+		}
+		recycled := runScript(script, false, &kits)
+		if kits.misses != 2 {
+			t.Fatalf("the second run built %d servers on fresh kits, want none", kits.misses-2)
+		}
+		if !reflect.DeepEqual(recycled, ref) {
+			t.Fatalf("run on recycled kits differs from the reference:\nrecycled: %+v\nref: %+v", recycled, ref)
 		}
 	})
 }

@@ -12,10 +12,10 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Config describes the host CPU.
@@ -82,10 +82,25 @@ func (s *Scheduler) InvalidateMemo() { s.memoValid = false }
 
 // New creates a scheduler.
 func New(cfg Config) *Scheduler {
+	s := new(Scheduler)
+	s.Rearm(cfg)
+	return s
+}
+
+// Rearm makes s the scheduler New(cfg) would return, with no memo and
+// zero accounting, but keeps the storage of its scratch and memo buffers,
+// so a recycled scheduler's first solves allocate nothing.
+func (s *Scheduler) Rearm(cfg Config) {
 	if cfg.Cores <= 0 || cfg.FreqHz <= 0 {
 		panic(fmt.Sprintf("cpu: nonpositive config %+v", cfg))
 	}
-	return &Scheduler{cfg: cfg}
+	*s = Scheduler{
+		cfg:        cfg,
+		clamped:    s.clamped[:0],
+		fair:       s.fair.rearm(),
+		memoReqs:   s.memoReqs[:0],
+		memoGrants: s.memoGrants[:0],
+	}
 }
 
 // Config returns the host CPU configuration.
@@ -169,6 +184,9 @@ type fairScratch struct {
 	idx []int
 }
 
+// rearm returns empty scratch over f's storage.
+func (f *fairScratch) rearm() fairScratch { return fairScratch{out: f.out[:0], idx: f.idx[:0]} }
+
 // fill water-fills capacity across demands max-min fairly, returning a
 // slice owned by the scratch (valid until the next fill call).
 func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
@@ -197,7 +215,9 @@ func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
 		f.idx = append(f.idx, i)
 	}
 	idx := f.idx
-	sort.Slice(idx, func(a, b int) bool { return demands[idx[a]] < demands[idx[b]] })
+	// Tied demands get the same share whichever order they sort in, so an
+	// unstable sort is exact; SortFunc over the indexes allocates nothing.
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(demands[a], demands[b]) })
 	left := capacity
 	for k, i := range idx {
 		share := left / float64(n-k)

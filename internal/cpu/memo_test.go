@@ -67,3 +67,30 @@ func TestMemoHitReturnsCachedGrants(t *testing.T) {
 		t.Fatal("memo hit re-ran the solve")
 	}
 }
+
+// TestOverloadedSolveAllocatesNothing: a full solve over more demand than
+// the host has cores — the max-min fair path, which sorts the clients by
+// demand — allocates nothing once the scheduler's buffers have grown.
+func TestOverloadedSolveAllocatesNothing(t *testing.T) {
+	s := New(DefaultConfig())
+	reqs := []Request{
+		{ClientID: "a", Seconds: 2.4, VCPUs: 24},
+		{ClientID: "b", Seconds: 1.6, VCPUs: 16},
+		{ClientID: "c", Seconds: 1.6, VCPUs: 16},
+		{ClientID: "d", Seconds: 0.3, VCPUs: 4},
+	}
+	var dst []Grant
+	allocs := testing.AllocsPerRun(20, func() {
+		s.InvalidateMemo()
+		dst = s.AllocateInto(dst[:0], 0.1, reqs)
+	})
+	if _, misses := s.MemoStats(); misses < 20 {
+		t.Fatalf("%d full solves, want every run to solve", misses)
+	}
+	if total := dst[0].Seconds + dst[1].Seconds + dst[2].Seconds + dst[3].Seconds; total < 4.8-1e-9 || dst[0].Seconds >= 2.4 {
+		t.Fatalf("grants %+v do not share 4.8 core-seconds fairly; the solve was not overloaded", dst)
+	}
+	if allocs != 0 {
+		t.Errorf("overloaded solve allocated %v times, want 0", allocs)
+	}
+}

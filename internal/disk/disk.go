@@ -33,10 +33,10 @@
 package disk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"perfcloud/internal/sim"
 )
@@ -174,13 +174,40 @@ func (d *Disk) InvalidateMemo() {
 
 // New creates a device with the given config, drawing its jitter from src.
 func New(cfg Config, src *sim.Source) *Disk {
+	d := new(Disk)
+	d.Rearm(cfg, src)
+	return d
+}
+
+// Rearm makes d the device New(cfg, src) would return, with no memo,
+// client state or accounting, but keeps the storage of its scratch, memo
+// buffers, client slots and jitter state, so a recycled device's first
+// solves allocate nothing.
+func (d *Disk) Rearm(cfg Config, src *sim.Source) {
 	if cfg.IOPSCapacity <= 0 || cfg.BandwidthCapacity <= 0 {
 		panic(fmt.Sprintf("disk: nonpositive capacity in %+v", cfg))
 	}
 	if cfg.JitterCorr < 0 || cfg.JitterCorr >= 1 {
 		panic("disk: JitterCorr must be in [0, 1)")
 	}
-	return &Disk{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, src)}
+	jitter := d.jitter
+	if jitter == nil {
+		jitter = new(sim.AR1)
+	}
+	jitter.Rearm(cfg.JitterCorr, cfg.JitterStdDev, src)
+	d.clients.Rearm()
+	*d = Disk{
+		cfg:        cfg,
+		jitter:     jitter,
+		capped:     d.capped[:0],
+		opSize:     d.opSize[:0],
+		cost:       d.cost[:0],
+		timeDemand: d.timeDemand[:0],
+		fair:       d.fair.rearm(),
+		clients:    d.clients,
+		memoReqs:   d.memoReqs[:0],
+		memoGrants: d.memoGrants[:0],
+	}
 }
 
 // Config returns the device configuration.
@@ -438,6 +465,9 @@ type fairScratch struct {
 	idx []int
 }
 
+// rearm returns empty scratch over f's storage.
+func (f *fairScratch) rearm() fairScratch { return fairScratch{out: f.out[:0], idx: f.idx[:0]} }
+
 // fill water-fills the capacity across the demands max-min fairly,
 // returning a slice owned by the scratch (valid until the next fill call).
 func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
@@ -466,7 +496,9 @@ func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
 		f.idx = append(f.idx, i)
 	}
 	idx := f.idx
-	sort.Slice(idx, func(a, b int) bool { return demands[idx[a]] < demands[idx[b]] })
+	// Tied demands get the same share whichever order they sort in, so an
+	// unstable sort is exact; SortFunc over the indexes allocates nothing.
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(demands[a], demands[b]) })
 	left := capacity
 	for k, i := range idx {
 		share := left / float64(n-k)

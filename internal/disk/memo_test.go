@@ -103,3 +103,27 @@ func TestMemoHitAfterCompaction(t *testing.T) {
 		t.Fatalf("memo hits after a compaction diverge from full solves:\nmemo: %v\nfull: %v", memo, full)
 	}
 }
+
+// TestOverloadedSolveAllocatesNothing: a full solve of more device time
+// than the tick holds — the max-min fair path, which sorts the clients by
+// demand — allocates nothing once the disk's buffers and the clients'
+// jitter state have grown.
+func TestOverloadedSolveAllocatesNothing(t *testing.T) {
+	d := New(DefaultConfig(), sim.NewSource(3))
+	reqs := []Request{
+		{ClientID: "seq", Ops: 40, Bytes: 40 * (256 << 10)},
+		{ClientID: "rand", Ops: 800, Bytes: 800 * 4096},
+		{ClientID: "rand2", Ops: 800, Bytes: 800 * 4096},
+	}
+	var dst []Grant
+	allocs := testing.AllocsPerRun(20, func() {
+		d.InvalidateMemo()
+		dst = d.AllocateInto(dst[:0], 0.1, reqs)
+	})
+	if d.Utilization() <= 1 {
+		t.Fatalf("utilization %v, want an overloaded device", d.Utilization())
+	}
+	if allocs != 0 {
+		t.Errorf("overloaded solve allocated %v times, want 0", allocs)
+	}
+}

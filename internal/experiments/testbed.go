@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"perfcloud/internal/cloud"
@@ -132,13 +133,14 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 
 	var names []string
 	for s := 0; s < cfg.Servers; s++ {
+		server := serverID(s)
 		for w := 0; w < cfg.WorkersPerServer; w++ {
-			id := fmt.Sprintf("worker-%02d-%02d", s, w)
+			id := workerID(s, w)
 			vm, err := tb.CM.Boot(cloud.VMSpec{
 				Name:     id,
 				Priority: cluster.HighPriority,
 				AppID:    "hadoop",
-				ServerID: fmt.Sprintf("server-%d", s),
+				ServerID: server,
 			})
 			if err != nil {
 				panic(err)
@@ -172,13 +174,42 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
-// Close ends the testbed's life: it releases the random streams of its
-// engine's factory, so the next testbed's streams load into their state
-// vectors instead of allocating their own (DESIGN.md §5.10). Call it once
-// the run's results, traces and scorecards have been taken — any later
-// draw from one of the testbed's streams panics with sim.ReleasedStream.
-// Close may be called more than once.
-func (tb *Testbed) Close() { tb.Eng.RNG().Release() }
+// workerID returns fmt.Sprintf("worker-%02d-%02d", s, w) for nonnegative
+// s and w, without fmt's boxing.
+func workerID(s, w int) string {
+	var buf [32]byte
+	b := appendPadded(append(buf[:0], "worker-"...), s)
+	return string(appendPadded(append(b, '-'), w))
+}
+
+// appendPadded appends the nonnegative n as %02d formats it.
+func appendPadded(b []byte, n int) []byte {
+	if n < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
+}
+
+// serverID returns fmt.Sprintf("server-%d", s), the name the cloud
+// manager gives its s-th server.
+func serverID(s int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], "server-"...), int64(s), 10))
+}
+
+// Close ends the testbed's life: it releases its cluster, whose servers'
+// working storage the next testbed's servers then re-arm, and the random
+// streams of its engine's factory, so the next testbed's streams load
+// into their state vectors instead of allocating their own (DESIGN.md
+// §5.10). Call it once the run's results, traces and scorecards have been
+// taken — the cluster's FastPathStats stay readable, but any later tick
+// panics with cluster.ReleasedCluster and any later draw from one of the
+// testbed's streams with sim.ReleasedStream. Close may be called more
+// than once.
+func (tb *Testbed) Close() {
+	tb.Clus.Release()
+	tb.Eng.RNG().Release()
+}
 
 // Stepper returns an event-driven stepper over the testbed's engine: each
 // Step runs one engine tick, then elides upcoming ticks through the
@@ -238,7 +269,7 @@ func (tb *Testbed) AddAntagonist(server int, w *workloads.Benchmark) *cluster.VM
 	vm, err := tb.CM.Boot(cloud.VMSpec{
 		Name:     name,
 		Priority: cluster.LowPriority,
-		ServerID: fmt.Sprintf("server-%d", server),
+		ServerID: serverID(server),
 	})
 	if err != nil {
 		panic(err)
@@ -248,7 +279,7 @@ func (tb *Testbed) AddAntagonist(server int, w *workloads.Benchmark) *cluster.VM
 	p := w.Pattern()
 	tb.Truth.Add(obs.TruthVM{
 		VM:       name,
-		Server:   fmt.Sprintf("server-%d", server),
+		Server:   serverID(server),
 		Channel:  w.HarmChannel(),
 		StartSec: p.StartOffset.Seconds(),
 		OnSec:    p.On.Seconds(),

@@ -170,10 +170,37 @@ func (s *System) InvalidateMemo() {
 // New creates a memory system with the given config, drawing its jitter
 // from src.
 func New(cfg Config, src *sim.Source) *System {
+	s := new(System)
+	s.Rearm(cfg, src)
+	return s
+}
+
+// Rearm makes s the system New(cfg, src) would return, with no memo,
+// client state or accounting, but keeps the storage of its scratch, memo
+// buffers, client slots and jitter state, so a recycled system's first
+// solves allocate nothing.
+func (s *System) Rearm(cfg Config, src *sim.Source) {
 	if cfg.LLCBytes <= 0 || cfg.BandwidthCapacity <= 0 || cfg.FreqHz <= 0 {
 		panic(fmt.Sprintf("memsys: nonpositive config %+v", cfg))
 	}
-	return &System{cfg: cfg, jitter: sim.NewAR1(cfg.JitterCorr, cfg.JitterStdDev, src)}
+	jitter := s.jitter
+	if jitter == nil {
+		jitter = new(sim.AR1)
+	}
+	jitter.Rearm(cfg.JitterCorr, cfg.JitterStdDev, src)
+	s.clients.Rearm()
+	*s = System{
+		cfg:          cfg,
+		jitter:       jitter,
+		nominalInstr: s.nominalInstr[:0],
+		shares:       s.shares[:0],
+		weights:      s.weights[:0],
+		wants:        s.wants[:0],
+		clients:      s.clients,
+		memoReqs:     s.memoReqs[:0],
+		memoResults:  s.memoResults[:0],
+		memoActive:   s.memoActive[:0],
+	}
 }
 
 // Config returns the memory system configuration.

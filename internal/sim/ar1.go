@@ -30,15 +30,30 @@ type AR1 struct {
 // innovations from src, each draw bit for bit what
 // rand.New(src).NormFloat64 would return.
 func NewAR1(corr, stddev float64, src *Source) *AR1 {
+	a := new(AR1)
+	a.Rearm(corr, stddev, src)
+	return a
+}
+
+// Rearm makes a the process NewAR1(corr, stddev, src) would return,
+// tracking no client, but keeps the storage of its index map and value
+// slice, so a recycled process tracks its first clients without
+// allocating.
+func (a *AR1) Rearm(corr, stddev float64, src *Source) {
 	if corr < 0 || corr >= 1 {
 		panic("sim: AR1 corr must be in [0, 1)")
 	}
 	if stddev < 0 {
 		panic("sim: AR1 stddev must be nonnegative")
 	}
+	idx := a.idx
+	if idx == nil {
+		idx = make(map[string]int32)
+	}
+	clear(idx)
 	// Go evaluates sqrt(1-corr^2)*stddev*z left to right, so computing
 	// the scale once is exact, not approximate.
-	return &AR1{corr: corr, scale: math.Sqrt(1-corr*corr) * stddev, idx: make(map[string]int32), src: src}
+	*a = AR1{corr: corr, scale: math.Sqrt(1-corr*corr) * stddev, idx: idx, vals: a.vals[:0], src: src}
 }
 
 // slot resolves the client's index, allocating a zero-state slot for a
@@ -294,5 +309,12 @@ func (c *SlotCache) Revalidate(a *AR1) {
 // Reset unbinds the cache: the next Bind resolves every id afresh and
 // the next Settle runs the GC.
 func (c *SlotCache) Reset() { c.n = -1 }
+
+// Rearm makes c the zero value, bound to nothing, but keeps the storage
+// of its id and slot lists for the next Bind.
+func (c *SlotCache) Rearm() {
+	clear(c.ids)
+	*c = SlotCache{ids: c.ids[:0], slots: c.slots[:0]}
+}
 
 func (c *SlotCache) id(i int) string { return c.ids[i] }

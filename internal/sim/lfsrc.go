@@ -36,8 +36,10 @@ type Source struct {
 	seed int64
 	vec  *[lfLen]int64 // nil until the first draw seeds it, and again once released
 	// owner is the factory that recycles vec when it is released; nil
-	// for NewSeededRand's unowned streams.
-	owner *RNG
+	// for NewSeededRand's unowned streams. nextLoaded links the owner's
+	// loaded streams, so registering one allocates nothing.
+	owner      *RNG
+	nextLoaded *Source
 }
 
 // lfSeedrand is the Lehmer LCG step x = 16807*x mod 2^31-1 used only
@@ -124,12 +126,12 @@ func takeVec() *[lfLen]int64 {
 	return v
 }
 
-// recycle detaches the state vectors of released sources and hands them
-// to the free list, up to its cap. A detached source's next draw reloads,
-// which its released owner turns into a panic.
-func recycle(srcs []*Source) {
+// recycle detaches the state vectors of the released sources linked from
+// s and hands them to the free list, up to its cap. A detached source's
+// next draw reloads, which its released owner turns into a panic.
+func recycle(s *Source) {
 	lfSeedCache.freeMu.Lock()
-	for _, s := range srcs {
+	for ; s != nil; s = s.nextLoaded {
 		if len(lfSeedCache.free) < lfFreeCap {
 			lfSeedCache.free = append(lfSeedCache.free, s.vec)
 		}

@@ -32,7 +32,7 @@ func TestRecycledVectorMatchesMathRand(t *testing.T) {
 		old := NewRNG(1)
 		src := old.Seeded(99)
 		src.Int63()
-		vec := old.loaded[0].vec
+		vec := old.loaded.vec
 		for i := range vec {
 			vec[i] = int64(i)*0x5851f42d4c957f2d ^ -1
 		}
@@ -46,7 +46,7 @@ func TestRecycledVectorMatchesMathRand(t *testing.T) {
 				t.Fatalf("seed %d draw %d: %d from a recycled vector, want %d", seed, i, g, w)
 			}
 		}
-		if r.loaded[0].vec != vec {
+		if r.loaded.vec != vec {
 			t.Fatalf("seed %d: the stream did not load into the released vector", seed)
 		}
 		r.Release()
@@ -104,10 +104,9 @@ func TestFreeListBounded(t *testing.T) {
 		t.Fatalf("free list holds %d vectors, want the cap %d", n, lfFreeCap)
 	}
 	// A stream loading from a stocked free list takes a vector without
-	// allocating one (the factory's load log is presized here, so only
-	// the vector could allocate).
+	// allocating one, and registers with its factory without allocating
+	// either.
 	next := NewRNG(7)
-	next.loaded = make([]*Source, 0, 4)
 	srcs := []*rand.Rand{next.Seeded(1), next.Seeded(2), next.Seeded(3)}
 	i := 0
 	if a := testing.AllocsPerRun(2, func() { srcs[i].Int63(); i++ }); a != 0 {

@@ -176,7 +176,7 @@ type RNG struct {
 	seed int64
 
 	mu       sync.Mutex
-	loaded   []*Source // streams that have drawn, in load order
+	loaded   *Source // the streams that have drawn, latest first, linked through nextLoaded
 	released bool
 }
 
@@ -234,7 +234,8 @@ func (r *RNG) register(s *Source) {
 	if r.released {
 		panic(ReleasedStream)
 	}
-	r.loaded = append(r.loaded, s)
+	s.nextLoaded = r.loaded
+	r.loaded = s
 }
 
 // Release ends the life of every stream r has handed out and returns the

@@ -183,10 +183,16 @@ func (e *EWMA) Reset() { e.value = 0; e.primed = false }
 // full sort; callers needing several quantiles of one sample should sort
 // once and use PercentileOfSorted (as Summarize does).
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile without the scratch copy: it returns
+// the same value, but reorders s. A caller that owns s and does not read
+// it afterwards saves the copy.
+func PercentileInPlace(s []float64, p float64) float64 {
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
 	if p <= 0 {
 		return selectKth(s, 0)
 	}

@@ -291,3 +291,23 @@ func TestPercentilePropertyMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: PercentileInPlace returns exactly what Percentile returns, for
+// any sample and any p, including out-of-range p and ties.
+func TestPercentileInPlaceMatchesPercentile(t *testing.T) {
+	f := func(vals []int8, p int16) bool {
+		xs := make([]float64, len(vals))
+		for i, v := range vals {
+			xs[i] = float64(v) / 4
+		}
+		want := Percentile(xs, float64(p)/3)
+		got := PercentileInPlace(xs, float64(p)/3)
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if got := PercentileInPlace(nil, 50); got != 0 {
+		t.Errorf("empty PercentileInPlace = %v, want 0", got)
+	}
+}

@@ -95,7 +95,9 @@ func (l *LATE) Candidates(ts *exec.TaskSet, nowSec float64) []*exec.Task {
 	if budget <= 0 {
 		return nil
 	}
-	threshold := stats.Percentile(rates, l.SlowTaskPercentile)
+	// rates is scratch that nothing reads after the threshold, so it is
+	// selected in place rather than copied.
+	threshold := stats.PercentileInPlace(rates, l.SlowTaskPercentile)
 	cands := l.cands[:0]
 	for _, a := range running {
 		if a.Runtime(nowSec) < l.MinRuntimeSec {
