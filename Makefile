@@ -53,31 +53,42 @@ loc:
 # -fastpaths counters and the timing line go to stderr). Only this target
 # checks the stdout of each example; planet_scale's two wall-clock
 # figures ("built in …s", "…s wall") are masked to X first. Each command
-# runs in its own directory under .golden/.
+# runs in its own directory under .golden/. Every group runs even when an
+# earlier one mismatches; the target lists the failed groups at the end
+# and exits non-zero if there are any.
 GOLDEN = .golden
 EXAMPLES = antagonist_id interference_detection large_scale migration quickstart planet_scale
 golden:
 	rm -rf $(GOLDEN)
-	mkdir -p $(GOLDEN)/perfcloudd $(GOLDEN)/psim $(GOLDEN)/experiments $(GOLDEN)/perfbench $(GOLDEN)/examples
+	mkdir -p $(GOLDEN)/perfcloudd $(GOLDEN)/psim $(GOLDEN)/experiments $(GOLDEN)/perfbench $(GOLDEN)/suite $(GOLDEN)/examples
 	go build -o $(GOLDEN)/bin/ ./cmd/perfcloudd ./cmd/psim ./cmd/perfbench $(addprefix ./examples/,$(EXAMPLES))
-	cd $(GOLDEN)/perfcloudd && for seed in 42 7; do \
+	@failed=; \
+	echo "== perfcloudd"; \
+	(cd $(GOLDEN)/perfcloudd && for seed in 42 7; do \
 		../bin/perfcloudd -seed $$seed -alerts -trace seed$$seed.trace.json -events seed$$seed.events.jsonl > /dev/null || exit 1; \
-	done && sha256sum -c ../../cmd/perfcloudd/testdata/golden.sha256
-	cd $(GOLDEN)/psim && for seed in 42 7; do \
+	done && sha256sum -c ../../cmd/perfcloudd/testdata/golden.sha256) || failed="$$failed perfcloudd"; \
+	echo "== psim"; \
+	(cd $(GOLDEN)/psim && for seed in 42 7; do \
 		../bin/psim -seed $$seed -scorecard -phase-report -trace seed$$seed.trace.json \
 			-alerts-jsonl seed$$seed.alerts.jsonl > seed$$seed.stdout || exit 1; \
-	done && sha256sum -c ../../cmd/psim/testdata/golden.sha256
-	cd $(GOLDEN)/experiments && ../bin/perfbench -fig 11 -quick -scorecard -alerts -tracedir traces > fig11.stdout \
-		&& sha256sum -c ../../internal/experiments/testdata/observed.sha256
-	cd $(GOLDEN)/perfbench && ../bin/perfbench -fig all -seed 42 > figall.stdout \
-		&& sha256sum -c ../../cmd/perfbench/testdata/golden.sha256
-	mkdir -p $(GOLDEN)/suite && cd $(GOLDEN)/suite \
+	done && sha256sum -c ../../cmd/psim/testdata/golden.sha256) || failed="$$failed psim"; \
+	echo "== observed Fig 11"; \
+	(cd $(GOLDEN)/experiments && ../bin/perfbench -fig 11 -quick -scorecard -alerts -tracedir traces > fig11.stdout \
+		&& sha256sum -c ../../internal/experiments/testdata/observed.sha256) || failed="$$failed observed-fig11"; \
+	echo "== -fig all"; \
+	(cd $(GOLDEN)/perfbench && ../bin/perfbench -fig all -seed 42 > figall.stdout \
+		&& sha256sum -c ../../cmd/perfbench/testdata/golden.sha256) || failed="$$failed fig-all"; \
+	echo "== quick suite"; \
+	(cd $(GOLDEN)/suite \
 		&& ../bin/perfbench -fig all -quick -scorecard -alerts -fastpaths -tracedir traces > suite.stdout 2> /dev/null \
-		&& sha256sum -c --quiet ../../cmd/perfbench/testdata/suite.sha256
-	cd $(GOLDEN)/examples && for ex in $(EXAMPLES); do \
+		&& sha256sum -c --quiet ../../cmd/perfbench/testdata/suite.sha256) || failed="$$failed suite"; \
+	echo "== examples"; \
+	(cd $(GOLDEN)/examples && for ex in $(EXAMPLES); do \
 		../bin/$$ex > $$ex.raw || exit 1; \
 		sed -E 's/built in [0-9.]+s/built in Xs/; s/[0-9.]+s wall/Xs wall/' $$ex.raw > $$ex.stdout; \
-	done && sha256sum -c ../../examples/testdata/golden.sha256
+	done && sha256sum -c ../../examples/testdata/golden.sha256) || failed="$$failed examples"; \
+	if [ -n "$$failed" ]; then echo "golden: mismatched groups:$$failed"; exit 1; fi; \
+	echo "golden: all groups match"
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"perfcloud/internal/core"
+	"perfcloud/internal/exec"
 	"perfcloud/internal/experiments"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
@@ -183,7 +184,7 @@ func run(o options, stdout io.Writer) error {
 			workloads.BurstPattern{On: 25 * time.Second, Off: 10 * time.Second}))
 	}
 
-	spawn := func() (straggler.Clone, error) {
+	spawn := func() (*exec.Job, error) {
 		now := tb.Eng.Clock().Seconds()
 		switch o.workload {
 		case "terasort":
@@ -204,7 +205,7 @@ func run(o options, stdout io.Writer) error {
 
 	for i := 0; i < o.jobs; i++ {
 		if dolly > 1 {
-			clones := make([]straggler.Clone, dolly)
+			clones := make([]*exec.Job, dolly)
 			for c := range clones {
 				var err error
 				if clones[c], err = spawn(); err != nil {

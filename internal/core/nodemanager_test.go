@@ -130,7 +130,7 @@ func (sc *scenario) runTerasortStream(t *testing.T, d time.Duration) []float64 {
 func (sc *scenario) runLogregStream(t *testing.T, d time.Duration) []float64 {
 	t.Helper()
 	var jcts []float64
-	var cur *spark.App
+	var cur *exec.Job
 	submit := func() {
 		a, err := sc.driver.Submit(spark.LogisticRegression(10, 4, 640<<20), sc.eng.Clock().Seconds())
 		if err != nil {

@@ -1,9 +1,11 @@
 // Package exec is the task-execution substrate shared by the MapReduce
 // and Spark framework simulators: fluid-model tasks, attempts, per-VM
 // executors (cluster.Workloads that turn granted resources into task
-// progress), and TaskSets — groups of tasks scheduled onto a pool of
+// progress), TaskSets — groups of tasks scheduled onto a pool of
 // executors with locality preference, straggler re-execution hooks and
-// the kill accounting the paper's resource-efficiency metric needs.
+// the kill accounting the paper's resource-efficiency metric needs —
+// and the one stage machine both frameworks run on: a Job is a chain of
+// TaskSets behind strict barriers, and a Scheduler runs jobs FIFO.
 //
 // A task is modelled as two coupled amounts of work: bytes of block I/O
 // and instructions to retire. Instruction progress is gated by I/O

@@ -153,42 +153,33 @@ func sparkFor(s jobSpec) spark.AppConfig {
 	return cfg
 }
 
-// logicalJob tracks one mix entry's clones at runtime.
+// logicalJob tracks one mix entry at runtime: its clone group under
+// Dolly, else its one job.
 type logicalJob struct {
 	spec  jobSpec
 	group *straggler.CloneGroup
-	mr    *mapreduce.Job
-	app   *spark.App
+	job   *exec.Job
 }
 
 func (l *logicalJob) done() bool {
 	if l.group != nil {
 		return l.group.Done()
 	}
-	if l.mr != nil {
-		return l.mr.Done()
-	}
-	return l.app.Done()
+	return l.job.Done()
 }
 
 func (l *logicalJob) jct() float64 {
 	if l.group != nil {
 		return l.group.JCT()
 	}
-	if l.mr != nil {
-		return l.mr.JCT()
-	}
-	return l.app.JCT()
+	return l.job.JCT()
 }
 
 func (l *logicalJob) account(now float64) exec.Accounting {
 	if l.group != nil {
 		return l.group.Account(now)
 	}
-	if l.mr != nil {
-		return l.mr.Account(now)
-	}
-	return l.app.Account(now)
+	return l.job.Account(now)
 }
 
 // MixOutcome is one scheme's run over the mix.
@@ -285,41 +276,26 @@ func runMix(cfg LargeScaleConfig, sch Scheme, withAntagonists bool) MixOutcome {
 // submitLogical submits one mix entry (n clones under Dolly).
 func submitLogical(tb *Testbed, s jobSpec, sch Scheme) *logicalJob {
 	now := tb.Eng.Clock().Seconds()
-	lj := &logicalJob{spec: s}
-	if sch.Clones <= 1 || s.tasks > cloneTaskThreshold {
-		if s.spark {
-			a, err := tb.Driver.Submit(sparkFor(s), now)
-			if err != nil {
-				panic(err)
-			}
-			lj.app = a
-		} else {
-			j, err := tb.JT.Submit(mrFor(s), now)
-			if err != nil {
-				panic(err)
-			}
-			lj.mr = j
-		}
-		return lj
+	n := sch.Clones
+	if n <= 1 || s.tasks > cloneTaskThreshold {
+		n = 1
 	}
-	clones := make([]straggler.Clone, 0, sch.Clones)
-	for c := 0; c < sch.Clones; c++ {
+	clones := make([]*exec.Job, n)
+	for c := range clones {
+		var err error
 		if s.spark {
-			a, err := tb.Driver.Submit(sparkFor(s), now)
-			if err != nil {
-				panic(err)
-			}
-			clones = append(clones, a)
+			clones[c], err = tb.Driver.Submit(sparkFor(s), now)
 		} else {
-			j, err := tb.JT.Submit(mrFor(s), now)
-			if err != nil {
-				panic(err)
-			}
-			clones = append(clones, j)
+			clones[c], err = tb.JT.Submit(mrFor(s), now)
+		}
+		if err != nil {
+			panic(err)
 		}
 	}
-	lj.group = tb.Dolly.Watch(fmt.Sprintf("job-%03d", s.idx), clones...)
-	return lj
+	if n == 1 {
+		return &logicalJob{spec: s, job: clones[0]}
+	}
+	return &logicalJob{spec: s, group: tb.Dolly.Watch(fmt.Sprintf("job-%03d", s.idx), clones...)}
 }
 
 func allDone(jobs []*logicalJob) bool {

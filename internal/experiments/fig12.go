@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"perfcloud/internal/core"
+	"perfcloud/internal/exec"
 	"perfcloud/internal/mapreduce"
 	"perfcloud/internal/obs"
 	"perfcloud/internal/spark"
 	"perfcloud/internal/stats"
-	"perfcloud/internal/straggler"
 	"perfcloud/internal/trace"
 )
 
@@ -165,20 +165,19 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		})
 	}
 
-	submit := func() straggler.Clone {
+	submit := func() *exec.Job {
 		now := tb.Eng.Clock().Seconds()
+		var j *exec.Job
+		var err error
 		if workload == "terasort" {
-			j, err := tb.JT.Submit(mapreduce.Terasort("input", cfg.Tasks/5), now)
-			if err != nil {
-				panic(err)
-			}
-			return j
+			j, err = tb.JT.Submit(mapreduce.Terasort("input", cfg.Tasks/5), now)
+		} else {
+			j, err = tb.Driver.Submit(spark.LogisticRegression(cfg.Tasks, 3, inputBytes), now)
 		}
-		a, err := tb.Driver.Submit(spark.LogisticRegression(cfg.Tasks, 3, inputBytes), now)
 		if err != nil {
 			panic(err)
 		}
-		return a
+		return j
 	}
 	var rep fig12Rep
 	if sch.Clones <= 1 {
@@ -188,7 +187,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		}
 		rep.jct = c.JCT()
 	} else {
-		clones := make([]straggler.Clone, 0, sch.Clones)
+		clones := make([]*exec.Job, 0, sch.Clones)
 		for i := 0; i < sch.Clones; i++ {
 			clones = append(clones, submit())
 		}

@@ -301,25 +301,25 @@ func (tb *Testbed) MustInput(name string, bytes float64) {
 // cannot finish is a configuration bug worth failing loudly on).
 func (tb *Testbed) RunMR(cfg mapreduce.JobConfig, limit time.Duration) *mapreduce.Job {
 	j, err := tb.JT.Submit(cfg, tb.Eng.Clock().Seconds())
+	return tb.runJob(j, err, limit)
+}
+
+// RunSpark submits a Spark application and runs until it finishes.
+func (tb *Testbed) RunSpark(cfg spark.AppConfig, limit time.Duration) *exec.Job {
+	a, err := tb.Driver.Submit(cfg, tb.Eng.Clock().Seconds())
+	return tb.runJob(a, err, limit)
+}
+
+// runJob runs the simulation until the just-submitted job j finishes,
+// panicking on its submission error or when the limit elapses first.
+func (tb *Testbed) runJob(j *exec.Job, err error, limit time.Duration) *exec.Job {
 	if err != nil {
 		panic(err)
 	}
 	if !tb.Stepper().RunUntil(j.Done, limit) {
-		panic(fmt.Sprintf("experiments: job %s stuck in state %v", j.ID(), j.State()))
+		panic(fmt.Sprintf("experiments: job %s stuck in state %v at stage %d", j.ID(), j.State(), j.StageIndex()))
 	}
 	return j
-}
-
-// RunSpark submits a Spark application and runs until it finishes.
-func (tb *Testbed) RunSpark(cfg spark.AppConfig, limit time.Duration) *spark.App {
-	a, err := tb.Driver.Submit(cfg, tb.Eng.Clock().Seconds())
-	if err != nil {
-		panic(err)
-	}
-	if !tb.Stepper().RunUntil(a.Done, limit) {
-		panic(fmt.Sprintf("experiments: app %s stuck at stage %d", a.ID(), a.StageIndex()))
-	}
-	return a
 }
 
 // CapAntagonistIOPS applies a static blkio IOPS cap to a named

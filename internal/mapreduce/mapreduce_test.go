@@ -10,6 +10,7 @@ import (
 	"perfcloud/internal/dfs"
 	"perfcloud/internal/exec"
 	"perfcloud/internal/sim"
+	"perfcloud/internal/trace"
 	"perfcloud/internal/workloads"
 )
 
@@ -62,8 +63,8 @@ func TestTerasortRunsToCompletion(t *testing.T) {
 	if !j.Completed() {
 		t.Fatalf("state = %v", j.State())
 	}
-	if j.NumMaps() != 10 {
-		t.Errorf("maps = %d, want 10", j.NumMaps())
+	if maps := j.TaskSets()[0].NumTasks(); maps != 10 {
+		t.Errorf("maps = %d, want 10", maps)
 	}
 	if j.JCT() <= 0 {
 		t.Errorf("JCT = %v", j.JCT())
@@ -84,15 +85,42 @@ func TestTerasortRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestStateStringAndPhases follows a job through its phases: queued,
+// the map stage, the reduce stage, completed — with the task-set and
+// task ids each stage is named by.
 func TestStateStringAndPhases(t *testing.T) {
-	states := map[State]string{
-		StateQueued: "queued", StateMap: "map", StateReduce: "reduce",
-		StateCompleted: "completed", StateKilled: "killed",
+	h := newHarness(t, 6, nil)
+	h.fs.Create("input", 320<<20)
+	j, _ := h.jt.Submit(Terasort("input", 3), 0)
+	if j.ID() != "terasort-0" || j.State().String() != "queued" || len(j.TaskSets()) != 0 {
+		t.Fatalf("submitted: id %q state %v sets %d", j.ID(), j.State(), len(j.TaskSets()))
 	}
-	for s, want := range states {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+	seen := map[int]bool{}
+	for i := 0; i < 10000 && !j.Done(); i++ {
+		h.eng.Step()
+		if j.Done() {
+			break
 		}
+		if j.State().String() != "running" {
+			t.Fatalf("started job state = %v", j.State())
+		}
+		seen[j.StageIndex()] = true
+	}
+	if !seen[0] || !seen[1] || j.State().String() != "completed" || j.StageIndex() != 2 {
+		t.Fatalf("stages seen %v, final state %v at stage %d", seen, j.State(), j.StageIndex())
+	}
+	sets := j.TaskSets()
+	if len(sets) != 2 || sets[0].Name() != "terasort-0/map" || sets[1].Name() != "terasort-0/reduce" {
+		t.Fatalf("task sets = %v", sets)
+	}
+	if id := sets[0].Tasks()[0].Spec().ID; id != "terasort-0/m000" {
+		t.Errorf("first map id = %q", id)
+	}
+	if id := sets[1].Tasks()[2].Spec().ID; id != "terasort-0/r002" {
+		t.Errorf("last reduce id = %q", id)
+	}
+	if s := exec.JobKilled.String(); s != "killed" {
+		t.Errorf("JobKilled.String() = %q", s)
 	}
 }
 
@@ -102,7 +130,7 @@ func TestReduceBarrierOrdering(t *testing.T) {
 	j, _ := h.jt.Submit(Terasort("input", 5), 0)
 	// While the map set is not done, no reduce set may exist.
 	for i := 0; i < 10000 && !j.Done(); i++ {
-		if j.State() == StateMap && j.reduceSet != nil {
+		if sets := j.TaskSets(); len(sets) == 2 && !sets[0].Done() {
 			t.Fatal("reduce set created before map barrier")
 		}
 		h.eng.Step()
@@ -117,8 +145,8 @@ func TestMapOnlyJob(t *testing.T) {
 	h.fs.Create("input", 128<<20)
 	cfg := Wordcount("input", 0)
 	j := h.runJob(t, cfg, 30*time.Minute)
-	if !j.Completed() || j.reduceSet != nil {
-		t.Errorf("map-only job: state=%v reduceSet=%v", j.State(), j.reduceSet)
+	if !j.Completed() || len(j.TaskSets()) != 1 {
+		t.Errorf("map-only job: state=%v task sets=%d", j.State(), len(j.TaskSets()))
 	}
 }
 
@@ -141,7 +169,7 @@ func TestKillJob(t *testing.T) {
 	j, _ := h.jt.Submit(Terasort("input", 10), 0)
 	h.eng.Run(20)
 	j.Kill(h.eng.Clock().Seconds())
-	if !j.Done() || j.Completed() || j.State() != StateKilled {
+	if !j.Done() || j.Completed() || j.State() != exec.JobKilled {
 		t.Fatalf("state = %v", j.State())
 	}
 	if j.JCT() <= 0 {
@@ -162,6 +190,43 @@ func TestKillJob(t *testing.T) {
 	}
 }
 
+// TestKillDuringReduceSparesMapWave kills a job in its reduce wave: the
+// reduce set and the job are killed, but the map wave had completed, so
+// neither it nor its span is marked killed.
+func TestKillDuringReduceSparesMapWave(t *testing.T) {
+	h := newHarness(t, 4, nil)
+	tr := trace.NewTracer()
+	for _, e := range h.pool {
+		e.SetTracer(tr)
+	}
+	h.jt.SetTracer(tr)
+	h.fs.Create("input", 320<<20)
+	j, _ := h.jt.Submit(Terasort("input", 4), 0)
+	if !h.eng.RunUntil(func() bool { return j.StageIndex() == 1 }, time.Hour) {
+		t.Fatal("job never reached its reduce wave")
+	}
+	h.eng.Run(5)
+	if j.Done() {
+		t.Fatal("job finished before the kill")
+	}
+	j.Kill(h.eng.Clock().Seconds())
+	sets := j.TaskSets()
+	if sets[0].Killed() || !sets[1].Killed() {
+		t.Fatalf("killed: map %v reduce %v, want false true", sets[0].Killed(), sets[1].Killed())
+	}
+	killed := map[trace.SpanID]bool{}
+	for _, s := range tr.Spans() {
+		killed[s.ID] = s.Killed
+	}
+	if killed[sets[0].Span()] || !killed[sets[1].Span()] {
+		t.Errorf("span killed marks: map %v reduce %v, want false true",
+			killed[sets[0].Span()], killed[sets[1].Span()])
+	}
+	if acc := sets[0].Account(h.eng.Clock().Seconds()); acc.Efficiency() != 1 {
+		t.Errorf("completed map wave efficiency = %v, want 1", acc.Efficiency())
+	}
+}
+
 func TestFIFOAcrossJobs(t *testing.T) {
 	h := newHarness(t, 2, nil) // 4 slots total
 	h.fs.Create("a", 640<<20)
@@ -170,11 +235,11 @@ func TestFIFOAcrossJobs(t *testing.T) {
 	j2, _ := h.jt.Submit(Terasort("b", 2), 0)
 	h.eng.Run(2)
 	// First job's maps grab the slots first.
-	run1 := len(j1.mapSet.RunningAttempts())
+	run1 := len(j1.TaskSets()[0].RunningAttempts())
 	if run1 != 4 {
 		t.Errorf("job1 running = %d, want all 4 slots", run1)
 	}
-	if j2.mapSet != nil && len(j2.mapSet.RunningAttempts()) != 0 {
+	if sets := j2.TaskSets(); len(sets) > 0 && len(sets[0].RunningAttempts()) != 0 {
 		t.Errorf("job2 should wait for slots")
 	}
 	if !h.eng.RunUntil(func() bool { return j1.Done() && j2.Done() }, time.Hour) {

@@ -65,15 +65,15 @@ func TestPropertyMapCountsMatchBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !h.eng.RunUntil(j.Done, time.Hour) {
+			t.Fatalf("stuck at %v", j.State())
+		}
 		wantMaps := mb / 64
 		if mb%64 != 0 {
 			wantMaps++
 		}
-		if j.NumMaps() != wantMaps {
-			t.Errorf("%d MiB input: maps = %d, want %d", mb, j.NumMaps(), wantMaps)
-		}
-		if !h.eng.RunUntil(j.Done, time.Hour) {
-			t.Fatalf("stuck at %v", j.State())
+		if maps := j.TaskSets()[0].NumTasks(); maps != wantMaps {
+			t.Errorf("%d MiB input: maps = %d, want %d", mb, maps, wantMaps)
 		}
 	}
 }

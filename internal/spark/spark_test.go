@@ -35,7 +35,7 @@ func newHarness(t *testing.T, nVMs int) *harness {
 	return h
 }
 
-func (h *harness) runApp(t *testing.T, cfg AppConfig, limit time.Duration) *App {
+func (h *harness) runApp(t *testing.T, cfg AppConfig, limit time.Duration) *exec.Job {
 	t.Helper()
 	a, err := h.driver.Submit(cfg, h.eng.Clock().Seconds())
 	if err != nil {
@@ -64,16 +64,20 @@ func TestLogisticRegressionCompletes(t *testing.T) {
 
 func TestStageBarrier(t *testing.T) {
 	h := newHarness(t, 4)
-	a, _ := h.driver.Submit(LogisticRegression(8, 2, 320<<20), 0)
+	cfg := LogisticRegression(8, 2, 320<<20)
+	a, _ := h.driver.Submit(cfg, 0)
 	prevIdx := -1
 	for i := 0; i < 100000 && !a.Done(); i++ {
 		if a.StageIndex() < prevIdx {
 			t.Fatal("stage index went backwards")
 		}
 		// Only one stage's tasks may run at a time.
-		if a.stage != nil && a.StageIndex() < len(a.cfg.Stages) {
-			for si, ts := range a.TaskSets() {
-				if si < a.StageIndex() && !ts.Done() {
+		if sets := a.TaskSets(); len(sets) > 0 {
+			if len(sets) != a.StageIndex()+1 {
+				t.Fatalf("%d stages started while stage %d runs", len(sets), a.StageIndex())
+			}
+			for si, ts := range sets[:a.StageIndex()] {
+				if !ts.Done() {
 					t.Fatalf("stage %d still active while stage %d runs", si, a.StageIndex())
 				}
 			}
@@ -81,8 +85,16 @@ func TestStageBarrier(t *testing.T) {
 		prevIdx = a.StageIndex()
 		h.eng.Step()
 	}
-	if !a.Completed() {
-		t.Fatalf("state = %v", a.State())
+	if !a.Completed() || a.StageIndex() != len(cfg.Stages) {
+		t.Fatalf("state = %v at stage %d", a.State(), a.StageIndex())
+	}
+	for si, ts := range a.TaskSets() {
+		if want := fmt.Sprintf("spark-logreg-0/s%02d", si); ts.Name() != want {
+			t.Errorf("stage %d name = %q, want %q", si, ts.Name(), want)
+		}
+	}
+	if id := a.TaskSets()[2].Tasks()[7].Spec().ID; id != "spark-logreg-0/s02-t007" {
+		t.Errorf("last task id = %q", id)
 	}
 }
 
@@ -103,7 +115,7 @@ func TestKillApp(t *testing.T) {
 	a, _ := h.driver.Submit(LogisticRegression(8, 5, 640<<20), 0)
 	h.eng.Run(20)
 	a.Kill(h.eng.Clock().Seconds())
-	if !a.Done() || a.Completed() || a.State() != StateKilled {
+	if !a.Done() || a.Completed() || a.State() != exec.JobKilled {
 		t.Fatalf("state = %v", a.State())
 	}
 	free := 0
@@ -150,7 +162,8 @@ func TestSparkSensitivityShape(t *testing.T) {
 
 func TestPageRankAndSVMComplete(t *testing.T) {
 	h := newHarness(t, 6)
-	pr := h.runApp(t, PageRank(8, 2, 320<<20), time.Hour)
+	prCfg := PageRank(8, 2, 320<<20)
+	pr := h.runApp(t, prCfg, time.Hour)
 	if !pr.Completed() {
 		t.Fatalf("pagerank state = %v", pr.State())
 	}
@@ -159,8 +172,11 @@ func TestPageRankAndSVMComplete(t *testing.T) {
 		t.Fatalf("svm state = %v", svm.State())
 	}
 	// PageRank iterations spill to disk; its iteration stages carry IO.
-	if pr.Config().Stages[1].IOBytesPer == 0 {
+	if prCfg.Stages[1].IOBytesPer == 0 {
 		t.Error("pagerank iterations should spill")
+	}
+	if io := pr.TaskSets()[1].Tasks()[0].Spec().IOBytes; io != prCfg.Stages[1].IOBytesPer {
+		t.Errorf("pagerank iteration task IO = %v, want the stage's spill %v", io, prCfg.Stages[1].IOBytesPer)
 	}
 	if lr := LogisticRegression(8, 2, 320<<20); lr.Stages[1].IOBytesPer != 0 {
 		t.Error("logreg iterations should be memory-resident")

@@ -137,38 +137,21 @@ func runningCount(t *exec.Task) int {
 	return n
 }
 
-// Clone is the framework-job surface Dolly needs: both mapreduce.Job and
-// spark.App satisfy it.
-type Clone interface {
-	// Done reports whether the clone finished or was killed.
-	Done() bool
-	// Completed reports whether the clone finished successfully.
-	Completed() bool
-	// Kill terminates the clone at nowSec.
-	Kill(nowSec float64)
-	// JCT returns the clone's completion time (0 until done).
-	JCT() float64
-	// SubmitSec returns the clone's submission time.
-	SubmitSec() float64
-	// Account returns the clone's attempt-time accounting as of nowSec.
-	Account(nowSec float64) exec.Accounting
-}
-
 // CloneGroup tracks the n clones of one logical job.
 type CloneGroup struct {
 	name   string
-	clones []Clone
-	winner Clone
+	clones []*exec.Job
+	winner *exec.Job
 }
 
 // Name returns the group's logical-job name.
 func (g *CloneGroup) Name() string { return g.name }
 
 // Clones returns the clones being raced.
-func (g *CloneGroup) Clones() []Clone { return append([]Clone(nil), g.clones...) }
+func (g *CloneGroup) Clones() []*exec.Job { return append([]*exec.Job(nil), g.clones...) }
 
 // Winner returns the first clone to finish, or nil.
-func (g *CloneGroup) Winner() Clone { return g.winner }
+func (g *CloneGroup) Winner() *exec.Job { return g.winner }
 
 // Done reports whether the race has been decided.
 func (g *CloneGroup) Done() bool { return g.winner != nil }
@@ -206,9 +189,10 @@ type Dolly struct {
 // NewDolly creates an empty watcher.
 func NewDolly() *Dolly { return &Dolly{} }
 
-// Watch registers a group of clones of one logical job. The clones must
-// already be submitted to their frameworks.
-func (d *Dolly) Watch(name string, clones ...Clone) *CloneGroup {
+// Watch registers a group of clones of one logical job — MapReduce jobs
+// or Spark apps alike. The clones must already be submitted to their
+// frameworks.
+func (d *Dolly) Watch(name string, clones ...*exec.Job) *CloneGroup {
 	if len(clones) == 0 {
 		panic("straggler: clone group needs at least one clone")
 	}

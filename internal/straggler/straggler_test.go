@@ -159,7 +159,7 @@ func TestDollyPicksFirstFinisherAndKillsRest(t *testing.T) {
 	h.eng.RegisterPriority(d, 1)
 
 	now := h.eng.Clock().Seconds()
-	var clones []Clone
+	var clones []*exec.Job
 	for i := 0; i < 3; i++ {
 		j, err := h.jt.Submit(mapreduce.Terasort("input", 6), now)
 		if err != nil {
@@ -211,7 +211,7 @@ func TestDollyEfficiencyDropsWithClones(t *testing.T) {
 		h.eng.RegisterPriority(drv, -1)
 		d := NewDolly()
 		h.eng.RegisterPriority(d, 1)
-		var clones []Clone
+		var clones []*exec.Job
 
 		for i := 0; i < n; i++ {
 			a, err := drv.Submit(stage, 0)
