@@ -1,5 +1,5 @@
 # Tier-1 verification (ROADMAP.md): build + full test suite.
-.PHONY: all build test check race loc golden bench bench-suite bench-compare bench-scale bench-tax fuzz-smoke
+.PHONY: all build test check race loc golden mutants bench bench-suite bench-compare bench-scale bench-tax fuzz-smoke
 
 all: check
 
@@ -25,9 +25,10 @@ race:
 
 # loc prints the size figures ROADMAP.md tracks: non-test Go lines
 # outside bench/, the number of process-wide `func SetDefault` switches
-# left in internal/, and the number of package-level variables in
+# left in internal/, the number of package-level variables in
 # non-test internal/ code — each name of a `var x` line or a `var (...)`
-# block counts, `var _ =` interface assertions do not.
+# block counts, `var _ =` interface assertions do not — and the number of
+# entries in the unreached-surface allowlist (testdata/unreached.allow).
 loc:
 	@printf 'non-test Go LOC outside bench/: '
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
@@ -41,6 +42,8 @@ loc:
 		blk && /^\t[A-Za-z]/ { n += names(substr($$0, 2)); next } \
 		/^var [A-Za-z]/ { n += names(substr($$0, 5)) } \
 		END { print n + 0 }'
+	@printf 'unreached-surface allowlist entries: '
+	@grep -c '^[^#[:space:]]' testdata/unreached.allow
 
 # golden checks the committed output digests from the command line, the
 # same bytes the TestGoldenOutputs tests of cmd/perfcloudd, cmd/psim and
@@ -89,6 +92,13 @@ golden:
 	done && sha256sum -c ../../examples/testdata/golden.sha256) || failed="$$failed examples"; \
 	if [ -n "$$failed" ]; then echo "golden: mismatched groups:$$failed"; exit 1; fi; \
 	echo "golden: all groups match"
+
+# mutants applies each row of the mutant table in mutants_test.go — a
+# deliberate fault in a guard the fast paths or the stage machine rely
+# on — through go test -overlay, which never writes the tree, and
+# requires the tests of every package the row names to fail.
+mutants:
+	go test -tags mutants -run '^TestMutantsKilled$$' -count=1 -v .
 
 # check is the full local gate: vet, build, tests, and the race tier.
 # Benchmarks are tracked separately — run `make bench` to measure the

@@ -212,7 +212,7 @@ func run(o options, stdout io.Writer) error {
 					return err
 				}
 			}
-			g := tb.Dolly.Watch(fmt.Sprintf("job-%d", i), clones...)
+			g := tb.Dolly.Watch(clones...)
 			if !tb.Stepper().RunUntil(g.Done, time.Hour) {
 				return errors.New("job did not finish")
 			}

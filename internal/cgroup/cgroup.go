@@ -47,15 +47,6 @@ type PerfCounters struct {
 	LLCMisses     float64
 }
 
-// CPI returns cycles per instruction over the whole counter lifetime,
-// or 0 when no instructions have retired.
-func (p PerfCounters) CPI() float64 {
-	if p.Instructions == 0 {
-		return 0
-	}
-	return p.Cycles / p.Instructions
-}
-
 // Throttle holds the resource caps applied to a cgroup. Zero means
 // "no cap" for each knob, matching the kernel's unlimited default.
 type Throttle struct {
@@ -100,44 +91,16 @@ type Cgroup struct {
 	throttles atomic.Pointer[atomic.Uint64]
 }
 
-// New creates an empty cgroup with the given name (conventionally the VM id).
-func New(name string) *Cgroup {
-	c := new(Cgroup)
-	c.Init(name)
-	return c
-}
-
-// Init names a zero Cgroup in place. The zero value needs no other set-up,
-// so an owner can embed a Cgroup by value (the cluster keeps one inside
-// each VM, saving an allocation per boot) and call Init instead of New.
+// Init names a zero Cgroup in place (conventionally with the VM id). The
+// zero value needs no other set-up, so an owner embeds a Cgroup by value
+// (the cluster keeps one inside each VM, saving an allocation per boot).
 func (c *Cgroup) Init(name string) { c.name = name }
 
 // Name returns the cgroup's name.
 func (c *Cgroup) Name() string { return c.name }
 
-// AddBlkio accumulates one tick's worth of block-I/O activity.
-func (c *Cgroup) AddBlkio(ops, bytes, waitMs float64) {
-	c.counters.Blkio.IoServiced += ops
-	c.counters.Blkio.IoServiceBytes += bytes
-	c.counters.Blkio.IoWaitTimeMs += waitMs
-}
-
-// AddCPU accumulates consumed core-seconds.
-func (c *Cgroup) AddCPU(coreSeconds float64) {
-	c.counters.CPU.UsageSeconds += coreSeconds
-}
-
-// AddPerf accumulates hardware-counter readings.
-func (c *Cgroup) AddPerf(cycles, instructions, llcRefs, llcMisses float64) {
-	c.counters.Perf.Cycles += cycles
-	c.counters.Perf.Instructions += instructions
-	c.counters.Perf.LLCReferences += llcRefs
-	c.counters.Perf.LLCMisses += llcMisses
-}
-
 // AddTick accumulates one tick's worth of everything — blkio, cpuacct
-// and perf — in one call: AddBlkio + AddCPU + AddPerf, as the cluster's
-// per-tick accounting adds them.
+// and perf — in one call, as the cluster's per-tick accounting adds them.
 func (c *Cgroup) AddTick(ops, bytes, waitMs, coreSeconds, cycles, instructions, llcRefs, llcMisses float64) {
 	c.counters.Blkio.IoServiced += ops
 	c.counters.Blkio.IoServiceBytes += bytes

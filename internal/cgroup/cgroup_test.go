@@ -8,14 +8,12 @@ import (
 )
 
 func TestAccumulationAndSnapshot(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	if c.Name() != "vm-0" {
 		t.Errorf("name = %q", c.Name())
 	}
-	c.AddBlkio(10, 4096, 5)
-	c.AddBlkio(5, 2048, 2.5)
-	c.AddCPU(0.2)
-	c.AddPerf(2e9, 1e9, 1e6, 5e5)
+	c.AddTick(10, 4096, 5, 0, 0, 0, 0, 0)
+	c.AddTick(5, 2048, 2.5, 0.2, 2e9, 1e9, 1e6, 5e5)
 	s := c.Snapshot()
 	if s.Blkio.IoServiced != 15 || s.Blkio.IoServiceBytes != 6144 || s.Blkio.IoWaitTimeMs != 7.5 {
 		t.Errorf("blkio = %+v", s.Blkio)
@@ -26,25 +24,21 @@ func TestAccumulationAndSnapshot(t *testing.T) {
 	if s.Perf.Cycles != 2e9 || s.Perf.Instructions != 1e9 {
 		t.Errorf("perf = %+v", s.Perf)
 	}
-	if got := s.Perf.CPI(); got != 2 {
-		t.Errorf("CPI = %v, want 2", got)
-	}
 }
 
-func TestCPIZeroInstructions(t *testing.T) {
-	var p PerfCounters
-	if p.CPI() != 0 {
-		t.Error("CPI with zero instructions should be 0")
-	}
+// newCgroup returns a fresh cgroup named name, as a VM's embedded one
+// starts.
+func newCgroup(name string) *Cgroup {
+	c := new(Cgroup)
+	c.Init(name)
+	return c
 }
 
 func TestDelta(t *testing.T) {
-	c := New("vm-0")
-	c.AddBlkio(10, 1000, 4)
+	c := newCgroup("vm-0")
+	c.AddTick(10, 1000, 4, 0, 0, 0, 0, 0)
 	prev := c.Snapshot()
-	c.AddBlkio(20, 3000, 16)
-	c.AddCPU(0.5)
-	c.AddPerf(100, 50, 10, 5)
+	c.AddTick(20, 3000, 16, 0.5, 100, 50, 10, 5)
 	d := Delta(c.Snapshot(), prev)
 	if d.Blkio.IoServiced != 20 || d.Blkio.IoServiceBytes != 3000 || d.Blkio.IoWaitTimeMs != 16 {
 		t.Errorf("blkio delta = %+v", d.Blkio)
@@ -69,7 +63,7 @@ func TestIowaitRatio(t *testing.T) {
 }
 
 func TestThrottleKnobs(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	if th := c.Throttle(); th.ReadIOPS != 0 || th.ReadBPS != 0 || th.CPUCores != 0 {
 		t.Errorf("default throttle should be unlimited: %+v", th)
 	}
@@ -108,7 +102,7 @@ func TestInitNamesZeroCgroup(t *testing.T) {
 // that unbinding stops them.
 func TestBoundThrottleCounter(t *testing.T) {
 	var a, b atomic.Uint64
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	c.BindThrottleCounter(&a)
 	c.SetReadIOPS(100)
 	c.SetReadBPS(1 << 20)
@@ -126,7 +120,7 @@ func TestBoundThrottleCounter(t *testing.T) {
 // TestSetThrottleStoresACopy: the caps in force must not alias the
 // caller's value.
 func TestSetThrottleStoresACopy(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	th := Throttle{ReadIOPS: 100}
 	c.SetThrottle(th)
 	th.ReadIOPS = 5
@@ -139,7 +133,7 @@ func TestSetThrottleStoresACopy(t *testing.T) {
 // against SetThrottle writers (meaningful under -race): every read must
 // return one write's caps whole, never a mix of two.
 func TestConcurrentThrottleReadsSeeWholeCaps(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	var sets atomic.Uint64
 	c.BindThrottleCounter(&sets)
 	var wg sync.WaitGroup
@@ -172,7 +166,7 @@ func TestConcurrentThrottleReadsSeeWholeCaps(t *testing.T) {
 }
 
 func TestNegativeThrottlePanics(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	defer func() {
 		if recover() == nil {
 			t.Error("want panic for negative throttle")
@@ -182,22 +176,16 @@ func TestNegativeThrottlePanics(t *testing.T) {
 }
 
 // TestCountersAccumulateInCallOrder: the counters are plain float sums
-// owned by one goroutine, so mixing AddTick with the per-subsystem adders
-// must leave each counter bit-identical to adding the same values in the
-// same order in a plain float loop.
+// owned by one goroutine, so AddTick must leave each counter
+// bit-identical to adding the same values in the same order in a plain
+// float loop.
 func TestCountersAccumulateInCallOrder(t *testing.T) {
-	c := New("vm-0")
+	c := newCgroup("vm-0")
 	var want [8]float64
 	for i := 0; i < 1000; i++ {
 		x := 0.1 * float64(i%7+1) / 3
 		v := [8]float64{x, x * 4096, x / 7, x / 1000, x * 2.3e9, x * 1.1e9, x * 3e7, x * 1e6}
-		if i%2 == 0 {
-			c.AddTick(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
-		} else {
-			c.AddBlkio(v[0], v[1], v[2])
-			c.AddCPU(v[3])
-			c.AddPerf(v[4], v[5], v[6], v[7])
-		}
+		c.AddTick(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
 		for k := range want {
 			want[k] += v[k]
 		}
@@ -214,7 +202,7 @@ func TestCountersAccumulateInCallOrder(t *testing.T) {
 // and Delta of successive snapshots is always nonnegative.
 func TestPropertyMonotoneCounters(t *testing.T) {
 	f := func(ops, bytes, wait []uint16) bool {
-		c := New("p")
+		c := newCgroup("p")
 		prev := c.Snapshot()
 		n := len(ops)
 		if len(bytes) < n {
@@ -224,7 +212,7 @@ func TestPropertyMonotoneCounters(t *testing.T) {
 			n = len(wait)
 		}
 		for i := 0; i < n; i++ {
-			c.AddBlkio(float64(ops[i]), float64(bytes[i]), float64(wait[i]))
+			c.AddTick(float64(ops[i]), float64(bytes[i]), float64(wait[i]), 0, 0, 0, 0, 0)
 			now := c.Snapshot()
 			d := Delta(now, prev)
 			if d.Blkio.IoServiced < 0 || d.Blkio.IoServiceBytes < 0 || d.Blkio.IoWaitTimeMs < 0 {

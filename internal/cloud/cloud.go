@@ -24,11 +24,8 @@ type VMSpec struct {
 	ServerID string // "" lets the scheduler pick the least-loaded server
 }
 
-// The shape of every booted VM.
-const (
-	vmVCPUs    = 2
-	vmMemBytes = 8 << 30
-)
+// vmVCPUs is the size of every booted VM.
+const vmVCPUs = 2
 
 // VMInfo is what the cloud manager tells node managers about a VM.
 type VMInfo struct {
@@ -117,7 +114,7 @@ func (m *Manager) Boot(spec VMSpec) (*cluster.VM, error) {
 		}
 		return nil, err
 	}
-	vm, err := m.cluster.TryAddVM(srv, spec.Name, vmVCPUs, vmMemBytes, spec.Priority, spec.AppID)
+	vm, err := m.cluster.TryAddVM(srv, spec.Name, vmVCPUs, spec.Priority, spec.AppID)
 	if err != nil {
 		return nil, errTaken(spec.Name)
 	}

@@ -158,7 +158,7 @@ func TestIndexResyncsAfterDirectClusterMutation(t *testing.T) {
 	m := NewManager(c, eng.RNG())
 	srvs := m.ProvisionServers(2)
 	// Load server-0 directly through the cluster, bypassing Boot.
-	c.AddVM(srvs[0], "backdoor", 8, 8<<30, cluster.LowPriority, "")
+	c.AddVM(srvs[0], "backdoor", 8, cluster.LowPriority, "")
 	v := mustBoot(t, m, VMSpec{Name: "after"})
 	if v.Server().ID() != "server-1" {
 		t.Errorf("post-resync boot placed on %s, want the empty server-1", v.Server().ID())

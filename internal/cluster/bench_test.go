@@ -20,7 +20,7 @@ func BenchmarkQuiescentCluster(b *testing.B) {
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
-			cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, 8<<30, LowPriority, "")
+			cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, LowPriority, "")
 		}
 	}
 	clk := eng.Clock()
@@ -49,7 +49,7 @@ func activeCluster(eng *sim.Engine, cl *Cluster) {
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
-			vm := cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, 8<<30, LowPriority, "")
+			vm := cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, LowPriority, "")
 			vm.SetWorkload(&steadyBench{demand: busyDemand()})
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkStrideAdvance(b *testing.B) {
 	for s := 0; s < 16; s++ {
 		srv := cl.AddServer(fmt.Sprintf("s%02d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 8; i++ {
-			vm := cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, 8<<30, LowPriority, "")
+			vm := cl.AddVM(srv, fmt.Sprintf("s%02d-vm%d", s, i), 2, LowPriority, "")
 			switch s % 3 {
 			case 0: // quiescent: no workload attached
 			case 1:
@@ -148,7 +148,7 @@ func BenchmarkShardScale(b *testing.B) {
 			const busy = 8
 			for s := 0; s < total; s++ {
 				srv := cl.AddServer(fmt.Sprintf("s%05d", s), DefaultServerConfig(), eng.RNG())
-				vm := cl.AddVM(srv, fmt.Sprintf("s%05d-vm", s), 2, 8<<30, LowPriority, "")
+				vm := cl.AddVM(srv, fmt.Sprintf("s%05d-vm", s), 2, LowPriority, "")
 				if s < busy {
 					vm.SetWorkload(&steadyBench{demand: busyDemand()})
 				}

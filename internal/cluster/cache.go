@@ -23,16 +23,8 @@ type cacheEntry struct {
 	lastUsed float64
 }
 
-// NewContentCache creates a cache with the given capacity (bytes) and
-// entry TTL (seconds).
-func NewContentCache(capacity, ttl float64) *ContentCache {
-	c := new(ContentCache)
-	c.rearm(capacity, ttl)
-	return c
-}
-
-// rearm makes c the cache NewContentCache(capacity, ttl) returns, keeping
-// the storage of its entry map.
+// rearm makes c an empty cache with the given capacity (bytes) and entry
+// TTL (seconds), keeping the storage of its entry map.
 func (c *ContentCache) rearm(capacity, ttl float64) {
 	if capacity <= 0 || ttl <= 0 {
 		panic("cluster: cache needs positive capacity and ttl")
@@ -78,12 +70,6 @@ func (c *ContentCache) Put(key string, bytes, nowSec float64) {
 	c.entries[key] = &cacheEntry{bytes: bytes, lastUsed: nowSec}
 	c.used += bytes
 }
-
-// Len returns the number of cached entries.
-func (c *ContentCache) Len() int { return len(c.entries) }
-
-// UsedBytes returns the cached byte volume.
-func (c *ContentCache) UsedBytes() float64 { return c.used }
 
 // evictLRU removes the least-recently-used entry (deterministically
 // tie-broken by key).

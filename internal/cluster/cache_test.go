@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 )
 
+// newCache returns an empty cache, as a server's kit arms its own.
+func newCache(capacity, ttl float64) *ContentCache {
+	c := new(ContentCache)
+	c.rearm(capacity, ttl)
+	return c
+}
+
 func TestCacheHitAndMiss(t *testing.T) {
-	c := NewContentCache(1<<20, 60)
+	c := newCache(1<<20, 60)
 	if c.Has("a", 0) {
 		t.Error("empty cache should miss")
 	}
@@ -15,13 +22,13 @@ func TestCacheHitAndMiss(t *testing.T) {
 	if !c.Has("a", 1) {
 		t.Error("want hit")
 	}
-	if c.Len() != 1 || c.UsedBytes() != 1000 {
-		t.Errorf("len=%d used=%v", c.Len(), c.UsedBytes())
+	if len(c.entries) != 1 || c.used != 1000 {
+		t.Errorf("len=%d used=%v", len(c.entries), c.used)
 	}
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
-	c := NewContentCache(1<<20, 10)
+	c := newCache(1<<20, 10)
 	c.Put("a", 100, 0)
 	if !c.Has("a", 9) {
 		t.Error("should still be fresh at t=9")
@@ -33,13 +40,13 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if c.Has("a", 40) {
 		t.Error("should have expired")
 	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry should be evicted, len=%d", c.Len())
+	if len(c.entries) != 0 {
+		t.Errorf("expired entry should be evicted, len=%d", len(c.entries))
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewContentCache(300, 1000)
+	c := newCache(300, 1000)
 	c.Put("a", 100, 0)
 	c.Put("b", 100, 1)
 	c.Put("c", 100, 2)
@@ -56,19 +63,19 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheOversizedEntryRejected(t *testing.T) {
-	c := NewContentCache(100, 10)
+	c := newCache(100, 10)
 	c.Put("big", 1000, 0)
-	if c.Has("big", 1) || c.Len() != 0 {
+	if c.Has("big", 1) || len(c.entries) != 0 {
 		t.Error("entry larger than capacity must not be admitted")
 	}
 }
 
 func TestCacheReplaceRefreshesSize(t *testing.T) {
-	c := NewContentCache(1000, 100)
+	c := newCache(1000, 100)
 	c.Put("a", 600, 0)
 	c.Put("a", 200, 1) // replace with smaller
-	if c.UsedBytes() != 200 {
-		t.Errorf("used = %v, want 200", c.UsedBytes())
+	if c.used != 200 {
+		t.Errorf("used = %v, want 200", c.used)
 	}
 	c.Put("b", 700, 2) // fits alongside the replacement
 	if !c.Has("a", 3) || !c.Has("b", 3) {
@@ -78,8 +85,8 @@ func TestCacheReplaceRefreshesSize(t *testing.T) {
 
 func TestCachePanicsOnBadConfig(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewContentCache(0, 1) },
-		func() { NewContentCache(1, 0) },
+		func() { newCache(0, 1) },
+		func() { newCache(1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -96,10 +103,10 @@ func TestCachePanicsOnBadConfig(t *testing.T) {
 // the live entries.
 func TestCachePropertyCapacityInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		c := NewContentCache(10000, 1000)
+		c := newCache(10000, 1000)
 		for i, sz := range sizes {
 			c.Put(fmt.Sprintf("k%d", i%8), float64(sz), float64(i))
-			if c.UsedBytes() > 10000 {
+			if c.used > 10000 {
 				return false
 			}
 		}

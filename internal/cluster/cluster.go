@@ -129,7 +129,6 @@ type Workload interface {
 // do not carry it.
 type VM struct {
 	vcpus    float64
-	memBytes float64
 	priority Priority
 	appID    string
 	cg       cgroup.Cgroup
@@ -142,9 +141,6 @@ func (v *VM) ID() string { return v.cg.Name() }
 
 // VCPUs returns the VM's virtual CPU count.
 func (v *VM) VCPUs() float64 { return v.vcpus }
-
-// MemBytes returns the VM's memory size.
-func (v *VM) MemBytes() float64 { return v.memBytes }
 
 // Priority returns the VM's administrator-assigned priority.
 func (v *VM) Priority() Priority { return v.priority }
@@ -159,9 +155,6 @@ func (v *VM) Cgroup() *cgroup.Cgroup { return &v.cg }
 
 // Server returns the physical server hosting the VM.
 func (v *VM) Server() *Server { return v.server }
-
-// Workload returns the currently attached workload (nil if idle).
-func (v *VM) Workload() Workload { return v.workload }
 
 // SetWorkload attaches (or, with nil, detaches) the VM's workload.
 func (v *VM) SetWorkload(w Workload) {
@@ -514,13 +507,8 @@ func (s *Server) ID() string { return s.id }
 // an index is stable for the cluster's lifetime.
 func (s *Server) Index() int { return s.index }
 
-// VMs returns the VMs currently placed on the server (live slice copy).
-func (s *Server) VMs() []*VM { return append([]*VM(nil), s.vms...) }
-
 // EachVM calls fn for every VM on the server in placement order without
-// copying the VM slice — the hot-path alternative to VMs() for per-tick
-// and per-interval iteration (monitoring, placement queries). fn must not
-// add or remove VMs on this server.
+// copying the VM slice. fn must not add or remove VMs on this server.
 func (s *Server) EachVM(fn func(*VM)) {
 	for _, v := range s.vms {
 		fn(v)
@@ -529,12 +517,6 @@ func (s *Server) EachVM(fn func(*VM)) {
 
 // NumVMs returns the number of VMs placed on the server.
 func (s *Server) NumVMs() int { return len(s.vms) }
-
-// Disk returns the server's disk model (for tests and traces).
-func (s *Server) Disk() *disk.Disk { return s.disk }
-
-// Mem returns the server's memory-system model (for tests and traces).
-func (s *Server) Mem() *memsys.System { return s.mem }
 
 // CPUConfig returns the server's CPU configuration.
 func (s *Server) CPUConfig() cpu.Config { return s.cfg.CPU }
@@ -1046,8 +1028,8 @@ func (c *Cluster) AddServer(id string, cfg ServerConfig, rng *sim.RNG) *Server {
 }
 
 // AddVM creates a VM on the given server. It panics if the id is taken.
-func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) *VM {
-	v, err := c.TryAddVM(server, id, vcpus, memBytes, prio, appID)
+func (c *Cluster) AddVM(server *Server, id string, vcpus float64, prio Priority, appID string) *VM {
+	v, err := c.TryAddVM(server, id, vcpus, prio, appID)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -1057,11 +1039,10 @@ func (c *Cluster) AddVM(server *Server, id string, vcpus, memBytes float64, prio
 // TryAddVM creates a VM on the given server, or returns an error and
 // changes nothing if the id is taken. The registry insert is the
 // duplicate check, so a boot probes the registry once.
-func (c *Cluster) TryAddVM(server *Server, id string, vcpus, memBytes float64, prio Priority, appID string) (*VM, error) {
+func (c *Cluster) TryAddVM(server *Server, id string, vcpus float64, prio Priority, appID string) (*VM, error) {
 	c.checkLive()
 	v := &VM{
 		vcpus:    vcpus,
-		memBytes: memBytes,
 		priority: prio,
 		appID:    appID,
 		server:   server,
@@ -1144,10 +1125,6 @@ func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
 	return fp
 }
 
-// Servers returns all servers in creation order (a copy). Iteration-only
-// callers should prefer EachServer, which does not allocate.
-func (c *Cluster) Servers() []*Server { return append([]*Server(nil), c.servers...) }
-
 // EachServer calls fn for every server in creation order without copying
 // the server slice. fn must not add servers.
 func (c *Cluster) EachServer(fn func(*Server)) {
@@ -1172,42 +1149,12 @@ func (c *Cluster) FindServer(id string) *Server { return c.srvByID[id] }
 // FindVM returns the VM with the given id, or nil.
 func (c *Cluster) FindVM(id string) *VM { return c.vmsByID.find(id) }
 
-// VMs returns all VMs across all servers in placement order.
-func (c *Cluster) VMs() []*VM {
-	var out []*VM
-	for _, s := range c.servers {
-		out = append(out, s.vms...)
-	}
-	return out
-}
-
-// EachVM calls fn for every VM across all servers in placement order
-// without building the copy VMs() returns. fn must not add, remove or
-// migrate VMs.
+// EachVM calls fn for every VM across all servers in placement order.
+// fn must not add, remove or migrate VMs.
 func (c *Cluster) EachVM(fn func(*VM)) {
 	for _, s := range c.servers {
 		for _, v := range s.vms {
 			fn(v)
-		}
-	}
-}
-
-// AppVMs returns the VMs belonging to the given application id, across
-// all servers.
-func (c *Cluster) AppVMs(appID string) []*VM {
-	var out []*VM
-	c.EachAppVM(appID, func(v *VM) { out = append(out, v) })
-	return out
-}
-
-// EachAppVM calls fn for every VM of the given application in placement
-// order, without copying. fn must not add, remove or migrate VMs.
-func (c *Cluster) EachAppVM(appID string, fn func(*VM)) {
-	for _, s := range c.servers {
-		for _, v := range s.vms {
-			if v.appID == appID {
-				fn(v)
-			}
 		}
 	}
 }

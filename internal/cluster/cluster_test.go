@@ -56,14 +56,14 @@ func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Server) {
 	eng := sim.NewEngine(100*time.Millisecond, 42)
 	c := New()
 	srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	return eng, c, srv
 }
 
 func TestVMAccessors(t *testing.T) {
 	_, c, srv := newTestCluster(t)
-	vm := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "hadoop")
-	if vm.ID() != "vm-0" || vm.VCPUs() != 2 || vm.MemBytes() != 8<<30 {
+	vm := c.AddVM(srv, "vm-0", 2, HighPriority, "hadoop")
+	if vm.ID() != "vm-0" || vm.VCPUs() != 2 {
 		t.Errorf("vm = %+v", vm)
 	}
 	if vm.Priority() != HighPriority || vm.AppID() != "hadoop" {
@@ -82,7 +82,7 @@ func TestVMAccessors(t *testing.T) {
 
 func TestTickDrivesPipelineAndCounters(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
-	vm := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
+	vm := c.AddVM(srv, "vm-0", 2, HighPriority, "app")
 	w := &fakeWorkload{name: "w", demand: busyDemand()}
 	vm.SetWorkload(w)
 	eng.Run(10)
@@ -109,7 +109,7 @@ func TestTickDrivesPipelineAndCounters(t *testing.T) {
 
 func TestIdleVMGetsNothing(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
-	vm := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(srv, "vm-0", 2, LowPriority, "")
 	eng.Run(5)
 	s := vm.Cgroup().Snapshot()
 	if s.CPU.UsageSeconds != 0 || s.Blkio.IoServiced != 0 {
@@ -119,7 +119,7 @@ func TestIdleVMGetsNothing(t *testing.T) {
 
 func TestDoneWorkloadStopsConsuming(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
-	vm := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(srv, "vm-0", 2, LowPriority, "")
 	w := &fakeWorkload{name: "w", demand: busyDemand(), maxWork: 0.4} // 2 ticks
 	vm.SetWorkload(w)
 	eng.Run(10)
@@ -136,7 +136,7 @@ func TestDoneWorkloadStopsConsuming(t *testing.T) {
 
 func TestThrottleCapsFlowThroughPipeline(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
-	vm := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(srv, "vm-0", 2, LowPriority, "")
 	w := &fakeWorkload{name: "w", demand: busyDemand()}
 	vm.SetWorkload(w)
 	vm.Cgroup().SetReadIOPS(100) // 10 ops per 0.1 s tick
@@ -154,12 +154,12 @@ func TestThrottleCapsFlowThroughPipeline(t *testing.T) {
 func TestClusterRegistryAndLookup(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
 	srv2 := c.AddServer("server-1", DefaultServerConfig(), eng.RNG())
-	a := c.AddVM(srv, "a", 2, 1<<30, HighPriority, "app1")
-	b := c.AddVM(srv2, "b", 2, 1<<30, HighPriority, "app1")
-	c.AddVM(srv2, "x", 2, 1<<30, LowPriority, "")
+	a := c.AddVM(srv, "a", 2, HighPriority, "app1")
+	b := c.AddVM(srv2, "b", 2, HighPriority, "app1")
+	c.AddVM(srv2, "x", 2, LowPriority, "")
 
-	if len(c.Servers()) != 2 {
-		t.Errorf("servers = %d", len(c.Servers()))
+	if c.NumServers() != 2 {
+		t.Errorf("servers = %d", c.NumServers())
 	}
 	if c.FindServer("server-1") != srv2 || c.FindServer("zzz") != nil {
 		t.Error("FindServer")
@@ -170,24 +170,29 @@ func TestClusterRegistryAndLookup(t *testing.T) {
 	if srv.FindVM("a") != a || srv.FindVM("b") != nil {
 		t.Error("Server.FindVM")
 	}
-	if got := len(c.VMs()); got != 3 {
+	if got := c.NumVMs(); got != 3 {
 		t.Errorf("VMs = %d", got)
 	}
-	app := c.AppVMs("app1")
+	var app []*VM
+	c.EachVM(func(v *VM) {
+		if v.AppID() == "app1" {
+			app = append(app, v)
+		}
+	})
 	if len(app) != 2 || app[0] != a || app[1] != b {
-		t.Errorf("AppVMs = %v", app)
+		t.Errorf("app1 VMs = %v", app)
 	}
 }
 
 func TestRemoveVM(t *testing.T) {
 	_, c, srv := newTestCluster(t)
-	c.AddVM(srv, "a", 2, 1<<30, LowPriority, "")
-	c.AddVM(srv, "b", 2, 1<<30, LowPriority, "")
+	c.AddVM(srv, "a", 2, LowPriority, "")
+	c.AddVM(srv, "b", 2, LowPriority, "")
 	c.RemoveVM("a")
 	if c.FindVM("a") != nil || srv.FindVM("a") != nil {
 		t.Error("a should be gone")
 	}
-	if c.FindVM("b") == nil || len(srv.VMs()) != 1 {
+	if c.FindVM("b") == nil || srv.NumVMs() != 1 {
 		t.Error("b should remain")
 	}
 	c.RemoveVM("nonexistent") // no-op, no panic
@@ -195,14 +200,14 @@ func TestRemoveVM(t *testing.T) {
 
 func TestDuplicateIDsPanic(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
-	c.AddVM(srv, "a", 2, 1<<30, LowPriority, "")
+	c.AddVM(srv, "a", 2, LowPriority, "")
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("duplicate VM should panic")
 			}
 		}()
-		c.AddVM(srv, "a", 2, 1<<30, LowPriority, "")
+		c.AddVM(srv, "a", 2, LowPriority, "")
 	}()
 	func() {
 		defer func() {
@@ -218,10 +223,10 @@ func TestContentionBetweenVMsOnOneServer(t *testing.T) {
 	eng, c, srv := newTestCluster(t)
 	// One disk hog plus one moderate VM; the hog's demand exceeds device
 	// capacity so the moderate VM's waits should rise vs running alone.
-	victim := c.AddVM(srv, "victim", 2, 8<<30, HighPriority, "app")
+	victim := c.AddVM(srv, "victim", 2, HighPriority, "app")
 	vw := &fakeWorkload{name: "v", demand: busyDemand()}
 	victim.SetWorkload(vw)
-	hog := c.AddVM(srv, "hog", 2, 8<<30, LowPriority, "")
+	hog := c.AddVM(srv, "hog", 2, LowPriority, "")
 	hw := &fakeWorkload{name: "h", demand: Demand{
 		CPUSeconds: 0.1, IOOps: 2000, IOBytes: 2000 * 4096,
 		CoreCPI: 1, LLCRefsPerInstr: 0.01, BytesPerInstr: 0.1, WorkingSetBytes: 1 << 20,
@@ -234,8 +239,8 @@ func TestContentionBetweenVMsOnOneServer(t *testing.T) {
 	eng2 := sim.NewEngine(100*time.Millisecond, 42)
 	c2 := New()
 	srv2 := c2.AddServer("server-0", DefaultServerConfig(), eng2.RNG())
-	eng2.Register(c2)
-	v2 := c2.AddVM(srv2, "victim", 2, 8<<30, HighPriority, "app")
+	eng2.RegisterPriority(c2, 0)
+	v2 := c2.AddVM(srv2, "victim", 2, HighPriority, "app")
 	v2.SetWorkload(&fakeWorkload{name: "v", demand: busyDemand()})
 	eng2.Run(50)
 	alone := v2.Cgroup().Snapshot().Blkio.IoWaitTimeMs / v2.Cgroup().Snapshot().Blkio.IoServiced

@@ -17,10 +17,10 @@ func TestFastPathStatsAccounting(t *testing.T) {
 	c := New()
 	busy := c.AddServer("busy", DefaultServerConfig(), eng.RNG())
 	idle := c.AddServer("idle", DefaultServerConfig(), eng.RNG())
-	vm := c.AddVM(busy, "vm-busy", 2, 8<<30, LowPriority, "")
-	c.AddVM(idle, "vm-idle", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(busy, "vm-busy", 2, LowPriority, "")
+	c.AddVM(idle, "vm-idle", 2, LowPriority, "")
 	w := attachPush(vm, busyDemand())
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 
 	const ticks = 20
 	eng.Run(ticks)

@@ -13,11 +13,11 @@ import (
 // TestVMFootprint pins the size of a VM object, the unit a planet-scale
 // fleet holds a million of. The tick-only state — the last grant, 56
 // bytes, and the idle flag — lives in vectors of the hosting server,
-// which leaves 168 bytes: Go's allocator serves that from its 176-byte
-// size class. One more 16-byte field would need the 192-byte class.
+// which leaves 160 bytes: Go's allocator serves that from its 160-byte
+// size class. One more field would need the 176-byte class.
 func TestVMFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(VM{}); size > 168 {
-		t.Errorf("VM is %d bytes, want at most 168", size)
+	if size := unsafe.Sizeof(VM{}); size > 160 {
+		t.Errorf("VM is %d bytes, want at most 160", size)
 	}
 }
 
@@ -61,13 +61,13 @@ func (h *hookWorkload) Advance(nowSec, tickSec float64, g Grant) bool {
 // a skipped tick pending.
 func parkedScript(c *Cluster, mode string) (out map[string]any, hit bool) {
 	eng := sim.NewEngine(100*time.Millisecond, 42)
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	hook := c.AddServer("server-hook", DefaultServerConfig(), eng.RNG())
 	park := c.AddServer("server-park", DefaultServerConfig(), eng.RNG())
 	other := c.AddServer("server-other", DefaultServerConfig(), eng.RNG())
 	var vms []*VM
 	add := func(s *Server, id string) *VM {
-		v := c.AddVM(s, id, 2, 8<<30, LowPriority, "")
+		v := c.AddVM(s, id, 2, LowPriority, "")
 		vms = append(vms, v)
 		return v
 	}
@@ -170,10 +170,10 @@ func TestParkedPlacementChangesMatchReference(t *testing.T) {
 func TestFilledEmptyServerMatchesReference(t *testing.T) {
 	run := func(c *Cluster) (any, []Grant) {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
-		eng.Register(c)
+		eng.RegisterPriority(c, 0)
 		srv := c.AddServer("server-empty", DefaultServerConfig(), eng.RNG())
 		eng.Run(1) // the empty server parks at the end of this tick
-		v := c.AddVM(srv, "late", 2, 8<<30, LowPriority, "")
+		v := c.AddVM(srv, "late", 2, LowPriority, "")
 		eng.Run(20)
 		w := endless("w")
 		v.SetWorkload(w)
@@ -194,12 +194,12 @@ func TestFilledEmptyServerMatchesReference(t *testing.T) {
 // that the neighbours it leaves behind keep theirs.
 func TestLastGrantSurvivesMoveVM(t *testing.T) {
 	eng, c, s0, s1 := twoServerCluster(t)
-	x := c.AddVM(s0, "x", 2, 8<<30, HighPriority, "")
-	y := c.AddVM(s0, "y", 2, 8<<30, LowPriority, "")
-	z := c.AddVM(s0, "z", 2, 8<<30, LowPriority, "")
+	x := c.AddVM(s0, "x", 2, HighPriority, "")
+	y := c.AddVM(s0, "y", 2, LowPriority, "")
+	z := c.AddVM(s0, "z", 2, LowPriority, "")
 	x.SetWorkload(endless("wx"))
 	z.SetWorkload(endless("wz"))
-	c.AddVM(s1, "idle", 2, 8<<30, LowPriority, "")
+	c.AddVM(s1, "idle", 2, LowPriority, "")
 	eng.Run(3)
 	gx, gz := x.LastGrant(), z.LastGrant()
 	if gx.CPUSeconds == 0 || gz.CPUSeconds == 0 {
@@ -250,7 +250,7 @@ func TestFirstTickAllocsIndependentOfVMCount(t *testing.T) {
 			for s := 0; s < servers; s++ {
 				srv := c.AddServer(fmt.Sprintf("s%d", s), DefaultServerConfig(), eng.RNG())
 				for v := 0; v < vmsPerServer; v++ {
-					c.AddVM(srv, fmt.Sprintf("vm-%d-%d", s, v), 2, 8<<30, LowPriority, "")
+					c.AddVM(srv, fmt.Sprintf("vm-%d-%d", s, v), 2, LowPriority, "")
 				}
 			}
 			fleets[f] = c

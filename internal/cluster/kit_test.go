@@ -17,13 +17,13 @@ import (
 // congests and the disk overloads. It returns the engine ticking c.
 func kitScenario(c *Cluster, seed int64) (*sim.Engine, []*Server) {
 	eng := sim.NewEngine(100*time.Millisecond, seed)
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	servers := []*Server{
 		c.AddServer("s0", DefaultServerConfig(), eng.RNG()),
 		c.AddServer("s1", DefaultServerConfig(), eng.RNG()),
 	}
 	for i := 0; i < 6; i++ {
-		v := c.AddVM(servers[i%2], fmt.Sprintf("vm-%d", i), 2, 8<<30, LowPriority, "")
+		v := c.AddVM(servers[i%2], fmt.Sprintf("vm-%d", i), 2, LowPriority, "")
 		profile := 4
 		if i < 2 {
 			profile = 3
@@ -112,7 +112,7 @@ func TestReleasedClusterFreezes(t *testing.T) {
 		"Tick":      func() { c.Tick(eng.Clock()) },
 		"Stride":    func() { c.Stride(eng.Clock(), 4, func() bool { return false }) },
 		"AddServer": func() { c.AddServer("s2", DefaultServerConfig(), eng.RNG()) },
-		"AddVM":     func() { c.AddVM(servers[0], "late", 2, 8<<30, LowPriority, "") },
+		"AddVM":     func() { c.AddVM(servers[0], "late", 2, LowPriority, "") },
 	} {
 		func() {
 			defer func() {
@@ -254,7 +254,7 @@ func TestKitFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		bytes = after.TotalAlloc - before.TotalAlloc
 		for i := 0; i < 16; i++ {
-			attachPush(c.AddVM(srv, fmt.Sprintf("vm-%d", i), 2, 8<<30, LowPriority, ""), scriptProfiles[3+i%2])
+			attachPush(c.AddVM(srv, fmt.Sprintf("vm-%d", i), 2, LowPriority, ""), scriptProfiles[3+i%2])
 		}
 		runtime.ReadMemStats(&before)
 		for tick := 0; tick < 4; tick++ {

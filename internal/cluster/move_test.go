@@ -13,13 +13,13 @@ func twoServerCluster(t *testing.T) (*sim.Engine, *Cluster, *Server, *Server) {
 	c := New()
 	s0 := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	s1 := c.AddServer("s1", DefaultServerConfig(), eng.RNG())
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	return eng, c, s0, s1
 }
 
 func TestMoveVMRelinksEverything(t *testing.T) {
 	eng, c, s0, s1 := twoServerCluster(t)
-	vm := c.AddVM(s0, "x", 2, 8<<30, HighPriority, "app")
+	vm := c.AddVM(s0, "x", 2, HighPriority, "app")
 	vm.Cgroup().SetReadIOPS(777)
 	w := &fakeWorkload{name: "w", demand: busyDemand()}
 	vm.SetWorkload(w)
@@ -54,7 +54,7 @@ func TestMoveVMRelinksEverything(t *testing.T) {
 
 func TestMoveVMErrorsAndNoop(t *testing.T) {
 	_, c, s0, _ := twoServerCluster(t)
-	c.AddVM(s0, "x", 2, 8<<30, LowPriority, "")
+	c.AddVM(s0, "x", 2, LowPriority, "")
 	if err := c.MoveVM("nope", "s1"); err == nil {
 		t.Error("unknown VM: want error")
 	}
@@ -64,26 +64,26 @@ func TestMoveVMErrorsAndNoop(t *testing.T) {
 	if err := c.MoveVM("x", "s0"); err != nil {
 		t.Errorf("same-server move should be a no-op: %v", err)
 	}
-	if len(s0.VMs()) != 1 {
+	if s0.NumVMs() != 1 {
 		t.Error("no-op move must not duplicate the VM")
 	}
 }
 
 func TestServerAccessors(t *testing.T) {
 	_, c, s0, _ := twoServerCluster(t)
-	vm := c.AddVM(s0, "x", 2, 8<<30, LowPriority, "")
-	if s0.ID() != "s0" || s0.Disk() == nil || s0.Mem() == nil || s0.Cache() == nil {
+	vm := c.AddVM(s0, "x", 2, LowPriority, "")
+	if s0.ID() != "s0" || s0.Cache() == nil {
 		t.Error("server accessors")
 	}
 	if s0.CPUConfig().Cores != DefaultServerConfig().CPU.Cores {
 		t.Error("CPUConfig")
 	}
-	if vm.Workload() != nil {
-		t.Error("fresh VM workload should be nil")
+	if vm.workload != nil || !vm.Idle() {
+		t.Error("a fresh VM should have no workload and be idle")
 	}
 	w := &fakeWorkload{name: "w"}
 	vm.SetWorkload(w)
-	if vm.Workload() != w {
-		t.Error("Workload accessor")
+	if vm.workload != w {
+		t.Error("SetWorkload")
 	}
 }

@@ -14,10 +14,10 @@ func quiesceFixture(t *testing.T) (*sim.Engine, *Cluster, *Server, *VM) {
 	t.Helper()
 	eng := sim.NewEngine(100*time.Millisecond, 42)
 	c := New()
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
-	v := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
-	c.AddVM(srv, "vm-1", 2, 8<<30, LowPriority, "")
+	v := c.AddVM(srv, "vm-0", 2, HighPriority, "app")
+	c.AddVM(srv, "vm-1", 2, LowPriority, "")
 	return eng, c, srv, v
 }
 
@@ -71,7 +71,7 @@ func TestPlacementChangeDirtiesServer(t *testing.T) {
 		t.Fatal("all-idle server should be quiescent")
 	}
 	epoch := srv.PlacementEpoch()
-	c.AddVM(srv, "vm-2", 2, 8<<30, LowPriority, "")
+	c.AddVM(srv, "vm-2", 2, LowPriority, "")
 	if srv.Quiescent() {
 		t.Error("AddVM must dirty the server")
 	}
@@ -89,7 +89,7 @@ func TestPlacementChangeDirtiesServer(t *testing.T) {
 func TestMoveVMDirtiesBothServers(t *testing.T) {
 	eng, c, src, _ := quiesceFixture(t)
 	dst := c.AddServer("server-1", DefaultServerConfig(), eng.RNG())
-	c.AddVM(dst, "vm-d", 2, 8<<30, LowPriority, "")
+	c.AddVM(dst, "vm-d", 2, LowPriority, "")
 	eng.Step()
 	if !src.Quiescent() || !dst.Quiescent() {
 		t.Fatal("both idle servers should be quiescent")
@@ -116,10 +116,10 @@ func TestQuiescenceToggleBitForBit(t *testing.T) {
 	run := func(ref bool) (a, b any) {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
 		c := newCluster(ref)
-		eng.Register(c)
+		eng.RegisterPriority(c, 0)
 		srv := c.AddServer("server-0", DefaultServerConfig(), eng.RNG())
-		v0 := c.AddVM(srv, "vm-0", 2, 8<<30, HighPriority, "app")
-		v1 := c.AddVM(srv, "vm-1", 2, 8<<30, LowPriority, "")
+		v0 := c.AddVM(srv, "vm-0", 2, HighPriority, "app")
+		v1 := c.AddVM(srv, "vm-1", 2, LowPriority, "")
 		v0.SetWorkload(&fakeWorkload{name: "w0", demand: busyDemand(), maxWork: 0.3})
 		eng.Run(30)
 		v1.SetWorkload(&fakeWorkload{name: "w1", demand: busyDemand(), maxWork: 0.5})
@@ -153,21 +153,21 @@ func TestIdleFromBirthWakeMatchesFullPipeline(t *testing.T) {
 	run := func(ref, warm bool) result {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
 		c := newCluster(ref)
-		eng.Register(c)
+		eng.RegisterPriority(c, 0)
 		cold := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
 		other := c.AddServer("server-other", DefaultServerConfig(), eng.RNG())
 		works := map[string]*fakeWorkload{"vm-busy": {name: "busy", demand: busyDemand()}}
 		var ids []string
 		for i := 0; i < 30; i++ {
 			id := fmt.Sprintf("vm-%02d", i)
-			v := c.AddVM(cold, id, 2, 8<<30, LowPriority, "")
+			v := c.AddVM(cold, id, 2, LowPriority, "")
 			ids = append(ids, id)
 			if warm {
 				works[id+"/warm"] = &fakeWorkload{name: id, demand: busyDemand(), maxWork: 0.1}
 				v.SetWorkload(works[id+"/warm"])
 			}
 		}
-		busy := c.AddVM(other, "vm-busy", 2, 8<<30, HighPriority, "app")
+		busy := c.AddVM(other, "vm-busy", 2, HighPriority, "app")
 		busy.SetWorkload(works["vm-busy"])
 		eng.Run(7)
 		for _, id := range ids[2:] {
@@ -216,10 +216,10 @@ func TestColdServerStreamsUnseededUntilWake(t *testing.T) {
 	coldServerRuns++
 	eng := sim.NewEngine(100*time.Millisecond, 0x5eed_c01d+coldServerRuns)
 	c := New()
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	srv := c.AddServer("server-cold", DefaultServerConfig(), eng.RNG())
-	v := c.AddVM(srv, "vm-0", 2, 8<<30, LowPriority, "")
-	c.AddVM(srv, "vm-1", 2, 8<<30, LowPriority, "")
+	v := c.AddVM(srv, "vm-0", 2, LowPriority, "")
+	c.AddVM(srv, "vm-1", 2, LowPriority, "")
 	streams := []string{"disk/server-cold", "memsys/server-cold"}
 	eng.Run(20)
 	for _, name := range streams {

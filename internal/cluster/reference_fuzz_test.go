@@ -79,14 +79,14 @@ func runScript(script []byte, ref bool, spares *kitList) scriptResult {
 	if !ref {
 		c.spares = spares
 	}
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	servers := []*Server{
 		c.AddServer("s0", DefaultServerConfig(), eng.RNG()),
 		c.AddServer("s1", DefaultServerConfig(), eng.RNG()),
 	}
 	var vms []*VM
 	for i := 0; i < 1+int(nVMs)%6; i++ {
-		vms = append(vms, c.AddVM(servers[i%2], fmt.Sprintf("vm-%d", i), 2, 8<<30, LowPriority, ""))
+		vms = append(vms, c.AddVM(servers[i%2], fmt.Sprintf("vm-%d", i), 2, LowPriority, ""))
 	}
 	var res scriptResult
 	var works []*scriptWorkload
@@ -101,7 +101,7 @@ func runScript(script []byte, ref bool, spares *kitList) scriptResult {
 	for k := 0; k+1 < len(script); k += 2 {
 		op, arg := script[k]%7, int(script[k+1])
 		vm := vms[arg%len(vms)]
-		w, _ := vm.Workload().(*scriptWorkload)
+		w, _ := vm.workload.(*scriptWorkload)
 		switch op {
 		case 0: // change demand
 			d := scriptProfiles[arg/8%len(scriptProfiles)]

@@ -34,7 +34,7 @@ func FuzzVMRegistry(f *testing.F) {
 				srv := servers[int(ops[k+1])%2]
 				if model[id] != nil && ops[k]&4 != 0 {
 					seq := c.PlacementSeq()
-					if v, err := c.TryAddVM(srv, id, 1, 1, HighPriority, ""); v != nil || err == nil {
+					if v, err := c.TryAddVM(srv, id, 1, HighPriority, ""); v != nil || err == nil {
 						t.Fatalf("op %d: duplicate TryAddVM of %s = %p, %v", k/2, id, v, err)
 					}
 					if c.PlacementSeq() != seq || model[id].Server().FindVM(id) != model[id] {
@@ -49,11 +49,11 @@ func FuzzVMRegistry(f *testing.F) {
 								t.Fatalf("op %d: duplicate add of %s did not panic", k/2, id)
 							}
 						}()
-						c.AddVM(srv, id, 1, 1, HighPriority, "")
+						c.AddVM(srv, id, 1, HighPriority, "")
 					}()
 					continue
 				}
-				model[id] = c.AddVM(srv, id, 1, 1, HighPriority, "")
+				model[id] = c.AddVM(srv, id, 1, HighPriority, "")
 			case 1: // find
 				if got := c.FindVM(id); got != model[id] {
 					t.Fatalf("op %d: FindVM(%s) = %p, model has %p", k/2, id, got, model[id])

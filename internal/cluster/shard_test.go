@@ -78,7 +78,7 @@ func TestShardPartition(t *testing.T) {
 // and last grants.
 func shardScenario(c *Cluster) (snaps []any) {
 	eng := sim.NewEngine(100*time.Millisecond, 42)
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	var vms []*VM
 	for s := 0; s < 200; s++ {
 		srv := c.AddServer(fmt.Sprintf("server-%03d", s), DefaultServerConfig(), eng.RNG())
@@ -86,7 +86,7 @@ func shardScenario(c *Cluster) (snaps []any) {
 			continue
 		}
 		for i := 0; i < 2; i++ {
-			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d-%d", s, i), 2, 8<<30, LowPriority, ""))
+			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d-%d", s, i), 2, LowPriority, ""))
 		}
 	}
 	// Wave 1: servers 0, 40, ..., 160 — every shard — run finite
@@ -106,7 +106,7 @@ func shardScenario(c *Cluster) (snaps []any) {
 	eng.Run(30)
 	// Mid-run provisioning repartitions the cluster.
 	srv := c.AddServer("server-200", DefaultServerConfig(), eng.RNG())
-	nv := c.AddVM(srv, "vm-200-0", 2, 8<<30, LowPriority, "")
+	nv := c.AddVM(srv, "vm-200-0", 2, LowPriority, "")
 	nv.SetWorkload(&fakeWorkload{name: "w4", demand: busyDemand(), maxWork: 0.3})
 	vms = append(vms, nv)
 	eng.Run(20)
@@ -147,11 +147,11 @@ func TestShardedMatchesFlat(t *testing.T) {
 func TestShardActiveSetBookkeeping(t *testing.T) {
 	build := func(c *Cluster) (*sim.Engine, []*VM) {
 		eng := sim.NewEngine(100*time.Millisecond, 7)
-		eng.Register(c)
+		eng.RegisterPriority(c, 0)
 		var vms []*VM
 		for s := 0; s < 130; s++ { // three shards: 44, 43, 43 servers
 			srv := c.AddServer(fmt.Sprintf("server-%03d", s), DefaultServerConfig(), eng.RNG())
-			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d", s), 2, 8<<30, LowPriority, ""))
+			vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%03d", s), 2, LowPriority, ""))
 		}
 		return eng, vms
 	}
@@ -202,12 +202,12 @@ func TestShardActiveSetBookkeeping(t *testing.T) {
 func TestWakeQueueAllocatesNothing(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 5)
 	c := New()
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	var vms []*VM
 	var works []Workload
 	for s := 0; s < 70; s++ {
 		srv := c.AddServer(fmt.Sprintf("server-%02d", s), DefaultServerConfig(), eng.RNG())
-		vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%02d", s), 2, 8<<30, LowPriority, ""))
+		vms = append(vms, c.AddVM(srv, fmt.Sprintf("vm-%02d", s), 2, LowPriority, ""))
 		works = append(works, endless(vms[s].ID()))
 	}
 	eng.Run(2) // every VM idle: all servers park

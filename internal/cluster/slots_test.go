@@ -26,13 +26,13 @@ import (
 func slotScenario(ref bool) scriptResult {
 	eng := sim.NewEngine(100*time.Millisecond, 17)
 	c := newCluster(ref)
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	s0 := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
 	s1 := c.AddServer("s1", DefaultServerConfig(), eng.RNG())
 	var vms []*VM
 	var works []*pushWorkload
 	add := func(srv *Server, id string) *VM {
-		vm := c.AddVM(srv, id, 2, 8<<30, LowPriority, "")
+		vm := c.AddVM(srv, id, 2, LowPriority, "")
 		d := scriptProfiles[[]int{3, 4, 0}[len(vms)%3]]
 		works = append(works, attachPush(vm, d))
 		vms = append(vms, vm)

@@ -45,11 +45,11 @@ func steadyScenario(seed int64, ref bool) [][]Grant {
 	for s := 0; s < 2; s++ {
 		srv := c.AddServer(fmt.Sprintf("s%d", s), DefaultServerConfig(), eng.RNG())
 		for i := 0; i < 3; i++ {
-			vm := c.AddVM(srv, fmt.Sprintf("s%d-vm%d", s, i), 2, 8<<30, LowPriority, "")
+			vm := c.AddVM(srv, fmt.Sprintf("s%d-vm%d", s, i), 2, LowPriority, "")
 			ws = append(ws, attachPush(vm, busyDemand()))
 		}
 	}
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	eng.Run(20)
 	halved := busyDemand()
 	halved.CPUSeconds /= 2
@@ -82,11 +82,11 @@ func TestDemandReuseSkipsDemandCalls(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()
 	srv := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
-	vm := c.AddVM(srv, "vm0", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(srv, "vm0", 2, LowPriority, "")
 	w := &countingPushWorkload{}
 	w.demand, w.vm = busyDemand(), vm
 	vm.SetWorkload(w)
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 
 	eng.Run(1) // full rebuild: arms the replay
 	if w.demandCalls != 1 {
@@ -125,9 +125,9 @@ func TestNonEpochWorkloadDisarmsReuse(t *testing.T) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	c := New()
 	srv := c.AddServer("s0", DefaultServerConfig(), eng.RNG())
-	vm := c.AddVM(srv, "vm0", 2, 8<<30, LowPriority, "")
+	vm := c.AddVM(srv, "vm0", 2, LowPriority, "")
 	vm.SetWorkload(&fakeWorkload{name: "plain", demand: busyDemand()})
-	eng.Register(c)
+	eng.RegisterPriority(c, 0)
 	eng.Run(5)
 	if fp := srv.FastPathStats(); fp.SteadyReuses != 0 || fp.Rebuilds != 5 {
 		t.Fatalf("steady=%d rebuilds=%d over a workload with fresh epochs, want 0, 5",

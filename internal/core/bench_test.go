@@ -23,7 +23,7 @@ func benchServer(b *testing.B, n int) (*cluster.Cluster, *cluster.Server, []*clu
 		if i%2 == 0 {
 			prio, app = cluster.HighPriority, "app"
 		}
-		vms = append(vms, cl.AddVM(srv, fmt.Sprintf("vm-%02d", i), 2, 8<<30, prio, app))
+		vms = append(vms, cl.AddVM(srv, fmt.Sprintf("vm-%02d", i), 2, prio, app))
 	}
 	return cl, srv, vms
 }
@@ -33,9 +33,7 @@ func benchServer(b *testing.B, n int) (*cluster.Cluster, *cluster.Server, []*clu
 func advanceCounters(vms []*cluster.VM) {
 	for _, v := range vms {
 		cg := v.Cgroup()
-		cg.AddBlkio(500, 500*4096, 1000)
-		cg.AddCPU(5)
-		cg.AddPerf(2e9, 1e9, 1e7, 5e6)
+		cg.AddTick(500, 500*4096, 1000, 5, 2e9, 1e9, 1e7, 5e6)
 	}
 }
 

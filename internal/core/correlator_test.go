@@ -151,7 +151,7 @@ func TestCorrelatorPanicsOnTinyWindow(t *testing.T) {
 func TestVictimSeriesExposed(t *testing.T) {
 	c := NewCorrelator(3, 0.8)
 	c.Record(0, Detection{IowaitDev: 7, CPIDev: 3}, MakeSample(0, nil), nil)
-	if c.VictimIOSeries().Last().Value != 7 || c.VictimCPISeries().Last().Value != 3 {
+	if io, cpi := c.VictimIOSeries().Values(), c.VictimCPISeries().Values(); len(io) != 1 || io[0] != 7 || len(cpi) != 1 || cpi[0] != 3 {
 		t.Error("victim series not recorded")
 	}
 }

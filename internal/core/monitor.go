@@ -78,13 +78,6 @@ func (s Sample) Get(id string) (VMSample, bool) {
 	return s.vms[i], true
 }
 
-// Each calls fn for every measured domain in placement order.
-func (s Sample) Each(fn func(id string, vs VMSample)) {
-	for i, id := range s.ids {
-		fn(id, s.vms[i])
-	}
-}
-
 // domainState is the Monitor's per-domain accumulator: the previous
 // counter snapshot, the previous emitted sample, and the five EWMA
 // filters — held by value in a placement-ordered slice so the per-

@@ -15,8 +15,8 @@ func monitorFixture(t *testing.T) (*cluster.Cluster, *cluster.Server, *Monitor) 
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	cl := cluster.New()
 	srv := cl.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
-	cl.AddVM(srv, "vm-a", 2, 8<<30, cluster.HighPriority, "app")
-	cl.AddVM(srv, "vm-b", 2, 8<<30, cluster.LowPriority, "")
+	cl.AddVM(srv, "vm-a", 2, cluster.HighPriority, "app")
+	cl.AddVM(srv, "vm-b", 2, cluster.LowPriority, "")
 	return cl, srv, NewMonitor(hypervisor.New(srv), 0.5)
 }
 
@@ -32,9 +32,8 @@ func TestMonitorDeltasAndRates(t *testing.T) {
 	cl, _, m := monitorFixture(t)
 	m.Sample(0, 5) // prime
 	a := cl.FindVM("vm-a").Cgroup()
-	a.AddBlkio(500, 500*4096, 1000) // 100 IOPS over 5 s, 2 ms/op
-	a.AddCPU(5)                     // 1 core
-	a.AddPerf(2e9, 1e9, 1e7, 5e6)   // CPI 2
+	// 100 IOPS over 5 s at 2 ms/op, 1 core, CPI 2.
+	a.AddTick(500, 500*4096, 1000, 5, 2e9, 1e9, 1e7, 5e6)
 	s := m.Sample(5, 5)
 	vs, ok := s.Get("vm-a")
 	if !ok {
@@ -58,7 +57,7 @@ func TestMonitorMissingValuesWhenIdle(t *testing.T) {
 	cl, _, m := monitorFixture(t)
 	m.Sample(0, 5)
 	// vm-b stays completely idle.
-	cl.FindVM("vm-a").Cgroup().AddCPU(1)
+	cl.FindVM("vm-a").Cgroup().AddTick(0, 0, 0, 1, 0, 0, 0, 0)
 	s := m.Sample(5, 5)
 	vs, _ := s.Get("vm-b")
 	if !math.IsNaN(vs.CPI) || !math.IsNaN(vs.LLCMissRate) {
@@ -73,11 +72,11 @@ func TestMonitorEWMASmoothing(t *testing.T) {
 	cl, _, m := monitorFixture(t)
 	m.Sample(0, 5)
 	a := cl.FindVM("vm-a").Cgroup()
-	a.AddBlkio(100, 0, 1000) // 10 ms/op
+	a.AddTick(100, 0, 1000, 0, 0, 0, 0, 0) // 10 ms/op
 	s1 := m.Sample(5, 5)
 	// A Sample is valid until the next Sample call: copy what we assert on.
 	v1, _ := s1.Get("vm-a")
-	a.AddBlkio(100, 0, 0) // 0 ms/op raw
+	a.AddTick(100, 0, 0, 0, 0, 0, 0, 0) // 0 ms/op raw
 	s2 := m.Sample(10, 5)
 	if v1.IowaitRatio != 10 {
 		t.Errorf("first ratio = %v", v1.IowaitRatio)
@@ -104,8 +103,7 @@ func TestMonitorZeroIntervalReplaysPreviousRates(t *testing.T) {
 	cl, _, m := monitorFixture(t)
 	m.Sample(0, 5) // prime
 	a := cl.FindVM("vm-a").Cgroup()
-	a.AddBlkio(500, 500*4096, 1000)
-	a.AddCPU(5)
+	a.AddTick(500, 500*4096, 1000, 5, 0, 0, 0, 0)
 	s1 := m.Sample(5, 5)
 	v1, _ := s1.Get("vm-a")
 	if v1.IOPS != 100 || v1.CPUUsageCores != 1 {
@@ -115,8 +113,7 @@ func TestMonitorZeroIntervalReplaysPreviousRates(t *testing.T) {
 	// fabricate rates from a zero-length interval (it used to divide by a
 	// silently substituted 1 s): it replays the previous measurements and
 	// leaves the counter baselines and EWMA filters untouched.
-	a.AddBlkio(500, 500*4096, 1000)
-	a.AddCPU(5)
+	a.AddTick(500, 500*4096, 1000, 5, 0, 0, 0, 0)
 	s2 := m.Sample(5, 0)
 	v2, ok := s2.Get("vm-a")
 	if !ok {

@@ -127,13 +127,3 @@ func (s *System) StrideBound(clk *sim.Clock, max int64) int64 {
 	}
 	return clk.TicksBefore(s.nextAct, max)
 }
-
-// Manager returns the agent for the given server id, or nil.
-func (s *System) Manager(serverID string) *NodeManager {
-	for _, nm := range s.managers {
-		if nm.ServerID() == serverID {
-			return nm
-		}
-	}
-	return nil
-}

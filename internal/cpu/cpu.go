@@ -103,9 +103,6 @@ func (s *Scheduler) Rearm(cfg Config) {
 	}
 }
 
-// Config returns the host CPU configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Allocate grants core-seconds for one tick. Per-client demand is first
 // clamped to the VM's vcpus and its hard cap; remaining contention for
 // physical cores is resolved max-min fairly.

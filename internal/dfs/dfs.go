@@ -66,12 +66,6 @@ func New(cfg Config, nodes []string, rng *rand.Rand) *FileSystem {
 	}
 }
 
-// Config returns the filesystem geometry.
-func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// Nodes returns the datanode ids.
-func (fs *FileSystem) Nodes() []string { return append([]string(nil), fs.nodes...) }
-
 // Create writes a file of the given size, splitting it into blocks and
 // placing replicas on distinct randomly chosen datanodes.
 func (fs *FileSystem) Create(name string, bytes float64) (File, error) {
@@ -123,26 +117,4 @@ func (fs *FileSystem) pickReplicas(dst []string, k int) []string {
 func (fs *FileSystem) Open(name string) (File, bool) {
 	f, ok := fs.files[name]
 	return f, ok
-}
-
-// Delete removes a file; deleting a missing file is a no-op.
-func (fs *FileSystem) Delete(name string) { delete(fs.files, name) }
-
-// BlocksOn returns the indices of blocks of the named file with a
-// replica on the given node.
-func (fs *FileSystem) BlocksOn(name, node string) []int {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil
-	}
-	var out []int
-	for _, b := range f.Blocks {
-		for _, r := range b.Replicas {
-			if r == node {
-				out = append(out, b.Index)
-				break
-			}
-		}
-	}
-	return out
 }

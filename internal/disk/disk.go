@@ -210,9 +210,6 @@ func (d *Disk) Rearm(cfg Config, src *sim.Source) {
 	}
 }
 
-// Config returns the device configuration.
-func (d *Disk) Config() Config { return d.cfg }
-
 // Utilization returns the device-time demand-to-capacity ratio observed
 // on the most recent Allocate call (may exceed 1 under overload).
 func (d *Disk) Utilization() float64 { return d.lastUtilization }

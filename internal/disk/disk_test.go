@@ -276,8 +276,9 @@ func TestJitterStateGarbageCollected(t *testing.T) {
 		id := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		d.Allocate(tick, []Request{{ClientID: id, Ops: 1, Bytes: 4096}})
 	}
-	if d.jitter.Len() > 100 {
-		t.Errorf("jitter map grew to %d entries", d.jitter.Len())
+	// WouldCompact(21) reports more than 4*21+16 = 100 tracked clients.
+	if d.jitter.WouldCompact(21) {
+		t.Error("jitter map grew beyond 100 entries")
 	}
 }
 

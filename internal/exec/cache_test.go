@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"perfcloud/internal/cluster"
 )
 
 // ioHeavySpec is a disk-dominated task reading shared content.
@@ -29,7 +31,7 @@ func TestSecondReaderServedFromCache(t *testing.T) {
 	h.sets = append(h.sets, ts2)
 	h.runUntilDone(t, ts2, time.Minute)
 	a2 := ts2.Tasks()[0].Completed()
-	if !a2.CachedInput() {
+	if !a2.cachedInput {
 		t.Fatal("second reader should be cache-served")
 	}
 	if a2.Runtime(0) >= coldRT {
@@ -57,7 +59,7 @@ func TestConcurrentReadersCoalesce(t *testing.T) {
 	}
 	cached := 0
 	for _, a := range attempts {
-		if a.CachedInput() {
+		if a.cachedInput {
 			cached++
 		}
 	}
@@ -77,7 +79,7 @@ func TestNoKeyNoCaching(t *testing.T) {
 	ts2 := NewTaskSet("second", []TaskSpec{spec}, nil)
 	h.sets = append(h.sets, ts2)
 	h.runUntilDone(t, ts2, time.Minute)
-	if ts2.Tasks()[0].Completed().CachedInput() {
+	if ts2.Tasks()[0].Completed().cachedInput {
 		t.Error("keyless tasks must not be cache-served")
 	}
 }
@@ -86,7 +88,7 @@ func TestCacheIsPerServer(t *testing.T) {
 	// A read on one server must not warm another server's cache.
 	h := newHarnessServers(t, 2, 1, 2)
 	key := "input/bX"
-	servers := h.clus.Servers()
+	servers := []*cluster.Server{h.clus.FindServer("s0"), h.clus.FindServer("s1")}
 	servers[0].Cache().Put(key, 1000, 0)
 	if !servers[0].Cache().Has(key, 1) {
 		t.Fatal("own cache should hit")
@@ -109,7 +111,7 @@ func TestSpreadAcrossServers(t *testing.T) {
 	h.eng.Run(1)
 	perServer := map[string]int{}
 	for _, a := range ts.RunningAttempts() {
-		perServer[a.Executor().VM().Server().ID()]++
+		perServer[a.executor.vm.Server().ID()]++
 	}
 	for srv, n := range perServer {
 		if n != 2 {

@@ -95,15 +95,8 @@ type Attempt struct {
 	slot int
 }
 
-// CachedInput reports whether the attempt's input was served from the
-// host page cache rather than the shared disk.
-func (a *Attempt) CachedInput() bool { return a.cachedInput }
-
 // Task returns the attempt's logical task.
 func (a *Attempt) Task() *Task { return a.task }
-
-// Executor returns the executor running (or that ran) the attempt.
-func (a *Attempt) Executor() *Executor { return a.executor }
 
 // Speculative reports whether this is a speculative (backup) copy.
 func (a *Attempt) Speculative() bool { return a.speculative }
@@ -149,18 +142,11 @@ func (a *Attempt) Runtime(nowSec float64) float64 {
 	return a.endSec - a.startSec
 }
 
-// StartSec returns the attempt's launch time.
-func (a *Attempt) StartSec() float64 { return a.startSec }
-
 // done reports whether both work dimensions are exhausted.
 func (a *Attempt) done() bool {
 	s := &a.spec
 	return a.bytesDone >= s.IOBytes-workEpsilon && a.instrDone >= s.Instructions-workEpsilon
 }
-
-// Span returns the attempt's trace span id (trace.NoSpan when tracing
-// is off).
-func (a *Attempt) Span() trace.SpanID { return a.span }
 
 // Task is a logical unit of work; it completes when any attempt does.
 type Task struct {
@@ -175,10 +161,6 @@ func NewTask(spec TaskSpec) *Task { return &Task{spec: spec, span: trace.NoSpan}
 
 // Spec returns the task's specification.
 func (t *Task) Spec() TaskSpec { return t.spec }
-
-// Attempts returns all attempts launched for the task. It copies; use
-// EachAttempt on per-tick paths.
-func (t *Task) Attempts() []*Attempt { return append([]*Attempt(nil), t.attempts...) }
 
 // EachAttempt calls fn for every attempt of the task in launch order,
 // without copying the backing slice — the iteration per-tick callers
@@ -257,17 +239,11 @@ func NewExecutor(vm *cluster.VM, slots int) *Executor {
 	return e
 }
 
-// VM returns the executor's VM.
-func (e *Executor) VM() *cluster.VM { return e.vm }
-
 // Name implements cluster.Workload.
 func (e *Executor) Name() string { return "executor/" + e.vm.ID() }
 
 // FreeSlots returns the number of unoccupied task slots.
 func (e *Executor) FreeSlots() int { return e.slots - len(e.running) }
-
-// Running returns the attempts currently occupying slots (a copy).
-func (e *Executor) Running() []*Attempt { return append([]*Attempt(nil), e.running...) }
 
 // SetTracer attaches (or, with nil, detaches) a data-plane span tracer.
 // Attach before the first launch: attempts already running are not
@@ -287,9 +263,6 @@ func (e *Executor) SetTracer(tr *trace.Tracer) {
 		e.tracks[i] = fmt.Sprintf("%s/slot%d", e.vm.ID(), i)
 	}
 }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (e *Executor) Tracer() *trace.Tracer { return e.tracer }
 
 // RunsTask reports whether some running attempt belongs to the task.
 func (e *Executor) RunsTask(t *Task) bool {
@@ -670,10 +643,6 @@ func (ts *TaskSet) Trace(tr *trace.Tracer, parent trace.SpanID, nowSec float64) 
 	}
 }
 
-// Span returns the set's trace span id (trace.NoSpan when tracing is
-// off).
-func (ts *TaskSet) Span() trace.SpanID { return ts.span }
-
 // Name returns the set's name.
 func (ts *TaskSet) Name() string { return ts.name }
 
@@ -704,9 +673,6 @@ func (ts *TaskSet) Done() bool {
 	}
 	return true
 }
-
-// Killed reports whether the set was killed before completing.
-func (ts *TaskSet) Killed() bool { return ts.killed }
 
 // Tick runs one scheduling round against the pool: harvest completions,
 // kill redundant siblings, launch pending tasks (locality first), then

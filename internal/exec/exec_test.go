@@ -31,7 +31,7 @@ func newHarnessServers(t *testing.T, nServers, vmsPerServer, slots int) *harness
 	for s := 0; s < nServers; s++ {
 		srv := h.clus.AddServer(fmt.Sprintf("s%d", s), cluster.DefaultServerConfig(), h.eng.RNG())
 		for i := 0; i < vmsPerServer; i++ {
-			vm := h.clus.AddVM(srv, fmt.Sprintf("vm-%d-%d", s, i), 2, 8<<30, cluster.HighPriority, "app")
+			vm := h.clus.AddVM(srv, fmt.Sprintf("vm-%d-%d", s, i), 2, cluster.HighPriority, "app")
 			h.pool = append(h.pool, NewExecutor(vm, slots))
 		}
 	}
@@ -47,7 +47,7 @@ func newHarnessServers(t *testing.T, nServers, vmsPerServer, slots int) *harness
 
 func (h *harness) runUntilDone(t *testing.T, ts *TaskSet, limit time.Duration) {
 	t.Helper()
-	if !h.eng.RunUntil(ts.Done, limit) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(ts.Done, limit) {
 		t.Fatalf("task set %q did not finish within %v", ts.Name(), limit)
 	}
 }
@@ -127,8 +127,8 @@ func TestLocalityPreference(t *testing.T) {
 	h.sets = append(h.sets, ts)
 	h.eng.Run(2)
 	run := ts.RunningAttempts()
-	if len(run) != 1 || run[0].Executor().VM().ID() != "vm-0-2" {
-		t.Errorf("attempt placed on %v, want vm-2", run[0].Executor().VM().ID())
+	if len(run) != 1 || run[0].executor.vm.ID() != "vm-0-2" {
+		t.Errorf("attempt placed on %v, want vm-2", run[0].executor.vm.ID())
 	}
 }
 
@@ -142,8 +142,8 @@ func TestWorkSpreadsAcrossExecutors(t *testing.T) {
 	h.sets = append(h.sets, ts)
 	h.eng.Run(2)
 	for _, e := range h.pool {
-		if len(e.Running()) != 2 {
-			t.Errorf("executor %s runs %d, want even spread of 2", e.Name(), len(e.Running()))
+		if len(e.running) != 2 {
+			t.Errorf("executor %s runs %d, want even spread of 2", e.Name(), len(e.running))
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestSpeculativeCopyAndSiblingKill(t *testing.T) {
 	spec.tasks = []*Task{task}
 	h.eng.Run(2)
 
-	attempts := task.Attempts()
+	attempts := task.attempts
 	if len(attempts) != 2 {
 		t.Fatalf("attempts = %d, want original + speculative", len(attempts))
 	}
@@ -171,14 +171,14 @@ func TestSpeculativeCopyAndSiblingKill(t *testing.T) {
 		t.Error("second attempt should be speculative")
 	}
 	// The copy must land on the other executor.
-	if attempts[0].Executor() == attempts[1].Executor() {
+	if attempts[0].executor == attempts[1].executor {
 		t.Error("speculative copy placed on same executor")
 	}
 	h.runUntilDone(t, ts, time.Minute)
 	// One attempt wins; the other is killed.
 	winner := task.Completed()
 	var killed int
-	for _, a := range task.Attempts() {
+	for _, a := range task.attempts {
 		if a != winner && a.State() == AttemptKilled {
 			killed++
 		}
@@ -201,7 +201,7 @@ func TestKillTaskSet(t *testing.T) {
 	h.sets = append(h.sets, ts)
 	h.eng.Run(3)
 	ts.Kill(h.eng.Clock().Seconds())
-	if !ts.Done() || !ts.Killed() {
+	if !ts.Done() || !ts.killed {
 		t.Fatal("killed set should be done")
 	}
 	if n := len(ts.RunningAttempts()); n != 0 {
@@ -222,14 +222,14 @@ func TestProgressAndRate(t *testing.T) {
 	ts := NewTaskSet("maps", []TaskSpec{smallSpec("t0")}, nil)
 	h.sets = append(h.sets, ts)
 	h.eng.Run(1)
-	a := ts.Tasks()[0].Attempts()[0]
+	a := ts.Tasks()[0].attempts[0]
 	if p := a.Progress(); p <= 0 || p >= 1 {
 		t.Errorf("early progress = %v, want in (0,1)", p)
 	}
 	if r := a.ProgressRate(0.5); r != 0 {
 		t.Errorf("rate before 1s = %v, want 0", r)
 	}
-	h.eng.RunFor(2 * time.Second)
+	h.eng.Run(20) // 2 s
 	if r := a.ProgressRate(h.eng.Clock().Seconds()); r <= 0 {
 		t.Errorf("rate = %v, want > 0", r)
 	}
@@ -243,7 +243,7 @@ func TestInstructionProgressGatedByIO(t *testing.T) {
 	ts := NewTaskSet("maps", []TaskSpec{spec}, nil)
 	h.sets = append(h.sets, ts)
 	h.eng.Run(3) // 0.3 s: at most ~30% of input read
-	a := ts.Tasks()[0].Attempts()[0]
+	a := ts.Tasks()[0].attempts[0]
 	if a.instrDone >= spec.Instructions {
 		t.Error("instructions finished before input was read")
 	}
@@ -265,7 +265,7 @@ func TestExecutorPanicsWithoutSlots(t *testing.T) {
 
 func TestNewExecutorPanicsOnZeroSlots(t *testing.T) {
 	h := newHarness(t, 1, 1)
-	vm := h.clus.AddVM(h.clus.Servers()[0], "extra", 2, 1<<30, cluster.LowPriority, "")
+	vm := h.clus.AddVM(h.clus.FindServer("s0"), "extra", 2, cluster.LowPriority, "")
 	defer func() {
 		if recover() == nil {
 			t.Error("want panic")
@@ -289,7 +289,7 @@ func TestContentionSlowsTask(t *testing.T) {
 		eng := sim.NewEngine(100*time.Millisecond, 42)
 		clus := cluster.New()
 		srv := clus.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
-		vm := clus.AddVM(srv, "worker", 2, 8<<30, cluster.HighPriority, "app")
+		vm := clus.AddVM(srv, "worker", 2, cluster.HighPriority, "app")
 		e := NewExecutor(vm, 2)
 		pool := Pool{e}
 		// I/O-bound task: ~150 MB to read, negligible compute.
@@ -297,14 +297,14 @@ func TestContentionSlowsTask(t *testing.T) {
 			CoreCPI: 0.9, LLCRefsPerInstr: 0.02, BytesPerInstr: 0.3, WorkingSetBytes: 100 << 20}
 		ts := NewTaskSet("maps", []TaskSpec{ioSpec}, nil)
 		if withHog {
-			hogVM := clus.AddVM(srv, "hog", 2, 8<<30, cluster.LowPriority, "")
+			hogVM := clus.AddVM(srv, "hog", 2, cluster.LowPriority, "")
 			hogVM.SetWorkload(&hogWorkload{})
 		}
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
 			ts.Tick(c.Seconds(), pool)
 		}), -1)
-		eng.Register(clus)
-		if !eng.RunUntil(ts.Done, 10*time.Minute) {
+		eng.RegisterPriority(clus, 0)
+		if !(&sim.Stepper{Eng: eng}).RunUntil(ts.Done, 10*time.Minute) {
 			panic("did not finish")
 		}
 		return ts.Tasks()[0].Completed().Runtime(0)

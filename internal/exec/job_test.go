@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"perfcloud/internal/sim"
 	"perfcloud/internal/trace"
 )
 
@@ -23,7 +24,8 @@ func chainStages(n int) func(id string, i int) (string, []TaskSpec) {
 
 // TestStagedJobChain drives 1-, 2- and 5-stage chains through one
 // Scheduler and checks the stage machine's contract: strict barriers,
-// the next stage started in the tick its predecessor finishes,
+// the next stage started and scheduled in the tick its predecessor
+// finishes,
 // StrideQuiet refusing queued jobs and finished stages, Kill confined to
 // the running stage, and JCT and Account summed over the stages.
 func TestStagedJobChain(t *testing.T) {
@@ -67,6 +69,18 @@ func TestStagedJobChain(t *testing.T) {
 				if sets[len(sets)-1].Done() {
 					t.Fatalf("tick %d: stage %d done but its successor not started", i, len(sets)-1)
 				}
+				// It also schedules the new stage in that tick: the pool
+				// has a free slot for each of a stage's tasks, so every
+				// task of the running stage has been launched.
+				idle := 0
+				sets[len(sets)-1].EachTask(func(task *Task) {
+					if len(task.attempts) == 0 {
+						idle++
+					}
+				})
+				if idle > 0 {
+					t.Fatalf("tick %d: %d tasks of stage %d not launched", i, idle, len(sets)-1)
+				}
 			}
 			if !j.Completed() || j.StageIndex() != stages || len(j.TaskSets()) != stages {
 				t.Fatalf("state %v at stage %d with %d sets", j.State(), j.StageIndex(), len(j.TaskSets()))
@@ -76,10 +90,10 @@ func TestStagedJobChain(t *testing.T) {
 			}
 			spans := tr.Spans()
 			for k, ts := range j.TaskSets() {
-				sp := spans[ts.Span()]
-				if k > 0 && sp.StartSec != spans[j.TaskSets()[k-1].Span()].EndSec {
+				sp := spans[ts.span]
+				if k > 0 && sp.StartSec != spans[j.TaskSets()[k-1].span].EndSec {
 					t.Errorf("stage %d started at %v, stage %d ended at %v", k, sp.StartSec, k-1,
-						spans[j.TaskSets()[k-1].Span()].EndSec)
+						spans[j.TaskSets()[k-1].span].EndSec)
 				}
 				if k == stages-1 && sp.EndSec != doneAt {
 					t.Errorf("last stage ended at %v, job at %v", sp.EndSec, doneAt)
@@ -109,16 +123,16 @@ func TestStagedJobChain(t *testing.T) {
 				sets := k.TaskSets()
 				return len(sets) == mid+1 && len(sets[mid].RunningAttempts()) > 0
 			}
-			if !h.eng.RunUntil(running, time.Hour) {
+			if !(&sim.Stepper{Eng: h.eng}).RunUntil(running, time.Hour) {
 				t.Fatalf("job never ran stage %d", mid)
 			}
 			k.Kill(h.eng.Clock().Seconds())
 			sets := k.TaskSets()
 			for i, ts := range sets {
-				if ts.Killed() != (i == mid) {
-					t.Errorf("stage %d killed = %v, want %v", i, ts.Killed(), i == mid)
+				if ts.killed != (i == mid) {
+					t.Errorf("stage %d killed = %v, want %v", i, ts.killed, i == mid)
 				}
-				if sp := tr.Spans()[ts.Span()]; sp.Killed != (i == mid) {
+				if sp := tr.Spans()[ts.span]; sp.Killed != (i == mid) {
 					t.Errorf("stage %d span killed = %v, want %v", i, sp.Killed, i == mid)
 				}
 			}

@@ -31,10 +31,10 @@ func TestIdleExecutorParksAndWakes(t *testing.T) {
 		}
 		s0 := clus.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
 		s1 := clus.AddServer("s1", cluster.DefaultServerConfig(), eng.RNG())
-		worker := clus.AddVM(s0, "worker", 2, 8<<30, cluster.HighPriority, "app")
-		hog := clus.AddVM(s1, "hog", 2, 8<<30, cluster.LowPriority, "")
+		worker := clus.AddVM(s0, "worker", 2, cluster.HighPriority, "app")
+		hog := clus.AddVM(s1, "hog", 2, cluster.LowPriority, "")
 		hog.SetWorkload(&hogWorkload{})
-		spare := clus.AddVM(s1, "spare", 2, 8<<30, cluster.LowPriority, "")
+		spare := clus.AddVM(s1, "spare", 2, cluster.LowPriority, "")
 		e := NewExecutor(worker, 2)
 		pool := Pool{e}
 		var sets []*TaskSet
@@ -54,7 +54,7 @@ func TestIdleExecutorParksAndWakes(t *testing.T) {
 				t.Fatalf("wave %s: launch did not wake the executor's server: quiescent %v, %d active servers",
 					id, s0.Quiescent(), clus.ActiveServers())
 			}
-			if !eng.RunUntil(ts.Done, time.Minute) {
+			if !(&sim.Stepper{Eng: eng}).RunUntil(ts.Done, time.Minute) {
 				t.Fatalf("wave %s did not finish", id)
 			}
 			out.done = append(out.done, eng.Clock().Seconds())
@@ -104,8 +104,8 @@ func TestKillDuringSteadyReplayMatchesReference(t *testing.T) {
 			clus = cluster.NewReference()
 		}
 		s0 := clus.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
-		worker := clus.AddVM(s0, "worker", 2, 8<<30, cluster.HighPriority, "app")
-		hog := clus.AddVM(s0, "hog", 2, 8<<30, cluster.LowPriority, "")
+		worker := clus.AddVM(s0, "worker", 2, cluster.HighPriority, "app")
+		hog := clus.AddVM(s0, "hog", 2, cluster.LowPriority, "")
 		hog.SetWorkload(&hogWorkload{})
 		pool := Pool{NewExecutor(worker, 2)}
 		keep := NewTaskSet("keep", []TaskSpec{long("keep")}, nil)
@@ -127,7 +127,7 @@ func TestKillDuringSteadyReplayMatchesReference(t *testing.T) {
 			eng.Run(1)
 		}
 		doomed.Kill(eng.Clock().Seconds())
-		if !eng.RunUntil(keep.Done, 10*time.Minute) {
+		if !(&sim.Stepper{Eng: eng}).RunUntil(keep.Done, 10*time.Minute) {
 			t.Fatal("the surviving attempt did not finish")
 		}
 		out := outcome{done: eng.Clock().Seconds(), runtime: keep.Tasks()[0].Completed().Runtime(0)}

@@ -94,7 +94,6 @@ func TestFig12DefaultParallelismMatchesSequential(t *testing.T) {
 // race detector, exercising the pool's acquire/release paths.
 func TestSharedPoolBoundsWorkers(t *testing.T) {
 	pool := sim.SharedPool()
-	pool.ResetPeak()
 
 	// The zero Options ask for as many repetition workers as allowed.
 	cfg := VariabilityConfig{

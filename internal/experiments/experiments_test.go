@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"perfcloud/internal/workloads"
 )
@@ -16,7 +15,7 @@ func TestFioSoloRate(t *testing.T) {
 	tb := NewTestbed(TestbedConfig{Seed: seed})
 	fio := workloads.NewFioRandRead(workloads.AlwaysOn)
 	tb.AddAntagonist(0, fio)
-	tb.Eng.RunFor(30 * time.Second)
+	tb.Eng.Run(300) // 30 s
 	if got := fio.AchievedIOPS(); got < FioSoloIOPS*0.99 || got > FioSoloIOPS*1.01 {
 		t.Errorf("fio solo IOPS = %v, want ~%v", got, FioSoloIOPS)
 	}

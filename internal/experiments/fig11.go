@@ -295,7 +295,7 @@ func submitLogical(tb *Testbed, s jobSpec, sch Scheme) *logicalJob {
 	if n == 1 {
 		return &logicalJob{spec: s, job: clones[0]}
 	}
-	return &logicalJob{spec: s, group: tb.Dolly.Watch(fmt.Sprintf("job-%03d", s.idx), clones...)}
+	return &logicalJob{spec: s, group: tb.Dolly.Watch(clones...)}
 }
 
 func allDone(jobs []*logicalJob) bool {

@@ -191,7 +191,7 @@ func fig12Run(cfg VariabilityConfig, seed int64, workload string, sch Scheme, an
 		for i := 0; i < sch.Clones; i++ {
 			clones = append(clones, submit())
 		}
-		g := tb.Dolly.Watch(workload, clones...)
+		g := tb.Dolly.Watch(clones...)
 		if !tb.Stepper().RunUntil(g.Done, cfg.Limit) {
 			panic(fmt.Sprintf("experiments: fig12 %s/%s clone race stuck", workload, sch.Name))
 		}

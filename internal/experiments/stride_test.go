@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"perfcloud/internal/core"
@@ -19,10 +20,8 @@ func TestStrideBoundRespectsMonitorInterval(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tb.Eng.Step()
 		b := tb.Sys.StrideBound(clk, 1<<40)
-		next := tb.Sys.Manager("server-0").NextSampleSec()
-		if n2 := tb.Sys.Manager("server-1").NextSampleSec(); n2 < next {
-			next = n2
-		}
+		next := math.Inf(1)
+		tb.Sys.EachManager(func(nm *core.NodeManager) { next = min(next, nm.NextSampleSec()) })
 		if clk.PeekSeconds(b) < next {
 			t.Fatalf("tick %d: bound %d stops before the sample tick (%.2f < %.2f)", clk.Tick(), b, clk.PeekSeconds(b), next)
 		}

@@ -1,8 +1,8 @@
 // Package hypervisor is the libvirt-like facade PerfCloud's node manager
-// uses on each physical server: listing domains (VMs), reading per-domain
-// block-I/O, CPU and hardware-counter statistics, and applying resource
-// caps — the CPU cap through vcpu_quota and the I/O caps through the
-// blkio subsystem's throttling policy (§III-D2).
+// uses on each physical server: iterating domains (VMs) with their
+// per-domain block-I/O, CPU and hardware-counter statistics, and setting
+// or clearing resource caps — the CPU cap through vcpu_quota and the I/O
+// caps through the blkio subsystem's throttling policy (§III-D2).
 //
 // The facade deliberately exposes only what the paper's agent consumes,
 // keeping the VM a black box: no workload state, no application metrics.
@@ -40,24 +40,10 @@ func (h *Hypervisor) PlacementEpoch() uint64 { return h.server.PlacementEpoch() 
 // NumDomains returns how many VMs the server hosts.
 func (h *Hypervisor) NumDomains() int { return h.server.NumVMs() }
 
-// ListDomains returns the ids of all VMs on the server.
-func (h *Hypervisor) ListDomains() []string {
-	out := make([]string, 0, h.server.NumVMs())
-	h.EachDomain(func(id string) { out = append(out, id) })
-	return out
-}
-
-// EachDomain calls fn once per domain id in placement order — the
-// non-allocating ListDomains for callers that run every interval.
-func (h *Hypervisor) EachDomain(fn func(id string)) {
-	h.server.EachVM(func(v *cluster.VM) {
-		fn(v.ID())
-	})
-}
-
 // EachDomainStats calls fn once per domain, in placement order, with the
-// domain id and its cumulative cgroup counters. It is the allocation-lean
-// path samplers use instead of ListDomains + per-id DomainStats lookups.
+// domain id and its cumulative cgroup counters:
+// blkio.io_serviced / io_service_bytes / io_wait_time, cpuacct usage and
+// the perf_event counters, all as libvirt + perf would report them.
 func (h *Hypervisor) EachDomainStats(fn func(id string, c cgroup.Counters)) {
 	h.server.EachVM(func(v *cluster.VM) {
 		fn(v.ID(), v.Cgroup().Snapshot())
@@ -69,17 +55,6 @@ func (h *Hypervisor) domain(id string) (*cluster.VM, error) {
 		return v, nil
 	}
 	return nil, ErrNoDomain{ID: id}
-}
-
-// DomainStats returns the cumulative cgroup counters for a domain:
-// blkio.io_serviced / io_service_bytes / io_wait_time, cpuacct usage and
-// the perf_event counters, all as libvirt + perf would report them.
-func (h *Hypervisor) DomainStats(id string) (cgroup.Counters, error) {
-	v, err := h.domain(id)
-	if err != nil {
-		return cgroup.Counters{}, err
-	}
-	return v.Cgroup().Snapshot(), nil
 }
 
 // SetVCPUQuota applies a CPU hard cap in cores (0 clears the cap).
@@ -120,26 +95,6 @@ func (h *Hypervisor) SetBlkioThrottleBPS(id string, bps float64) error {
 		return fmt.Errorf("hypervisor: negative bps cap %v for %q", bps, id)
 	}
 	v.Cgroup().SetReadBPS(bps)
-	v.Server().MarkDirty()
-	return nil
-}
-
-// Throttle returns the caps currently applied to a domain.
-func (h *Hypervisor) Throttle(id string) (cgroup.Throttle, error) {
-	v, err := h.domain(id)
-	if err != nil {
-		return cgroup.Throttle{}, err
-	}
-	return v.Cgroup().Throttle(), nil
-}
-
-// ClearThrottle removes all caps from a domain.
-func (h *Hypervisor) ClearThrottle(id string) error {
-	v, err := h.domain(id)
-	if err != nil {
-		return err
-	}
-	v.Cgroup().SetThrottle(cgroup.Throttle{})
 	v.Server().MarkDirty()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"perfcloud/internal/cgroup"
 	"perfcloud/internal/cluster"
 	"perfcloud/internal/sim"
 )
@@ -14,16 +15,17 @@ func setup(t *testing.T) (*sim.Engine, *cluster.Cluster, *Hypervisor) {
 	eng := sim.NewEngine(100*time.Millisecond, 1)
 	c := cluster.New()
 	srv := c.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
-	c.AddVM(srv, "vm-a", 2, 8<<30, cluster.HighPriority, "app")
-	c.AddVM(srv, "vm-b", 2, 8<<30, cluster.LowPriority, "")
-	eng.Register(c)
+	c.AddVM(srv, "vm-a", 2, cluster.HighPriority, "app")
+	c.AddVM(srv, "vm-b", 2, cluster.LowPriority, "")
+	eng.RegisterPriority(c, 0)
 	return eng, c, New(srv)
 }
 
 func TestListDomains(t *testing.T) {
 	_, _, h := setup(t)
-	doms := h.ListDomains()
-	if len(doms) != 2 || doms[0] != "vm-a" || doms[1] != "vm-b" {
+	var doms []string
+	h.EachDomainStats(func(id string, _ cgroup.Counters) { doms = append(doms, id) })
+	if h.NumDomains() != 2 || len(doms) != 2 || doms[0] != "vm-a" || doms[1] != "vm-b" {
 		t.Errorf("domains = %v", doms)
 	}
 	if h.ServerID() != "s0" {
@@ -33,15 +35,13 @@ func TestListDomains(t *testing.T) {
 
 func TestDomainStats(t *testing.T) {
 	_, c, h := setup(t)
-	c.FindVM("vm-a").Cgroup().AddBlkio(10, 4096, 5)
-	s, err := h.DomainStats("vm-a")
-	if err != nil {
-		t.Fatal(err)
+	c.FindVM("vm-a").Cgroup().AddTick(10, 4096, 5, 0, 0, 0, 0, 0)
+	stats := make(map[string]cgroup.Counters)
+	h.EachDomainStats(func(id string, c cgroup.Counters) { stats[id] = c })
+	if s := stats["vm-a"]; s.Blkio.IoServiced != 10 || len(stats) != 2 {
+		t.Errorf("stats = %+v", stats)
 	}
-	if s.Blkio.IoServiced != 10 {
-		t.Errorf("stats = %+v", s.Blkio)
-	}
-	_, err = h.DomainStats("nope")
+	err := h.SetVCPUQuota("nope", 1)
 	var nd ErrNoDomain
 	if !errors.As(err, &nd) || nd.ID != "nope" {
 		t.Errorf("err = %v, want ErrNoDomain{nope}", err)
@@ -63,14 +63,12 @@ func TestApplyAndClearCaps(t *testing.T) {
 	if th.CPUCores != 0.5 || th.ReadIOPS != 2000 || th.ReadBPS != 1<<20 {
 		t.Errorf("throttle = %+v", th)
 	}
-	got, err := h.Throttle("vm-b")
-	if err != nil || got != th {
-		t.Errorf("Throttle() = %+v, %v", got, err)
+	for _, clear := range []error{h.SetVCPUQuota("vm-b", 0), h.SetBlkioThrottleIOPS("vm-b", 0), h.SetBlkioThrottleBPS("vm-b", 0)} {
+		if clear != nil {
+			t.Fatal(clear)
+		}
 	}
-	if err := h.ClearThrottle("vm-b"); err != nil {
-		t.Fatal(err)
-	}
-	if th := c.FindVM("vm-b").Cgroup().Throttle(); th.CPUCores != 0 || th.ReadIOPS != 0 {
+	if th := c.FindVM("vm-b").Cgroup().Throttle(); th.Active() {
 		t.Errorf("after clear: %+v", th)
 	}
 }
@@ -85,12 +83,6 @@ func TestUnknownDomainErrors(t *testing.T) {
 	}
 	if err := h.SetBlkioThrottleBPS("nope", 1); err == nil {
 		t.Error("SetBlkioThrottleBPS: want error")
-	}
-	if err := h.ClearThrottle("nope"); err == nil {
-		t.Error("ClearThrottle: want error")
-	}
-	if _, err := h.Throttle("nope"); err == nil {
-		t.Error("Throttle: want error")
 	}
 }
 

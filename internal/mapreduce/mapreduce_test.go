@@ -33,7 +33,7 @@ func newHarness(t *testing.T, nVMs int, spec exec.Speculator) *harness {
 	var names []string
 	for i := 0; i < nVMs; i++ {
 		id := fmt.Sprintf("hadoop-%d", i)
-		vm := h.clus.AddVM(h.srv, id, 2, 8<<30, cluster.HighPriority, "hadoop")
+		vm := h.clus.AddVM(h.srv, id, 2, cluster.HighPriority, "hadoop")
 		h.pool = append(h.pool, exec.NewExecutor(vm, 2))
 		names = append(names, id)
 	}
@@ -50,7 +50,7 @@ func (h *harness) runJob(t *testing.T, cfg JobConfig, limit time.Duration) *Job 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.eng.RunUntil(j.Done, limit) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(j.Done, limit) {
 		t.Fatalf("job %s stuck in state %v", j.ID(), j.State())
 	}
 	return j
@@ -75,8 +75,10 @@ func TestTerasortRunsToCompletion(t *testing.T) {
 			if !task.Done() {
 				t.Errorf("task %s not done", task.Spec().ID)
 			}
-			if len(task.Attempts()) != 1 {
-				t.Errorf("task %s attempts = %d", task.Spec().ID, len(task.Attempts()))
+			attempts := 0
+			task.EachAttempt(func(*exec.Attempt) { attempts++ })
+			if attempts != 1 {
+				t.Errorf("task %s attempts = %d", task.Spec().ID, attempts)
 			}
 		}
 	}
@@ -202,7 +204,7 @@ func TestKillDuringReduceSparesMapWave(t *testing.T) {
 	h.jt.SetTracer(tr)
 	h.fs.Create("input", 320<<20)
 	j, _ := h.jt.Submit(Terasort("input", 4), 0)
-	if !h.eng.RunUntil(func() bool { return j.StageIndex() == 1 }, time.Hour) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(func() bool { return j.StageIndex() == 1 }, time.Hour) {
 		t.Fatal("job never reached its reduce wave")
 	}
 	h.eng.Run(5)
@@ -211,16 +213,15 @@ func TestKillDuringReduceSparesMapWave(t *testing.T) {
 	}
 	j.Kill(h.eng.Clock().Seconds())
 	sets := j.TaskSets()
-	if sets[0].Killed() || !sets[1].Killed() {
-		t.Fatalf("killed: map %v reduce %v, want false true", sets[0].Killed(), sets[1].Killed())
-	}
-	killed := map[trace.SpanID]bool{}
+	killed := map[string]bool{}
 	for _, s := range tr.Spans() {
-		killed[s.ID] = s.Killed
+		if s.Kind == trace.KindTaskSet {
+			killed[s.Name] = s.Killed
+		}
 	}
-	if killed[sets[0].Span()] || !killed[sets[1].Span()] {
+	if killed[sets[0].Name()] || !killed[sets[1].Name()] {
 		t.Errorf("span killed marks: map %v reduce %v, want false true",
-			killed[sets[0].Span()], killed[sets[1].Span()])
+			killed[sets[0].Name()], killed[sets[1].Name()])
 	}
 	if acc := sets[0].Account(h.eng.Clock().Seconds()); acc.Efficiency() != 1 {
 		t.Errorf("completed map wave efficiency = %v, want 1", acc.Efficiency())
@@ -242,7 +243,7 @@ func TestFIFOAcrossJobs(t *testing.T) {
 	if sets := j2.TaskSets(); len(sets) > 0 && len(sets[0].RunningAttempts()) != 0 {
 		t.Errorf("job2 should wait for slots")
 	}
-	if !h.eng.RunUntil(func() bool { return j1.Done() && j2.Done() }, time.Hour) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(func() bool { return j1.Done() && j2.Done() }, time.Hour) {
 		t.Fatal("jobs stuck")
 	}
 	if j2.JCT() <= j1.JCT() {
@@ -258,7 +259,7 @@ func TestWorkloadShapesDiffer(t *testing.T) {
 		h := newHarness(t, 6, nil)
 		h.fs.Create("input", 640<<20)
 		if withFio {
-			fioVM := h.clus.AddVM(h.srv, "fio", 2, 8<<30, cluster.LowPriority, "")
+			fioVM := h.clus.AddVM(h.srv, "fio", 2, cluster.LowPriority, "")
 			fioVM.SetWorkload(workloads.NewFioRandRead(workloads.AlwaysOn))
 		}
 		j := h.runJob(t, cfg("input", 10), time.Hour)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"perfcloud/internal/exec"
+	"perfcloud/internal/sim"
 )
 
 // Property-style invariants over the framework, swept across job shapes.
@@ -44,11 +47,11 @@ func TestPropertyEveryTaskExactlyOneWinner(t *testing.T) {
 	for _, ts := range j.TaskSets() {
 		for _, task := range ts.Tasks() {
 			winners := 0
-			for _, a := range task.Attempts() {
+			task.EachAttempt(func(a *exec.Attempt) {
 				if task.Completed() == a {
 					winners++
 				}
-			}
+			})
 			if winners != 1 {
 				t.Errorf("task %s winners = %d", task.Spec().ID, winners)
 			}
@@ -65,7 +68,7 @@ func TestPropertyMapCountsMatchBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !h.eng.RunUntil(j.Done, time.Hour) {
+		if !(&sim.Stepper{Eng: h.eng}).RunUntil(j.Done, time.Hour) {
 			t.Fatalf("stuck at %v", j.State())
 		}
 		wantMaps := mb / 64

@@ -203,9 +203,6 @@ func (s *System) Rearm(cfg Config, src *sim.Source) {
 	}
 }
 
-// Config returns the memory system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Pressure returns the bandwidth demand-to-capacity ratio observed on the
 // most recent Compute call (may exceed 1 under oversubscription).
 func (s *System) Pressure() float64 { return s.lastPressure }

@@ -103,19 +103,6 @@ func pointsAfter(pts []SeriesPoint, t float64) []SeriesPoint {
 	return pts[i:]
 }
 
-// Len returns the number of retained points.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.full {
-		return len(s.buf)
-	}
-	return s.next
-}
-
 // Total returns how many points were ever appended (retained or not).
 func (s *Series) Total() uint64 {
 	if s == nil {

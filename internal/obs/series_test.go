@@ -24,15 +24,15 @@ func TestSeriesRingRetention(t *testing.T) {
 			t.Fatalf("point %d = %+v, want T=%v V=%v", i, p, want*10, want)
 		}
 	}
-	if s.Total() != 5 || s.Len() != 3 {
-		t.Fatalf("total/len = %d/%d, want 5/3", s.Total(), s.Len())
+	if s.Total() != 5 || len(s.Points()) != 3 {
+		t.Fatalf("total/len = %d/%d, want 5/3", s.Total(), len(s.Points()))
 	}
 }
 
 func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
 	s.Append(1, 2) // must not panic
-	if s.Points() != nil || s.Len() != 0 || s.Total() != 0 || len(pointsAfter(s.Points(), 0)) != 0 {
+	if s.Points() != nil || len(s.Points()) != 0 || s.Total() != 0 || len(pointsAfter(s.Points(), 0)) != 0 {
 		t.Fatal("nil series not empty")
 	}
 }
@@ -235,8 +235,8 @@ func TestSeriesEmptyReads(t *testing.T) {
 	if got := downsample(s.Points(), 3); len(got) != 0 {
 		t.Errorf("downsample(3) = %v on empty series", got)
 	}
-	if s.Len() != 0 || s.Total() != 0 {
-		t.Errorf("Len/Total = %d/%d on empty series", s.Len(), s.Total())
+	if len(s.Points()) != 0 || s.Total() != 0 {
+		t.Errorf("Len/Total = %d/%d on empty series", len(s.Points()), s.Total())
 	}
 }
 
@@ -250,10 +250,10 @@ func TestSeriesTotalCountsLoss(t *testing.T) {
 	if s.Total() != 7 {
 		t.Fatalf("Total = %d, want 7", s.Total())
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if len(s.Points()) != 3 {
+		t.Fatalf("Len = %d, want 3", len(s.Points()))
 	}
-	if lost := s.Total() - uint64(s.Len()); lost != 4 {
+	if lost := s.Total() - uint64(len(s.Points())); lost != 4 {
 		t.Fatalf("computed loss = %d, want 4", lost)
 	}
 }

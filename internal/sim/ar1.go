@@ -207,9 +207,6 @@ func (a *AR1) Retain(k int, id func(i int) string) {
 // it to skip building the id list when Retain would ignore it.
 func (a *AR1) WouldCompact(n int) bool { return len(a.idx) > 4*n+16 }
 
-// Len reports the number of tracked clients.
-func (a *AR1) Len() int { return len(a.idx) }
-
 // SlotCache binds an ordered client list to its AR(1) slots, so an
 // allocator that solves the same clients tick after tick resolves their
 // ids when the list changes, not on every draw. A solve calls Bind with

@@ -77,15 +77,15 @@ func TestAR1GC(t *testing.T) {
 		a.Step(string(rune('a'+i%26)) + string(rune('0'+i/26)))
 	}
 	a.Retain(1, func(int) string { return "a0" })
-	if a.Len() != 1 {
-		t.Errorf("after GC len = %d, want 1", a.Len())
+	if len(a.idx) != 1 {
+		t.Errorf("after GC len = %d, want 1", len(a.idx))
 	}
 	// GC is a no-op while small.
 	b := NewAR1(0.9, 1.0, NewSource(6))
 	b.Step("x")
 	b.Retain(0, func(int) string { return "" })
-	if b.Len() != 1 {
-		t.Errorf("small-map GC should be no-op, len = %d", b.Len())
+	if len(b.idx) != 1 {
+		t.Errorf("small-map GC should be no-op, len = %d", len(b.idx))
 	}
 }
 
@@ -169,9 +169,9 @@ func TestSlotCacheMatchesStepByID(t *testing.T) {
 		}
 		byID.Retain(len(s.ids), func(i int) string { return s.ids[i] })
 		c.Settle(cached)
-		if byID.Len() != cached.Len() || byID.gen != cached.gen {
+		if len(byID.idx) != len(cached.idx) || byID.gen != cached.gen {
 			t.Fatalf("solve %d: tracked %d clients (gen %d), by id %d (gen %d)",
-				n, cached.Len(), cached.gen, byID.Len(), byID.gen)
+				n, len(cached.idx), cached.gen, len(byID.idx), byID.gen)
 		}
 	}
 	if cached.gen == 0 {

@@ -81,14 +81,10 @@ func (p *SlotPool) Capacity() int { return int(p.capacity) }
 // InUse returns the number of slots currently held.
 func (p *SlotPool) InUse() int { return int(p.used.Load()) }
 
-// PeakInUse returns the high-water mark of held slots since the last
-// ResetPeak. Tests assert it stays at or below Capacity, which — with
+// PeakInUse returns the high-water mark of held slots. Tests assert it stays at or below Capacity, which — with
 // one root goroutine driving the work — bounds the process's concurrent
 // workers at Capacity+1.
 func (p *SlotPool) PeakInUse() int { return int(p.peak.Load()) }
-
-// ResetPeak clears the high-water mark (down to the current usage).
-func (p *SlotPool) ResetPeak() { p.peak.Store(p.used.Load()) }
 
 // PoolStats is a snapshot of the pool's capacity and contention
 // counters, for the health layer.

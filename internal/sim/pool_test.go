@@ -27,10 +27,6 @@ func TestSlotPoolAcquireRelease(t *testing.T) {
 	if p.PeakInUse() != 4 {
 		t.Fatalf("PeakInUse forgot the high-water mark: %d", p.PeakInUse())
 	}
-	p.ResetPeak()
-	if p.PeakInUse() != 0 {
-		t.Fatalf("PeakInUse after reset = %d", p.PeakInUse())
-	}
 }
 
 func TestSlotPoolZeroCapacity(t *testing.T) {
@@ -63,7 +59,6 @@ func TestForEachSharedReleasesSlots(t *testing.T) {
 }
 
 func TestForEachSharedPeakWithinCapacity(t *testing.T) {
-	SharedPool().ResetPeak()
 	// Nest fan-outs: an outer layer whose workers each fan out an inner
 	// layer.
 	ForEachShared(8, 8, func(i int) {

@@ -60,8 +60,8 @@ func TestReleaseIdempotent(t *testing.T) {
 	isolateFreeList(t)
 	NewRNG(3).Release()
 	r := NewRNG(4)
-	r.Stream("a").Int63()
-	r.Stream("b") // never draws: registers nothing
+	rand.New(r.Sourcef("a")).Int63()
+	rand.New(r.Sourcef("b")) // never draws: registers nothing
 	r.Release()
 	r.Release()
 	if n := len(lfSeedCache.free); n != 1 {
@@ -75,9 +75,9 @@ func TestReleaseIdempotent(t *testing.T) {
 func TestDrawAfterReleasePanics(t *testing.T) {
 	isolateFreeList(t)
 	r := NewRNG(5)
-	drawn := r.Stream("drawn")
+	drawn := rand.New(r.Sourcef("drawn"))
 	drawn.Float64()
-	idle := r.Stream("idle")
+	idle := rand.New(r.Sourcef("idle"))
 	r.Release()
 	for name, s := range map[string]*rand.Rand{"drawn": drawn, "idle": idle, "late": r.Seeded(8)} {
 		func() {

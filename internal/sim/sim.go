@@ -1,13 +1,16 @@
 // Package sim provides the discrete-time simulation engine underlying the
 // PerfCloud testbed reproduction. Time advances in fixed ticks; each tick
-// every registered Tickable is stepped in registration order, which keeps
-// runs deterministic for a given seed. Wall-clock time plays no role: a
-// 152-node, multi-minute experiment executes in milliseconds.
+// every registered Tickable is stepped in priority order, and in
+// registration order among equal priorities, which keeps runs
+// deterministic for a given seed. Drivers advance the engine through a
+// Stepper, which elides ticks a Strider proves event-free. Wall-clock
+// time plays no role: a 152-node, multi-minute experiment executes in
+// milliseconds.
 //
 // The engine intentionally stays minimal — entities pull randomness from
-// per-component seeded streams (see RNG) so that adding a new component
-// never perturbs the random sequence observed by existing ones, a
-// requirement for the regression tests that pin experiment outcomes.
+// per-component seeded sources (see RNG.Sourcef) so that adding a new
+// component never perturbs the random sequence observed by existing ones,
+// a requirement for the regression tests that pin experiment outcomes.
 package sim
 
 import (
@@ -58,12 +61,11 @@ func (c *Clock) TickSeconds() float64 { return c.tickSize.Seconds() }
 
 // Engine owns the clock and the ordered set of Tickables.
 type Engine struct {
-	clock   Clock
-	order   []entry
-	nextID  int
-	stopped bool
-	dirty   bool // order needs re-sorting before the next Step
-	rng     *RNG
+	clock  Clock
+	order  []entry
+	nextID int
+	dirty  bool // order needs re-sorting before the next Step
+	rng    *RNG
 }
 
 type entry struct {
@@ -89,10 +91,6 @@ func (e *Engine) Clock() *Clock { return &e.clock }
 
 // RNG returns the engine's root random stream factory.
 func (e *Engine) RNG() *RNG { return e.rng }
-
-// Register adds a Tickable at priority 0. Components registered at equal
-// priority run in registration order.
-func (e *Engine) Register(t Tickable) { e.RegisterPriority(t, 0) }
 
 // RegisterPriority adds a Tickable with an explicit priority; lower
 // priorities run earlier within a tick. The cluster registers resource
@@ -135,35 +133,12 @@ func (e *Engine) Step() {
 	e.clock.tick++
 }
 
-// Run advances the simulation by n ticks, or until Stop is called.
+// Run advances the simulation by n ticks.
 func (e *Engine) Run(n int64) {
-	e.stopped = false
-	for i := int64(0); i < n && !e.stopped; i++ {
+	for i := int64(0); i < n; i++ {
 		e.Step()
 	}
 }
-
-// RunFor advances the simulation by the given simulated duration
-// (rounded down to whole ticks), or until Stop is called.
-func (e *Engine) RunFor(d time.Duration) {
-	e.Run(int64(d / e.clock.tickSize))
-}
-
-// RunUntil steps the simulation until the predicate returns true or the
-// simulated-time limit is reached. It reports whether the predicate fired.
-func (e *Engine) RunUntil(pred func() bool, limit time.Duration) bool {
-	maxTicks := int64(limit / e.clock.tickSize)
-	for i := int64(0); i < maxTicks; i++ {
-		if pred() {
-			return true
-		}
-		e.Step()
-	}
-	return pred()
-}
-
-// Stop requests that a Run in progress end after the current tick.
-func (e *Engine) Stop() { e.stopped = true }
 
 // RNG hands out independent, deterministically seeded random streams. Each
 // named component derives its stream from the master seed and its name, so
@@ -187,34 +162,26 @@ const ReleasedStream = "sim: draw from a stream of a released RNG"
 // NewRNG creates a stream factory from a master seed.
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
-// Seed returns the master seed.
-func (r *RNG) Seed() int64 { return r.seed }
-
-// Stream returns a dedicated *rand.Rand for the named component.
-// The same (seed, name) pair always yields the same sequence.
-//
-// The source is a Source — bit-for-bit rand.NewSource's generator, with
-// the expensive state seeding served from a per-seed cache and deferred
-// to the first draw. Repeated-run experiments build a fresh testbed (and
-// so re-derive every component stream) per repetition, and compare
-// schemes under identical seeds; the cache turns all but the first
-// derivation of each (seed, name) stream into a memcpy, and the free list
-// that Release feeds supplies the vector it is copied into. The stream
-// belongs to r: it is valid until r.Release.
-func (r *RNG) Stream(name string) *rand.Rand {
-	return r.Seeded(r.seed ^ hashString(name))
-}
-
 // Seeded returns a stream identical to rand.New(rand.NewSource(seed)),
-// owned by r like a Stream: its state vector is recycled by r.Release.
-// It is how a testbed routes streams with their own derived seeds (DFS
-// placement, antagonist placement) through its engine's factory.
+// owned by r like a Sourcef stream: its state vector is recycled by
+// r.Release. It is how a testbed routes streams with their own derived
+// seeds (DFS placement, antagonist placement) through its engine's
+// factory.
 func (r *RNG) Seeded(seed int64) *rand.Rand { return rand.New(r.source(seed)) }
 
-// Sourcef returns the concrete source under the *rand.Rand that Stream
-// would return for the name fmt.Sprintf(format, args...): the same seed,
-// the same sequence and the same owner. The AR(1) noise of the resource
-// models draws from it directly (see AR1).
+// Sourcef returns the source of the component named
+// fmt.Sprintf(format, args...). The same (seed, name) pair always yields
+// the same sequence. The AR(1) noise of the resource models draws from
+// it directly (see AR1).
+//
+// The source is bit-for-bit rand.NewSource's generator, with the
+// expensive state seeding served from a per-seed cache and deferred to
+// the first draw. Repeated-run experiments build a fresh testbed (and so
+// re-derive every component stream) per repetition, and compare schemes
+// under identical seeds; the cache turns all but the first derivation of
+// each (seed, name) stream into a memcpy, and the free list that Release
+// feeds supplies the vector it is copied into. The source belongs to r:
+// it is valid until r.Release.
 func (r *RNG) Sourcef(format string, args ...any) *Source {
 	return r.source(r.seed ^ hashString(fmt.Sprintf(format, args...)))
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -62,51 +63,34 @@ func TestTickOrderByPriorityThenRegistration(t *testing.T) {
 func TestRunFor(t *testing.T) {
 	e := NewEngine(100*time.Millisecond, 1)
 	n := 0
-	e.Register(TickFunc(func(*Clock) { n++ }))
-	e.RunFor(2 * time.Second)
+	e.RegisterPriority(TickFunc(func(*Clock) { n++ }), 0)
+	e.Run(int64(2 * time.Second / e.Clock().TickSize()))
 	if n != 20 {
 		t.Errorf("ticks = %d, want 20", n)
 	}
 }
 
+// TestRunUntil drives a Stepper with no Strider, which steps the engine
+// one tick at a time.
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(100*time.Millisecond, 1)
 	n := 0
-	e.Register(TickFunc(func(*Clock) { n++ }))
-	ok := e.RunUntil(func() bool { return n >= 5 }, time.Minute)
+	e.RegisterPriority(TickFunc(func(*Clock) { n++ }), 0)
+	s := &Stepper{Eng: e}
+	ok := s.RunUntil(func() bool { return n >= 5 }, time.Minute)
 	if !ok || n != 5 {
 		t.Errorf("ok=%v n=%d, want fired at n=5", ok, n)
 	}
-	ok = e.RunUntil(func() bool { return n >= 1000000 }, time.Second)
+	ok = s.RunUntil(func() bool { return n >= 1000000 }, time.Second)
 	if ok {
 		t.Error("predicate should not have fired within limit")
-	}
-}
-
-func TestStopEndsRun(t *testing.T) {
-	e := NewEngine(DefaultTick, 1)
-	n := 0
-	e.Register(TickFunc(func(*Clock) {
-		n++
-		if n == 3 {
-			e.Stop()
-		}
-	}))
-	e.Run(100)
-	if n != 3 {
-		t.Errorf("ticks = %d, want 3 (stopped)", n)
-	}
-	// A subsequent Run resumes normally.
-	e.Run(2)
-	if n != 5 {
-		t.Errorf("ticks after resume = %d, want 5", n)
 	}
 }
 
 func TestTickReceivesClock(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	var seen []int64
-	e.Register(TickFunc(func(c *Clock) { seen = append(seen, c.Tick()) }))
+	e.RegisterPriority(TickFunc(func(c *Clock) { seen = append(seen, c.Tick()) }), 0)
 	e.Run(3)
 	want := []int64{0, 1, 2}
 	for i := range want {
@@ -117,8 +101,8 @@ func TestTickReceivesClock(t *testing.T) {
 }
 
 func TestRNGDeterministicPerName(t *testing.T) {
-	a := NewRNG(42).Stream("disk/0")
-	b := NewRNG(42).Stream("disk/0")
+	a := rand.New(NewRNG(42).Sourcef("disk/0"))
+	b := rand.New(NewRNG(42).Sourcef("disk/0"))
 	for i := 0; i < 10; i++ {
 		if a.Int63() != b.Int63() {
 			t.Fatal("same seed+name must yield identical streams")
@@ -128,7 +112,7 @@ func TestRNGDeterministicPerName(t *testing.T) {
 
 func TestRNGIndependentAcrossNames(t *testing.T) {
 	r := NewRNG(42)
-	a, b := r.Stream("disk/0"), r.Stream("disk/1")
+	a, b := rand.New(r.Sourcef("disk/0")), rand.New(r.Sourcef("disk/1"))
 	same := true
 	for i := 0; i < 10; i++ {
 		if a.Int63() != b.Int63() {
@@ -142,8 +126,8 @@ func TestRNGIndependentAcrossNames(t *testing.T) {
 }
 
 func TestRNGSeedChangesStreams(t *testing.T) {
-	a := NewRNG(1).Stream("x")
-	b := NewRNG(2).Stream("x")
+	a := rand.New(NewRNG(1).Sourcef("x"))
+	b := rand.New(NewRNG(2).Sourcef("x"))
 	same := true
 	for i := 0; i < 10; i++ {
 		if a.Int63() != b.Int63() {
@@ -154,21 +138,18 @@ func TestRNGSeedChangesStreams(t *testing.T) {
 	if same {
 		t.Error("different seeds should yield different streams")
 	}
-	if NewRNG(7).Seed() != 7 {
-		t.Error("Seed accessor")
-	}
 }
 
-// TestRNGSourcefMatchesStream checks that Sourcef names and seeds a
-// source as Stream does the equivalent name, and that the factory owns
-// it: a draw after Release panics.
+// TestRNGSourcefMatchesStream checks that Sourcef formats the name and
+// seeds its source with the master seed xor the name's hash, and that
+// the factory owns it: a draw after Release panics.
 func TestRNGSourcefMatchesStream(t *testing.T) {
 	r := NewRNG(5)
 	a := r.Sourcef("vm/%d", 3)
-	b := r.Stream("vm/3")
+	b := rand.New(rand.NewSource(5 ^ hashString("vm/3")))
 	for i := 0; i < 5; i++ {
 		if a.Int63() != b.Int63() {
-			t.Fatal("Sourcef should match equivalent Stream name")
+			t.Fatal("Sourcef should match the equivalent seeded stream")
 		}
 	}
 	r.Release()

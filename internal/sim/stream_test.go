@@ -26,7 +26,7 @@ func TestStreamDerivationOrderIndependent(t *testing.T) {
 	want := make(map[string][]float64)
 	ref := NewRNG(42)
 	for _, name := range names {
-		want[name] = draw(ref.Stream(name), 32)
+		want[name] = draw(rand.New(ref.Sourcef("%s", name)), 32)
 	}
 
 	// Same seed, reversed derivation order, an unrelated stream drawn in
@@ -34,8 +34,8 @@ func TestStreamDerivationOrderIndependent(t *testing.T) {
 	alt := NewRNG(42)
 	streams := make(map[string]*rand.Rand)
 	for i := len(names) - 1; i >= 0; i-- {
-		streams[names[i]] = alt.Stream(names[i])
-		draw(alt.Stream("noise"), 100)
+		streams[names[i]] = rand.New(alt.Sourcef("%s", names[i]))
+		draw(rand.New(alt.Sourcef("noise")), 100)
 	}
 	got := make(map[string][]float64)
 	for i := 0; i < 32; i++ {
@@ -54,7 +54,7 @@ func TestStreamDerivationOrderIndependent(t *testing.T) {
 
 	// Different seeds must still decorrelate the same name.
 	other := NewRNG(43)
-	if draw(other.Stream(names[0]), 1)[0] == want[names[0]][0] {
+	if draw(rand.New(other.Sourcef("%s", names[0])), 1)[0] == want[names[0]][0] {
 		t.Fatalf("stream %q identical across different master seeds", names[0])
 	}
 }

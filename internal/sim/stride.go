@@ -68,7 +68,8 @@ func (s *Stepper) Step(bound func(clk *Clock) int64) int64 {
 // simulated-time limit is reached, eliding event-free ticks between steps.
 // It reports whether the predicate fired. The predicate is re-checked
 // inside the stride bound so the clock never overshoots the tick at which
-// it first becomes true — the stop tick is identical to Engine.RunUntil's.
+// it first becomes true — the stop tick is the one a nil-Strider
+// Stepper, stepping every tick, stops at.
 func (s *Stepper) RunUntil(pred func() bool, limit time.Duration) bool {
 	maxTicks := int64(limit / s.Eng.clock.tickSize)
 	for i := int64(0); i < maxTicks; {

@@ -26,7 +26,7 @@ func newHarness(t *testing.T, nVMs int) *harness {
 	h.clus = cluster.New()
 	h.srv = h.clus.AddServer("s0", cluster.DefaultServerConfig(), h.eng.RNG())
 	for i := 0; i < nVMs; i++ {
-		vm := h.clus.AddVM(h.srv, fmt.Sprintf("spark-%d", i), 2, 8<<30, cluster.HighPriority, "spark")
+		vm := h.clus.AddVM(h.srv, fmt.Sprintf("spark-%d", i), 2, cluster.HighPriority, "spark")
 		h.pool = append(h.pool, exec.NewExecutor(vm, 2))
 	}
 	h.driver = NewDriver(h.pool, nil)
@@ -41,7 +41,7 @@ func (h *harness) runApp(t *testing.T, cfg AppConfig, limit time.Duration) *exec
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.eng.RunUntil(a.Done, limit) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(a.Done, limit) {
 		t.Fatalf("app %s stuck at stage %d", a.ID(), a.StageIndex())
 	}
 	return a
@@ -138,11 +138,11 @@ func TestSparkSensitivityShape(t *testing.T) {
 		h := newHarness(t, 6)
 		switch antagonist {
 		case "fio":
-			vm := h.clus.AddVM(h.srv, "fio", 2, 8<<30, cluster.LowPriority, "")
+			vm := h.clus.AddVM(h.srv, "fio", 2, cluster.LowPriority, "")
 			vm.SetWorkload(workloads.NewFioRandRead(workloads.AlwaysOn))
 		case "stream":
 			for i := 0; i < 2; i++ {
-				vm := h.clus.AddVM(h.srv, fmt.Sprintf("stream-%d", i), 2, 8<<30, cluster.LowPriority, "")
+				vm := h.clus.AddVM(h.srv, fmt.Sprintf("stream-%d", i), 2, cluster.LowPriority, "")
 				vm.SetWorkload(workloads.NewStream(workloads.AlwaysOn))
 			}
 		}

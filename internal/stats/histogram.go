@@ -48,10 +48,6 @@ func (h *Histogram) Add(v float64) {
 // Total returns the number of samples added.
 func (h *Histogram) Total() int { return h.total }
 
-// Count returns the count of bucket i (the last index is the overflow
-// bucket).
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
 // CumulativeFrac returns the fraction of samples strictly below the
 // given bound, which must be one of the histogram's bounds.
 func (h *Histogram) CumulativeFrac(bound float64) float64 {

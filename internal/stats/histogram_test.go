@@ -13,8 +13,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Total() != 5 {
 		t.Fatalf("total = %d", h.Total())
 	}
-	if h.Count(0) != 2 || h.Count(1) != 1 || h.Count(2) != 2 {
-		t.Errorf("counts = %d/%d/%d", h.Count(0), h.Count(1), h.Count(2))
+	if h.counts[0] != 2 || h.counts[1] != 1 || h.counts[2] != 2 {
+		t.Errorf("counts = %d/%d/%d", h.counts[0], h.counts[1], h.counts[2])
 	}
 	if got := h.CumulativeFrac(0.1); got != 0.4 {
 		t.Errorf("frac <0.1 = %v, want 0.4", got)
@@ -22,7 +22,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := h.CumulativeFrac(0.3); got != 0.6 {
 		t.Errorf("frac <0.3 = %v, want 0.6", got)
 	}
-	if got := h.Count(2); got != 2 {
+	if got := h.counts[2]; got != 2 {
 		t.Errorf("overflow bucket = %d, want 2", got)
 	}
 }
@@ -31,8 +31,8 @@ func TestHistogramBoundaryGoesUp(t *testing.T) {
 	// "Degraded < 10%" excludes exactly 10%.
 	h := NewHistogram(0.1)
 	h.Add(0.1)
-	if h.Count(0) != 0 || h.Count(1) != 1 {
-		t.Errorf("boundary sample landed in %d/%d", h.Count(0), h.Count(1))
+	if h.counts[0] != 0 || h.counts[1] != 1 {
+		t.Errorf("boundary sample landed in %d/%d", h.counts[0], h.counts[1])
 	}
 }
 
@@ -70,7 +70,7 @@ func TestHistogramPropertyConservation(t *testing.T) {
 		}
 		sum := 0
 		for i := 0; i <= 3; i++ {
-			sum += h.Count(i)
+			sum += h.counts[i]
 		}
 		return sum == len(vals) && h.Total() == len(vals)
 	}

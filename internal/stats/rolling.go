@@ -4,20 +4,22 @@ import "math"
 
 // This file holds the incremental accumulators behind PerfCloud's
 // per-interval analytics: the detector's cross-VM deviation (Moments),
-// the correlator's trailing-window Pearson state (RollingPearson), and a
-// generic fixed-window mean/std-dev (RollingWindow). They replace the
-// collect-into-a-slice-and-rescan pattern of the scratch implementations
-// with O(1)-amortized updates and zero steady-state allocation.
+// the correlator's trailing-window Pearson state (RollingPearson), and
+// the trailing window of its victim series (RollingWindow). They replace
+// the collect-into-a-slice-and-rescan pattern of the scratch
+// implementations with O(1)-amortized updates and zero steady-state
+// allocation.
 //
 // Numerical contract: every accumulator agrees with its scratch
 // counterpart (StdDev, PearsonMissingAsZero) to within 1e-9 relative
 // error over arbitrarily long streams. Two mechanisms bound the drift a
-// naive running sum would accumulate: sums are kept *anchored* (shifted
-// by a representative value, so Σ(x-a) and Σ(x-a)² operate on deviations
-// rather than raw magnitudes — the textbook cure for catastrophic
-// cancellation when the mean dwarfs the variance), and every time a ring
-// buffer completes a full revolution the sums are recomputed exactly from
-// the buffered window, resetting accumulated round-off.
+// naive running sum would accumulate: RollingPearson's sums are kept
+// *anchored* (shifted by a representative value, so Σ(x-a) and Σ(x-a)²
+// operate on deviations rather than raw magnitudes — the textbook cure
+// for catastrophic cancellation when the mean dwarfs the variance), and
+// every time its ring buffer completes a full revolution the sums are
+// recomputed exactly from the buffered window, resetting accumulated
+// round-off.
 
 // Moments is a one-pass (Welford) accumulator for mean and population
 // standard deviation. The detector folds each active VM's signal into one
@@ -37,9 +39,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// N returns the number of samples folded in.
-func (m *Moments) N() int { return m.n }
-
 // Mean returns the running mean (0 before any sample).
 func (m *Moments) Mean() float64 {
 	if m.n == 0 {
@@ -49,7 +48,7 @@ func (m *Moments) Mean() float64 {
 }
 
 // Variance returns the population variance, 0 for fewer than two samples
-// (matching Variance on a slice: a single observation carries no spread).
+// (matching StdDev on a slice: a single observation carries no spread).
 func (m *Moments) Variance() float64 {
 	if m.n < 2 {
 		return 0
@@ -65,20 +64,12 @@ func (m *Moments) Variance() float64 {
 // matching the StdDev slice function's convention.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
-// Reset clears the accumulator for reuse.
-func (m *Moments) Reset() { *m = Moments{} }
-
-// RollingWindow is a fixed-capacity ring buffer of float64 samples with
-// anchored running sums, giving O(1) mean and population standard
-// deviation over the trailing window.
+// RollingWindow is a fixed-capacity ring buffer of float64 samples: the
+// trailing window of a series.
 type RollingWindow struct {
-	buf    []float64
-	head   int // next write position
-	n      int // samples currently buffered (<= cap)
-	total  uint64
-	anchor float64
-	sum    float64 // Σ (x - anchor) over the window
-	sumsq  float64 // Σ (x - anchor)² over the window
+	buf  []float64
+	head int // next write position
+	n    int // samples currently buffered (<= cap)
 }
 
 // NewRollingWindow creates a window holding the most recent capacity
@@ -92,73 +83,14 @@ func NewRollingWindow(capacity int) *RollingWindow {
 
 // Push appends a sample, evicting the oldest once the window is full.
 func (w *RollingWindow) Push(x float64) {
-	if w.total == 0 {
-		w.anchor = x // anchor near the data to keep the sums small
-	}
-	if w.n == len(w.buf) {
-		old := w.buf[w.head] - w.anchor
-		w.sum -= old
-		w.sumsq -= old * old
-	} else {
+	if w.n < len(w.buf) {
 		w.n++
 	}
 	w.buf[w.head] = x
-	d := x - w.anchor
-	w.sum += d
-	w.sumsq += d * d
 	w.head++
 	if w.head == len(w.buf) {
 		w.head = 0
 	}
-	w.total++
-	if w.total%uint64(len(w.buf)) == 0 {
-		w.recompute()
-	}
-}
-
-// recompute re-derives the anchored sums exactly from the buffered
-// window, discarding any round-off the incremental updates accumulated.
-// Called once per ring revolution, so its O(window) cost amortizes to
-// O(1) per push.
-func (w *RollingWindow) recompute() {
-	w.anchor = w.buf[0]
-	w.sum, w.sumsq = 0, 0
-	for _, x := range w.buf[:w.n] {
-		d := x - w.anchor
-		w.sum += d
-		w.sumsq += d * d
-	}
-}
-
-// Len returns the number of samples currently in the window.
-func (w *RollingWindow) Len() int { return w.n }
-
-// Cap returns the window capacity.
-func (w *RollingWindow) Cap() int { return len(w.buf) }
-
-// Full reports whether the window has reached capacity.
-func (w *RollingWindow) Full() bool { return w.n == len(w.buf) }
-
-// Mean returns the mean of the buffered samples (0 when empty).
-func (w *RollingWindow) Mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.anchor + w.sum/float64(w.n)
-}
-
-// StdDev returns the population standard deviation of the buffered
-// samples, 0 for fewer than two (matching StdDev on a slice).
-func (w *RollingWindow) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	mean := w.sum / float64(w.n) // in anchored coordinates
-	v := w.sumsq/float64(w.n) - mean*mean
-	if v < 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }
 
 // Values appends the buffered samples to dst in push order (oldest first)
@@ -241,8 +173,10 @@ func (r *RollingPearson) Push(x, y float64) {
 	}
 }
 
-// recompute re-derives the anchored sums exactly from the buffered pairs
-// (see RollingWindow.recompute). Re-anchoring at the window means keeps
+// recompute re-derives the anchored sums exactly from the buffered
+// pairs, discarding any round-off the incremental updates accumulated.
+// Called once per ring revolution, so its O(window) cost amortizes to
+// O(1) per push. Re-anchoring at the window means keeps
 // the sums operating on deviations even when the series level drifts far
 // from its initial value.
 func (r *RollingPearson) recompute() {
@@ -262,12 +196,6 @@ func (r *RollingPearson) recompute() {
 		r.syy += dy * dy
 	}
 }
-
-// Len returns the number of pairs currently buffered.
-func (r *RollingPearson) Len() int { return r.n }
-
-// Full reports whether the window has reached capacity.
-func (r *RollingPearson) Full() bool { return r.n == len(r.x) }
 
 // Corr returns the Pearson coefficient over the buffered window. It
 // mirrors PearsonMissingAsZero's contract: ErrInsufficientData for fewer

@@ -1,9 +1,11 @@
 // Package stats provides the statistical primitives PerfCloud relies on:
 // exponentially weighted moving averages for smoothing 5-second samples,
-// standard deviation across worker VMs for interference detection, and
-// Pearson cross-correlation (with the paper's missing-as-zero rule) for
-// antagonist identification. It also carries general time-series helpers
-// used by the experiment harness (percentiles, histograms, summaries).
+// standard deviation across worker VMs for interference detection (the
+// one-pass Moments), and Pearson cross-correlation (with the paper's
+// missing-as-zero rule) for antagonist identification, over a trailing
+// window (RollingPearson). It also carries the helpers the experiment
+// harness uses: time series with sparklines, percentiles, histograms and
+// summaries.
 package stats
 
 import (
@@ -42,12 +44,6 @@ func StdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Variance returns the population variance of xs (0 for len < 2).
-func Variance(xs []float64) float64 {
-	sd := StdDev(xs)
-	return sd * sd
 }
 
 // Pearson computes the Pearson correlation coefficient between two series
@@ -168,14 +164,8 @@ func (e *EWMA) Update(x float64) float64 {
 	return e.value
 }
 
-// Value returns the current smoothed value (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
 // Primed reports whether at least one sample has been folded in.
 func (e *EWMA) Primed() bool { return e.primed }
-
-// Reset clears the average back to its unprimed state.
-func (e *EWMA) Reset() { e.value = 0; e.primed = false }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 for empty input.

@@ -58,27 +58,6 @@ func (ts *TimeSeries) Times() []float64 {
 	return out
 }
 
-// Last returns the most recent point, or a zero Point if empty.
-func (ts *TimeSeries) Last() Point {
-	if len(ts.points) == 0 {
-		return Point{}
-	}
-	return ts.points[len(ts.points)-1]
-}
-
-// Window returns the values of the most recent n samples (fewer if the
-// series is shorter). The returned slice is a copy.
-func (ts *TimeSeries) Window(n int) []float64 {
-	if n > len(ts.points) {
-		n = len(ts.points)
-	}
-	out := make([]float64, 0, n)
-	for _, p := range ts.points[len(ts.points)-n:] {
-		out = append(out, p.Value)
-	}
-	return out
-}
-
 // Max returns the maximum non-missing value, or 0 for an empty series.
 func (ts *TimeSeries) Max() float64 {
 	max := math.Inf(-1)
@@ -96,22 +75,6 @@ func (ts *TimeSeries) Max() float64 {
 		return 0
 	}
 	return max
-}
-
-// NormalizeByMax returns a new series with every value divided by the peak
-// value, matching the normalization used in the paper's Figs. 5 and 6.
-// Missing values stay missing. A zero peak leaves values unchanged.
-func (ts *TimeSeries) NormalizeByMax() *TimeSeries {
-	peak := ts.Max()
-	out := NewTimeSeries()
-	for _, p := range ts.points {
-		v := p.Value
-		if !math.IsNaN(v) && peak > 0 {
-			v = v / peak
-		}
-		out.Append(p.Time, v)
-	}
-	return out
 }
 
 // Sparkline renders the series as a compact ASCII strip chart for logs

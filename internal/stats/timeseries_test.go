@@ -16,9 +16,6 @@ func TestTimeSeriesAppendAndAccessors(t *testing.T) {
 	if ts.Len() != 3 {
 		t.Fatalf("len = %d, want 3", ts.Len())
 	}
-	if last := ts.Last(); last.Time != 10 || last.Value != 4 {
-		t.Errorf("Last = %+v", last)
-	}
 	wantV := []float64{1, 2, 4}
 	for i, v := range ts.Values() {
 		if v != wantV[i] {
@@ -53,26 +50,6 @@ func TestTimeSeriesEqualTimestampsAllowed(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesWindow(t *testing.T) {
-	ts := NewTimeSeries()
-	for i := 0; i < 5; i++ {
-		ts.Append(float64(i), float64(i*i))
-	}
-	w := ts.Window(3)
-	want := []float64{4, 9, 16}
-	if len(w) != 3 {
-		t.Fatalf("window len = %d", len(w))
-	}
-	for i := range w {
-		if w[i] != want[i] {
-			t.Errorf("window[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-	if got := ts.Window(99); len(got) != 5 {
-		t.Errorf("oversized window len = %d, want 5", len(got))
-	}
-}
-
 func TestTimeSeriesMissingAndMax(t *testing.T) {
 	ts := NewTimeSeries()
 	ts.Append(0, 3)
@@ -93,27 +70,6 @@ func TestTimeSeriesMissingAndMax(t *testing.T) {
 	allMissing.AppendMissing(0)
 	if allMissing.Max() != 0 {
 		t.Error("all-missing Max should be 0")
-	}
-}
-
-func TestNormalizeByMax(t *testing.T) {
-	ts := NewTimeSeries()
-	ts.Append(0, 2)
-	ts.Append(1, 4)
-	ts.AppendMissing(2)
-	n := ts.NormalizeByMax()
-	v := n.Values()
-	if v[0] != 0.5 || v[1] != 1 {
-		t.Errorf("normalized = %v", v[:2])
-	}
-	if !math.IsNaN(v[2]) {
-		t.Error("missing should survive normalization")
-	}
-	// Zero-peak series is left unchanged.
-	z := NewTimeSeries()
-	z.Append(0, 0)
-	if got := z.NormalizeByMax().Values()[0]; got != 0 {
-		t.Errorf("zero-peak normalize = %v", got)
 	}
 }
 

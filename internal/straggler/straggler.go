@@ -139,19 +139,9 @@ func runningCount(t *exec.Task) int {
 
 // CloneGroup tracks the n clones of one logical job.
 type CloneGroup struct {
-	name   string
 	clones []*exec.Job
 	winner *exec.Job
 }
-
-// Name returns the group's logical-job name.
-func (g *CloneGroup) Name() string { return g.name }
-
-// Clones returns the clones being raced.
-func (g *CloneGroup) Clones() []*exec.Job { return append([]*exec.Job(nil), g.clones...) }
-
-// Winner returns the first clone to finish, or nil.
-func (g *CloneGroup) Winner() *exec.Job { return g.winner }
 
 // Done reports whether the race has been decided.
 func (g *CloneGroup) Done() bool { return g.winner != nil }
@@ -192,17 +182,14 @@ func NewDolly() *Dolly { return &Dolly{} }
 // Watch registers a group of clones of one logical job — MapReduce jobs
 // or Spark apps alike. The clones must already be submitted to their
 // frameworks.
-func (d *Dolly) Watch(name string, clones ...*exec.Job) *CloneGroup {
+func (d *Dolly) Watch(clones ...*exec.Job) *CloneGroup {
 	if len(clones) == 0 {
 		panic("straggler: clone group needs at least one clone")
 	}
-	g := &CloneGroup{name: name, clones: clones}
+	g := &CloneGroup{clones: clones}
 	d.groups = append(d.groups, g)
 	return g
 }
-
-// Groups returns all watched groups.
-func (d *Dolly) Groups() []*CloneGroup { return append([]*CloneGroup(nil), d.groups...) }
 
 // StrideQuiet reports whether the watcher's next Tick is provably a
 // no-op: every race is already settled or has no completed clone yet.

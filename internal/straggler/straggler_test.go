@@ -39,12 +39,12 @@ func newMRHarness(t *testing.T, spec exec.Speculator, withAntagonist bool) *mrHa
 			srv = s1
 		}
 		id := fmt.Sprintf("hadoop-%d", i)
-		vm := h.clus.AddVM(srv, id, 2, 8<<30, cluster.HighPriority, "hadoop")
+		vm := h.clus.AddVM(srv, id, 2, cluster.HighPriority, "hadoop")
 		h.pool = append(h.pool, exec.NewExecutor(vm, 2))
 		names = append(names, id)
 	}
 	if withAntagonist {
-		vm := h.clus.AddVM(s0, "fio", 2, 8<<30, cluster.LowPriority, "")
+		vm := h.clus.AddVM(s0, "fio", 2, cluster.LowPriority, "")
 		vm.SetWorkload(workloads.NewFioRandRead(workloads.AlwaysOn))
 	}
 	h.fs = dfs.New(dfs.DefaultConfig(), names, rand.New(rand.NewSource(5)))
@@ -61,7 +61,7 @@ func runJob(t *testing.T, h *mrHarness, cfg mapreduce.JobConfig) *mapreduce.Job 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.eng.RunUntil(j.Done, time.Hour) {
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(j.Done, time.Hour) {
 		t.Fatalf("job stuck in %v", j.State())
 	}
 	return j
@@ -76,11 +76,11 @@ func TestLATESpeculatesUnderInterference(t *testing.T) {
 	spec := 0
 	for _, ts := range j.TaskSets() {
 		for _, task := range ts.Tasks() {
-			for _, a := range task.Attempts() {
+			task.EachAttempt(func(a *exec.Attempt) {
 				if a.Speculative() {
 					spec++
 				}
-			}
+			})
 		}
 	}
 	if spec == 0 {
@@ -112,11 +112,11 @@ func TestLATEQuietWithoutInterference(t *testing.T) {
 	spec := 0
 	for _, ts := range j.TaskSets() {
 		for _, task := range ts.Tasks() {
-			for _, a := range task.Attempts() {
+			task.EachAttempt(func(a *exec.Attempt) {
 				if a.Speculative() {
 					spec++
 				}
-			}
+			})
 		}
 	}
 	// LATE's percentile rule always finds a "slowest" task, so a few
@@ -167,19 +167,19 @@ func TestDollyPicksFirstFinisherAndKillsRest(t *testing.T) {
 		}
 		clones = append(clones, j)
 	}
-	g := d.Watch("terasort", clones...)
-	if !h.eng.RunUntil(g.Done, time.Hour) {
+	g := d.Watch(clones...)
+	if !(&sim.Stepper{Eng: h.eng}).RunUntil(g.Done, time.Hour) {
 		t.Fatal("race not decided")
 	}
-	if g.Winner() == nil || !g.Winner().Completed() {
+	if g.winner == nil || !g.winner.Completed() {
 		t.Fatal("no completed winner")
 	}
-	if g.JCT() != g.Winner().JCT() {
-		t.Errorf("group JCT %v != winner JCT %v", g.JCT(), g.Winner().JCT())
+	if g.JCT() != g.winner.JCT() {
+		t.Errorf("group JCT %v != winner JCT %v", g.JCT(), g.winner.JCT())
 	}
 	losers := 0
-	for _, cl := range g.Clones() {
-		if cl != g.Winner() {
+	for _, cl := range g.clones {
+		if cl != g.winner {
 			if !cl.Done() || cl.Completed() {
 				t.Error("loser should be killed")
 			}
@@ -189,8 +189,8 @@ func TestDollyPicksFirstFinisherAndKillsRest(t *testing.T) {
 	if losers != 2 {
 		t.Errorf("losers = %d", losers)
 	}
-	if len(d.Groups()) != 1 {
-		t.Errorf("groups = %d", len(d.Groups()))
+	if len(d.groups) != 1 {
+		t.Errorf("groups = %d", len(d.groups))
 	}
 }
 
@@ -221,8 +221,8 @@ func TestDollyEfficiencyDropsWithClones(t *testing.T) {
 			clones = append(clones, a)
 
 		}
-		g := d.Watch("ts", clones...)
-		if !h.eng.RunUntil(g.Done, time.Hour) {
+		g := d.Watch(clones...)
+		if !(&sim.Stepper{Eng: h.eng}).RunUntil(g.Done, time.Hour) {
 			t.Fatal("race not decided")
 		}
 		h.eng.Run(1) // let the kill settle
@@ -245,5 +245,5 @@ func TestDollyWatchPanicsOnEmpty(t *testing.T) {
 			t.Error("want panic")
 		}
 	}()
-	NewDolly().Watch("x")
+	NewDolly().Watch()
 }

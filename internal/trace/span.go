@@ -141,15 +141,6 @@ func (s *Span) WallSec() float64 {
 	return s.EndSec - s.StartSec
 }
 
-// PhaseSum returns the total attributed seconds across all phases.
-func (s *Span) PhaseSum() float64 {
-	var sum float64
-	for _, v := range s.Phases {
-		sum += v
-	}
-	return sum
-}
-
 // spanPageBits sizes the tracer's storage pages: 128 spans of 144 bytes
 // is 18 KB, under the runtime's 32 KB large-object threshold, so a page
 // comes from the small-object allocator and recording never re-copies
@@ -286,7 +277,7 @@ type PhaseTotals struct {
 	// Attempts counts closed attempt spans folded into the totals.
 	Attempts int
 	// WallSec sums those attempts' wall time; the Phases buckets
-	// partition it (within float tolerance).
+	// partition it (their sum matches it within float tolerance).
 	WallSec float64
 	Phases  [NumPhases]float64
 	// QueueWaitSec sums task-span submission-to-launch waits (not part
@@ -299,16 +290,6 @@ type PhaseTotals struct {
 	// originals, killed job clones).
 	SpeculativeWasteSec float64
 	KilledWasteSec      float64
-}
-
-// PhaseSum returns the sum of the phase buckets; it should match
-// WallSec within float tolerance.
-func (pt *PhaseTotals) PhaseSum() float64 {
-	var sum float64
-	for _, v := range pt.Phases {
-		sum += v
-	}
-	return sum
 }
 
 // Add accumulates another total into pt.
