@@ -95,9 +95,11 @@ type TraceEntry struct {
 	CPUContention  bool
 	IOAntagonists  []string
 	CPUAntagonists []string
-	// IOCaps are the IOPS caps in force after this interval, per VM.
+	// IOCaps are the IOPS caps in force after this interval, per VM;
+	// nil when none is.
 	IOCaps map[string]float64
-	// CPUCaps are the core caps in force after this interval, per VM.
+	// CPUCaps are the core caps in force after this interval, per VM;
+	// nil when none is.
 	CPUCaps map[string]float64
 }
 
@@ -445,16 +447,23 @@ func (nm *NodeManager) runInterval(now float64) {
 		CPUContention:  det.CPUContention,
 		IOAntagonists:  ioAnt,
 		CPUAntagonists: cpuAnt,
-		IOCaps:         make(map[string]float64, len(nm.ctls[resIO])),
-		CPUCaps:        make(map[string]float64, len(nm.ctls[resCPU])),
-	}
-	for id, ctl := range nm.ctls[resIO] {
-		entry.IOCaps[id] = ctl.policy.Cap() * ctl.initial
-	}
-	for id, ctl := range nm.ctls[resCPU] {
-		entry.CPUCaps[id] = ctl.policy.Cap() * ctl.initial
+		IOCaps:         capsInForce(nm.ctls[resIO]),
+		CPUCaps:        capsInForce(nm.ctls[resCPU]),
 	}
 	nm.trace = append(nm.trace, entry)
+}
+
+// capsInForce snapshots each controller's absolute cap, or returns nil
+// when none is engaged — most intervals on most servers.
+func capsInForce(ctls map[string]*capController) map[string]float64 {
+	if len(ctls) == 0 {
+		return nil
+	}
+	caps := make(map[string]float64, len(ctls))
+	for id, ctl := range ctls {
+		caps[id] = ctl.policy.Cap() * ctl.initial
+	}
+	return caps
 }
 
 // confirm filters an identification list: identified VMs that were also

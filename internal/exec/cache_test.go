@@ -122,3 +122,26 @@ func TestSpreadAcrossServers(t *testing.T) {
 		t.Errorf("attempts on %d servers, want 3", len(perServer))
 	}
 }
+
+// TestOneRoundSpreadsAcrossServers checks that every launch of a round
+// counts toward its server's load for the picks after it: three fresh
+// tasks launched in one round on three servers of two VMs each must land
+// one per server. A launch left out of the count would send the second
+// task to the first server's other (emptier) VM.
+func TestOneRoundSpreadsAcrossServers(t *testing.T) {
+	h := newHarnessServers(t, 3, 2, 2)
+	specs := make([]TaskSpec, 3)
+	for i := range specs {
+		specs[i] = smallSpec(fmt.Sprintf("t%d", i))
+	}
+	ts := NewTaskSet("spread", specs, nil)
+	h.sets = append(h.sets, ts)
+	h.eng.Run(1)
+	perServer := map[string]int{}
+	for _, a := range ts.RunningAttempts() {
+		perServer[a.executor.vm.Server().ID()]++
+	}
+	if len(perServer) != 3 {
+		t.Errorf("attempts per server = %v, want one on each of 3 servers", perServer)
+	}
+}

@@ -69,14 +69,13 @@ const (
 	AttemptKilled
 )
 
-// Attempt is one execution of a task on one executor.
+// Attempt is one execution of a task on one executor. It reads its
+// task's shape through task.spec, the one copy of the spec its stage
+// holds, except for the two amounts of work: the per-tick progress loops
+// read those next to bytesDone and instrDone, so the attempt keeps them
+// in its own allocation rather than chase the task pointer every tick.
 type Attempt struct {
-	task *Task
-	// spec is a copy of task.spec, taken at launch. Task specs are
-	// immutable once built, and the progress loops read spec fields next
-	// to bytesDone/instrDone every tick — the copy keeps those reads in
-	// the attempt's own allocation instead of chasing the task pointer.
-	spec        TaskSpec
+	task        *Task
 	executor    *Executor
 	speculative bool
 	state       AttemptState
@@ -84,9 +83,11 @@ type Attempt struct {
 	startSec float64
 	endSec   float64
 
-	bytesDone   float64
-	instrDone   float64
-	cachedInput bool
+	ioBytes      float64 // task.spec.IOBytes
+	instructions float64 // task.spec.Instructions
+	bytesDone    float64
+	instrDone    float64
+	cachedInput  bool
 
 	// span is the attempt's trace span (trace.NoSpan when tracing is
 	// off); slot is the executor slot index it occupies, tracked only
@@ -107,14 +108,13 @@ func (a *Attempt) State() AttemptState { return a.state }
 // Progress returns completion in [0, 1]: the average of the I/O and
 // compute fractions over the dimensions the task actually has.
 func (a *Attempt) Progress() float64 {
-	s := &a.spec
 	var sum, n float64
-	if s.IOBytes > 0 {
-		sum += math.Min(1, a.bytesDone/s.IOBytes)
+	if a.ioBytes > 0 {
+		sum += math.Min(1, a.bytesDone/a.ioBytes)
 		n++
 	}
-	if s.Instructions > 0 {
-		sum += math.Min(1, a.instrDone/s.Instructions)
+	if a.instructions > 0 {
+		sum += math.Min(1, a.instrDone/a.instructions)
 		n++
 	}
 	if n == 0 {
@@ -144,23 +144,20 @@ func (a *Attempt) Runtime(nowSec float64) float64 {
 
 // done reports whether both work dimensions are exhausted.
 func (a *Attempt) done() bool {
-	s := &a.spec
-	return a.bytesDone >= s.IOBytes-workEpsilon && a.instrDone >= s.Instructions-workEpsilon
+	return a.bytesDone >= a.ioBytes-workEpsilon && a.instrDone >= a.instructions-workEpsilon
 }
 
 // Task is a logical unit of work; it completes when any attempt does.
+// spec points into the specs slice its task set owns.
 type Task struct {
-	spec      TaskSpec
+	spec      *TaskSpec
 	attempts  []*Attempt
 	completed *Attempt
 	span      trace.SpanID
 }
 
-// NewTask creates a task from a spec.
-func NewTask(spec TaskSpec) *Task { return &Task{spec: spec, span: trace.NoSpan} }
-
 // Spec returns the task's specification.
-func (t *Task) Spec() TaskSpec { return t.spec }
+func (t *Task) Spec() TaskSpec { return *t.spec }
 
 // EachAttempt calls fn for every attempt of the task in launch order,
 // without copying the backing slice — the iteration per-tick callers
@@ -279,7 +276,8 @@ func (e *Executor) launch(t *Task, nowSec float64, speculative bool) *Attempt {
 	if e.FreeSlots() <= 0 {
 		panic(fmt.Sprintf("exec: no free slot on %s", e.Name()))
 	}
-	a := &Attempt{task: t, spec: t.spec, executor: e, speculative: speculative, startSec: nowSec, span: trace.NoSpan}
+	a := &Attempt{task: t, executor: e, speculative: speculative, startSec: nowSec,
+		ioBytes: t.spec.IOBytes, instructions: t.spec.Instructions, span: trace.NoSpan}
 	if key := t.spec.InputKey; key != "" {
 		cache := e.vm.Server().Cache()
 		if cache.Has(key, nowSec) {
@@ -344,19 +342,18 @@ const cacheReadRate = 1e9
 // attemptDemand returns one attempt's per-tick demand components. A
 // cache-served input places no demand on the shared disk.
 func attemptDemand(a *Attempt, tickSec float64) (ioBytes, cpuSec float64) {
-	s := &a.spec
 	if !a.cachedInput {
 		// Inlined min(max(0, remaining), rate*tickSec): branches are
 		// measurably cheaper than math.Min/Max on this hot path and agree
 		// with them for every non-NaN input that reaches here.
-		ioBytes = s.IOBytes - a.bytesDone
+		ioBytes = a.ioBytes - a.bytesDone
 		if ioBytes <= 0 {
 			ioBytes = 0
 		} else if cap := maxIORate * tickSec; ioBytes > cap {
 			ioBytes = cap
 		}
 	}
-	if s.Instructions-a.instrDone > workEpsilon {
+	if a.instructions-a.instrDone > workEpsilon {
 		cpuSec = tickSec // one core per slot
 	}
 	return ioBytes, cpuSec
@@ -368,7 +365,7 @@ func (e *Executor) Demand(tickSec float64) cluster.Demand {
 	var d cluster.Demand
 	var wsum float64
 	for _, a := range e.running {
-		s := &a.spec
+		s := a.task.spec
 		ioBytes, cpuSec := attemptDemand(a, tickSec)
 		op := s.OpBytes
 		if op == 0 {
@@ -430,12 +427,11 @@ func (e *Executor) Advance(nowSec, tickSec float64, g cluster.Grant) bool {
 		ioCapped = th.ReadIOPS > 0 || th.ReadBPS > 0
 	}
 	for i, a := range e.running {
-		s := &a.spec
 		if tr != nil {
 			e.attribute(tr, a, i, tickSec, g, totCPU, ioCapped)
 		}
 		if a.cachedInput {
-			read := s.IOBytes - a.bytesDone
+			read := a.ioBytes - a.bytesDone
 			if read <= 0 {
 				read = 0
 			} else if cap := cacheReadRate * tickSec; read > cap {
@@ -445,16 +441,16 @@ func (e *Executor) Advance(nowSec, tickSec float64, g cluster.Grant) bool {
 		} else if totIO > 0 {
 			a.bytesDone += g.IOBytes * ios[i] / totIO
 		}
-		if totCPU > 0 && s.Instructions > 0 {
+		if totCPU > 0 && a.instructions > 0 {
 			instr := g.Instructions * cpus[i] / totCPU
 			// Instruction progress cannot outrun the fraction of input read.
-			allowed := s.Instructions - a.instrDone
-			if s.IOBytes > 0 {
-				frac := a.bytesDone / s.IOBytes
+			allowed := a.instructions - a.instrDone
+			if a.ioBytes > 0 {
+				frac := a.bytesDone / a.ioBytes
 				if frac > 1 {
 					frac = 1
 				}
-				if gated := s.Instructions*frac - a.instrDone; gated < allowed {
+				if gated := a.instructions*frac - a.instrDone; gated < allowed {
 					allowed = gated
 				}
 			}
@@ -526,7 +522,7 @@ func (e *Executor) Advance(nowSec, tickSec float64, g cluster.Grant) bool {
 // PhaseCPIStall, and off-core time is disk wait (split by cgroup cap
 // state), cache streaming, or idle.
 func (e *Executor) attribute(tr *trace.Tracer, a *Attempt, i int, tickSec float64, g cluster.Grant, totCPU float64, ioCapped bool) {
-	s := &a.spec
+	s := a.task.spec
 	var cpuSec float64
 	if totCPU > 0 && e.cpus[i] > 0 {
 		cpuSec = g.CPUSeconds * e.cpus[i] / totCPU
@@ -551,7 +547,7 @@ func (e *Executor) attribute(tr *trace.Tracer, a *Attempt, i int, tickSec float6
 		tr.AddPhase(a.span, trace.PhaseDiskThrottled, rem)
 	case e.ios[i] > 0:
 		tr.AddPhase(a.span, trace.PhaseDiskWait, rem)
-	case a.cachedInput && s.IOBytes-a.bytesDone > workEpsilon:
+	case a.cachedInput && a.ioBytes-a.bytesDone > workEpsilon:
 		tr.AddPhase(a.span, trace.PhaseCacheRead, rem)
 	default:
 		tr.AddPhase(a.span, trace.PhaseIdle, rem)
@@ -576,14 +572,46 @@ func (p Pool) FreeSlots() int {
 	return n
 }
 
-// byID returns the executor whose VM has the given id, or nil.
-func (p Pool) byID(id string) *Executor {
-	for _, e := range p {
-		if e.vm.ID() == id {
-			return e
+// placement is a scheduler's fixed pool with the lookups its task sets
+// place attempts through: the executor of each VM id, indexed once, and
+// a per-server running-attempt count, recounted lazily once per launch
+// round (loadsValid gates it) and kept current by incrementing the
+// chosen server on every launch — exactly the delta a recount would
+// observe. Task sets of one scheduler tick one at a time, so they share
+// the scratch.
+type placement struct {
+	pool       Pool
+	byVM       map[string]*Executor // nil until the first lookup
+	loads      []int                // indexed by cluster.Server.Index
+	loadsValid bool
+}
+
+// executor returns the pool's executor on the VM with the given id, or
+// nil. The index is built on the first lookup, so a scheduler whose
+// tasks prefer no replicas (Spark's) never pays for it.
+func (pl *placement) executor(id string) *Executor {
+	if pl.byVM == nil {
+		pl.byVM = make(map[string]*Executor, len(pl.pool))
+		for _, e := range pl.pool {
+			pl.byVM[e.vm.ID()] = e
 		}
 	}
-	return nil
+	return pl.byVM[id]
+}
+
+// recountLoads refills loads from the executors' running sets. A VM may
+// have migrated since the last count, so the slice grows to whatever
+// server index it finds.
+func (pl *placement) recountLoads() {
+	clear(pl.loads)
+	for _, e := range pl.pool {
+		i := e.vm.Server().Index()
+		if i >= len(pl.loads) {
+			pl.loads = append(pl.loads, make([]int, i+1-len(pl.loads))...)
+		}
+		pl.loads[i] += len(e.running)
+	}
+	pl.loadsValid = true
 }
 
 // Speculator decides which tasks deserve a speculative (backup) attempt.
@@ -600,45 +628,49 @@ type Speculator interface {
 // consults an optional Speculator for straggler mitigation.
 type TaskSet struct {
 	name    string
-	tasks   []*Task
+	tasks   []Task // one slab; tasks never move, so *Task stays valid
 	pending []*Task
 	spec    Speculator
 
 	killed bool
 
-	// loads is a scratch per-server running-attempt count, rebuilt lazily
-	// once per Tick (loadsValid gates it) instead of once per pending
-	// task, and kept current by incrementing the chosen server on every
-	// launch — which is exactly the delta a recount would observe.
-	loads      map[*cluster.Server]int
-	loadsValid bool
-
 	tr   *trace.Tracer
 	span trace.SpanID
 }
 
-// NewTaskSet builds a set from specs. The speculator may be nil.
+// NewTaskSet builds a set from specs. The set takes ownership of specs:
+// its tasks point into the slice rather than copying it, so the caller
+// must not modify or reuse it afterwards (a stage builder returns a
+// fresh slice on every call). The speculator may be nil.
 func NewTaskSet(name string, specs []TaskSpec, spec Speculator) *TaskSet {
-	ts := &TaskSet{name: name, spec: spec, span: trace.NoSpan}
-	for _, s := range specs {
-		t := NewTask(s)
-		ts.tasks = append(ts.tasks, t)
-		ts.pending = append(ts.pending, t)
+	ts := &TaskSet{
+		name:    name,
+		tasks:   make([]Task, len(specs)),
+		pending: make([]*Task, len(specs)),
+		spec:    spec,
+		span:    trace.NoSpan,
+	}
+	for i := range specs {
+		t := &ts.tasks[i]
+		t.spec = &specs[i]
+		t.span = trace.NoSpan
+		ts.pending[i] = t
 	}
 	return ts
 }
 
 // Trace opens the set's span (and one span per task, queue wait measured
 // from nowSec) under the given parent. Call right after NewTaskSet,
-// before the first Tick; a nil tracer leaves tracing off. The set closes
-// its spans as tasks complete or are killed.
+// before its first scheduling round; a nil tracer leaves tracing off.
+// The set closes its spans as tasks complete or are killed.
 func (ts *TaskSet) Trace(tr *trace.Tracer, parent trace.SpanID, nowSec float64) {
 	if tr == nil {
 		return
 	}
 	ts.tr = tr
 	ts.span = tr.Start(trace.KindTaskSet, ts.name, "", parent, nowSec)
-	for _, t := range ts.tasks {
+	for i := range ts.tasks {
+		t := &ts.tasks[i]
 		t.span = tr.Start(trace.KindTask, t.spec.ID, "", ts.span, nowSec)
 	}
 }
@@ -648,7 +680,13 @@ func (ts *TaskSet) Name() string { return ts.name }
 
 // Tasks returns all tasks in the set. It copies; use EachTask on
 // per-tick paths.
-func (ts *TaskSet) Tasks() []*Task { return append([]*Task(nil), ts.tasks...) }
+func (ts *TaskSet) Tasks() []*Task {
+	out := make([]*Task, len(ts.tasks))
+	for i := range ts.tasks {
+		out[i] = &ts.tasks[i]
+	}
+	return out
+}
 
 // NumTasks returns the number of tasks in the set without copying.
 func (ts *TaskSet) NumTasks() int { return len(ts.tasks) }
@@ -656,8 +694,8 @@ func (ts *TaskSet) NumTasks() int { return len(ts.tasks) }
 // EachTask calls fn for every task in creation order, without copying
 // the backing slice.
 func (ts *TaskSet) EachTask(fn func(*Task)) {
-	for _, t := range ts.tasks {
-		fn(t)
+	for i := range ts.tasks {
+		fn(&ts.tasks[i])
 	}
 }
 
@@ -666,23 +704,25 @@ func (ts *TaskSet) Done() bool {
 	if ts.killed {
 		return true
 	}
-	for _, t := range ts.tasks {
-		if !t.Done() {
+	for i := range ts.tasks {
+		if !ts.tasks[i].Done() {
 			return false
 		}
 	}
 	return true
 }
 
-// Tick runs one scheduling round against the pool: harvest completions,
-// kill redundant siblings, launch pending tasks (locality first), then
-// let the speculator spend leftover slots.
-func (ts *TaskSet) Tick(nowSec float64, pool Pool) {
+// tick runs one scheduling round against the placement's pool: harvest
+// completions, kill redundant siblings, launch pending tasks (locality
+// first), then let the speculator spend leftover slots.
+func (ts *TaskSet) tick(nowSec float64, pl *placement) {
 	if ts.killed {
 		return
 	}
+	pool := pl.pool
 	// Harvest completions; kill sibling attempts of completed tasks.
-	for _, t := range ts.tasks {
+	for i := range ts.tasks {
+		t := &ts.tasks[i]
 		if t.completed != nil {
 			ts.killSiblings(t, nowSec)
 			continue
@@ -708,17 +748,17 @@ func (ts *TaskSet) Tick(nowSec float64, pool Pool) {
 	// array (writes trail reads, so the in-place append is safe) to avoid
 	// an allocation per scheduling round.
 	if len(ts.pending) > 0 && pool.FreeSlots() > 0 {
-		ts.loadsValid = false
+		pl.loadsValid = false
 		pending := ts.pending[:0]
 		for _, t := range ts.pending {
-			e := ts.pickExecutor(t, pool)
+			e := pl.pickExecutor(t)
 			if e == nil {
 				pending = append(pending, t)
 				continue
 			}
 			e.launch(t, nowSec, false)
-			if ts.loadsValid {
-				ts.loads[e.vm.Server()]++
+			if pl.loadsValid {
+				pl.loads[e.vm.Server().Index()]++
 			}
 		}
 		ts.pending = pending
@@ -757,7 +797,8 @@ func (ts *TaskSet) StrideQuiet(pool Pool) bool {
 		return true
 	}
 	done := true
-	for _, t := range ts.tasks {
+	for i := range ts.tasks {
+		t := &ts.tasks[i]
 		if t.completed == nil {
 			done = false
 			for _, a := range t.attempts {
@@ -806,7 +847,8 @@ func (ts *TaskSet) Kill(nowSec float64) {
 	}
 	ts.killed = true
 	ts.pending = nil
-	for _, t := range ts.tasks {
+	for i := range ts.tasks {
+		t := &ts.tasks[i]
 		for _, a := range t.attempts {
 			if a.state == AttemptRunning {
 				a.state = AttemptKilled
@@ -831,10 +873,10 @@ func (ts *TaskSet) Kill(nowSec float64) {
 // do, and it is what gives cloned jobs placement diversity: each clone
 // lands on a different set of machines, so at least one copy tends to
 // escape the antagonized servers.
-func (ts *TaskSet) pickExecutor(t *Task, pool Pool) *Executor {
+func (pl *placement) pickExecutor(t *Task) *Executor {
 	var pref *Executor
 	for _, id := range t.spec.PreferredVMs {
-		e := pool.byID(id)
+		e := pl.executor(id)
 		if e == nil || e.FreeSlots() <= 0 {
 			continue
 		}
@@ -845,33 +887,16 @@ func (ts *TaskSet) pickExecutor(t *Task, pool Pool) *Executor {
 	if pref != nil {
 		return pref
 	}
-	if !ts.loadsValid {
-		if ts.loads == nil {
-			// Sized for servers, not executors: many executors share one
-			// physical server, so a len(pool) hint would overshoot badly.
-			ts.loads = make(map[*cluster.Server]int, 16)
-		}
-		clear(ts.loads)
-		for _, e := range pool {
-			ts.loads[e.vm.Server()] += len(e.running)
-		}
-		ts.loadsValid = true
+	if !pl.loadsValid {
+		pl.recountLoads()
 	}
-	load := ts.loads
 	var best *Executor
 	bestLoad := 0
-	// Pools list a server's executors contiguously, so one cached lookup
-	// usually covers a whole server's stretch of the scan.
-	var lastSrv *cluster.Server
-	lastLoad := 0
-	for _, e := range pool {
+	for _, e := range pl.pool {
 		if e.FreeSlots() <= 0 {
 			continue
 		}
-		if srv := e.vm.Server(); srv != lastSrv {
-			lastSrv, lastLoad = srv, load[srv]
-		}
-		l := lastLoad
+		l := pl.loads[e.vm.Server().Index()]
 		if best == nil || l < bestLoad ||
 			(l == bestLoad && e.FreeSlots() > best.FreeSlots()) {
 			best, bestLoad = e, l
@@ -922,8 +947,8 @@ func (e *Executor) speedScore(nowSec float64) float64 {
 // sorted by task id for determinism.
 func (ts *TaskSet) RunningAttempts() []*Attempt {
 	var out []*Attempt
-	for _, t := range ts.tasks {
-		out = append(out, t.Running()...)
+	for i := range ts.tasks {
+		out = append(out, ts.tasks[i].Running()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].task.spec.ID < out[j].task.spec.ID })
 	return out

@@ -15,6 +15,7 @@ type harness struct {
 	eng  *sim.Engine
 	clus *cluster.Cluster
 	pool Pool
+	pl   *placement
 	sets []*TaskSet
 }
 
@@ -35,10 +36,11 @@ func newHarnessServers(t *testing.T, nServers, vmsPerServer, slots int) *harness
 			h.pool = append(h.pool, NewExecutor(vm, slots))
 		}
 	}
+	h.pl = &placement{pool: h.pool}
 	h.eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
 		now := c.Seconds()
 		for _, ts := range h.sets {
-			ts.Tick(now, h.pool)
+			ts.tick(now, h.pl)
 		}
 	}), -1)
 	h.eng.RegisterPriority(h.clus, 0)
@@ -214,7 +216,7 @@ func TestKillTaskSet(t *testing.T) {
 	}
 	// Killing twice is safe; ticking a killed set is a no-op.
 	ts.Kill(99)
-	ts.Tick(100, h.pool)
+	ts.tick(100, h.pl)
 }
 
 func TestProgressAndRate(t *testing.T) {
@@ -260,7 +262,8 @@ func TestExecutorPanicsWithoutSlots(t *testing.T) {
 			t.Error("want panic launching on full executor")
 		}
 	}()
-	h.pool[0].launch(NewTask(smallSpec("b")), 0, false)
+	spare := NewTaskSet("spare", []TaskSpec{smallSpec("b")}, nil)
+	h.pool[0].launch(spare.Tasks()[0], 0, false)
 }
 
 func TestNewExecutorPanicsOnZeroSlots(t *testing.T) {
@@ -272,6 +275,29 @@ func TestNewExecutorPanicsOnZeroSlots(t *testing.T) {
 		}
 	}()
 	NewExecutor(vm, 0)
+}
+
+// TestNewTaskSetAllocsIndependentOfSize pins a stage's storage: the set
+// owns its builder's specs and holds its tasks in one slab, so building
+// it costs the same three allocations (the set, the task slab and the
+// pending list) whatever the number of tasks.
+func TestNewTaskSetAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		specs := make([]TaskSpec, n)
+		for i := range specs {
+			specs[i] = smallSpec(fmt.Sprintf("t%d", i))
+		}
+		var ts *TaskSet
+		a := testing.AllocsPerRun(20, func() { ts = NewTaskSet("maps", specs, nil) })
+		if ts.NumTasks() != n {
+			t.Fatalf("NewTaskSet built %d tasks from %d specs", ts.NumTasks(), n)
+		}
+		return a
+	}
+	one, many := allocs(1), allocs(64)
+	if one > 3 || many != one {
+		t.Errorf("NewTaskSet allocs: %v for 1 spec, %v for 64, want the same and at most 3", one, many)
+	}
 }
 
 func TestAccountingEmptySet(t *testing.T) {
@@ -291,7 +317,7 @@ func TestContentionSlowsTask(t *testing.T) {
 		srv := clus.AddServer("s0", cluster.DefaultServerConfig(), eng.RNG())
 		vm := clus.AddVM(srv, "worker", 2, cluster.HighPriority, "app")
 		e := NewExecutor(vm, 2)
-		pool := Pool{e}
+		pl := &placement{pool: Pool{e}}
 		// I/O-bound task: ~150 MB to read, negligible compute.
 		ioSpec := TaskSpec{ID: "t0", IOBytes: 150e6, Instructions: 2.3e8,
 			CoreCPI: 0.9, LLCRefsPerInstr: 0.02, BytesPerInstr: 0.3, WorkingSetBytes: 100 << 20}
@@ -301,7 +327,7 @@ func TestContentionSlowsTask(t *testing.T) {
 			hogVM.SetWorkload(&hogWorkload{})
 		}
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
-			ts.Tick(c.Seconds(), pool)
+			ts.tick(c.Seconds(), pl)
 		}), -1)
 		eng.RegisterPriority(clus, 0)
 		if !(&sim.Stepper{Eng: eng}).RunUntil(ts.Done, 10*time.Minute) {

@@ -121,17 +121,18 @@ func (j *Job) Kill(nowSec float64) {
 // sim.Tickable; register it before the cluster so tasks scheduled in a
 // tick consume that tick's resources.
 type Scheduler struct {
-	pool   Pool
+	pl     *placement
 	jobs   []*Job
 	nextID int
 	spec   Speculator    // speculator for every stage of every job (may be nil)
 	tr     *trace.Tracer // nil when tracing is off
 }
 
-// NewScheduler creates a scheduler over the executor pool. The
-// speculator (may be nil) applies to every stage of every job.
+// NewScheduler creates a scheduler over the executor pool, which stays
+// fixed for the scheduler's life. The speculator (may be nil) applies to
+// every stage of every job.
 func NewScheduler(pool Pool, spec Speculator) *Scheduler {
-	return &Scheduler{pool: pool, spec: spec}
+	return &Scheduler{pl: &placement{pool: pool}, spec: spec}
 }
 
 // SetTracer attaches a span tracer: subsequent Submits open job spans
@@ -141,7 +142,8 @@ func (s *Scheduler) SetTracer(tr *trace.Tracer) { s.tr = tr }
 // Submit enqueues a job of the given stage count at nowSec. Its id is
 // name-N, N counting this scheduler's submissions from 0; stage builds
 // each stage's task-set name and specs from that id when the stage
-// starts. stages must be at least 1.
+// starts, and must return a fresh slice on every call (the stage's task
+// set takes ownership of it). stages must be at least 1.
 func (s *Scheduler) Submit(name string, stages int, stage func(id string, i int) (string, []TaskSpec), nowSec float64) *Job {
 	j := &Job{
 		id:        name + "-" + strconv.Itoa(s.nextID),
@@ -175,7 +177,7 @@ func (s *Scheduler) StrideQuiet() bool {
 		case JobQueued:
 			return false
 		case JobRunning:
-			if cur := j.sets[j.idx]; cur.Done() || !cur.StrideQuiet(s.pool) {
+			if cur := j.sets[j.idx]; cur.Done() || !cur.StrideQuiet(s.pl.pool) {
 				return false
 			}
 		}
@@ -196,7 +198,7 @@ func (s *Scheduler) advance(j *Job, now float64) {
 		return
 	}
 	cur := j.sets[j.idx]
-	cur.Tick(now, s.pool)
+	cur.tick(now, s.pl)
 	for cur.Done() {
 		j.idx++
 		if j.idx == j.stages {
@@ -206,7 +208,7 @@ func (s *Scheduler) advance(j *Job, now float64) {
 			return
 		}
 		cur = s.start(j, now)
-		cur.Tick(now, s.pool)
+		cur.tick(now, s.pl)
 	}
 }
 

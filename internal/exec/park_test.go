@@ -36,11 +36,11 @@ func TestIdleExecutorParksAndWakes(t *testing.T) {
 		hog.SetWorkload(&hogWorkload{})
 		spare := clus.AddVM(s1, "spare", 2, cluster.LowPriority, "")
 		e := NewExecutor(worker, 2)
-		pool := Pool{e}
+		pl := &placement{pool: Pool{e}}
 		var sets []*TaskSet
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
 			for _, ts := range sets {
-				ts.Tick(c.Seconds(), pool)
+				ts.tick(c.Seconds(), pl)
 			}
 		}), -1)
 		eng.RegisterPriority(clus, 0)
@@ -107,12 +107,12 @@ func TestKillDuringSteadyReplayMatchesReference(t *testing.T) {
 		worker := clus.AddVM(s0, "worker", 2, cluster.HighPriority, "app")
 		hog := clus.AddVM(s0, "hog", 2, cluster.LowPriority, "")
 		hog.SetWorkload(&hogWorkload{})
-		pool := Pool{NewExecutor(worker, 2)}
+		pl := &placement{pool: Pool{NewExecutor(worker, 2)}}
 		keep := NewTaskSet("keep", []TaskSpec{long("keep")}, nil)
 		doomed := NewTaskSet("doomed", []TaskSpec{long("doomed")}, nil)
 		eng.RegisterPriority(sim.TickFunc(func(c *sim.Clock) {
-			keep.Tick(c.Seconds(), pool)
-			doomed.Tick(c.Seconds(), pool)
+			keep.tick(c.Seconds(), pl)
+			doomed.tick(c.Seconds(), pl)
 		}), -1)
 		eng.RegisterPriority(clus, 0)
 

@@ -37,7 +37,7 @@ var mutants = []mutant{
 		// through the queued state.
 		name:        "next-stage-deferred-one-tick",
 		file:        "internal/exec/job.go",
-		anchor:      "\t\tcur = s.start(j, now)\n\t\tcur.Tick(now, s.pool)\n",
+		anchor:      "\t\tcur = s.start(j, now)\n\t\tcur.tick(now, s.pl)\n",
 		replacement: "\t\tj.state = JobQueued\n\t\treturn\n",
 		pkgs:        []string{"perfcloud/internal/exec", "perfcloud/internal/mapreduce", "perfcloud/internal/spark"},
 	},
@@ -46,7 +46,7 @@ var mutants = []mutant{
 		// launches its first tasks a tick later.
 		name:        "next-stage-first-round-deferred",
 		file:        "internal/exec/job.go",
-		anchor:      "\t\tcur = s.start(j, now)\n\t\tcur.Tick(now, s.pool)\n",
+		anchor:      "\t\tcur = s.start(j, now)\n\t\tcur.tick(now, s.pl)\n",
 		replacement: "\t\ts.start(j, now)\n\t\treturn\n",
 		pkgs:        []string{"perfcloud/internal/exec", "perfcloud/internal/experiments", "perfcloud/cmd/perfbench"},
 	},
@@ -67,6 +67,26 @@ var mutants = []mutant{
 		anchor:      "\t\tcase JobQueued:\n\t\t\treturn false\n",
 		replacement: "\t\tcase JobQueued:\n",
 		pkgs:        []string{"perfcloud/internal/exec"},
+	},
+	{
+		// A launch that does not count toward its server's load: later
+		// picks of the same round see the stale count and pile onto the
+		// first server's emptier VMs.
+		name:        "launch-not-counted-in-loads",
+		file:        "internal/exec/exec.go",
+		anchor:      "\t\t\tif pl.loadsValid {\n\t\t\t\tpl.loads[e.vm.Server().Index()]++\n\t\t\t}\n",
+		replacement: "",
+		pkgs:        []string{"perfcloud/internal/exec", "perfcloud/internal/experiments", "perfcloud/cmd/perfbench"},
+	},
+	{
+		// A Revalidate that never clears: a memo replay after the AR(1)
+		// compacted steps the jitter of whichever client now holds each
+		// stale slot.
+		name:        "revalidate-never-clears",
+		file:        "internal/sim/ar1.go",
+		anchor:      "\tif c.gen == a.gen {\n\t\treturn\n\t}\n",
+		replacement: "\treturn\n",
+		pkgs:        []string{"perfcloud/internal/cluster", "perfcloud/internal/disk", "perfcloud/internal/memsys"},
 	},
 }
 
