@@ -317,8 +317,11 @@ func writeHeapProfile(path string) error {
 
 // printFastPaths reports how much simulation work the fast paths
 // absorbed across the given clusters: the share of grant-phase ticks
-// skipped (quiescence) or reusing demand vectors, and the per-resource
-// allocator input-memo hit rates.
+// skipped (quiescence) or replayed from the last solve (steady reuse),
+// the ticks strides elided, and the whole-shard skips. The steady replay
+// is the resource models' only reuse of a solve, so the allocator memo
+// counters would repeat the reused and rebuilt counts and are not
+// printed.
 func printFastPaths(w io.Writer, clusters []*cluster.Cluster) {
 	var fp obs.FastPathSnapshot
 	for _, c := range clusters {
@@ -338,8 +341,4 @@ func printFastPaths(w io.Writer, clusters []*cluster.Cluster) {
 		fp.StrideSkips, fp.HorizonRecomputes,
 		float64(fp.StrideSkips)/float64(max(fp.HorizonRecomputes, 1)))
 	fmt.Fprintf(w, "fastpaths: sharded ticking: %d whole-shard skips\n", fp.ShardSkips)
-	fmt.Fprintf(w, "fastpaths: allocator memo hit rates: cpu %.1f%% (%d/%d), mem %.1f%% (%d/%d), disk %.1f%% (%d/%d)\n",
-		rate(fp.CPUMemoHits, fp.CPUMemoMisses), fp.CPUMemoHits, fp.CPUMemoHits+fp.CPUMemoMisses,
-		rate(fp.MemMemoHits, fp.MemMemoMisses), fp.MemMemoHits, fp.MemMemoHits+fp.MemMemoMisses,
-		rate(fp.DiskMemoHits, fp.DiskMemoMisses), fp.DiskMemoHits, fp.DiskMemoHits+fp.DiskMemoMisses)
 }

@@ -106,9 +106,9 @@ func run(cfg runConfig) (experiments.Observers, error) {
 	for i, res := range []string{"cpu", "mem", "disk"} {
 		l := obs.Label{Key: "res", Value: res}
 		memoHits[i] = cfg.Metrics.Gauge("perfcloud_alloc_memo_hits",
-			"Allocator input-memo hits.", l)
+			"Allocator solves replayed by the steady replay (equals steady reuses).", l)
 		memoMisses[i] = cfg.Metrics.Gauge("perfcloud_alloc_memo_misses",
-			"Allocator input-memo misses.", l)
+			"Allocator full solves (equals rebuilds).", l)
 	}
 
 	// Daemon time series. Throttle footprint is sampled at observe time;

@@ -56,9 +56,8 @@ func activeCluster(eng *sim.Engine, cl *Cluster) {
 }
 
 // BenchmarkActiveServerTick measures the steady-state cost of ticking
-// busy servers on the optimised path, with the steady-tick replay and the
-// allocator memos. Compare against
-// BenchmarkActiveServerTickNoReuse for the win.
+// busy servers on the optimised path, with the steady-tick replay.
+// Compare against BenchmarkActiveServerTickNoReuse for the win.
 func BenchmarkActiveServerTick(b *testing.B) {
 	benchActiveTick(b, New())
 }
@@ -70,9 +69,9 @@ func BenchmarkActiveServerTickNoReuse(b *testing.B) {
 }
 
 // churnBench alternates between two demands, switching on every grant
-// and reporting the change — the steady replay never applies, and no
-// allocator memo ever hits, so every tick of its server is a full
-// rebuild and a full disk and memory-system solve.
+// and reporting the change — the steady replay never applies, so every
+// tick of its server is a full rebuild and a full disk and memory-system
+// solve.
 type churnBench struct {
 	demand [2]Demand
 	odd    bool
@@ -122,7 +121,7 @@ func BenchmarkStrideAdvance(b *testing.B) {
 		}
 	}
 	clk := eng.Clock()
-	cl.Tick(clk) // settle scratch buffers, arm memos and quiescence
+	cl.Tick(clk) // settle scratch buffers, arm the replay and quiescence
 	stop := func() bool { return false }
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -155,7 +154,7 @@ func BenchmarkShardScale(b *testing.B) {
 			}
 			clk := eng.Clock()
 			cl.Tick(clk) // first tick parks every idle server
-			cl.Tick(clk) // second settles scratch buffers and arms the memos
+			cl.Tick(clk) // second settles scratch buffers and arms the replay
 			if got := cl.ActiveServers(); got != busy {
 				b.Fatalf("active servers = %d, want %d", got, busy)
 			}
@@ -172,7 +171,7 @@ func benchActiveTick(b *testing.B, cl *Cluster) {
 	eng := sim.NewEngine(100*time.Millisecond, 3)
 	activeCluster(eng, cl)
 	clk := eng.Clock()
-	cl.Tick(clk) // settle scratch buffers and arm the memos
+	cl.Tick(clk) // settle scratch buffers and arm the replay
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -215,10 +215,6 @@ type Server struct {
 	// counting them one by one.
 	skipFrom uint64
 
-	// pulled is the portion of this server's fast-path counters already
-	// folded into its shard's aggregate; see shard.pull.
-	pulled obs.FastPathSnapshot
-
 	// epoch counts placement changes (VM add/remove/migrate). Samplers key
 	// slice-indexed per-domain state on it: while the epoch is unchanged,
 	// EachVM reports the same domains in the same order, so a cached index
@@ -252,12 +248,15 @@ type Server struct {
 	// current tick. Demand changes disarm it as they happen: an Advance
 	// that reports one, and MarkDirty, which the workloads' other changes,
 	// placement changes and SetWorkload call. steadyValid holds an
-	// invariant the replay relies on: while it is set, every allocator's
-	// memo is valid for those vectors at lastTickSec, and the grant and
-	// result buffers hold the memo's values. A rebuilt tick leaves each
-	// memo saved or re-hit at its tick length, and a replay leaves it
-	// untouched; memos are dropped only by settleIdle, which disarms the
-	// server, and by the reference tick's InvalidateMemo.
+	// invariant the replay relies on: while it is set, each resource
+	// model's last solve was the full solve of those vectors at
+	// lastTickSec that the arming rebuild ran, and the grant and result
+	// buffers still hold its output. The CPU grants are exact as they
+	// stand; disk and memsys keep the state of that solve their replays
+	// read (wait coefficient, congestion term and active clients, client
+	// slots). Only the pipeline solves, and the models' other calls —
+	// settleIdle's, catchUp's idle replay — run with the server disarmed
+	// or before the rebuild that arms it.
 	steadyValid  bool
 	lastTickSec  float64
 	throttleMark uint64
@@ -279,7 +278,7 @@ type Server struct {
 }
 
 // kit is a server's working storage: its resource models, with their
-// scratch, memo buffers and jitter state, its page cache, its VM list and
+// scratch, replay state and jitter state, its page cache, its VM list and
 // the vectors its tick fills. A released cluster hands its servers' kits
 // to the free list, and AddServer re-arms a spare one rather than build
 // its own (DESIGN.md §5.10), so a recycled server's first rebuild
@@ -445,33 +444,31 @@ func (s *Server) MarkDirty() {
 
 // FastPathStats returns the server's cumulative fast-path accounting:
 // how many grant-phase ticks quiescence elided, how many grant phases
-// the steady replay served without rebuilding the request vectors, how many
-// rebuilt, and each allocator's input-memo hit/miss counts. The counters
-// are owned by the goroutine ticking the server, so read them between
-// ticks (the monitoring/exposition cadence, not the tick hot path).
+// the steady replay served without rebuilding the request vectors, and
+// how many rebuilt. The steady replay is each resource model's only
+// reuse of a solve, so every model's memo hits are the steady reuses and
+// its misses the rebuilds. The counters are owned by the goroutine
+// ticking the server, so read them between ticks (the
+// monitoring/exposition cadence, not the tick hot path).
 func (s *Server) FastPathStats() obs.FastPathSnapshot {
-	fp := s.fastPathRaw()
+	skips := s.statSkipped
 	// An inactive server has pending elided ticks that its own counters
 	// will only record on wake; fold them in so between-tick observers see
 	// one skip per elided tick.
 	if !s.active && s.clus != nil {
-		fp.QuiescentSkips += s.clus.ticks - s.skipFrom
+		skips += s.clus.ticks - s.skipFrom
 	}
-	return fp
-}
-
-// fastPathRaw returns the counters the server itself has recorded, with
-// no adjustment for ticks elided while inactive.
-func (s *Server) fastPathRaw() obs.FastPathSnapshot {
-	fp := obs.FastPathSnapshot{
-		QuiescentSkips: s.statSkipped,
+	return obs.FastPathSnapshot{
+		QuiescentSkips: skips,
 		SteadyReuses:   s.statSteady,
 		Rebuilds:       s.statRebuilds,
+		CPUMemoHits:    s.statSteady,
+		CPUMemoMisses:  s.statRebuilds,
+		MemMemoHits:    s.statSteady,
+		MemMemoMisses:  s.statRebuilds,
+		DiskMemoHits:   s.statSteady,
+		DiskMemoMisses: s.statRebuilds,
 	}
-	fp.CPUMemoHits, fp.CPUMemoMisses = s.cpu.MemoStats()
-	fp.MemMemoHits, fp.MemMemoMisses = s.mem.MemoStats()
-	fp.DiskMemoHits, fp.DiskMemoMisses = s.disk.MemoStats()
-	return fp
 }
 
 // bumpEpoch records a placement change and re-dirties the pipeline.
@@ -554,8 +551,8 @@ func (s *Server) grantPhase(tickSec float64) {
 	}
 	// Steady replay: no change pushed since the last rebuilt tick, the
 	// throttle counter and the tick length prove the request vectors
-	// unchanged, so each allocator's memo is a guaranteed hit and the
-	// grant/result buffers already carry its values (see steadyValid).
+	// unchanged, so the grant/result buffers already carry the models'
+	// answer to them, but for the draw-dependent fields (see steadyValid).
 	// The tick reduces to the per-client draws, the handful of
 	// draw-dependent fields, and the cgroup accumulation, bit-for-bit
 	// what a rebuild would produce. Idle states cannot have changed
@@ -565,7 +562,6 @@ func (s *Server) grantPhase(tickSec float64) {
 	// granted zero and still are, so they cost nothing here.
 	if s.steadyUsable(tickSec) {
 		s.statSteady++
-		s.cpu.ReplaySteady()
 		s.mem.ReplaySteadyInPlace(s.memResults)
 		s.disk.ReplaySteadyInPlace(s.diskGrants)
 		for i, v := range s.vms {
@@ -598,8 +594,8 @@ func (s *Server) grantPhase(tickSec float64) {
 		s.statSkipped++
 		return
 	}
-	// Rebuild: fresh vectors through the value-compared allocator memos,
-	// then arm the replay for the next tick, against the throttle counter
+	// Rebuild: fresh vectors through full solves, then arm the replay for
+	// the next tick, against the throttle counter
 	// as it stood before the pipeline read the caps.
 	s.catchUp()
 	s.statRebuilds++
@@ -609,17 +605,17 @@ func (s *Server) grantPhase(tickSec float64) {
 }
 
 // referenceGrant is the reference cluster's grant phase: the full
-// pipeline with freshly built request vectors and every allocator memo
-// invalidated, on every tick, idle or not. The optimised grantPhase must
-// match it bit for bit.
+// pipeline with freshly built request vectors, on every tick, idle or
+// not, with the disk's and memory system's client slots reset so every
+// solve resolves its clients by id. The optimised grantPhase must match
+// it bit for bit.
 func (s *Server) referenceGrant(tickSec float64) {
 	if len(s.vms) == 0 {
 		return
 	}
 	s.scanIdle()
-	s.cpu.InvalidateMemo()
-	s.mem.InvalidateMemo()
-	s.disk.InvalidateMemo()
+	s.mem.ResetSlots()
+	s.disk.ResetSlots()
 	s.statRebuilds++
 	s.pipeline(tickSec)
 }
@@ -736,7 +732,7 @@ func (s *Server) steadyUsable(tickSec float64) bool {
 // without running the pipeline: every VM's last grant is zero, the disk
 // and memory system report zero load (memsys also collects the jitter
 // state of VMs that left), and the server is quiescent. What it does not
-// do is build the request vectors, prime the models' memos, or take the
+// do is build the request vectors, solve the models, or take the
 // disk's jitter draws — the caller counts the tick as the first skipped
 // one, so catchUp replays its draws, and the disk's keep-set GC with
 // them, when the server next runs the pipeline. A server idle from birth thus never
@@ -744,7 +740,6 @@ func (s *Server) steadyUsable(tickSec float64) bool {
 // no VM ids. Call it with no skipped ticks pending.
 func (s *Server) settleIdle() {
 	clear(s.grants)
-	s.cpu.InvalidateMemo()
 	if s.mem.SettleIdle(len(s.vms)) {
 		s.mem.Retain(len(s.vms), s.vmID)
 	}
@@ -939,8 +934,8 @@ func New() *Cluster {
 
 // NewReference creates an empty reference cluster: the naive oracle the
 // optimised tick is checked against. Every tick it runs every server's
-// full pipeline, with freshly built request vectors and every allocator
-// memo invalidated; it never parks a quiescent server, replays a steady
+// full pipeline, with freshly built request vectors and every client
+// looked up by id; it never parks a quiescent server, replays a steady
 // tick or strides, and it neither takes nor gives recycled server kits.
 // Both kinds of cluster produce bit-for-bit identical simulations.
 func NewReference() *Cluster {
@@ -1100,9 +1095,10 @@ func (c *Cluster) PlacementSeq() uint64 { return c.placeSeq }
 
 // FastPathStats sums the fast-path accounting of every server in the
 // cluster and adds the cluster-level stride and shard counters. Call it
-// between ticks (see Server.FastPathStats). The sum is assembled in
-// O(active servers + shards) from the per-shard aggregates. A released
-// cluster returns the sum as it stood at Release.
+// between ticks (see Server.FastPathStats): it visits every server, which
+// suits its readers, who call it once per testbed or control interval,
+// not once per tick. A released cluster returns the sum as it stood at
+// Release.
 func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
 	if c.released {
 		return c.frozen
@@ -1112,15 +1108,8 @@ func (c *Cluster) FastPathStats() obs.FastPathSnapshot {
 		HorizonRecomputes: c.statHorizonRecomputes,
 		ShardSkips:        c.statShardSkips,
 	}
-	c.ensureShards()
-	// Pull the still-active servers' fresh counter deltas into their
-	// shards (inactive servers were pulled when they deactivated), then
-	// sum the shard aggregates plus each shard's pending elided ticks.
-	c.eachActive(func(s *Server) { c.shards[c.shardIndex(s.index)].pull(s) })
-	for i := range c.shards {
-		sh := &c.shards[i]
-		fp.Add(sh.agg)
-		fp.QuiescentSkips += uint64(sh.inactive)*c.ticks - sh.sumSkipFrom
+	for _, s := range c.servers {
+		fp.Add(s.FastPathStats())
 	}
 	return fp
 }

@@ -46,7 +46,7 @@ func mallocs(fn func()) uint64 {
 // TestRecycledKitFirstRebuildAllocatesNothing: a server built on a kit
 // that a released cluster handed back allocates nothing on its first
 // rebuilt grant phase, where a server on a fresh kit grows every vector,
-// memo and jitter map. Both rebuild with congested memory and an
+// replay list and jitter map. Both rebuild with congested memory and an
 // overloaded disk, so every solver path runs.
 func TestRecycledKitFirstRebuildAllocatesNothing(t *testing.T) {
 	var kits kitList
@@ -128,8 +128,8 @@ func TestReleasedClusterFreezes(t *testing.T) {
 // TestRearmedKitMatchesFresh: a kit re-armed from a released server is,
 // field for field through every model it holds, the kit AddServer builds
 // from nothing — equal up to the capacity of its slices and maps, the
-// storage it carries over. A re-arm that kept a memo flag, a counter or a
-// tracked client would differ here even where no output shows it.
+// storage it carries over. A re-arm that kept replay state, a counter or
+// a tracked client would differ here even where no output shows it.
 func TestRearmedKitMatchesFresh(t *testing.T) {
 	var kits kitList
 	c := New()
@@ -260,7 +260,7 @@ func TestKitFootprint(t *testing.T) {
 		for tick := 0; tick < 4; tick++ {
 			srv.grantPhase(eng.Clock().TickSeconds())
 			if tick == 1 {
-				srv.MarkDirty() // a rebuild the memos serve
+				srv.MarkDirty() // a rebuild of unchanged vectors
 			}
 		}
 		runtime.ReadMemStats(&after)

@@ -112,7 +112,7 @@ func runScript(script []byte, ref bool, spares *kitList) scriptResult {
 			} else {
 				w.set(d)
 			}
-		case 1: // MarkDirty, demand unchanged: a rebuild the memos serve
+		case 1: // MarkDirty, demand unchanged: a rebuild of unchanged vectors
 			vm.Server().MarkDirty()
 		case 2: // throttle through the cgroup alone
 			level := arg / 24 % 3
@@ -161,8 +161,8 @@ func runScript(script []byte, ref bool, spares *kitList) scriptResult {
 // FuzzClusterMatchesReference plays a random script of demand changes,
 // MarkDirty calls, throttle changes, detaches, finishes, migrations and ticks
 // on an optimised and a reference cluster and requires identical grants
-// and cgroup counters: the steady replay, the memo hits, quiescence and
-// the skip-set replay must each be invisible in the results. It plays the
+// and cgroup counters: the steady replay, quiescence and the skip-set
+// replay must each be invisible in the results. It plays the
 // script a second time on a cluster whose servers re-arm the kits the
 // first optimised run released, so recycled storage must be invisible too.
 func FuzzClusterMatchesReference(f *testing.F) {

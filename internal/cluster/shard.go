@@ -3,7 +3,6 @@ package cluster
 import (
 	"math/bits"
 
-	"perfcloud/internal/obs"
 	"perfcloud/internal/sim"
 )
 
@@ -14,9 +13,7 @@ import (
 // never touches them — and the cluster tick counter plus the replay
 // machinery (Disk.AdvanceIdle via catchUp) settles the elided ticks in
 // O(1) bookkeeping when a dirtying event wakes them. The tick walks the
-// bitset a word at a time, so it costs O(active servers + servers/64),
-// and stats reads sum per-shard aggregates in O(active servers + shards),
-// not O(total servers).
+// bitset a word at a time, so it costs O(active servers + servers/64).
 //
 // Determinism: per-server RNG streams are derived from (master seed,
 // server id) alone, so the partition cannot perturb any random sequence;
@@ -26,34 +23,14 @@ import (
 
 // autoShardSize is the target servers-per-shard of the partition: small
 // clusters collapse to one shard, planet-scale ones get total/64 shards,
-// the granularity of fleet telemetry and stats aggregation.
+// the granularity of fleet telemetry.
 const autoShardSize = 64
 
 // shard is one contiguous server range plus its active-set bookkeeping.
 type shard struct {
 	start, end int // server index range [start, end)
 
-	active   int // servers in range currently in the active set
-	inactive int // == (end-start) - active, maintained for stats
-
-	// sumSkipFrom accumulates the deactivation ticks of the range's
-	// inactive servers, so the shard's pending elided-tick total is
-	// inactive*cluster.ticks - sumSkipFrom without visiting any of them.
-	sumSkipFrom uint64
-
-	// agg is the sum of the range's servers' pulled fast-path counters;
-	// invariant: agg == Σ server.pulled over the range.
-	agg obs.FastPathSnapshot
-}
-
-// pull folds a server's fresh counter deltas into the shard aggregate.
-// Called between ticks (stats reads) and at deactivation.
-func (sh *shard) pull(s *Server) {
-	cur := s.fastPathRaw()
-	d := cur
-	d.Sub(s.pulled)
-	sh.agg.Add(d)
-	s.pulled = cur
+	active int // servers in range currently in the active set
 }
 
 // ShardCount returns the number of shards the current partition holds
@@ -105,17 +82,14 @@ func (c *Cluster) ensureShards() {
 	clear(c.activeBits)
 	c.inactive, c.busyShards = 0, 0
 	for i, s := range c.servers {
-		sh := &c.shards[c.shardIndex(i)]
-		sh.agg.Add(s.pulled)
 		if s.active {
+			sh := &c.shards[c.shardIndex(i)]
 			c.activeBits[i>>6] |= 1 << uint(i&63)
 			sh.active++
 			if sh.active == 1 {
 				c.busyShards++
 			}
 		} else {
-			sh.inactive++
-			sh.sumSkipFrom += s.skipFrom
 			c.inactive++
 		}
 	}
@@ -180,16 +154,13 @@ func (c *Cluster) wake(s *Server, completed uint64) {
 	c.activeBits[s.index>>6] |= 1 << uint(s.index&63)
 	sh := &c.shards[c.shardIndex(s.index)]
 	sh.active++
-	sh.inactive--
-	sh.sumSkipFrom -= s.skipFrom
 	if sh.active == 1 {
 		c.busyShards++
 	}
 }
 
 // deactivate removes a freshly quiescent server from the active set at
-// the end of the advance sweep: record the deactivation tick and pull the
-// server's counters into its shard so stats reads need not visit it. The
+// the end of the advance sweep and records the deactivation tick. The
 // VM set of the upcoming skipped stretch is not copied; a placement change
 // during the stretch freezes it first (Server.freezeSkipSet).
 func (c *Cluster) deactivate(s *Server) {
@@ -199,9 +170,6 @@ func (c *Cluster) deactivate(s *Server) {
 	s.skipFrom = c.ticks
 	sh := &c.shards[c.shardIndex(s.index)]
 	sh.active--
-	sh.inactive++
-	sh.sumSkipFrom += s.skipFrom
-	sh.pull(s)
 	if sh.active == 0 {
 		c.busyShards--
 	}

@@ -12,10 +12,11 @@
 package cpu
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
+
+	"perfcloud/internal/stats"
 )
 
 // Config describes the host CPU.
@@ -43,42 +44,18 @@ type Grant struct {
 	Seconds  float64 // core-seconds granted
 }
 
-// Scheduler shares host cores across VMs each tick. Not safe for
-// concurrent use; the cluster steps it from the simulation loop.
+// Scheduler shares host cores across VMs each tick. It is a pure solver:
+// its grants depend on the tick's inputs alone, and it keeps only scratch
+// buffers between calls. Not safe for concurrent use; the cluster steps
+// it from the simulation loop.
 type Scheduler struct {
 	cfg Config
 
 	// Reused per-Allocate scratch (one scheduler serves one server, ticked
 	// by a single goroutine, so plain fields suffice).
 	clamped []float64
-	fair    fairScratch
-
-	// Input memo: the scheduler is a pure function of (tickSec, reqs), so
-	// when a tick repeats last tick's inputs exactly — the steady state of
-	// a busy server — the cached grants are returned without re-solving.
-	memoValid  bool
-	memoTick   float64
-	memoReqs   []Request
-	memoGrants []Grant
-
-	// Memo accounting (plain fields: one scheduler serves one server's
-	// ticking goroutine; read between ticks via MemoStats).
-	memoHits   uint64
-	memoMisses uint64
+	fair    stats.WaterFill
 }
-
-// MemoStats returns how many AllocateInto calls were served from the
-// input memo (hits) versus fully solved (misses) over the scheduler's
-// lifetime. Read it between ticks — the counters are owned by the
-// goroutine ticking the server.
-func (s *Scheduler) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
-
-// InvalidateMemo drops the input memo, so the next AllocateInto solves
-// its tick in full. The reference cluster calls it before every tick,
-// and a server settling an all-idle tick calls it rather than priming the
-// memo with zero demand; the memo only saves work, so dropping it cannot
-// change a grant.
-func (s *Scheduler) InvalidateMemo() { s.memoValid = false }
 
 // New creates a scheduler.
 func New(cfg Config) *Scheduler {
@@ -87,19 +64,17 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Rearm makes s the scheduler New(cfg) would return, with no memo and
-// zero accounting, but keeps the storage of its scratch and memo buffers,
-// so a recycled scheduler's first solves allocate nothing.
+// Rearm makes s the scheduler New(cfg) would return, but keeps the
+// storage of its scratch buffers, so a recycled scheduler's first solves
+// allocate nothing.
 func (s *Scheduler) Rearm(cfg Config) {
 	if cfg.Cores <= 0 || cfg.FreqHz <= 0 {
 		panic(fmt.Sprintf("cpu: nonpositive config %+v", cfg))
 	}
 	*s = Scheduler{
-		cfg:        cfg,
-		clamped:    s.clamped[:0],
-		fair:       s.fair.rearm(),
-		memoReqs:   s.memoReqs[:0],
-		memoGrants: s.memoGrants[:0],
+		cfg:     cfg,
+		clamped: s.clamped[:0],
+		fair:    s.fair.Rearm(),
 	}
 }
 
@@ -117,13 +92,6 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 	if tickSec <= 0 {
 		panic("cpu: nonpositive tick")
 	}
-	if s.memoValid && tickSec == s.memoTick && slices.Equal(reqs, s.memoReqs) {
-		// Steady state: identical inputs produce identical grants, and the
-		// scheduler has no per-tick internal state to advance.
-		s.ReplaySteady()
-		return append(dst, s.memoGrants...)
-	}
-	s.memoMisses++
 	dst = slices.Grow(dst, len(reqs))
 	s.clamped = slices.Grow(s.clamped[:0], len(reqs))
 	var anyDemand bool
@@ -141,92 +109,16 @@ func (s *Scheduler) AllocateInto(dst []Grant, tickSec float64, reqs []Request) [
 		anyDemand = anyDemand || d > 0
 		s.clamped = append(s.clamped, d)
 	}
-	base := len(dst)
 	if !anyDemand {
 		// Quiescent fast path: all grants are zero; skip the fair share.
 		for _, r := range reqs {
 			dst = append(dst, Grant{ClientID: r.ClientID})
 		}
-		s.saveMemo(tickSec, reqs, dst[base:])
 		return dst
 	}
-	shares := s.fair.fill(s.clamped, s.cfg.Cores*tickSec)
+	shares := s.fair.Fill(s.clamped, s.cfg.Cores*tickSec)
 	for i, r := range reqs {
 		dst = append(dst, Grant{ClientID: r.ClientID, Seconds: shares[i]})
 	}
-	s.saveMemo(tickSec, reqs, dst[base:])
 	return dst
-}
-
-// ReplaySteady serves one memo hit: the scheduler is deterministic in its
-// inputs and has no per-tick state, so grants copied from the memo are
-// already exact and only the accounting advances. AllocateInto calls it
-// on a value-compared hit; the cluster calls it on a tick whose unchanged
-// request vector it proved by demand epochs, with the grant buffer still
-// holding the memo's grants from the last tick.
-func (s *Scheduler) ReplaySteady() { s.memoHits++ }
-
-// saveMemo snapshots the inputs and grants of a fully solved tick so an
-// identical next tick can skip the solve.
-func (s *Scheduler) saveMemo(tickSec float64, reqs []Request, grants []Grant) {
-	s.memoTick = tickSec
-	s.memoReqs = append(s.memoReqs[:0], reqs...)
-	s.memoGrants = append(s.memoGrants[:0], grants...)
-	s.memoValid = true
-}
-
-// fairScratch holds the reusable buffers of one max-min fair computation.
-type fairScratch struct {
-	out []float64
-	idx []int
-}
-
-// rearm returns empty scratch over f's storage.
-func (f *fairScratch) rearm() fairScratch { return fairScratch{out: f.out[:0], idx: f.idx[:0]} }
-
-// fill water-fills capacity across demands max-min fairly, returning a
-// slice owned by the scratch (valid until the next fill call).
-func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
-	n := len(demands)
-	if cap(f.out) < n {
-		f.out = make([]float64, n)
-	}
-	f.out = f.out[:n]
-	out := f.out
-	for i := range out {
-		out[i] = 0
-	}
-	if n == 0 {
-		return out
-	}
-	var total float64
-	for _, d := range demands {
-		total += d
-	}
-	if total <= capacity {
-		copy(out, demands)
-		return out
-	}
-	f.idx = f.idx[:0]
-	for i := 0; i < n; i++ {
-		f.idx = append(f.idx, i)
-	}
-	idx := f.idx
-	// Tied demands get the same share whichever order they sort in, so an
-	// unstable sort is exact; SortFunc over the indexes allocates nothing.
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(demands[a], demands[b]) })
-	left := capacity
-	for k, i := range idx {
-		share := left / float64(n-k)
-		if demands[i] <= share {
-			out[i] = demands[i]
-			left -= demands[i]
-		} else {
-			for _, j := range idx[k:] {
-				out[j] = share
-			}
-			break
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -146,5 +147,61 @@ func TestPropertySymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReusedSchedulerMatchesFresh: the scheduler carries nothing but
+// scratch from one solve to the next, so one scheduler solving a tick
+// sequence — repeats, a demand change, a cap change, a quiescent
+// stretch — grants exactly what a fresh scheduler grants for each tick.
+func TestReusedSchedulerMatchesFresh(t *testing.T) {
+	reqs := []Request{
+		{ClientID: "a", Seconds: 0.4, VCPUs: 4},
+		{ClientID: "b", Seconds: 1.2, VCPUs: 8},
+		{ClientID: "c", Seconds: 0.9, VCPUs: 2, CapCores: 1},
+	}
+	reused := New(Config{Cores: 2, FreqHz: 2e9})
+	check := func(step string) {
+		t.Helper()
+		got := append([]Grant(nil), reused.Allocate(tick, reqs)...)
+		want := New(Config{Cores: 2, FreqHz: 2e9}).Allocate(tick, reqs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: reused scheduler granted %v, a fresh one %v", step, got, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		check("steady")
+	}
+	reqs[1].Seconds = 2.5
+	check("demand change")
+	reqs[2].CapCores = 0.5
+	check("cap change")
+	for i := range reqs {
+		reqs[i].Seconds = 0
+	}
+	check("quiescent")
+	check("quiescent repeat")
+}
+
+// TestOverloadedSolveAllocatesNothing: a solve over more demand than the
+// host has cores — the max-min fair path, which sorts the clients by
+// demand — allocates nothing once the scheduler's buffers have grown.
+func TestOverloadedSolveAllocatesNothing(t *testing.T) {
+	s := New(DefaultConfig())
+	reqs := []Request{
+		{ClientID: "a", Seconds: 2.4, VCPUs: 24},
+		{ClientID: "b", Seconds: 1.6, VCPUs: 16},
+		{ClientID: "c", Seconds: 1.6, VCPUs: 16},
+		{ClientID: "d", Seconds: 0.3, VCPUs: 4},
+	}
+	var dst []Grant
+	allocs := testing.AllocsPerRun(20, func() {
+		dst = s.AllocateInto(dst[:0], 0.1, reqs)
+	})
+	if total := dst[0].Seconds + dst[1].Seconds + dst[2].Seconds + dst[3].Seconds; total < 4.8-1e-9 || dst[0].Seconds >= 2.4 {
+		t.Fatalf("grants %+v do not share 4.8 core-seconds fairly; the solve was not overloaded", dst)
+	}
+	if allocs != 0 {
+		t.Errorf("overloaded solve allocated %v times, want 0", allocs)
 	}
 }

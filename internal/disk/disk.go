@@ -33,12 +33,12 @@
 package disk
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 
 	"perfcloud/internal/sim"
+	"perfcloud/internal/stats"
 )
 
 // Config describes the device.
@@ -126,51 +126,30 @@ type Disk struct {
 	opSize     []float64
 	cost       []float64
 	timeDemand []float64
-	fair       fairScratch
+	fair       stats.WaterFill
 
 	// The jitter slots of the last solved request vector's clients, in
 	// request order. A solve with the same clients steps by slot and
-	// skips the keep-set GC, and a memo hit replays through them.
+	// skips the keep-set GC, and a steady replay steps through them.
 	clients sim.SlotCache
 
-	// Steady-state memo. Unlike the CPU and memory allocators the disk
-	// cannot return cached grants wholesale: the per-client AR(1) luck
-	// factor feeds every grant's queueing delay, so WaitMs is fresh every
-	// tick by construction. What *is* a pure function of (tickSec, reqs)
-	// is everything upstream of the luck draw — throttle capping, random
-	// load, degraded bandwidth, per-op cost and the max-min fair shares —
-	// so a tick repeating last tick's request vector reuses the cached
-	// Ops/Bytes grants and the cached wait coefficient, and recomputes
-	// only WaitMs from this tick's draws. Utilization and random load need
-	// no memo: only a solve, which re-saves the memo, or SettleIdle, which
-	// drops it, changes them.
-	memoValid    bool
-	memoTick     float64
-	memoWaitCoef float64 // CongestionScale*q*rlFactor of the memoized tick
-	memoReqs     []Request
-	memoGrants   []Grant // WaitMs fields unused; recomputed per tick
-
-	// Memo accounting (plain fields: one disk serves one server's
-	// ticking goroutine; read between ticks via MemoStats).
-	memoHits   uint64
-	memoMisses uint64
+	// waitCoef is the queueing-delay coefficient of the last solve,
+	// CongestionScale*q*rlFactor (zero after a quiescent one). Everything
+	// upstream of the per-client AR(1) luck draw — throttle capping,
+	// random load, degraded bandwidth, per-op cost and the max-min fair
+	// shares — is a pure function of (tickSec, reqs), so a tick the
+	// cluster proves repeats the last solve's request vector keeps its
+	// Ops/Bytes grants and recomputes only WaitMs from this coefficient
+	// and the tick's fresh draws (ReplaySteadyInPlace).
+	waitCoef float64
 }
 
-// MemoStats returns how many AllocateInto calls took the steady path
-// (hits: cached shares reused, only WaitMs recomputed) versus solved the
-// full allocation (misses) over the disk's lifetime. Read it between
-// ticks — the counters are owned by the goroutine ticking the server.
-func (d *Disk) MemoStats() (hits, misses uint64) { return d.memoHits, d.memoMisses }
-
-// InvalidateMemo drops the steady-state memo and the resolved client
-// slots, so the next AllocateInto solves its tick in full and looks every
-// client up by id. The reference cluster calls it before every tick; the
-// memoized path takes the same jitter draws and evaluates the same wait
-// expression, so dropping it cannot change a grant.
-func (d *Disk) InvalidateMemo() {
-	d.memoValid = false
-	d.clients.Reset()
-}
+// ResetSlots drops the resolved client slots, so the next AllocateInto
+// looks every client up by id and ends with the keep-set GC. The
+// reference cluster calls it before every tick, which keeps its solves
+// the oracle of the slot cache; the slots only save lookups, so dropping
+// them cannot change a grant.
+func (d *Disk) ResetSlots() { d.clients.Reset() }
 
 // New creates a device with the given config, drawing its jitter from src.
 func New(cfg Config, src *sim.Source) *Disk {
@@ -179,10 +158,9 @@ func New(cfg Config, src *sim.Source) *Disk {
 	return d
 }
 
-// Rearm makes d the device New(cfg, src) would return, with no memo,
-// client state or accounting, but keeps the storage of its scratch, memo
-// buffers, client slots and jitter state, so a recycled device's first
-// solves allocate nothing.
+// Rearm makes d the device New(cfg, src) would return, with no client
+// state, but keeps the storage of its scratch, client slots and jitter
+// state, so a recycled device's first solves allocate nothing.
 func (d *Disk) Rearm(cfg Config, src *sim.Source) {
 	if cfg.IOPSCapacity <= 0 || cfg.BandwidthCapacity <= 0 {
 		panic(fmt.Sprintf("disk: nonpositive capacity in %+v", cfg))
@@ -203,10 +181,8 @@ func (d *Disk) Rearm(cfg Config, src *sim.Source) {
 		opSize:     d.opSize[:0],
 		cost:       d.cost[:0],
 		timeDemand: d.timeDemand[:0],
-		fair:       d.fair.rearm(),
+		fair:       d.fair.Rearm(),
 		clients:    d.clients,
-		memoReqs:   d.memoReqs[:0],
-		memoGrants: d.memoGrants[:0],
 	}
 }
 
@@ -243,15 +219,11 @@ func (d *Disk) AdvanceIdle(n, k int, id func(i int) string) {
 
 // SettleIdle records an all-idle tick without solving it: the device
 // reports zero utilization and random load, as a quiescent Allocate
-// leaves it, and the steady-state memo is dropped
-// rather than primed with the all-zero request vector (a memo only saves
-// work, so dropping it cannot change a grant). The tick's luck draws are
-// not taken here: the caller replays them with AdvanceIdle before the
-// device's next Allocate.
+// leaves it. The tick's luck draws are not taken here: the caller
+// replays them with AdvanceIdle before the device's next Allocate.
 func (d *Disk) SettleIdle() {
 	d.lastUtilization = 0
 	d.lastRandomLoad = 0
-	d.memoValid = false
 }
 
 // Allocate serves one tick of I/O. tickSec is the tick length in seconds.
@@ -268,13 +240,6 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	if tickSec <= 0 {
 		panic("disk: nonpositive tick")
 	}
-	if d.memoValid && tickSec == d.memoTick && slices.Equal(reqs, d.memoReqs) {
-		base := len(dst)
-		dst = append(dst, d.memoGrants...)
-		d.ReplaySteadyInPlace(dst[base:])
-		return dst
-	}
-	d.memoMisses++
 	base := len(dst)
 	seekCost := 1 / d.cfg.IOPSCapacity
 
@@ -334,7 +299,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 			dst = append(dst, Grant{ClientID: reqs[i].ClientID})
 		}
 		d.clients.Settle(d.jitter)
-		d.saveMemo(tickSec, reqs, dst[base:], 0)
+		d.waitCoef = 0
 		return dst
 	}
 
@@ -372,7 +337,7 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	d.lastUtilization = util
 
 	// Phase 4: max-min fair share of device time; convert back to ops.
-	shares := d.fair.fill(d.timeDemand, tickSec)
+	shares := d.fair.Fill(d.timeDemand, tickSec)
 	for i := range reqs {
 		g := Grant{ClientID: reqs[i].ClientID}
 		if d.cost[i] > 0 {
@@ -388,45 +353,31 @@ func (d *Disk) AllocateInto(dst []Grant, tickSec float64, reqs []Request) []Gran
 	// both large and uneven (per-client AR(1) luck).
 	q := queueIntensity(util, d.cfg.MaxQueueFactor)
 	rlFactor := d.cfg.BaselineWaitFactor + math.Min(1, d.cfg.RandomWaitScale*randomLoad)
-	waitCoef := d.cfg.CongestionScale * q * rlFactor
-	grants := dst[base:]
+	d.waitCoef = d.cfg.CongestionScale * q * rlFactor
 	d.clients.StepAll(d.jitter)
-	d.chargeWaits(grants, waitCoef)
+	d.chargeWaits(dst[base:])
 	d.clients.Settle(d.jitter)
-	d.saveMemo(tickSec, reqs, grants, waitCoef)
 	return dst
 }
 
-// saveMemo snapshots the inputs, grants and derived device state of a
-// fully solved tick so an identical next tick can skip everything but
-// the queueing-delay draws.
-func (d *Disk) saveMemo(tickSec float64, reqs []Request, grants []Grant, waitCoef float64) {
-	d.memoTick = tickSec
-	d.memoWaitCoef = waitCoef
-	d.memoReqs = append(d.memoReqs[:0], reqs...)
-	d.memoGrants = append(d.memoGrants[:0], grants...)
-	d.memoValid = true
-}
-
-// ReplaySteadyInPlace serves one memo hit in grants, which must hold the
-// memo's Ops/Bytes grants (len(grants) == len(memoGrants)): only the
-// per-client luck draws and the WaitMs they scale are evaluated, in
-// request order as both full paths draw and through the client slots the
-// solve resolved, so the seeded stream position is identical; the
-// keep-set GC is skipped, a no-op after an unchanged tick.
-// AllocateInto calls it on a value-compared hit; the cluster calls it on
-// a tick whose unchanged request vector it proved by demand epochs, with
-// the grant buffer still holding the memo's grants from the last tick.
+// ReplaySteadyInPlace replays one tick that repeats the last solve's
+// request vector at its tick length in grants, which must hold that
+// solve's grants: only the per-client luck draws and the WaitMs they
+// scale are evaluated, in request order as the solve draws and through
+// the client slots it resolved, so the seeded stream position is
+// identical; the keep-set GC is skipped, a no-op after an unchanged
+// tick. The cluster calls it on a tick whose unchanged request vector it
+// proved by demand epochs, with its grant buffer still holding the last
+// solve's grants.
 func (d *Disk) ReplaySteadyInPlace(grants []Grant) {
-	d.memoHits++
 	d.clients.Revalidate(d.jitter)
 	d.clients.StepAll(d.jitter)
-	d.chargeWaits(grants, d.memoWaitCoef)
+	d.chargeWaits(grants)
 }
 
 // chargeWaits sets each grant's queueing delay from the wait coefficient
 // and its client's freshly stepped AR(1) luck factor.
-func (d *Disk) chargeWaits(grants []Grant, waitCoef float64) {
+func (d *Disk) chargeWaits(grants []Grant) {
 	slots, lucks := d.clients.Values(d.jitter)
 	base := d.cfg.BaseLatencyMs
 	for i := range grants {
@@ -434,7 +385,7 @@ func (d *Disk) chargeWaits(grants []Grant, waitCoef float64) {
 		if luck < 0 {
 			luck = 0
 		}
-		waitPerOp := base * (1 + waitCoef*luck)
+		waitPerOp := base * (1 + d.waitCoef*luck)
 		grants[i].WaitMs = grants[i].Ops * waitPerOp
 	}
 }
@@ -454,60 +405,4 @@ func queueIntensity(util, maxFactor float64) float64 {
 		q = maxFactor
 	}
 	return q
-}
-
-// fairScratch holds the reusable buffers of one max-min fair computation.
-type fairScratch struct {
-	out []float64
-	idx []int
-}
-
-// rearm returns empty scratch over f's storage.
-func (f *fairScratch) rearm() fairScratch { return fairScratch{out: f.out[:0], idx: f.idx[:0]} }
-
-// fill water-fills the capacity across the demands max-min fairly,
-// returning a slice owned by the scratch (valid until the next fill call).
-func (f *fairScratch) fill(demands []float64, capacity float64) []float64 {
-	n := len(demands)
-	if cap(f.out) < n {
-		f.out = make([]float64, n)
-	}
-	f.out = f.out[:n]
-	out := f.out
-	for i := range out {
-		out[i] = 0
-	}
-	if n == 0 {
-		return out
-	}
-	var total float64
-	for _, d := range demands {
-		total += d
-	}
-	if total <= capacity {
-		copy(out, demands)
-		return out
-	}
-	f.idx = f.idx[:0]
-	for i := 0; i < n; i++ {
-		f.idx = append(f.idx, i)
-	}
-	idx := f.idx
-	// Tied demands get the same share whichever order they sort in, so an
-	// unstable sort is exact; SortFunc over the indexes allocates nothing.
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(demands[a], demands[b]) })
-	left := capacity
-	for k, i := range idx {
-		share := left / float64(n-k)
-		if demands[i] <= share {
-			out[i] = demands[i]
-			left -= demands[i]
-		} else {
-			for _, j := range idx[k:] {
-				out[j] = share
-			}
-			break
-		}
-	}
-	return out
 }

@@ -17,10 +17,9 @@ import (
 
 // The optimised ≡ reference suite. Every experiment normally runs on the
 // optimised cluster: quiescent servers parked out of the active set, the
-// steady-tick replay, allocator memos and event-driven strides.
-// Options.reference reruns it on reference clusters, which tick every
-// server's full pipeline every tick with no memo, no replay and no
-// stride. Each case must produce a bit-for-bit identical result.
+// steady-tick replay and event-driven strides. Options.reference reruns
+// it on reference clusters, which tick every server's full pipeline
+// every tick with no replay and no stride. Each case must produce a bit-for-bit identical result.
 
 // matchesReference runs one scenario on the optimised path and on the
 // reference, and fails the test unless the two results DeepEqual. The

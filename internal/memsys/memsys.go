@@ -112,38 +112,31 @@ type System struct {
 	// The jitter slots of the last solved request vector's clients, in
 	// request order, each resolved when the client is first stepped: a
 	// client that never runs gets no jitter state. A solve with the same
-	// clients steps by slot and skips the keep-set GC, and a memo hit
-	// replays through them.
+	// clients steps by slot and skips the keep-set GC, and a steady
+	// replay steps through them.
 	clients sim.SlotCache
 
-	// Input memo: everything upstream of the per-VM AR(1) luck draw —
-	// nominal instruction rates, bandwidth pressure, LLC shares and miss
-	// rates — is a pure function of (tickSec, reqs), so a tick repeating
-	// last tick's inputs skips the solve. With pressure at or below
-	// capacity the luck factors multiply a zero congestion term and the
-	// cached results are returned wholesale (replaying the draws to keep
-	// the seeded stream position identical). Under congestion the luck
-	// factors feed the results, so the hit replays, per active client,
-	// only the short draw-dependent tail of the arithmetic from the
-	// cached draw-independent inputs in memoActive.
-	memoValid   bool
-	memoTick    float64
-	memoOver    float64 // clipped congestion term of the memoized tick
-	memoReqs    []Request
-	memoResults []Result
-	memoActive  []memoReplay // per stepped client, in draw order
-
-	// Memo accounting (plain fields: one system serves one server's
-	// ticking goroutine; read between ticks via MemoStats).
-	memoHits   uint64
-	memoMisses uint64
+	// The state of the last solve that a steady replay needs (see
+	// ReplaySteadyInPlace). Everything upstream of the per-VM AR(1) luck
+	// draw — nominal instruction rates, bandwidth pressure, LLC shares
+	// and miss rates — is a pure function of (tickSec, reqs), so a tick
+	// the cluster proves repeats the last solve's request vector keeps
+	// its results. With pressure at or below capacity the luck factors
+	// multiply a zero congestion term and the results stand as they are
+	// (the draws are still taken, to keep the seeded stream position
+	// identical). Under congestion the luck factors feed the results, so
+	// the replay re-evaluates, per active client, only the short
+	// draw-dependent tail of the arithmetic from the draw-independent
+	// inputs kept in active.
+	over   float64        // clipped congestion term of the last solve
+	active []activeClient // per stepped client, in draw order
 }
 
-// memoReplay caches one active client's draw-independent inputs so a
-// congested memo hit can recompute the client's results from this tick's
+// activeClient keeps one active client's draw-independent inputs so a
+// congested replay can recompute the client's results from this tick's
 // luck draw alone, with the exact operand order of the full solve.
-type memoReplay struct {
-	resIdx   int32 // index into memoResults, the returned slice and the bound clients
+type activeClient struct {
+	resIdx   int32 // index into the results and the bound clients
 	coreCPI  float64
 	refs     float64 // LLCRefsPerInstr
 	bytesPI  float64 // BytesPerInstr
@@ -151,21 +144,12 @@ type memoReplay struct {
 	cycles   float64
 }
 
-// MemoStats returns how many ComputeInto calls were served from the
-// input memo (hits) versus fully solved (misses) over the system's
-// lifetime. Read it between ticks — the counters are owned by the
-// goroutine ticking the server.
-func (s *System) MemoStats() (hits, misses uint64) { return s.memoHits, s.memoMisses }
-
-// InvalidateMemo drops the input memo and the resolved client slots, so
-// the next ComputeInto solves its tick in full and looks every client up
-// by id. The reference cluster calls it before every tick; the memoized
-// path yields the same results and leaves the seeded jitter stream in the
-// same position, so dropping it cannot change a result.
-func (s *System) InvalidateMemo() {
-	s.memoValid = false
-	s.clients.Reset()
-}
+// ResetSlots drops the resolved client slots, so the next ComputeInto
+// looks every client up by id and ends with the keep-set GC. The
+// reference cluster calls it before every tick, which keeps its solves
+// the oracle of the slot cache; the slots only save lookups, so dropping
+// them cannot change a result.
+func (s *System) ResetSlots() { s.clients.Reset() }
 
 // New creates a memory system with the given config, drawing its jitter
 // from src.
@@ -175,10 +159,9 @@ func New(cfg Config, src *sim.Source) *System {
 	return s
 }
 
-// Rearm makes s the system New(cfg, src) would return, with no memo,
-// client state or accounting, but keeps the storage of its scratch, memo
-// buffers, client slots and jitter state, so a recycled system's first
-// solves allocate nothing.
+// Rearm makes s the system New(cfg, src) would return, with no client
+// state, but keeps the storage of its scratch, client slots and jitter
+// state, so a recycled system's first solves allocate nothing.
 func (s *System) Rearm(cfg Config, src *sim.Source) {
 	if cfg.LLCBytes <= 0 || cfg.BandwidthCapacity <= 0 || cfg.FreqHz <= 0 {
 		panic(fmt.Sprintf("memsys: nonpositive config %+v", cfg))
@@ -197,9 +180,7 @@ func (s *System) Rearm(cfg Config, src *sim.Source) {
 		weights:      s.weights[:0],
 		wants:        s.wants[:0],
 		clients:      s.clients,
-		memoReqs:     s.memoReqs[:0],
-		memoResults:  s.memoResults[:0],
-		memoActive:   s.memoActive[:0],
+		active:       s.active[:0],
 	}
 }
 
@@ -209,9 +190,7 @@ func (s *System) Pressure() float64 { return s.lastPressure }
 
 // SettleIdle records an all-idle tick for n distinct clients without
 // building a request vector: it leaves the system as a quiescent Compute
-// would — zero pressure — except that the input memo is dropped rather
-// than primed (a memo only saves work, so dropping it cannot change a
-// result). Like a quiescent Compute it draws nothing: a quiescent
+// would — zero pressure. Like a quiescent Compute it draws nothing: a quiescent
 // computation steps no AR(1) jitter and consumes no randomness, which is
 // what lets the cluster skip idle servers' grant phases outright.
 // What a quiescent Compute also does is collect the jitter state of
@@ -220,7 +199,6 @@ func (s *System) Pressure() float64 { return s.lastPressure }
 // to Retain. Otherwise the ids are not needed at all.
 func (s *System) SettleIdle(n int) (collect bool) {
 	s.lastPressure = 0
-	s.memoValid = false
 	return s.jitter.WouldCompact(n)
 }
 
@@ -242,14 +220,6 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	if tickSec <= 0 {
 		panic("memsys: nonpositive tick")
 	}
-	if s.memoValid && tickSec == s.memoTick && slices.Equal(reqs, s.memoReqs) {
-		base := len(dst)
-		dst = append(dst, s.memoResults...)
-		s.ReplaySteadyInPlace(dst[base:])
-		return dst
-	}
-	s.memoMisses++
-
 	// Nominal instruction rate (at core CPI) determines both LLC occupancy
 	// weight and bandwidth demand. Using the stall-free rate here keeps the
 	// computation a single pass; the resulting demand overestimate under
@@ -282,16 +252,14 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 			break
 		}
 	}
-	base := len(dst)
 	if !anyActive {
 		s.lastPressure = 0
 		for _, r := range reqs {
 			dst = append(dst, Result{ClientID: r.ClientID})
 		}
 		s.clients.Settle(s.jitter)
-		s.memoActive = s.memoActive[:0]
-		s.memoOver = 0
-		s.saveMemo(tickSec, reqs, dst[base:])
+		s.active = s.active[:0]
+		s.over = 0
 		return dst
 	}
 
@@ -319,8 +287,8 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 	}
 	s.clients.StepAt(s.jitter, active)
 
-	s.memoActive = slices.Grow(s.memoActive[:0], len(reqs))
-	s.memoOver = over
+	s.active = slices.Grow(s.active[:0], len(reqs))
+	s.over = over
 	slots, lucks := s.clients.Values(s.jitter)
 	for i, r := range reqs {
 		res := Result{ClientID: r.ClientID}
@@ -342,7 +310,7 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		res.LLCRefs = res.Instructions * r.LLCRefsPerInstr
 		res.LLCMisses = res.LLCRefs * res.MissRate
 		res.MemBytes = res.Instructions * r.BytesPerInstr
-		s.memoActive = append(s.memoActive, memoReplay{
+		s.active = append(s.active, activeClient{
 			resIdx:  int32(i),
 			coreCPI: r.CoreCPI, refs: r.LLCRefsPerInstr, bytesPI: r.BytesPerInstr,
 			missRate: res.MissRate, cycles: res.Cycles,
@@ -350,56 +318,43 @@ func (s *System) ComputeInto(dst []Result, tickSec float64, reqs []Request) []Re
 		dst = append(dst, res)
 	}
 	s.clients.Settle(s.jitter)
-	s.saveMemo(tickSec, reqs, dst[base:])
 	return dst
 }
 
-// saveMemo snapshots the inputs and results of a fully computed tick
-// (the caller has already recorded the per-client replay inputs in
-// memoActive) so an identical next tick can skip the solve.
-func (s *System) saveMemo(tickSec float64, reqs []Request, results []Result) {
-	s.memoTick = tickSec
-	s.memoReqs = append(s.memoReqs[:0], reqs...)
-	s.memoResults = append(s.memoResults[:0], results...)
-	s.memoValid = true
-}
-
-// ReplaySteadyInPlace serves one memo hit in results, which must hold the
-// memo's results (len(results) == len(memoResults)). Everything upstream
-// of the luck draws is cached; the draws the full solve would consume are
-// still taken — the stream position is part of the model's observable
-// state — and, under congestion, the short draw-dependent tail of the
-// arithmetic is re-evaluated operand for operand as the full solve does.
-// The keep-set GC is skipped, a no-op after an unchanged tick.
-// ComputeInto calls it on a value-compared hit; the cluster calls it on a
+// ReplaySteadyInPlace replays one tick that repeats the last solve's
+// request vector at its tick length in results, which must hold that
+// solve's results. The draws the solve would consume are still taken —
+// the stream position is part of the model's observable state — and,
+// under congestion, the short draw-dependent tail of the arithmetic is
+// re-evaluated operand for operand as the solve does. The keep-set GC is
+// skipped, a no-op after an unchanged tick. The cluster calls it on a
 // tick whose unchanged request vector it proved by demand epochs, with
-// the result buffer still holding the memo's results from the last tick.
+// its result buffer still holding the last solve's results.
 func (s *System) ReplaySteadyInPlace(results []Result) {
-	s.memoHits++
 	s.clients.Revalidate(s.jitter)
 	var buf [sim.StackBatch]int32
 	active := buf[:0]
-	if len(s.memoActive) > sim.StackBatch {
-		active = make([]int32, 0, len(s.memoActive))
+	if len(s.active) > sim.StackBatch {
+		active = make([]int32, 0, len(s.active))
 	}
-	for i := range s.memoActive {
-		active = append(active, s.memoActive[i].resIdx)
+	for i := range s.active {
+		active = append(active, s.active[i].resIdx)
 	}
 	s.clients.StepAt(s.jitter, active)
-	if s.memoOver == 0 {
+	if s.over == 0 {
 		// Uncongested: the luck factors multiply a zero congestion term,
 		// so the buffered results are already exact; only the seeded
 		// stream position advances.
 		return
 	}
 	slots, lucks := s.clients.Values(s.jitter)
-	for i := range s.memoActive {
-		m := &s.memoActive[i]
+	for i := range s.active {
+		m := &s.active[i]
 		luck := 1 + lucks[slots[m.resIdx]]
 		if luck < 0 {
 			luck = 0
 		}
-		penalty := s.cfg.MissPenaltyCPI * (1 + s.cfg.CongestionScale*s.memoOver*luck)
+		penalty := s.cfg.MissPenaltyCPI * (1 + s.cfg.CongestionScale*s.over*luck)
 		r := &results[m.resIdx]
 		r.CPI = m.coreCPI + m.refs*m.missRate*penalty
 		r.Instructions = m.cycles / r.CPI

@@ -33,7 +33,7 @@ const (
 	// EventMigrate is a node manager's escalation to the cloud manager.
 	EventMigrate EventType = "migrate"
 	// EventFastPaths is a periodic snapshot of the simulation's
-	// fast-path accounting (quiescence, steady replay, allocator memos).
+	// fast-path accounting (quiescence, steady replay, strides).
 	EventFastPaths EventType = "fastpaths"
 	// EventAlert is one alert-rule lifecycle transition (pending, firing
 	// or resolved) from the deterministic rule engine (DESIGN.md §5.9).
@@ -71,7 +71,12 @@ type FastPathSnapshot struct {
 	// Always encoded (no omitempty): /debug/fastpaths consumers pin the
 	// field name and a zero is itself informative (sharding inactive).
 	ShardSkips uint64 `json:"shard_skips"`
-	// Per-resource allocator input-memo accounting.
+	// Per-resource allocator memo accounting, kept for the readers that
+	// pin these fields (the JSONL fast-path events, perfcloudd's
+	// perfcloud_alloc_memo_* gauges, the bench harness). The steady
+	// replay is each resource model's only reuse of a solve, so every
+	// *MemoHits field equals SteadyReuses and every *MemoMisses field
+	// equals Rebuilds.
 	CPUMemoHits    uint64 `json:"cpu_memo_hits"`
 	CPUMemoMisses  uint64 `json:"cpu_memo_misses"`
 	MemMemoHits    uint64 `json:"mem_memo_hits"`
@@ -94,25 +99,6 @@ func (s *FastPathSnapshot) Add(o FastPathSnapshot) {
 	s.MemMemoMisses += o.MemMemoMisses
 	s.DiskMemoHits += o.DiskMemoHits
 	s.DiskMemoMisses += o.DiskMemoMisses
-}
-
-// Sub subtracts another snapshot from s. With o a past reading of the
-// same monotone counters, the result is the delta accumulated since —
-// how incremental aggregators (the cluster's per-shard stats) fold a
-// server's fresh counters into a running total.
-func (s *FastPathSnapshot) Sub(o FastPathSnapshot) {
-	s.QuiescentSkips -= o.QuiescentSkips
-	s.SteadyReuses -= o.SteadyReuses
-	s.Rebuilds -= o.Rebuilds
-	s.StrideSkips -= o.StrideSkips
-	s.HorizonRecomputes -= o.HorizonRecomputes
-	s.ShardSkips -= o.ShardSkips
-	s.CPUMemoHits -= o.CPUMemoHits
-	s.CPUMemoMisses -= o.CPUMemoMisses
-	s.MemMemoHits -= o.MemMemoHits
-	s.MemMemoMisses -= o.MemMemoMisses
-	s.DiskMemoHits -= o.DiskMemoHits
-	s.DiskMemoMisses -= o.DiskMemoMisses
 }
 
 // Event is one typed control-plane record. It is a flat union: fields

@@ -193,34 +193,6 @@ func TestRingWraparound(t *testing.T) {
 	})
 }
 
-// TestFastPathSnapshotSub checks Sub is Add's exact inverse over every
-// field — the contract incremental aggregators (the cluster's per-shard
-// stats) rely on when folding counter deltas — using reflection so a
-// future counter missing from either method fails loudly.
-func TestFastPathSnapshotSub(t *testing.T) {
-	var a, b FastPathSnapshot
-	va := reflect.ValueOf(&a).Elem()
-	vb := reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		va.Field(i).SetUint(uint64(100 * (i + 1)))
-		vb.Field(i).SetUint(uint64(i + 1))
-	}
-	sum := a
-	sum.Add(b)
-	sum.Sub(b)
-	if sum != a {
-		t.Fatalf("Add then Sub is not the identity: %+v vs %+v", sum, a)
-	}
-	d := a
-	d.Sub(b)
-	vd := reflect.ValueOf(d)
-	for i := 0; i < vd.NumField(); i++ {
-		if got, want := vd.Field(i).Uint(), uint64(99*(i+1)); got != want {
-			t.Fatalf("field %s delta = %d, want %d", vd.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
 func TestFastPathSnapshotAdd(t *testing.T) {
 	a := FastPathSnapshot{QuiescentSkips: 1, SteadyReuses: 2, Rebuilds: 3, CPUMemoHits: 4, DiskMemoMisses: 5}
 	a.Add(FastPathSnapshot{QuiescentSkips: 10, SteadyReuses: 20, Rebuilds: 30, CPUMemoHits: 40, MemMemoHits: 7, DiskMemoMisses: 50})

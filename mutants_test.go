@@ -79,7 +79,7 @@ var mutants = []mutant{
 		pkgs:        []string{"perfcloud/internal/exec", "perfcloud/internal/experiments", "perfcloud/cmd/perfbench"},
 	},
 	{
-		// A Revalidate that never clears: a memo replay after the AR(1)
+		// A Revalidate that never clears: a steady replay after the AR(1)
 		// compacted steps the jitter of whichever client now holds each
 		// stale slot.
 		name:        "revalidate-never-clears",
@@ -87,6 +87,27 @@ var mutants = []mutant{
 		anchor:      "\tif c.gen == a.gen {\n\t\treturn\n\t}\n",
 		replacement: "\treturn\n",
 		pkgs:        []string{"perfcloud/internal/cluster", "perfcloud/internal/disk", "perfcloud/internal/memsys"},
+	},
+	{
+		// A SlotCache.Bind that ignores ids: a request vector of the same
+		// length whose clients changed, with none new to the AR(1), keeps
+		// the old binding and steps the luck factors of the wrong clients.
+		name:        "bind-ignores-ids",
+		file:        "internal/sim/ar1.go",
+		anchor:      "\t\t\tif x != id(i) {\n",
+		replacement: "\t\t\tif false && x != id(i) {\n",
+		pkgs:        []string{"perfcloud/internal/sim", "perfcloud/internal/cluster"},
+	},
+	{
+		// A VM whose cgroup is never bound to its server's throttle
+		// counter: a cap set through the cgroup alone leaves the steady
+		// replay armed, so the server replays grants solved under the
+		// old caps.
+		name:        "throttle-counter-never-bound",
+		file:        "internal/cluster/cluster.go",
+		anchor:      "\tv.cg.BindThrottleCounter(&s.throttles)\n",
+		replacement: "",
+		pkgs:        []string{"perfcloud/internal/cluster"},
 	},
 }
 
