@@ -595,8 +595,8 @@ func (s *Server) grantPhase(tickSec float64) {
 		return
 	}
 	// Rebuild: fresh vectors through full solves, then arm the replay for
-	// the next tick, against the throttle counter
-	// as it stood before the pipeline read the caps.
+	// the next tick, against the throttle counter as it stood before the
+	// pipeline read the caps.
 	s.catchUp()
 	s.statRebuilds++
 	mark := s.throttles.Load()
